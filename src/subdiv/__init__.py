@@ -6,9 +6,9 @@ from .masks import (Mask, SchemeRecord, SchemeFormatError, SymmetryClass,
                     recenter, register_scheme, save_scheme)
 from .convergence import (ConvergenceReport, NotFactorableError, Verdict,
                           certify, contractivity_norm, difference_scheme,
-                          necessary_conditions, smooth_lift)
+                          is_contractive, necessary_conditions, smooth_lift)
 from .localmatrix import (EigensolveError, LocalMatrix, Spectrum,
-                          build_local_matrix, classify, complex_region_predicate,
+                          build_local_matrix, complex_region_predicate,
                           eigenvalues, matrix_from_coeffs, w5_closed_form,
                           w6_closed_form, w6_discriminant)
 from .refine import (ControlPolygon, MeshType, RefinementLimitError,

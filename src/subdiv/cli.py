@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -99,13 +100,12 @@ def cmd_analyze(args) -> int:
     if rec.mask.width >= 2:
         M = localmatrix.build_local_matrix(rec.mask)
         spec = localmatrix.eigenvalues(M, tol=args.tol)
-        has_complex, neg, ok = localmatrix.classify(spec, tol=args.tol)
         doc["local_matrix"] = M.to_json()
         doc["spectrum"] = spec.to_json()
         doc["classification"] = {
-            "has_complex": has_complex,
-            "negative_real_count": neg,
-            "convergence_spectral_ok": ok,
+            "has_complex": spec.has_complex,
+            "negative_real_count": spec.negative_real_count,
+            "convergence_spectral_ok": spec.convergence_spectral_ok,
         }
     _emit(_json_text(doc), args.out)
     return 0
@@ -148,7 +148,7 @@ def cmd_dynamics(args) -> int:
     else:
         v0 = dynamics.window_vector(refine.delta(), 0, M.n)
     traj = dynamics.iterate_local(v0, M, args.K, norm=args.norm)
-    traj = dynamics.decompose_modes(traj, localmatrix.eigenvalues(M, tol=args.tol), tol=args.tol)
+    traj = dynamics.decompose_modes(traj, tol=args.tol)
     buf = io.StringIO()
     dynamics.write_trajectory_csv(traj, buf)
     _emit(buf.getvalue(), args.out)
@@ -250,6 +250,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
+            raise CliError("tol must be > 0")
         return args.func(args)
     except (CliError, ValueError, KeyError, InexactDivisionError,
             convergence.NotFactorableError, masks.SchemeFormatError,

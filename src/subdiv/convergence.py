@@ -2,8 +2,10 @@
 
 Necessary conditions s(1) = 2, s(-1) = 0; the difference scheme from the
 (1+z) factor; the parity-sum contractivity norm; and a certification ladder
-that peels (1+z)/2 factors to certify higher smoothness.  The norm test is
-sufficient only, so a failed test yields "inconclusive", never "divergent".
+that peels (1+z)/2 factors to certify higher smoothness.  Contractivity
+(norm of the difference scheme < 1) is decided in one place, is_contractive,
+which both the ladder and the family scan use.  The norm test is sufficient
+only, so a failed test yields "inconclusive", never "divergent".
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .masks import Mask, classify_symmetry, recenter, SymmetryClass
+from .masks import Mask, recenter
 from .symbols import InexactDivisionError, LaurentPoly
 
 _ONE_PLUS_Z = LaurentPoly({0: 1, 1: 1})
@@ -74,19 +76,12 @@ def contractivity_norm(b: Mask) -> Fraction:
     return max(b.symbol().parity_sums())
 
 
-def iterated_norm(b: Mask, depth: int) -> Fraction:
-    """Norm of the depth-fold iterated scheme: the symbol is the product of
-    s_b(z^(2^l)) for l < depth, with coefficients split by residue mod 2^depth."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    s = LaurentPoly.one()
-    for l in range(depth):
-        s = s * b.symbol().dilate(2 ** l)
-    period = 2 ** depth
-    sums = [Fraction(0)] * period
-    for e, c in s.coeffs.items():
-        sums[e % period] += abs(c)
-    return max(sums)
+def is_contractive(mask: Mask) -> bool:
+    """True iff the difference scheme of mask has contractivity norm < 1.
+
+    The mask must satisfy s(-1) = 0 (NotFactorableError otherwise).
+    """
+    return contractivity_norm(difference_scheme(mask)) < 1
 
 
 def smooth_lift(mask: Mask) -> Mask:
@@ -97,13 +92,12 @@ def smooth_lift(mask: Mask) -> Mask:
     return recenter(lifted)
 
 
-def certify(mask: Mask, target_m: int, iterated_depth: int = 1) -> ConvergenceReport:
+def certify(mask: Mask, target_m: int) -> ConvergenceReport:
     """Certify the largest smoothness m <= target_m via the division ladder.
 
     Writes s_a = ((1+z)/2)^m s_q for the largest m such that the division is
     exact and S_q passes the necessary conditions with a contractive
-    difference scheme.  iterated_depth > 1 additionally tries norms of
-    iterated difference schemes (sharper, off the default path).
+    difference scheme (is_contractive).
     """
     if target_m < 0:
         raise ValueError("target_m must be >= 0")
@@ -124,10 +118,7 @@ def certify(mask: Mask, target_m: int, iterated_depth: int = 1) -> ConvergenceRe
 
     for m in range(len(quotients) - 1, -1, -1):
         q = quotients[m]
-        if q(1) != 2 or q(-1) != 0:
-            continue
-        diff_q = Mask.from_symbol(q.div_exact(_ONE_PLUS_Z))
-        if any(iterated_norm(diff_q, depth) < 1 for depth in range(1, iterated_depth + 1)):
+        if q(1) == 2 and q(-1) == 0 and is_contractive(Mask.from_symbol(q)):
             return ConvergenceReport(s1, sm1, True, b, norm, Verdict.C0_CERTIFIED, m)
 
     return ConvergenceReport(s1, sm1, True, b, norm, Verdict.INCONCLUSIVE, None)

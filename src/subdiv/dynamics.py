@@ -14,7 +14,7 @@ from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .localmatrix import LocalMatrix, Spectrum, classify, eigenvalues
+from .localmatrix import LocalMatrix, eigenvalues
 from .refine import ControlPolygon
 
 _COEFF_FLOOR = 1e-12  # coefficients below this are treated as unexcited
@@ -118,8 +118,7 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
         raise ValueError("v0 has dimension %d, matrix order is %d" % (v.size, n))
 
     spec = eigenvalues(A if isinstance(A, LocalMatrix) else Af)
-    _, _, spectral_ok = classify(spec)
-    status = "ok" if spectral_ok else (
+    status = "ok" if spec.convergence_spectral_ok else (
         "non-convergent spectrum (leading eigenvalues %s)" %
         ", ".join("%.6g%+.6gj" % (z.real, z.imag) for z in spec.eigenvalues[:2]))
 
@@ -170,8 +169,7 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
     )
 
 
-def decompose_modes(traj: TrajectoryReport, spec: Spectrum,
-                    tol: float = 1e-7) -> TrajectoryReport:
+def decompose_modes(traj: TrajectoryReport, tol: float = 1e-7) -> TrajectoryReport:
     """Enrich a trajectory with per-eigenmode magnitudes and sign data.
 
     Real eigendirections give signed coefficient sequences with flip
@@ -186,12 +184,7 @@ def decompose_modes(traj: TrajectoryReport, spec: Spectrum,
                        mode_diagnostic="matrix is defective within working precision; "
                                        "mode decomposition skipped")
 
-    if traj.transients is not None:
-        diffs = [np.asarray(d) for d in traj.transients]
-    else:
-        fixed = np.asarray(traj.fixed_point)
-        diffs = [np.asarray(s) - fixed for s in traj.states]
-    coeffs = np.array([np.linalg.solve(V, d) for d in diffs])
+    coeffs = np.array([np.linalg.solve(V, d) for d in traj.transients])
 
     used = [False] * len(w)
     modes: list[EigenMode] = []

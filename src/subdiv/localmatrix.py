@@ -9,6 +9,10 @@ square-free factors, and root-solved with Newton polishing; this keeps
 multiple eigenvalues accurate to ~1e-12 where a plain dense eigensolve
 loses half the digits at defective points.  Plain float matrices fall back
 to LAPACK.
+
+The spectral class (complex pair, negative real count, simple eigenvalue 1
+with all others inside the unit disc) is decided once, at a tolerance, in
+Spectrum.from_values; callers read the resulting fields.
 """
 from __future__ import annotations
 
@@ -84,14 +88,21 @@ class Spectrum:
     has_complex: bool
     negative_real_count: int
     subdominant_modulus: float
+    convergence_spectral_ok: bool  # simple eigenvalue 1, all others inside the unit disc
 
     @classmethod
     def from_values(cls, values: Sequence[complex], tol: float = 1e-7) -> "Spectrum":
+        """Sort the values and decide the spectral class at tolerance tol."""
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError("tol must be > 0")
         vals = tuple(sorted((complex(v) for v in values), key=_sort_key))
         has_complex = any(abs(v.imag) > tol for v in vals)
         neg = sum(1 for v in vals if v.real < -tol)
         sub = abs(vals[1]) if len(vals) > 1 else 0.0
-        return cls(vals, has_complex, neg, sub)
+        near_one = [v for v in vals if abs(v - 1) <= tol]
+        others = [v for v in vals if abs(v - 1) > tol]
+        ok = len(near_one) == 1 and all(abs(v) < 1 - tol for v in others)
+        return cls(vals, has_complex, neg, sub, ok)
 
     def to_json(self) -> dict:
         return {
@@ -100,19 +111,6 @@ class Spectrum:
             "negative_real_count": self.negative_real_count,
             "subdominant_modulus": self.subdominant_modulus,
         }
-
-
-def classify(spec: Spectrum, tol: float = 1e-7) -> tuple[bool, int, bool]:
-    """(has_complex, negative_real_count, convergence_spectral_ok) at tolerance tol."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    vals = spec.eigenvalues
-    has_complex = any(abs(v.imag) > tol for v in vals)
-    neg = sum(1 for v in vals if v.real < -tol)
-    near_one = [v for v in vals if abs(v - 1) <= tol]
-    others = [v for v in vals if abs(v - 1) > tol]
-    ok = len(near_one) == 1 and all(abs(v) < 1 - tol for v in others)
-    return has_complex, neg, ok
 
 
 # characteristic polynomial route

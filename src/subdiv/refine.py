@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import TextIO
 
 from .masks import Mask
 
@@ -141,10 +140,6 @@ def curve_csv_text(curve: SampledCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_curve_csv(curve: SampledCurve, f: TextIO) -> None:
-    f.write(curve_csv_text(curve))
-
-
 def curve_svg_text(curve: SampledCurve, width: int = 640, height: int = 480) -> str:
     xs = [p[0] for p in curve.points]
     ys = [p[1] for p in curve.points]
@@ -164,7 +159,3 @@ def curve_svg_text(curve: SampledCurve, width: int = 640, height: int = 480) -> 
         '<polyline fill="none" stroke="black" stroke-width="%.6g" points="%s"/>\n'
         "</svg>\n" % (width, height, vb, sw, pts)
     )
-
-
-def write_curve_svg(curve: SampledCurve, f: TextIO) -> None:
-    f.write(curve_svg_text(curve))

@@ -23,7 +23,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence, TextIO
 
+from .convergence import is_contractive
 from .localmatrix import (eigenvalues, matrix_from_coeffs, w6_discriminant)
+from .masks import Mask
 from .symbols import LaurentPoly
 
 _DEGENERATE_D_TOL = Fraction(1, 10 ** 10)
@@ -45,13 +47,11 @@ class GridRange:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "step", step)
 
+    def __len__(self) -> int:
+        return (self.hi - self.lo) // self.step + 1
+
     def values(self) -> list[Fraction]:
-        out = []
-        v = self.lo
-        while v <= self.hi:
-            out.append(v)
-            v = v + self.step
-        return out
+        return [self.lo + k * self.step for k in range(len(self))]
 
 
 def free_param_count(width: int) -> int:
@@ -132,20 +132,15 @@ class SearchResult:
                 if c.cls is CellClass.COMPLEX_CONVERGENT and not c.degenerate]
 
 
-def _is_contractive(width: int, params: Sequence[Fraction]) -> bool:
-    s = family_symbol(width, params)
-    if not s or s(1) != 2 or s(-1) != 0:
-        return False
-    b = s.div_exact(LaurentPoly({0: 1, 1: 1}))
-    return max(b.parity_sums()) < 1
-
-
 def scan(spec: SearchSpec, imag_tol: float = 1e-7, max_cells: int = 10 ** 6) -> SearchResult:
     """Classify every grid cell of the family by spectrum and contractivity."""
-    grids = [r.values() for r in spec.param_ranges]
-    n_cells = math.prod(len(g) for g in grids) if grids else 1
+    try:
+        n_cells = math.prod(len(r) for r in spec.param_ranges)
+    except OverflowError:  # a single range longer than sys.maxsize
+        n_cells = math.inf
     if n_cells > max_cells:
-        raise ValueError("grid has %d cells, cap is %d" % (n_cells, max_cells))
+        raise ValueError("grid has %s cells, cap is %d" % (n_cells, max_cells))
+    grids = [r.values() for r in spec.param_ranges]
 
     cells: list[Cell] = []
     counts = {c.value: 0 for c in CellClass}
@@ -155,11 +150,11 @@ def scan(spec: SearchSpec, imag_tol: float = 1e-7, max_cells: int = 10 ** 6) -> 
         M = matrix_from_coeffs(support_min, run)
         sp = eigenvalues(M, tol=imag_tol)
         max_imag = max(abs(v.imag) for v in sp.eigenvalues)
-        is_complex = max_imag > imag_tol
         # Theorem-1 conditions hold by construction; the filter adds the
         # contractivity requirement for the Convergent classes.
-        convergent = _is_contractive(spec.width, params) if spec.convergence_filter else True
-        if is_complex:
+        convergent = (is_contractive(Mask.from_symbol(family_symbol(spec.width, params)))
+                      if spec.convergence_filter else True)
+        if sp.has_complex:
             cls = CellClass.COMPLEX_CONVERGENT if convergent else CellClass.COMPLEX_OTHER
         else:
             cls = CellClass.REAL_CONVERGENT if convergent else CellClass.REAL_OTHER

@@ -1,10 +1,15 @@
+import hashlib
 import json
 import math
+import sys
 
+import numpy as np
 import pytest
 
+from subdiv import localmatrix
 from subdiv.cli import main
 from subdiv.masks import catalog_get, save_scheme
+from subdiv.search import GridRange
 
 
 def run(capsys, *argv):
@@ -144,15 +149,79 @@ class TestSearch:
         assert code == 1
         assert "grid range" in err
 
+    # the second grid has more points than len() can return
+    @pytest.mark.parametrize("grid", ["0:1000000:1/1000000", "0:1e30:1e-30"])
+    def test_grid_over_cell_cap(self, capsys, monkeypatch, grid):
+        def no_values(self):
+            raise AssertionError("grid values built before the cell cap")
 
-class TestDeterminism:
+        monkeypatch.setattr(GridRange, "values", no_values)
+        code, out, err = run(capsys, "search", "--width", "5", "--grid", grid)
+        assert code == 1 and out == ""
+        assert "cap is" in err
+
+
+class TestTolValidation:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
         ("analyze", "--scheme", "catalog:a"),
-        ("basis", "--scheme", "catalog:a", "--iters", "6"),
-        ("dynamics", "--scheme", "catalog:a", "--K", "20"),
-        ("search", "--width", "6", "--grid=-1/5:0:1/10,1/5:2/5:1/10"),
+        ("search", "--width", "5", "--grid=-1/4:1/4:1/8"),
+        ("dynamics", "--scheme", "catalog:a", "--K", "5"),
+    ], ids=["analyze", "search", "dynamics"])
+    def test_rejects_tol_not_finite_positive(self, capsys, argv, tol):
+        code, out, err = run(capsys, *argv, "--tol=" + tol)
+        assert code == 1 and out == ""
+        assert "tol must be > 0" in err
+
+
+def test_one_eigensolve_per_dynamics_request(capsys, monkeypatch):
+    original = localmatrix.eigenvalues
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module that bound the function under any name
+    for name, mod in list(sys.modules.items()):
+        if name == "subdiv" or name.startswith("subdiv."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    code, out, _ = run(capsys, "dynamics", "--scheme", "catalog:a", "--K", "10")
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
+# sha256 of stdout, recorded with this numpy version; LAPACK-derived floats
+# may differ under another numpy build, where only run-to-run identity holds
+DIGEST_NUMPY = "2.4.6"
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("argv, sha256", [
+        pytest.param(("analyze", "--scheme", "catalog:a"),
+                     "4850a429385b82e028d9d29deae34a3b59b2771ecaf5d18ae6020b37e1b09f96",
+                     id="argv0"),
+        pytest.param(("basis", "--scheme", "catalog:a", "--iters", "6"),
+                     "cf0cdeec74925953c24c97aa1bd01ebf13e221665545bf5b27da56ffb4b5e8ea",
+                     id="argv1"),
+        pytest.param(("dynamics", "--scheme", "catalog:a", "--K", "20"),
+                     "07b58f8b7fc1e40db075c04b1e919dda416b73f48019cd9adee765d7de3f6313",
+                     id="argv2"),
+        pytest.param(("search", "--width", "6", "--grid=-1/5:0:1/10,1/5:2/5:1/10"),
+                     "ff94fae9b9c0495982e6461b93d82f53e56a64ba8b91451bd76f07a82d745158",
+                     id="argv3"),
+        pytest.param(("dynamics", "--scheme", "catalog:b", "--K", "30"),
+                     "ea60af55b761a8c7d23426ee63c2a792cf45de345229f669f8df6f2316866fc3",
+                     id="argv4"),
+        pytest.param(("basis", "--scheme", "catalog:d", "--iters", "8", "--format", "svg"),
+                     "712ef132c658db81d0753c5d0d8338d2fb436048f38fa592c6e953228b662302",
+                     id="argv5"),
     ])
-    def test_byte_identical_runs(self, capsys, argv):
+    def test_byte_identical_runs(self, capsys, argv, sha256):
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second and first
+        if np.__version__ == DIGEST_NUMPY:
+            assert hashlib.sha256(first.encode("utf-8")).hexdigest() == sha256

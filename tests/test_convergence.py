@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from subdiv.convergence import (Verdict, certify, contractivity_norm,
-                                difference_scheme, necessary_conditions,
-                                NotFactorableError, smooth_lift)
+                                difference_scheme, is_contractive,
+                                necessary_conditions, NotFactorableError,
+                                smooth_lift)
 from subdiv.masks import Mask, catalog_get
 from subdiv.symbols import LaurentPoly
 
@@ -60,6 +61,10 @@ class TestContractivityNorm:
         b = difference_scheme(catalog_get("d").mask)
         assert b.coeffs == (F(1, 8), F(3, 8), F(3, 8), F(1, 8))
         assert contractivity_norm(b) == F(1, 2)
+
+    def test_is_contractive_is_strict(self):
+        assert is_contractive(catalog_get("a").mask)        # norm 4/5
+        assert not is_contractive(Mask(0, (F(1), F(1))))    # norm exactly 1
 
 
 class TestCertify:

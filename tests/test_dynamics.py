@@ -6,12 +6,11 @@ import pytest
 
 from subdiv.dynamics import (decompose_modes, iterate_local, window_vector,
                              write_trajectory_csv)
-from subdiv.localmatrix import build_local_matrix, eigenvalues
+from subdiv.localmatrix import build_local_matrix
 from subdiv.masks import catalog_get
 from subdiv.refine import ControlPolygon, delta
 
 A_MATRIX = build_local_matrix(catalog_get("a").mask)
-A_SPECTRUM = eigenvalues(A_MATRIX)
 
 # second standard basis vector: the first one is itself an eigenvector of
 # the width-6 matrix (its first column is -e1/10), so it excites no other mode
@@ -60,13 +59,13 @@ class TestIterateLocal:
 
 class TestDecomposeModes:
     def test_rotation_scaling_of_width6_scheme(self):
-        traj = decompose_modes(iterate_local(E1, A_MATRIX, 30), A_SPECTRUM)
+        traj = decompose_modes(iterate_local(E1, A_MATRIX, 30))
         rho, theta = traj.rotation
         assert abs(rho - math.sqrt(6) / 5) < 1e-12
         assert abs(theta - math.atan(math.sqrt(2) / 2)) < 1e-12
 
     def test_complex_pair_contracts_by_modulus(self):
-        traj = decompose_modes(iterate_local(E1, A_MATRIX, 30), A_SPECTRUM)
+        traj = decompose_modes(iterate_local(E1, A_MATRIX, 30))
         pair = [m for m in traj.modes if m.is_complex_pair][0]
         mags = pair.magnitudes
         for k in range(len(mags) - 1):
@@ -75,7 +74,7 @@ class TestDecomposeModes:
 
     def test_negative_mode_alternates(self):
         K = 30
-        traj = decompose_modes(iterate_local(E1, A_MATRIX, K), A_SPECTRUM)
+        traj = decompose_modes(iterate_local(E1, A_MATRIX, K))
         neg = [m for m in traj.modes
                if not m.is_complex_pair and abs(m.eigenvalue.real + 0.1) < 1e-9]
         assert neg
@@ -94,13 +93,13 @@ class TestDecomposeModes:
 
     def test_real_spectrum_has_no_rotation(self):
         M = build_local_matrix(catalog_get("c").mask)
-        traj = decompose_modes(iterate_local((1.0, 0.0, 0.0), M, 10), eigenvalues(M))
+        traj = decompose_modes(iterate_local((1.0, 0.0, 0.0), M, 10))
         assert traj.rotation is None
         assert all(not m.is_complex_pair for m in traj.modes)
 
     def test_defective_matrix_skips_decomposition(self):
         A = np.array([[0.5, 1.0], [0.0, 0.5]])  # Jordan block
-        traj = decompose_modes(iterate_local((1.0, 1.0), A, 5), eigenvalues(A))
+        traj = decompose_modes(iterate_local((1.0, 1.0), A, 5))
         assert traj.modes is None
         assert "defective" in traj.mode_diagnostic
         assert len(traj.distances) == 6
@@ -108,7 +107,7 @@ class TestDecomposeModes:
 
 class TestTrajectoryCsv:
     def test_columns(self, tmp_path):
-        traj = decompose_modes(iterate_local(E1, A_MATRIX, 5), A_SPECTRUM)
+        traj = decompose_modes(iterate_local(E1, A_MATRIX, 5))
         path = tmp_path / "traj.csv"
         with open(path, "w") as f:
             write_trajectory_csv(traj, f)

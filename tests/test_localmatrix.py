@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from subdiv.localmatrix import (Spectrum, build_local_matrix, classify,
+from subdiv.localmatrix import (Spectrum, build_local_matrix,
                                 complex_region_predicate, eigenvalues,
                                 matrix_from_coeffs, w5_closed_form,
                                 w6_closed_form, w6_discriminant)
@@ -109,19 +110,26 @@ class TestEigenvalues:
 
 
 class TestClassify:
+    """The spectral class is decided in Spectrum.from_values at tol."""
+
     def test_width6_scheme(self):
-        sp = eigenvalues(build_local_matrix(catalog_get("a").mask))
-        has_complex, neg, ok = classify(sp, 1e-7)
-        assert has_complex and neg == 2 and ok
+        sp = eigenvalues(build_local_matrix(catalog_get("a").mask), tol=1e-7)
+        assert sp.has_complex and sp.negative_real_count == 2
+        assert sp.convergence_spectral_ok
 
     def test_cubic_bspline(self):
-        sp = eigenvalues(build_local_matrix(catalog_get("d").mask))
-        has_complex, neg, ok = classify(sp, 1e-7)
-        assert not has_complex and neg == 0 and ok
+        sp = eigenvalues(build_local_matrix(catalog_get("d").mask), tol=1e-7)
+        assert not sp.has_complex and sp.negative_real_count == 0
+        assert sp.convergence_spectral_ok
 
     def test_double_dominant_fails(self):
-        sp = Spectrum.from_values([1.0, 1.0, 0.5])
-        assert classify(sp, 1e-7)[2] is False
+        sp = Spectrum.from_values([1.0, 1.0, 0.5], tol=1e-7)
+        assert sp.convergence_spectral_ok is False
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_tol_not_finite_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            Spectrum.from_values([1.0, 0.5], tol=tol)
 
 
 class TestW5ClosedForm:

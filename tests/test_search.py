@@ -95,10 +95,25 @@ class TestScan:
                 found += 1
         assert found >= 1
 
-    def test_cell_cap(self):
+    def test_cell_cap(self, monkeypatch):
         spec = SearchSpec(6, (GridRange(F(-1), F(1), F(1, 100)),) * 2)
         with pytest.raises(ValueError):
             scan(spec, max_cells=100)
+
+        # the cap fires before any grid list is built
+        def no_values(self):
+            raise AssertionError("grid values built before the cell cap")
+
+        monkeypatch.setattr(GridRange, "values", no_values)
+        huge = SearchSpec(5, (GridRange(F(0), F(10 ** 6), F(1, 10 ** 6)),))
+        with pytest.raises(ValueError, match="cap is"):
+            scan(huge)
+
+    def test_grid_length_is_exact(self):
+        r = GridRange(F(0), F(1), F(2, 5))
+        assert len(r) == 3
+        assert r.values() == [F(0), F(2, 5), F(4, 5)]
+        assert len(GridRange(F(-1, 2), F(1, 2), F(1, 50))) == 51
 
 
 class TestNegativityLemma:
