@@ -196,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         if scheme:
             sp.add_argument("--scheme", required=True,
                             help="catalog:NAME or path to a scheme JSON file")
-        sp.add_argument("--tol", type=float, default=1e-9,
-                        help="numerical tolerance (default 1e-9)")
         sp.add_argument("--out", "-o", default=None,
                         help="output path, '-' or omitted for stdout")
 
@@ -243,6 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report the minimum width with a complex convergent cell")
     sp.add_argument("--max-width", type=int, default=6)
     sp.set_defaults(func=cmd_search)
+
+    # refine and basis are exact and take no tolerance
+    for name in ("analyze", "dynamics", "search"):
+        sub.choices[name].add_argument("--tol", type=float, default=1e-9,
+                                       help="numerical tolerance (default 1e-9)")
     return p
 
 

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .localmatrix import LocalMatrix, eigenvalues
+from .localmatrix import LocalMatrix
 from .refine import ControlPolygon
 
 _COEFF_FLOOR = 1e-12  # coefficients below this are treated as unexcited
@@ -35,7 +35,6 @@ class TrajectoryReport:
     fixed_point: tuple[float, ...]
     distances: tuple[float, ...]
     monotonicity_violations: int
-    status: str
     matrix: tuple[tuple[float, ...], ...]
     modes: Optional[tuple[EigenMode, ...]] = None
     rotation: Optional[tuple[float, float]] = None  # (rho, theta) of dominant pair
@@ -105,9 +104,9 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
     The fixed point is (u . v0) * ones with u the left eigenvector for
     eigenvalue 1 normalized to u . ones = 1; this is exact in the limit and
     independent of K.  For a LocalMatrix the whole trajectory is computed in
-    exact rationals and floats appear only in the reported values.  A
-    spectrum outside the convergent pattern is reported in status but the
-    trajectory is still produced.
+    exact rationals and floats appear only in the reported values.  The
+    spectrum is not checked: a non-convergent matrix still yields its
+    trajectory (Spectrum.convergence_spectral_ok decides convergence).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -116,11 +115,6 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
     v = np.asarray(v0, dtype=float)
     if v.shape != (n,):
         raise ValueError("v0 has dimension %d, matrix order is %d" % (v.size, n))
-
-    spec = eigenvalues(A if isinstance(A, LocalMatrix) else Af)
-    status = "ok" if spec.convergence_spectral_ok else (
-        "non-convergent spectrum (leading eigenvalues %s)" %
-        ", ".join("%.6g%+.6gj" % (z.real, z.imag) for z in spec.eigenvalues[:2]))
 
     weights = _rational_null_weights(A) if isinstance(A, LocalMatrix) else None
     if weights is not None:
@@ -163,7 +157,6 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
         fixed_point=tuple(fixed),
         distances=tuple(dists),
         monotonicity_violations=violations,
-        status=status,
         matrix=tuple(tuple(row) for row in Af),
         transients=tuple(tuple(d) for d in diffs),
     )

@@ -5,10 +5,11 @@ c = p + 1, p = -support_min; row 1 is then an even refinement rule and the
 parity alternates down the rows, which reproduces the printed width-5 and
 width-6 matrices.  Eigenvalues of a LocalMatrix are computed from the exact
 rational characteristic polynomial (Faddeev-LeVerrier), split into
-square-free factors, and root-solved with Newton polishing; this keeps
+square-free factors (Yun), and root-solved with Newton polishing; this keeps
 multiple eigenvalues accurate to ~1e-12 where a plain dense eigensolve
-loses half the digits at defective points.  Plain float matrices fall back
-to LAPACK.
+loses half the digits at defective points.  The characteristic polynomial
+is a symbols.LaurentPoly with no negative exponent, and the split uses its
+divmod, deriv and gcd.  Plain float matrices fall back to LAPACK.
 
 The spectral class (complex pair, negative real count, simple eigenvalue 1
 with all others inside the unit disc) is decided once, at a tolerance, in
@@ -24,6 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .masks import Mask
+from .symbols import LaurentPoly
 
 
 class EigensolveError(RuntimeError):
@@ -115,8 +117,8 @@ class Spectrum:
 
 # characteristic polynomial route
 
-def _charpoly(M: LocalMatrix) -> list[Fraction]:
-    """Coefficients of det(xI - A), low to high degree, exact."""
+def _charpoly(M: LocalMatrix) -> LaurentPoly:
+    """det(xI - A) as a polynomial in x, exact."""
     n = M.n
     L = math.lcm(*(e.denominator for row in M.entries for e in row))
     B = [[int(e * L) for e in row] for row in M.entries]
@@ -141,74 +143,33 @@ def _charpoly(M: LocalMatrix) -> list[Fraction]:
         assert tr % k == 0
         c[n - k] = -(tr // k)
     # det(xI - A) = det((Lx)I - B) / L^n
-    return [Fraction(c[k], L ** (n - k)) for k in range(n + 1)]
+    return LaurentPoly({k: Fraction(c[k], L ** (n - k)) for k in range(n + 1)})
 
 
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [k * p[k] for k in range(1, len(p))]
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def _poly_divmod(p: list[Fraction], d: list[Fraction]):
-    p = list(p)
-    q = [Fraction(0)] * max(0, len(p) - len(d) + 1)
-    lead = d[-1]
-    for k in range(len(p) - len(d), -1, -1):
-        coeff = p[k + len(d) - 1] / lead
-        q[k] = coeff
-        for j in range(len(d)):
-            p[k + j] -= coeff * d[j]
-    return q, _poly_trim(p)
-
-
-def _poly_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    p, q = _poly_trim(list(p)), _poly_trim(list(q))
-    while q:
-        _, r = _poly_divmod(p, q)
-        p, q = q, r
-    if not p:
-        return []
-    return [c / p[-1] for c in p]  # monic
-
-
-def _poly_sub(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    n = max(len(p), len(q))
-    p = p + [Fraction(0)] * (n - len(p))
-    q = q + [Fraction(0)] * (n - len(q))
-    return _poly_trim([a - b for a, b in zip(p, q)])
-
-
-def _squarefree_factors(p: list[Fraction]) -> list[tuple[list[Fraction], int]]:
-    """Yun's algorithm: [(square-free factor, multiplicity), ...]."""
-    p = [c / p[-1] for c in p]
-    dp = _poly_deriv(p)
-    g = _poly_gcd(p, dp)
-    if len(g) <= 1:
+def _squarefree_factors(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
+    """Yun's algorithm: [(monic square-free factor, multiplicity), ...]."""
+    p = p * (1 / p[p.max_exp])
+    dp = p.deriv()
+    g = p.gcd(dp)
+    if g.max_exp == 0:
         return [(p, 1)]
-    b, _ = _poly_divmod(p, g)
-    d0, _ = _poly_divmod(dp, g)
-    d = _poly_sub(d0, _poly_deriv(b))
+    b = p.divmod(g)[0]
+    d = dp.divmod(g)[0] - b.deriv()
     out = []
     i = 1
-    while len(b) > 1:
-        a = _poly_gcd(b, d)
-        if len(a) > 1:
+    while b.max_exp > 0:
+        a = b.gcd(d)
+        if a.max_exp > 0:
             out.append((a, i))
-        b, _ = _poly_divmod(b, a)
-        da, _ = _poly_divmod(d, a)
-        d = _poly_sub(da, _poly_deriv(b))
+        b = b.divmod(a)[0]
+        d = d.divmod(a)[0] - b.deriv()
         i += 1
     return out
 
 
-def _roots_squarefree(p: list[Fraction]) -> list[complex]:
+def _roots_squarefree(p: LaurentPoly) -> list[complex]:
     """Roots of a square-free rational polynomial, Newton-polished."""
-    cf = np.array([float(c) for c in reversed(p)])
+    cf = np.array([float(p[e]) for e in range(p.max_exp, -1, -1)])
     roots = np.roots(cf)
     cfd = np.polyder(cf)
     for _ in range(3):

@@ -108,11 +108,11 @@ def parameterize(P: ControlPolygon) -> SampledCurve:
 
 # -- the basis-function experiment ---------------------------------------
 
-def basis_polygon(mask: Mask, iters: int, max_points: int = 10 ** 7) -> ControlPolygon:
+def basis_polygon(mask: Mask, iters: int) -> ControlPolygon:
     """Refine the cardinal test sequence (1 at index 0, zeros on [-4, 4])."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    return refine_k(delta(), mask, iters, max_points)
+    return refine_k(delta(), mask, iters)
 
 
 def basis_points_exact(mask: Mask, iters: int) -> list[tuple[Fraction, Fraction]]:
@@ -140,7 +140,7 @@ def curve_csv_text(curve: SampledCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_svg_text(curve: SampledCurve, width: int = 640, height: int = 480) -> str:
+def curve_svg_text(curve: SampledCurve) -> str:
     xs = [p[0] for p in curve.points]
     ys = [p[1] for p in curve.points]
     xmin, xmax = min(xs), max(xs)
@@ -154,8 +154,8 @@ def curve_svg_text(curve: SampledCurve, width: int = 640, height: int = 480) -> 
     pts = " ".join("%.6g,%.6g" % (x, -y) for x, y in curve.points)
     sw = (ymax - ymin) / 200.0
     return (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
         'viewBox="%s" preserveAspectRatio="none">\n'
         '<polyline fill="none" stroke="black" stroke-width="%.6g" points="%s"/>\n'
-        "</svg>\n" % (width, height, vb, sw, pts)
+        "</svg>\n" % (vb, sw, pts)
     )

@@ -28,8 +28,6 @@ from .localmatrix import (eigenvalues, matrix_from_coeffs, w6_discriminant)
 from .masks import Mask
 from .symbols import LaurentPoly
 
-_DEGENERATE_D_TOL = Fraction(1, 10 ** 10)
-
 
 @dataclass(frozen=True)
 class GridRange:
@@ -88,11 +86,6 @@ def palindromic_coeffs(width: int, params: Sequence[Fraction]) -> tuple[int, tup
     return -m + 1, run
 
 
-def family_symbol(width: int, params: Sequence[Fraction]) -> LaurentPoly:
-    support_min, run = palindromic_coeffs(width, params)
-    return LaurentPoly.from_coeffs(run, support_min)
-
-
 class CellClass(Enum):
     REAL_CONVERGENT = "RealConvergent"
     COMPLEX_CONVERGENT = "ComplexConvergent"
@@ -105,7 +98,7 @@ class Cell:
     params: tuple[Fraction, ...]
     cls: CellClass
     max_imag: float
-    degenerate: bool = False  # width-6 boundary cells with |D| < 1e-10
+    degenerate: bool = False  # width-6 boundary cells with D == 0
 
 
 @dataclass(frozen=True)
@@ -152,15 +145,13 @@ def scan(spec: SearchSpec, imag_tol: float = 1e-7, max_cells: int = 10 ** 6) -> 
         max_imag = max(abs(v.imag) for v in sp.eigenvalues)
         # Theorem-1 conditions hold by construction; the filter adds the
         # contractivity requirement for the Convergent classes.
-        convergent = (is_contractive(Mask.from_symbol(family_symbol(spec.width, params)))
+        convergent = (is_contractive(Mask.from_symbol(LaurentPoly.from_coeffs(run, support_min)))
                       if spec.convergence_filter else True)
         if sp.has_complex:
             cls = CellClass.COMPLEX_CONVERGENT if convergent else CellClass.COMPLEX_OTHER
         else:
             cls = CellClass.REAL_CONVERGENT if convergent else CellClass.REAL_OTHER
-        degenerate = False
-        if spec.width == 6:
-            degenerate = abs(w6_discriminant(params[0], params[1])) < _DEGENERATE_D_TOL
+        degenerate = spec.width == 6 and w6_discriminant(params[0], params[1]) == 0
         cell = Cell(tuple(params), cls, max_imag, degenerate)
         cells.append(cell)
         counts[cls.value] += 1

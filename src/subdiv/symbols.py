@@ -2,7 +2,10 @@
 
 A Laurent polynomial is stored as a map from integer exponent to a nonzero
 Fraction coefficient, so the support is always exact.  All operations are
-pure and return new objects.
+pure and return new objects.  This one type serves both the z-transform
+symbol of a mask (Laurent division by (1+z)) and the characteristic
+polynomial of a local matrix (long division, derivative and gcd for the
+square-free split); divmod is the only long-division loop.
 """
 from __future__ import annotations
 
@@ -10,6 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 RationalLike = Union[int, Fraction, str]
+
+_ZERO = Fraction(0)
 
 
 class InexactDivisionError(ArithmeticError):
@@ -27,8 +32,9 @@ class LaurentPoly:
         c: dict[int, Fraction] = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = Fraction(v)
-                if v != 0:
+                if type(v) is not Fraction:
+                    v = Fraction(v)
+                if v:
                     c[int(e)] = v
         self._c = c
 
@@ -52,7 +58,7 @@ class LaurentPoly:
         return dict(self._c)
 
     def __getitem__(self, exponent: int) -> Fraction:
-        return self._c.get(exponent, Fraction(0))
+        return self._c.get(exponent, _ZERO)
 
     def __bool__(self) -> bool:
         return bool(self._c)
@@ -102,7 +108,7 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         c = dict(self._c)
         for e, v in other._c.items():
-            c[e] = c.get(e, Fraction(0)) + v
+            c[e] = c.get(e, _ZERO) + v
         return LaurentPoly(c)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -114,7 +120,7 @@ class LaurentPoly:
             for e1, v1 in self._c.items():
                 for e2, v2 in other._c.items():
                     e = e1 + e2
-                    c[e] = c.get(e, Fraction(0)) + v1 * v2
+                    c[e] = c.get(e, _ZERO) + v1 * v2
             return LaurentPoly(c)
         s = Fraction(other)
         return LaurentPoly({e: c * s for e, c in self._c.items()})
@@ -129,28 +135,54 @@ class LaurentPoly:
         """Substitute z -> z^m."""
         return LaurentPoly({e * m: c for e, c in self._c.items()})
 
+    def deriv(self) -> "LaurentPoly":
+        """d/dz, term by term."""
+        return LaurentPoly({e - 1: e * c for e, c in self._c.items() if e})
+
+    def divmod(self, d: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
+        """Polynomial long division: (q, r) with self = q*d + r and r == 0
+        or deg r < deg d.  Defined for operands with no negative exponent."""
+        if not d:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if d.min_exp < 0 or (self and self.min_exp < 0):
+            raise ValueError("divmod needs operands with no negative exponent")
+        n = d.max_exp
+        r = [self[e] for e in range(self.max_exp + 1)] if self else []
+        dc = [(j, c) for j, c in d._c.items() if j < n]
+        lead = d._c[n]
+        q = {}
+        for k in range(len(r) - 1 - n, -1, -1):
+            c = r[k + n] / lead
+            if c:
+                q[k] = c
+                for j, dj in dc:
+                    r[k + j] -= c * dj
+        return LaurentPoly(q), LaurentPoly(dict(enumerate(r[:n])))
+
     def div_exact(self, d: "LaurentPoly") -> "LaurentPoly":
         """Exact quotient self / d; raises InexactDivisionError otherwise.
 
-        Long division from the top exponent down; on failure the classic
-        low-degree remainder is reported.
+        Monomials are units, so both operands are shifted to start at z^0
+        and divided with divmod; on failure the remainder is reported
+        shifted back, i.e. the low-degree remainder of self.
         """
         if not d:
             raise ZeroDivisionError("division by the zero polynomial")
         if not self:
             return LaurentPoly()
-        q: dict[int, Fraction] = {}
-        r = self
-        q_min = self.min_exp - d.min_exp  # lowest exponent an exact quotient can use
-        d_lead = d[d.max_exp]
-        while r and r.max_exp - d.max_exp >= q_min:
-            e = r.max_exp - d.max_exp
-            c = r[r.max_exp] / d_lead
-            q[e] = c
-            r = r - d.shift(e) * c
+        lo, d_lo = self.min_exp, d.min_exp
+        q, r = self.shift(-lo).divmod(d.shift(-d_lo))
         if r:
-            raise InexactDivisionError(r)
-        return LaurentPoly(q)
+            raise InexactDivisionError(r.shift(lo))
+        return q.shift(lo - d_lo)
+
+    def gcd(self, other: "LaurentPoly") -> "LaurentPoly":
+        """Monic greatest common divisor by Euclid's algorithm (divmod);
+        zero when both operands are zero."""
+        a, b = self, other
+        while b:
+            a, b = b, a.divmod(b)[1]
+        return a * (1 / a[a.max_exp]) if a else a
 
     def parity_sums(self) -> tuple[Fraction, Fraction]:
         """(sum of |coeff| over even exponents, same over odd exponents)."""

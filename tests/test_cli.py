@@ -97,6 +97,13 @@ class TestRefineAndBasis:
         assert code == 0
         assert out.startswith("<svg") and "<polyline" in out
 
+    @pytest.mark.parametrize("command", ["basis", "refine"])
+    def test_exact_commands_take_no_tol(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--scheme", "catalog:a", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
         code, out, _ = run(capsys, "refine", "--scheme", "catalog:d",
@@ -190,7 +197,8 @@ def test_one_eigensolve_per_dynamics_request(capsys, monkeypatch):
                     monkeypatch.setattr(mod, attr, counted)
     code, out, _ = run(capsys, "dynamics", "--scheme", "catalog:a", "--K", "10")
     assert code == 0 and out
-    assert len(calls) == 1
+    # the trajectory needs no spectrum; the matrix's modes come from LAPACK
+    assert len(calls) == 0
 
 
 # sha256 of stdout, recorded with this numpy version; LAPACK-derived floats
@@ -218,6 +226,9 @@ class TestDeterminism:
         pytest.param(("basis", "--scheme", "catalog:d", "--iters", "8", "--format", "svg"),
                      "712ef132c658db81d0753c5d0d8338d2fb436048f38fa592c6e953228b662302",
                      id="argv5"),
+        pytest.param(("search", "--width", "8"),
+                     "36be32c79431c00fe656d0800542941a158cd8b0cfb2212ff18804a38fd18008",
+                     id="argv6"),
     ])
     def test_byte_identical_runs(self, capsys, argv, sha256):
         _, first, _ = run(capsys, *argv)

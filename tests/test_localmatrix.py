@@ -1,15 +1,20 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
+import sympy
 
-from subdiv.localmatrix import (Spectrum, build_local_matrix,
+from subdiv.localmatrix import (Spectrum, _charpoly, _squarefree_factors,
+                                build_local_matrix,
                                 complex_region_predicate, eigenvalues,
                                 matrix_from_coeffs, w5_closed_form,
                                 w6_closed_form, w6_discriminant)
 from subdiv.masks import Mask, catalog_get
+from subdiv.search import default_grid, palindromic_coeffs
+from subdiv.symbols import LaurentPoly
 
 
 def match_multiset(got, expected, tol):
@@ -208,3 +213,41 @@ class TestRowSumEigenvector:
         for name in "abcd":
             sp = eigenvalues(build_local_matrix(catalog_get(name).mask))
             assert min(abs(v - 1) for v in sp.eigenvalues) < 1e-9
+
+
+def _family_charpolys():
+    """Charpolys of every 37th default-grid cell at widths 6-8, plus the
+    width-6 cells (0, 1/5) and (0, 1/3) with a double zero eigenvalue,
+    (-1/8, 1/8) where D = 0 and the pair is a double root, and the paper's
+    cell (-1/10, 3/10)."""
+    cells = [(6, (F(0), F(1, 5))), (6, (F(0), F(1, 3))),
+             (6, (F(-1, 8), F(1, 8))), (6, (F(-1, 10), F(3, 10)))]
+    for w in (6, 7, 8):
+        grid = list(product(*(r.values() for r in default_grid(w))))
+        cells += [(w, params) for params in grid[::37]]
+    for w, params in cells:
+        yield _charpoly(matrix_from_coeffs(*palindromic_coeffs(w, params)))
+
+
+class TestSquarefreeSplit:
+    def test_zero_eigenvalue_cell(self):
+        # w6 (0, 1/5): (x^2 - 8/5 x + 3/5)(x^2 - 1/5 x)^2
+        p = _charpoly(w6_matrix(0, F(1, 5)))
+        assert _squarefree_factors(p) == [
+            (LaurentPoly({2: 1, 1: F(-8, 5), 0: F(3, 5)}), 1),
+            (LaurentPoly({2: 1, 1: F(-1, 5)}), 2),
+        ]
+
+    def test_matches_sympy(self):
+        x = sympy.Symbol("x")
+        for p in _family_charpolys():
+            ref = sympy.Poly({(e,): sympy.Rational(c.numerator, c.denominator)
+                              for e, c in p.coeffs.items()}, x, domain="QQ")
+            _, ref_factors = ref.sqf_list()
+            expect = sorted(
+                (tuple(F(int(c.p), int(c.q)) for c in f.monic().all_coeffs()), m)
+                for f, m in ref_factors)
+            got = sorted(
+                (tuple(f[e] for e in range(f.max_exp, -1, -1)), m)
+                for f, m in _squarefree_factors(p))
+            assert got == expect

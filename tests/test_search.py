@@ -9,6 +9,7 @@ from subdiv.search import (CellClass, GridRange, SearchSpec, c1_w6_obstruction,
                            default_grid, free_param_count, min_width_report,
                            negativity_lemma_check, palindromic_coeffs, scan,
                            search_summary_json, write_search_csv)
+from subdiv.symbols import LaurentPoly
 
 HALF = F(1, 2)
 
@@ -33,10 +34,10 @@ class TestParameterization:
         assert palindromic_coeffs(3, ()) == (-1, (HALF, F(1), HALF))
 
     def test_necessary_conditions_hold_by_construction(self):
-        from subdiv.search import family_symbol
         for width in range(2, 9):
             params = tuple(F(k + 1, 17) for k in range(free_param_count(width)))
-            s = family_symbol(width, params)
+            support_min, run = palindromic_coeffs(width, params)
+            s = LaurentPoly.from_coeffs(run, support_min)
             assert s(1) == 2 and s(-1) == 0
 
 
@@ -94,6 +95,15 @@ class TestScan:
                 assert sp.negative_real_count >= 2
                 found += 1
         assert found >= 1
+
+    def test_degenerate_means_zero_discriminant(self):
+        # D(0, 1/3 - 1e-6) = 9e-12 is tiny but nonzero: not degenerate
+        eps = F(1, 10 ** 6)
+        spec = SearchSpec(6, (GridRange(F(0), eps, eps),
+                              GridRange(F(1, 3) - eps, F(1, 3), eps)))
+        result = scan(spec)
+        assert len(result.cells) == 4
+        assert [c.params for c in result.cells if c.degenerate] == [(F(0), F(1, 3))]
 
     def test_cell_cap(self, monkeypatch):
         spec = SearchSpec(6, (GridRange(F(-1), F(1), F(1, 100)),) * 2)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from subdiv.symbols import InexactDivisionError, LaurentPoly
 
@@ -13,6 +14,12 @@ S_A = LaurentPoly.from_coeffs([F(-1, 10), F(3, 10), F(4, 5), F(4, 5), F(3, 10), 
 S_D = LaurentPoly.from_coeffs([F(1, 8), F(4, 8), F(6, 8), F(4, 8), F(1, 8)], -2)
 # two-point scheme symbol
 S_C = LaurentPoly.from_coeffs([F(1, 2), F(1), F(1, 2)], -1)
+
+
+def polys(lo, hi):
+    """Strategy: polynomials with exponents in lo..hi, small rationals."""
+    coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    return st.dictionaries(st.integers(lo, hi), coeffs, max_size=6).map(LaurentPoly)
 
 
 def rand_poly(rng, max_terms=6):
@@ -67,6 +74,51 @@ class TestDivExact:
         assert S_A.div_exact(LaurentPoly.one()) == S_A
 
 
+class TestDivmod:
+    @given(polys(0, 8), polys(0, 4).filter(bool))
+    def test_division_identity(self, p, d):
+        q, r = p.divmod(d)
+        assert q * d + r == p
+        assert not r or r.max_exp < d.max_exp
+
+    def test_zero_root_is_not_a_unit(self):
+        # x is no unit here: x^2 - x/5 = x (x - 1/5) exactly, and x^3
+        # leaves the remainder x/25 on division by x^2 - x/5
+        x = LaurentPoly({1: 1})
+        p = LaurentPoly({2: 1, 1: F(-1, 5)})
+        assert p.divmod(x) == (LaurentPoly({1: 1, 0: F(-1, 5)}), LaurentPoly())
+        assert (x * x * x).divmod(p) == (LaurentPoly({1: 1, 0: F(1, 5)}),
+                                         LaurentPoly({1: F(1, 25)}))
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            S_A.divmod(ONE_PLUS_Z)
+        with pytest.raises(ValueError):
+            ONE_PLUS_Z.divmod(S_A)
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            ONE_PLUS_Z.divmod(LaurentPoly())
+
+
+class TestGcd:
+    @given(polys(0, 4), polys(0, 4), polys(0, 3).filter(bool))
+    def test_gcd_divides_both(self, p, q, common):
+        a, b = p * common, q * common
+        assume(a or b)
+        g = a.gcd(b)
+        assert g[g.max_exp] == 1
+        assert not a.divmod(g)[1] and not b.divmod(g)[1]
+        assert not g.divmod(common)[1]  # greatest: the common factor divides it
+
+    def test_gcd_of_zeros(self):
+        assert LaurentPoly().gcd(LaurentPoly()) == LaurentPoly()
+
+    def test_deriv(self):
+        p = LaurentPoly({-1: 2, 0: 5, 3: F(1, 3)})
+        assert p.deriv() == LaurentPoly({-2: -2, 2: 1})
+
+
 class TestParitySums:
     def test_width6_difference_symbol(self):
         q = S_A.div_exact(ONE_PLUS_Z)
@@ -82,15 +134,9 @@ class TestParitySums:
 
 
 class TestProperties:
-    def test_division_round_trip(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            d = rand_poly(rng)
-            q = rand_poly(rng)
-            if not d or not q:
-                continue
-            p = d * q
-            assert d * p.div_exact(d) == p
+    @given(polys(-5, 5).filter(bool), polys(-5, 5))
+    def test_division_round_trip(self, d, q):
+        assert (d * q).div_exact(d) == q
 
     def test_eval_is_multiplicative_at_pm1(self):
         rng = random.Random(11)
