@@ -132,16 +132,15 @@ def _charpoly(M: LocalMatrix) -> LaurentPoly:
     # Faddeev-LeVerrier on the integer matrix B = L*A; all divisions are exact.
     c = [0] * (n + 1)
     c[n] = 1
+    # M_1 = I, M_{k+1} = B M_k + c_{n-k} I: each step forms one product
     Mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        if k > 1:
-            Mk = matmul(B, Mk)
-            for i in range(n):
-                Mk[i][i] += c[n - k + 1]
-        BM = matmul(B, Mk)
-        tr = sum(BM[i][i] for i in range(n))
+        Mk = matmul(B, Mk)
+        tr = sum(Mk[i][i] for i in range(n))
         assert tr % k == 0
         c[n - k] = -(tr // k)
+        for i in range(n):
+            Mk[i][i] += c[n - k]
     # det(xI - A) = det((Lx)I - B) / L^n
     return LaurentPoly({k: Fraction(c[k], L ** (n - k)) for k in range(n + 1)})
 

@@ -1,11 +1,14 @@
 """Exact refinement of finitely supported control polygons.
 
 Control sequences are bi-infinite with zero extension; only the nonzero
-window is stored.  Refinement is exact rational; floats appear only when a
-polygon is parameterized or exported.
+window is stored, as integer numerators over one common denominator.  A step
+scales the mask by the lcm L of its denominators to integer taps, so it is
+integer arithmetic only.  Floats appear only at export, each one a correctly
+rounded integer division.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,41 +25,63 @@ class RefinementLimitError(RuntimeError):
     """Refinement would exceed the configured point cap."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ControlPolygon:
+    """Values nums[k] / den at indices first_index + k, zero elsewhere; canonical:
+    den > 0, gcd(den, *nums) == 1, nonzero ends, the zero polygon (0,) over 1."""
+
     level: int
     first_index: int
-    values: tuple[Fraction, ...]
-    mesh: MeshType = MeshType.PRIMAL
+    nums: tuple[int, ...]
+    den: int
+    mesh: MeshType
 
-    def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
+    def __init__(self, level: int, first_index: int, values, mesh: MeshType = MeshType.PRIMAL):
+        values = [Fraction(v) for v in values]
         if not values:
             raise ValueError("control polygon needs at least one value")
-        # canonicalize: strip explicit zero padding at both ends
-        lo, hi = 0, len(values)
-        while hi - lo > 1 and values[lo] == 0:
+        den = math.lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (den // v.denominator) for v in values]
+        self._set(level, first_index, nums, den, mesh)
+
+    @classmethod
+    def _from_nums(cls, level, first_index, nums, den, mesh) -> "ControlPolygon":
+        P = object.__new__(cls)
+        P._set(level, first_index, nums, den, mesh)
+        return P
+
+    def _set(self, level, first_index, nums, den, mesh) -> None:
+        # canonicalize: strip explicit zero padding at both ends, then reduce
+        lo, hi = 0, len(nums)
+        while hi - lo > 1 and nums[lo] == 0:
             lo += 1
-        while hi - lo > 1 and values[hi - 1] == 0:
+        while hi - lo > 1 and nums[hi - 1] == 0:
             hi -= 1
-        object.__setattr__(self, "first_index", int(self.first_index) + lo)
-        object.__setattr__(self, "values", values[lo:hi])
+        nums = nums[lo:hi]
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [v // g for v in nums]
+        vars(self).update(level=int(level), first_index=int(first_index) + lo,
+                          nums=tuple(nums), den=den // g, mesh=mesh)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @property
     def last_index(self) -> int:
-        return self.first_index + len(self.values) - 1
+        return self.first_index + len(self.nums) - 1
 
     def __getitem__(self, i: int) -> Fraction:
         if self.first_index <= i <= self.last_index:
-            return self.values[i - self.first_index]
+            return Fraction(self.nums[i - self.first_index], self.den)
         return Fraction(0)
 
     def items(self):
-        for k, v in enumerate(self.values):
-            yield self.first_index + k, v
+        return zip(range(self.first_index, self.last_index + 1), self.values)
 
     def total(self) -> Fraction:
-        return sum(self.values, Fraction(0))
+        return Fraction(sum(self.nums), self.den)
 
 
 @dataclass(frozen=True)
@@ -70,40 +95,43 @@ def delta(mesh: MeshType = MeshType.PRIMAL) -> ControlPolygon:
 
 
 def refine_once(P: ControlPolygon, mask: Mask) -> ControlPolygon:
-    """One exact refinement step: out_{2l+j} += a_j P_l."""
-    out: dict[int, Fraction] = {}
-    for l, v in P.items():
-        if v == 0:
-            continue
-        for j, a in zip(mask.support, mask.coeffs):
-            if a == 0:
-                continue
-            m = 2 * l + j
-            out[m] = out.get(m, Fraction(0)) + a * v
-    if not out:
-        return ControlPolygon(P.level + 1, 2 * P.first_index, (Fraction(0),), P.mesh)
-    lo, hi = min(out), max(out)
-    values = tuple(out.get(i, Fraction(0)) for i in range(lo, hi + 1))
-    return ControlPolygon(P.level + 1, lo, values, P.mesh)
+    """One exact refinement step: out_{2l+j} += a_j P_l, on integer numerators."""
+    if mask.is_zero() or P.nums == (0,):
+        return ControlPolygon(P.level + 1, 2 * P.first_index, (0,), P.mesh)
+    L = math.lcm(*(a.denominator for a in mask.coeffs))
+    span = 2 * len(P.nums) - 1
+    out = [0] * (span - 1 + mask.width)
+    for j, a in enumerate(mask.coeffs):
+        if a:
+            tap = a.numerator * (L // a.denominator)
+            out[j:j + span:2] = [o + tap * v for o, v in zip(out[j:j + span:2], P.nums)]
+    return ControlPolygon._from_nums(P.level + 1, 2 * P.first_index + mask.support_min,
+                                     out, P.den * L, P.mesh)
 
 
 def refine_k(P: ControlPolygon, mask: Mask, k: int, max_points: int = 10 ** 7) -> ControlPolygon:
     if k < 0:
         raise ValueError("k must be >= 0")
+    # n points with nonzero ends refine to exactly 2(n - 1) + width (a zero
+    # polygon or mask stays one point), so the cap is decided before any step
+    n, zero = len(P.nums), mask.is_zero() or P.nums == (0,)
     for _ in range(k):
-        if 2 * len(P.values) + mask.width > max_points:
+        if 2 * n + mask.width > max_points:
             raise RefinementLimitError(
                 "refinement would exceed %d stored points" % max_points)
+        if zero or n + mask.width == 2:
+            break
+        n = 2 * (n - 1) + mask.width
+    for _ in range(k):
         P = refine_once(P, mask)
     return P
 
 
 def parameterize(P: ControlPolygon) -> SampledCurve:
     """Attach mesh parameters: primal t = i*2^-k, dual t = (i+1/2)*2^-k."""
-    scale = Fraction(1, 2 ** P.level)
-    offset = Fraction(0) if P.mesh is MeshType.PRIMAL else Fraction(1, 2)
-    pts = tuple((float((i + offset) * scale), float(v)) for i, v in P.items())
-    return SampledCurve(pts)
+    n, idx = 2 ** P.level, range(P.first_index, P.last_index + 1)
+    ts = (i / n for i in idx) if P.mesh is MeshType.PRIMAL else ((2 * i + 1) / (2 * n) for i in idx)
+    return SampledCurve(tuple(zip(ts, (v / P.den for v in P.nums))))
 
 
 # -- the basis-function experiment ---------------------------------------
@@ -127,8 +155,11 @@ def basis_points_exact(mask: Mask, iters: int) -> list[tuple[Fraction, Fraction]
 
 
 def basis_experiment(mask: Mask, iters: int) -> SampledCurve:
-    pts = tuple((float(t), float(v)) for t, v in basis_points_exact(mask, iters))
-    return SampledCurve(pts)
+    """basis_points_exact as floats, read from the integer numerators."""
+    P = basis_polygon(mask, iters)
+    n, first, last = 2 ** P.level, P.first_index, P.last_index
+    return SampledCurve(tuple((i / n, P.nums[i - first] / P.den if first <= i <= last else 0.0)
+                              for i in range(-4 * n, 4 * n + 1)))
 
 
 # -- exports -------------------------------------------------------------

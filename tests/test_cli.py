@@ -104,6 +104,11 @@ class TestRefineAndBasis:
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
+    def test_point_cap_exits_before_refining(self, capsys):
+        code, out, err = run(capsys, "basis", "--scheme", "catalog:a", "--iters", "40")
+        assert code == 1 and out == ""
+        assert "refinement would exceed 10000000 stored points" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
         code, out, _ = run(capsys, "refine", "--scheme", "catalog:d",
@@ -229,6 +234,14 @@ class TestDeterminism:
         pytest.param(("search", "--width", "8"),
                      "36be32c79431c00fe656d0800542941a158cd8b0cfb2212ff18804a38fd18008",
                      id="argv6"),
+        pytest.param(("refine", "--scheme", "catalog:a", "--points=1/3,-2/5,4/7",
+                      "--first-index=-1", "--iters", "10"),
+                     "c2b172fd6aa3bcc6711ce094dcf8a3a34d4f16a1df3e66a10cfbe438db1bf0f3",
+                     id="argv7"),
+        pytest.param(("refine", "--scheme", "catalog:b", "--mesh", "dual",
+                      "--points=2/3,-1/5", "--iters", "8", "--format", "svg"),
+                     "dd72183265a4bc2883260ce9a51fc2595d36823f386b254f520f555450fee62b",
+                     id="argv8"),
     ])
     def test_byte_identical_runs(self, capsys, argv, sha256):
         _, first, _ = run(capsys, *argv)

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
+from subdiv import refine
 from subdiv.masks import Mask, catalog_get
 from subdiv.refine import (ControlPolygon, MeshType, RefinementLimitError,
                            basis_experiment, basis_points_exact, basis_polygon,
@@ -65,6 +68,87 @@ class TestRefineOnce:
             assert rs.values == r.values
 
 
+def reference_refine_once(P: ControlPolygon, mask: Mask) -> tuple[int, tuple[F, ...]]:
+    """The former dict-of-Fraction step, kept as an oracle: (first_index, values)."""
+    out: dict[int, F] = {}
+    for l, v in P.items():
+        if v == 0:
+            continue
+        for j, a in zip(mask.support, mask.coeffs):
+            if a == 0:
+                continue
+            m = 2 * l + j
+            out[m] = out.get(m, F(0)) + a * v
+    if not out:
+        return 2 * P.first_index, (F(0),)
+    lo, hi = min(out), max(out)
+    return lo, tuple(out.get(i, F(0)) for i in range(lo, hi + 1))
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def masks(draw):
+    """Rational masks with interior zeros, any support start, or the zero mask."""
+    if draw(st.integers(0, 9)) == 0:
+        return Mask(draw(st.integers(-4, 4)), (F(0),))
+    ends = rationals.filter(bool)
+    inner = st.lists(st.one_of(st.just(F(0)), rationals), max_size=6)
+    coeffs = [draw(ends)]
+    if draw(st.booleans()):
+        coeffs += draw(inner) + [draw(ends)]
+    return Mask(draw(st.integers(-6, 3)), tuple(coeffs))
+
+
+@st.composite
+def polygons(draw):
+    """Polygons on either mesh, with zero padding, or the zero polygon."""
+    values = draw(st.lists(st.one_of(st.just(F(0)), rationals), min_size=1, max_size=7))
+    return ControlPolygon(draw(st.integers(0, 3)), draw(st.integers(-8, 8)), values,
+                          draw(st.sampled_from(MeshType)))
+
+
+def assert_canonical(P: ControlPolygon):
+    assert all(type(v) is int for v in P.nums) and type(P.den) is int
+    assert P.den > 0 and math.gcd(P.den, *P.nums) == 1
+    if P.nums == (0,):
+        assert P.den == 1
+    else:
+        assert P.nums[0] != 0 and P.nums[-1] != 0
+
+
+class TestIntegerStep:
+    @given(polygons(), masks())
+    def test_matches_fraction_reference(self, P, mask):
+        Q = refine_once(P, mask)
+        assert (Q.first_index, Q.values) == reference_refine_once(P, mask)
+        assert (Q.level, Q.mesh) == (P.level + 1, P.mesh)
+
+    @given(polygons(), masks())
+    def test_canonical_form(self, P, mask):
+        assert_canonical(P)
+        Q = refine_once(P, mask)
+        assert_canonical(Q)
+        assert_canonical(refine_once(Q, mask))
+
+    @given(polygons(), masks(), st.integers(0, 2))
+    def test_floats_are_rounded_fractions(self, P, mask, k):
+        P = refine_k(P, mask, k)
+        n = 2 ** P.level
+        offset = F(0) if P.mesh is MeshType.PRIMAL else F(1, 2)
+        want = tuple((float((i + offset) / n), float(v)) for i, v in P.items())
+        assert parameterize(P).points == want
+
+    def test_constructor_takes_rationals(self):
+        P = ControlPolygon(2, -3, (0, F(1, 6), 0.5, F(-4, 3), 0, 0))
+        assert (P.first_index, P.nums, P.den) == (-2, (1, 3, -8), 6)
+        assert P.values == (F(1, 6), F(1, 2), F(-4, 3))
+        assert P[-1] == F(1, 2) and P[5] == 0
+        Z = ControlPolygon(0, 4, (0, 0, 0))
+        assert (Z.first_index, Z.nums, Z.den) == (6, (0,), 1)
+
+
 class TestRefineK:
     def test_two_levels_match_symbol_product(self):
         mask = catalog_get("a").mask
@@ -97,6 +181,29 @@ class TestRefineK:
         with pytest.raises(RefinementLimitError):
             refine_k(delta(), catalog_get("a").mask, 40, max_points=1000)
 
+    def test_cap_decided_before_any_step(self, monkeypatch):
+        def no_step(P, mask):
+            raise AssertionError("refined before the point cap was checked")
+
+        monkeypatch.setattr(refine, "refine_once", no_step)
+        with pytest.raises(RefinementLimitError, match="exceed 10000000 stored points"):
+            refine_k(delta(), catalog_get("a").mask, 40)
+
+    @given(polygons(), masks(), st.integers(0, 7), st.integers(1, 200))
+    def test_cap_matches_level_by_level_check(self, P, mask, k, cap):
+        # the former rule: refuse a level once 2 * points + width > cap
+        Q, refused = P, False
+        for _ in range(k):
+            if 2 * len(Q.nums) + mask.width > cap:
+                refused = True
+                break
+            Q = refine_once(Q, mask)
+        if refused:
+            with pytest.raises(RefinementLimitError):
+                refine_k(P, mask, k, max_points=cap)
+        else:
+            assert refine_k(P, mask, k, max_points=cap) == Q
+
 
 class TestParameterize:
     def test_level0_delta(self):
@@ -127,6 +234,12 @@ class TestBasisExperiment:
         curve = basis_experiment(catalog_get("a").mask, 0)
         assert len(curve.points) == 9
         assert [t for t, _ in curve.points] == [float(i) for i in range(-4, 5)]
+
+    @pytest.mark.parametrize("name", "abcd")
+    def test_floats_match_exact_points(self, name):
+        mask = catalog_get(name).mask
+        exact = basis_points_exact(mask, 5)
+        assert basis_experiment(mask, 5).points == tuple((float(t), float(v)) for t, v in exact)
 
     def test_grid_size(self):
         curve = basis_experiment(catalog_get("c").mask, 4)
