@@ -226,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dynamics", help="local dynamical system trajectory")
     add_common(sp)
-    sp.add_argument("--K", type=int, default=30, help="iteration count (default 30)")
+    sp.add_argument("--K", type=int, default=30,
+                    help="iteration count (default 30, at most %d)" % dynamics.MAX_K)
     sp.add_argument("--v0", default=None, help="comma-separated start vector")
     sp.add_argument("--norm", choices=["inf", "2"], default="inf")
     sp.set_defaults(func=cmd_dynamics)

@@ -5,9 +5,17 @@ the eigenvalue-1 left eigenvector, and decomposes the transient into real
 eigenmodes and complex-pair rotation-scaling planes.  The contraction
 factor of a complex pair is the modulus |mu| (the rotation-scaling normal
 form), with rotation angle arg(mu).
+
+For a rational matrix the trajectory and the left eigenvector are exact and
+use integer arithmetic only: A is scaled once to the integer matrix B = L A,
+L the lcm of its denominators; the eigenvector comes from fraction-free
+elimination on B^T - L I, and each state is integer numerators over one
+denominator.  Every reported float is one correctly rounded integer
+division.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO, Union
@@ -61,40 +69,66 @@ def _as_array(A: Union[LocalMatrix, np.ndarray, Sequence[Sequence[float]]]) -> n
 
 def _rational_null_weights(A: LocalMatrix) -> Optional[list[Fraction]]:
     """Left eigenvector of eigenvalue 1 solved exactly, normalized to sum 1;
-    None when the eigenvalue is absent or not simple."""
+    None when the eigenvalue is absent or not simple.
+
+    (A^T - I) u = 0 is solved as (B^T - L I) u = 0 with B = L A integer, by
+    fraction-free Gauss-Jordan elimination (Bareiss): every division is
+    exact, and every pivot ends equal to the last one.
+    """
     n = A.n
-    # rows of (A^T - I) as a rational system
-    rows = [[A.entries[j][i] - (1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
-    # Gaussian elimination to row echelon form
+    L, B = A.integer_scaled()
+    rows = [[B[j][i] - (L if i == j else 0) for j in range(n)] for i in range(n)]
     pivots = []
-    r = 0
+    prev = 1
     for col in range(n):
-        piv = next((k for k in range(r, n) if rows[k][col] != 0), None)
+        r = len(pivots)
+        piv = next((k for k in range(r, n) if rows[k][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        lead = rows[r][col]
-        rows[r] = [x / lead for x in rows[r]]
+        p, pivot_row = rows[r][col], rows[r]
         for k in range(n):
-            if k != r and rows[k][col] != 0:
+            if k != r:
                 f = rows[k][col]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+                rows[k] = [(p * x - f * y) // prev for x, y in zip(rows[k], pivot_row)]
         pivots.append(col)
-        r += 1
-        if r == n:
-            break
+        prev = p
     free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None
-    u = [Fraction(0)] * n
-    u[free[0]] = Fraction(1)
+    # pivot row r reads prev * u[pivots[r]] + row[free] * u[free] = 0
+    u = [0] * n
+    u[free[0]] = prev
     for row, col in zip(rows, pivots):
         u[col] = -row[free[0]]
-    total = sum(u, Fraction(0))
+    total = sum(u)
     if total == 0:
         return None
-    return [x / total for x in u]
+    return [Fraction(x, total) for x in u]
+
+
+# iterate_local refuses more steps than this before any work: the exact
+# trajectory's cost grows about as K^2 (its operands grow by log2(L) bits a
+# step), and K = 10^4 takes 46 s on the slowest of the benchmark's random
+# rational masks of width 20 (3.11, one core)
+MAX_K = 10 ** 4
+
+
+def _step(rows, L: int, q: int, nums: list[int], den: int) -> tuple[list[int], int]:
+    """One exact step A v on integer numerators over den, A = B / L with the
+    nonzero taps of each row of B given as (column, tap) pairs.
+
+    The result is reduced, gcd(den, *nums) == 1.  Every prime of den divides
+    q, so that gcd is divided out a common divisor of q at a time, each found
+    from remainders mod q: linear in the operand size, where one gcd of the
+    growing operands is quadratic.
+    """
+    out = [sum(b * nums[j] for j, b in row) for row in rows]
+    den *= L
+    while (t := math.gcd(q, den % q, *(x % q for x in out))) != 1:
+        out = [x // t for x in out]
+        den //= t
+    return out, den
 
 
 def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
@@ -103,13 +137,19 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
 
     The fixed point is (u . v0) * ones with u the left eigenvector for
     eigenvalue 1 normalized to u . ones = 1; this is exact in the limit and
-    independent of K.  For a LocalMatrix the whole trajectory is computed in
-    exact rationals and floats appear only in the reported values.  The
-    spectrum is not checked: a non-convergent matrix still yields its
-    trajectory (Spectrum.convergence_spectral_ok decides convergence).
+    independent of K.  For a LocalMatrix whose eigenvalue 1 is simple the
+    whole trajectory is exact: the state is integer numerators over one
+    denominator, stepped by the integer matrix B = L A, and each reported
+    float (a state entry or its difference from the fixed point) is one
+    correctly rounded integer division.  The spectrum is not checked: a
+    non-convergent matrix still yields its trajectory
+    (Spectrum.convergence_spectral_ok decides convergence).  K is at most
+    MAX_K.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
+    if K > MAX_K:
+        raise ValueError("K must be <= %d" % MAX_K)
     Af = _as_array(A)
     n = Af.shape[0]
     v = np.asarray(v0, dtype=float)
@@ -118,18 +158,24 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
 
     weights = _rational_null_weights(A) if isinstance(A, LocalMatrix) else None
     if weights is not None:
-        # exact rational path: v0 floats are exact binary rationals
+        # exact path: v0 floats are exact binary rationals
         vq = [Fraction(x) for x in v]
         fq = sum((w * x for w, x in zip(weights, vq)), Fraction(0))
-        states_q = [vq]
-        for _ in range(K):
-            prev = states_q[-1]
-            states_q.append([
-                sum((A.entries[i][j] * prev[j] for j in range(n)), Fraction(0))
-                for i in range(n)])
-        states = [np.array([float(x) for x in s]) for s in states_q]
+        fn, fd = fq.numerator, fq.denominator
+        den = math.lcm(*(x.denominator for x in vq))
+        nums = [x.numerator * (den // x.denominator) for x in vq]
+        L, B = A.integer_scaled()
+        rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+        q = math.lcm(L, den)  # each later den divides den * L^k: no other primes
+        states, diffs = [], []
+        for k in range(K + 1):
+            if k:
+                nums, den = _step(rows, L, q, nums, den)
+            # x / den - fn / fd over the common denominator den * fd > 0
+            shift, common = fn * den, den * fd
+            states.append(np.array([x / den for x in nums]))
+            diffs.append(np.array([(x * fd - shift) / common for x in nums]))
         fixed = np.full(n, float(fq))
-        diffs = [np.array([float(x - fq) for x in s]) for s in states_q]
     else:
         wl, Ul = np.linalg.eig(Af.T)
         i1 = int(np.argmin(np.abs(wl - 1.0)))

@@ -44,6 +44,12 @@ class LocalMatrix:
     def as_float(self) -> np.ndarray:
         return np.array([[float(e) for e in row] for row in self.entries])
 
+    def integer_scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(L, B): L the lcm of the entry denominators, B = L*A in integers."""
+        L = math.lcm(*(e.denominator for row in self.entries for e in row))
+        return L, tuple(tuple(e.numerator * (L // e.denominator) for e in row)
+                        for row in self.entries)
+
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, Fraction(0)) for row in self.entries)
 
@@ -120,8 +126,7 @@ class Spectrum:
 def _charpoly(M: LocalMatrix) -> LaurentPoly:
     """det(xI - A) as a polynomial in x, exact."""
     n = M.n
-    L = math.lcm(*(e.denominator for row in M.entries for e in row))
-    B = [[int(e * L) for e in row] for row in M.entries]
+    L, B = M.integer_scaled()
 
     def matmul(X, Y):
         return [

@@ -22,7 +22,7 @@ class MeshType(Enum):
 
 
 class RefinementLimitError(RuntimeError):
-    """Refinement would exceed the configured point cap."""
+    """Refinement would exceed the point cap or the memory cap."""
 
 
 @dataclass(frozen=True, init=False)
@@ -109,11 +109,24 @@ def refine_once(P: ControlPolygon, mask: Mask) -> ControlPolygon:
                                      out, P.den * L, P.mesh)
 
 
-def refine_k(P: ControlPolygon, mask: Mask, k: int, max_points: int = 10 ** 7) -> ControlPolygon:
-    if k < 0:
-        raise ValueError("k must be >= 0")
+# Caps decided before the first step.  The memory estimate uses peak costs
+# measured with CPython 3.11: a stored numerator is held about three times
+# during the last step (the polygon, the step's accumulator and its reduced
+# copy), and an exported sample is a (t, value) float pair plus its CSV
+# line; it reads 1.1-1.3x the measured peak of basis and refine at depth 14-18
+MAX_POINTS = 10 ** 7
+MAX_BYTES = 2 ** 30
+_INT_BYTES = 40
+_SAMPLE_BYTES = 256
+
+
+def _check_limits(P: ControlPolygon, mask: Mask, k: int, max_points: int,
+                  samples: int | None) -> None:
+    """Refuse, before any step, k refinements of P that would store more than
+    max_points points or need an estimated more than MAX_BYTES; samples is
+    the number of float samples exported, None for one per stored point."""
     # n points with nonzero ends refine to exactly 2(n - 1) + width (a zero
-    # polygon or mask stays one point), so the cap is decided before any step
+    # polygon or mask stays one point)
     n, zero = len(P.nums), mask.is_zero() or P.nums == (0,)
     for _ in range(k):
         if 2 * n + mask.width > max_points:
@@ -122,6 +135,20 @@ def refine_k(P: ControlPolygon, mask: Mask, k: int, max_points: int = 10 ** 7) -
         if zero or n + mask.width == 2:
             break
         n = 2 * (n - 1) + mask.width
+    # numerators grow by about bitlen(L) bits a level
+    L = math.lcm(*(a.denominator for a in mask.coeffs))
+    bits = max(v.bit_length() for v in (P.den, *P.nums)) + k * L.bit_length()
+    need = 3 * n * (_INT_BYTES + bits // 8) + (n if samples is None else samples) * _SAMPLE_BYTES
+    if need > MAX_BYTES:
+        raise RefinementLimitError(
+            "refinement would exceed %d MB of memory (about %d MB)"
+            % (MAX_BYTES >> 20, need >> 20))
+
+
+def refine_k(P: ControlPolygon, mask: Mask, k: int, max_points: int = MAX_POINTS) -> ControlPolygon:
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    _check_limits(P, mask, k, max_points, None)
     for _ in range(k):
         P = refine_once(P, mask)
     return P
@@ -140,7 +167,11 @@ def basis_polygon(mask: Mask, iters: int) -> ControlPolygon:
     """Refine the cardinal test sequence (1 at index 0, zeros on [-4, 4])."""
     if iters < 0:
         raise ValueError("iters must be >= 0")
-    return refine_k(delta(), mask, iters)
+    P = delta()
+    _check_limits(P, mask, iters, MAX_POINTS, 8 * 2 ** iters + 1)
+    for _ in range(iters):
+        P = refine_once(P, mask)
+    return P
 
 
 def basis_points_exact(mask: Mask, iters: int) -> list[tuple[Fraction, Fraction]]:

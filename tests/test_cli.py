@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 import sys
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from subdiv import localmatrix
+from subdiv import dynamics, localmatrix, refine
 from subdiv.cli import main
-from subdiv.masks import catalog_get, save_scheme
+from subdiv.masks import Mask, SchemeRecord, catalog_get, save_scheme
 from subdiv.search import GridRange
 
 
@@ -109,6 +110,15 @@ class TestRefineAndBasis:
         assert code == 1 and out == ""
         assert "refinement would exceed 10000000 stored points" in err
 
+    def test_memory_cap_exits_before_refining(self, capsys, monkeypatch):
+        def no_step(P, mask):
+            raise AssertionError("refined before the memory cap was checked")
+
+        monkeypatch.setattr(refine, "refine_once", no_step)
+        code, out, err = run(capsys, "basis", "--scheme", "catalog:a", "--iters", "20")
+        assert code == 1 and out == ""
+        assert "refinement would exceed 1024 MB of memory" in err
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
         code, out, _ = run(capsys, "refine", "--scheme", "catalog:d",
@@ -124,6 +134,16 @@ class TestDynamics:
         lines = out.strip().split("\n")
         assert lines[0].startswith("k,d_k,")
         assert len(lines) == 12
+
+    @pytest.mark.parametrize("K", ["10001", "1000000000"])
+    def test_K_bound_exits_before_any_step(self, capsys, monkeypatch, K):
+        def no_step(*args):
+            raise AssertionError("stepped before the K bound was checked")
+
+        monkeypatch.setattr(dynamics, "_step", no_step)
+        code, out, err = run(capsys, "dynamics", "--scheme", "catalog:a", "--K", K)
+        assert code == 1 and out == ""
+        assert "K must be <= 10000" in err
 
     def test_bad_v0_length(self, capsys):
         code, _, err = run(capsys, "dynamics", "--scheme", "catalog:a",
@@ -210,6 +230,13 @@ def test_one_eigensolve_per_dynamics_request(capsys, monkeypatch):
 # may differ under another numpy build, where only run-to-run identity holds
 DIGEST_NUMPY = "2.4.6"
 
+# an asymmetric width-13 rational mask with s(1) = 2, s(-1) = 0 and a complex
+# subdominant pair; the test writes it to a file in place of MASK13
+MASK13 = "<width-13 mask file>"
+W13_COEFFS = tuple(F(c) for c in (
+    "1/21", "-1/35", "-2/15", "1/6", "3/10", "2/5", "1/2", "3/8", "3/14",
+    "1/11", "-1/9", "-37/9240", "23/126"))
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv, sha256", [
@@ -242,8 +269,18 @@ class TestDeterminism:
                       "--points=2/3,-1/5", "--iters", "8", "--format", "svg"),
                      "dd72183265a4bc2883260ce9a51fc2595d36823f386b254f520f555450fee62b",
                      id="argv8"),
+        pytest.param(("dynamics", "--scheme", "catalog:a", "--K", "300"),
+                     "64e26a61a7a35ee978fb907affb8562834498aeeae4b4b80bd4d2330fc0541ae",
+                     id="argv9"),
+        pytest.param(("dynamics", "--scheme", MASK13, "--K", "300", "--norm", "2"),
+                     "49134df9d6ec792c0c3265a6c1bb16a40166724dbd405842cdb7c3f03f6016f1",
+                     id="argv10"),
     ])
-    def test_byte_identical_runs(self, capsys, argv, sha256):
+    def test_byte_identical_runs(self, capsys, tmp_path, argv, sha256):
+        if MASK13 in argv:
+            path = tmp_path / "w13.json"
+            save_scheme(SchemeRecord("w13", Mask(-6, W13_COEFFS)), path)
+            argv = tuple(str(path) if a == MASK13 else a for a in argv)
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second and first

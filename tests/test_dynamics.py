@@ -3,10 +3,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
-from subdiv.dynamics import (decompose_modes, iterate_local, window_vector,
-                             write_trajectory_csv)
-from subdiv.localmatrix import build_local_matrix
+from subdiv import dynamics
+from subdiv.dynamics import (MAX_K, _rational_null_weights, _step, decompose_modes,
+                             iterate_local, window_vector, write_trajectory_csv)
+from subdiv.localmatrix import LocalMatrix, build_local_matrix, matrix_from_coeffs
 from subdiv.masks import catalog_get
 from subdiv.refine import ControlPolygon, delta
 
@@ -53,6 +56,137 @@ class TestIterateLocal:
     def test_non_convergent_matrix_reported(self):
         traj = iterate_local((1.0, 0.0), np.array([[2.0, 0.0], [0.0, 1.0]]), 5)
         assert len(traj.states) == 6
+
+    def test_K_bound_checked_before_any_step(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("trajectory work before the K bound was checked")
+
+        monkeypatch.setattr(dynamics, "_step", fail)
+        monkeypatch.setattr(dynamics, "_rational_null_weights", fail)
+        for A in (A_MATRIX, np.eye(6)):
+            with pytest.raises(ValueError, match="K must be <= %d" % MAX_K):
+                iterate_local(E1, A, MAX_K + 1)
+            with pytest.raises(ValueError, match="K must be <= %d" % MAX_K):
+                iterate_local(E1, A, 10 ** 9)
+
+
+def sympy_null_weights(A: LocalMatrix):
+    """Null vector of A^T - I by sympy, normalized to sum 1; None unless the
+    null space is one line whose vectors do not sum to 0."""
+    n = A.n
+    M = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(A.entries[j][i])) - int(i == j))
+    basis = M.nullspace()
+    if len(basis) != 1 or sum(basis[0]) == 0:
+        return None
+    u = basis[0] / sum(basis[0])
+    return [F(int(x.p), int(x.q)) for x in u]
+
+
+def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
+    """The former Fraction loop, kept as an oracle: (states, transients,
+    fixed_point, distances), with the weights solved by sympy; None where
+    eigenvalue 1 is not simple and the float path runs instead."""
+    weights = sympy_null_weights(A)
+    if weights is None:
+        return None
+    n = A.n
+    vq = [F(x) for x in v0]
+    fq = sum((w * x for w, x in zip(weights, vq)), F(0))
+    states_q = [vq]
+    for _ in range(K):
+        prev = states_q[-1]
+        states_q.append([sum((A.entries[i][j] * prev[j] for j in range(n)), F(0))
+                         for i in range(n)])
+    diffs = [np.array([float(x - fq) for x in s]) for s in states_q]
+    if norm == "inf":
+        dists = [float(np.max(np.abs(d))) for d in diffs]
+    else:
+        dists = [float(np.linalg.norm(d)) for d in diffs]
+    return ([[float(x) for x in s] for s in states_q], diffs, [float(fq)] * n, dists)
+
+
+def bits(rows):
+    """Nested float sequences as hex strings: equal only bit for bit."""
+    return [bits(r) if np.ndim(r) else float.hex(float(r)) for r in rows]
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@st.composite
+def local_matrices(draw):
+    """Local matrices of rational masks of widths 2-12, palindromic or not.
+
+    Most masks are balanced: a middle coefficient is moved so the even- and
+    odd-indexed sums agree (a palindrome stays one), then the mask is scaled
+    so both are 1.  The rows then sum to 1, so eigenvalue 1 is present."""
+    w = draw(st.integers(2, 12))
+    ends = rationals.filter(bool)
+    if draw(st.booleans()):
+        half = [draw(ends)] + draw(st.lists(rationals, min_size=(w - 1) // 2,
+                                            max_size=(w - 1) // 2))
+        coeffs = half + half[:w // 2][::-1]
+    else:
+        coeffs = [draw(ends)] + draw(st.lists(rationals, min_size=w - 2,
+                                              max_size=w - 2)) + [draw(ends)]
+    if w > 2 and draw(st.integers(0, 4)):
+        mid = (w - 1) // 2
+        even, odd = sum(coeffs[0::2]), sum(coeffs[1::2])
+        coeffs[mid] += (odd - even) if mid % 2 == 0 else (even - odd)
+        total = sum(coeffs[0::2])
+        if total != 0:
+            coeffs = [c / total for c in coeffs]
+    return matrix_from_coeffs(draw(st.integers(-w, 0)), coeffs)
+
+
+dyadic = st.builds(lambda m, e: m / 2 ** e, st.integers(-2 ** 20, 2 ** 20), st.integers(0, 40))
+
+
+class TestExactTrajectory:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), local_matrices(), st.integers(1, 40), st.sampled_from(["inf", "2"]))
+    def test_matches_fraction_reference(self, data, A, K, norm):
+        v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
+        traj = iterate_local(v0, A, K, norm)
+        ref = reference_trajectory(v0, A, K, norm)
+        if ref is None:
+            assert _rational_null_weights(A) is None
+            return
+        states, transients, fixed, dists = ref
+        assert bits(traj.states) == bits(states)
+        assert bits(traj.transients) == bits(transients)
+        assert bits(traj.fixed_point) == bits(fixed)
+        assert bits(traj.distances) == bits(dists)
+
+    @settings(deadline=None)
+    @given(local_matrices())
+    def test_null_weights_match_sympy(self, A):
+        assert _rational_null_weights(A) == sympy_null_weights(A)
+
+    @pytest.mark.parametrize("entries", [
+        ((F(1, 2), 0), (0, F(1, 3))),                        # no eigenvalue 1
+        ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4))),  # two eigenvectors
+        ((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))),           # Jordan block at 1
+    ], ids=["absent", "double", "defective"])
+    def test_null_weights_none_unless_simple(self, entries):
+        A = LocalMatrix(tuple(tuple(F(e) for e in row) for row in entries), 0)
+        assert _rational_null_weights(A) is None
+        assert sympy_null_weights(A) is None
+
+    def test_catalog_weights(self):
+        w = _rational_null_weights(A_MATRIX)
+        assert sum(w) == 1 and w == sympy_null_weights(A_MATRIX)
+
+    @given(local_matrices(), st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=12, max_size=12),
+           st.integers(1, 2 ** 12))
+    def test_step_is_reduced_exact_product(self, A, nums, den):
+        L, B = A.integer_scaled()
+        nums = nums[:A.n]
+        rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+        out, den2 = _step(rows, L, math.lcm(L, den), nums, den)
+        assert den2 > 0 and math.gcd(den2, *out) == 1
+        assert [F(x, den2) for x in out] == [
+            sum((e * F(x, den) for e, x in zip(row, nums)), F(0)) for row in A.entries]
 
 
 class TestDecomposeModes:

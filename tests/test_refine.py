@@ -189,6 +189,35 @@ class TestRefineK:
         with pytest.raises(RefinementLimitError, match="exceed 10000000 stored points"):
             refine_k(delta(), catalog_get("a").mask, 40)
 
+    def test_memory_cap_counts_basis_samples(self, monkeypatch):
+        monkeypatch.setattr(refine, "refine_once", lambda P, mask: P)
+        # the two-point scheme stores 2^20 - 1 points at depth 19, but its
+        # basis experiment samples 8 * 2^19 + 1
+        mask = catalog_get("c").mask
+        refine_k(delta(), mask, 19)
+        with pytest.raises(RefinementLimitError, match="exceed 1024 MB of memory"):
+            basis_polygon(mask, 19)
+        # within the point cap, refused by the memory estimate
+        mask = catalog_get("a").mask
+        with pytest.raises(RefinementLimitError, match="exceed 1024 MB of memory"):
+            basis_polygon(mask, 20)
+        basis_polygon(mask, 17)
+
+    @pytest.mark.parametrize("name, k", [("a", 14), ("b", 14), ("c", 14), ("d", 14),
+                                         ("a", 17), ("c", 18)])
+    def test_memory_cap_admits(self, monkeypatch, name, k):
+        monkeypatch.setattr(refine, "refine_once", lambda P, mask: P)
+        basis_polygon(catalog_get(name).mask, k)
+        refine_k(ControlPolygon(0, -1, (F(1, 3), F(-2, 5), F(4, 7))), catalog_get(name).mask, k)
+
+    def test_memory_cap_counts_numerator_growth(self, monkeypatch):
+        # 5 * 2^k + 1 points, each numerator near 3000 k bits at depth k
+        mask = Mask(-2, (F(1, 3 ** 1900), F(1, 2), F(1), F(1), F(1, 2), F(1, 4)))
+        monkeypatch.setattr(refine, "refine_once", lambda P, mask: P)
+        refine_k(delta(), mask, 12)
+        with pytest.raises(RefinementLimitError, match="exceed 1024 MB of memory"):
+            refine_k(delta(), mask, 14)
+
     @given(polygons(), masks(), st.integers(0, 7), st.integers(1, 200))
     def test_cap_matches_level_by_level_check(self, P, mask, k, cap):
         # the former rule: refuse a level once 2 * points + width > cap
