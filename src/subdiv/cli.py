@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
     }
     if rec.mask.width >= 2:
         M = localmatrix.build_local_matrix(rec.mask)
-        spec = localmatrix.eigenvalues(M, tol=args.tol)
+        spec = localmatrix.eigenvalues(M)
         doc["local_matrix"] = M.to_json()
         doc["spectrum"] = spec.to_json()
         doc["classification"] = {
@@ -173,7 +173,7 @@ def cmd_search(args) -> int:
                                  convergence_filter=not args.no_filter)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    result = search.scan(spec, imag_tol=args.tol)
+    result = search.scan(spec)
     if args.out and args.out != "-":
         with open(args.out + ".csv", "w", encoding="utf-8", newline="") as f:
             search.write_search_csv(result, f)
@@ -230,6 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="iteration count (default 30, at most %d)" % dynamics.MAX_K)
     sp.add_argument("--v0", default=None, help="comma-separated start vector")
     sp.add_argument("--norm", choices=["inf", "2"], default="inf")
+    # the only tolerance option: analyze and search classify at
+    # localmatrix.SPECTRAL_TOL, refine and basis are exact
+    sp.add_argument("--tol", type=float, default=1e-9,
+                    help="numerical tolerance (default 1e-9)")
     sp.set_defaults(func=cmd_dynamics)
 
     sp = sub.add_parser("search", help="palindromic family grid scan")
@@ -242,11 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report the minimum width with a complex convergent cell")
     sp.add_argument("--max-width", type=int, default=6)
     sp.set_defaults(func=cmd_search)
-
-    # refine and basis are exact and take no tolerance
-    for name in ("analyze", "dynamics", "search"):
-        sub.choices[name].add_argument("--tol", type=float, default=1e-9,
-                                       help="numerical tolerance (default 1e-9)")
     return p
 
 
@@ -259,7 +258,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CliError, ValueError, KeyError, InexactDivisionError,
             convergence.NotFactorableError, masks.SchemeFormatError,
-            refine.RefinementLimitError, localmatrix.EigensolveError) as exc:
+            refine.RefinementLimitError, localmatrix.EigensolveError,
+            OverflowError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print("error: %s" % msg, file=sys.stderr)
         return 1

@@ -9,10 +9,10 @@ square-free factors (Yun), and root-solved with Newton polishing; this keeps
 multiple eigenvalues accurate to ~1e-12 where a plain dense eigensolve
 loses half the digits at defective points.  The characteristic polynomial
 is a symbols.LaurentPoly with no negative exponent, and the split uses its
-divmod, deriv and gcd.  Plain float matrices fall back to LAPACK.
+divmod, deriv and gcd.
 
 The spectral class (complex pair, negative real count, simple eigenvalue 1
-with all others inside the unit disc) is decided once, at a tolerance, in
+with all others inside the unit disc) is decided once, at SPECTRAL_TOL, in
 Spectrum.from_values; callers read the resulting fields.
 """
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .symbols import LaurentPoly
 
 
 class EigensolveError(RuntimeError):
-    """The eigenvalue iteration failed to converge."""
+    """The root count of the characteristic polynomial is not the matrix order."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,6 @@ class LocalMatrix:
         L = math.lcm(*(e.denominator for row in self.entries for e in row))
         return L, tuple(tuple(e.numerator * (L // e.denominator) for e in row)
                         for row in self.entries)
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -86,12 +83,21 @@ def build_local_matrix(mask: Mask) -> LocalMatrix:
 
 # -- spectra -------------------------------------------------------------
 
+# The one threshold of the spectral class.  On the default family grids of
+# widths 2-8 real spectra have |Im| exactly 0 and complex ones |Im| > 0.02.
+SPECTRAL_TOL = 1e-9
+
+
 def _sort_key(z: complex):
     return (-abs(z), -z.real, -z.imag)
 
 
 @dataclass(frozen=True)
 class Spectrum:
+    """Eigenvalues and their class at SPECTRAL_TOL: has_complex when some
+    |Im| > SPECTRAL_TOL; negative_real_count counts every eigenvalue with
+    Re < -SPECTRAL_TOL, complex ones included."""
+
     eigenvalues: tuple[complex, ...]  # sorted by modulus desc, ties real desc then imag
     has_complex: bool
     negative_real_count: int
@@ -99,10 +105,9 @@ class Spectrum:
     convergence_spectral_ok: bool  # simple eigenvalue 1, all others inside the unit disc
 
     @classmethod
-    def from_values(cls, values: Sequence[complex], tol: float = 1e-7) -> "Spectrum":
-        """Sort the values and decide the spectral class at tolerance tol."""
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError("tol must be > 0")
+    def from_values(cls, values: Sequence[complex]) -> "Spectrum":
+        """Sort the values and decide the spectral class at SPECTRAL_TOL."""
+        tol = SPECTRAL_TOL
         vals = tuple(sorted((complex(v) for v in values), key=_sort_key))
         has_complex = any(abs(v.imag) > tol for v in vals)
         neg = sum(1 for v in vals if v.real < -tol)
@@ -184,33 +189,17 @@ def _roots_squarefree(p: LaurentPoly) -> list[complex]:
     return [complex(r) for r in roots]
 
 
-def eigenvalues(M: Union[LocalMatrix, np.ndarray, Sequence[Sequence[float]]],
-                tol: float = 1e-7) -> Spectrum:
-    """All eigenvalues with multiplicity as a Spectrum.
-
-    LocalMatrix input goes through the exact characteristic polynomial;
-    residuals there are bounded by the Newton polish (|p(mu)| ~ machine eps
-    relative to the coefficient scale).  Array input uses LAPACK's
-    backward-stable dense solver.
-    """
-    if isinstance(M, LocalMatrix):
-        p = _charpoly(M)
-        vals: list[complex] = []
-        for factor, mult in _squarefree_factors(p):
-            vals.extend(_roots_squarefree(factor) * mult)
-        if len(vals) != M.n:
-            raise EigensolveError("root count %d != matrix order %d" % (len(vals), M.n))
-        return Spectrum.from_values(vals, tol)
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square, got shape %s" % (A.shape,))
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        vals = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveError(str(exc)) from exc
-    return Spectrum.from_values([complex(v) for v in vals], tol)
+def eigenvalues(M: LocalMatrix) -> Spectrum:
+    """All eigenvalues with multiplicity as a Spectrum, from the exact
+    characteristic polynomial; residuals are bounded by the Newton polish
+    (|p(mu)| ~ machine eps relative to the coefficient scale)."""
+    p = _charpoly(M)
+    vals: list[complex] = []
+    for factor, mult in _squarefree_factors(p):
+        vals.extend(_roots_squarefree(factor) * mult)
+    if len(vals) != M.n:
+        raise EigensolveError("root count %d != matrix order %d" % (len(vals), M.n))
+    return Spectrum.from_values(vals)
 
 
 # -- closed forms for the palindromic families ---------------------------
@@ -229,13 +218,8 @@ def w6_discriminant(a, b) -> Fraction:
     return 1 + 2 * a - 7 * a * a - 6 * b + 2 * a * b + 9 * b * b
 
 
-def w6_closed_form(a, b, as_printed: bool = False) -> Spectrum:
-    """Eigenvalues {1, a, a, b-a, ((1-a-b) +- sqrt(D))/2} of the width-6 family.
-
-    as_printed drops the /2 on the last pair, reproducing the uncorrected
-    published formula (which fails to match the width-6 example spectrum);
-    it exists for documentation of the erratum only.
-    """
+def w6_closed_form(a, b) -> Spectrum:
+    """Eigenvalues {1, a, a, b-a, ((1-a-b) +- sqrt(D))/2} of the width-6 family."""
     a, b = Fraction(a), Fraction(b)
     D = w6_discriminant(a, b)
     base = float(1 - a - b)
@@ -243,10 +227,7 @@ def w6_closed_form(a, b, as_printed: bool = False) -> Spectrum:
         root = complex(0.0, math.sqrt(float(-D)))
     else:
         root = complex(math.sqrt(float(D)), 0.0)
-    if as_printed:
-        mu5, mu6 = base + root, base - root
-    else:
-        mu5, mu6 = (base + root) / 2, (base - root) / 2
+    mu5, mu6 = (base + root) / 2, (base - root) / 2
     return Spectrum.from_values([1.0, float(a), float(a), float(b - a), mu5, mu6])
 
 

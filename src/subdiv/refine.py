@@ -22,7 +22,7 @@ class MeshType(Enum):
 
 
 class RefinementLimitError(RuntimeError):
-    """Refinement would exceed the point cap or the memory cap."""
+    """Refinement would exceed the level, point or memory cap."""
 
 
 @dataclass(frozen=True, init=False)
@@ -113,7 +113,11 @@ def refine_once(P: ControlPolygon, mask: Mask) -> ControlPolygon:
 # measured with CPython 3.11: a stored numerator is held about three times
 # during the last step (the polygon, the step's accumulator and its reduced
 # copy), and an exported sample is a (t, value) float pair plus its CSV
-# line; it reads 1.1-1.3x the measured peak of basis and refine at depth 14-18
+# line; it reads 1.1-1.3x the measured peak of basis and refine at depth 14-18.
+# The level cap bounds time where the other two cannot (a one-point polygon
+# stays one point): past level 60 neighbouring parameters i/2^k collide as
+# doubles wherever |t| >= 2^-7.
+MAX_LEVEL = 60
 MAX_POINTS = 10 ** 7
 MAX_BYTES = 2 ** 30
 _INT_BYTES = 40
@@ -122,9 +126,12 @@ _SAMPLE_BYTES = 256
 
 def _check_limits(P: ControlPolygon, mask: Mask, k: int, max_points: int,
                   samples: int | None) -> None:
-    """Refuse, before any step, k refinements of P that would store more than
-    max_points points or need an estimated more than MAX_BYTES; samples is
-    the number of float samples exported, None for one per stored point."""
+    """Refuse, before any step, k refinements of P that would pass level
+    MAX_LEVEL, store more than max_points points or need an estimated more
+    than MAX_BYTES; samples is the number of float samples exported, None
+    for one per stored point."""
+    if P.level + k > MAX_LEVEL:
+        raise RefinementLimitError("refinement would exceed level %d" % MAX_LEVEL)
     # n points with nonzero ends refine to exactly 2(n - 1) + width (a zero
     # polygon or mask stays one point)
     n, zero = len(P.nums), mask.is_zero() or P.nums == (0,)

@@ -125,7 +125,7 @@ class SearchResult:
                 if c.cls is CellClass.COMPLEX_CONVERGENT and not c.degenerate]
 
 
-def scan(spec: SearchSpec, imag_tol: float = 1e-7, max_cells: int = 10 ** 6) -> SearchResult:
+def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     """Classify every grid cell of the family by spectrum and contractivity."""
     try:
         n_cells = math.prod(len(r) for r in spec.param_ranges)
@@ -141,7 +141,7 @@ def scan(spec: SearchSpec, imag_tol: float = 1e-7, max_cells: int = 10 ** 6) -> 
     for params in (product(*grids) if grids else [()]):
         support_min, run = palindromic_coeffs(spec.width, params)
         M = matrix_from_coeffs(support_min, run)
-        sp = eigenvalues(M, tol=imag_tol)
+        sp = eigenvalues(M)
         max_imag = max(abs(v.imag) for v in sp.eigenvalues)
         # Theorem-1 conditions hold by construction; the filter adds the
         # contractivity requirement for the Convergent classes.
@@ -201,16 +201,14 @@ def default_grid(width: int) -> tuple[GridRange, ...]:
     return table[width]
 
 
-def min_width_report(max_width: int,
-                     grids: Optional[dict[int, tuple[GridRange, ...]]] = None) -> MinWidthReport:
-    """Smallest width whose default (or supplied) grid contains a
-    ComplexConvergent cell, with all witness parameter tuples."""
+def min_width_report(max_width: int) -> MinWidthReport:
+    """Smallest width whose default grid contains a ComplexConvergent cell,
+    with all witness parameter tuples."""
     if max_width < 2:
         raise ValueError("max_width must be >= 2")
     counts = []
     for w in range(2, min(max_width, 8) + 1):
-        g = (grids or {}).get(w, default_grid(w))
-        result = scan(SearchSpec(w, tuple(g), convergence_filter=True))
+        result = scan(SearchSpec(w, default_grid(w), convergence_filter=True))
         counts.append((w, result.counts))
         witnesses = result.complex_convergent_params()
         if witnesses:

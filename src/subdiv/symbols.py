@@ -44,10 +44,6 @@ class LaurentPoly:
         return cls({min_exp + i: v for i, v in enumerate(coeffs)})
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
@@ -130,10 +126,6 @@ class LaurentPoly:
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by z^k."""
         return LaurentPoly({e + k: c for e, c in self._c.items()})
-
-    def dilate(self, m: int) -> "LaurentPoly":
-        """Substitute z -> z^m."""
-        return LaurentPoly({e * m: c for e, c in self._c.items()})
 
     def deriv(self) -> "LaurentPoly":
         """d/dz, term by term."""

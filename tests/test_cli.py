@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from subdiv import dynamics, localmatrix, refine
-from subdiv.cli import main
+from subdiv.cli import build_parser, main
 from subdiv.masks import Mask, SchemeRecord, catalog_get, save_scheme
 from subdiv.search import GridRange
 
@@ -98,10 +99,17 @@ class TestRefineAndBasis:
         assert code == 0
         assert out.startswith("<svg") and "<polyline" in out
 
-    @pytest.mark.parametrize("command", ["basis", "refine"])
-    def test_exact_commands_take_no_tol(self, capsys, command):
+    # refine and basis are exact; analyze and search classify at
+    # localmatrix.SPECTRAL_TOL, so only dynamics takes --tol
+    @pytest.mark.parametrize("argv", [
+        ("basis", "--scheme", "catalog:a"),
+        ("refine", "--scheme", "catalog:a"),
+        ("analyze", "--scheme", "catalog:a"),
+        ("search", "--width", "6"),
+    ], ids=["basis", "refine", "analyze", "search"])
+    def test_exact_commands_take_no_tol(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--scheme", "catalog:a", "--tol", "1e-9"])
+            main([*argv, "--tol", "1e-9"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
@@ -109,6 +117,18 @@ class TestRefineAndBasis:
         code, out, err = run(capsys, "basis", "--scheme", "catalog:a", "--iters", "40")
         assert code == 1 and out == ""
         assert "refinement would exceed 10000000 stored points" in err
+
+    def test_level_cap_exits_before_refining(self, capsys, monkeypatch, tmp_path):
+        # a width-1 mask keeps one point, so only the level cap bounds the time
+        def no_step(P, mask):
+            raise AssertionError("refined before the level cap was checked")
+
+        monkeypatch.setattr(refine, "refine_once", no_step)
+        path = tmp_path / "w1.json"
+        save_scheme(SchemeRecord("w1", Mask(0, (F(2, 3),))), path)
+        code, out, err = run(capsys, "refine", "--scheme", str(path), "--iters", "100000000")
+        assert code == 1 and out == ""
+        assert "refinement would exceed level 60" in err
 
     def test_memory_cap_exits_before_refining(self, capsys, monkeypatch):
         def no_step(P, mask):
@@ -144,6 +164,14 @@ class TestDynamics:
         code, out, err = run(capsys, "dynamics", "--scheme", "catalog:a", "--K", K)
         assert code == 1 and out == ""
         assert "K must be <= 10000" in err
+
+    def test_float_overflow_is_domain_error(self, capsys, tmp_path):
+        # a divergent mask whose states pass the float range by K = 1000
+        path = tmp_path / "div.json"
+        save_scheme(SchemeRecord("div", Mask(-1, (F(3), F(1), F(-2)))), path)
+        code, out, err = run(capsys, "dynamics", "--scheme", str(path), "--K", "1000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
 
     def test_bad_v0_length(self, capsys):
         code, _, err = run(capsys, "dynamics", "--scheme", "catalog:a",
@@ -196,14 +224,34 @@ class TestSearch:
 class TestTolValidation:
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
-        ("analyze", "--scheme", "catalog:a"),
-        ("search", "--width", "5", "--grid=-1/4:1/4:1/8"),
         ("dynamics", "--scheme", "catalog:a", "--K", "5"),
-    ], ids=["analyze", "search", "dynamics"])
+    ], ids=["dynamics"])
     def test_rejects_tol_not_finite_positive(self, capsys, argv, tol):
         code, out, err = run(capsys, *argv, "--tol=" + tol)
         assert code == 1 and out == ""
         assert "tol must be > 0" in err
+
+
+# every option of every subcommand; a new option is a reviewed edit here
+OPTIONS = {
+    "catalog": {"-h", "--help", "--out", "-o"},
+    "analyze": {"-h", "--help", "--scheme", "--out", "-o", "--target"},
+    "refine": {"-h", "--help", "--scheme", "--out", "-o", "--iters", "--points",
+               "--first-index", "--mesh", "--format"},
+    "basis": {"-h", "--help", "--scheme", "--out", "-o", "--iters", "--format"},
+    "dynamics": {"-h", "--help", "--scheme", "--out", "-o", "--K", "--v0", "--norm",
+                 "--tol"},
+    "search": {"-h", "--help", "--out", "-o", "--width", "--grid", "--no-filter",
+               "--min-width", "--max-width"},
+}
+
+
+def test_option_inventory():
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    got = {name: {s for a in sp._actions for s in a.option_strings}
+           for name, sp in sub.choices.items()}
+    assert got == OPTIONS
 
 
 def test_one_eigensolve_per_dynamics_request(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from subdiv.refine import (ControlPolygon, MeshType, RefinementLimitError,
                            basis_experiment, basis_points_exact, basis_polygon,
                            curve_csv_text, delta, parameterize, refine_k,
                            refine_once)
+from subdiv.symbols import LaurentPoly
 
 
 def rand_polygon(rng, mesh=MeshType.PRIMAL):
@@ -153,7 +154,8 @@ class TestRefineK:
     def test_two_levels_match_symbol_product(self):
         mask = catalog_get("a").mask
         P = refine_k(delta(), mask, 2)
-        two_level = mask.symbol() * mask.symbol().dilate(2)
+        s = mask.symbol()
+        two_level = s * LaurentPoly({2 * e: c for e, c in s.coeffs.items()})  # s(z) s(z^2)
         assert P.first_index == two_level.min_exp
         for i in range(P.first_index, P.last_index + 1):
             assert P[i] == two_level[i]
@@ -188,6 +190,22 @@ class TestRefineK:
         monkeypatch.setattr(refine, "refine_once", no_step)
         with pytest.raises(RefinementLimitError, match="exceed 10000000 stored points"):
             refine_k(delta(), catalog_get("a").mask, 40)
+
+    def test_level_cap(self, monkeypatch):
+        # a width-1 mask keeps one point: neither the point nor the memory
+        # cap bounds its depth
+        mask = Mask(0, (F(2, 3),))
+        assert refine_k(delta(), mask, 60) == ControlPolygon(60, 0, (F(2, 3) ** 60,))
+
+        def no_step(P, mask):
+            raise AssertionError("refined before the level cap was checked")
+
+        monkeypatch.setattr(refine, "refine_once", no_step)
+        for refuse in (lambda: refine_k(delta(), mask, 61),
+                       lambda: refine_k(ControlPolygon(3, 0, (1,)), mask, 58),
+                       lambda: basis_polygon(mask, 61)):
+            with pytest.raises(RefinementLimitError, match="exceed level 60"):
+                refuse()
 
     def test_memory_cap_counts_basis_samples(self, monkeypatch):
         monkeypatch.setattr(refine, "refine_once", lambda P, mask: P)
