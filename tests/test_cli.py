@@ -99,17 +99,12 @@ class TestRefineAndBasis:
         assert code == 0
         assert out.startswith("<svg") and "<polyline" in out
 
-    # refine and basis are exact; analyze and search classify at
-    # localmatrix.SPECTRAL_TOL, so only dynamics takes --tol
-    @pytest.mark.parametrize("argv", [
-        ("basis", "--scheme", "catalog:a"),
-        ("refine", "--scheme", "catalog:a"),
-        ("analyze", "--scheme", "catalog:a"),
-        ("search", "--width", "6"),
-    ], ids=["basis", "refine", "analyze", "search"])
-    def test_exact_commands_take_no_tol(self, capsys, argv):
+    # analyze and search classify at localmatrix.SPECTRAL_TOL and are
+    # checked in TestTolValidation; only dynamics takes --tol
+    @pytest.mark.parametrize("command", ["basis", "refine"])
+    def test_exact_commands_take_no_tol(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--tol", "1e-9"])
+            main([command, "--scheme", "catalog:a", "--tol", "1e-9"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
@@ -222,11 +217,21 @@ class TestSearch:
 
 
 class TestTolValidation:
+    # dynamics checks the value; analyze and search take no --tol at all
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
+        ("analyze", "--scheme", "catalog:a"),
+        ("search", "--width", "5", "--grid=-1/4:1/4:1/8"),
         ("dynamics", "--scheme", "catalog:a", "--K", "5"),
-    ], ids=["dynamics"])
+    ], ids=["analyze", "search", "dynamics"])
     def test_rejects_tol_not_finite_positive(self, capsys, argv, tol):
+        if argv[0] != "dynamics":
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--tol=" + tol])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2 and captured.out == ""
+            assert "unrecognized arguments: --tol" in captured.err
+            return
         code, out, err = run(capsys, *argv, "--tol=" + tol)
         assert code == 1 and out == ""
         assert "tol must be > 0" in err
