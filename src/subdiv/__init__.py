@@ -1,9 +1,9 @@
 """Analysis toolkit for binary stationary subdivision schemes for curves."""
 
-from .symbols import InexactDivisionError, LaurentPoly
+from .symbols import LaurentPoly
 from .masks import (Mask, SchemeRecord, SchemeFormatError, SymmetryClass,
                     catalog_get, catalog_names, classify_symmetry, load_scheme,
-                    recenter, register_scheme, save_scheme)
+                    recenter, save_scheme)
 from .convergence import (ConvergenceReport, NotFactorableError, Verdict,
                           certify, contractivity_norm, difference_scheme,
                           is_contractive, necessary_conditions, smooth_lift)

@@ -13,7 +13,6 @@ import sys
 from fractions import Fraction
 
 from . import convergence, dynamics, localmatrix, masks, refine, search
-from .symbols import InexactDivisionError
 
 
 class CliError(Exception):
@@ -65,11 +64,10 @@ def _json_text(obj) -> str:
 
 
 def _curve_text(curve: refine.SampledCurve, fmt: str) -> str:
+    """fmt is "csv" or "svg", the only choices the parser admits."""
     if fmt == "csv":
         return refine.curve_csv_text(curve)
-    if fmt == "svg":
-        return refine.curve_svg_text(curve)
-    raise CliError("unsupported curve format %r" % fmt)
+    return refine.curve_svg_text(curve)
 
 
 # -- commands ------------------------------------------------------------
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--norm", choices=["inf", "2"], default="inf")
     # the only tolerance option: analyze and search classify at
     # localmatrix.SPECTRAL_TOL, refine and basis are exact
-    sp.add_argument("--tol", type=float, default=1e-9,
+    sp.add_argument("--tol", type=float, default=dynamics.MODE_TOL,
                     help="numerical tolerance (default 1e-9)")
     sp.set_defaults(func=cmd_dynamics)
 
@@ -256,7 +254,7 @@ def main(argv=None) -> int:
         if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
             raise CliError("tol must be > 0")
         return args.func(args)
-    except (CliError, ValueError, KeyError, InexactDivisionError,
+    except (CliError, ValueError, KeyError,
             convergence.NotFactorableError, masks.SchemeFormatError,
             refine.RefinementLimitError, localmatrix.EigensolveError,
             OverflowError) as exc:

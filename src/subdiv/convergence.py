@@ -2,20 +2,27 @@
 
 Necessary conditions s(1) = 2, s(-1) = 0; the difference scheme from the
 (1+z) factor; the parity-sum contractivity norm; and a certification ladder
-that peels (1+z)/2 factors to certify higher smoothness.  Contractivity
-(norm of the difference scheme < 1) is decided in one place, is_contractive,
-which both the ladder and the family scan use.  The norm test is sufficient
-only, so a failed test yields "inconclusive", never "divergent".
+that peels (1+z)/2 factors to certify higher smoothness.
+
+(1+z) is the only divisor, so division is synthetic division on a
+coefficient run, _over_one_plus_z: the quotient b_k = a_k - b_{k-1} keeps
+the run's start exponent, and the division is exact iff the last step
+leaves zero (s(-1) = 0).  The ladder makes one chain of such divisions,
+d_{j+1} = d_j / (1+z), while each is exact; rung m's quotient by
+((1+z)/2)^m is 2^m d_m.  Contractivity (norm of the difference scheme < 1)
+is decided in one place, is_contractive, which both the ladder and the
+family scan call on a coefficient run.  The norm test is sufficient only,
+so a failed test yields "inconclusive", never "divergent".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .masks import Mask, recenter
-from .symbols import InexactDivisionError, LaurentPoly
+from .symbols import LaurentPoly
 
 _ONE_PLUS_Z = LaurentPoly({0: 1, 1: 1})
 
@@ -63,25 +70,48 @@ def necessary_conditions(mask: Mask) -> tuple[Fraction, Fraction, bool]:
     return s1, sm1, s1 == 2 and sm1 == 0
 
 
+def _over_one_plus_z(coeffs: Sequence[Fraction]) -> Optional[list]:
+    """Quotient run of s(z) / (1+z), same start exponent, by synthetic
+    division; None when s(-1) != 0.  The zero run gives the empty run."""
+    q, r = [], 0
+    for c in coeffs:
+        r = c - r
+        q.append(r)
+    return q[:-1] if r == 0 else None
+
+
 def difference_scheme(mask: Mask) -> Mask:
     """Mask b with s_a(z) = (1+z) s_b(z), exact."""
-    s = mask.symbol()
-    if not s or s(-1) != 0:
-        raise NotFactorableError("s(-1) = %s != 0, no (1+z) factor" % (s(-1) if s else "undefined",))
-    return Mask.from_symbol(s.div_exact(_ONE_PLUS_Z))
+    q = _over_one_plus_z(mask.coeffs)
+    if not q:  # None when s(-1) != 0, empty for the zero mask
+        raise NotFactorableError("s(-1) != 0, no (1+z) factor" if q is None
+                                 else "the zero mask has no difference scheme")
+    return Mask(mask.support_min, tuple(q))
+
+
+def _parity_norm(support_min: int, coeffs: Sequence[Fraction]) -> Fraction:
+    """max of the |coeff| sums over even and over odd absolute indices."""
+    sums = [Fraction(0), Fraction(0)]
+    for k, c in enumerate(coeffs, support_min):
+        sums[k % 2] += abs(c)
+    return max(sums)
 
 
 def contractivity_norm(b: Mask) -> Fraction:
     """max of the even- and odd-index absolute coefficient sums."""
-    return max(b.symbol().parity_sums())
+    return _parity_norm(b.support_min, b.coeffs)
 
 
-def is_contractive(mask: Mask) -> bool:
-    """True iff the difference scheme of mask has contractivity norm < 1.
+def is_contractive(support_min: int, coeffs: Sequence[Fraction]) -> bool:
+    """True iff the difference scheme of the run a_{support_min}, ... has
+    contractivity norm < 1.  Zero end coefficients are allowed.
 
-    The mask must satisfy s(-1) = 0 (NotFactorableError otherwise).
+    The run must satisfy s(-1) = 0 (NotFactorableError otherwise).
     """
-    return contractivity_norm(difference_scheme(mask)) < 1
+    q = _over_one_plus_z(coeffs)
+    if q is None:
+        raise NotFactorableError("s(-1) != 0, no (1+z) factor")
+    return _parity_norm(support_min, q) < 1
 
 
 def smooth_lift(mask: Mask) -> Mask:
@@ -97,7 +127,8 @@ def certify(mask: Mask, target_m: int) -> ConvergenceReport:
 
     Writes s_a = ((1+z)/2)^m s_q for the largest m such that the division is
     exact and S_q passes the necessary conditions with a contractive
-    difference scheme (is_contractive).
+    difference scheme (is_contractive).  s_q(-1) = 0 is the exactness of
+    the next division in the chain; s_q(1) = s_a(1) = 2 on every rung.
     """
     if target_m < 0:
         raise ValueError("target_m must be >= 0")
@@ -108,17 +139,13 @@ def certify(mask: Mask, target_m: int) -> ConvergenceReport:
     b = difference_scheme(mask)
     norm = contractivity_norm(b)
 
-    half = _ONE_PLUS_Z * Fraction(1, 2)
-    quotients = [mask.symbol()]
-    while len(quotients) <= target_m:
-        try:
-            quotients.append(quotients[-1].div_exact(half))
-        except InexactDivisionError:
-            break
+    # d[j] = s_a / (1+z)^j while exact; rung m needs d[m + 1] (q(-1) = 0)
+    d = [mask.coeffs]
+    while len(d) <= target_m + 1 and (nxt := _over_one_plus_z(d[-1])) is not None:
+        d.append(nxt)
 
-    for m in range(len(quotients) - 1, -1, -1):
-        q = quotients[m]
-        if q(1) == 2 and q(-1) == 0 and is_contractive(Mask.from_symbol(q)):
+    for m in range(len(d) - 2, -1, -1):
+        if is_contractive(mask.support_min, [c * 2 ** m for c in d[m]]):
             return ConvergenceReport(s1, sm1, True, b, norm, Verdict.C0_CERTIFIED, m)
 
     return ConvergenceReport(s1, sm1, True, b, norm, Verdict.INCONCLUSIVE, None)

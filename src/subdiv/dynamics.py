@@ -27,6 +27,10 @@ from .refine import ControlPolygon
 
 _COEFF_FLOOR = 1e-12  # coefficients below this are treated as unexcited
 
+# the one default of the mode-grouping tolerance: an eigenvalue with
+# |Im| > MODE_TOL is grouped with its conjugate as a rotation plane
+MODE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class EigenMode:
@@ -208,7 +212,7 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
     )
 
 
-def decompose_modes(traj: TrajectoryReport, tol: float = 1e-7) -> TrajectoryReport:
+def decompose_modes(traj: TrajectoryReport, tol: float = MODE_TOL) -> TrajectoryReport:
     """Enrich a trajectory with per-eigenmode magnitudes and sign data.
 
     Real eigendirections give signed coefficient sequences with flip

@@ -58,12 +58,22 @@ class LocalMatrix:
         }
 
 
+# matrix_from_coeffs refuses a wider run before any entry is built: the
+# exact eigensolve grows steeply with the order, and analyze on random
+# rational masks drawn like the benchmark's took up to 1.1 s at order 24,
+# 2.6 s at 28 and 12.6 s at 32 (Python 3.11, one core)
+MAX_ORDER = 24
+
+
 def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMatrix:
     """Local matrix for a nominal coefficient run; zero end coefficients are
-    allowed (degenerate cells of a parameter family keep their nominal size)."""
+    allowed (degenerate cells of a parameter family keep their nominal size).
+    The order is the run length, at most MAX_ORDER."""
     n = len(coeffs)
     if n < 2:
         raise ValueError("local matrix needs mask width >= 2")
+    if n > MAX_ORDER:
+        raise ValueError("local matrix needs mask width <= %d, got %d" % (MAX_ORDER, n))
     coeffs = [Fraction(c) for c in coeffs]
 
     def a(idx: int) -> Fraction:

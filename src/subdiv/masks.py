@@ -113,24 +113,15 @@ _CATALOG: dict[str, SchemeRecord] = {
     "d": SchemeRecord("d", Mask(-2, tuple(map(_F, ("1/8", "4/8", "6/8", "4/8", "1/8")))), 2),
 }
 
-_user_catalog: dict[str, SchemeRecord] = {}
-
-
 def catalog_names() -> tuple[str, ...]:
-    return tuple(list(_CATALOG) + sorted(_user_catalog))
+    return tuple(_CATALOG)
 
 
 def catalog_get(name: str) -> SchemeRecord:
-    rec = _CATALOG.get(name) or _user_catalog.get(name)
+    rec = _CATALOG.get(name)
     if rec is None:
         raise KeyError("unknown catalog scheme: %r" % name)
     return rec
-
-
-def register_scheme(record: SchemeRecord) -> None:
-    if record.name in _CATALOG or record.name in _user_catalog:
-        raise ValueError("scheme name already registered: %r" % record.name)
-    _user_catalog[record.name] = record
 
 
 class SchemeFormatError(ValueError):

@@ -25,8 +25,6 @@ from typing import Optional, Sequence, TextIO
 
 from .convergence import is_contractive
 from .localmatrix import (eigenvalues, matrix_from_coeffs, w6_discriminant)
-from .masks import Mask
-from .symbols import LaurentPoly
 
 
 @dataclass(frozen=True)
@@ -145,8 +143,7 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
         max_imag = max(abs(v.imag) for v in sp.eigenvalues)
         # Theorem-1 conditions hold by construction; the filter adds the
         # contractivity requirement for the Convergent classes.
-        convergent = (is_contractive(Mask.from_symbol(LaurentPoly.from_coeffs(run, support_min)))
-                      if spec.convergence_filter else True)
+        convergent = is_contractive(support_min, run) if spec.convergence_filter else True
         if sp.has_complex:
             cls = CellClass.COMPLEX_CONVERGENT if convergent else CellClass.COMPLEX_OTHER
         else:

@@ -3,9 +3,10 @@
 A Laurent polynomial is stored as a map from integer exponent to a nonzero
 Fraction coefficient, so the support is always exact.  All operations are
 pure and return new objects.  This one type serves both the z-transform
-symbol of a mask (Laurent division by (1+z)) and the characteristic
-polynomial of a local matrix (long division, derivative and gcd for the
-square-free split); divmod is the only long-division loop.
+symbol of a mask (products and evaluation for the smooth lift and the
+necessary conditions) and the characteristic polynomial of a local matrix
+(long division, derivative and gcd for the square-free split); divmod is
+the only long-division loop.
 """
 from __future__ import annotations
 
@@ -15,14 +16,6 @@ from typing import Iterable, Mapping, Union
 RationalLike = Union[int, Fraction, str]
 
 _ZERO = Fraction(0)
-
-
-class InexactDivisionError(ArithmeticError):
-    """Division left a nonzero remainder; the remainder is attached."""
-
-    def __init__(self, remainder: "LaurentPoly"):
-        super().__init__("inexact Laurent division, remainder %s" % (remainder,))
-        self.remainder = remainder
 
 
 class LaurentPoly:
@@ -123,10 +116,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by z^k."""
-        return LaurentPoly({e + k: c for e, c in self._c.items()})
-
     def deriv(self) -> "LaurentPoly":
         """d/dz, term by term."""
         return LaurentPoly({e - 1: e * c for e, c in self._c.items() if e})
@@ -151,23 +140,6 @@ class LaurentPoly:
                     r[k + j] -= c * dj
         return LaurentPoly(q), LaurentPoly(dict(enumerate(r[:n])))
 
-    def div_exact(self, d: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / d; raises InexactDivisionError otherwise.
-
-        Monomials are units, so both operands are shifted to start at z^0
-        and divided with divmod; on failure the remainder is reported
-        shifted back, i.e. the low-degree remainder of self.
-        """
-        if not d:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if not self:
-            return LaurentPoly()
-        lo, d_lo = self.min_exp, d.min_exp
-        q, r = self.shift(-lo).divmod(d.shift(-d_lo))
-        if r:
-            raise InexactDivisionError(r.shift(lo))
-        return q.shift(lo - d_lo)
-
     def gcd(self, other: "LaurentPoly") -> "LaurentPoly":
         """Monic greatest common divisor by Euclid's algorithm (divmod);
         zero when both operands are zero."""
@@ -176,8 +148,3 @@ class LaurentPoly:
             a, b = b, a.divmod(b)[1]
         return a * (1 / a[a.max_exp]) if a else a
 
-    def parity_sums(self) -> tuple[Fraction, Fraction]:
-        """(sum of |coeff| over even exponents, same over odd exponents)."""
-        even = sum((abs(c) for e, c in self._c.items() if e % 2 == 0), Fraction(0))
-        odd = sum((abs(c) for e, c in self._c.items() if e % 2 != 0), Fraction(0))
-        return even, odd

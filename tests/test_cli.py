@@ -259,6 +259,21 @@ def test_option_inventory():
     assert got == OPTIONS
 
 
+@pytest.mark.parametrize("command", ["analyze", "dynamics"])
+def test_order_cap_exits_before_any_matrix(capsys, monkeypatch, tmp_path, command):
+    def no_charpoly(*args):
+        raise AssertionError("eigensolve ran past the order cap")
+
+    monkeypatch.setattr(localmatrix, "_charpoly", no_charpoly)
+    n = localmatrix.MAX_ORDER
+    assert localmatrix.matrix_from_coeffs(0, [F(1, n)] * n).n == n
+    path = tmp_path / "wide.json"
+    save_scheme(SchemeRecord("wide", Mask(0, (F(1, n + 1),) * (n + 1))), path)
+    code, out, err = run(capsys, command, "--scheme", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: local matrix needs mask width <= %d, got %d\n" % (n, n + 1)
+
+
 def test_one_eigensolve_per_dynamics_request(capsys, monkeypatch):
     original = localmatrix.eigenvalues
     calls = []

@@ -1,8 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+import sympy
+from hypothesis import assume, given, strategies as st
 
-from subdiv.convergence import (Verdict, certify, contractivity_norm,
+from subdiv.convergence import (Verdict, _over_one_plus_z, certify, contractivity_norm,
                                 difference_scheme, is_contractive,
                                 necessary_conditions, NotFactorableError,
                                 smooth_lift)
@@ -10,6 +12,88 @@ from subdiv.masks import Mask, catalog_get
 from subdiv.symbols import LaurentPoly
 
 ONE_PLUS_Z = LaurentPoly({0: 1, 1: 1})
+HALF_ONE_PLUS_Z = ONE_PLUS_Z * F(1, 2)
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=8)
+
+
+@st.composite
+def runs(draw):
+    """Coefficient runs: a drawn run, or the run of (1+z) times a drawn run
+    (exactly divisible), with up to two zeros padded at either end."""
+    run = draw(st.lists(small, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        run = [c + p for c, p in zip(run + [F(0)], [F(0)] + run)]
+    if draw(st.booleans()):
+        run = [F(0)] * draw(st.integers(0, 2)) + run + [F(0)] * draw(st.integers(0, 2))
+    return run
+
+
+def sympy_over_one_plus_z(coeffs):
+    """Quotient run of the polynomial sum c_k z^k by 1+z from sympy, padded
+    to len(coeffs) - 1 entries, or None when the remainder is nonzero."""
+    z = sympy.Symbol("z")
+    p = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
+                                  for c in coeffs])), z, domain="QQ")
+    q, r = p.div(sympy.Poly(z + 1, z, domain="QQ"))
+    if not r.is_zero:
+        return None
+    low_first = [F(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())]
+    return (low_first + [F(0)] * len(coeffs))[:len(coeffs) - 1]
+
+
+def parity_norm(support_min, coeffs):
+    return max(sum((abs(c) for k, c in enumerate(coeffs, support_min) if k % 2 == e), F(0))
+               for e in (0, 1))
+
+
+def reference_certify(mask, target_m):
+    """The certification ladder on LaurentPoly long division: the symbol,
+    moved to start at z^0, is divided by (1+z)/2 while the division is
+    exact, and rung m is certified when its quotient q has q(1) = 2,
+    q(-1) = 0 and q / (1+z) has parity norm < 1 (parities of the absolute
+    index).  Returns (verdict, certified_smoothness, norm, difference mask)."""
+    s1, sm1, ok = necessary_conditions(mask)
+    if not ok:
+        return Verdict.DIVERGENT, None, None, None
+    lo = mask.support_min
+
+    def exact(p, d):
+        q, r = p.divmod(d)
+        return None if r else q
+
+    def run(p):
+        return [p[e] for e in range(p.max_exp + 1)]
+
+    b = exact(LaurentPoly.from_coeffs(mask.coeffs), ONE_PLUS_Z)
+    norm = parity_norm(lo, run(b))
+    quotients = [LaurentPoly.from_coeffs(mask.coeffs)]
+    while len(quotients) <= target_m:
+        q = exact(quotients[-1], HALF_ONE_PLUS_Z)
+        if q is None:
+            break
+        quotients.append(q)
+    for m in range(len(quotients) - 1, -1, -1):
+        q = quotients[m]
+        if q(1) == 2 and q(-1) == 0 and parity_norm(lo, run(exact(q, ONE_PLUS_Z))) < 1:
+            return Verdict.C0_CERTIFIED, m, norm, Mask(lo, tuple(run(b)))
+    return Verdict.INCONCLUSIVE, None, norm, Mask(lo, tuple(run(b)))
+
+
+@st.composite
+def ladder_masks(draw):
+    """Masks with forced ((1+z)/2)^k factors, s(1) = 2 and s(-1) = 0 (a
+    base run scaled to sum 1, times (1+z) and ((1+z)/2)^k), or a raw run."""
+    base = draw(st.lists(small, min_size=1, max_size=5))
+    assume(base[0] != 0 and base[-1] != 0)
+    support_min = draw(st.integers(-4, 4))
+    if draw(st.booleans()):
+        return Mask(support_min, tuple(base))
+    assume(sum(base) != 0)
+    s = LaurentPoly.from_coeffs([c / sum(base) for c in base]) * ONE_PLUS_Z
+    for _ in range(draw(st.integers(0, 4))):
+        s = s * HALF_ONE_PLUS_Z
+    return Mask(support_min, tuple(s[e] for e in range(s.max_exp + 1)))
 
 
 class TestNecessaryConditions:
@@ -42,12 +126,35 @@ class TestDifferenceScheme:
     def test_not_factorable(self):
         with pytest.raises(NotFactorableError):
             difference_scheme(Mask(0, (F(1), F(1), F(1))))
+        # the zero mask divides exactly, but its quotient is no mask
+        assert _over_one_plus_z((F(0),)) == []
+        with pytest.raises(NotFactorableError):
+            difference_scheme(Mask(0, (F(0),)))
 
     def test_factor_round_trip(self):
         for name in "abcd":
             mask = catalog_get(name).mask
             b = difference_scheme(mask)
             assert ONE_PLUS_Z * b.symbol() == mask.symbol()
+
+    @given(runs(), st.integers(-4, 4))
+    def test_matches_sympy_division(self, coeffs, support_min):
+        # zero end coefficients and all-zero runs included
+        expect = sympy_over_one_plus_z(coeffs)
+        assert _over_one_plus_z(coeffs) == expect
+        if expect is None:
+            with pytest.raises(NotFactorableError):
+                is_contractive(support_min, coeffs)
+        else:
+            assert is_contractive(support_min, coeffs) == (parity_norm(support_min, expect) < 1)
+        if len(coeffs) > 1 and (coeffs[0] == 0 or coeffs[-1] == 0):
+            return  # no Mask: its end coefficients must be nonzero
+        mask = Mask(support_min, tuple(coeffs))
+        if expect is None or mask.is_zero():
+            with pytest.raises(NotFactorableError):
+                difference_scheme(mask)
+        else:
+            assert difference_scheme(mask) == Mask(support_min, tuple(expect))
 
 
 class TestContractivityNorm:
@@ -63,8 +170,11 @@ class TestContractivityNorm:
         assert contractivity_norm(b) == F(1, 2)
 
     def test_is_contractive_is_strict(self):
-        assert is_contractive(catalog_get("a").mask)        # norm 4/5
-        assert not is_contractive(Mask(0, (F(1), F(1))))    # norm exactly 1
+        a = catalog_get("a").mask
+        assert is_contractive(a.support_min, a.coeffs)      # norm 4/5
+        assert not is_contractive(0, (F(1), F(1)))          # norm exactly 1
+        # a nominal run with zero end coefficients gives the trimmed verdict
+        assert is_contractive(a.support_min - 1, (0,) + a.coeffs + (0, 0))
 
 
 class TestCertify:
@@ -93,6 +203,12 @@ class TestCertify:
         for name in "abcd":
             rec = catalog_get(name)
             assert certify(rec.mask, 6).certified_smoothness == rec.smoothness
+
+    @given(ladder_masks(), st.integers(0, 6))
+    def test_matches_reference_ladder(self, mask, target_m):
+        r = certify(mask, target_m)
+        assert (r.verdict, r.certified_smoothness, r.norm, r.difference_mask) \
+            == reference_certify(mask, target_m)
 
     def test_json_round_serializable(self):
         doc = certify(catalog_get("a").mask, 2).to_json()
@@ -126,10 +242,9 @@ class TestSmoothLift:
         for name in "acd":
             mask = catalog_get(name).mask
             b = difference_scheme(smooth_lift(mask))
-            # equality up to the recentering translation applied by smooth_lift
-            half = mask.symbol() * F(1, 2)
-            shift = half.min_exp - b.symbol().min_exp
-            assert b.symbol().shift(shift) == half
+            # equal coefficient runs: equality up to the recentering
+            # translation applied by smooth_lift
+            assert b.coeffs == tuple(c / 2 for c in mask.coeffs)
 
     def test_lift_raises_certified_smoothness(self):
         for name in "acd":

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from subdiv.localmatrix import complex_region_predicate, w6_discriminant
+from subdiv.masks import Mask
 from subdiv.search import (CellClass, GridRange, SearchSpec, c1_w6_obstruction,
                            default_grid, free_param_count, min_width_report,
                            negativity_lemma_check, palindromic_coeffs, scan,
@@ -118,6 +119,19 @@ class TestScan:
         huge = SearchSpec(5, (GridRange(F(0), F(10 ** 6), F(1, 10 ** 6)),))
         with pytest.raises(ValueError, match="cap is"):
             scan(huge)
+
+    def test_contractivity_builds_no_mask(self, monkeypatch):
+        built = []
+        original = Mask.__post_init__
+
+        def counted(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(Mask, "__post_init__", counted)
+        result = scan(SearchSpec(6, (GridRange(-HALF, HALF, F(1, 10)),) * 2))
+        assert len(result.cells) == 121 and result.counts["ComplexConvergent"] > 0
+        assert built == []
 
     def test_grid_length_is_exact(self):
         r = GridRange(F(0), F(1), F(2, 5))
