@@ -89,6 +89,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_analyze(args) -> int:
     rec = _resolve_scheme(args.scheme)
+    localmatrix.check_order(rec.mask.width)  # before certify, which grows with the width
     report = convergence.certify(rec.mask, args.target)
     doc = {
         "scheme": masks.record_to_json(rec),

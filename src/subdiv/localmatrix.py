@@ -4,12 +4,19 @@ The n x n matrix has entries A[i][j] = a_{2j - i - c} (1-based) with shift
 c = p + 1, p = -support_min; row 1 is then an even refinement rule and the
 parity alternates down the rows, which reproduces the printed width-5 and
 width-6 matrices.  Eigenvalues of a LocalMatrix are computed from the exact
-rational characteristic polynomial (Faddeev-LeVerrier), split into
-square-free factors (Yun), and root-solved with Newton polishing; this keeps
-multiple eigenvalues accurate to ~1e-12 where a plain dense eigensolve
-loses half the digits at defective points.  The characteristic polynomial
-is a symbols.LaurentPoly with no negative exponent, and the split uses its
-divmod, deriv and gcd.
+square-free factors of its characteristic polynomial, each root-solved with
+Newton polishing; this keeps multiple eigenvalues accurate to ~1e-12 where a
+plain dense eigensolve loses half the digits at defective points.
+
+The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
+entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
+q the characteristic polynomial of the central block, computed exactly in
+integers (Faddeev-LeVerrier on L*A).  When gcd(q, q') is a constant over
+GF(2^61 - 1) and neither corner is a root of q, the factors are written
+down: q once and the corners once each, or twice when they are equal (every
+palindromic mask).  Otherwise Yun's square-free split runs on q, as a
+symbols.LaurentPoly, and the corners join the class above their
+multiplicity in q.
 
 The spectral class (complex pair, negative real count, simple eigenvalue 1
 with all others inside the unit disc) is decided once, at SPECTRAL_TOL, in
@@ -58,11 +65,20 @@ class LocalMatrix:
         }
 
 
-# matrix_from_coeffs refuses a wider run before any entry is built: the
-# exact eigensolve grows steeply with the order, and analyze on random
-# rational masks drawn like the benchmark's took up to 1.1 s at order 24,
-# 2.6 s at 28 and 12.6 s at 32 (Python 3.11, one core)
+# matrix_from_coeffs refuses a wider run before any entry is built.  On
+# random rational masks drawn like the benchmark's, analyze takes up to
+# 0.06 s at order 24, 0.12 s at 28 and 0.21 s at 32 (Python 3.11, one
+# core).  But where the eigensolve falls back to Yun's split it grows
+# steeply: repeated (1+z)/2 lifts of the width-6 cell (1/10, 1/5) take
+# 0.38 s at 24, 1.4 s at 28 and 4.5 s at 32, so the cap stays until that
+# fallback is bounded.
 MAX_ORDER = 24
+
+
+def check_order(n: int) -> None:
+    """Refuse a local matrix of order n above MAX_ORDER."""
+    if n > MAX_ORDER:
+        raise ValueError("local matrix needs mask width <= %d, got %d" % (MAX_ORDER, n))
 
 
 def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMatrix:
@@ -72,8 +88,7 @@ def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMat
     n = len(coeffs)
     if n < 2:
         raise ValueError("local matrix needs mask width >= 2")
-    if n > MAX_ORDER:
-        raise ValueError("local matrix needs mask width <= %d, got %d" % (MAX_ORDER, n))
+    check_order(n)
     coeffs = [Fraction(c) for c in coeffs]
 
     def a(idx: int) -> Fraction:
@@ -137,32 +152,82 @@ class Spectrum:
 
 
 # characteristic polynomial route
+#
+# Column 0 of A holds one nonzero entry, a_first = A[0][0], and column n-1
+# one, a_last = A[n-1][n-1].  So det(xI - A) = (x - a_first)(x - a_last) q(x)
+# with q the characteristic polynomial of the central (n-2)x(n-2) block.
+# The route works on B = L*A in integers and in y = L*x, where that block's
+# characteristic polynomial c(y) is monic with integer coefficients and
+# q(x) = c(Lx) / L^(n-2).  Coefficient lists run from y^0 up.
 
-def _charpoly(M: LocalMatrix) -> LaurentPoly:
-    """det(xI - A) as a polynomial in x, exact."""
-    n = M.n
-    L, B = M.integer_scaled()
-
-    def matmul(X, Y):
-        return [
-            [sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    # Faddeev-LeVerrier on the integer matrix B = L*A; all divisions are exact.
-    c = [0] * (n + 1)
-    c[n] = 1
-    # M_1 = I, M_{k+1} = B M_k + c_{n-k} I: each step forms one product
-    Mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        Mk = matmul(B, Mk)
-        tr = sum(Mk[i][i] for i in range(n))
+def _charpoly(B: Sequence[Sequence[int]]) -> list[int]:
+    """det(yI - B) of a square integer matrix, exact (Faddeev-LeVerrier)."""
+    m = len(B)
+    c = [0] * (m + 1)
+    c[m] = 1
+    # M_1 = I, M_{k+1} = B M_k + c_{m-k} I: each step forms one product, and
+    # every division by k is exact
+    Mk = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    for k in range(1, m + 1):
+        cols = list(zip(*Mk))
+        Mk = [[sum(b * x for b, x in zip(row, col)) for col in cols] for row in B]
+        tr = sum(Mk[i][i] for i in range(m))
         assert tr % k == 0
-        c[n - k] = -(tr // k)
-        for i in range(n):
-            Mk[i][i] += c[n - k]
-    # det(xI - A) = det((Lx)I - B) / L^n
-    return LaurentPoly({k: Fraction(c[k], L ** (n - k)) for k in range(n + 1)})
+        c[m - k] = -(tr // k)
+        for i in range(m):
+            Mk[i][i] += c[m - k]
+    return c
+
+
+# 2^61 - 1, a Mersenne prime
+_PRIME = (1 << 61) - 1
+
+
+def _squarefree_mod_p(c: Sequence[int]) -> bool:
+    """True when gcd(c, c') over GF(_PRIME) is a constant.  For a monic
+    integer c this proves c square-free over the rationals: a square factor
+    g^2 of c has a monic integer g (Gauss's lemma), which keeps its degree
+    mod the prime and divides c' there too.  False proves nothing."""
+    p = _PRIME
+    a = [x % p for x in c]
+    b = [k * x % p for k, x in enumerate(c)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):  # a <- a mod b
+            f = a[-1] * inv % p
+            s = len(a) - len(b)
+            for i, bi in enumerate(b):
+                a[s + i] = (a[s + i] - f * bi) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _horner(c: Sequence[int], y: int) -> int:
+    """c(y), exact."""
+    v = 0
+    for x in reversed(c):
+        v = v * y + x
+    return v
+
+
+def _times_linear(c: Sequence[int], r: int) -> list[int]:
+    """c(y) * (y - r)."""
+    return [-r * c[0]] + [c[k - 1] - r * c[k] for k in range(1, len(c))] + [c[-1]]
+
+
+def _over_linear(c: Sequence[int], r: int) -> list[int]:
+    """c(y) / (y - r) by synthetic division, for a root r of c."""
+    q = [0] * (len(c) - 1)
+    acc = 0
+    for k in range(len(c) - 1, 0, -1):
+        acc = acc * r + c[k]
+        q[k - 1] = acc
+    return q
 
 
 def _squarefree_factors(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
@@ -186,9 +251,46 @@ def _squarefree_factors(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
     return out
 
 
-def _roots_squarefree(p: LaurentPoly) -> list[complex]:
-    """Roots of a square-free rational polynomial, Newton-polished."""
-    cf = np.array([float(p[e]) for e in range(p.max_exp, -1, -1)])
+def _charpoly_factors(M: LocalMatrix) -> tuple[int, list[tuple[list[int], int]]]:
+    """(L, factors): the monic square-free factorisation of det(yI - L*A),
+    each factor an integer coefficient list with its multiplicity, in
+    ascending multiplicity.  det(xI - A) has the factors f(Lx) / L^deg(f).
+
+    The charpoly c of the central block comes first.  When c is square-free
+    (_squarefree_mod_p) and neither corner is a root of it, the factors are
+    written down: [(c, 1), (y - a, 2)] when both corners equal a, else
+    [(c (y - a_first)(y - a_last), 1)].  Otherwise Yun's split runs on c,
+    and a corner that is a root of multiplicity m there moves to class m+1
+    (m+2 when both corners are that root)."""
+    L, B = M.integer_scaled()
+    n = M.n
+    c = _charpoly([row[1:n - 1] for row in B[1:n - 1]])
+    first, last = B[0][0], B[n - 1][n - 1]
+    if _squarefree_mod_p(c) and _horner(c, first) and _horner(c, last):
+        if first == last:
+            factors = [(c, 1), ([-first, 1], 2)]
+        else:
+            factors = [(_times_linear(_times_linear(c, first), last), 1)]
+    else:
+        classes = {}
+        for f, m in _squarefree_factors(LaurentPoly.from_coeffs(c)):
+            # monic factors of a monic integer polynomial are integer
+            assert all(f[e].denominator == 1 for e in range(f.max_exp + 1))
+            classes[m] = [f[e].numerator for e in range(f.max_exp + 1)]
+        for r in {first, last}:
+            m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
+            if m:
+                classes[m] = _over_linear(classes[m], r)
+            up = m + (2 if first == last else 1)
+            classes[up] = _times_linear(classes.get(up, [1]), r)
+        factors = [(classes[m], m) for m in sorted(classes)]
+    return L, [(f, m) for f, m in factors if len(f) > 1]
+
+
+def _roots_squarefree(cf: Sequence[float]) -> list[complex]:
+    """Roots of a square-free polynomial, float coefficients from the top
+    degree down, Newton-polished."""
+    cf = np.array(cf)
     roots = np.roots(cf)
     cfd = np.polyder(cf)
     for _ in range(3):
@@ -201,12 +303,16 @@ def _roots_squarefree(p: LaurentPoly) -> list[complex]:
 
 def eigenvalues(M: LocalMatrix) -> Spectrum:
     """All eigenvalues with multiplicity as a Spectrum, from the exact
-    characteristic polynomial; residuals are bounded by the Newton polish
-    (|p(mu)| ~ machine eps relative to the coefficient scale)."""
-    p = _charpoly(M)
+    square-free factors of the characteristic polynomial; residuals are
+    bounded by the Newton polish (|p(mu)| ~ machine eps relative to the
+    coefficient scale)."""
+    L, factors = _charpoly_factors(M)
     vals: list[complex] = []
-    for factor, mult in _squarefree_factors(p):
-        vals.extend(_roots_squarefree(factor) * mult)
+    for f, mult in factors:
+        d = len(f) - 1
+        # the coefficients of f(Lx) / L^d, each one correctly rounded
+        cf = [f[k] / L ** (d - k) for k in range(d, -1, -1)]
+        vals.extend(_roots_squarefree(cf) * mult)
     if len(vals) != M.n:
         raise EigensolveError("root count %d != matrix order %d" % (len(vals), M.n))
     return Spectrum.from_values(vals)

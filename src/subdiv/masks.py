@@ -61,13 +61,13 @@ class Mask:
         return LaurentPoly.from_coeffs(self.coeffs, self.support_min)
 
     @classmethod
-    def from_symbol(cls, symbol: LaurentPoly, support_min: Optional[int] = None) -> "Mask":
-        """Inverse of symbol(); support_min translates the mask if given."""
+    def from_symbol(cls, symbol: LaurentPoly) -> "Mask":
+        """Inverse of symbol()."""
         if not symbol:
             raise ValueError("the zero symbol does not define a mask")
         lo, hi = symbol.min_exp, symbol.max_exp
         coeffs = tuple(symbol[e] for e in range(lo, hi + 1))
-        return cls(lo if support_min is None else support_min, coeffs)
+        return cls(lo, coeffs)
 
 
 def classify_symmetry(mask: Mask) -> SymmetryClass:

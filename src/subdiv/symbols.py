@@ -4,9 +4,10 @@ A Laurent polynomial is stored as a map from integer exponent to a nonzero
 Fraction coefficient, so the support is always exact.  All operations are
 pure and return new objects.  This one type serves both the z-transform
 symbol of a mask (products and evaluation for the smooth lift and the
-necessary conditions) and the characteristic polynomial of a local matrix
-(long division, derivative and gcd for the square-free split); divmod is
-the only long-division loop.
+necessary conditions) and the characteristic polynomial of a local
+matrix's central block when the eigensolve falls back to Yun's square-free
+split (long division, derivative and gcd); divmod is the only
+long-division loop.
 """
 from __future__ import annotations
 
@@ -36,10 +37,6 @@ class LaurentPoly:
         """Build from an ordered coefficient run starting at exponent min_exp."""
         return cls({min_exp + i: v for i, v in enumerate(coeffs)})
 
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
     # -- queries ---------------------------------------------------------
 
     @property
@@ -51,10 +48,6 @@ class LaurentPoly:
 
     def __bool__(self) -> bool:
         return bool(self._c)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._c))
 
     @property
     def min_exp(self) -> int:
@@ -72,9 +65,6 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._c == other._c
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
 
     def __repr__(self) -> str:
         if not self._c:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from subdiv import dynamics, localmatrix, refine
+from subdiv import convergence, dynamics, localmatrix, refine
 from subdiv.cli import build_parser, main
 from subdiv.masks import Mask, SchemeRecord, catalog_get, save_scheme
 from subdiv.search import GridRange
@@ -274,6 +274,19 @@ def test_order_cap_exits_before_any_matrix(capsys, monkeypatch, tmp_path, comman
     assert err == "error: local matrix needs mask width <= %d, got %d\n" % (n, n + 1)
 
 
+def test_analyze_refuses_wide_mask_before_certify(capsys, monkeypatch, tmp_path):
+    def no_certify(*args):
+        raise AssertionError("certify ran past the order cap")
+
+    monkeypatch.setattr(convergence, "certify", no_certify)
+    n = localmatrix.MAX_ORDER + 1
+    path = tmp_path / "wide.json"
+    save_scheme(SchemeRecord("wide", Mask(0, (F(1, n),) * n)), path)
+    code, out, err = run(capsys, "analyze", "--scheme", str(path))
+    assert code == 1 and out == ""
+    assert err == "error: local matrix needs mask width <= %d, got %d\n" % (n - 1, n)
+
+
 def test_one_eigensolve_per_dynamics_request(capsys, monkeypatch):
     original = localmatrix.eigenvalues
     calls = []
@@ -304,6 +317,14 @@ MASK13 = "<width-13 mask file>"
 W13_COEFFS = tuple(F(c) for c in (
     "1/21", "-1/35", "-2/15", "1/6", "3/10", "2/5", "1/2", "3/8", "3/14",
     "1/11", "-1/9", "-37/9240", "23/126"))
+# an asymmetric width-13 rational mask whose corner 1/2 is also an eigenvalue
+# of the central block, so its square-free split runs Yun's algorithm; the
+# test writes it to a file in place of MASK13Y
+MASK13Y = "<width-13 corner-root mask file>"
+W13Y_COEFFS = tuple(F(c) for c in (
+    "1/21", "0", "0", "0", "0", "1/2", "15/28", "1/2", "-1/12", "0", "0", "0",
+    "1/2"))
+MASK_FILES = {MASK13: ("w13", W13_COEFFS), MASK13Y: ("w13y", W13Y_COEFFS)}
 
 
 class TestDeterminism:
@@ -343,12 +364,20 @@ class TestDeterminism:
         pytest.param(("dynamics", "--scheme", MASK13, "--K", "300", "--norm", "2"),
                      "49134df9d6ec792c0c3265a6c1bb16a40166724dbd405842cdb7c3f03f6016f1",
                      id="argv10"),
+        # cells (0, 1/5), (1/10, 1/5) and others of this grid reach Yun's split
+        pytest.param(("search", "--width", "6", "--grid=-1/10:1/10:1/20,1/10:3/10:1/20"),
+                     "5409883c07bf6aa206b69f3c655848b85f416d3a47a98f3404b44180a48490f9",
+                     id="argv11"),
+        pytest.param(("analyze", "--scheme", MASK13Y),
+                     "6a3c51b505ca0cde7cb3debadf0ff15b9a75cf74563dbb440438f19154c2eda0",
+                     id="argv12"),
     ])
     def test_byte_identical_runs(self, capsys, tmp_path, argv, sha256):
-        if MASK13 in argv:
-            path = tmp_path / "w13.json"
-            save_scheme(SchemeRecord("w13", Mask(-6, W13_COEFFS)), path)
-            argv = tuple(str(path) if a == MASK13 else a for a in argv)
+        for placeholder, (name, coeffs) in MASK_FILES.items():
+            if placeholder in argv:
+                path = tmp_path / (name + ".json")
+                save_scheme(SchemeRecord(name, Mask(-6, coeffs)), path)
+                argv = tuple(str(path) if a == placeholder else a for a in argv)
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second and first

@@ -6,8 +6,11 @@ from itertools import product
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
-from subdiv.localmatrix import (Spectrum, _charpoly, _squarefree_factors,
+from subdiv.localmatrix import (_PRIME, Spectrum, _charpoly, _charpoly_factors,
+                                _squarefree_factors, _squarefree_mod_p,
                                 build_local_matrix,
                                 complex_region_predicate, eigenvalues,
                                 matrix_from_coeffs, w5_closed_form,
@@ -202,6 +205,12 @@ class TestRowSumEigenvector:
             assert min(abs(v - 1) for v in sp.eigenvalues) < 1e-9
 
 
+def full_charpoly(M):
+    """det(xI - A), from _charpoly on the whole integer matrix B = L*A."""
+    L, B = M.integer_scaled()
+    return LaurentPoly({k: F(c, L ** (M.n - k)) for k, c in enumerate(_charpoly(B))})
+
+
 def _family_charpolys():
     """Charpolys of every 37th default-grid cell at widths 6-8, plus the
     width-6 cells (0, 1/5) and (0, 1/3) with a double zero eigenvalue,
@@ -213,13 +222,13 @@ def _family_charpolys():
         grid = list(product(*(r.values() for r in default_grid(w))))
         cells += [(w, params) for params in grid[::37]]
     for w, params in cells:
-        yield _charpoly(matrix_from_coeffs(*palindromic_coeffs(w, params)))
+        yield full_charpoly(matrix_from_coeffs(*palindromic_coeffs(w, params)))
 
 
 class TestSquarefreeSplit:
     def test_zero_eigenvalue_cell(self):
         # w6 (0, 1/5): (x^2 - 8/5 x + 3/5)(x^2 - 1/5 x)^2
-        p = _charpoly(w6_matrix(0, F(1, 5)))
+        p = full_charpoly(w6_matrix(0, F(1, 5)))
         assert _squarefree_factors(p) == [
             (LaurentPoly({2: 1, 1: F(-8, 5), 0: F(3, 5)}), 1),
             (LaurentPoly({2: 1, 1: F(-1, 5)}), 2),
@@ -238,3 +247,141 @@ class TestSquarefreeSplit:
                 (tuple(f[e] for e in range(f.max_exp, -1, -1)), m)
                 for f, m in _squarefree_factors(p))
             assert got == expect
+
+
+# -- the corner-deflated factor route ------------------------------------
+
+Y = sympy.Symbol("y")
+
+
+def sympy_factors(M):
+    """sympy's square-free factors of det(yI - L*A), from sympy's own
+    charpoly of the integer matrix: [(coefficients from y^0 up, m)] in
+    ascending multiplicity."""
+    L, B = M.integer_scaled()
+    cp = DomainMatrix([[sympy.ZZ(e) for e in row] for row in B],
+                      (M.n, M.n), sympy.ZZ).charpoly()
+    _, factors = sympy.Poly(cp, Y, domain="ZZ").sqf_list()
+    return sorted(([int(c) for c in reversed(f.all_coeffs())], m)
+                  for f, m in factors if f.degree() > 0)
+
+
+def route_factors(M):
+    """_charpoly_factors(M), checked to scale by the integer_scaled L."""
+    L, factors = _charpoly_factors(M)
+    assert L == M.integer_scaled()[0]
+    assert [m for _, m in factors] == sorted(m for _, m in factors)
+    return sorted(factors)
+
+
+def w6_double_pair(t):
+    """The w6 cell with D = 0 on the conic branch a = 96/(256 - t^2), where
+    the pair (1-a-b)/2 is a double root of the central block."""
+    a = F(96, 256 - t * t)
+    return a, (6 - 2 * a + a * t) / 18
+
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+
+@st.composite
+def drawn_runs(draw):
+    """(support_min, run) of width 2-14, of a kind drawn from: asymmetric,
+    palindromic, equal ends on a non-palindromic run, zero at every odd
+    place (0 is then a repeated root of the central block, and a corner too
+    at even width), w6 (a, 2a) (the corner a is a root of the central
+    block) and a w6 cell with D = 0 (a repeated central root)."""
+    kind = draw(st.sampled_from(["asymmetric", "palindromic", "equal_ends",
+                                 "odd_zero", "w6_corner_root", "w6_double_pair"]))
+    if kind == "w6_corner_root":
+        a = draw(SMALL)
+        return palindromic_coeffs(6, (a, 2 * a))
+    if kind == "w6_double_pair":
+        return palindromic_coeffs(6, w6_double_pair(draw(st.integers(-15, 15))))
+    w = draw(st.integers(5 if kind == "odd_zero" else 2, 14))
+    run = draw(st.lists(SMALL, min_size=w, max_size=w))
+    if kind == "palindromic":
+        run = run[:(w + 1) // 2] + run[:w // 2][::-1]
+    elif kind == "equal_ends":
+        run[-1] = run[0]
+    elif kind == "odd_zero":
+        run = [c if k % 2 == 0 else F(0) for k, c in enumerate(run)]
+    return draw(st.integers(-w, 1)), run
+
+
+class TestCharpolyFactors:
+    def test_matches_sympy_on_every_grid_cell(self):
+        for w in (4, 5, 6, 7, 8):
+            for params in product(*(r.values() for r in default_grid(w))):
+                M = matrix_from_coeffs(*palindromic_coeffs(w, params))
+                assert route_factors(M) == sympy_factors(M), (w, params)
+
+    @given(drawn_runs())
+    @example((-2, [F(0), F(1, 5), F(4, 5), F(4, 5), F(1, 5), F(0)]))  # w6 (0, 1/5)
+    @example(palindromic_coeffs(6, (F(1, 10), F(1, 5))))               # triple 1/10
+    @example(palindromic_coeffs(6, (F(-1, 8), F(1, 8))))               # double 1/2
+    def test_matches_sympy_on_drawn_masks(self, drawn):
+        M = matrix_from_coeffs(*drawn)
+        assert route_factors(M) == sympy_factors(M)
+
+    @given(st.integers(2, 14).flatmap(
+        lambda w: st.tuples(st.integers(-w, 1), st.lists(SMALL, min_size=w, max_size=w))))
+    def test_corner_deflation(self, drawn):
+        # det(xI - A) = (x - A_00)(x - A_{n-1,n-1}) det(xI - C), C the
+        # central block, against sympy's determinant of the whole matrix
+        M = matrix_from_coeffs(*drawn)
+        n, QQ, x = M.n, sympy.QQ, sympy.Symbol("x")
+        A = DomainMatrix([[QQ(e.numerator, e.denominator) for e in row]
+                          for row in M.entries], (n, n), QQ)
+        ref = sympy.Poly(A.charpoly(), x, domain="QQ")
+        L, B = M.integer_scaled()
+        c = _charpoly([row[1:n - 1] for row in B[1:n - 1]])
+        q = sympy.Poly([QQ(ck, L ** (n - 2 - k)) for k, ck in reversed(list(enumerate(c)))],
+                       x, domain="QQ")
+        first, last = (sympy.Poly([1, -QQ(e.numerator, e.denominator)], x, domain="QQ")
+                       for e in (M.entries[0][0], M.entries[-1][-1]))
+        assert ref == first * last * q
+
+    def test_central_block_cells_reach_both_routes(self):
+        # the certificate holds on the paper's cell; (0, 1/5) has a double
+        # central root and (1/10, 1/5) a corner that is a central root
+        for params, certified in [((F(-1, 10), F(3, 10)), True),
+                                  ((F(0), F(1, 5)), False),
+                                  ((F(1, 10), F(1, 5)), False)]:
+            L, B = w6_matrix(*params).integer_scaled()
+            c = _charpoly([row[1:5] for row in B[1:5]])
+            ok = _squarefree_mod_p(c) and all(
+                sum(ck * B[i][i] ** k for k, ck in enumerate(c)) for i in (0, 5))
+            assert ok == certified, params
+
+
+class TestModularCertificate:
+    @pytest.mark.parametrize("roots, squarefree", [
+        ((), True),
+        ((3,), True),
+        ((1, 2, -3, 0), True),
+        ((1, 1, -2), False),
+        ((0, 0), False),
+        ((5, -7, 5, -7, 2), False),
+    ])
+    def test_products_of_linear_factors(self, roots, squarefree):
+        c = [1]
+        for r in roots:  # c <- c * (y - r)
+            c = [0] + c
+            for k in range(len(c) - 1):
+                c[k] -= r * c[k + 1]
+        assert _squarefree_mod_p(c) is squarefree
+
+    def test_square_mod_the_prime_is_not_certified(self):
+        # y (y - P) is square-free over the rationals but y^2 mod P: the
+        # certificate only ever proves, and the route falls back to Yun
+        assert not _squarefree_mod_p([0, -_PRIME, 1])
+
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=8))
+    def test_never_certifies_a_square(self, roots):
+        c = sympy.Poly(sympy.prod([Y - r for r in roots]), Y, domain="ZZ")
+        ints = [int(k) for k in reversed(c.all_coeffs())]
+        if _squarefree_mod_p(ints):
+            assert len(set(roots)) == len(roots)
+        else:
+            assert len(set(roots)) < len(roots)
