@@ -12,11 +12,10 @@ The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
 entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
 q the characteristic polynomial of the central block, computed exactly in
 integers (Faddeev-LeVerrier on L*A).  When gcd(q, q') is a constant over
-GF(2^61 - 1) and neither corner is a root of q, the factors are written
-down: q once and the corners once each, or twice when they are equal (every
-palindromic mask).  Otherwise Yun's square-free split runs on q, as a
-symbols.LaurentPoly, and the corners join the class above their
-multiplicity in q.
+GF(2^61 - 1), q is square-free and its own single class; otherwise Yun's
+square-free split runs on q, as a symbols.LaurentPoly.  Each corner then
+joins the class above its multiplicity as a root of q (0 when it is none),
+two classes up when the corners are equal (every palindromic mask).
 
 The spectral class (complex pair, negative real count, simple eigenvalue 1
 with all others inside the unit disc) is decided once, at SPECTRAL_TOL, in
@@ -66,12 +65,13 @@ class LocalMatrix:
 
 
 # matrix_from_coeffs refuses a wider run before any entry is built.  On
-# random rational masks drawn like the benchmark's, analyze takes up to
-# 0.06 s at order 24, 0.12 s at 28 and 0.21 s at 32 (Python 3.11, one
-# core).  But where the eigensolve falls back to Yun's split it grows
-# steeply: repeated (1+z)/2 lifts of the width-6 cell (1/10, 1/5) take
-# 0.38 s at 24, 1.4 s at 28 and 4.5 s at 32, so the cap stays until that
-# fallback is bounded.
+# random rational masks drawn like the benchmark's, the eigensolve takes up
+# to 0.06 s at order 24, 0.11 s at 28 and 0.18 s at 32 (Python 3.11, one
+# core), and about as long on repeated (1+z)/2 lifts of the width-6 cell
+# (1/10, 1/5), whose corner is a root of the square-free central block.
+# Where it falls back to Yun's split it grows steeply: the lifts of the
+# cell (0, 1/5), with a double central root, take 0.19 s at 24, 0.63 s at
+# 28 and 1.8 s at 32, so the cap stays until that fallback is bounded.
 MAX_ORDER = 24
 
 
@@ -256,34 +256,29 @@ def _charpoly_factors(M: LocalMatrix) -> tuple[int, list[tuple[list[int], int]]]
     each factor an integer coefficient list with its multiplicity, in
     ascending multiplicity.  det(xI - A) has the factors f(Lx) / L^deg(f).
 
-    The charpoly c of the central block comes first.  When c is square-free
-    (_squarefree_mod_p) and neither corner is a root of it, the factors are
-    written down: [(c, 1), (y - a, 2)] when both corners equal a, else
-    [(c (y - a_first)(y - a_last), 1)].  Otherwise Yun's split runs on c,
-    and a corner that is a root of multiplicity m there moves to class m+1
-    (m+2 when both corners are that root)."""
+    The charpoly c of the central block comes first.  When it is square-free
+    (_squarefree_mod_p) it is the one class; otherwise Yun's split runs on
+    it.  A corner that is a root of multiplicity m in c then moves to class
+    m+1 (m+2 when both corners are that root; m = 0 when it is no root)."""
     L, B = M.integer_scaled()
     n = M.n
     c = _charpoly([row[1:n - 1] for row in B[1:n - 1]])
     first, last = B[0][0], B[n - 1][n - 1]
-    if _squarefree_mod_p(c) and _horner(c, first) and _horner(c, last):
-        if first == last:
-            factors = [(c, 1), ([-first, 1], 2)]
-        else:
-            factors = [(_times_linear(_times_linear(c, first), last), 1)]
+    if _squarefree_mod_p(c):
+        classes = {1: c}
     else:
         classes = {}
         for f, m in _squarefree_factors(LaurentPoly.from_coeffs(c)):
             # monic factors of a monic integer polynomial are integer
             assert all(f[e].denominator == 1 for e in range(f.max_exp + 1))
             classes[m] = [f[e].numerator for e in range(f.max_exp + 1)]
-        for r in {first, last}:
-            m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
-            if m:
-                classes[m] = _over_linear(classes[m], r)
-            up = m + (2 if first == last else 1)
-            classes[up] = _times_linear(classes.get(up, [1]), r)
-        factors = [(classes[m], m) for m in sorted(classes)]
+    for r in {first, last}:
+        m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
+        if m:
+            classes[m] = _over_linear(classes[m], r)
+        up = m + (2 if first == last else 1)
+        classes[up] = _times_linear(classes.get(up, [1]), r)
+    factors = [(classes[m], m) for m in sorted(classes)]
     return L, [(f, m) for f, m in factors if len(f) > 1]
 
 

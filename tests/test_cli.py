@@ -318,13 +318,20 @@ W13_COEFFS = tuple(F(c) for c in (
     "1/21", "-1/35", "-2/15", "1/6", "3/10", "2/5", "1/2", "3/8", "3/14",
     "1/11", "-1/9", "-37/9240", "23/126"))
 # an asymmetric width-13 rational mask whose corner 1/2 is also an eigenvalue
-# of the central block, so its square-free split runs Yun's algorithm; the
-# test writes it to a file in place of MASK13Y
+# of the (square-free) central block, so the corner joins class 2; the test
+# writes it to a file in place of MASK13Y
 MASK13Y = "<width-13 corner-root mask file>"
 W13Y_COEFFS = tuple(F(c) for c in (
     "1/21", "0", "0", "0", "0", "1/2", "15/28", "1/2", "-1/12", "0", "0", "0",
     "1/2"))
-MASK_FILES = {MASK13: ("w13", W13_COEFFS), MASK13Y: ("w13y", W13Y_COEFFS)}
+# an asymmetric width-13 rational mask whose central block has the double
+# eigenvalue 1, so its square-free split runs Yun's algorithm; the test
+# writes it to a file in place of MASK13R
+MASK13R = "<width-13 repeated-root mask file>"
+W13R_COEFFS = tuple(F(c) for c in (
+    "3/7", "0", "0", "0", "0", "-6/7", "6/35", "0", "0", "1", "0", "6/7", "2/5"))
+MASK_FILES = {MASK13: ("w13", W13_COEFFS), MASK13Y: ("w13y", W13Y_COEFFS),
+              MASK13R: ("w13r", W13R_COEFFS)}
 
 
 class TestDeterminism:
@@ -364,13 +371,17 @@ class TestDeterminism:
         pytest.param(("dynamics", "--scheme", MASK13, "--K", "300", "--norm", "2"),
                      "49134df9d6ec792c0c3265a6c1bb16a40166724dbd405842cdb7c3f03f6016f1",
                      id="argv10"),
-        # cells (0, 1/5), (1/10, 1/5) and others of this grid reach Yun's split
+        # cells (0, 1/5), (1/10, 1/10) and others of this grid have a double
+        # central root and reach Yun's split
         pytest.param(("search", "--width", "6", "--grid=-1/10:1/10:1/20,1/10:3/10:1/20"),
                      "5409883c07bf6aa206b69f3c655848b85f416d3a47a98f3404b44180a48490f9",
                      id="argv11"),
         pytest.param(("analyze", "--scheme", MASK13Y),
                      "6a3c51b505ca0cde7cb3debadf0ff15b9a75cf74563dbb440438f19154c2eda0",
                      id="argv12"),
+        pytest.param(("analyze", "--scheme", MASK13R),
+                     "dd9ee6bedb04efc98a21ff44c941e36b8c6397e3a90aac369e83cd8336464890",
+                     id="argv13"),
     ])
     def test_byte_identical_runs(self, capsys, tmp_path, argv, sha256):
         for placeholder, (name, coeffs) in MASK_FILES.items():

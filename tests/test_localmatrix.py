@@ -9,6 +9,7 @@ import sympy
 from hypothesis import example, given, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from subdiv import localmatrix
 from subdiv.localmatrix import (_PRIME, Spectrum, _charpoly, _charpoly_factors,
                                 _squarefree_factors, _squarefree_mod_p,
                                 build_local_matrix,
@@ -342,17 +343,24 @@ class TestCharpolyFactors:
                        for e in (M.entries[0][0], M.entries[-1][-1]))
         assert ref == first * last * q
 
-    def test_central_block_cells_reach_both_routes(self):
-        # the certificate holds on the paper's cell; (0, 1/5) has a double
-        # central root and (1/10, 1/5) a corner that is a central root
-        for params, certified in [((F(-1, 10), F(3, 10)), True),
-                                  ((F(0), F(1, 5)), False),
-                                  ((F(1, 10), F(1, 5)), False)]:
-            L, B = w6_matrix(*params).integer_scaled()
-            c = _charpoly([row[1:5] for row in B[1:5]])
-            ok = _squarefree_mod_p(c) and all(
-                sum(ck * B[i][i] ** k for k, ck in enumerate(c)) for i in (0, 5))
-            assert ok == certified, params
+    def test_yun_runs_only_where_the_central_block_repeats_a_root(self, monkeypatch):
+        # the paper's cell and (1/10, 1/5), whose corner 1/10 is a root of
+        # the square-free central block, stay off Yun's split; (0, 1/5)
+        # has a double central root and takes it
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return _squarefree_factors(p)
+
+        monkeypatch.setattr(localmatrix, "_squarefree_factors", counted)
+        for params, fallback in [((F(-1, 10), F(3, 10)), False),
+                                 ((F(1, 10), F(1, 5)), False),
+                                 ((F(0), F(1, 5)), True)]:
+            calls.clear()
+            M = w6_matrix(*params)
+            assert route_factors(M) == sympy_factors(M), params
+            assert len(calls) == (1 if fallback else 0), params
 
 
 class TestModularCertificate:
