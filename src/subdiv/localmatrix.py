@@ -6,7 +6,11 @@ parity alternates down the rows, which reproduces the printed width-5 and
 width-6 matrices.  Eigenvalues of a LocalMatrix are computed from the exact
 square-free factors of its characteristic polynomial, each root-solved with
 Newton polishing; this keeps multiple eigenvalues accurate to ~1e-12 where a
-plain dense eigensolve loses half the digits at defective points.
+plain dense eigensolve loses half the digits at defective points.  spectra()
+solves many matrices at once: the factors of all of them are grouped by
+shape, and each shape takes one stacked eigvals of companion matrices and
+one vectorised polish, bit-identical to np.roots and np.polyval per factor.
+eigenvalues(M) is spectra([M])[0], so one root finder serves both.
 
 The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
 entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
@@ -89,17 +93,13 @@ def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMat
     if n < 2:
         raise ValueError("local matrix needs mask width >= 2")
     check_order(n)
-    coeffs = [Fraction(c) for c in coeffs]
-
-    def a(idx: int) -> Fraction:
-        k = idx - support_min
-        return coeffs[k] if 0 <= k < n else Fraction(0)
-
-    c = -support_min + 1
-    entries = tuple(
-        tuple(a(2 * (j + 1) - (i + 1) - c) for j in range(n)) for i in range(n)
-    )
-    return LocalMatrix(entries, c)
+    # A[i][j] = a_{2j-i-c} (1-based) is coeffs[2j - i] (0-based) whatever
+    # support_min is; padded[2j - i + n - 1] reads it, zero off the run
+    zero = Fraction(0)
+    padded = ([zero] * (n - 1) + [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+              + [zero] * (n - 1))
+    entries = tuple(tuple(padded[2 * j - i + n - 1] for j in range(n)) for i in range(n))
+    return LocalMatrix(entries, -support_min + 1)
 
 
 def build_local_matrix(mask: Mask) -> LocalMatrix:
@@ -282,35 +282,89 @@ def _charpoly_factors(M: LocalMatrix) -> tuple[int, list[tuple[list[int], int]]]
     return L, [(f, m) for f, m in factors if len(f) > 1]
 
 
-def _roots_squarefree(cf: Sequence[float]) -> list[complex]:
-    """Roots of a square-free polynomial, float coefficients from the top
-    degree down, Newton-polished."""
-    cf = np.array(cf)
-    roots = np.roots(cf)
-    cfd = np.polyder(cf)
+def _polyval(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row k of P (coefficients from the top degree down) at each entry of
+    row k of X, by Horner's rule in np.polyval's order of operations."""
+    Y = np.zeros_like(X)
+    for j in range(P.shape[1]):
+        Y = Y * X + P[:, j:j + 1]
+    return Y
+
+
+def _polish(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Three Newton steps on the roots X[k] of row P[k], each step the one
+    the per-call path took with np.polyder and np.polyval."""
+    dP = P[:, :-1] * np.arange(P.shape[1] - 1, 0, -1)
     for _ in range(3):
-        vals = np.polyval(cf, roots)
-        dvals = np.polyval(cfd, roots)
-        step = np.where(dvals != 0, vals / np.where(dvals != 0, dvals, 1), 0)
-        roots = roots - step
-    return [complex(r) for r in roots]
+        v, dv = _polyval(P, X), _polyval(dP, X)
+        X = X - np.where(dv != 0, v / np.where(dv != 0, dv, 1), 0)
+    return X
+
+
+def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
+    """Roots of square-free polynomials, float coefficients from the top
+    degree down (leading coefficient nonzero), Newton-polished.
+
+    Rows of one shape (length, trailing zeros) share one stacked eigvals of
+    their companion matrices and a vectorised polish, each step done as
+    np.roots and np.polyval do it, so every root is bit-identical to a call
+    of those per row.  As in a single eigvals call, a row whose eigenvalues
+    all have a zero imaginary part is polished in float64, others in
+    complex128."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, cf in enumerate(rows):
+        nz = max(j for j, x in enumerate(cf) if x)
+        groups.setdefault((len(cf), len(cf) - 1 - nz), []).append(k)
+    out: list[list[complex]] = [[] for _ in rows]
+    for (n, zeros), idx in groups.items():
+        P = np.array([rows[k] for k in idx])
+        m = n - 1 - zeros  # companion order, after stripping the zero roots
+        if m:
+            C = np.zeros((len(idx), m, m))
+            C[:, 1:, :-1] = np.eye(m - 1)
+            C[:, 0, :] = -P[:, 1:m + 1] / P[:, :1]
+            W = np.linalg.eigvals(C)
+        else:  # a single nonzero coefficient: no companion, only zero roots
+            W = np.zeros((len(idx), 0))
+        if zeros:
+            W = np.hstack((W, np.zeros((len(idx), zeros), W.dtype)))
+        real = np.all(W.imag == 0, axis=1)
+        for sel, X in ((real, W.real), (~real, W)):
+            if sel.any():
+                X = _polish(P[sel], X[sel])
+                for k, r in zip(np.flatnonzero(sel), X.tolist()):
+                    out[idx[k]] = r
+    return out
+
+
+def spectra(matrices: Sequence[LocalMatrix]) -> list[Spectrum]:
+    """The Spectrum of each matrix, all eigenvalues with multiplicity, from
+    the exact square-free factors of its characteristic polynomial.  The
+    factors of every matrix are root-solved together: one stacked eigvals
+    per factor shape, bit-identical to np.roots per factor, then three
+    Newton steps; residuals are bounded by the polish (|p(mu)| ~ machine
+    eps relative to the coefficient scale)."""
+    owners, rows = [], []
+    for i, M in enumerate(matrices):
+        L, factors = _charpoly_factors(M)
+        for f, mult in factors:
+            d = len(f) - 1
+            owners.append((i, mult))
+            # the coefficients of f(Lx) / L^d, each one correctly rounded
+            rows.append([f[k] / L ** (d - k) for k in range(d, -1, -1)])
+    vals: list[list[complex]] = [[] for _ in matrices]
+    for (i, mult), roots in zip(owners, _roots_stacked(rows)):
+        vals[i].extend(roots * mult)
+    for M, v in zip(matrices, vals):
+        if len(v) != M.n:
+            raise EigensolveError("root count %d != matrix order %d" % (len(v), M.n))
+    return [Spectrum.from_values(v) for v in vals]
 
 
 def eigenvalues(M: LocalMatrix) -> Spectrum:
-    """All eigenvalues with multiplicity as a Spectrum, from the exact
-    square-free factors of the characteristic polynomial; residuals are
-    bounded by the Newton polish (|p(mu)| ~ machine eps relative to the
-    coefficient scale)."""
-    L, factors = _charpoly_factors(M)
-    vals: list[complex] = []
-    for f, mult in factors:
-        d = len(f) - 1
-        # the coefficients of f(Lx) / L^d, each one correctly rounded
-        cf = [f[k] / L ** (d - k) for k in range(d, -1, -1)]
-        vals.extend(_roots_squarefree(cf) * mult)
-    if len(vals) != M.n:
-        raise EigensolveError("root count %d != matrix order %d" % (len(vals), M.n))
-    return Spectrum.from_values(vals)
+    """All eigenvalues of M with multiplicity as a Spectrum: spectra([M])[0],
+    the roots from the stacked eigvals that equals np.roots bit for bit."""
+    return spectra([M])[0]
 
 
 # -- closed forms for the palindromic families ---------------------------

@@ -382,6 +382,13 @@ class TestDeterminism:
         pytest.param(("analyze", "--scheme", MASK13R),
                      "dd9ee6bedb04efc98a21ff44c941e36b8c6397e3a90aac369e83cd8336464890",
                      id="argv13"),
+        # the w5 default grid (401 cells) spans two scan blocks
+        pytest.param(("search", "--width", "5"),
+                     "611ca495939d812a837812f54cb8bd15dd76393c85720d51da735c82506dbfcc",
+                     id="argv14"),
+        pytest.param(("search", "--width", "7", "--no-filter"),
+                     "8a6b517ea1b871ff4853841b1baad8a79abd74b198cb4394861ea424274be9bf",
+                     id="argv15"),
     ])
     def test_byte_identical_runs(self, capsys, tmp_path, argv, sha256):
         for placeholder, (name, coeffs) in MASK_FILES.items():

@@ -1,5 +1,6 @@
 import cmath
 import random
+import struct
 from fractions import Fraction as F
 from itertools import product
 
@@ -11,7 +12,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from subdiv import localmatrix
 from subdiv.localmatrix import (_PRIME, Spectrum, _charpoly, _charpoly_factors,
-                                _squarefree_factors, _squarefree_mod_p,
+                                _roots_stacked, _squarefree_factors, _squarefree_mod_p,
                                 build_local_matrix,
                                 complex_region_predicate, eigenvalues,
                                 matrix_from_coeffs, w5_closed_form,
@@ -77,6 +78,30 @@ class TestBuild:
         expect = [["1/2", "1/2", "0"], ["0", "1", "0"], ["0", "1/2", "1/2"]]
         assert M.entries == tuple(tuple(map(F, row)) for row in expect)
 
+    @given(st.integers(2, 14).flatmap(lambda w: st.tuples(
+        st.integers(-w - 2, 2),
+        st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=12),
+                 min_size=w, max_size=w))))
+    @example((-3, [F(0), F(1, 2), F(1), F(1, 2), F(0)]))  # zero end coefficients
+    @example((2, [F(1, 3), F(5, 3)]))                      # positive support_min
+    def test_entries_follow_the_index_rule(self, drawn):
+        support_min, run = drawn
+        n, c = len(run), -support_min + 1
+
+        def a(idx):  # a_idx of the mask, zero off the run
+            k = idx - support_min
+            return run[k] if 0 <= k < n else F(0)
+
+        M = matrix_from_coeffs(support_min, run)
+        # A[i][j] = a_{2j-i-c} with 1-based i, j
+        assert M.entries == tuple(tuple(a(2 * j - i - c) for j in range(1, n + 1))
+                                  for i in range(1, n + 1))
+        assert M.column_offset == c
+
+    def test_integer_coefficients_are_fractions(self):
+        M = matrix_from_coeffs(-1, (1, 0, 1))
+        assert all(type(e) is F for row in M.entries for e in row)
+
     def test_width_one_rejected(self):
         with pytest.raises(ValueError):
             build_local_matrix(Mask(0, (F(2),)))
@@ -104,6 +129,79 @@ class TestEigenvalues:
         mods = [abs(v) for v in sp.eigenvalues]
         assert mods == sorted(mods, reverse=True)
         assert abs(sp.subdominant_modulus - mods[1]) < 1e-15
+
+
+def reference_roots(cf):
+    """The per-factor root finder that _roots_stacked replaced: np.roots,
+    then three Newton steps with np.polyval."""
+    cf = np.array(cf)
+    roots = np.roots(cf)
+    cfd = np.polyder(cf)
+    for _ in range(3):
+        vals = np.polyval(cf, roots)
+        dvals = np.polyval(cfd, roots)
+        step = np.where(dvals != 0, vals / np.where(dvals != 0, dvals, 1), 0)
+        roots = roots - step
+    return [complex(r) for r in roots]
+
+
+def packed(roots):
+    """The bytes of every root's real and imaginary part, in order."""
+    return b"".join(struct.pack("<dd", complex(r).real, complex(r).imag) for r in roots)
+
+
+@st.composite
+def monic_rows(draw, degree):
+    """A monic row of the given degree, coefficients from the top down:
+    distinct real roots, or small random coefficients (mostly a complex pair
+    or more)."""
+    if draw(st.booleans()):
+        roots = draw(st.lists(st.integers(-20, 20), min_size=degree, max_size=degree,
+                              unique=True))
+        return [float(x) for x in np.atleast_1d(np.poly([r / 7 for r in roots]))]
+    tail = draw(st.lists(st.integers(-25, 25), min_size=degree, max_size=degree))
+    return [1.0] + [k / 5 for k in tail]
+
+
+@st.composite
+def row_stacks(draw):
+    """Rows of 1-4 shapes: degree 1-8, 0-2 of it zero roots (the bare y
+    among them), 1-6 rows a shape, shuffled."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 8))
+        zeros = draw(st.integers(0, min(2, degree)))
+        for _ in range(draw(st.integers(1, 6))):
+            rows.append(draw(monic_rows(degree - zeros)) + [0.0] * zeros)
+    return draw(st.permutations(rows))
+
+
+class TestRootsStack:
+    """_roots_stacked equals the per-row np.roots path bit for bit."""
+
+    @given(row_stacks())
+    @example([[1.0, -3.0, 2.0], [1.0, 0.0, 1.0], [1.0, 0.0], [1.0, -1.0, 0.0],
+              [1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [1.0, -6.0, 11.0, -6.0]])
+    def test_bit_identical_to_np_roots(self, rows):
+        got = _roots_stacked(rows)
+        assert len(got) == len(rows)
+        for row, roots in zip(rows, got):
+            assert packed(roots) == packed(reference_roots(row)), row
+
+    def test_real_and_complex_rows_share_a_shape(self):
+        # y^2 - 3y + 2 has real roots and y^2 + 1 a complex pair: one stacked
+        # eigvals call returns both, and each row keeps its own dtype
+        rows = [[1.0, -3.0, 2.0], [1.0, 0.0, 1.0]]
+        got = _roots_stacked(rows)
+        assert [type(r) for r in got[0]] == [float, float]
+        assert [type(r) for r in got[1]] == [complex, complex]
+        assert all(packed(g) == packed(reference_roots(r)) for g, r in zip(got, rows))
+
+    def test_spectra_of_many_matrices_equal_single_calls(self):
+        Ms = [w6_matrix(F(a, 10), F(b, 10)) for a in range(-5, 6) for b in range(-5, 6)]
+        Ms += [w5_mask(F(a, 8)) for a in range(-8, 9)]
+        for M, sp in zip(Ms, localmatrix.spectra(Ms)):
+            assert sp == eigenvalues(M)
 
 
 class TestClassify:

@@ -4,9 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from subdiv.localmatrix import complex_region_predicate, w6_discriminant
+from subdiv import search
+from subdiv.convergence import is_contractive
+from subdiv.localmatrix import (complex_region_predicate, eigenvalues, matrix_from_coeffs,
+                                spectra, w6_discriminant)
 from subdiv.masks import Mask
-from subdiv.search import (CellClass, GridRange, SearchSpec, c1_w6_obstruction,
+from subdiv.search import (SCAN_BLOCK, CellClass, GridRange, SearchSpec, c1_w6_obstruction,
                            default_grid, free_param_count, min_width_report,
                            negativity_lemma_check, palindromic_coeffs, scan,
                            search_summary_json, write_search_csv)
@@ -105,6 +108,30 @@ class TestScan:
         result = scan(spec)
         assert len(result.cells) == 4
         assert [c.params for c in result.cells if c.degenerate] == [(F(0), F(1, 3))]
+
+    def test_spectra_calls_are_blocked(self, monkeypatch):
+        # the 401 cells of the w5 default grid take more than one block; no
+        # spectra call stacks more than SCAN_BLOCK matrices
+        sizes = []
+
+        def counted(matrices):
+            sizes.append(len(matrices))
+            return spectra(matrices)
+
+        monkeypatch.setattr(search, "spectra", counted)
+        result = scan(SearchSpec(5, default_grid(5)))
+        assert len(result.cells) == 401 > SCAN_BLOCK
+        assert max(sizes) <= SCAN_BLOCK and sum(sizes) == 401
+        for cell in result.cells:
+            smin, run = palindromic_coeffs(5, cell.params)
+            sp = eigenvalues(matrix_from_coeffs(smin, run))
+            convergent = is_contractive(smin, run)
+            expect = {(True, True): CellClass.COMPLEX_CONVERGENT,
+                      (True, False): CellClass.COMPLEX_OTHER,
+                      (False, True): CellClass.REAL_CONVERGENT,
+                      (False, False): CellClass.REAL_OTHER}[sp.has_complex, convergent]
+            assert cell.cls is expect, cell.params
+            assert cell.max_imag == max(abs(v.imag) for v in sp.eigenvalues), cell.params
 
     def test_cell_cap(self, monkeypatch):
         spec = SearchSpec(6, (GridRange(F(-1), F(1), F(1, 100)),) * 2)
