@@ -89,9 +89,10 @@ def difference_scheme(mask: Mask) -> Mask:
     return Mask(mask.support_min, tuple(q))
 
 
-def _parity_norm(support_min: int, coeffs: Sequence[Fraction]) -> Fraction:
-    """max of the |coeff| sums over even and over odd absolute indices."""
-    sums = [Fraction(0), Fraction(0)]
+def _parity_norm(support_min: int, coeffs: Sequence) -> Fraction:
+    """max of the |coeff| sums over even and over odd absolute indices, in
+    the number type of the run."""
+    sums = [0, 0]
     for k, c in enumerate(coeffs, support_min):
         sums[k % 2] += abs(c)
     return max(sums)
@@ -99,19 +100,21 @@ def _parity_norm(support_min: int, coeffs: Sequence[Fraction]) -> Fraction:
 
 def contractivity_norm(b: Mask) -> Fraction:
     """max of the even- and odd-index absolute coefficient sums."""
-    return _parity_norm(b.support_min, b.coeffs)
+    return Fraction(_parity_norm(b.support_min, b.coeffs))
 
 
-def is_contractive(support_min: int, coeffs: Sequence[Fraction]) -> bool:
+def is_contractive(support_min: int, coeffs: Sequence[Fraction], den: int = 1) -> bool:
     """True iff the difference scheme of the run a_{support_min}, ... has
-    contractivity norm < 1.  Zero end coefficients are allowed.
+    contractivity norm < 1.  Zero end coefficients are allowed.  With den,
+    the run holds integer numerators over den and the test stays in
+    integers: the division by (1+z) is linear, so the norm is < den.
 
     The run must satisfy s(-1) = 0 (NotFactorableError otherwise).
     """
     q = _over_one_plus_z(coeffs)
     if q is None:
         raise NotFactorableError("s(-1) != 0, no (1+z) factor")
-    return _parity_norm(support_min, q) < 1
+    return _parity_norm(support_min, q) < den
 
 
 def smooth_lift(mask: Mask) -> Mask:

@@ -7,10 +7,11 @@ width-6 matrices.  Eigenvalues of a LocalMatrix are computed from the exact
 square-free factors of its characteristic polynomial, each root-solved with
 Newton polishing; this keeps multiple eigenvalues accurate to ~1e-12 where a
 plain dense eigensolve loses half the digits at defective points.  spectra()
-solves many matrices at once: the factors of all of them are grouped by
-shape, and each shape takes one stacked eigvals of companion matrices and
-one vectorised polish, bit-identical to np.roots and np.polyval per factor.
-eigenvalues(M) is spectra([M])[0], so one root finder serves both.
+solves many matrices at once, each given as an integer-scaled pair
+(L, B = L*A): the factors of all of them are grouped by shape, and each
+shape takes one stacked eigvals of companion matrices and one vectorised
+polish, bit-identical to np.roots and np.polyval per factor.  eigenvalues(M)
+is spectra([M.integer_scaled()])[0], so one root finder serves both.
 
 The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
 entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
@@ -20,6 +21,16 @@ GF(2^61 - 1), q is square-free and its own single class; otherwise Yun's
 square-free split runs on q, as a symbols.LaurentPoly.  Each corner then
 joins the class above its multiplicity as a root of q (0 when it is none),
 two classes up when the corners are equal (every palindromic mask).
+
+A palindromic run makes A commute with the flip J (A[i][j] = A[n-1-i][n-1-j]),
+so the central block C is centrosymmetric.  Such a C of order 2k splits
+(Cantoni & Butler, 1976) into a J-even block P + QJ and a J-odd block P - QJ
+of order k, with P, Q the top-left and top-right k x k blocks of C; at
+order 2k+1 the J-even block also takes the middle column x and twice the
+middle row y, [[P + QJ, x], [2y^T, C_kk]], still in integers.  q is then the
+product of the two blocks' characteristic polynomials, each Faddeev-LeVerrier
+run on half the order; every other C takes the full route.  q is the same
+integer polynomial either way, so the factors and every root are unchanged.
 
 The spectral class (complex pair, negative real count, simple eigenvalue 1
 with all others inside the unit disc) is decided once, at SPECTRAL_TOL, in
@@ -85,21 +96,27 @@ def check_order(n: int) -> None:
         raise ValueError("local matrix needs mask width <= %d, got %d" % (MAX_ORDER, n))
 
 
-def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMatrix:
-    """Local matrix for a nominal coefficient run; zero end coefficients are
-    allowed (degenerate cells of a parameter family keep their nominal size).
-    The order is the run length, at most MAX_ORDER."""
+def local_entries(coeffs: Sequence, zero) -> tuple[tuple, ...]:
+    """Entries of the local matrix of a nominal coefficient run, of whatever
+    number type the run holds (Fractions, or integer numerators over a common
+    denominator), zero off the run.  The order is the run length, 2 to
+    MAX_ORDER."""
     n = len(coeffs)
     if n < 2:
         raise ValueError("local matrix needs mask width >= 2")
     check_order(n)
     # A[i][j] = a_{2j-i-c} (1-based) is coeffs[2j - i] (0-based) whatever
-    # support_min is; padded[2j - i + n - 1] reads it, zero off the run
-    zero = Fraction(0)
-    padded = ([zero] * (n - 1) + [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-              + [zero] * (n - 1))
-    entries = tuple(tuple(padded[2 * j - i + n - 1] for j in range(n)) for i in range(n))
-    return LocalMatrix(entries, -support_min + 1)
+    # support_min is; padded[2j - i + n - 1] reads it
+    padded = [zero] * (n - 1) + list(coeffs) + [zero] * (n - 1)
+    return tuple(tuple(padded[2 * j - i + n - 1] for j in range(n)) for i in range(n))
+
+
+def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMatrix:
+    """Local matrix for a nominal coefficient run; zero end coefficients are
+    allowed (degenerate cells of a parameter family keep their nominal size).
+    The order is the run length, at most MAX_ORDER."""
+    run = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+    return LocalMatrix(local_entries(run, Fraction(0)), -support_min + 1)
 
 
 def build_local_matrix(mask: Mask) -> LocalMatrix:
@@ -179,6 +196,41 @@ def _charpoly(B: Sequence[Sequence[int]]) -> list[int]:
     return c
 
 
+def _flip_blocks(C: Sequence[Sequence[int]]):
+    """(J-even block, J-odd block) of a centrosymmetric integer matrix C,
+    whose characteristic polynomials multiply to C's; None when C is not
+    centrosymmetric.  Order m = 2k gives two blocks of order k; m = 2k+1
+    gives a J-even block of order k+1 and a J-odd block of order k."""
+    m = len(C)
+    if not all(list(C[i]) == list(C[m - 1 - i])[::-1] for i in range((m + 1) // 2)):
+        return None
+    k = m // 2
+    even = [[C[i][j] + C[i][m - 1 - j] for j in range(k)] for i in range(k)]
+    odd = [[C[i][j] - C[i][m - 1 - j] for j in range(k)] for i in range(k)]
+    if m % 2:  # the middle basis vector e_k joins the J-even block
+        even = ([row + [C[i][k]] for i, row in enumerate(even)]
+                + [[2 * C[k][j] for j in range(k)] + [C[k][k]]])
+    return even, odd
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a(y) * b(y), coefficient lists from y^0 up."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _central_charpoly(C: Sequence[Sequence[int]]) -> list[int]:
+    """det(yI - C), from the two half-size blocks when C is centrosymmetric."""
+    blocks = _flip_blocks(C)
+    if blocks is None:
+        return _charpoly(C)
+    even, odd = blocks
+    return _poly_mul(_charpoly(even), _charpoly(odd))
+
+
 # 2^61 - 1, a Mersenne prime
 _PRIME = (1 << 61) - 1
 
@@ -215,11 +267,6 @@ def _horner(c: Sequence[int], y: int) -> int:
     return v
 
 
-def _times_linear(c: Sequence[int], r: int) -> list[int]:
-    """c(y) * (y - r)."""
-    return [-r * c[0]] + [c[k - 1] - r * c[k] for k in range(1, len(c))] + [c[-1]]
-
-
 def _over_linear(c: Sequence[int], r: int) -> list[int]:
     """c(y) / (y - r) by synthetic division, for a root r of c."""
     q = [0] * (len(c) - 1)
@@ -251,18 +298,19 @@ def _squarefree_factors(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
     return out
 
 
-def _charpoly_factors(M: LocalMatrix) -> tuple[int, list[tuple[list[int], int]]]:
-    """(L, factors): the monic square-free factorisation of det(yI - L*A),
-    each factor an integer coefficient list with its multiplicity, in
-    ascending multiplicity.  det(xI - A) has the factors f(Lx) / L^deg(f).
+def _charpoly_factors(B: Sequence[Sequence[int]]) -> list[tuple[list[int], int]]:
+    """The monic square-free factorisation of det(yI - B), B = L*A an
+    integer-scaled local matrix: each factor an integer coefficient list with
+    its multiplicity, in ascending multiplicity.  det(xI - A) has the factors
+    f(Lx) / L^deg(f).
 
-    The charpoly c of the central block comes first.  When it is square-free
-    (_squarefree_mod_p) it is the one class; otherwise Yun's split runs on
-    it.  A corner that is a root of multiplicity m in c then moves to class
-    m+1 (m+2 when both corners are that root; m = 0 when it is no root)."""
-    L, B = M.integer_scaled()
-    n = M.n
-    c = _charpoly([row[1:n - 1] for row in B[1:n - 1]])
+    The charpoly c of the central block comes first (_central_charpoly).
+    When it is square-free (_squarefree_mod_p) it is the one class;
+    otherwise Yun's split runs on it.  A corner that is a root of
+    multiplicity m in c then moves to class m+1 (m+2 when both corners are
+    that root; m = 0 when it is no root)."""
+    n = len(B)
+    c = _central_charpoly([row[1:n - 1] for row in B[1:n - 1]])
     first, last = B[0][0], B[n - 1][n - 1]
     if _squarefree_mod_p(c):
         classes = {1: c}
@@ -277,9 +325,9 @@ def _charpoly_factors(M: LocalMatrix) -> tuple[int, list[tuple[list[int], int]]]
         if m:
             classes[m] = _over_linear(classes[m], r)
         up = m + (2 if first == last else 1)
-        classes[up] = _times_linear(classes.get(up, [1]), r)
+        classes[up] = _poly_mul(classes.get(up, [1]), [-r, 1])
     factors = [(classes[m], m) for m in sorted(classes)]
-    return L, [(f, m) for f, m in factors if len(f) > 1]
+    return [(f, m) for f, m in factors if len(f) > 1]
 
 
 def _polyval(P: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -337,34 +385,37 @@ def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
     return out
 
 
-def spectra(matrices: Sequence[LocalMatrix]) -> list[Spectrum]:
-    """The Spectrum of each matrix, all eigenvalues with multiplicity, from
-    the exact square-free factors of its characteristic polynomial.  The
-    factors of every matrix are root-solved together: one stacked eigvals
-    per factor shape, bit-identical to np.roots per factor, then three
-    Newton steps; residuals are bounded by the polish (|p(mu)| ~ machine
-    eps relative to the coefficient scale)."""
+def spectra(scaled: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> list[Spectrum]:
+    """The Spectrum of each local matrix A, given as an integer-scaled pair
+    (L, B = L*A), all eigenvalues with multiplicity, from the exact
+    square-free factors of its characteristic polynomial.  Any L that makes
+    B integer gives the same floats: a factor's coefficients in x are the
+    same rationals f_k / L^(d-k) whatever L is, each one correctly rounded.
+    The factors of every matrix are root-solved together: one stacked
+    eigvals per factor shape, bit-identical to np.roots per factor, then
+    three Newton steps; residuals are bounded by the polish (|p(mu)| ~
+    machine eps relative to the coefficient scale)."""
     owners, rows = [], []
-    for i, M in enumerate(matrices):
-        L, factors = _charpoly_factors(M)
-        for f, mult in factors:
+    for i, (L, B) in enumerate(scaled):
+        for f, mult in _charpoly_factors(B):
             d = len(f) - 1
             owners.append((i, mult))
             # the coefficients of f(Lx) / L^d, each one correctly rounded
             rows.append([f[k] / L ** (d - k) for k in range(d, -1, -1)])
-    vals: list[list[complex]] = [[] for _ in matrices]
+    vals: list[list[complex]] = [[] for _ in scaled]
     for (i, mult), roots in zip(owners, _roots_stacked(rows)):
         vals[i].extend(roots * mult)
-    for M, v in zip(matrices, vals):
-        if len(v) != M.n:
-            raise EigensolveError("root count %d != matrix order %d" % (len(v), M.n))
+    for (_, B), v in zip(scaled, vals):
+        if len(v) != len(B):
+            raise EigensolveError("root count %d != matrix order %d" % (len(v), len(B)))
     return [Spectrum.from_values(v) for v in vals]
 
 
 def eigenvalues(M: LocalMatrix) -> Spectrum:
-    """All eigenvalues of M with multiplicity as a Spectrum: spectra([M])[0],
-    the roots from the stacked eigvals that equals np.roots bit for bit."""
-    return spectra([M])[0]
+    """All eigenvalues of M with multiplicity as a Spectrum:
+    spectra([M.integer_scaled()])[0], the roots from the stacked eigvals that
+    equals np.roots bit for bit."""
+    return spectra([M.integer_scaled()])[0]
 
 
 # -- closed forms for the palindromic families ---------------------------
@@ -376,11 +427,13 @@ def w5_closed_form(a) -> Spectrum:
     return Spectrum.from_values([1.0, 0.5, float(Fraction(1, 2) - 2 * a), float(a), float(a)])
 
 
-def w6_discriminant(a, b) -> Fraction:
+def w6_discriminant(a, b, den: int = 1) -> Fraction:
     """Exact discriminant D under the complex-pair square root for the
-    width-6 family (outer a, next b, inner 1-a-b)."""
-    a, b = Fraction(a), Fraction(b)
-    return 1 + 2 * a - 7 * a * a - 6 * b + 2 * a * b + 9 * b * b
+    width-6 family (outer a, next b, inner 1-a-b).  Given a and b as integer
+    numerators over den > 1 it is den^2 D(a/den, b/den), an integer."""
+    if den == 1:
+        a, b = Fraction(a), Fraction(b)
+    return den * den + 2 * a * den - 7 * a * a - 6 * b * den + 2 * a * b + 9 * b * b
 
 
 def w6_closed_form(a, b) -> Spectrum:

@@ -24,7 +24,7 @@ from itertools import islice, product
 from typing import Optional, Sequence, TextIO
 
 from .convergence import is_contractive
-from .localmatrix import matrix_from_coeffs, spectra, w6_discriminant
+from .localmatrix import local_entries, spectra, w6_discriminant
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,24 @@ def free_param_count(width: int) -> int:
     return (width + 1) // 2 - 2 if width % 2 else width // 2 - 1
 
 
+def _run_numerators(width: int, nums: Sequence[int], den: int) -> tuple[int, tuple[int, ...]]:
+    """palindromic_coeffs in integers: the free parameters and the run as
+    numerators over one even den (a_1 = 1/2 at odd width needs den even)."""
+    if len(nums) != free_param_count(width):
+        raise ValueError("width %d needs %d free parameters, got %d"
+                         % (width, free_param_count(width), len(nums)))
+    if width % 2 == 1:
+        m = (width - 1) // 2
+        a = [0, 0, *reversed(nums)]      # a_0 .. a_m; nums are (a_m, ..., a_2)
+        a[1] = den // 2 - sum(a[3::2])
+        a[0] = den - 2 * sum(a[2::2])
+        return -m, tuple(a[abs(i)] for i in range(-m, m + 1))
+    m = width // 2
+    a = [0, 0, *reversed(nums)]          # a_1 .. a_m from index 1
+    a[1] = den - sum(a[2:])
+    return -m + 1, tuple(a[i if i >= 1 else 1 - i] for i in range(-m + 1, m + 1))
+
+
 def palindromic_coeffs(width: int, params: Sequence[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
     """(support_min, nominal coefficient run) for a family member.
 
@@ -63,25 +81,10 @@ def palindromic_coeffs(width: int, params: Sequence[Fraction]) -> tuple[int, tup
     grid cells of one family share a matrix size.
     """
     params = [Fraction(p) for p in params]
-    if len(params) != free_param_count(width):
-        raise ValueError("width %d needs %d free parameters, got %d"
-                         % (width, free_param_count(width), len(params)))
-    if width % 2 == 1:
-        m = (width - 1) // 2
-        a = {i: Fraction(0) for i in range(m + 1)}
-        for k, p in enumerate(params):   # params are (a_m, ..., a_2)
-            a[m - k] = p
-        a[1] = Fraction(1, 2) - sum((a[i] for i in range(3, m + 1, 2)), Fraction(0))
-        a[0] = 1 - 2 * sum((a[i] for i in range(2, m + 1, 2)), Fraction(0))
-        run = tuple(a[abs(i)] for i in range(-m, m + 1))
-        return -m, run
-    m = width // 2
-    a = {i: Fraction(0) for i in range(1, m + 1)}
-    for k, p in enumerate(params):       # params are (a_m, ..., a_2)
-        a[m - k] = p
-    a[1] = 1 - sum((a[i] for i in range(2, m + 1)), Fraction(0))
-    run = tuple(a[i if i >= 1 else 1 - i] for i in range(-m + 1, m + 1))
-    return -m + 1, run
+    den = math.lcm(2, *(p.denominator for p in params))
+    support_min, run = _run_numerators(
+        width, [p.numerator * (den // p.denominator) for p in params], den)
+    return support_min, tuple(Fraction(x, den) for x in run)
 
 
 class CellClass(Enum):
@@ -124,39 +127,50 @@ class SearchResult:
 
 
 # Cells per spectra call in scan.  One call stacks the float root finding of
-# its cells.  On the family-scan benchmark (seed 7) a whole-grid stack raised
-# peak RSS from 41.1 to 47.3 MB; blocks of this size held it at 41.7 MB and
-# ran as fast.
+# its cells.  On the family-scan benchmark (seed 7, integer exact pass) a
+# whole-grid stack raised peak RSS from 42.0 to 47.0 MB; blocks of this size
+# ran as fast (1.63 against 1.61 s).
 SCAN_BLOCK = 256
 
 
 def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     """Classify every grid cell of the family by spectrum and contractivity,
     in blocks of SCAN_BLOCK cells: the exact per-cell pass, then one
-    spectra call for the block."""
+    spectra call for the block.
+
+    The exact pass runs in integers.  Every grid value is a numerator over
+    the grid's common denominator D = lcm(2, each range's lo and step
+    denominators), so each cell's run is too: contractivity is tested as a
+    parity norm < D, the width-6 degenerate flag as D^2 times the
+    discriminant == 0, and spectra gets the pair (D, D*A).  No Fraction or LocalMatrix is built per
+    cell, and the floats equal those of each cell's own lcm."""
     try:
         n_cells = math.prod(len(r) for r in spec.param_ranges)
     except OverflowError:  # a single range longer than sys.maxsize
         n_cells = math.inf
     if n_cells > max_cells:
         raise ValueError("grid has %s cells, cap is %d" % (n_cells, max_cells))
-    grids = [r.values() for r in spec.param_ranges]
+    den = math.lcm(2, *(x.denominator for r in spec.param_ranges for x in (r.lo, r.step)))
+    # each axis as (value, numerator over den); cells share these objects
+    axes = [[(v, v.numerator * (den // v.denominator)) for v in r.values()]
+            for r in spec.param_ranges]
 
     cells: list[Cell] = []
     counts = {c.value: 0 for c in CellClass}
     witnesses: dict[str, Cell] = {}
-    grid = product(*grids)  # one empty tuple when the family has no parameter
+    grid = product(*axes)  # one empty tuple when the family has no parameter
     while block := list(islice(grid, SCAN_BLOCK)):
-        matrices, exact = [], []
-        for params in block:
-            support_min, run = palindromic_coeffs(spec.width, params)
-            matrices.append(matrix_from_coeffs(support_min, run))
+        scaled, exact = [], []
+        for point in block:
+            nums = [x for _, x in point]
+            support_min, run = _run_numerators(spec.width, nums, den)
+            scaled.append((den, local_entries(run, 0)))
             # Theorem-1 conditions hold by construction; the filter adds the
             # contractivity requirement for the Convergent classes.
-            convergent = is_contractive(support_min, run) if spec.convergence_filter else True
-            degenerate = spec.width == 6 and w6_discriminant(params[0], params[1]) == 0
-            exact.append((tuple(params), convergent, degenerate))
-        for (params, convergent, degenerate), sp in zip(exact, spectra(matrices)):
+            convergent = is_contractive(support_min, run, den) if spec.convergence_filter else True
+            degenerate = spec.width == 6 and w6_discriminant(nums[0], nums[1], den) == 0
+            exact.append((tuple(v for v, _ in point), convergent, degenerate))
+        for (params, convergent, degenerate), sp in zip(exact, spectra(scaled)):
             if sp.has_complex:
                 cls = CellClass.COMPLEX_CONVERGENT if convergent else CellClass.COMPLEX_OTHER
             else:

@@ -389,6 +389,11 @@ class TestDeterminism:
         pytest.param(("search", "--width", "7", "--no-filter"),
                      "8a6b517ea1b871ff4853841b1baad8a79abd74b198cb4394861ea424274be9bf",
                      id="argv15"),
+        # odd-denominator steps: the scan's common denominator is 126
+        pytest.param(("search", "--width", "7", "--grid=-1/3:1/3:2/9,-3/7:3/7:1/7",
+                      "--no-filter"),
+                     "036c9114be9e09870464788cd5ca6f7862c46486a17a5b05c066fdc3da632739",
+                     id="argv16"),
     ])
     def test_byte_identical_runs(self, capsys, tmp_path, argv, sha256):
         for placeholder, (name, coeffs) in MASK_FILES.items():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -175,6 +176,15 @@ class TestContractivityNorm:
         assert not is_contractive(0, (F(1), F(1)))          # norm exactly 1
         # a nominal run with zero end coefficients gives the trimmed verdict
         assert is_contractive(a.support_min - 1, (0,) + a.coeffs + (0, 0))
+
+    @given(runs(), st.integers(-4, 4), st.integers(1, 50))
+    def test_integer_numerators_over_a_denominator(self, coeffs, support_min, k):
+        # the run as numerators over a multiple of its common denominator
+        # gets the verdict of the Fraction run
+        assume(_over_one_plus_z(coeffs) is not None)
+        den = k * math.lcm(*(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        assert is_contractive(support_min, nums, den) == is_contractive(support_min, coeffs)
 
 
 class TestCertify:

@@ -11,9 +11,9 @@ from hypothesis import example, given, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from subdiv import localmatrix
-from subdiv.localmatrix import (_PRIME, Spectrum, _charpoly, _charpoly_factors,
-                                _roots_stacked, _squarefree_factors, _squarefree_mod_p,
-                                build_local_matrix,
+from subdiv.localmatrix import (_PRIME, Spectrum, _central_charpoly, _charpoly,
+                                _charpoly_factors, _flip_blocks, _roots_stacked,
+                                _squarefree_factors, _squarefree_mod_p, build_local_matrix,
                                 complex_region_predicate, eigenvalues,
                                 matrix_from_coeffs, w5_closed_form,
                                 w6_closed_form, w6_discriminant)
@@ -200,7 +200,7 @@ class TestRootsStack:
     def test_spectra_of_many_matrices_equal_single_calls(self):
         Ms = [w6_matrix(F(a, 10), F(b, 10)) for a in range(-5, 6) for b in range(-5, 6)]
         Ms += [w5_mask(F(a, 8)) for a in range(-8, 9)]
-        for M, sp in zip(Ms, localmatrix.spectra(Ms)):
+        for M, sp in zip(Ms, localmatrix.spectra([M.integer_scaled() for M in Ms])):
             assert sp == eigenvalues(M)
 
 
@@ -261,6 +261,19 @@ class TestW6ClosedForm:
                    float(1 - a - b) - root]
         with pytest.raises(AssertionError):
             match_multiset(printed, PROP2_EIGS, 1e-6)
+
+
+SMALL_W6 = st.fractions(min_value=-1, max_value=1, max_denominator=60)
+
+
+class TestW6DiscriminantScaled:
+    @given(SMALL_W6, SMALL_W6, st.integers(1, 30))
+    def test_integer_numerators(self, a, b, k):
+        # over a common denominator den it is den^2 D, an integer
+        den = 2 * k * a.denominator * b.denominator
+        num = [x.numerator * (den // x.denominator) for x in (a, b)]
+        got = w6_discriminant(*num, den)
+        assert type(got) is int and got == den * den * w6_discriminant(a, b)
 
 
 class TestComplexRegion:
@@ -366,9 +379,9 @@ def sympy_factors(M):
 
 
 def route_factors(M):
-    """_charpoly_factors(M), checked to scale by the integer_scaled L."""
-    L, factors = _charpoly_factors(M)
-    assert L == M.integer_scaled()[0]
+    """_charpoly_factors of the integer-scaled M, checked to be in ascending
+    multiplicity."""
+    factors = _charpoly_factors(M.integer_scaled()[1])
     assert [m for _, m in factors] == sorted(m for _, m in factors)
     return sorted(factors)
 
@@ -491,3 +504,92 @@ class TestModularCertificate:
             assert len(set(roots)) == len(roots)
         else:
             assert len(set(roots)) < len(roots)
+
+
+# -- the J-symmetric split of the central block ---------------------------
+
+def sympy_charpoly(C):
+    """det(yI - C) of an integer matrix, from sympy, coefficients from y^0 up."""
+    m = len(C)
+    cp = DomainMatrix([[sympy.ZZ(e) for e in row] for row in C], (m, m), sympy.ZZ).charpoly()
+    return [int(c) for c in reversed(cp)]
+
+
+@st.composite
+def centrosymmetric(draw):
+    """An integer matrix of order 1-10 with C[i][j] = C[m-1-i][m-1-j]: each
+    entry reads the drawn value of the first of its flip pair."""
+    m = draw(st.integers(1, 10))
+    vals = draw(st.lists(st.integers(-9, 9), min_size=m * m, max_size=m * m))
+    return [[vals[min(i * m + j, (m - 1 - i) * m + m - 1 - j)] for j in range(m)]
+            for i in range(m)]
+
+
+# W13R_COEFFS of the CLI determinism test (argv13): an asymmetric width-13
+# mask whose central block has a double eigenvalue
+W13R = tuple(F(c) for c in (
+    "3/7", "0", "0", "0", "0", "-6/7", "6/35", "0", "0", "1", "0", "6/7", "2/5"))
+
+
+class TestFlipSplit:
+    @given(centrosymmetric())
+    def test_split_charpoly_matches_full_route_and_sympy(self, C):
+        m = len(C)
+        even, odd = _flip_blocks(C)
+        assert (len(even), len(odd)) == ((m + 1) // 2, m // 2)
+        ref = sympy_charpoly(C)
+        assert _central_charpoly(C) == _charpoly(C) == ref
+        # the J-symmetry check: the J-even and J-odd characteristic
+        # polynomials, each from sympy, multiply to the whole one
+        x = sympy.Symbol("x")
+        halves = [sympy.Poly(list(reversed(sympy_charpoly(b))), x) for b in (even, odd)]
+        assert halves[0] * halves[1] == sympy.Poly(list(reversed(ref)), x)
+
+    def test_not_centrosymmetric(self):
+        assert _flip_blocks([[1, 2], [3, 1]]) is None
+        assert _flip_blocks([[1, 2, 3], [4, 5, 6], [3, 2, 1]]) is None  # middle row
+        assert _flip_blocks([[1, 2, 3], [4, 5, 4], [3, 2, 1]]) is not None
+
+    @pytest.mark.parametrize("support_min, run, orders", [
+        (-6, W13R, [11]),                                # asymmetric: unsplit
+        (*palindromic_coeffs(6, (F(-1, 10), F(3, 10))), [2, 2]),
+        (*palindromic_coeffs(7, (F(1, 20), F(-1, 10))), [3, 2]),
+        (*palindromic_coeffs(8, (F(1, 10), F(0), F(-1, 10))), [3, 3]),
+    ])
+    def test_route_by_symmetry(self, monkeypatch, support_min, run, orders):
+        seen = []
+
+        def counted(B):
+            seen.append(len(B))
+            return _charpoly(B)
+
+        monkeypatch.setattr(localmatrix, "_charpoly", counted)
+        M = matrix_from_coeffs(support_min, run)
+        assert route_factors(M) == sympy_factors(M)
+        assert seen == orders
+
+
+class TestScaleInvariance:
+    """spectra of (L, B) and of (kL, kB) agree bit for bit: a factor's
+    coefficients in x are the same rationals whatever the scale."""
+
+    @pytest.mark.parametrize("params", [
+        (F(0), F(1, 5)),       # a double central root: Yun's split
+        (F(1, 10), F(1, 5)),   # the corner 1/10 is a central root
+        (F(-1, 10), F(3, 10)),  # the paper's complex pair
+        (F(-1, 8), F(1, 8)),   # D = 0
+    ])
+    @pytest.mark.parametrize("k", [2, 3, 7, 10 ** 9 + 7])
+    def test_width6_cells(self, params, k):
+        L, B = w6_matrix(*params).integer_scaled()
+        base, scaled = localmatrix.spectra(
+            [(L, B), (k * L, [[k * e for e in row] for row in B])])
+        assert packed(scaled.eigenvalues) == packed(base.eigenvalues)
+        assert scaled == base
+
+    @given(drawn_runs(), st.integers(2, 10 ** 6))
+    def test_drawn_masks(self, drawn, k):
+        L, B = matrix_from_coeffs(*drawn).integer_scaled()
+        base, scaled = localmatrix.spectra(
+            [(L, B), (k * L, [[k * e for e in row] for row in B])])
+        assert packed(scaled.eigenvalues) == packed(base.eigenvalues)

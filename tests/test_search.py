@@ -1,13 +1,14 @@
 import io
 import math
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
-from subdiv import search
+from subdiv import localmatrix, search
 from subdiv.convergence import is_contractive
-from subdiv.localmatrix import (complex_region_predicate, eigenvalues, matrix_from_coeffs,
-                                spectra, w6_discriminant)
+from subdiv.localmatrix import (_squarefree_factors, complex_region_predicate, eigenvalues,
+                                matrix_from_coeffs, spectra, w6_discriminant)
 from subdiv.masks import Mask
 from subdiv.search import (SCAN_BLOCK, CellClass, GridRange, SearchSpec, c1_w6_obstruction,
                            default_grid, free_param_count, min_width_report,
@@ -165,6 +166,91 @@ class TestScan:
         assert len(r) == 3
         assert r.values() == [F(0), F(2, 5), F(4, 5)]
         assert len(GridRange(F(-1, 2), F(1, 2), F(1, 50))) == 51
+
+
+def reference_cell(width, params, convergence_filter):
+    """(class, max_imag, degenerate) of one cell the per-cell Fraction way:
+    palindromic_coeffs, matrix_from_coeffs and eigenvalues."""
+    smin, run = palindromic_coeffs(width, params)
+    sp = eigenvalues(matrix_from_coeffs(smin, run))
+    convergent = is_contractive(smin, run) if convergence_filter else True
+    cls = {(True, True): CellClass.COMPLEX_CONVERGENT,
+           (True, False): CellClass.COMPLEX_OTHER,
+           (False, True): CellClass.REAL_CONVERGENT,
+           (False, False): CellClass.REAL_OTHER}[sp.has_complex, convergent]
+    degenerate = width == 6 and w6_discriminant(*params) == 0
+    return cls, max(abs(v.imag) for v in sp.eigenvalues).hex(), degenerate
+
+
+def odd_denominator_grid(width):
+    """Ranges with steps 1/3, 1/7 and 2/9, a different one on each axis."""
+    table = [GridRange(F(-1, 3), F(1, 3), F(1, 3)), GridRange(F(-3, 7), F(2, 7), F(1, 7)),
+             GridRange(F(-4, 9), F(4, 9), F(2, 9))]
+    return tuple(table[:free_param_count(width)])
+
+
+class TestIntegerScan:
+    """scan's integer pass equals a per-cell Fraction reference, cell for
+    cell: params, class, degenerate flag and the bits of max_imag."""
+
+    def check(self, spec):
+        result = scan(spec)
+        grid = list(product(*(r.values() for r in spec.param_ranges)))
+        assert [c.params for c in result.cells] == grid
+        for cell in result.cells:
+            got = (cell.cls, cell.max_imag.hex(), cell.degenerate)
+            assert got == reference_cell(spec.width, cell.params, spec.convergence_filter), \
+                cell.params
+
+    @pytest.mark.parametrize("width", range(2, 9))
+    def test_default_grids(self, width):
+        self.check(SearchSpec(width, default_grid(width)))
+
+    @pytest.mark.parametrize("convergence_filter", [True, False])
+    @pytest.mark.parametrize("width", range(2, 9))
+    def test_odd_and_mixed_denominators(self, width, convergence_filter):
+        self.check(SearchSpec(width, odd_denominator_grid(width), convergence_filter))
+
+    def test_width6_mixed_denominators(self, monkeypatch):
+        # D = lcm(2, 9, 15) = 90; the grid holds (0, 1/3), where the
+        # discriminant is 0, and (0, 1/5), where Yun's split runs
+        fallbacks = []
+
+        def counted(p):
+            fallbacks.append(p)
+            return _squarefree_factors(p)
+
+        monkeypatch.setattr(localmatrix, "_squarefree_factors", counted)
+        spec = SearchSpec(6, (GridRange(F(-2, 9), F(2, 9), F(1, 9)),
+                              GridRange(F(-1, 15), F(3, 5), F(2, 15))), False)
+        self.check(spec)
+        assert fallbacks
+        assert [c.params for c in scan(spec).cells if c.degenerate] == [(F(0), F(1, 3))]
+
+    def test_no_fraction_or_local_matrix_per_cell(self, monkeypatch):
+        made = []
+        original_new = F.__new__
+
+        def counted_new(cls, *args, **kwargs):
+            made.append(cls)
+            return original_new(cls, *args, **kwargs)
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("called in a scan")
+
+        # off the lines a = 0 and a = b, where the central block repeats a
+        # root and Yun's split (in Fractions) runs
+        lo_a, lo_b = F(-1, 3) + F(1, 97), F(-1, 3) + F(1, 89)
+        spec = SearchSpec(6, (GridRange(lo_a, lo_a + 40 * F(1, 61), F(1, 61)),
+                              GridRange(lo_b, lo_b + 40 * F(1, 59), F(1, 59))))
+        monkeypatch.setattr(localmatrix.LocalMatrix, "__init__", no_call)
+        monkeypatch.setattr(localmatrix, "_squarefree_factors", no_call)
+        monkeypatch.setattr(F, "__new__", counted_new)
+        result = scan(spec)
+        monkeypatch.undo()
+        # the grid values of the two axes, not one per cell
+        assert len(result.cells) == 41 * 41
+        assert len(made) < 10 * 41
 
 
 class TestNegativityLemma:
