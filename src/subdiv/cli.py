@@ -89,7 +89,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_analyze(args) -> int:
     rec = _resolve_scheme(args.scheme)
-    localmatrix.check_order(rec.mask.width)  # before certify, which grows with the width
+    localmatrix.check_size(rec.mask)  # before certify, which grows with the width
     report = convergence.certify(rec.mask, args.target)
     doc = {
         "scheme": masks.record_to_json(rec),
@@ -139,6 +139,7 @@ def cmd_dynamics(args) -> int:
     rec = _resolve_scheme(args.scheme)
     if rec.mask.width < 2:
         raise CliError("dynamics needs mask width >= 2")
+    localmatrix.check_size(rec.mask)
     M = localmatrix.build_local_matrix(rec.mask)
     if args.v0 is not None:
         v0 = tuple(float(_parse_fraction(v)) for v in args.v0.split(","))

@@ -18,9 +18,10 @@ entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
 q the characteristic polynomial of the central block, computed exactly in
 integers (Faddeev-LeVerrier on L*A).  When gcd(q, q') is a constant over
 GF(2^61 - 1), q is square-free and its own single class; otherwise Yun's
-square-free split runs on q, as a symbols.LaurentPoly.  Each corner then
-joins the class above its multiplicity as a root of q (0 when it is none),
-two classes up when the corners are equal (every palindromic mask).
+split runs over GF(p), p a Mersenne prime above twice q's Mignotte bound,
+and is kept when its lifted factors multiply to q in integers.  Each corner
+then joins the class above its multiplicity as a root of q (0 when it is
+none), two classes up when the corners are equal (every palindromic mask).
 
 A palindromic run makes A commute with the flip J (A[i][j] = A[n-1-i][n-1-j]),
 so the central block C is centrosymmetric.  Such a C of order 2k splits
@@ -46,11 +47,10 @@ from typing import Sequence
 import numpy as np
 
 from .masks import Mask
-from .symbols import LaurentPoly
 
 
 class EigensolveError(RuntimeError):
-    """The root count of the characteristic polynomial is not the matrix order."""
+    """No table prime split the charpoly, or its root count is not the order."""
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,12 @@ class LocalMatrix:
         }
 
 
-# matrix_from_coeffs refuses a wider run before any entry is built.  On
-# random rational masks drawn like the benchmark's, the eigensolve takes up
-# to 0.06 s at order 24, 0.11 s at 28 and 0.18 s at 32 (Python 3.11, one
-# core), and about as long on repeated (1+z)/2 lifts of the width-6 cell
-# (1/10, 1/5), whose corner is a root of the square-free central block.
-# Where it falls back to Yun's split it grows steeply: the lifts of the
-# cell (0, 1/5), with a double central root, take 0.19 s at 24, 0.63 s at
-# 28 and 1.8 s at 32, so the cap stays until that fallback is bounded.
+# matrix_from_coeffs refuses a wider run before any entry is built.  The
+# eigensolve alone would allow more: random rational masks drawn like the
+# benchmark's take up to 0.05 s at order 24 and 0.11 s at 32 (Python 3.11,
+# one core), and repeated (1+z)/2 lifts of the width-6 cell (0, 1/5), with
+# a double central root, 0.01 and 0.03 s.  Raising the cap needs timings of
+# every command at the new width.
 MAX_ORDER = 24
 
 
@@ -94,6 +92,29 @@ def check_order(n: int) -> None:
     """Refuse a local matrix of order n above MAX_ORDER."""
     if n > MAX_ORDER:
         raise ValueError("local matrix needs mask width <= %d, got %d" % (MAX_ORDER, n))
+
+
+# bits is the bit length of the largest of L and the |L a_k| (bitlen(L)
+# when every |a_k| <= 1).  The central charpoly's coefficients reach about
+# (n - 2) * bits bits, and at a fixed (n - 2) * bits the time grows about as
+# (n - 2)^3: random asymmetric masks at the cap take 0.6 s at width 24,
+# 0.12 s at 14 and 0.016 s at 8 (Python 3.11, one core), and dynamics' exact
+# fixed point 0.6 s at width 24.  The cap also keeps what analyze prints
+# under CPython's 4300-digit int-to-string limit (width 2 counts as one
+# row), and twice every Mignotte bound below _PRIMES[-1]: by Hadamard's
+# bound, m * bits + 2m + 2 + (m/2) log2 m < 11100 bits, m = n - 2 <= 22.
+MAX_CHARPOLY_BITS = 11000
+
+
+def check_size(mask: Mask) -> None:
+    """Refuse, before anything is built, a mask wider than MAX_ORDER or
+    past MAX_CHARPOLY_BITS."""
+    check_order(mask.width)
+    L = math.lcm(*(a.denominator for a in mask.coeffs))
+    bits = max(L, *(abs(a.numerator) * (L // a.denominator) for a in mask.coeffs)).bit_length()
+    if max(mask.width - 2, 1) * bits > MAX_CHARPOLY_BITS:
+        raise ValueError("mask too large for exact arithmetic: width %d, %d bits; needs "
+                         "max(width - 2, 1) * bits <= %d" % (mask.width, bits, MAX_CHARPOLY_BITS))
 
 
 def local_entries(coeffs: Sequence, zero) -> tuple[tuple, ...]:
@@ -231,20 +252,16 @@ def _central_charpoly(C: Sequence[Sequence[int]]) -> list[int]:
     return _poly_mul(_charpoly(even), _charpoly(odd))
 
 
-# 2^61 - 1, a Mersenne prime
-_PRIME = (1 << 61) - 1
+# Mersenne primes, ascending; the last lies above every Mignotte bound
+# that check_size lets through.
+_PRIMES = tuple((1 << k) - 1 for k in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
+                                       3217, 4253, 4423, 9689, 9941, 11213))
 
 
-def _squarefree_mod_p(c: Sequence[int]) -> bool:
-    """True when gcd(c, c') over GF(_PRIME) is a constant.  For a monic
-    integer c this proves c square-free over the rationals: a square factor
-    g^2 of c has a monic integer g (Gauss's lemma), which keeps its degree
-    mod the prime and divides c' there too.  False proves nothing."""
-    p = _PRIME
-    a = [x % p for x in c]
-    b = [k * x % p for k, x in enumerate(c)][1:]
-    while b and not b[-1]:
-        b.pop()
+def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) of a and b, each empty or with a leading
+    coefficient that is nonzero mod p."""
+    a, b = [x % p for x in a], [x % p for x in b]
     while b:
         inv = pow(b[-1], -1, p)
         while len(a) >= len(b):  # a <- a mod b
@@ -256,7 +273,62 @@ def _squarefree_mod_p(c: Sequence[int]) -> bool:
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    return len(a) == 1
+    if len(a) == 1:  # a unit, as for every square-free c: no inverse needed
+        return [1]
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _div_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    """a / b over GF(p), for a monic b that divides a."""
+    a, n = [x % p for x in a], len(b) - 1
+    q = [0] * (len(a) - n)
+    for s in range(len(q) - 1, -1, -1):
+        q[s] = f = a[s + n]
+        if f:
+            for i, bi in enumerate(b):
+                a[s + i] = (a[s + i] - f * bi) % p
+    return q
+
+
+def _yun_lift(c: Sequence[int], g: Sequence[int], p: int) -> dict[int, list[int]] | None:
+    """Yun's square-free split of the monic integer c over GF(p) in Musser's
+    gcd form, given g = gcd(c, c') there, lifted to symmetric residues:
+    {multiplicity: factor} when the factors multiply to c in integers, else
+    None.  w = c / g holds every factor once; each gcd with what is left of
+    g peels off the factors of the next multiplicity."""
+    split, w, i = {}, _div_mod(c, g, p), 1
+    while len(w) > 1:
+        y = _gcd_mod(w, g, p)
+        if len(y) < len(w):
+            split[i] = [x - p if 2 * x > p else x for x in _div_mod(w, y, p)]
+        g, w, i = _div_mod(g, y, p), y, i + 1
+    product = [1]
+    for i, f in split.items():
+        for _ in range(i):
+            product = _poly_mul(product, f)
+    return split if product == list(c) else None
+
+
+def _squarefree_split(c: Sequence[int]) -> dict[int, list[int]]:
+    """{i: the monic integer product of the factors of multiplicity i} of a
+    monic integer c.  When gcd(c, c') over GF(_PRIMES[0]) is a constant, c
+    is square-free: a square factor g^2 has a monic integer g (Gauss's
+    lemma), which keeps its degree mod p and divides c' there too.
+    Otherwise _yun_lift runs over the first prime above twice the Mignotte
+    bound 2^d ||c||_2 on the coefficients of c's monic factors.  Its factors
+    are square-free and pairwise coprime mod p, so over the rationals too by
+    the same lemma, and the split is unique: a product equal to c is it.  An
+    unequal product means p divides a resultant of c's factors; the next
+    prime runs."""
+    dc = [k * x for k, x in enumerate(c)][1:]
+    if len(_gcd_mod(c, dc, _PRIMES[0])) == 1:
+        return {1: list(c)}
+    bound = 2 ** len(c) * (math.isqrt(sum(x * x for x in c)) + 1)
+    for p in _PRIMES:
+        if p > bound and (split := _yun_lift(c, _gcd_mod(c, dc, p), p)):
+            return split
+    raise EigensolveError("no table prime splits the characteristic polynomial")
 
 
 def _horner(c: Sequence[int], y: int) -> int:
@@ -277,49 +349,20 @@ def _over_linear(c: Sequence[int], r: int) -> list[int]:
     return q
 
 
-def _squarefree_factors(p: LaurentPoly) -> list[tuple[LaurentPoly, int]]:
-    """Yun's algorithm: [(monic square-free factor, multiplicity), ...]."""
-    p = p * (1 / p[p.max_exp])
-    dp = p.deriv()
-    g = p.gcd(dp)
-    if g.max_exp == 0:
-        return [(p, 1)]
-    b = p.divmod(g)[0]
-    d = dp.divmod(g)[0] - b.deriv()
-    out = []
-    i = 1
-    while b.max_exp > 0:
-        a = b.gcd(d)
-        if a.max_exp > 0:
-            out.append((a, i))
-        b = b.divmod(a)[0]
-        d = d.divmod(a)[0] - b.deriv()
-        i += 1
-    return out
-
-
 def _charpoly_factors(B: Sequence[Sequence[int]]) -> list[tuple[list[int], int]]:
     """The monic square-free factorisation of det(yI - B), B = L*A an
     integer-scaled local matrix: each factor an integer coefficient list with
     its multiplicity, in ascending multiplicity.  det(xI - A) has the factors
     f(Lx) / L^deg(f).
 
-    The charpoly c of the central block comes first (_central_charpoly).
-    When it is square-free (_squarefree_mod_p) it is the one class;
-    otherwise Yun's split runs on it.  A corner that is a root of
+    The charpoly c of the central block comes first (_central_charpoly),
+    then its square-free split (_squarefree_split).  A corner that is a root of
     multiplicity m in c then moves to class m+1 (m+2 when both corners are
     that root; m = 0 when it is no root)."""
     n = len(B)
     c = _central_charpoly([row[1:n - 1] for row in B[1:n - 1]])
     first, last = B[0][0], B[n - 1][n - 1]
-    if _squarefree_mod_p(c):
-        classes = {1: c}
-    else:
-        classes = {}
-        for f, m in _squarefree_factors(LaurentPoly.from_coeffs(c)):
-            # monic factors of a monic integer polynomial are integer
-            assert all(f[e].denominator == 1 for e in range(f.max_exp + 1))
-            classes[m] = [f[e].numerator for e in range(f.max_exp + 1)]
+    classes = _squarefree_split(c)
     for r in {first, last}:
         m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
         if m:

@@ -2,12 +2,11 @@
 
 A Laurent polynomial is stored as a map from integer exponent to a nonzero
 Fraction coefficient, so the support is always exact.  All operations are
-pure and return new objects.  This one type serves both the z-transform
-symbol of a mask (products and evaluation for the smooth lift and the
-necessary conditions) and the characteristic polynomial of a local
-matrix's central block when the eigensolve falls back to Yun's square-free
-split (long division, derivative and gcd); divmod is the only
-long-division loop.
+pure and return new objects.  This is the z-transform symbol of a mask:
+products and exact evaluation, for the smooth lift and the necessary
+conditions.  Other polynomial work is done on integer coefficient lists
+where it happens (division by (1+z) in convergence, the characteristic
+polynomial and its square-free split in localmatrix).
 """
 from __future__ import annotations
 
@@ -81,18 +80,6 @@ class LaurentPoly:
             raise ValueError("Laurent polynomial cannot be evaluated at z = 0")
         return sum((c * z ** e for e, c in self._c.items()), Fraction(0))
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._c.items()})
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, _ZERO) + v
-        return LaurentPoly(c)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly | RationalLike") -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
             c: dict[int, Fraction] = {}
@@ -105,36 +92,3 @@ class LaurentPoly:
         return LaurentPoly({e: c * s for e, c in self._c.items()})
 
     __rmul__ = __mul__
-
-    def deriv(self) -> "LaurentPoly":
-        """d/dz, term by term."""
-        return LaurentPoly({e - 1: e * c for e, c in self._c.items() if e})
-
-    def divmod(self, d: "LaurentPoly") -> tuple["LaurentPoly", "LaurentPoly"]:
-        """Polynomial long division: (q, r) with self = q*d + r and r == 0
-        or deg r < deg d.  Defined for operands with no negative exponent."""
-        if not d:
-            raise ZeroDivisionError("division by the zero polynomial")
-        if d.min_exp < 0 or (self and self.min_exp < 0):
-            raise ValueError("divmod needs operands with no negative exponent")
-        n = d.max_exp
-        r = [self[e] for e in range(self.max_exp + 1)] if self else []
-        dc = [(j, c) for j, c in d._c.items() if j < n]
-        lead = d._c[n]
-        q = {}
-        for k in range(len(r) - 1 - n, -1, -1):
-            c = r[k + n] / lead
-            if c:
-                q[k] = c
-                for j, dj in dc:
-                    r[k + j] -= c * dj
-        return LaurentPoly(q), LaurentPoly(dict(enumerate(r[:n])))
-
-    def gcd(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Monic greatest common divisor by Euclid's algorithm (divmod);
-        zero when both operands are zero."""
-        a, b = self, other
-        while b:
-            a, b = b, a.divmod(b)[1]
-        return a * (1 / a[a.max_exp]) if a else a
-

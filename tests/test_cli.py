@@ -287,6 +287,55 @@ def test_analyze_refuses_wide_mask_before_certify(capsys, monkeypatch, tmp_path)
     assert err == "error: local matrix needs mask width <= %d, got %d\n" % (n - 1, n)
 
 
+def many_digit_mask(width, digits):
+    """A width-`width` mask whose denominators are distinct `digits`-digit
+    odd numbers, so L has about width * digits digits."""
+    return Mask(0, tuple(F(k + 1, 10 ** (digits - 1) + 2 * k + 1) for k in range(width)))
+
+
+@pytest.mark.parametrize("digits", [100, 400])
+@pytest.mark.parametrize("command", ["analyze", "dynamics"])
+def test_refuses_a_mask_of_too_many_bits(capsys, monkeypatch, tmp_path, command, digits):
+    # at width 24, 100-digit denominators kept analyze's charpoly and the
+    # exact fixed point of dynamics running for minutes, and 400-digit ones
+    # passed CPython's int-to-string limit in analyze's convergence report
+    def no_work(*args):
+        raise AssertionError("ran past the bit-size cap")
+
+    monkeypatch.setattr(convergence, "certify", no_work)
+    monkeypatch.setattr(localmatrix, "matrix_from_coeffs", no_work)
+    path = tmp_path / "bits.json"
+    save_scheme(SchemeRecord("bits", many_digit_mask(24, digits)), path)
+    code, out, err = run(capsys, command, "--scheme", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: mask too large for exact arithmetic: width 24, ")
+    assert err.endswith("; needs max(width - 2, 1) * bits <= %d\n"
+                        % localmatrix.MAX_CHARPOLY_BITS)
+
+
+def test_analyze_at_the_bit_size_cap(capsys, monkeypatch, tmp_path):
+    # width 23 (21 central rows), palindromic with zero at every odd place
+    # (the centre too): the central block repeats the root 0, so the split
+    # runs, at a prime far above 2^61; one more bit of L is refused
+    bits = localmatrix.MAX_CHARPOLY_BITS // 21
+    primes = []
+    lift = localmatrix._yun_lift
+
+    def recorded(c, g, p):
+        primes.append(p)
+        return lift(c, g, p)
+
+    monkeypatch.setattr(localmatrix, "_yun_lift", recorded)
+    for extra, code_expected in ((0, 0), (1, 1)):
+        L = 2 ** (bits + extra - 1) + 1
+        half = [F((-1) ** k * (L // (k + 2)), L) if k % 2 else F(0) for k in range(12)]
+        path = tmp_path / ("edge%d.json" % extra)
+        save_scheme(SchemeRecord("edge", Mask(-11, tuple(half[:0:-1] + half))), path)
+        code, out, err = run(capsys, "analyze", "--scheme", str(path))
+        assert code == code_expected, err
+    assert len(primes) == 1 and primes[0] > 2 ** 521
+
+
 def test_one_eigensolve_per_dynamics_request(capsys, monkeypatch):
     original = localmatrix.eigenvalues
     calls = []

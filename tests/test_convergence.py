@@ -30,17 +30,27 @@ def runs(draw):
     return run
 
 
+Z = sympy.Symbol("z")
+
+
+def sympy_poly(coeffs):
+    """The polynomial sum c_k z^k over QQ."""
+    return sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
+                                     for c in coeffs])), Z, domain="QQ")
+
+
+def sympy_run(p):
+    """Coefficient run of a sympy polynomial, from z^0 up."""
+    return [F(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+
+
 def sympy_over_one_plus_z(coeffs):
     """Quotient run of the polynomial sum c_k z^k by 1+z from sympy, padded
     to len(coeffs) - 1 entries, or None when the remainder is nonzero."""
-    z = sympy.Symbol("z")
-    p = sympy.Poly(list(reversed([sympy.Rational(c.numerator, c.denominator)
-                                  for c in coeffs])), z, domain="QQ")
-    q, r = p.div(sympy.Poly(z + 1, z, domain="QQ"))
+    q, r = sympy_poly(coeffs).div(sympy.Poly(Z + 1, Z, domain="QQ"))
     if not r.is_zero:
         return None
-    low_first = [F(int(c.p), int(c.q)) for c in reversed(q.all_coeffs())]
-    return (low_first + [F(0)] * len(coeffs))[:len(coeffs) - 1]
+    return (sympy_run(q) + [F(0)] * len(coeffs))[:len(coeffs) - 1]
 
 
 def parity_norm(support_min, coeffs):
@@ -49,7 +59,7 @@ def parity_norm(support_min, coeffs):
 
 
 def reference_certify(mask, target_m):
-    """The certification ladder on LaurentPoly long division: the symbol,
+    """The certification ladder on sympy's long division: the symbol,
     moved to start at z^0, is divided by (1+z)/2 while the division is
     exact, and rung m is certified when its quotient q has q(1) = 2,
     q(-1) = 0 and q / (1+z) has parity norm < 1 (parities of the absolute
@@ -58,27 +68,26 @@ def reference_certify(mask, target_m):
     if not ok:
         return Verdict.DIVERGENT, None, None, None
     lo = mask.support_min
+    one_plus_z = sympy.Poly(Z + 1, Z, domain="QQ")
 
     def exact(p, d):
-        q, r = p.divmod(d)
-        return None if r else q
+        q, r = p.div(d)
+        return None if not r.is_zero else q
 
-    def run(p):
-        return [p[e] for e in range(p.max_exp + 1)]
-
-    b = exact(LaurentPoly.from_coeffs(mask.coeffs), ONE_PLUS_Z)
-    norm = parity_norm(lo, run(b))
-    quotients = [LaurentPoly.from_coeffs(mask.coeffs)]
+    b = exact(sympy_poly(mask.coeffs), one_plus_z)
+    norm = parity_norm(lo, sympy_run(b))
+    quotients = [sympy_poly(mask.coeffs)]
     while len(quotients) <= target_m:
-        q = exact(quotients[-1], HALF_ONE_PLUS_Z)
+        q = exact(quotients[-1], one_plus_z * sympy.QQ(1, 2))
         if q is None:
             break
         quotients.append(q)
     for m in range(len(quotients) - 1, -1, -1):
         q = quotients[m]
-        if q(1) == 2 and q(-1) == 0 and parity_norm(lo, run(exact(q, ONE_PLUS_Z))) < 1:
-            return Verdict.C0_CERTIFIED, m, norm, Mask(lo, tuple(run(b)))
-    return Verdict.INCONCLUSIVE, None, norm, Mask(lo, tuple(run(b)))
+        if (q.eval(1) == 2 and q.eval(-1) == 0
+                and parity_norm(lo, sympy_run(exact(q, one_plus_z))) < 1):
+            return Verdict.C0_CERTIFIED, m, norm, Mask(lo, tuple(sympy_run(b)))
+    return Verdict.INCONCLUSIVE, None, norm, Mask(lo, tuple(sympy_run(b)))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import cmath
+import math
 import random
 import struct
 from fractions import Fraction as F
@@ -11,15 +12,14 @@ from hypothesis import example, given, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from subdiv import localmatrix
-from subdiv.localmatrix import (_PRIME, Spectrum, _central_charpoly, _charpoly,
-                                _charpoly_factors, _flip_blocks, _roots_stacked,
-                                _squarefree_factors, _squarefree_mod_p, build_local_matrix,
+from subdiv.localmatrix import (_PRIMES, Spectrum, _central_charpoly, _charpoly,
+                                _charpoly_factors, _flip_blocks, _poly_mul, _roots_stacked,
+                                _squarefree_split, build_local_matrix,
                                 complex_region_predicate, eigenvalues,
                                 matrix_from_coeffs, w5_closed_form,
                                 w6_closed_form, w6_discriminant)
 from subdiv.masks import Mask, catalog_get
 from subdiv.search import default_grid, palindromic_coeffs
-from subdiv.symbols import LaurentPoly
 
 
 def match_multiset(got, expected, tol):
@@ -317,10 +317,12 @@ class TestRowSumEigenvector:
             assert min(abs(v - 1) for v in sp.eigenvalues) < 1e-9
 
 
+Y = sympy.Symbol("y")
+
+
 def full_charpoly(M):
-    """det(xI - A), from _charpoly on the whole integer matrix B = L*A."""
-    L, B = M.integer_scaled()
-    return LaurentPoly({k: F(c, L ** (M.n - k)) for k, c in enumerate(_charpoly(B))})
+    """det(yI - L*A), from _charpoly on the whole integer matrix."""
+    return _charpoly(M.integer_scaled()[1])
 
 
 def _family_charpolys():
@@ -337,34 +339,82 @@ def _family_charpolys():
         yield full_charpoly(matrix_from_coeffs(*palindromic_coeffs(w, params)))
 
 
+def sympy_split(c):
+    """sympy's square-free split of the monic integer c, as {multiplicity:
+    coefficients from y^0 up}."""
+    _, factors = sympy.Poly(list(reversed(c)), Y, domain="ZZ").sqf_list()
+    return {m: [int(x) for x in reversed(f.all_coeffs())]
+            for f, m in factors if f.degree() > 0}
+
+
+def split(c):
+    """_squarefree_split without a constant class (the split of c = 1)."""
+    return {m: f for m, f in _squarefree_split(c).items() if len(f) > 1}
+
+
+def times(*factors):
+    """The product of integer coefficient lists."""
+    c = [1]
+    for f in factors:
+        c = _poly_mul(c, f)
+    return c
+
+
+BIG = st.integers(-2 ** 80, 2 ** 80) | st.integers(-9, 9)
+
+
+@st.composite
+def repeated_factor_polys(draw):
+    """A monic integer polynomial with forced repeated and shared factors:
+    1-3 drawn monic factors of degree 1-3, coefficients up to 2^80 (beyond
+    the first table prime), each raised to a power 1-3, and the first one
+    multiplied in once more."""
+    factors = draw(st.lists(st.integers(1, 3).flatmap(
+        lambda d: st.lists(BIG, min_size=d, max_size=d).map(lambda f: f + [1])),
+        min_size=1, max_size=3))
+    powers = [f for f in factors for _ in range(draw(st.integers(1, 3)))]
+    return times(*powers, factors[0])
+
+
 class TestSquarefreeSplit:
     def test_zero_eigenvalue_cell(self):
-        # w6 (0, 1/5): (x^2 - 8/5 x + 3/5)(x^2 - 1/5 x)^2
-        p = full_charpoly(w6_matrix(0, F(1, 5)))
-        assert _squarefree_factors(p) == [
-            (LaurentPoly({2: 1, 1: F(-8, 5), 0: F(3, 5)}), 1),
-            (LaurentPoly({2: 1, 1: F(-1, 5)}), 2),
-        ]
+        # w6 (0, 1/5), L = 5: (x^2 - 8/5 x + 3/5)(x^2 - 1/5 x)^2 in y = 5x
+        assert split(full_charpoly(w6_matrix(0, F(1, 5)))) == {
+            1: [15, -8, 1], 2: [0, -1, 1]}
 
     def test_matches_sympy(self):
-        x = sympy.Symbol("x")
-        for p in _family_charpolys():
-            ref = sympy.Poly({(e,): sympy.Rational(c.numerator, c.denominator)
-                              for e, c in p.coeffs.items()}, x, domain="QQ")
-            _, ref_factors = ref.sqf_list()
-            expect = sorted(
-                (tuple(F(int(c.p), int(c.q)) for c in f.monic().all_coeffs()), m)
-                for f, m in ref_factors)
-            got = sorted(
-                (tuple(f[e] for e in range(f.max_exp, -1, -1)), m)
-                for f, m in _squarefree_factors(p))
-            assert got == expect
+        for c in _family_charpolys():
+            assert split(c) == sympy_split(c)
+
+    @given(repeated_factor_polys())
+    def test_matches_sympy_on_repeated_and_shared_factors(self, c):
+        assert split(c) == sympy_split(c)
+
+    def test_unlucky_prime_moves_to_the_next(self, monkeypatch):
+        # f1 and f2 share a root mod q, a prime factor of their resultant
+        # above twice the Mignotte bound of f1 f2^2: over GF(q) the
+        # shared root has multiplicity 3, the lifted product is not c, and
+        # the next table prime splits c
+        f1, f2 = [-8, 10, 14, 15, 1], [10, 5, 20, -11, 1]
+        c = times(f1, f2, f2)
+        res = sympy.resultant(*(sympy.Poly(list(reversed(f)), Y) for f in (f1, f2)))
+        q = max(sympy.factorint(abs(int(res))))
+        assert q > 2 ** len(c) * (math.isqrt(sum(x * x for x in c)) + 1)
+        tried = []
+
+        def recorded(c, g, p):
+            out = lift(c, g, p)
+            tried.append((p, out is not None))
+            return out
+
+        lift = localmatrix._yun_lift
+        monkeypatch.setattr(localmatrix, "_yun_lift", recorded)
+        monkeypatch.setattr(localmatrix, "_PRIMES", (q,) + tuple(p for p in _PRIMES if p > q))
+        assert split(c) == sympy_split(c) == {1: f1, 2: f2}
+        assert tried == [(q, False), (_PRIMES[0], True)]
 
 
 # -- the corner-deflated factor route ------------------------------------
-
-Y = sympy.Symbol("y")
-
 
 def sympy_factors(M):
     """sympy's square-free factors of det(yI - L*A), from sympy's own
@@ -456,15 +506,16 @@ class TestCharpolyFactors:
 
     def test_yun_runs_only_where_the_central_block_repeats_a_root(self, monkeypatch):
         # the paper's cell and (1/10, 1/5), whose corner 1/10 is a root of
-        # the square-free central block, stay off Yun's split; (0, 1/5)
-        # has a double central root and takes it
+        # the square-free central block, stay off the modular split;
+        # (0, 1/5) has a double central root and takes it, once
         calls = []
 
-        def counted(p):
+        def counted(c, g, p):
             calls.append(p)
-            return _squarefree_factors(p)
+            return lift(c, g, p)
 
-        monkeypatch.setattr(localmatrix, "_squarefree_factors", counted)
+        lift = localmatrix._yun_lift
+        monkeypatch.setattr(localmatrix, "_yun_lift", counted)
         for params, fallback in [((F(-1, 10), F(3, 10)), False),
                                  ((F(1, 10), F(1, 5)), False),
                                  ((F(0), F(1, 5)), True)]:
@@ -483,27 +534,70 @@ class TestModularCertificate:
         ((0, 0), False),
         ((5, -7, 5, -7, 2), False),
     ])
-    def test_products_of_linear_factors(self, roots, squarefree):
-        c = [1]
-        for r in roots:  # c <- c * (y - r)
-            c = [0] + c
-            for k in range(len(c) - 1):
-                c[k] -= r * c[k + 1]
-        assert _squarefree_mod_p(c) is squarefree
+    def test_products_of_linear_factors(self, monkeypatch, roots, squarefree):
+        lifts = []
+
+        def counted(*args):
+            lifts.append(args)
+            return lift(*args)
+
+        lift = localmatrix._yun_lift
+        monkeypatch.setattr(localmatrix, "_yun_lift", counted)
+        c = times(*([-r, 1] for r in roots))
+        assert split(c) == sympy_split(c)
+        # a square-free c is certified by the first gcd, with no split
+        assert (not lifts) is squarefree
 
     def test_square_mod_the_prime_is_not_certified(self):
-        # y (y - P) is square-free over the rationals but y^2 mod P: the
-        # certificate only ever proves, and the route falls back to Yun
-        assert not _squarefree_mod_p([0, -_PRIME, 1])
+        # y (y - P) is square-free over the rationals but y^2 mod P = 2^61 - 1:
+        # the first gcd certifies nothing, the Mignotte bound passes P, and
+        # the next prime returns c whole
+        P = _PRIMES[0]
+        assert _squarefree_split([0, -P, 1]) == {1: [0, -P, 1]}
+
+    def test_no_prime_above_the_bound_is_an_eigensolve_error(self, monkeypatch):
+        P = _PRIMES[0]
+        monkeypatch.setattr(localmatrix, "_PRIMES", (P,))
+        with pytest.raises(localmatrix.EigensolveError, match="no table prime"):
+            _squarefree_split([0, -P, 1])
 
     @given(st.lists(st.integers(-6, 6), min_size=1, max_size=8))
     def test_never_certifies_a_square(self, roots):
-        c = sympy.Poly(sympy.prod([Y - r for r in roots]), Y, domain="ZZ")
-        ints = [int(k) for k in reversed(c.all_coeffs())]
-        if _squarefree_mod_p(ints):
-            assert len(set(roots)) == len(roots)
-        else:
-            assert len(set(roots)) < len(roots)
+        c = times(*([-r, 1] for r in roots))
+        assert (set(split(c)) == {1}) is (len(set(roots)) == len(roots))
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("width", [2, 3, 13, 24])
+    def test_edge(self, width):
+        # bits is the bit length of the largest of L and |L a_k|
+        cap = localmatrix.MAX_CHARPOLY_BITS // max(width - 2, 1)
+        for bits, accepted in ((cap, True), (cap + 1, False)):
+            L = 2 ** (bits - 1) + 1
+            for coeffs in ((F(1, L),) * width, (F(2 ** bits - 1),) * width):
+                if accepted:
+                    localmatrix.check_size(Mask(0, coeffs))
+                else:
+                    with pytest.raises(ValueError, match="mask too large"):
+                        localmatrix.check_size(Mask(0, coeffs))
+
+    def test_every_accepted_mignotte_bound_is_below_the_top_prime(self):
+        # entries |B_ij| < H = 2^bits: each k x k principal minor is at most
+        # (sqrt(k) H)^k (Hadamard), so ||c||_2 <= (1 + sqrt(m) H)^m, and
+        # the bound 2^(m+1) (isqrt(||c||^2) + 1) has at most
+        # m bits + 2m + 2 + (m/2) log2 m bits
+        top = _PRIMES[-1].bit_length() - 1
+        for m in range(1, localmatrix.MAX_ORDER - 1):
+            bits = localmatrix.MAX_CHARPOLY_BITS // m
+            assert m * bits + 2 * m + 2 + m / 2 * math.log2(m) < top, m
+        # a width-24 palindromic mask at the cap, against the formula
+        L = 2 ** 499 + 1
+        rng = random.Random(24)
+        half = [F(rng.randrange(-L + 1, L), L) for _ in range(12)]
+        n, (_, B) = 24, matrix_from_coeffs(-11, half[::-1] + half).integer_scaled()
+        c = _central_charpoly([row[1:n - 1] for row in B[1:n - 1]])
+        bound = 2 ** len(c) * (math.isqrt(sum(x * x for x in c)) + 1)
+        assert bound.bit_length() <= 22 * 500 + 44 + 2 + 11 * math.log2(22) < top
 
 
 # -- the J-symmetric split of the central block ---------------------------
@@ -574,7 +668,7 @@ class TestScaleInvariance:
     coefficients in x are the same rationals whatever the scale."""
 
     @pytest.mark.parametrize("params", [
-        (F(0), F(1, 5)),       # a double central root: Yun's split
+        (F(0), F(1, 5)),       # a double central root: the modular split
         (F(1, 10), F(1, 5)),   # the corner 1/10 is a central root
         (F(-1, 10), F(3, 10)),  # the paper's complex pair
         (F(-1, 8), F(1, 8)),   # D = 0

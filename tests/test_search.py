@@ -7,8 +7,8 @@ import pytest
 
 from subdiv import localmatrix, search
 from subdiv.convergence import is_contractive
-from subdiv.localmatrix import (_squarefree_factors, complex_region_predicate, eigenvalues,
-                                matrix_from_coeffs, spectra, w6_discriminant)
+from subdiv.localmatrix import (complex_region_predicate, eigenvalues, matrix_from_coeffs,
+                                spectra, w6_discriminant)
 from subdiv.masks import Mask
 from subdiv.search import (SCAN_BLOCK, CellClass, GridRange, SearchSpec, c1_w6_obstruction,
                            default_grid, free_param_count, min_width_report,
@@ -213,14 +213,15 @@ class TestIntegerScan:
 
     def test_width6_mixed_denominators(self, monkeypatch):
         # D = lcm(2, 9, 15) = 90; the grid holds (0, 1/3), where the
-        # discriminant is 0, and (0, 1/5), where Yun's split runs
+        # discriminant is 0, and (0, 1/5), where the modular split runs
         fallbacks = []
 
-        def counted(p):
-            fallbacks.append(p)
-            return _squarefree_factors(p)
+        def counted(c, g, p):
+            fallbacks.append(c)
+            return lift(c, g, p)
 
-        monkeypatch.setattr(localmatrix, "_squarefree_factors", counted)
+        lift = localmatrix._yun_lift
+        monkeypatch.setattr(localmatrix, "_yun_lift", counted)
         spec = SearchSpec(6, (GridRange(F(-2, 9), F(2, 9), F(1, 9)),
                               GridRange(F(-1, 15), F(3, 5), F(2, 15))), False)
         self.check(spec)
@@ -238,13 +239,10 @@ class TestIntegerScan:
         def no_call(*args, **kwargs):
             raise AssertionError("called in a scan")
 
-        # off the lines a = 0 and a = b, where the central block repeats a
-        # root and Yun's split (in Fractions) runs
-        lo_a, lo_b = F(-1, 3) + F(1, 97), F(-1, 3) + F(1, 89)
-        spec = SearchSpec(6, (GridRange(lo_a, lo_a + 40 * F(1, 61), F(1, 61)),
-                              GridRange(lo_b, lo_b + 40 * F(1, 59), F(1, 59))))
+        # the grid holds the lines a = 0 and a = b, where the central block
+        # repeats a root and the modular split runs, in integers too
+        spec = SearchSpec(6, (GridRange(F(-1, 3), F(1, 3), F(1, 60)),) * 2)
         monkeypatch.setattr(localmatrix.LocalMatrix, "__init__", no_call)
-        monkeypatch.setattr(localmatrix, "_squarefree_factors", no_call)
         monkeypatch.setattr(F, "__new__", counted_new)
         result = scan(spec)
         monkeypatch.undo()
