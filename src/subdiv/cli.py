@@ -249,9 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the parser main() reuses: built on its first call, not at import.  Each
+# parse_args fills a new namespace from the defaults, so no option carries
+# over between calls.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
             raise CliError("tol must be > 0")

@@ -71,16 +71,16 @@ def _as_array(A: Union[LocalMatrix, np.ndarray, Sequence[Sequence[float]]]) -> n
     return np.asarray(A, dtype=float)
 
 
-def _rational_null_weights(A: LocalMatrix) -> Optional[list[Fraction]]:
-    """Left eigenvector of eigenvalue 1 solved exactly, normalized to sum 1;
-    None when the eigenvalue is absent or not simple.
+def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
+    """Left eigenvector of eigenvalue 1 of A = B / L, B integer, solved
+    exactly and normalized to sum 1; None when the eigenvalue is absent or
+    not simple.
 
-    (A^T - I) u = 0 is solved as (B^T - L I) u = 0 with B = L A integer, by
-    fraction-free Gauss-Jordan elimination (Bareiss): every division is
-    exact, and every pivot ends equal to the last one.
+    (A^T - I) u = 0 is solved as (B^T - L I) u = 0 by fraction-free
+    Gauss-Jordan elimination (Bareiss): every division is exact, and every
+    pivot ends equal to the last one.
     """
-    n = A.n
-    L, B = A.integer_scaled()
+    n = len(B)
     rows = [[B[j][i] - (L if i == j else 0) for j in range(n)] for i in range(n)]
     pivots = []
     prev = 1
@@ -145,22 +145,27 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
     whole trajectory is exact: the state is integer numerators over one
     denominator, stepped by the integer matrix B = L A, and each reported
     float (a state entry or its difference from the fixed point) is one
-    correctly rounded integer division.  The spectrum is not checked: a
-    non-convergent matrix still yields its trajectory
-    (Spectrum.convergence_spectral_ok decides convergence).  K is at most
-    MAX_K.
+    correctly rounded integer division, kept as a Python float.  The
+    distances are taken over one array of all transients: the inf-norm as
+    one row-wise max, the 2-norm as np.linalg.norm of each row.  The
+    spectrum is not checked: a non-convergent matrix still yields its
+    trajectory (Spectrum.convergence_spectral_ok decides convergence).  K is
+    at most MAX_K.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     if K > MAX_K:
         raise ValueError("K must be <= %d" % MAX_K)
+    if norm not in ("inf", "2"):
+        raise ValueError("norm must be 'inf' or '2'")
     Af = _as_array(A)
     n = Af.shape[0]
     v = np.asarray(v0, dtype=float)
     if v.shape != (n,):
         raise ValueError("v0 has dimension %d, matrix order is %d" % (v.size, n))
 
-    weights = _rational_null_weights(A) if isinstance(A, LocalMatrix) else None
+    scaled = A.integer_scaled() if isinstance(A, LocalMatrix) else None
+    weights = _rational_null_weights(*scaled) if scaled else None
     if weights is not None:
         # exact path: v0 floats are exact binary rationals
         vq = [Fraction(x) for x in v]
@@ -168,7 +173,7 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
         fn, fd = fq.numerator, fq.denominator
         den = math.lcm(*(x.denominator for x in vq))
         nums = [x.numerator * (den // x.denominator) for x in vq]
-        L, B = A.integer_scaled()
+        L, B = scaled
         rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
         q = math.lcm(L, den)  # each later den divides den * L^k: no other primes
         states, diffs = [], []
@@ -177,9 +182,10 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
                 nums, den = _step(rows, L, q, nums, den)
             # x / den - fn / fd over the common denominator den * fd > 0
             shift, common = fn * den, den * fd
-            states.append(np.array([x / den for x in nums]))
-            diffs.append(np.array([(x * fd - shift) / common for x in nums]))
-        fixed = np.full(n, float(fq))
+            states.append([x / den for x in nums])
+            diffs.append([(x * fd - shift) / common for x in nums])
+        D = np.array(diffs)
+        fixed = [float(fq)] * n
     else:
         wl, Ul = np.linalg.eig(Af.T)
         i1 = int(np.argmin(np.abs(wl - 1.0)))
@@ -189,26 +195,26 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
             fixed = float(u @ v) * np.ones_like(v)
         else:
             fixed = np.zeros_like(v)
-        states = [v.copy()]
+        S = [v.copy()]
         for _ in range(K):
-            states.append(Af @ states[-1])
-        diffs = [s - fixed for s in states]
+            S.append(Af @ S[-1])
+        S = np.array(S)
+        D = S - fixed
+        states, diffs, fixed = S.tolist(), D.tolist(), fixed.tolist()
 
     if norm == "inf":
-        dists = [float(np.max(np.abs(d))) for d in diffs]
-    elif norm == "2":
-        dists = [float(np.linalg.norm(d)) for d in diffs]
+        dists = np.max(np.abs(D), axis=1).tolist()
     else:
-        raise ValueError("norm must be 'inf' or '2'")
+        dists = [float(np.linalg.norm(d)) for d in D]
 
     violations = sum(1 for k in range(K) if dists[k + 1] > dists[k])
     return TrajectoryReport(
-        states=tuple(tuple(s) for s in states),
+        states=tuple(map(tuple, states)),
         fixed_point=tuple(fixed),
         distances=tuple(dists),
         monotonicity_violations=violations,
-        matrix=tuple(tuple(row) for row in Af),
-        transients=tuple(tuple(d) for d in diffs),
+        matrix=tuple(map(tuple, Af.tolist())),
+        transients=tuple(map(tuple, diffs)),
     )
 
 
@@ -217,8 +223,11 @@ def decompose_modes(traj: TrajectoryReport, tol: float = MODE_TOL) -> Trajectory
 
     Real eigendirections give signed coefficient sequences with flip
     counts; conjugate pairs are merged into a single rotation-scaling plane
-    whose magnitude contracts by |mu| per step.  A matrix that is defective
-    beyond tolerance skips the decomposition with a diagnostic.
+    whose magnitude contracts by |mu| per step.  The coefficients of every
+    transient come from one stacked solve, each system a single right-hand
+    side as in a solve per transient, and the magnitudes and flips from
+    array operations.  A matrix that is defective beyond tolerance skips
+    the decomposition with a diagnostic.
     """
     Af = np.asarray(traj.matrix)
     w, V = np.linalg.eig(Af)
@@ -227,7 +236,8 @@ def decompose_modes(traj: TrajectoryReport, tol: float = MODE_TOL) -> Trajectory
                        mode_diagnostic="matrix is defective within working precision; "
                                        "mode decomposition skipped")
 
-    coeffs = np.array([np.linalg.solve(V, d) for d in traj.transients])
+    D = np.asarray(traj.transients)
+    coeffs = np.linalg.solve(np.broadcast_to(V, (len(D),) + V.shape), D[..., None])[..., 0]
 
     used = [False] * len(w)
     modes: list[EigenMode] = []
@@ -242,25 +252,19 @@ def decompose_modes(traj: TrajectoryReport, tol: float = MODE_TOL) -> Trajectory
                 if not used[j2] and abs(w[j2] - np.conj(mu)) < 1e-8 * max(1.0, abs(mu)):
                     partner = j2
                     break
-            cj = coeffs[:, j]
+            mags = np.abs(coeffs[:, j])
             if partner is not None:
                 used[partner] = True
-                mags = tuple(float(np.hypot(np.abs(cj[k]), np.abs(coeffs[k, partner])))
-                             for k in range(len(cj)))
-            else:
-                mags = tuple(float(np.abs(c)) for c in cj)
+                mags = np.hypot(mags, np.abs(coeffs[:, partner]))
             rep = mu if mu.imag >= 0 else np.conj(mu)
-            modes.append(EigenMode(complex(rep), True, mags, None, 0))
+            modes.append(EigenMode(complex(rep), True, tuple(mags.tolist()), None, 0))
         else:
             cj = np.real(coeffs[:, j])
-            flips = sum(
-                1 for k in range(len(cj) - 1)
-                if abs(cj[k]) > _COEFF_FLOOR and abs(cj[k + 1]) > _COEFF_FLOOR
-                and (cj[k] > 0) != (cj[k + 1] > 0)
-            )
+            big, pos = np.abs(cj) > _COEFF_FLOOR, cj > 0
+            flips = int(np.count_nonzero(big[:-1] & big[1:] & (pos[:-1] != pos[1:])))
             modes.append(EigenMode(complex(mu.real, 0.0), False,
-                                   tuple(float(abs(c)) for c in cj),
-                                   tuple(float(c) for c in cj), flips))
+                                   tuple(np.abs(cj).tolist()),
+                                   tuple(cj.tolist()), flips))
 
     rotation = None
     pairs = [m for m in modes if m.is_complex_pair]

@@ -437,17 +437,24 @@ def spectra(scaled: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> list[Spect
     The factors of every matrix are root-solved together: one stacked
     eigvals per factor shape, bit-identical to np.roots per factor, then
     three Newton steps; residuals are bounded by the polish (|p(mu)| ~
-    machine eps relative to the coefficient scale)."""
+    machine eps relative to the coefficient scale).  A linear factor skips
+    both: its root is one integer division."""
     owners, rows = [], []
     for i, (L, B) in enumerate(scaled):
         for f, mult in _charpoly_factors(B):
             d = len(f) - 1
-            owners.append((i, mult))
+            if d == 1:
+                # monic linear: the root -f0/L correctly rounded, which is
+                # what the stacked eigvals gives and the polish leaves
+                owners.append((i, mult, [-f[0] / L]))
+                continue
+            owners.append((i, mult, None))
             # the coefficients of f(Lx) / L^d, each one correctly rounded
             rows.append([f[k] / L ** (d - k) for k in range(d, -1, -1)])
     vals: list[list[complex]] = [[] for _ in scaled]
-    for (i, mult), roots in zip(owners, _roots_stacked(rows)):
-        vals[i].extend(roots * mult)
+    stacked = iter(_roots_stacked(rows))
+    for i, mult, roots in owners:
+        vals[i].extend((roots or next(stacked)) * mult)
     for (_, B), v in zip(scaled, vals):
         if len(v) != len(B):
             raise EigensolveError("root count %d != matrix order %d" % (len(v), len(B)))

@@ -2,13 +2,16 @@ import argparse
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from subdiv import convergence, dynamics, localmatrix, refine
+from subdiv import cli, convergence, dynamics, localmatrix, refine
 from subdiv.cli import build_parser, main
 from subdiv.masks import Mask, SchemeRecord, catalog_get, save_scheme
 from subdiv.search import GridRange
@@ -235,6 +238,69 @@ class TestTolValidation:
         code, out, err = run(capsys, *argv, "--tol=" + tol)
         assert code == 1 and out == ""
         assert "tol must be > 0" in err
+
+
+class TestParserReuse:
+    """main() parses every call with one parser; each call's output must be
+    the one a fresh process prints, with nothing carried over."""
+
+    def fresh(self, *argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-m", "subdiv.cli", *argv], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout
+
+    @pytest.mark.parametrize("first, second", [
+        (("dynamics", "--scheme", "catalog:a", "--K", "20", "--norm", "2", "--tol", "1e-6"),
+         ("dynamics", "--scheme", "catalog:a", "--K", "20")),
+        (("search", "--width", "6", "--grid=-1/5:0:1/10,1/5:2/5:1/10", "--no-filter"),
+         ("search", "--width", "6", "--grid=-1/5:0:1/10,1/5:2/5:1/10")),
+    ], ids=["dynamics", "search"])
+    def test_options_do_not_carry_over(self, capsys, first, second):
+        outs = []
+        for argv in (first, second):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs[0] != outs[1]
+        assert outs == [self.fresh(*first), self.fresh(*second)]
+
+    def test_rejected_call_leaves_no_trace(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--scheme", "catalog:a", "--K", "20", "--norm", "3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ("dynamics", "--scheme", "catalog:a", "--K", "20")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == self.fresh(*argv)
+
+    def test_each_call_parses_into_a_fresh_namespace(self, capsys, monkeypatch):
+        grid = "--grid=-1/5:0:1/10,1/5:2/5:1/10"
+        calls = [("dynamics", "--scheme", "catalog:a", "--K", "5", "--norm", "2",
+                  "--tol", "1e-6", "--v0", "0,1,0,0,0,0"),
+                 ("dynamics", "--scheme", "catalog:b"),
+                 ("search", "--width", "6", grid, "--no-filter"),
+                 ("search", "--width", "6", grid)]
+        run(capsys, "catalog")  # main() builds its parser on the first call
+        seen = []
+        parse = cli._parser.parse_args
+        monkeypatch.setattr(cli._parser, "parse_args",
+                            lambda *a, **kw: seen.append(parse(*a, **kw)) or seen[-1])
+        for argv in calls:
+            assert run(capsys, *argv)[0] == 0
+        assert [vars(ns) for ns in seen] == \
+            [vars(build_parser().parse_args(list(argv))) for argv in calls]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_no_parser_built_at_import(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import subdiv.cli as c; assert c._parser is None"
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                       check=True)
 
 
 # every option of every subcommand; a new option is a reviewed edit here

@@ -150,7 +150,7 @@ class TestExactTrajectory:
         traj = iterate_local(v0, A, K, norm)
         ref = reference_trajectory(v0, A, K, norm)
         if ref is None:
-            assert _rational_null_weights(A) is None
+            assert _rational_null_weights(*A.integer_scaled()) is None
             return
         states, transients, fixed, dists = ref
         assert bits(traj.states) == bits(states)
@@ -161,7 +161,7 @@ class TestExactTrajectory:
     @settings(deadline=None)
     @given(local_matrices())
     def test_null_weights_match_sympy(self, A):
-        assert _rational_null_weights(A) == sympy_null_weights(A)
+        assert _rational_null_weights(*A.integer_scaled()) == sympy_null_weights(A)
 
     @pytest.mark.parametrize("entries", [
         ((F(1, 2), 0), (0, F(1, 3))),                        # no eigenvalue 1
@@ -170,11 +170,11 @@ class TestExactTrajectory:
     ], ids=["absent", "double", "defective"])
     def test_null_weights_none_unless_simple(self, entries):
         A = LocalMatrix(tuple(tuple(F(e) for e in row) for row in entries), 0)
-        assert _rational_null_weights(A) is None
+        assert _rational_null_weights(*A.integer_scaled()) is None
         assert sympy_null_weights(A) is None
 
     def test_catalog_weights(self):
-        w = _rational_null_weights(A_MATRIX)
+        w = _rational_null_weights(*A_MATRIX.integer_scaled())
         assert sum(w) == 1 and w == sympy_null_weights(A_MATRIX)
 
     @given(local_matrices(), st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=12, max_size=12),
@@ -235,6 +235,119 @@ class TestDecomposeModes:
         assert traj.modes is None
         assert "defective" in traj.mode_diagnostic
         assert len(traj.distances) == 6
+
+
+def reference_decompose(traj, tol=dynamics.MODE_TOL):
+    """The former per-state loop, kept as an oracle: one np.linalg.solve per
+    transient, scalar np.hypot and np.abs per coefficient, and the flip loop.
+    None where the matrix is defective and the decomposition is skipped."""
+    Af = np.asarray(traj.matrix)
+    w, V = np.linalg.eig(Af)
+    if np.linalg.cond(V) > 1e10:
+        return None
+    coeffs = np.array([np.linalg.solve(V, d) for d in traj.transients])
+    used = [False] * len(w)
+    modes = []
+    for j, mu in enumerate(w):
+        if used[j]:
+            continue
+        used[j] = True
+        if abs(mu.imag) > tol:
+            partner = None
+            for j2 in range(len(w)):
+                if not used[j2] and abs(w[j2] - np.conj(mu)) < 1e-8 * max(1.0, abs(mu)):
+                    partner = j2
+                    break
+            cj = coeffs[:, j]
+            if partner is not None:
+                used[partner] = True
+                mags = tuple(float(np.hypot(np.abs(cj[k]), np.abs(coeffs[k, partner])))
+                             for k in range(len(cj)))
+            else:
+                mags = tuple(float(np.abs(c)) for c in cj)
+            rep = mu if mu.imag >= 0 else np.conj(mu)
+            modes.append((complex(rep), True, mags, None, 0))
+        else:
+            cj = np.real(coeffs[:, j])
+            flips = sum(
+                1 for k in range(len(cj) - 1)
+                if abs(cj[k]) > 1e-12 and abs(cj[k + 1]) > 1e-12
+                and (cj[k] > 0) != (cj[k + 1] > 0)
+            )
+            modes.append((complex(mu.real, 0.0), False, tuple(float(abs(c)) for c in cj),
+                          tuple(float(c) for c in cj), flips))
+    return modes
+
+
+def mode_bits(modes):
+    return [(bits([m[0].real, m[0].imag]), m[1], bits(m[2]),
+             None if m[3] is None else bits(m[3]), m[4]) for m in modes]
+
+
+@st.composite
+def mixed_spectrum_matrices(draw):
+    """Real matrices of order 3-10 with one to three complex pairs and one or
+    two negative eigenvalues, some with eigenvalue 1: real blocks
+    [[r cos t, -r sin t], [r sin t, r cos t]] and diagonal entries in a
+    random basis."""
+    pairs = draw(st.lists(st.tuples(st.floats(0.05, 1.1), st.floats(0.05, 3.1)),
+                          min_size=1, max_size=3))
+    reals = draw(st.lists(st.floats(-0.99, -0.01), min_size=1, max_size=2))
+    reals += draw(st.lists(st.sampled_from([1.0, 0.5, 0.25, -0.5]), max_size=2))
+    n = 2 * len(pairs) + len(reals)
+    J = np.zeros((n, n))
+    for i, (r, t) in enumerate(pairs):
+        c, s = r * math.cos(t), r * math.sin(t)
+        J[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[c, -s], [s, c]]
+    for i, x in enumerate(reals):
+        J[2 * len(pairs) + i, 2 * len(pairs) + i] = x
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    P = np.eye(n) + 0.4 * rng.standard_normal((n, n))
+    return P @ J @ np.linalg.inv(P)
+
+
+class TestDecomposeBitIdentity:
+    """The stacked solve and array-wide magnitudes and distances against the
+    former per-state loop, bit for bit."""
+
+    def check(self, traj, norm):
+        got = decompose_modes(traj)
+        ref = reference_decompose(traj)
+        if ref is None:
+            assert got.modes is None
+        else:
+            assert mode_bits([(m.eigenvalue, m.is_complex_pair, m.magnitudes,
+                               m.coefficients, m.sign_flips) for m in got.modes]) == \
+                mode_bits(ref)
+        rows = [np.array(d) for d in traj.transients]
+        if norm == "inf":
+            dists = [float(np.max(np.abs(d))) for d in rows]
+        else:
+            dists = [float(np.linalg.norm(d)) for d in rows]
+        assert bits(traj.distances) == bits(dists)
+        assert all(type(x) is float for x in traj.distances + traj.fixed_point
+                   + traj.states[-1] + traj.transients[-1] + traj.matrix[0])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), mixed_spectrum_matrices(), st.integers(1, 300),
+           st.sampled_from(["inf", "2"]))
+    def test_float_matrices(self, data, A, K, norm):
+        v0 = data.draw(st.lists(st.floats(-4, 4), min_size=len(A), max_size=len(A)))
+        self.check(iterate_local(v0, A, K, norm), norm)
+
+    # a matrix with an eigenvalue past 1 overflows to inf within 300 steps
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), local_matrices(), st.integers(1, 300), st.sampled_from(["inf", "2"]))
+    def test_rational_matrices(self, data, A, K, norm):
+        v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
+        self.check(iterate_local(v0, A, K, norm), norm)
+
+    @pytest.mark.parametrize("norm", ["inf", "2"])
+    def test_width6_scheme(self, norm):
+        traj = iterate_local(E1, A_MATRIX, 300, norm)
+        assert any(m[1] for m in reference_decompose(traj))
+        self.check(traj, norm)
 
 
 class TestTrajectoryCsv:

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from subdiv import localmatrix
@@ -523,6 +523,50 @@ class TestCharpolyFactors:
             M = w6_matrix(*params)
             assert route_factors(M) == sympy_factors(M), params
             assert len(calls) == (1 if fallback else 0), params
+
+
+def stacked_spectrum(M):
+    """The Spectrum with every factor, linear ones included, root-solved by
+    _roots_stacked, as spectra did before linear factors skipped it."""
+    L, B = M.integer_scaled()
+    vals = []
+    for f, mult in _charpoly_factors(B):
+        d = len(f) - 1
+        [roots] = _roots_stacked([[f[k] / L ** (d - k) for k in range(d, -1, -1)]])
+        vals += roots * mult
+    return Spectrum.from_values(vals)
+
+
+class TestLinearFactors:
+    """A monic linear factor y + f0 over L gets its root -f0/L by one integer
+    division, bit for bit the root the stacked eigvals and polish give."""
+
+    @given(st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80))
+    @example(0, 7)
+    @example(-1, 3)
+    def test_division_is_the_stacked_root(self, f0, L):
+        assert packed([-f0 / L]) == packed(_roots_stacked([[1.0, f0 / L]])[0])
+
+    @settings(max_examples=40)
+    @given(drawn_runs())
+    @example((-2, [F(0), F(1, 5), F(4, 5), F(4, 5), F(1, 5), F(0)]))  # w6 (0, 1/5)
+    @example(palindromic_coeffs(6, (F(1, 10), F(1, 5))))               # triple 1/10
+    def test_spectra_unchanged(self, drawn):
+        M = matrix_from_coeffs(*drawn)
+        assert packed(eigenvalues(M).eigenvalues) == packed(stacked_spectrum(M).eigenvalues)
+
+    def test_no_linear_row_reaches_the_stacked_solve(self, monkeypatch):
+        seen = []
+
+        def recording(rows):
+            seen.extend(rows)
+            return _roots_stacked(rows)
+
+        monkeypatch.setattr(localmatrix, "_roots_stacked", recording)
+        Ms = [w6_matrix(F(a, 10), F(b, 10)) for a in range(-5, 6) for b in range(-5, 6)]
+        for M, sp in zip(Ms, localmatrix.spectra([M.integer_scaled() for M in Ms])):
+            assert packed(sp.eigenvalues) == packed(stacked_spectrum(M).eigenvalues)
+        assert seen and all(len(row) > 2 for row in seen)
 
 
 class TestModularCertificate:
