@@ -8,30 +8,38 @@ square-free factors of its characteristic polynomial, each root-solved with
 Newton polishing; this keeps multiple eigenvalues accurate to ~1e-12 where a
 plain dense eigensolve loses half the digits at defective points.  spectra()
 solves many matrices at once, each given as an integer-scaled pair
-(L, B = L*A): the factors of all of them are grouped by shape, and each
-shape takes one stacked eigvals of companion matrices and one vectorised
-polish, bit-identical to np.roots and np.polyval per factor.  eigenvalues(M)
-is spectra([M.integer_scaled()])[0], so one root finder serves both.
+(L, B = L*A).  It groups them by order, and each integer step runs once per
+group, on one (N, n, n) stack of Python ints (numpy dtype=object): exact at
+any bit size, with no fixed-width path.  The factors of every matrix are
+then grouped by shape, and each shape takes one stacked eigvals of
+companion matrices and one vectorised polish, bit-identical to np.roots and
+np.polyval per factor.  eigenvalues(M) is spectra([M.integer_scaled()])[0],
+so one route serves both.
 
 The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
 entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
 q the characteristic polynomial of the central block, computed exactly in
-integers (Faddeev-LeVerrier on L*A).  When gcd(q, q') is a constant over
-GF(2^61 - 1), q is square-free and its own single class; otherwise Yun's
-split runs over GF(p), p a Mersenne prime above twice q's Mignotte bound,
-and is kept when its lifted factors multiply to q in integers.  Each corner
-then joins the class above its multiplicity as a root of q (0 when it is
-none), two classes up when the corners are equal (every palindromic mask).
+integers (Faddeev-LeVerrier on L*A, one stacked matrix product per step).
+A fraction-free remainder sequence of (q, q') over GF(2^61 - 1), run on the
+whole stack, certifies q square-free when it drops one degree at a time to
+a nonzero constant; q is then its own single class.  Any other q takes
+gcd(q, q') there on its own and, when that is not a constant, Yun's split
+over GF(p), p a Mersenne prime above twice q's Mignotte bound, kept when
+its lifted factors multiply to q in integers.  Each corner then joins the
+class above its multiplicity as a root of q (0 when it is none), two
+classes up when the corners are equal (every palindromic mask).
 
 A palindromic run makes A commute with the flip J (A[i][j] = A[n-1-i][n-1-j]),
 so the central block C is centrosymmetric.  Such a C of order 2k splits
 (Cantoni & Butler, 1976) into a J-even block P + QJ and a J-odd block P - QJ
 of order k, with P, Q the top-left and top-right k x k blocks of C; at
 order 2k+1 the J-even block also takes the middle column x and twice the
-middle row y, [[P + QJ, x], [2y^T, C_kk]], still in integers.  q is then the
-product of the two blocks' characteristic polynomials, each Faddeev-LeVerrier
-run on half the order; every other C takes the full route.  q is the same
-integer polynomial either way, so the factors and every root are unchanged.
+middle row y, [[P + QJ, x], [2y^T, C_kk]], still in integers.  The
+centrosymmetric rows of a stack (C equal to C[::-1, ::-1]) go to a J-even
+and a J-odd stack, each Faddeev-LeVerrier run on half the order, and q is
+the row-by-row product of the two; every other row takes the full order.
+q is the same integer polynomial either way, so the factors and every root
+are unchanged.
 
 The spectral class (complex pair, negative real count, simple eigenvalue 1
 with all others inside the unit disc) is decided once, at SPECTRAL_TOL, in
@@ -50,7 +58,9 @@ from .masks import Mask
 
 
 class EigensolveError(RuntimeError):
-    """No table prime split the charpoly, or its root count is not the order."""
+    """No table prime split the charpoly, a Faddeev-LeVerrier trace was not
+    divisible (the matrix was not integer), or the root count is not the
+    order."""
 
 
 @dataclass(frozen=True)
@@ -198,40 +208,73 @@ class Spectrum:
 # characteristic polynomial c(y) is monic with integer coefficients and
 # q(x) = c(Lx) / L^(n-2).  Coefficient lists run from y^0 up.
 
-def _charpoly(B: Sequence[Sequence[int]]) -> list[int]:
-    """det(yI - B) of a square integer matrix, exact (Faddeev-LeVerrier)."""
-    m = len(B)
-    c = [0] * (m + 1)
-    c[m] = 1
-    # M_1 = I, M_{k+1} = B M_k + c_{m-k} I: each step forms one product, and
-    # every division by k is exact
-    Mk = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+def _charpolys(S: np.ndarray) -> np.ndarray:
+    """det(yI - B) of each matrix of an (N, m, m) stack of Python ints
+    (dtype=object), as an (N, m + 1) stack, exact (Faddeev-LeVerrier)."""
+    N, m = S.shape[:2]
+    c = np.zeros((N, m + 1), dtype=object)
+    c[:, m] = 1
+    diag = np.arange(m)
+    # M_1 = I, M_{k+1} = B M_k + c_{m-k} I, c_{m-k} = -tr(B M_k) / k, every
+    # division exact: the first product B M_1 is B itself, and the last is
+    # needed only through its trace
+    P = S
     for k in range(1, m + 1):
-        cols = list(zip(*Mk))
-        Mk = [[sum(b * x for b, x in zip(row, col)) for col in cols] for row in B]
-        tr = sum(Mk[i][i] for i in range(m))
-        assert tr % k == 0
-        c[m - k] = -(tr // k)
-        for i in range(m):
-            Mk[i][i] += c[m - k]
+        if k > 1:
+            M = P.copy()
+            M[:, diag, diag] += c[:, m - k + 1, None]
+            P = S @ M if k < m else None
+        if P is None:
+            tr = (S * M.transpose(0, 2, 1)).sum(axis=(1, 2))
+        else:
+            tr = P[:, diag, diag].sum(axis=1)
+        if (tr % k).any():
+            raise EigensolveError("trace not divisible by %d in Faddeev-LeVerrier" % k)
+        c[:, m - k] = -(tr // k)
     return c
 
 
-def _flip_blocks(C: Sequence[Sequence[int]]):
-    """(J-even block, J-odd block) of a centrosymmetric integer matrix C,
-    whose characteristic polynomials multiply to C's; None when C is not
-    centrosymmetric.  Order m = 2k gives two blocks of order k; m = 2k+1
-    gives a J-even block of order k+1 and a J-odd block of order k."""
-    m = len(C)
-    if not all(list(C[i]) == list(C[m - 1 - i])[::-1] for i in range((m + 1) // 2)):
-        return None
+def _centrosymmetric(C: np.ndarray) -> np.ndarray:
+    """Which matrices of an (N, m, m) stack equal their flip J C J."""
+    return (C == C[:, ::-1, ::-1]).all(axis=(1, 2))
+
+
+def _flip_stacks(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J-even stack, J-odd stack) of an (N, m, m) stack of centrosymmetric
+    integer matrices, whose characteristic polynomials multiply to C's.
+    Order m = 2k gives two blocks of order k; m = 2k+1 gives a J-even
+    block of order k+1 and a J-odd block of order k."""
+    N, m = C.shape[:2]
     k = m // 2
-    even = [[C[i][j] + C[i][m - 1 - j] for j in range(k)] for i in range(k)]
-    odd = [[C[i][j] - C[i][m - 1 - j] for j in range(k)] for i in range(k)]
-    if m % 2:  # the middle basis vector e_k joins the J-even block
-        even = ([row + [C[i][k]] for i, row in enumerate(even)]
-                + [[2 * C[k][j] for j in range(k)] + [C[k][k]]])
+    P, QJ = C[:, :k, :k], C[:, :k, ::-1][:, :, :k]
+    odd = P - QJ
+    if m % 2 == 0:
+        return P + QJ, odd
+    # the middle basis vector e_k joins the J-even block
+    even = np.empty((N, k + 1, k + 1), dtype=object)
+    even[:, :k, :k] = P + QJ
+    even[:, :k, k] = C[:, :k, k]
+    even[:, k, :k] = 2 * C[:, k, :k]
+    even[:, k, k] = C[:, k, k]
     return even, odd
+
+
+def _central_charpolys(C: np.ndarray) -> np.ndarray:
+    """det(yI - C) of each matrix of an (N, m, m) stack, as an (N, m + 1)
+    stack: from the J-even and J-odd blocks on the centrosymmetric rows, the
+    product taken row by row, from the whole matrix on the others."""
+    N, m = C.shape[:2]
+    out = np.empty((N, m + 1), dtype=object)
+    sym = _centrosymmetric(C)
+    if sym.any():
+        even, odd = (_charpolys(b) for b in _flip_stacks(C[sym]))
+        prod = np.zeros((len(even), m + 1), dtype=object)
+        for j in range(odd.shape[1]):
+            prod[:, j:j + even.shape[1]] += even * odd[:, j, None]
+        out[sym] = prod
+    if not sym.all():
+        out[~sym] = _charpolys(C[~sym])
+    return out
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -241,15 +284,6 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def _central_charpoly(C: Sequence[Sequence[int]]) -> list[int]:
-    """det(yI - C), from the two half-size blocks when C is centrosymmetric."""
-    blocks = _flip_blocks(C)
-    if blocks is None:
-        return _charpoly(C)
-    even, odd = blocks
-    return _poly_mul(_charpoly(even), _charpoly(odd))
 
 
 # Mersenne primes, ascending; the last lies above every Mignotte bound
@@ -331,6 +365,32 @@ def _squarefree_split(c: Sequence[int]) -> dict[int, list[int]]:
     raise EigensolveError("no table prime splits the characteristic polynomial")
 
 
+def _certified(c: np.ndarray) -> np.ndarray:
+    """Which rows of an (N, d + 1) stack of monic integer polynomials are
+    square-free by a normal remainder sequence of (c, c') over GF(_PRIMES[0]):
+    each fraction-free pseudo-remainder exactly one degree lower than the
+    divisor, with a leading coefficient nonzero mod p, down to a nonzero
+    constant.  Over GF(p) each is a unit times the true remainder, so
+    gcd(c, c') is a unit there and c is square-free (see _squarefree_split).
+    A row left out may still be square-free: its sequence skipped a degree,
+    or p divides a subresultant."""
+    p = _PRIMES[0]
+    a = c % p
+    b = c[:, 1:] * np.arange(1, c.shape[1]) % p  # c', leading coefficient d
+    ok = np.ones(len(c), dtype=bool)
+    for d in range(c.shape[1] - 2, 0, -1):  # a of degree d + 1, b of degree d
+        lb = b[:, -1:]
+        # t = lb a - la y b has degree <= d; lb t less t's y^d term times b,
+        # degree <= d - 1
+        t = lb * a[:, :-1]
+        t[:, 1:] -= a[:, -1:] * b[:, :-1]
+        t %= p
+        r = (lb * t[:, :-1] - t[:, -1:] * b[:, :-1]) % p
+        ok &= r[:, -1] != 0
+        a, b = b, r
+    return ok
+
+
 def _horner(c: Sequence[int], y: int) -> int:
     """c(y), exact."""
     v = 0
@@ -349,28 +409,34 @@ def _over_linear(c: Sequence[int], r: int) -> list[int]:
     return q
 
 
-def _charpoly_factors(B: Sequence[Sequence[int]]) -> list[tuple[list[int], int]]:
-    """The monic square-free factorisation of det(yI - B), B = L*A an
-    integer-scaled local matrix: each factor an integer coefficient list with
-    its multiplicity, in ascending multiplicity.  det(xI - A) has the factors
-    f(Lx) / L^deg(f).
+def _charpoly_factors(B: Sequence[Sequence[Sequence[int]]]) -> list[list[tuple[list[int], int]]]:
+    """The monic square-free factorisation of det(yI - B) for each matrix of
+    a stack of integer-scaled local matrices B = L*A of one order (an
+    (N, n, n) array of Python ints, or anything np.array makes one of): each
+    factor an integer coefficient list with its multiplicity, in ascending
+    multiplicity.  det(xI - A) has the factors f(Lx) / L^deg(f).
 
-    The charpoly c of the central block comes first (_central_charpoly),
-    then its square-free split (_squarefree_split).  A corner that is a root of
+    The charpolys c of the central blocks come first, for the whole stack
+    (_central_charpolys), then the stacked certificate (_certified); a row it
+    leaves out takes _squarefree_split.  A corner that is a root of
     multiplicity m in c then moves to class m+1 (m+2 when both corners are
     that root; m = 0 when it is no root)."""
-    n = len(B)
-    c = _central_charpoly([row[1:n - 1] for row in B[1:n - 1]])
-    first, last = B[0][0], B[n - 1][n - 1]
-    classes = _squarefree_split(c)
-    for r in {first, last}:
-        m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
-        if m:
-            classes[m] = _over_linear(classes[m], r)
-        up = m + (2 if first == last else 1)
-        classes[up] = _poly_mul(classes.get(up, [1]), [-r, 1])
-    factors = [(classes[m], m) for m in sorted(classes)]
-    return [(f, m) for f, m in factors if len(f) > 1]
+    S = np.array(B, dtype=object)
+    n = S.shape[1]
+    cs = _central_charpolys(S[:, 1:n - 1, 1:n - 1])
+    out = []
+    for c, certified, first, last in zip(cs.tolist(), _certified(cs).tolist(),
+                                         S[:, 0, 0].tolist(), S[:, -1, -1].tolist()):
+        classes = {1: c} if certified else _squarefree_split(c)
+        for r in {first, last}:
+            m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
+            if m:
+                classes[m] = _over_linear(classes[m], r)
+            up = m + (2 if first == last else 1)
+            classes[up] = _poly_mul(classes.get(up, [1]), [-r, 1])
+        factors = [(classes[m], m) for m in sorted(classes)]
+        out.append([(f, m) for f, m in factors if len(f) > 1])
+    return out
 
 
 def _polyval(P: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -430,18 +496,28 @@ def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
 
 def spectra(scaled: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> list[Spectrum]:
     """The Spectrum of each local matrix A, given as an integer-scaled pair
-    (L, B = L*A), all eigenvalues with multiplicity, from the exact
-    square-free factors of its characteristic polynomial.  Any L that makes
-    B integer gives the same floats: a factor's coefficients in x are the
-    same rationals f_k / L^(d-k) whatever L is, each one correctly rounded.
-    The factors of every matrix are root-solved together: one stacked
+    (L, B = L*A), B any n x n integer array-like (nested sequences, or an
+    object array of Python ints), all eigenvalues with multiplicity, from
+    the exact square-free factors of its characteristic polynomial.  The
+    matrices are grouped by order, and _charpoly_factors runs once per
+    order on the stack of that order's B.  Any L that makes B integer gives
+    the same floats: a factor's coefficients in x are the same rationals
+    f_k / L^(d-k) whatever L is, each one correctly rounded.  The factors
+    of every matrix are root-solved together: one stacked
     eigvals per factor shape, bit-identical to np.roots per factor, then
     three Newton steps; residuals are bounded by the polish (|p(mu)| ~
     machine eps relative to the coefficient scale).  A linear factor skips
     both: its root is one integer division."""
+    by_order: dict[int, list[int]] = {}
+    for i, (_, B) in enumerate(scaled):
+        by_order.setdefault(len(B), []).append(i)
+    factors: list = [None] * len(scaled)
+    for idx in by_order.values():
+        for i, fs in zip(idx, _charpoly_factors([scaled[i][1] for i in idx])):
+            factors[i] = fs
     owners, rows = [], []
-    for i, (L, B) in enumerate(scaled):
-        for f, mult in _charpoly_factors(B):
+    for i, ((L, _), fs) in enumerate(zip(scaled, factors)):
+        for f, mult in fs:
             d = len(f) - 1
             if d == 1:
                 # monic linear: the root -f0/L correctly rounded, which is

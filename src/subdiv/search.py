@@ -23,8 +23,10 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import Optional, Sequence, TextIO
 
+import numpy as np
+
 from .convergence import is_contractive
-from .localmatrix import local_entries, spectra, w6_discriminant
+from .localmatrix import spectra, w6_discriminant
 
 
 @dataclass(frozen=True)
@@ -126,24 +128,29 @@ class SearchResult:
                 if c.cls is CellClass.COMPLEX_CONVERGENT and not c.degenerate]
 
 
-# Cells per spectra call in scan.  One call stacks the float root finding of
-# its cells.  On the family-scan benchmark (seed 7, integer exact pass) a
-# whole-grid stack raised peak RSS from 42.0 to 47.0 MB; blocks of this size
-# ran as fast (1.63 against 1.61 s).
+# Cells per spectra call in scan.  One call stacks both the exact integer
+# stage and the float root finding of its cells.  On the family-scan
+# benchmark (--trace 0, scaled, seeds 1-3, 2 cores) blocks of 1024 cells
+# took 0.545 / 0.590 / 0.580 s against 0.696 / 0.609 / 0.591 s for 256, but
+# raised peak RSS from 41.6-41.7 to 43.2-43.5 MB; a whole-grid stack had
+# raised it to 47.0 MB before the exact stage was stacked.
 SCAN_BLOCK = 256
 
 
 def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     """Classify every grid cell of the family by spectrum and contractivity,
-    in blocks of SCAN_BLOCK cells: the exact per-cell pass, then one
-    spectra call for the block.
+    in blocks of SCAN_BLOCK cells: the exact per-cell pass, then the
+    block's local matrices as one stack and one spectra call on it.
 
     The exact pass runs in integers.  Every grid value is a numerator over
     the grid's common denominator D = lcm(2, each range's lo and step
     denominators), so each cell's run is too: contractivity is tested as a
     parity norm < D, the width-6 degenerate flag as D^2 times the
-    discriminant == 0, and spectra gets the pair (D, D*A).  No Fraction or LocalMatrix is built per
-    cell, and the floats equal those of each cell's own lcm."""
+    discriminant == 0.  The runs fill the middle of an (N, 3n - 2) array
+    of Python ints, zero-padded by n - 1 on each side, and one index array
+    (local_entries' rule) reads the (N, n, n) stack of D*A from it; spectra
+    gets the pairs (D, D*A).  No Fraction or LocalMatrix is built per cell,
+    and the floats equal those of each cell's own lcm."""
     try:
         n_cells = math.prod(len(r) for r in spec.param_ranges)
     except OverflowError:  # a single range longer than sys.maxsize
@@ -158,18 +165,25 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     cells: list[Cell] = []
     counts = {c.value: 0 for c in CellClass}
     witnesses: dict[str, Cell] = {}
+    n = spec.width
+    # the local_entries rule: A[i][j] reads the run at 2j - i, so the padded
+    # run at 2j - i + n - 1
+    i, j = np.indices((n, n))
+    entry = 2 * j - i + n - 1
     grid = product(*axes)  # one empty tuple when the family has no parameter
     while block := list(islice(grid, SCAN_BLOCK)):
-        scaled, exact = [], []
-        for point in block:
+        padded = np.zeros((len(block), 3 * n - 2), dtype=object)
+        exact = []
+        for k, point in enumerate(block):
             nums = [x for _, x in point]
-            support_min, run = _run_numerators(spec.width, nums, den)
-            scaled.append((den, local_entries(run, 0)))
+            support_min, run = _run_numerators(n, nums, den)
+            padded[k, n - 1:2 * n - 1] = run
             # Theorem-1 conditions hold by construction; the filter adds the
             # contractivity requirement for the Convergent classes.
             convergent = is_contractive(support_min, run, den) if spec.convergence_filter else True
-            degenerate = spec.width == 6 and w6_discriminant(nums[0], nums[1], den) == 0
+            degenerate = n == 6 and w6_discriminant(nums[0], nums[1], den) == 0
             exact.append((tuple(v for v, _ in point), convergent, degenerate))
+        scaled = [(den, B) for B in padded[:, entry]]
         for (params, convergent, degenerate), sp in zip(exact, spectra(scaled)):
             if sp.has_complex:
                 cls = CellClass.COMPLEX_CONVERGENT if convergent else CellClass.COMPLEX_OTHER

@@ -12,7 +12,7 @@ import numpy as np
 from subdiv.convergence import certify, contractivity_norm, difference_scheme, smooth_lift
 from subdiv.dynamics import decompose_modes, iterate_local
 from subdiv.localmatrix import (build_local_matrix, complex_region_predicate,
-                               eigenvalues, matrix_from_coeffs, w5_closed_form,
+                               eigenvalues, matrix_from_coeffs, spectra, w5_closed_form,
                                w6_closed_form, w6_discriminant)
 from subdiv.masks import catalog_get
 from subdiv.refine import basis_points_exact, delta, refine_once
@@ -76,16 +76,14 @@ def test_criterion_04_width5_closed_form():
 
 def test_criterion_05_width6_closed_form():
     def body():
-        for i in range(-50, 51):
-            for j in range(-50, 51):
-                a, b = F(i, 100), F(j, 100)
-                c = 1 - a - b
-                M = matrix_from_coeffs(-2, (a, b, c, c, b, a))
-                vals = eigenvalues(M).eigenvalues
-                _match(vals, w6_closed_form(a, b).eigenvalues, 1e-8)
-                if abs(w6_discriminant(a, b)) >= F(1, 10 ** 10):
-                    numc = max(abs(v.imag) for v in vals) > 1e-7
-                    assert complex_region_predicate(a, b) == numc
+        grid = [(F(i, 100), F(j, 100)) for i in range(-50, 51) for j in range(-50, 51)]
+        Ms = [matrix_from_coeffs(-2, (a, b, 1 - a - b, 1 - a - b, b, a)) for a, b in grid]
+        for (a, b), sp in zip(grid, spectra([M.integer_scaled() for M in Ms])):
+            vals = sp.eigenvalues
+            _match(vals, w6_closed_form(a, b).eigenvalues, 1e-8)
+            if abs(w6_discriminant(a, b)) >= F(1, 10 ** 10):
+                numc = max(abs(v.imag) for v in vals) > 1e-7
+                assert complex_region_predicate(a, b) == numc
     _criterion(5, "width-6 closed form + predicate on 101x101 grid", body)
 
 

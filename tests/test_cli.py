@@ -330,7 +330,7 @@ def test_order_cap_exits_before_any_matrix(capsys, monkeypatch, tmp_path, comman
     def no_charpoly(*args):
         raise AssertionError("eigensolve ran past the order cap")
 
-    monkeypatch.setattr(localmatrix, "_charpoly", no_charpoly)
+    monkeypatch.setattr(localmatrix, "_charpolys", no_charpoly)
     n = localmatrix.MAX_ORDER
     assert localmatrix.matrix_from_coeffs(0, [F(1, n)] * n).n == n
     path = tmp_path / "wide.json"

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from subdiv import localmatrix
-from subdiv.localmatrix import (_PRIMES, Spectrum, _central_charpoly, _charpoly,
-                                _charpoly_factors, _flip_blocks, _poly_mul, _roots_stacked,
-                                _squarefree_split, build_local_matrix,
+from subdiv.localmatrix import (_PRIMES, Spectrum, _central_charpolys, _centrosymmetric,
+                                _certified, _charpoly_factors, _charpolys, _flip_stacks,
+                                _gcd_mod, _poly_mul, _roots_stacked, _squarefree_split,
+                                build_local_matrix,
                                 complex_region_predicate, eigenvalues,
                                 matrix_from_coeffs, w5_closed_form,
                                 w6_closed_form, w6_discriminant)
@@ -320,9 +321,14 @@ class TestRowSumEigenvector:
 Y = sympy.Symbol("y")
 
 
+def stack(*matrices):
+    """Integer matrices of one order as an (N, m, m) stack of Python ints."""
+    return np.array(matrices, dtype=object)
+
+
 def full_charpoly(M):
-    """det(yI - L*A), from _charpoly on the whole integer matrix."""
-    return _charpoly(M.integer_scaled()[1])
+    """det(yI - L*A), from sympy's charpoly of the whole integer matrix."""
+    return sympy_charpoly(M.integer_scaled()[1])
 
 
 def _family_charpolys():
@@ -428,12 +434,19 @@ def sympy_factors(M):
                   for f, m in factors if f.degree() > 0)
 
 
+def route_factors_of(Ms):
+    """_charpoly_factors of the integer-scaled Ms, local matrices of one
+    order, in one stack; each checked to be in ascending multiplicity."""
+    out = []
+    for factors in _charpoly_factors([M.integer_scaled()[1] for M in Ms]):
+        assert [m for _, m in factors] == sorted(m for _, m in factors)
+        out.append(sorted(factors))
+    return out
+
+
 def route_factors(M):
-    """_charpoly_factors of the integer-scaled M, checked to be in ascending
-    multiplicity."""
-    factors = _charpoly_factors(M.integer_scaled()[1])
-    assert [m for _, m in factors] == sorted(m for _, m in factors)
-    return sorted(factors)
+    [factors] = route_factors_of([M])
+    return factors
 
 
 def w6_double_pair(t):
@@ -474,9 +487,10 @@ def drawn_runs(draw):
 class TestCharpolyFactors:
     def test_matches_sympy_on_every_grid_cell(self):
         for w in (4, 5, 6, 7, 8):
-            for params in product(*(r.values() for r in default_grid(w))):
-                M = matrix_from_coeffs(*palindromic_coeffs(w, params))
-                assert route_factors(M) == sympy_factors(M), (w, params)
+            grid = list(product(*(r.values() for r in default_grid(w))))
+            Ms = [matrix_from_coeffs(*palindromic_coeffs(w, params)) for params in grid]
+            for params, M, factors in zip(grid, Ms, route_factors_of(Ms)):
+                assert factors == sympy_factors(M), (w, params)
 
     @given(drawn_runs())
     @example((-2, [F(0), F(1, 5), F(4, 5), F(4, 5), F(1, 5), F(0)]))  # w6 (0, 1/5)
@@ -497,7 +511,7 @@ class TestCharpolyFactors:
                           for row in M.entries], (n, n), QQ)
         ref = sympy.Poly(A.charpoly(), x, domain="QQ")
         L, B = M.integer_scaled()
-        c = _charpoly([row[1:n - 1] for row in B[1:n - 1]])
+        [c] = _central_charpolys(np.array(B, dtype=object)[None, 1:n - 1, 1:n - 1]).tolist()
         q = sympy.Poly([QQ(ck, L ** (n - 2 - k)) for k, ck in reversed(list(enumerate(c)))],
                        x, domain="QQ")
         first, last = (sympy.Poly([1, -QQ(e.numerator, e.denominator)], x, domain="QQ")
@@ -530,7 +544,7 @@ def stacked_spectrum(M):
     _roots_stacked, as spectra did before linear factors skipped it."""
     L, B = M.integer_scaled()
     vals = []
-    for f, mult in _charpoly_factors(B):
+    for f, mult in _charpoly_factors([B])[0]:
         d = len(f) - 1
         [roots] = _roots_stacked([[f[k] / L ** (d - k) for k in range(d, -1, -1)]])
         vals += roots * mult
@@ -639,7 +653,7 @@ class TestSizeCap:
         rng = random.Random(24)
         half = [F(rng.randrange(-L + 1, L), L) for _ in range(12)]
         n, (_, B) = 24, matrix_from_coeffs(-11, half[::-1] + half).integer_scaled()
-        c = _central_charpoly([row[1:n - 1] for row in B[1:n - 1]])
+        [c] = _central_charpolys(stack([row[1:n - 1] for row in B[1:n - 1]])).tolist()
         bound = 2 ** len(c) * (math.isqrt(sum(x * x for x in c)) + 1)
         assert bound.bit_length() <= 22 * 500 + 44 + 2 + 11 * math.log2(22) < top
 
@@ -673,10 +687,10 @@ class TestFlipSplit:
     @given(centrosymmetric())
     def test_split_charpoly_matches_full_route_and_sympy(self, C):
         m = len(C)
-        even, odd = _flip_blocks(C)
+        [even], [odd] = _flip_stacks(stack(C))
         assert (len(even), len(odd)) == ((m + 1) // 2, m // 2)
         ref = sympy_charpoly(C)
-        assert _central_charpoly(C) == _charpoly(C) == ref
+        assert _central_charpolys(stack(C))[0].tolist() == _charpolys(stack(C))[0].tolist() == ref
         # the J-symmetry check: the J-even and J-odd characteristic
         # polynomials, each from sympy, multiply to the whole one
         x = sympy.Symbol("x")
@@ -684,9 +698,9 @@ class TestFlipSplit:
         assert halves[0] * halves[1] == sympy.Poly(list(reversed(ref)), x)
 
     def test_not_centrosymmetric(self):
-        assert _flip_blocks([[1, 2], [3, 1]]) is None
-        assert _flip_blocks([[1, 2, 3], [4, 5, 6], [3, 2, 1]]) is None  # middle row
-        assert _flip_blocks([[1, 2, 3], [4, 5, 4], [3, 2, 1]]) is not None
+        assert _centrosymmetric(stack([[1, 2], [3, 1]])).tolist() == [False]
+        assert _centrosymmetric(stack([[1, 2, 3], [4, 5, 6], [3, 2, 1]],  # middle row
+                                      [[1, 2, 3], [4, 5, 4], [3, 2, 1]])).tolist() == [False, True]
 
     @pytest.mark.parametrize("support_min, run, orders", [
         (-6, W13R, [11]),                                # asymmetric: unsplit
@@ -697,14 +711,151 @@ class TestFlipSplit:
     def test_route_by_symmetry(self, monkeypatch, support_min, run, orders):
         seen = []
 
-        def counted(B):
-            seen.append(len(B))
-            return _charpoly(B)
+        def counted(S):
+            seen.append(S.shape[1])
+            return _charpolys(S)
 
-        monkeypatch.setattr(localmatrix, "_charpoly", counted)
+        monkeypatch.setattr(localmatrix, "_charpolys", counted)
         M = matrix_from_coeffs(support_min, run)
         assert route_factors(M) == sympy_factors(M)
         assert seen == orders
+
+
+# -- the stacked exact stage ----------------------------------------------
+
+@st.composite
+def central_stacks(draw):
+    """An (N, m, m) stack, m = 0 .. MAX_ORDER - 2 (the central orders), of
+    integer matrices of up to 3, 66 or 80 bits (past 2^64); each row drawn
+    general or centrosymmetric."""
+    m = draw(st.integers(0, localmatrix.MAX_ORDER - 2))
+    bound = 2 ** draw(st.sampled_from([3, 66, 80]))
+    rnd = draw(st.randoms(use_true_random=False))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        vals = [rnd.randint(-bound, bound) for _ in range(m * m)]
+        if draw(st.booleans()):
+            rows.append([[vals[min(i * m + j, (m - 1 - i) * m + m - 1 - j)] for j in range(m)]
+                         for i in range(m)])
+        else:
+            rows.append([[vals[i * m + j] for j in range(m)] for i in range(m)])
+    return np.array(rows, dtype=object).reshape(len(rows), m, m)
+
+
+@st.composite
+def mixed_order_runs(draw):
+    """1-4 (support_min, run) pairs of widths 2 to MAX_ORDER, palindromic or
+    not, coefficients in [-2, 2]; over the denominator 2^64 + 13 the
+    integer-scaled entries pass 2^64."""
+    runs = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.integers(2, localmatrix.MAX_ORDER))
+        den = draw(st.sampled_from([1, 3, 10, 2 ** 64 + 13]))
+        run = draw(st.lists(st.integers(-2 * den, 2 * den).map(lambda x: F(x, den)),
+                            min_size=w, max_size=w))
+        if draw(st.booleans()):
+            run = run[:(w + 1) // 2] + run[:w // 2][::-1]
+        runs.append((draw(st.integers(-w, 1)), run))
+    return runs
+
+
+class TestStackedCharpoly:
+    """The stacked Faddeev-LeVerrier on Python ints, against sympy."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(central_stacks())
+    @example(stack([[2 ** 64 + 5 * (i - j) ** 2 for j in range(4)] for i in range(4)],
+                   [[2 ** 64 + i + 2 * j for j in range(4)] for i in range(4)]))
+    @example(stack([[2 ** 64, 2 ** 64 + 1, 1], [7, 2 ** 65, 7], [1, 2 ** 64 + 1, 2 ** 64]]))
+    def test_central_charpolys_match_sympy(self, S):
+        got = _central_charpolys(S).tolist()
+        assert got == _charpolys(S).tolist()
+        assert got == [sympy_charpoly(C.tolist()) if len(C) else [1] for C in S]
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_central_orders_zero_and_one(self, m):
+        S = np.full((3, m, m), 5, dtype=object)
+        assert _central_charpolys(S).tolist() == [[-5, 1] if m else [1]] * 3
+
+    def test_a_trace_not_divisible_is_an_eigensolve_error(self):
+        # a rational entry leaves tr(B M_1) = 1/2 not divisible by 1: the
+        # check raises, and is no assert that python -O removes
+        with pytest.raises(localmatrix.EigensolveError, match="not divisible by 1"):
+            _charpolys(stack([[F(1, 2)]]))
+
+    @settings(max_examples=20, deadline=None)
+    @given(mixed_order_runs())
+    @example([(0, [F(2 ** 64 + 1, 2 ** 65)] * 24), (-1, [F(1), F(-2 ** 64, 2 ** 64 + 13)]),
+              (0, [F(0), F(2 ** 65, 2 ** 64 + 13), F(0)]),
+              (-2, [F(1, 4), F(2 ** 64, 2 ** 64 + 13), F(1, 4)] * 2)])
+    def test_mixed_orders_in_one_call(self, runs):
+        # spectra groups by order: one factor stack per order, every matrix
+        # in one of them, its factors multiplying to sympy's charpoly
+        stacks = []
+
+        def recorded(Bs):
+            out = factor_stack(Bs)
+            stacks.append((np.array(Bs, dtype=object), out))
+            return out
+
+        factor_stack = localmatrix._charpoly_factors
+        Ms = [matrix_from_coeffs(*r) for r in runs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(localmatrix, "_charpoly_factors", recorded)
+            got = localmatrix.spectra([M.integer_scaled() for M in Ms])
+        orders = [S.shape[1] for S, _ in stacks]
+        assert sorted(orders) == sorted(set(M.n for M in Ms))
+        assert sum(len(S) for S, _ in stacks) == len(Ms)
+        for S, out in stacks:
+            for B, factors in zip(S.tolist(), out):
+                assert times(*(f for f, m in factors for _ in range(m))) == sympy_charpoly(B)
+        assert got == [eigenvalues(M) for M in Ms]
+
+
+def derivative(c):
+    return [k * x for k, x in enumerate(c)][1:]
+
+
+monic_row_stacks = st.integers(0, 8).flatmap(
+    lambda d: st.lists(st.lists(BIG, min_size=d, max_size=d).map(lambda f: f + [1]),
+                       min_size=1, max_size=6))
+
+
+class TestStackedCertificate:
+    """_certified clears a row only when gcd(c, c') is a unit over GF(p)."""
+
+    @given(monic_row_stacks)
+    def test_certified_rows_have_a_unit_gcd(self, rows):
+        for c, ok in zip(rows, _certified(np.array(rows, dtype=object))):
+            if ok:
+                assert _gcd_mod(c, derivative(c), _PRIMES[0]) == [1], c
+
+    @given(st.integers(1, 8).flatmap(lambda d: st.lists(
+        st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=1, max_size=6)))
+    def test_squares_are_never_certified(self, roots):
+        rows = [times(*([-x, 1] for x in r)) for r in roots]
+        for r, ok in zip(roots, _certified(np.array(rows, dtype=object))):
+            assert not ok or len(set(r)) == len(r), r
+
+    def test_repeated_root(self):
+        assert _certified(stack([1, 2, 1])).tolist() == [False]
+
+    @pytest.mark.parametrize("c", [[2, 3, 3, 1], [-1, 0, 0, 1]])
+    def test_abnormal_sequences_take_the_split(self, monkeypatch, c):
+        # (y + 2)(y^2 + y + 1) and y^3 - 1 are square-free, but a
+        # pseudo-remainder skips a degree: no certificate, and the per-row
+        # split still returns c whole, without Yun
+        assert _certified(stack(c, [0, -1, 0, 1])).tolist() == [False, True]
+
+        def no_lift(*args):
+            raise AssertionError("Yun ran on a square-free c")
+
+        monkeypatch.setattr(localmatrix, "_yun_lift", no_lift)
+        assert _squarefree_split(c) == {1: c}
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_constant_and_linear_rows(self, d):
+        assert _certified(stack(*[[3] * d + [1]] * 2)).tolist() == [True, True]
 
 
 class TestScaleInvariance:

@@ -228,6 +228,23 @@ class TestIntegerScan:
         assert fallbacks
         assert [c.params for c in scan(spec).cells if c.degenerate] == [(F(0), F(1, 3))]
 
+    @pytest.mark.parametrize("width", range(2, 9))
+    def test_block_matrices_follow_the_index_rule(self, monkeypatch, width):
+        # scan gathers a block's matrices from the padded runs with one index
+        # array; each pair (L, B) is the cell's local matrix times L
+        seen = []
+
+        def recorded(scaled):
+            seen.extend(scaled)
+            return spectra(scaled)
+
+        monkeypatch.setattr(search, "spectra", recorded)
+        result = scan(SearchSpec(width, odd_denominator_grid(width)))
+        assert len(seen) == len(result.cells)
+        for (L, B), cell in zip(seen, result.cells):
+            M = matrix_from_coeffs(*palindromic_coeffs(width, cell.params))
+            assert [[F(x, L) for x in row] for row in B.tolist()] == [list(r) for r in M.entries]
+
     def test_no_fraction_or_local_matrix_per_cell(self, monkeypatch):
         made = []
         original_new = F.__new__
