@@ -467,7 +467,8 @@ def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
     np.roots and np.polyval do it, so every root is bit-identical to a call
     of those per row.  As in a single eigvals call, a row whose eigenvalues
     all have a zero imaginary part is polished in float64, others in
-    complex128."""
+    complex128.  EigensolveError when a polished root is not finite: the
+    polish overflowed on coefficients near the float range."""
     groups: dict[tuple[int, int], list[int]] = {}
     for k, cf in enumerate(rows):
         nz = max(j for j, x in enumerate(cf) if x)
@@ -488,7 +489,10 @@ def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
         real = np.all(W.imag == 0, axis=1)
         for sel, X in ((real, W.real), (~real, W)):
             if sel.any():
-                X = _polish(P[sel], X[sel])
+                with np.errstate(all="ignore"):  # overflow shows as a non-finite root
+                    X = _polish(P[sel], X[sel])
+                if not np.isfinite(X).all():
+                    raise EigensolveError("an eigenvalue leaves the float range")
                 for k, r in zip(np.flatnonzero(sel), X.tolist()):
                     out[idx[k]] = r
     return out

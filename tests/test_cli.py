@@ -79,6 +79,18 @@ class TestAnalyze:
         assert code == 2
         assert "i/o error" in err
 
+    def test_eigenvalue_past_float_range_is_an_error(self, capsys, tmp_path):
+        # within the bit-size cap (16 * 65 bits), but the factor coefficients
+        # pass the float range and the Newton polish overflows: no NaN in the
+        # report, no RuntimeWarning, exit 1
+        path = tmp_path / "wide.json"
+        save_scheme(SchemeRecord("wide", Mask(0, (F(1),) + (F(0),) * 14 + (F(1), F(0), F(2 ** 64)))),
+                    path)
+        with np.errstate(all="raise"):
+            code, out, err = run(capsys, "analyze", "--scheme", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: an eigenvalue leaves the float range\n"
+
 
 class TestRefineAndBasis:
     def test_basis_row_count(self, capsys):
@@ -118,10 +130,10 @@ class TestRefineAndBasis:
 
     def test_level_cap_exits_before_refining(self, capsys, monkeypatch, tmp_path):
         # a width-1 mask keeps one point, so only the level cap bounds the time
-        def no_step(P, mask):
+        def no_step(P, mask, k):
             raise AssertionError("refined before the level cap was checked")
 
-        monkeypatch.setattr(refine, "refine_once", no_step)
+        monkeypatch.setattr(refine, "_refine", no_step)
         path = tmp_path / "w1.json"
         save_scheme(SchemeRecord("w1", Mask(0, (F(2, 3),))), path)
         code, out, err = run(capsys, "refine", "--scheme", str(path), "--iters", "100000000")
@@ -129,10 +141,10 @@ class TestRefineAndBasis:
         assert "refinement would exceed level 60" in err
 
     def test_memory_cap_exits_before_refining(self, capsys, monkeypatch):
-        def no_step(P, mask):
+        def no_step(P, mask, k):
             raise AssertionError("refined before the memory cap was checked")
 
-        monkeypatch.setattr(refine, "refine_once", no_step)
+        monkeypatch.setattr(refine, "_refine", no_step)
         code, out, err = run(capsys, "basis", "--scheme", "catalog:a", "--iters", "20")
         assert code == 1 and out == ""
         assert "refinement would exceed 1024 MB of memory" in err
@@ -206,6 +218,13 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--width", "5", "--grid", "0:1")
         assert code == 1
         assert "grid range" in err
+
+    def test_cell_past_float_range_is_an_error(self, capsys):
+        grid = "0:%d:%d,0:1/4:1/4" % (2 ** 300, 2 ** 300)
+        with np.errstate(all="raise"):
+            code, out, err = run(capsys, "search", "--width", "6", "--grid", grid)
+        assert code == 1 and out == ""
+        assert err == "error: an eigenvalue leaves the float range\n"
 
     # the second grid has more points than len() can return
     @pytest.mark.parametrize("grid", ["0:1000000:1/1000000", "0:1e30:1e-30"])

@@ -148,6 +148,15 @@ class TestScan:
         with pytest.raises(ValueError, match="cap is"):
             scan(huge)
 
+    def test_cell_past_float_range_ends_the_scan(self):
+        # the cell at a = 2^300 has factor coefficients near the float range
+        # and its Newton polish overflows: the whole scan is an error, as a
+        # cell past 2^1024 is one (OverflowError), not a NaN classification
+        spec = SearchSpec(6, (GridRange(F(0), F(2 ** 300), F(2 ** 300)),
+                              GridRange(F(0), F(1, 4), F(1, 4))))
+        with pytest.raises(localmatrix.EigensolveError, match="leaves the float range"):
+            scan(spec)
+
     def test_contractivity_builds_no_mask(self, monkeypatch):
         built = []
         original = Mask.__post_init__
