@@ -9,16 +9,18 @@ form), with rotation angle arg(mu).
 For a rational matrix the trajectory and the left eigenvector are exact and
 use integer arithmetic only: A is scaled once to the integer matrix B = L A,
 L the lcm of its denominators; the eigenvector comes from fraction-free
-elimination on B^T - L I, and each state is integer numerators over one
-denominator.  Every reported float is one correctly rounded integer
-division.
+elimination on B^T - L I, and the trajectory is kept as its transients
+v_k - f 1 (f 1 the fixed point): integer numerators over one denominator,
+stepped by one recurrence without any gcd.  Every reported float is one
+correctly rounded integer division.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO, Union
+from itertools import islice
+from typing import Iterator, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -43,7 +45,10 @@ class EigenMode:
 
 @dataclass(frozen=True)
 class TrajectoryReport:
-    states: tuple[tuple[float, ...], ...]
+    # v_k - fixed_point for k = 0..K, not the states: a rational matrix
+    # admits an exact trajectory whose transients keep full relative
+    # precision long after float states have cancelled to noise
+    transients: tuple[tuple[float, ...], ...]
     fixed_point: tuple[float, ...]
     distances: tuple[float, ...]
     monotonicity_violations: int
@@ -51,10 +56,6 @@ class TrajectoryReport:
     modes: Optional[tuple[EigenMode, ...]] = None
     rotation: Optional[tuple[float, float]] = None  # (rho, theta) of dominant pair
     mode_diagnostic: Optional[str] = None
-    # transients v_k - fixed_point; carried separately because a rational
-    # matrix admits an exact trajectory whose differences keep full relative
-    # precision long after float states have cancelled to noise
-    transients: Optional[tuple[tuple[float, ...], ...]] = None
 
 
 def window_vector(P: ControlPolygon, center_index: int, n: int) -> tuple[float, ...]:
@@ -113,44 +114,55 @@ def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[
 
 # iterate_local refuses more steps than this before any work: the exact
 # trajectory's cost grows about as K^2 (its operands grow by log2(L) bits a
-# step), and K = 10^4 takes 46 s on the slowest of the benchmark's random
-# rational masks of width 20 (3.11, one core)
+# step, den_k = den_0 L^k), and K = 10^4 takes 18-23 s on the slowest of
+# the benchmark's random rational masks of width 20 (Python 3.11, one core)
 MAX_K = 10 ** 4
 
 
-def _step(rows, L: int, q: int, nums: list[int], den: int) -> tuple[list[int], int]:
-    """One exact step A v on integer numerators over den, A = B / L with the
-    nonzero taps of each row of B given as (column, tap) pairs.
+def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
+                          B: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], int]]:
+    """The transients v_k - f 1 of v_{k+1} = A v_k, A = B / L with B
+    integer, as (integer numerators, one positive denominator) for
+    k = 0, 1, ...
 
-    The result is reduced, gcd(den, *nums) == 1.  Every prime of den divides
-    q, so that gcd is divided out a common divisor of q at a time, each found
-    from remainders mod q: linear in the operand size, where one gcd of the
-    growing operands is quadratic.
+    With the state N_k / den_k (den_k = den_0 L^k, N_{k+1} = B N_k) and
+    f = fn / fd, the transient is T_k / (fd den_k) with
+    T_k = fd N_k - fn den_k 1, which steps as T_{k+1} = B T_k + fn den_k r,
+    r = B 1 - L 1 (zero when every row of A sums to 1).  A step is one
+    product of numpy arrays of Python ints (dtype=object); nothing is
+    reduced, so the operands grow by log2(L) bits a step.
     """
-    out = [sum(b * nums[j] for j, b in row) for row in rows]
-    den *= L
-    while (t := math.gcd(q, den % q, *(x % q for x in out))) != 1:
-        out = [x // t for x in out]
-        den //= t
-    return out, den
+    fn, fd = f.numerator, f.denominator
+    den = math.lcm(*(x.denominator for x in v))
+    Bq = np.array(B, dtype=object)
+    r = Bq.sum(axis=1) - L
+    shift, common = fn * den, fd * den
+    T = np.array([fd * x.numerator * (den // x.denominator) - shift for x in v],
+                 dtype=object)
+    while True:
+        yield T.tolist(), common
+        T = Bq @ T + shift * r
+        shift *= L
+        common *= L
 
 
 def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
                   K: int, norm: str = "inf") -> TrajectoryReport:
-    """States [v0, A v0, ..., A^K v0] plus fixed point and distance profile.
+    """Transients [v0 - f, A v0 - f, ..., A^K v0 - f] and distances to the
+    fixed point f.
 
     The fixed point is (u . v0) * ones with u the left eigenvector for
     eigenvalue 1 normalized to u . ones = 1; this is exact in the limit and
     independent of K.  For a LocalMatrix whose eigenvalue 1 is simple the
-    whole trajectory is exact: the state is integer numerators over one
-    denominator, stepped by the integer matrix B = L A, and each reported
-    float (a state entry or its difference from the fixed point) is one
-    correctly rounded integer division, kept as a Python float.  The
-    distances are taken over one array of all transients: the inf-norm as
-    one row-wise max, the 2-norm as np.linalg.norm of each row.  The
-    spectrum is not checked: a non-convergent matrix still yields its
-    trajectory (Spectrum.convergence_spectral_ok decides convergence).  K is
-    at most MAX_K.
+    whole trajectory is exact (_transient_numerators): integer numerators over
+    one denominator, stepped by the integer matrix B = L A, and each
+    transient entry is one correctly rounded integer division, kept as a
+    Python float.  The distances are taken over one array of all
+    transients: the inf-norm as one row-wise max, the 2-norm as
+    np.linalg.norm of each row.  The spectrum is not checked: a
+    non-convergent matrix still yields its trajectory
+    (Spectrum.convergence_spectral_ok decides convergence).  K is at most
+    MAX_K.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -167,23 +179,10 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
     scaled = A.integer_scaled() if isinstance(A, LocalMatrix) else None
     weights = _rational_null_weights(*scaled) if scaled else None
     if weights is not None:
-        # exact path: v0 floats are exact binary rationals
-        vq = [Fraction(x) for x in v]
+        vq = [Fraction(x) for x in v]  # floats are exact binary rationals
         fq = sum((w * x for w, x in zip(weights, vq)), Fraction(0))
-        fn, fd = fq.numerator, fq.denominator
-        den = math.lcm(*(x.denominator for x in vq))
-        nums = [x.numerator * (den // x.denominator) for x in vq]
-        L, B = scaled
-        rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-        q = math.lcm(L, den)  # each later den divides den * L^k: no other primes
-        states, diffs = [], []
-        for k in range(K + 1):
-            if k:
-                nums, den = _step(rows, L, q, nums, den)
-            # x / den - fn / fd over the common denominator den * fd > 0
-            shift, common = fn * den, den * fd
-            states.append([x / den for x in nums])
-            diffs.append([(x * fd - shift) / common for x in nums])
+        diffs = [[y / common for y in T]
+                 for T, common in islice(_transient_numerators(vq, fq, *scaled), K + 1)]
         D = np.array(diffs)
         fixed = [float(fq)] * n
     else:
@@ -198,9 +197,8 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
         S = [v.copy()]
         for _ in range(K):
             S.append(Af @ S[-1])
-        S = np.array(S)
-        D = S - fixed
-        states, diffs, fixed = S.tolist(), D.tolist(), fixed.tolist()
+        D = np.array(S) - fixed
+        diffs, fixed = D.tolist(), fixed.tolist()
 
     if norm == "inf":
         dists = np.max(np.abs(D), axis=1).tolist()
@@ -209,12 +207,11 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
 
     violations = sum(1 for k in range(K) if dists[k + 1] > dists[k])
     return TrajectoryReport(
-        states=tuple(map(tuple, states)),
+        transients=tuple(map(tuple, diffs)),
         fixed_point=tuple(fixed),
         distances=tuple(dists),
         monotonicity_violations=violations,
         matrix=tuple(map(tuple, Af.tolist())),
-        transients=tuple(map(tuple, diffs)),
     )
 
 
@@ -284,8 +281,6 @@ def write_trajectory_csv(traj: TrajectoryReport, f: TextIO) -> None:
         label = "pair" if m.is_complex_pair else "mode"
         header.append("%s_%.6g%+.6gj" % (label, mu.real, mu.imag))
     f.write(",".join(header) + "\n")
-    for k, d in enumerate(traj.distances):
-        row = ["%d" % k, "%.12g" % d]
-        for m in modes:
-            row.append("%.12g" % m.magnitudes[k])
-        f.write(",".join(row) + "\n")
+    fmt = "%d,%.12g" + ",%.12g" * len(modes) + "\n"
+    f.writelines(fmt % row for row in zip(range(len(traj.distances)), traj.distances,
+                                           *(m.magnitudes for m in modes)))

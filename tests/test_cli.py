@@ -170,7 +170,7 @@ class TestDynamics:
         def no_step(*args):
             raise AssertionError("stepped before the K bound was checked")
 
-        monkeypatch.setattr(dynamics, "_step", no_step)
+        monkeypatch.setattr(dynamics, "_transient_numerators", no_step)
         code, out, err = run(capsys, "dynamics", "--scheme", "catalog:a", "--K", K)
         assert code == 1 and out == ""
         assert "K must be <= 10000" in err
@@ -464,8 +464,14 @@ W13Y_COEFFS = tuple(F(c) for c in (
 MASK13R = "<width-13 repeated-root mask file>"
 W13R_COEFFS = tuple(F(c) for c in (
     "3/7", "0", "0", "0", "0", "-6/7", "6/35", "0", "0", "1", "0", "6/7", "2/5"))
+# an unbalanced width-4 rational mask (even sum 2/3, odd sum -7/6) whose
+# local matrix still has the simple dominant eigenvalue 1, so B*1 != L*1
+# and the exact trajectory's constant term runs; the test writes it to a
+# file in place of MASK4U
+MASK4U = "<width-4 unbalanced mask file>"
+W4U_COEFFS = tuple(F(c) for c in ("1", "-2/3", "-1/3", "-1/2"))
 MASK_FILES = {MASK13: ("w13", W13_COEFFS), MASK13Y: ("w13y", W13Y_COEFFS),
-              MASK13R: ("w13r", W13R_COEFFS)}
+              MASK13R: ("w13r", W13R_COEFFS), MASK4U: ("w4u", W4U_COEFFS)}
 
 
 class TestDeterminism:
@@ -528,6 +534,14 @@ class TestDeterminism:
                       "--no-filter"),
                      "036c9114be9e09870464788cd5ca6f7862c46486a17a5b05c066fdc3da632739",
                      id="argv16"),
+        # a dyadic start vector: the state's first denominator is 64
+        pytest.param(("dynamics", "--scheme", "catalog:a", "--K", "300",
+                      "--v0=1/4,-3/8,5/16,0,1/2,-1/64"),
+                     "883246c2820b6005af5d41131196aa02b7518d545b1b56db60a92386c34e34b0",
+                     id="argv17"),
+        pytest.param(("dynamics", "--scheme", MASK4U, "--K", "300"),
+                     "bbed484491ecb69fed1dc3ebccb3adce30b4a504b21e00268a5871f03a9ce3d0",
+                     id="argv18"),
     ])
     def test_byte_identical_runs(self, capsys, tmp_path, argv, sha256):
         for placeholder, (name, coeffs) in MASK_FILES.items():

@@ -7,8 +7,9 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from subdiv import dynamics
-from subdiv.dynamics import (MAX_K, _rational_null_weights, _step, decompose_modes,
-                             iterate_local, window_vector, write_trajectory_csv)
+from subdiv.dynamics import (MAX_K, _rational_null_weights, _transient_numerators,
+                             decompose_modes, iterate_local, window_vector,
+                             write_trajectory_csv)
 from subdiv.localmatrix import LocalMatrix, build_local_matrix, matrix_from_coeffs
 from subdiv.masks import catalog_get
 from subdiv.refine import ControlPolygon, delta
@@ -55,14 +56,15 @@ class TestIterateLocal:
 
     def test_non_convergent_matrix_reported(self):
         traj = iterate_local((1.0, 0.0), np.array([[2.0, 0.0], [0.0, 1.0]]), 5)
-        assert len(traj.states) == 6
+        assert len(traj.transients) == 6
 
     def test_K_bound_checked_before_any_step(self, monkeypatch):
         def fail(*args):
             raise AssertionError("trajectory work before the K bound was checked")
 
-        monkeypatch.setattr(dynamics, "_step", fail)
+        monkeypatch.setattr(dynamics, "_transient_numerators", fail)
         monkeypatch.setattr(dynamics, "_rational_null_weights", fail)
+        monkeypatch.setattr(dynamics, "_as_array", fail)
         for A in (A_MATRIX, np.eye(6)):
             with pytest.raises(ValueError, match="K must be <= %d" % MAX_K):
                 iterate_local(E1, A, MAX_K + 1)
@@ -83,7 +85,7 @@ def sympy_null_weights(A: LocalMatrix):
 
 
 def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
-    """The former Fraction loop, kept as an oracle: (states, transients,
+    """The former Fraction loop, kept as an oracle: (transients,
     fixed_point, distances), with the weights solved by sympy; None where
     eigenvalue 1 is not simple and the float path runs instead."""
     weights = sympy_null_weights(A)
@@ -102,7 +104,7 @@ def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
         dists = [float(np.max(np.abs(d))) for d in diffs]
     else:
         dists = [float(np.linalg.norm(d)) for d in diffs]
-    return ([[float(x) for x in s] for s in states_q], diffs, [float(fq)] * n, dists)
+    return diffs, [float(fq)] * n, dists
 
 
 def bits(rows):
@@ -152,8 +154,7 @@ class TestExactTrajectory:
         if ref is None:
             assert _rational_null_weights(*A.integer_scaled()) is None
             return
-        states, transients, fixed, dists = ref
-        assert bits(traj.states) == bits(states)
+        transients, fixed, dists = ref
         assert bits(traj.transients) == bits(transients)
         assert bits(traj.fixed_point) == bits(fixed)
         assert bits(traj.distances) == bits(dists)
@@ -177,16 +178,24 @@ class TestExactTrajectory:
         w = _rational_null_weights(*A_MATRIX.integer_scaled())
         assert sum(w) == 1 and w == sympy_null_weights(A_MATRIX)
 
-    @given(local_matrices(), st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=12, max_size=12),
-           st.integers(1, 2 ** 12))
-    def test_step_is_reduced_exact_product(self, A, nums, den):
+    @settings(deadline=None)
+    @given(local_matrices(),
+           st.lists(st.builds(F, st.integers(-36, 36), st.integers(1, 12)),
+                    min_size=12, max_size=12),
+           st.builds(F, st.integers(-120, 120), st.integers(1, 40)))
+    def test_transient_steps_are_exact(self, A, v0, f):
+        # any f: the recurrence holds whether or not f 1 is the fixed point,
+        # and whether or not the rows of A sum to 1
         L, B = A.integer_scaled()
-        nums = nums[:A.n]
-        rows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
-        out, den2 = _step(rows, L, math.lcm(L, den), nums, den)
-        assert den2 > 0 and math.gcd(den2, *out) == 1
-        assert [F(x, den2) for x in out] == [
-            sum((e * F(x, den) for e, x in zip(row, nums)), F(0)) for row in A.entries]
+        steps = _transient_numerators(v0[:A.n], f, L, B)
+        T, common = next(steps)
+        v = [F(y, common) + f for y in T]
+        assert v == v0[:A.n]
+        for _ in range(2):  # the second step meets den_1 = den_0 L
+            T, common = next(steps)
+            assert common > 0 and all(type(y) is int for y in T)
+            v = [sum((e * x for e, x in zip(row, v)), F(0)) for row in A.entries]
+            assert [F(y, common) for y in T] == [x - f for x in v]
 
 
 class TestDecomposeModes:
@@ -326,7 +335,7 @@ class TestDecomposeBitIdentity:
             dists = [float(np.linalg.norm(d)) for d in rows]
         assert bits(traj.distances) == bits(dists)
         assert all(type(x) is float for x in traj.distances + traj.fixed_point
-                   + traj.states[-1] + traj.transients[-1] + traj.matrix[0])
+                   + traj.transients[-1] + traj.matrix[0])
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), mixed_spectrum_matrices(), st.integers(1, 300),
