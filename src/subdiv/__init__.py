@@ -1,6 +1,5 @@
 """Analysis toolkit for binary stationary subdivision schemes for curves."""
 
-from .symbols import LaurentPoly
 from .masks import (Mask, SchemeRecord, SchemeFormatError, SymmetryClass,
                     catalog_get, catalog_names, classify_symmetry, load_scheme,
                     recenter, save_scheme)
@@ -13,7 +12,7 @@ from .localmatrix import (EigensolveError, LocalMatrix, Spectrum,
                           w6_closed_form, w6_discriminant)
 from .refine import (ControlPolygon, MeshType, RefinementLimitError,
                      SampledCurve, basis_experiment, basis_points_exact,
-                     basis_polygon, delta, parameterize, refine_k, refine_once)
+                     basis_polygon, delta, parameterize, refine_k)
 from .dynamics import (EigenMode, TrajectoryReport, decompose_modes,
                        iterate_local, window_vector)
 from .search import (Cell, CellClass, GridRange, MinWidthReport, SearchResult,

@@ -1,16 +1,18 @@
-"""Convergence certification via symbol factorization.
+"""Convergence certification on the mask's coefficient run.
 
-Necessary conditions s(1) = 2, s(-1) = 0; the difference scheme from the
-(1+z) factor; the parity-sum contractivity norm; and a certification ladder
-that peels (1+z)/2 factors to certify higher smoothness.
+Necessary conditions s(1) = 2, s(-1) = 0, two sums of the run; the
+difference scheme from the (1+z) factor; the parity-sum contractivity
+norm; and a certification ladder that peels (1+z)/2 factors to certify
+higher smoothness.
 
 (1+z) is the only divisor, so division is synthetic division on a
 coefficient run, _over_one_plus_z: the quotient b_k = a_k - b_{k-1} keeps
 the run's start exponent, and the division is exact iff the last step
-leaves zero (s(-1) = 0).  The ladder makes one chain of such divisions,
-d_{j+1} = d_j / (1+z), while each is exact; rung m's quotient by
-((1+z)/2)^m is 2^m d_m.  Contractivity (norm of the difference scheme < 1)
-is decided in one place, is_contractive, which both the ladder and the
+leaves zero (s(-1) = 0).  The ladder scales the run once to integer
+numerators over L (masks.integer_run) and makes one chain of such
+divisions, d_{j+1} = d_j / (1+z), while each is exact; rung m's quotient by
+((1+z)/2)^m is 2^m d_m / L.  Contractivity (norm of the difference scheme
+< 1) is decided in one place, is_contractive, which both the ladder and the
 family scan call on a coefficient run.  The norm test is sufficient only,
 so a failed test yields "inconclusive", never "divergent".
 """
@@ -21,10 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .masks import Mask, recenter
-from .symbols import LaurentPoly
-
-_ONE_PLUS_Z = LaurentPoly({0: 1, 1: 1})
+from .masks import Mask, integer_run, recenter
 
 
 class Verdict(Enum):
@@ -62,11 +61,20 @@ class NotFactorableError(ValueError):
     """The symbol has no (1+z) factor (s(-1) != 0)."""
 
 
+def _parity_sums(support_min: int, coeffs) -> list:
+    """[sum over even, sum over odd absolute indices] of the run, in its
+    number type."""
+    sums = [0, 0]
+    for k, c in enumerate(coeffs, support_min):
+        sums[k % 2] += c
+    return sums
+
+
 def necessary_conditions(mask: Mask) -> tuple[Fraction, Fraction, bool]:
-    s = mask.symbol()
-    if not s:
-        return Fraction(0), Fraction(0), False
-    s1, sm1 = s(1), s(-1)
+    """s(1) = sum a_k and s(-1) = sum (-1)^k a_k, k the absolute index, and
+    whether they are 2 and 0."""
+    even, odd = _parity_sums(mask.support_min, mask.coeffs)
+    s1, sm1 = even + odd, even - odd
     return s1, sm1, s1 == 2 and sm1 == 0
 
 
@@ -89,18 +97,9 @@ def difference_scheme(mask: Mask) -> Mask:
     return Mask(mask.support_min, tuple(q))
 
 
-def _parity_norm(support_min: int, coeffs: Sequence) -> Fraction:
-    """max of the |coeff| sums over even and over odd absolute indices, in
-    the number type of the run."""
-    sums = [0, 0]
-    for k, c in enumerate(coeffs, support_min):
-        sums[k % 2] += abs(c)
-    return max(sums)
-
-
 def contractivity_norm(b: Mask) -> Fraction:
     """max of the even- and odd-index absolute coefficient sums."""
-    return Fraction(_parity_norm(b.support_min, b.coeffs))
+    return Fraction(max(_parity_sums(b.support_min, map(abs, b.coeffs))))
 
 
 def is_contractive(support_min: int, coeffs: Sequence[Fraction], den: int = 1) -> bool:
@@ -114,15 +113,16 @@ def is_contractive(support_min: int, coeffs: Sequence[Fraction], den: int = 1) -
     q = _over_one_plus_z(coeffs)
     if q is None:
         raise NotFactorableError("s(-1) != 0, no (1+z) factor")
-    return _parity_norm(support_min, q) < den
+    return max(_parity_sums(support_min, map(abs, q))) < den
 
 
 def smooth_lift(mask: Mask) -> Mask:
     """Mask of ((1+z)/2) * s_a(z); palindromic results are recentered."""
     if mask.is_zero():
         return mask
-    lifted = Mask.from_symbol(mask.symbol() * _ONE_PLUS_Z * Fraction(1, 2))
-    return recenter(lifted)
+    c = mask.coeffs
+    lifted = [(a + b) / 2 for a, b in zip((Fraction(0),) + c, c + (Fraction(0),))]
+    return recenter(Mask(mask.support_min, tuple(lifted)))
 
 
 def certify(mask: Mask, target_m: int) -> ConvergenceReport:
@@ -142,13 +142,15 @@ def certify(mask: Mask, target_m: int) -> ConvergenceReport:
     b = difference_scheme(mask)
     norm = contractivity_norm(b)
 
-    # d[j] = s_a / (1+z)^j while exact; rung m needs d[m + 1] (q(-1) = 0)
-    d = [mask.coeffs]
+    # d[j] = L s_a / (1+z)^j in integers while exact; rung m needs d[m + 1]
+    # (q(-1) = 0)
+    L, nums = integer_run(mask.coeffs)
+    d = [nums]
     while len(d) <= target_m + 1 and (nxt := _over_one_plus_z(d[-1])) is not None:
         d.append(nxt)
 
     for m in range(len(d) - 2, -1, -1):
-        if is_contractive(mask.support_min, [c * 2 ** m for c in d[m]]):
+        if is_contractive(mask.support_min, [x << m for x in d[m]], L):
             return ConvergenceReport(s1, sm1, True, b, norm, Verdict.C0_CERTIFIED, m)
 
     return ConvergenceReport(s1, sm1, True, b, norm, Verdict.INCONCLUSIVE, None)

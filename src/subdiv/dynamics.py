@@ -7,16 +7,15 @@ factor of a complex pair is the modulus |mu| (the rotation-scaling normal
 form), with rotation angle arg(mu).
 
 For a rational matrix the trajectory and the left eigenvector are exact and
-use integer arithmetic only: A is scaled once to the integer matrix B = L A,
-L the lcm of its denominators; the eigenvector comes from fraction-free
-elimination on B^T - L I, and the trajectory is kept as its transients
-v_k - f 1 (f 1 the fixed point): integer numerators over one denominator,
-stepped by one recurrence without any gcd.  Every reported float is one
-correctly rounded integer division.
+use integer arithmetic only: a LocalMatrix holds A as the integer matrix
+B = L A, L the lcm of its denominators; the eigenvector comes from
+fraction-free elimination on B^T - L I, and the trajectory is kept as its
+transients v_k - f 1 (f 1 the fixed point): integer numerators over one
+denominator, stepped by one recurrence without any gcd.  Every reported
+float is one correctly rounded integer division.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
@@ -25,6 +24,7 @@ from typing import Iterator, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from .localmatrix import LocalMatrix
+from .masks import integer_run
 from .refine import ControlPolygon
 
 _COEFF_FLOOR = 1e-12  # coefficients below this are treated as unexcited
@@ -133,12 +133,11 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
     reduced, so the operands grow by log2(L) bits a step.
     """
     fn, fd = f.numerator, f.denominator
-    den = math.lcm(*(x.denominator for x in v))
+    den, nums = integer_run(v)
     Bq = np.array(B, dtype=object)
     r = Bq.sum(axis=1) - L
     shift, common = fn * den, fd * den
-    T = np.array([fd * x.numerator * (den // x.denominator) - shift for x in v],
-                 dtype=object)
+    T = np.array([fd * x - shift for x in nums], dtype=object)
     while True:
         yield T.tolist(), common
         T = Bq @ T + shift * r
@@ -159,7 +158,8 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
     transient entry is one correctly rounded integer division, kept as a
     Python float.  The distances are taken over one array of all
     transients: the inf-norm as one row-wise max, the 2-norm as
-    np.linalg.norm of each row.  The spectrum is not checked: a
+    np.linalg.norm of each row scaled by 2^-e, e the exponent of its
+    largest entry, then scaled back.  The spectrum is not checked: a
     non-convergent matrix still yields its trajectory
     (Spectrum.convergence_spectral_ok decides convergence).  K is at most
     MAX_K.
@@ -176,13 +176,12 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
     if v.shape != (n,):
         raise ValueError("v0 has dimension %d, matrix order is %d" % (v.size, n))
 
-    scaled = A.integer_scaled() if isinstance(A, LocalMatrix) else None
-    weights = _rational_null_weights(*scaled) if scaled else None
+    weights = _rational_null_weights(A.L, A.B) if isinstance(A, LocalMatrix) else None
     if weights is not None:
         vq = [Fraction(x) for x in v]  # floats are exact binary rationals
         fq = sum((w * x for w, x in zip(weights, vq)), Fraction(0))
         diffs = [[y / common for y in T]
-                 for T, common in islice(_transient_numerators(vq, fq, *scaled), K + 1)]
+                 for T, common in islice(_transient_numerators(vq, fq, A.L, A.B), K + 1)]
         D = np.array(diffs)
         fixed = [float(fq)] * n
     else:
@@ -200,10 +199,15 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
         D = np.array(S) - fixed
         diffs, fixed = D.tolist(), fixed.tolist()
 
+    top = np.max(np.abs(D), axis=1)
     if norm == "inf":
-        dists = np.max(np.abs(D), axis=1).tolist()
+        dists = top.tolist()
     else:
-        dists = [float(np.linalg.norm(d)) for d in D]
+        # rows scaled by 2^-e, exactly, so that the squares neither
+        # overflow nor underflow
+        _, e = np.frexp(top)
+        norms = [np.linalg.norm(d) for d in np.ldexp(D, -e[:, None])]
+        dists = np.ldexp(norms, e).tolist()
 
     violations = sum(1 for k in range(K) if dists[k + 1] > dists[k])
     return TrajectoryReport(

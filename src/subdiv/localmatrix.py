@@ -6,15 +6,16 @@ parity alternates down the rows, which reproduces the printed width-5 and
 width-6 matrices.  Eigenvalues of a LocalMatrix are computed from the exact
 square-free factors of its characteristic polynomial, each root-solved with
 Newton polishing; this keeps multiple eigenvalues accurate to ~1e-12 where a
-plain dense eigensolve loses half the digits at defective points.  spectra()
-solves many matrices at once, each given as an integer-scaled pair
-(L, B = L*A).  It groups them by order, and each integer step runs once per
+plain dense eigensolve loses half the digits at defective points.  A
+LocalMatrix holds the integer-scaled pair (L, B = L*A), L the lcm of the
+mask's denominators (masks.integer_run), and spectra() solves many such
+pairs at once.  It groups them by order, and each integer step runs once per
 group, on one (N, n, n) stack of Python ints (numpy dtype=object): exact at
 any bit size, with no fixed-width path.  The factors of every matrix are
 then grouped by shape, and each shape takes one stacked eigvals of
 companion matrices and one vectorised polish, bit-identical to np.roots and
-np.polyval per factor.  eigenvalues(M) is spectra([M.integer_scaled()])[0],
-so one route serves both.
+np.polyval per factor.  eigenvalues(M) is spectra([(M.L, M.B)])[0], so one
+route serves both.
 
 The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
 entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
@@ -54,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .masks import Mask
+from .masks import Mask, integer_run
 
 
 class EigensolveError(RuntimeError):
@@ -65,27 +66,27 @@ class EigensolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class LocalMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+    """A = B / L, with B = L*A an integer matrix and L > 0."""
+
+    L: int
+    B: tuple[tuple[int, ...], ...]
     column_offset: int  # the construction shift c
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self.B)
 
     def as_float(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self.entries])
-
-    def integer_scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(L, B): L the lcm of the entry denominators, B = L*A in integers."""
-        L = math.lcm(*(e.denominator for row in self.entries for e in row))
-        return L, tuple(tuple(e.numerator * (L // e.denominator) for e in row)
-                        for row in self.entries)
+        """A in floats, each entry one correctly rounded integer division."""
+        return np.array([[b / self.L for b in row] for row in self.B])
 
     def to_json(self) -> dict:
+        # one reduced string per distinct entry: the mask's few values and 0
+        text = {b: str(Fraction(b, self.L)) for b in set().union(*self.B)}
         return {
             "n": self.n,
             "column_offset": self.column_offset,
-            "entries": [[str(e) for e in row] for row in self.entries],
+            "entries": [[text[b] for b in row] for row in self.B],
         }
 
 
@@ -120,34 +121,34 @@ def check_size(mask: Mask) -> None:
     """Refuse, before anything is built, a mask wider than MAX_ORDER or
     past MAX_CHARPOLY_BITS."""
     check_order(mask.width)
-    L = math.lcm(*(a.denominator for a in mask.coeffs))
-    bits = max(L, *(abs(a.numerator) * (L // a.denominator) for a in mask.coeffs)).bit_length()
+    L, nums = integer_run(mask.coeffs)
+    bits = max(L, *map(abs, nums)).bit_length()
     if max(mask.width - 2, 1) * bits > MAX_CHARPOLY_BITS:
         raise ValueError("mask too large for exact arithmetic: width %d, %d bits; needs "
                          "max(width - 2, 1) * bits <= %d" % (mask.width, bits, MAX_CHARPOLY_BITS))
 
 
-def local_entries(coeffs: Sequence, zero) -> tuple[tuple, ...]:
-    """Entries of the local matrix of a nominal coefficient run, of whatever
-    number type the run holds (Fractions, or integer numerators over a common
-    denominator), zero off the run.  The order is the run length, 2 to
-    MAX_ORDER."""
-    n = len(coeffs)
+def local_entries(nums: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Entries of the local matrix of a nominal run of integer numerators,
+    zero off the run.  The order is the run length, 2 to MAX_ORDER."""
+    n = len(nums)
     if n < 2:
         raise ValueError("local matrix needs mask width >= 2")
     check_order(n)
-    # A[i][j] = a_{2j-i-c} (1-based) is coeffs[2j - i] (0-based) whatever
+    # A[i][j] = a_{2j-i-c} (1-based) is nums[2j - i] (0-based) whatever
     # support_min is; padded[2j - i + n - 1] reads it
-    padded = [zero] * (n - 1) + list(coeffs) + [zero] * (n - 1)
+    padded = [0] * (n - 1) + list(nums) + [0] * (n - 1)
     return tuple(tuple(padded[2 * j - i + n - 1] for j in range(n)) for i in range(n))
 
 
 def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMatrix:
-    """Local matrix for a nominal coefficient run; zero end coefficients are
-    allowed (degenerate cells of a parameter family keep their nominal size).
-    The order is the run length, at most MAX_ORDER."""
-    run = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-    return LocalMatrix(local_entries(run, Fraction(0)), -support_min + 1)
+    """Local matrix for a nominal run of rationals (ints or Fractions); zero
+    end coefficients are allowed (degenerate cells of a parameter family
+    keep their nominal size).  Every coefficient is an entry, so L is the
+    lcm of the run's denominators.  The order is the run length, at most
+    MAX_ORDER."""
+    L, nums = integer_run(coeffs)
+    return LocalMatrix(L, local_entries(nums), -support_min + 1)
 
 
 def build_local_matrix(mask: Mask) -> LocalMatrix:
@@ -543,9 +544,9 @@ def spectra(scaled: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> list[Spect
 
 def eigenvalues(M: LocalMatrix) -> Spectrum:
     """All eigenvalues of M with multiplicity as a Spectrum:
-    spectra([M.integer_scaled()])[0], the roots from the stacked eigvals that
-    equals np.roots bit for bit."""
-    return spectra([M.integer_scaled()])[0]
+    spectra([(M.L, M.B)])[0], the roots from the stacked eigvals that equals
+    np.roots bit for bit."""
+    return spectra([(M.L, M.B)])[0]
 
 
 # -- closed forms for the palindromic families ---------------------------

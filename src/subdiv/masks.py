@@ -2,12 +2,11 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
-
-from .symbols import LaurentPoly, RationalLike
+from typing import Optional, Sequence
 
 
 class SymmetryClass(Enum):
@@ -57,17 +56,12 @@ class Mask:
             return self.coeffs[i - self.support_min]
         return Fraction(0)
 
-    def symbol(self) -> LaurentPoly:
-        return LaurentPoly.from_coeffs(self.coeffs, self.support_min)
 
-    @classmethod
-    def from_symbol(cls, symbol: LaurentPoly) -> "Mask":
-        """Inverse of symbol()."""
-        if not symbol:
-            raise ValueError("the zero symbol does not define a mask")
-        lo, hi = symbol.min_exp, symbol.max_exp
-        coeffs = tuple(symbol[e] for e in range(lo, hi + 1))
-        return cls(lo, coeffs)
+def integer_run(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(L, nums): L the lcm of the denominators of the rationals (ints or
+    Fractions), nums the values as integer numerators over L."""
+    L = math.lcm(*(v.denominator for v in values))
+    return L, [v.numerator * (L // v.denominator) for v in values]
 
 
 def classify_symmetry(mask: Mask) -> SymmetryClass:

@@ -17,7 +17,7 @@ from operator import neg, truediv
 
 import numpy as np
 
-from .masks import Mask
+from .masks import Mask, integer_run
 
 
 class MeshType(Enum):
@@ -44,8 +44,7 @@ class ControlPolygon:
         values = [Fraction(v) for v in values]
         if not values:
             raise ValueError("control polygon needs at least one value")
-        den = math.lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (den // v.denominator) for v in values]
+        den, nums = integer_run(values)
         self._set(level, first_index, nums, den, mesh)
 
     @classmethod
@@ -110,12 +109,6 @@ def _biased(m: int, s: int) -> int:
     return int.from_bytes((bytes(s - 1) + b"\x80") * m, "little")
 
 
-def _integer_taps(mask: Mask) -> tuple[int, list[int]]:
-    """The lcm L of the mask's denominators and the taps scaled by it."""
-    L = math.lcm(*(a.denominator for a in mask.coeffs))
-    return L, [a.numerator * (L // a.denominator) for a in mask.coeffs]
-
-
 def _slot_bytes(P: ControlPolygon, taps: list[int], k: int) -> int:
     """Bytes s per slot for k packed steps of P: a multiple of 8 with
     max|P| * (max over the phases of sum |taps|)^k < 2^(8s-1), a bound on
@@ -163,7 +156,7 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
         return P
     if mask.is_zero() or P.nums == (0,):
         return ControlPolygon._from_nums(P.level + k, 2 ** k * P.first_index, (0,), 1, P.mesh)
-    L, taps = _integer_taps(mask)
+    L, taps = integer_run(mask.coeffs)
     phases = taps[0::2], taps[1::2]
     s = _slot_bytes(P, taps, k)
     half, n = 1 << (8 * s - 1), len(P.nums)
@@ -193,11 +186,6 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
         del data
     first = 2 ** k * P.first_index + (2 ** k - 1) * mask.support_min
     return ControlPolygon._from_nums(P.level + k, first, nums, P.den * L ** k, P.mesh)
-
-
-def refine_once(P: ControlPolygon, mask: Mask) -> ControlPolygon:
-    """One exact refinement step: out_{2l+j} += a_j P_l."""
-    return _refine(P, mask, 1)
 
 
 # Caps decided before the first step.  The memory estimate uses peak costs
@@ -243,7 +231,7 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, max_points: int,
         n = 2 * (n - 1) + mask.width
     # a numerator takes the larger of about bitlen(L) bits a level and the
     # packed step's slot, which is as wide as the bound on every value
-    L, taps = _integer_taps(mask)
+    L, taps = integer_run(mask.coeffs)
     bits = max(v.bit_length() for v in (P.den, *P.nums)) + k * L.bit_length()
     size = max(bits // 8, _slot_bytes(P, taps, k))
     need = 3 * n * (_INT_BYTES + size) + (n if samples is None else samples) * _SAMPLE_BYTES

@@ -9,13 +9,14 @@ from fractions import Fraction as F
 
 import numpy as np
 
+from conftest import fraction_entries
 from subdiv.convergence import certify, contractivity_norm, difference_scheme, smooth_lift
 from subdiv.dynamics import decompose_modes, iterate_local
 from subdiv.localmatrix import (build_local_matrix, complex_region_predicate,
                                eigenvalues, matrix_from_coeffs, spectra, w5_closed_form,
                                w6_closed_form, w6_discriminant)
 from subdiv.masks import catalog_get
-from subdiv.refine import basis_points_exact, delta, refine_once
+from subdiv.refine import basis_points_exact, delta, refine_k
 from subdiv.search import min_width_report, negativity_lemma_check
 
 
@@ -78,7 +79,7 @@ def test_criterion_05_width6_closed_form():
     def body():
         grid = [(F(i, 100), F(j, 100)) for i in range(-50, 51) for j in range(-50, 51)]
         Ms = [matrix_from_coeffs(-2, (a, b, 1 - a - b, 1 - a - b, b, a)) for a, b in grid]
-        for (a, b), sp in zip(grid, spectra([M.integer_scaled() for M in Ms])):
+        for (a, b), sp in zip(grid, spectra([(M.L, M.B) for M in Ms])):
             vals = sp.eigenvalues
             _match(vals, w6_closed_form(a, b).eigenvalues, 1e-8)
             if abs(w6_discriminant(a, b)) >= F(1, 10 ** 10):
@@ -164,10 +165,10 @@ def test_criterion_12_structural_invariants():
         for name in "abcd":
             mask = catalog_get(name).mask
             M = build_local_matrix(mask)
-            assert all(sum(row) == 1 for row in M.entries)
+            assert all(sum(row) == 1 for row in fraction_entries(M))
             assert min(abs(v - 1) for v in eigenvalues(M).eigenvalues) < 1e-9
             P = delta()
             for k in range(1, 7):
-                P = refine_once(P, mask)
+                P = refine_k(P, mask, 1)
                 assert P.total() == 2 ** k
     _criterion(12, "row sums, eigenvalue 1, mass doubling", body)

@@ -5,8 +5,6 @@ import subdiv
 # every public name the package exports, by home module; adding or removing
 # one is a reviewed edit here
 PUBLIC = {
-    # symbols
-    "LaurentPoly",
     # masks
     "Mask", "SchemeRecord", "SchemeFormatError", "SymmetryClass", "catalog_get",
     "catalog_names", "classify_symmetry", "load_scheme", "recenter", "save_scheme",
@@ -21,7 +19,7 @@ PUBLIC = {
     # refine
     "ControlPolygon", "MeshType", "RefinementLimitError", "SampledCurve",
     "basis_experiment", "basis_points_exact", "basis_polygon", "delta",
-    "parameterize", "refine_k", "refine_once",
+    "parameterize", "refine_k",
     # dynamics
     "EigenMode", "TrajectoryReport", "decompose_modes", "iterate_local",
     "window_vector",

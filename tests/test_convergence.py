@@ -3,17 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from subdiv.convergence import (Verdict, _over_one_plus_z, certify, contractivity_norm,
-                                difference_scheme, is_contractive,
+from conftest import Z, laurent_terms, sympy_symbol
+from subdiv.convergence import (ConvergenceReport, Verdict, _over_one_plus_z, certify,
+                                contractivity_norm, difference_scheme, is_contractive,
                                 necessary_conditions, NotFactorableError,
                                 smooth_lift)
-from subdiv.masks import Mask, catalog_get
-from subdiv.symbols import LaurentPoly
-
-ONE_PLUS_Z = LaurentPoly({0: 1, 1: 1})
-HALF_ONE_PLUS_Z = ONE_PLUS_Z * F(1, 2)
+from subdiv.masks import Mask, catalog_get, recenter
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=8)
 
@@ -28,9 +25,6 @@ def runs(draw):
     if draw(st.booleans()):
         run = [F(0)] * draw(st.integers(0, 2)) + run + [F(0)] * draw(st.integers(0, 2))
     return run
-
-
-Z = sympy.Symbol("z")
 
 
 def sympy_poly(coeffs):
@@ -100,10 +94,45 @@ def ladder_masks(draw):
     if draw(st.booleans()):
         return Mask(support_min, tuple(base))
     assume(sum(base) != 0)
-    s = LaurentPoly.from_coeffs([c / sum(base) for c in base]) * ONE_PLUS_Z
+    s = sympy_symbol(0, [c / sum(base) for c in base]) * (1 + Z)
     for _ in range(draw(st.integers(0, 4))):
-        s = s * HALF_ONE_PLUS_Z
-    return Mask(support_min, tuple(s[e] for e in range(s.max_exp + 1)))
+        s = s * (1 + Z) / 2
+    terms = laurent_terms(s)
+    return Mask(support_min, tuple(terms.get(e, F(0)) for e in range(max(terms) + 1)))
+
+
+def fraction_certify(mask, target_m):
+    """certify as it ran on Fraction runs, kept as an oracle: d[j] =
+    s_a / (1+z)^j while exact, and rung m certified when the run 2^m d[m]
+    divides by (1+z) to a parity norm < 1."""
+    s1, sm1, ok = necessary_conditions(mask)
+    if not ok:
+        return ConvergenceReport(s1, sm1, False, None, None, Verdict.DIVERGENT, None)
+    b = difference_scheme(mask)
+    norm = contractivity_norm(b)
+    d = [mask.coeffs]
+    while len(d) <= target_m + 1 and (nxt := _over_one_plus_z(d[-1])) is not None:
+        d.append(nxt)
+    for m in range(len(d) - 2, -1, -1):
+        if parity_norm(mask.support_min, _over_one_plus_z([c * 2 ** m for c in d[m]])) < 1:
+            return ConvergenceReport(s1, sm1, True, b, norm, Verdict.C0_CERTIFIED, m)
+    return ConvergenceReport(s1, sm1, True, b, norm, Verdict.INCONCLUSIVE, None)
+
+
+@st.composite
+def plain_masks(draw):
+    """Masks of widths 1-8 with negative or positive support_min, nonzero
+    ends and zero interior coefficients included; the zero mask comes from
+    @example."""
+    nonzero, width = small.filter(bool), draw(st.integers(1, 8))
+    run = [draw(nonzero)]
+    if width > 1:
+        run += draw(st.lists(small, min_size=width - 2, max_size=width - 2)) + [draw(nonzero)]
+    return Mask(draw(st.integers(-6, 3)), tuple(run))
+
+
+def rational(x):
+    return F(int(x.p), int(x.q))
 
 
 class TestNecessaryConditions:
@@ -145,7 +174,8 @@ class TestDifferenceScheme:
         for name in "abcd":
             mask = catalog_get(name).mask
             b = difference_scheme(mask)
-            assert ONE_PLUS_Z * b.symbol() == mask.symbol()
+            assert sympy.expand((1 + Z) * sympy_symbol(b.support_min, b.coeffs)
+                                - sympy_symbol(mask.support_min, mask.coeffs)) == 0
 
     @given(runs(), st.integers(-4, 4))
     def test_matches_sympy_division(self, coeffs, support_min):
@@ -224,6 +254,10 @@ class TestCertify:
             assert certify(rec.mask, 6).certified_smoothness == rec.smoothness
 
     @given(ladder_masks(), st.integers(0, 6))
+    def test_matches_fraction_ladder(self, mask, target_m):
+        assert certify(mask, target_m) == fraction_certify(mask, target_m)
+
+    @given(ladder_masks(), st.integers(0, 6))
     def test_matches_reference_ladder(self, mask, target_m):
         r = certify(mask, target_m)
         assert (r.verdict, r.certified_smoothness, r.norm, r.difference_mask) \
@@ -247,6 +281,23 @@ class TestSmoothLift:
     def test_zero_mask(self):
         zero = Mask(0, (F(0),))
         assert smooth_lift(zero) == zero
+
+    @given(plain_masks())
+    @example(Mask(0, (F(0),)))
+    @example(Mask(-3, (F(0),)))
+    @example(Mask(-3, (F(1, 2), F(0), F(0), F(3, 2))))
+    def test_conditions_and_lift_match_sympy(self, mask):
+        # s(1), s(-1) and ((1+z)/2) s(z) of the symbol s(z) = sum a_k z^k
+        s = sympy_symbol(mask.support_min, mask.coeffs)
+        s1, sm1 = rational(s.subs(Z, 1)), rational(s.subs(Z, -1))
+        assert necessary_conditions(mask) == (s1, sm1, s1 == 2 and sm1 == 0)
+        terms = laurent_terms((1 + Z) / 2 * s)
+        if not terms:  # the zero mask lifts to itself
+            assert smooth_lift(mask) == mask
+            return
+        lo, hi = min(terms), max(terms)
+        run = tuple(terms.get(e, F(0)) for e in range(lo, hi + 1))
+        assert smooth_lift(mask) == recenter(Mask(lo, run))
 
     def test_width_grows_and_class_flips(self):
         from subdiv.masks import classify_symmetry, SymmetryClass

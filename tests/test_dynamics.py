@@ -6,6 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from conftest import fraction_entries
 from subdiv import dynamics
 from subdiv.dynamics import (MAX_K, _rational_null_weights, _transient_numerators,
                              decompose_modes, iterate_local, window_vector,
@@ -75,8 +76,8 @@ class TestIterateLocal:
 def sympy_null_weights(A: LocalMatrix):
     """Null vector of A^T - I by sympy, normalized to sum 1; None unless the
     null space is one line whose vectors do not sum to 0."""
-    n = A.n
-    M = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(A.entries[j][i])) - int(i == j))
+    n, E = A.n, fraction_entries(A)
+    M = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(E[j][i])) - int(i == j))
     basis = M.nullspace()
     if len(basis) != 1 or sum(basis[0]) == 0:
         return None
@@ -91,13 +92,13 @@ def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
     weights = sympy_null_weights(A)
     if weights is None:
         return None
-    n = A.n
+    n, E = A.n, fraction_entries(A)
     vq = [F(x) for x in v0]
     fq = sum((w * x for w, x in zip(weights, vq)), F(0))
     states_q = [vq]
     for _ in range(K):
         prev = states_q[-1]
-        states_q.append([sum((A.entries[i][j] * prev[j] for j in range(n)), F(0))
+        states_q.append([sum((E[i][j] * prev[j] for j in range(n)), F(0))
                          for i in range(n)])
     diffs = [np.array([float(x - fq) for x in s]) for s in states_q]
     if norm == "inf":
@@ -152,7 +153,7 @@ class TestExactTrajectory:
         traj = iterate_local(v0, A, K, norm)
         ref = reference_trajectory(v0, A, K, norm)
         if ref is None:
-            assert _rational_null_weights(*A.integer_scaled()) is None
+            assert _rational_null_weights(A.L, A.B) is None
             return
         transients, fixed, dists = ref
         assert bits(traj.transients) == bits(transients)
@@ -162,7 +163,7 @@ class TestExactTrajectory:
     @settings(deadline=None)
     @given(local_matrices())
     def test_null_weights_match_sympy(self, A):
-        assert _rational_null_weights(*A.integer_scaled()) == sympy_null_weights(A)
+        assert _rational_null_weights(A.L, A.B) == sympy_null_weights(A)
 
     @pytest.mark.parametrize("entries", [
         ((F(1, 2), 0), (0, F(1, 3))),                        # no eigenvalue 1
@@ -170,12 +171,13 @@ class TestExactTrajectory:
         ((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))),           # Jordan block at 1
     ], ids=["absent", "double", "defective"])
     def test_null_weights_none_unless_simple(self, entries):
-        A = LocalMatrix(tuple(tuple(F(e) for e in row) for row in entries), 0)
-        assert _rational_null_weights(*A.integer_scaled()) is None
+        L = math.lcm(*(F(e).denominator for row in entries for e in row))
+        A = LocalMatrix(L, tuple(tuple(int(F(e) * L) for e in row) for row in entries), 0)
+        assert _rational_null_weights(A.L, A.B) is None
         assert sympy_null_weights(A) is None
 
     def test_catalog_weights(self):
-        w = _rational_null_weights(*A_MATRIX.integer_scaled())
+        w = _rational_null_weights(A_MATRIX.L, A_MATRIX.B)
         assert sum(w) == 1 and w == sympy_null_weights(A_MATRIX)
 
     @settings(deadline=None)
@@ -186,7 +188,7 @@ class TestExactTrajectory:
     def test_transient_steps_are_exact(self, A, v0, f):
         # any f: the recurrence holds whether or not f 1 is the fixed point,
         # and whether or not the rows of A sum to 1
-        L, B = A.integer_scaled()
+        L, B = A.L, A.B
         steps = _transient_numerators(v0[:A.n], f, L, B)
         T, common = next(steps)
         v = [F(y, common) + f for y in T]
@@ -194,8 +196,33 @@ class TestExactTrajectory:
         for _ in range(2):  # the second step meets den_1 = den_0 L
             T, common = next(steps)
             assert common > 0 and all(type(y) is int for y in T)
-            v = [sum((e * x for e, x in zip(row, v)), F(0)) for row in A.entries]
+            v = [sum((e * x for e, x in zip(row, v)), F(0)) for row in fraction_entries(A)]
             assert [F(y, common) for y in T] == [x - f for x in v]
+
+
+class TestTwoNormRange:
+    """2-norm distances of rows whose squares pass the float range: A keeps
+    the first entry and halves and mixes the other two, so eigenvalue 1 is
+    simple with fixed point 0 when v0 starts with 0."""
+    A = LocalMatrix(2, ((2, 0, 0), (0, 1, 0), (0, 1, 1)), 0)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_exact_path_matches_fraction_reference(self, scale):
+        v0, K = (0.0, 3 * scale, 4 * scale), 20
+        traj = iterate_local(v0, self.A, K, "2")
+        E, v = fraction_entries(self.A), [F(x) for x in v0]
+        for d in traj.distances:
+            ref = math.hypot(*(float(x) for x in v))
+            assert 0 < ref < math.inf and d == pytest.approx(ref, rel=1e-15, abs=0)
+            v = [sum((e * x for e, x in zip(row, v)), F(0)) for row in E]
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_float_path_matches_hypot(self, scale):
+        v0 = (0.0, 3 * scale, 4 * scale)
+        traj = iterate_local(v0, self.A.as_float(), 20, "2")
+        for d, row in zip(traj.distances, traj.transients):
+            ref = math.hypot(*row)
+            assert 0 < ref < math.inf and d == pytest.approx(ref, rel=1e-15, abs=0)
 
 
 class TestDecomposeModes:

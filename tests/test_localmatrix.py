@@ -11,6 +11,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from conftest import fraction_entries
 from subdiv import localmatrix
 from subdiv.localmatrix import (_PRIMES, Spectrum, _central_charpolys, _centrosymmetric,
                                 _certified, _charpoly_factors, _charpolys, _flip_stacks,
@@ -59,7 +60,7 @@ class TestBuild:
             ["0", "0", "-1/10", "4/5", "3/10", "0"],
             ["0", "0", "0", "3/10", "4/5", "-1/10"],
         ]
-        assert M.entries == tuple(tuple(map(F, row)) for row in expect)
+        assert fraction_entries(M) == tuple(tuple(map(F, row)) for row in expect)
         assert M.column_offset == 3
 
     def test_width5_family_matrix(self):
@@ -72,12 +73,12 @@ class TestBuild:
             [0, 0, F(1, 2), F(1, 2), 0],
             [0, 0, a, 1 - 2 * a, a],
         ]
-        assert M.entries == tuple(tuple(map(F, row)) for row in expect)
+        assert fraction_entries(M) == tuple(tuple(map(F, row)) for row in expect)
 
     def test_two_point_matrix(self):
         M = build_local_matrix(catalog_get("c").mask)
         expect = [["1/2", "1/2", "0"], ["0", "1", "0"], ["0", "1/2", "1/2"]]
-        assert M.entries == tuple(tuple(map(F, row)) for row in expect)
+        assert fraction_entries(M) == tuple(tuple(map(F, row)) for row in expect)
 
     @given(st.integers(2, 14).flatmap(lambda w: st.tuples(
         st.integers(-w - 2, 2),
@@ -95,13 +96,17 @@ class TestBuild:
 
         M = matrix_from_coeffs(support_min, run)
         # A[i][j] = a_{2j-i-c} with 1-based i, j
-        assert M.entries == tuple(tuple(a(2 * j - i - c) for j in range(1, n + 1))
+        assert fraction_entries(M) == tuple(tuple(a(2 * j - i - c) for j in range(1, n + 1))
                                   for i in range(1, n + 1))
         assert M.column_offset == c
 
-    def test_integer_coefficients_are_fractions(self):
+    def test_entries_are_ints_over_the_mask_lcm(self):
         M = matrix_from_coeffs(-1, (1, 0, 1))
-        assert all(type(e) is F for row in M.entries for e in row)
+        assert M.L == 1 and all(type(b) is int for row in M.B for b in row)
+        mask = catalog_get("a").mask  # denominators 10 and 5
+        M = build_local_matrix(mask)
+        assert M.L == math.lcm(*(c.denominator for c in mask.coeffs)) == 10
+        assert all(type(b) is int for row in M.B for b in row)
 
     def test_width_one_rejected(self):
         with pytest.raises(ValueError):
@@ -110,7 +115,7 @@ class TestBuild:
     def test_row_sums_are_one_for_catalog(self):
         for name in "abcd":
             M = build_local_matrix(catalog_get(name).mask)
-            assert all(sum(row) == 1 for row in M.entries)
+            assert all(sum(row) == 1 for row in fraction_entries(M))
 
 
 class TestEigenvalues:
@@ -201,7 +206,7 @@ class TestRootsStack:
     def test_spectra_of_many_matrices_equal_single_calls(self):
         Ms = [w6_matrix(F(a, 10), F(b, 10)) for a in range(-5, 6) for b in range(-5, 6)]
         Ms += [w5_mask(F(a, 8)) for a in range(-8, 9)]
-        for M, sp in zip(Ms, localmatrix.spectra([M.integer_scaled() for M in Ms])):
+        for M, sp in zip(Ms, localmatrix.spectra([(M.L, M.B) for M in Ms])):
             assert sp == eigenvalues(M)
 
 
@@ -309,7 +314,7 @@ class TestRowSumEigenvector:
         for name in "abcd":
             M = build_local_matrix(catalog_get(name).mask)
             ones = [F(1)] * M.n
-            image = [sum(row[j] * ones[j] for j in range(M.n)) for row in M.entries]
+            image = [sum(row[j] * ones[j] for j in range(M.n)) for row in fraction_entries(M)]
             assert image == ones
 
     def test_eigenvalue_one_present(self):
@@ -328,7 +333,7 @@ def stack(*matrices):
 
 def full_charpoly(M):
     """det(yI - L*A), from sympy's charpoly of the whole integer matrix."""
-    return sympy_charpoly(M.integer_scaled()[1])
+    return sympy_charpoly(M.B)
 
 
 def _family_charpolys():
@@ -426,7 +431,7 @@ def sympy_factors(M):
     """sympy's square-free factors of det(yI - L*A), from sympy's own
     charpoly of the integer matrix: [(coefficients from y^0 up, m)] in
     ascending multiplicity."""
-    L, B = M.integer_scaled()
+    L, B = M.L, M.B
     cp = DomainMatrix([[sympy.ZZ(e) for e in row] for row in B],
                       (M.n, M.n), sympy.ZZ).charpoly()
     _, factors = sympy.Poly(cp, Y, domain="ZZ").sqf_list()
@@ -438,7 +443,7 @@ def route_factors_of(Ms):
     """_charpoly_factors of the integer-scaled Ms, local matrices of one
     order, in one stack; each checked to be in ascending multiplicity."""
     out = []
-    for factors in _charpoly_factors([M.integer_scaled()[1] for M in Ms]):
+    for factors in _charpoly_factors([M.B for M in Ms]):
         assert [m for _, m in factors] == sorted(m for _, m in factors)
         out.append(sorted(factors))
     return out
@@ -508,14 +513,14 @@ class TestCharpolyFactors:
         M = matrix_from_coeffs(*drawn)
         n, QQ, x = M.n, sympy.QQ, sympy.Symbol("x")
         A = DomainMatrix([[QQ(e.numerator, e.denominator) for e in row]
-                          for row in M.entries], (n, n), QQ)
+                          for row in fraction_entries(M)], (n, n), QQ)
         ref = sympy.Poly(A.charpoly(), x, domain="QQ")
-        L, B = M.integer_scaled()
+        L, B = M.L, M.B
         [c] = _central_charpolys(np.array(B, dtype=object)[None, 1:n - 1, 1:n - 1]).tolist()
         q = sympy.Poly([QQ(ck, L ** (n - 2 - k)) for k, ck in reversed(list(enumerate(c)))],
                        x, domain="QQ")
         first, last = (sympy.Poly([1, -QQ(e.numerator, e.denominator)], x, domain="QQ")
-                       for e in (M.entries[0][0], M.entries[-1][-1]))
+                       for e in (fraction_entries(M)[0][0], fraction_entries(M)[-1][-1]))
         assert ref == first * last * q
 
     def test_yun_runs_only_where_the_central_block_repeats_a_root(self, monkeypatch):
@@ -542,7 +547,7 @@ class TestCharpolyFactors:
 def stacked_spectrum(M):
     """The Spectrum with every factor, linear ones included, root-solved by
     _roots_stacked, as spectra did before linear factors skipped it."""
-    L, B = M.integer_scaled()
+    L, B = M.L, M.B
     vals = []
     for f, mult in _charpoly_factors([B])[0]:
         d = len(f) - 1
@@ -578,7 +583,7 @@ class TestLinearFactors:
 
         monkeypatch.setattr(localmatrix, "_roots_stacked", recording)
         Ms = [w6_matrix(F(a, 10), F(b, 10)) for a in range(-5, 6) for b in range(-5, 6)]
-        for M, sp in zip(Ms, localmatrix.spectra([M.integer_scaled() for M in Ms])):
+        for M, sp in zip(Ms, localmatrix.spectra([(M.L, M.B) for M in Ms])):
             assert packed(sp.eigenvalues) == packed(stacked_spectrum(M).eigenvalues)
         assert seen and all(len(row) > 2 for row in seen)
 
@@ -652,7 +657,7 @@ class TestSizeCap:
         L = 2 ** 499 + 1
         rng = random.Random(24)
         half = [F(rng.randrange(-L + 1, L), L) for _ in range(12)]
-        n, (_, B) = 24, matrix_from_coeffs(-11, half[::-1] + half).integer_scaled()
+        n, B = 24, matrix_from_coeffs(-11, half[::-1] + half).B
         [c] = _central_charpolys(stack([row[1:n - 1] for row in B[1:n - 1]])).tolist()
         bound = 2 ** len(c) * (math.isqrt(sum(x * x for x in c)) + 1)
         assert bound.bit_length() <= 22 * 500 + 44 + 2 + 11 * math.log2(22) < top
@@ -802,7 +807,7 @@ class TestStackedCharpoly:
         Ms = [matrix_from_coeffs(*r) for r in runs]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(localmatrix, "_charpoly_factors", recorded)
-            got = localmatrix.spectra([M.integer_scaled() for M in Ms])
+            got = localmatrix.spectra([(M.L, M.B) for M in Ms])
         orders = [S.shape[1] for S, _ in stacks]
         assert sorted(orders) == sorted(set(M.n for M in Ms))
         assert sum(len(S) for S, _ in stacks) == len(Ms)
@@ -870,7 +875,8 @@ class TestScaleInvariance:
     ])
     @pytest.mark.parametrize("k", [2, 3, 7, 10 ** 9 + 7])
     def test_width6_cells(self, params, k):
-        L, B = w6_matrix(*params).integer_scaled()
+        M = w6_matrix(*params)
+        L, B = M.L, M.B
         base, scaled = localmatrix.spectra(
             [(L, B), (k * L, [[k * e for e in row] for row in B])])
         assert packed(scaled.eigenvalues) == packed(base.eigenvalues)
@@ -878,7 +884,8 @@ class TestScaleInvariance:
 
     @given(drawn_runs(), st.integers(2, 10 ** 6))
     def test_drawn_masks(self, drawn, k):
-        L, B = matrix_from_coeffs(*drawn).integer_scaled()
+        M = matrix_from_coeffs(*drawn)
+        L, B = M.L, M.B
         base, scaled = localmatrix.spectra(
             [(L, B), (k * L, [[k * e for e in row] for row in B])])
         assert packed(scaled.eigenvalues) == packed(base.eigenvalues)

@@ -1,37 +1,13 @@
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from subdiv.masks import (Mask, SchemeFormatError, SchemeRecord, SymmetryClass,
-                          catalog_get, classify_symmetry, load_scheme,
+                          catalog_get, classify_symmetry, integer_run, load_scheme,
                           recenter, save_scheme)
-from subdiv.symbols import LaurentPoly
-
-
-class TestSymbolRoundTrip:
-    def test_width6_scheme(self):
-        mask = catalog_get("a").mask
-        s = mask.symbol()
-        assert s[-2] == F(-1, 10) and s[3] == F(-1, 10)
-        assert Mask.from_symbol(s) == mask
-
-    def test_single_coefficient(self):
-        mask = Mask(0, (F(1),))
-        assert mask.symbol() == LaurentPoly({0: 1})
-        assert Mask.from_symbol(LaurentPoly({0: 1})) == mask
-
-    def test_two_point_scheme(self):
-        mask = catalog_get("c").mask
-        assert mask.symbol() == LaurentPoly({-1: F(1, 2), 0: 1, 1: F(1, 2)})
-
-    def test_zero_symbol_rejected(self):
-        with pytest.raises(ValueError):
-            Mask.from_symbol(LaurentPoly())
-
-    def test_round_trip_any_translation(self):
-        mask = Mask(5, (F(1), F(2), F(1)))
-        assert Mask.from_symbol(mask.symbol()) == mask
 
 
 class TestSymmetry:
@@ -109,3 +85,20 @@ class TestMaskInvariants:
     def test_indexing_outside_support(self):
         mask = catalog_get("c").mask
         assert mask[-2] == 0 and mask[2] == 0 and mask[0] == 1
+
+    def test_indexing_by_absolute_index(self):
+        mask = catalog_get("a").mask
+        assert mask[-2] == F(-1, 10) and mask[3] == F(-1, 10)
+
+
+class TestIntegerRun:
+    def test_width6_scheme(self):
+        assert integer_run(catalog_get("a").mask.coeffs) == (10, [-1, 3, 8, 8, 3, -1])
+
+    @given(st.lists(st.one_of(st.integers(-50, 50),
+                              st.fractions(max_denominator=60)), max_size=10))
+    def test_numerators_over_the_lcm(self, values):
+        L, nums = integer_run(values)
+        assert L == math.lcm(*(F(v).denominator for v in values))
+        assert all(type(x) is int for x in nums)
+        assert [F(x, L) for x in nums] == [F(v) for v in values]

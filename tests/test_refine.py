@@ -6,13 +6,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import Z, laurent_terms, sympy_symbol
 from subdiv import refine
 from subdiv.masks import Mask, catalog_get
 from subdiv.refine import (ControlPolygon, MeshType, RefinementLimitError,
                            SampledCurve, basis_experiment, basis_points_exact,
                            basis_polygon, curve_csv_text, curve_svg_text, delta,
-                           parameterize, refine_k, refine_once)
-from subdiv.symbols import LaurentPoly
+                           parameterize, refine_k)
 
 
 def rand_polygon(rng, mesh=MeshType.PRIMAL):
@@ -27,19 +27,19 @@ class TestRefineOnce:
     def test_delta_reproduces_mask(self):
         for name in "abcd":
             mask = catalog_get(name).mask
-            P = refine_once(delta(), mask)
+            P = refine_k(delta(), mask, 1)
             assert P.first_index == mask.support_min
             assert P.values == mask.coeffs
             assert P.level == 1
 
     def test_two_point_scheme_delta(self):
-        P = refine_once(delta(), catalog_get("c").mask)
+        P = refine_k(delta(), catalog_get("c").mask, 1)
         assert (P.first_index, P.values) == (-1, (F(1, 2), F(1), F(1, 2)))
 
     def test_constant_window_stays_constant_inside(self):
         mask = catalog_get("a").mask
         P = ControlPolygon(0, -10, (F(1),) * 21)
-        Q = refine_once(P, mask)
+        Q = refine_k(P, mask, 1)
         # indices far from the boundary see a complete rule: value exactly 1
         for i in range(-10, 11):
             assert Q[i] == 1
@@ -54,8 +54,8 @@ class TestRefineOnce:
             hi = max(P.last_index, Q.last_index)
             combo = ControlPolygon(0, lo, tuple(alpha * P[i] + beta * Q[i]
                                                 for i in range(lo, hi + 1)))
-            rc = refine_once(combo, mask)
-            rp, rq = refine_once(P, mask), refine_once(Q, mask)
+            rc = refine_k(combo, mask, 1)
+            rp, rq = refine_k(P, mask, 1), refine_k(Q, mask, 1)
             for i in range(rc.first_index - 2, rc.last_index + 3):
                 assert rc[i] == alpha * rp[i] + beta * rq[i]
 
@@ -65,7 +65,7 @@ class TestRefineOnce:
         for _ in range(10):
             P = rand_polygon(rng)
             shifted = ControlPolygon(P.level, P.first_index + 3, P.values, P.mesh)
-            r, rs = refine_once(P, mask), refine_once(shifted, mask)
+            r, rs = refine_k(P, mask, 1), refine_k(shifted, mask, 1)
             assert rs.first_index == r.first_index + 6
             assert rs.values == r.values
 
@@ -132,16 +132,16 @@ def assert_canonical(P: ControlPolygon):
 class TestIntegerStep:
     @given(wide_polygons(), masks())
     def test_matches_fraction_reference(self, P, mask):
-        Q = refine_once(P, mask)
+        Q = refine_k(P, mask, 1)
         assert (Q.first_index, Q.values) == reference_refine_once(P, mask)
         assert (Q.level, Q.mesh) == (P.level + 1, P.mesh)
 
     @given(polygons(), masks())
     def test_canonical_form(self, P, mask):
         assert_canonical(P)
-        Q = refine_once(P, mask)
+        Q = refine_k(P, mask, 1)
         assert_canonical(Q)
-        assert_canonical(refine_once(Q, mask))
+        assert_canonical(refine_k(Q, mask, 1))
 
     @given(polygons(), masks(), st.integers(0, 2))
     def test_floats_are_rounded_fractions(self, P, mask, k):
@@ -164,10 +164,10 @@ class TestPackedRefinement:
     @settings(max_examples=150)
     @given(wide_polygons(), masks(), st.integers(0, 10))
     def test_matches_level_by_level_steps(self, P, mask, k):
-        # refine_once is checked against the Fraction reference above
+        # one step is checked against the Fraction reference above
         Q = P
         for _ in range(k):
-            Q = refine_once(Q, mask)
+            Q = refine_k(Q, mask, 1)
         assert refine_k(P, mask, k) == Q
         assert_canonical(Q)
 
@@ -198,7 +198,7 @@ class TestPackedRefinement:
             return P
         monkeypatch.setattr(refine, "_refine", spy)
         mask = catalog_get("a").mask
-        refine_once(delta(), mask)
+        refine_k(delta(), mask, 1)
         refine_k(delta(), mask, 4)
         basis_polygon(mask, 3)
         assert calls == [1, 4, 3]
@@ -208,11 +208,11 @@ class TestRefineK:
     def test_two_levels_match_symbol_product(self):
         mask = catalog_get("a").mask
         P = refine_k(delta(), mask, 2)
-        s = mask.symbol()
-        two_level = s * LaurentPoly({2 * e: c for e, c in s.coeffs.items()})  # s(z) s(z^2)
-        assert P.first_index == two_level.min_exp
+        s = sympy_symbol(mask.support_min, mask.coeffs)
+        two_level = laurent_terms(s * s.subs(Z, Z ** 2))  # s(z) s(z^2)
+        assert P.first_index == min(two_level)
         for i in range(P.first_index, P.last_index + 1):
-            assert P[i] == two_level[i]
+            assert P[i] == two_level.get(i, 0)
 
     def test_support_growth(self):
         for name in "abcd":
@@ -230,7 +230,7 @@ class TestRefineK:
             mask = catalog_get(name).mask
             P = delta()
             for k in range(1, 7):
-                P = refine_once(P, mask)
+                P = refine_k(P, mask, 1)
                 assert P.total() == 2 ** k
 
     def test_resource_cap(self):
@@ -323,7 +323,7 @@ class TestRefineK:
             if 2 * len(Q.nums) + mask.width > cap:
                 refused = True
                 break
-            Q = refine_once(Q, mask)
+            Q = refine_k(Q, mask, 1)
         if refused:
             with pytest.raises(RefinementLimitError):
                 refine_k(P, mask, k, max_points=cap)

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from conftest import Z, fraction_entries, sympy_symbol
 from subdiv import localmatrix, search
 from subdiv.convergence import is_contractive
 from subdiv.localmatrix import (complex_region_predicate, eigenvalues, matrix_from_coeffs,
@@ -14,7 +15,6 @@ from subdiv.search import (SCAN_BLOCK, CellClass, GridRange, SearchSpec, c1_w6_o
                            default_grid, free_param_count, min_width_report,
                            negativity_lemma_check, palindromic_coeffs, scan,
                            search_summary_json, write_search_csv)
-from subdiv.symbols import LaurentPoly
 
 HALF = F(1, 2)
 
@@ -42,8 +42,8 @@ class TestParameterization:
         for width in range(2, 9):
             params = tuple(F(k + 1, 17) for k in range(free_param_count(width)))
             support_min, run = palindromic_coeffs(width, params)
-            s = LaurentPoly.from_coeffs(run, support_min)
-            assert s(1) == 2 and s(-1) == 0
+            s = sympy_symbol(support_min, run)
+            assert s.subs(Z, 1) == 2 and s.subs(Z, -1) == 0
 
 
 class TestScan:
@@ -252,7 +252,7 @@ class TestIntegerScan:
         assert len(seen) == len(result.cells)
         for (L, B), cell in zip(seen, result.cells):
             M = matrix_from_coeffs(*palindromic_coeffs(width, cell.params))
-            assert [[F(x, L) for x in row] for row in B.tolist()] == [list(r) for r in M.entries]
+            assert [[F(x, L) for x in row] for row in B.tolist()] == [list(r) for r in fraction_entries(M)]
 
     def test_no_fraction_or_local_matrix_per_cell(self, monkeypatch):
         made = []
