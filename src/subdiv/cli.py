@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -148,7 +147,7 @@ def cmd_dynamics(args) -> int:
     else:
         v0 = dynamics.window_vector(refine.delta(), 0, M.n)
     traj = dynamics.iterate_local(v0, M, args.K, norm=args.norm)
-    traj = dynamics.decompose_modes(traj, tol=args.tol)
+    traj = dynamics.decompose_modes(traj)
     buf = io.StringIO()
     dynamics.write_trajectory_csv(traj, buf)
     _emit(buf.getvalue(), args.out)
@@ -230,10 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="iteration count (default 30, at most %d)" % dynamics.MAX_K)
     sp.add_argument("--v0", default=None, help="comma-separated start vector")
     sp.add_argument("--norm", choices=["inf", "2"], default="inf")
-    # the only tolerance option: analyze and search classify at
-    # localmatrix.SPECTRAL_TOL, refine and basis are exact
-    sp.add_argument("--tol", type=float, default=dynamics.MODE_TOL,
-                    help="numerical tolerance (default 1e-9)")
     sp.set_defaults(func=cmd_dynamics)
 
     sp = sub.add_parser("search", help="palindromic family grid scan")
@@ -261,8 +256,6 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
-            raise CliError("tol must be > 0")
         return args.func(args)
     except (CliError, ValueError, KeyError,
             convergence.NotFactorableError, masks.SchemeFormatError,

@@ -6,20 +6,20 @@ eigenmodes and complex-pair rotation-scaling planes.  The contraction
 factor of a complex pair is the modulus |mu| (the rotation-scaling normal
 form), with rotation angle arg(mu).
 
-For a rational matrix the trajectory and the left eigenvector are exact and
-use integer arithmetic only: a LocalMatrix holds A as the integer matrix
-B = L A, L the lcm of its denominators; the eigenvector comes from
-fraction-free elimination on B^T - L I, and the trajectory is kept as its
-transients v_k - f 1 (f 1 the fixed point): integer numerators over one
-denominator, stepped by one recurrence without any gcd.  Every reported
-float is one correctly rounded integer division.
+The trajectory and the left eigenvector are exact and use integer
+arithmetic only: a LocalMatrix holds A as the integer matrix B = L A, L the
+lcm of its denominators; the eigenvector comes from fraction-free
+elimination on B^T - L I, and the trajectory is kept as its transients
+v_k - f 1 (f 1 the fixed point, 0 when eigenvalue 1 is not simple):
+integer numerators over one denominator, stepped by one recurrence without
+any gcd.  Every reported float is one correctly rounded integer division.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Optional, Sequence, TextIO, Union
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -28,10 +28,6 @@ from .masks import integer_run
 from .refine import ControlPolygon
 
 _COEFF_FLOOR = 1e-12  # coefficients below this are treated as unexcited
-
-# the one default of the mode-grouping tolerance: an eigenvalue with
-# |Im| > MODE_TOL is grouped with its conjugate as a rotation plane
-MODE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -64,12 +60,6 @@ def window_vector(P: ControlPolygon, center_index: int, n: int) -> tuple[float, 
         raise ValueError("window size must be >= 1")
     lo = center_index - n // 2
     return tuple(float(P[i]) for i in range(lo, lo + n))
-
-
-def _as_array(A: Union[LocalMatrix, np.ndarray, Sequence[Sequence[float]]]) -> np.ndarray:
-    if isinstance(A, LocalMatrix):
-        return A.as_float()
-    return np.asarray(A, dtype=float)
 
 
 def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
@@ -145,20 +135,21 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
         common *= L
 
 
-def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
-                  K: int, norm: str = "inf") -> TrajectoryReport:
+def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
+                  norm: str = "inf") -> TrajectoryReport:
     """Transients [v0 - f, A v0 - f, ..., A^K v0 - f] and distances to the
-    fixed point f.
+    fixed point f, for A = M.B / M.L.
 
     The fixed point is (u . v0) * ones with u the left eigenvector for
     eigenvalue 1 normalized to u . ones = 1; this is exact in the limit and
-    independent of K.  For a LocalMatrix whose eigenvalue 1 is simple the
-    whole trajectory is exact (_transient_numerators): integer numerators over
-    one denominator, stepped by the integer matrix B = L A, and each
-    transient entry is one correctly rounded integer division, kept as a
-    Python float.  The distances are taken over one array of all
-    transients: the inf-norm as one row-wise max, the 2-norm as
-    np.linalg.norm of each row scaled by 2^-e, e the exponent of its
+    independent of K.  When eigenvalue 1 is absent or not simple, or u sums
+    to 0 (_rational_null_weights is None), f is 0 and the transients are
+    the states.  The whole trajectory is exact (_transient_numerators):
+    integer numerators over one denominator, stepped by the integer matrix
+    B = L A, and each transient entry is one correctly rounded integer
+    division, kept as a Python float.  The distances are taken over one
+    array of all transients: the inf-norm as one row-wise max, the 2-norm
+    as np.linalg.norm of each row scaled by 2^-e, e the exponent of its
     largest entry, then scaled back.  The spectrum is not checked: a
     non-convergent matrix still yields its trajectory
     (Spectrum.convergence_spectral_ok decides convergence).  K is at most
@@ -170,34 +161,16 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
         raise ValueError("K must be <= %d" % MAX_K)
     if norm not in ("inf", "2"):
         raise ValueError("norm must be 'inf' or '2'")
-    Af = _as_array(A)
-    n = Af.shape[0]
-    v = np.asarray(v0, dtype=float)
-    if v.shape != (n,):
-        raise ValueError("v0 has dimension %d, matrix order is %d" % (v.size, n))
+    n = M.n
+    if len(v0) != n:
+        raise ValueError("v0 has dimension %d, matrix order is %d" % (len(v0), n))
 
-    weights = _rational_null_weights(A.L, A.B) if isinstance(A, LocalMatrix) else None
-    if weights is not None:
-        vq = [Fraction(x) for x in v]  # floats are exact binary rationals
-        fq = sum((w * x for w, x in zip(weights, vq)), Fraction(0))
-        diffs = [[y / common for y in T]
-                 for T, common in islice(_transient_numerators(vq, fq, A.L, A.B), K + 1)]
-        D = np.array(diffs)
-        fixed = [float(fq)] * n
-    else:
-        wl, Ul = np.linalg.eig(Af.T)
-        i1 = int(np.argmin(np.abs(wl - 1.0)))
-        if abs(wl[i1] - 1.0) < 1e-9:
-            u = np.real(Ul[:, i1])
-            u = u / u.sum()
-            fixed = float(u @ v) * np.ones_like(v)
-        else:
-            fixed = np.zeros_like(v)
-        S = [v.copy()]
-        for _ in range(K):
-            S.append(Af @ S[-1])
-        D = np.array(S) - fixed
-        diffs, fixed = D.tolist(), fixed.tolist()
+    vq = [Fraction(float(x)) for x in v0]  # floats are exact binary rationals
+    weights = _rational_null_weights(M.L, M.B)
+    fq = Fraction(0) if weights is None else sum((w * x for w, x in zip(weights, vq)), Fraction(0))
+    diffs = [[y / common for y in T]
+             for T, common in islice(_transient_numerators(vq, fq, M.L, M.B), K + 1)]
+    D = np.array(diffs)
 
     top = np.max(np.abs(D), axis=1)
     if norm == "inf":
@@ -212,19 +185,23 @@ def iterate_local(v0: Sequence[float], A: Union[LocalMatrix, np.ndarray],
     violations = sum(1 for k in range(K) if dists[k + 1] > dists[k])
     return TrajectoryReport(
         transients=tuple(map(tuple, diffs)),
-        fixed_point=tuple(fixed),
+        fixed_point=(float(fq),) * n,
         distances=tuple(dists),
         monotonicity_violations=violations,
-        matrix=tuple(map(tuple, Af.tolist())),
+        matrix=tuple(map(tuple, M.as_float().tolist())),
     )
 
 
-def decompose_modes(traj: TrajectoryReport, tol: float = MODE_TOL) -> TrajectoryReport:
+def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
     """Enrich a trajectory with per-eigenmode magnitudes and sign data.
 
     Real eigendirections give signed coefficient sequences with flip
     counts; conjugate pairs are merged into a single rotation-scaling plane
-    whose magnitude contracts by |mu| per step.  The coefficients of every
+    whose magnitude contracts by |mu| per step.  The pairs are read off
+    LAPACK's ordering, with no tolerance: for a real matrix, dgeev returns
+    every real eigenvalue with an imaginary part of exactly 0 and every
+    complex pair as two consecutive entries, Im > 0 first, then its exact
+    conjugate (LAPACK Users' Guide, xGEEV).  The coefficients of every
     transient come from one stacked solve, each system a single right-hand
     side as in a solve per transient, and the magnitudes and flips from
     array operations.  A matrix that is defective beyond tolerance skips
@@ -240,26 +217,12 @@ def decompose_modes(traj: TrajectoryReport, tol: float = MODE_TOL) -> Trajectory
     D = np.asarray(traj.transients)
     coeffs = np.linalg.solve(np.broadcast_to(V, (len(D),) + V.shape), D[..., None])[..., 0]
 
-    used = [False] * len(w)
     modes: list[EigenMode] = []
     for j, mu in enumerate(w):
-        if used[j]:
-            continue
-        used[j] = True
-        if abs(mu.imag) > tol:
-            # find the conjugate partner
-            partner = None
-            for j2 in range(len(w)):
-                if not used[j2] and abs(w[j2] - np.conj(mu)) < 1e-8 * max(1.0, abs(mu)):
-                    partner = j2
-                    break
-            mags = np.abs(coeffs[:, j])
-            if partner is not None:
-                used[partner] = True
-                mags = np.hypot(mags, np.abs(coeffs[:, partner]))
-            rep = mu if mu.imag >= 0 else np.conj(mu)
-            modes.append(EigenMode(complex(rep), True, tuple(mags.tolist()), None, 0))
-        else:
+        if mu.imag > 0:  # w[j + 1] is its conjugate, skipped below
+            mags = np.hypot(np.abs(coeffs[:, j]), np.abs(coeffs[:, j + 1]))
+            modes.append(EigenMode(complex(mu), True, tuple(mags.tolist()), None, 0))
+        elif mu.imag == 0:
             cj = np.real(coeffs[:, j])
             big, pos = np.abs(cj) > _COEFF_FLOOR, cj > 0
             flips = int(np.count_nonzero(big[:-1] & big[1:] & (pos[:-1] != pos[1:])))

@@ -23,12 +23,13 @@ q the characteristic polynomial of the central block, computed exactly in
 integers (Faddeev-LeVerrier on L*A, one stacked matrix product per step).
 A fraction-free remainder sequence of (q, q') over GF(2^61 - 1), run on the
 whole stack, certifies q square-free when it drops one degree at a time to
-a nonzero constant; q is then its own single class.  Any other q takes
-gcd(q, q') there on its own and, when that is not a constant, Yun's split
-over GF(p), p a Mersenne prime above twice q's Mignotte bound, kept when
-its lifted factors multiply to q in integers.  Each corner then joins the
-class above its multiplicity as a root of q (0 when it is none), two
-classes up when the corners are equal (every palindromic mask).
+a nonzero constant; q is then its own single class.  Any other q goes
+straight to Yun's split over GF(p), p a Mersenne prime above twice q's
+Mignotte bound, kept when its lifted factors multiply to q in integers (a
+square-free q whose sequence skipped a degree comes back whole).  Each
+corner then joins the class above its multiplicity as a root of q (0 when
+it is none), two classes up when the corners are equal (every palindromic
+mask).
 
 A palindromic run makes A commute with the flip J (A[i][j] = A[n-1-i][n-1-j]),
 so the central block C is centrosymmetric.  Such a C of order 2k splits
@@ -128,17 +129,29 @@ def check_size(mask: Mask) -> None:
                          "max(width - 2, 1) * bits <= %d" % (mask.width, bits, MAX_CHARPOLY_BITS))
 
 
-def local_entries(nums: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Entries of the local matrix of a nominal run of integer numerators,
-    zero off the run.  The order is the run length, 2 to MAX_ORDER."""
-    n = len(nums)
+def local_stack(runs) -> np.ndarray:
+    """The (N, n, n) stack of local matrices of an (N, n) array of nominal
+    runs of integer numerators (or anything np.array makes one of), zero
+    off each run, as Python ints (dtype=object).  The order n is the run
+    length, 2 to MAX_ORDER."""
+    R = np.array(runs, dtype=object)
+    N, n = R.shape
     if n < 2:
         raise ValueError("local matrix needs mask width >= 2")
     check_order(n)
-    # A[i][j] = a_{2j-i-c} (1-based) is nums[2j - i] (0-based) whatever
-    # support_min is; padded[2j - i + n - 1] reads it
-    padded = [0] * (n - 1) + list(nums) + [0] * (n - 1)
-    return tuple(tuple(padded[2 * j - i + n - 1] for j in range(n)) for i in range(n))
+    # A[i][j] = a_{2j-i-c} (1-based) is run[2j - i] (0-based) whatever
+    # support_min is; the run padded by n - 1 zeros each side reads it at
+    # 2j - i + n - 1
+    padded = np.zeros((N, 3 * n - 2), dtype=object)
+    padded[:, n - 1:2 * n - 1] = R
+    i, j = np.indices((n, n))
+    return padded[:, 2 * j - i + n - 1]
+
+
+def local_entries(nums: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Entries of the local matrix of one nominal run of integer numerators:
+    local_stack of the one run."""
+    return tuple(map(tuple, local_stack([nums])[0].tolist()))
 
 
 def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMatrix:
@@ -347,21 +360,18 @@ def _yun_lift(c: Sequence[int], g: Sequence[int], p: int) -> dict[int, list[int]
 
 def _squarefree_split(c: Sequence[int]) -> dict[int, list[int]]:
     """{i: the monic integer product of the factors of multiplicity i} of a
-    monic integer c.  When gcd(c, c') over GF(_PRIMES[0]) is a constant, c
-    is square-free: a square factor g^2 has a monic integer g (Gauss's
-    lemma), which keeps its degree mod p and divides c' there too.
-    Otherwise _yun_lift runs over the first prime above twice the Mignotte
-    bound 2^d ||c||_2 on the coefficients of c's monic factors.  Its factors
-    are square-free and pairwise coprime mod p, so over the rationals too by
-    the same lemma, and the split is unique: a product equal to c is it.  An
+    monic integer c that _certified left out.  _yun_lift runs over the first
+    prime above twice the Mignotte bound 2^d ||c||_2 on the coefficients of
+    c's monic factors.  Its factors are square-free and pairwise coprime mod
+    p, so over the rationals too (a common or square factor over the
+    rationals has a monic integer form by Gauss's lemma, which keeps its
+    degree mod p), and the split is unique: a product equal to c is it.  An
     unequal product means p divides a resultant of c's factors; the next
     prime runs."""
     dc = [k * x for k, x in enumerate(c)][1:]
-    if len(_gcd_mod(c, dc, _PRIMES[0])) == 1:
-        return {1: list(c)}
     bound = 2 ** len(c) * (math.isqrt(sum(x * x for x in c)) + 1)
     for p in _PRIMES:
-        if p > bound and (split := _yun_lift(c, _gcd_mod(c, dc, p), p)):
+        if p > bound and (split := _yun_lift(c, _gcd_mod(c, dc, p), p)) is not None:
             return split
     raise EigensolveError("no table prime splits the characteristic polynomial")
 
@@ -372,9 +382,11 @@ def _certified(c: np.ndarray) -> np.ndarray:
     each fraction-free pseudo-remainder exactly one degree lower than the
     divisor, with a leading coefficient nonzero mod p, down to a nonzero
     constant.  Over GF(p) each is a unit times the true remainder, so
-    gcd(c, c') is a unit there and c is square-free (see _squarefree_split).
-    A row left out may still be square-free: its sequence skipped a degree,
-    or p divides a subresultant."""
+    gcd(c, c') is a unit there, and c is square-free: a square factor g^2
+    has a monic integer g (Gauss's lemma), which keeps its degree mod p and
+    divides c' there too.  A row left out may still be square-free: its
+    sequence skipped a degree, or p divides a subresultant; _squarefree_split
+    returns it whole."""
     p = _PRIMES[0]
     a = c % p
     b = c[:, 1:] * np.arange(1, c.shape[1]) % p  # c', leading coefficient d

@@ -23,10 +23,8 @@ from fractions import Fraction
 from itertools import islice, product
 from typing import Optional, Sequence, TextIO
 
-import numpy as np
-
 from .convergence import is_contractive
-from .localmatrix import spectra, w6_discriminant
+from .localmatrix import local_stack, spectra, w6_discriminant
 
 
 @dataclass(frozen=True)
@@ -146,11 +144,10 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     the grid's common denominator D = lcm(2, each range's lo and step
     denominators), so each cell's run is too: contractivity is tested as a
     parity norm < D, the width-6 degenerate flag as D^2 times the
-    discriminant == 0.  The runs fill the middle of an (N, 3n - 2) array
-    of Python ints, zero-padded by n - 1 on each side, and one index array
-    (local_entries' rule) reads the (N, n, n) stack of D*A from it; spectra
-    gets the pairs (D, D*A).  No Fraction or LocalMatrix is built per cell,
-    and the floats equal those of each cell's own lcm."""
+    discriminant == 0.  The block's runs make one (N, n, n) stack of D*A
+    (local_stack), and spectra gets the pairs (D, D*A).  No Fraction or
+    LocalMatrix is built per cell, and the floats equal those of each cell's
+    own lcm."""
     try:
         n_cells = math.prod(len(r) for r in spec.param_ranges)
     except OverflowError:  # a single range longer than sys.maxsize
@@ -166,24 +163,19 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     counts = {c.value: 0 for c in CellClass}
     witnesses: dict[str, Cell] = {}
     n = spec.width
-    # the local_entries rule: A[i][j] reads the run at 2j - i, so the padded
-    # run at 2j - i + n - 1
-    i, j = np.indices((n, n))
-    entry = 2 * j - i + n - 1
     grid = product(*axes)  # one empty tuple when the family has no parameter
     while block := list(islice(grid, SCAN_BLOCK)):
-        padded = np.zeros((len(block), 3 * n - 2), dtype=object)
-        exact = []
-        for k, point in enumerate(block):
+        runs, exact = [], []
+        for point in block:
             nums = [x for _, x in point]
             support_min, run = _run_numerators(n, nums, den)
-            padded[k, n - 1:2 * n - 1] = run
+            runs.append(run)
             # Theorem-1 conditions hold by construction; the filter adds the
             # contractivity requirement for the Convergent classes.
             convergent = is_contractive(support_min, run, den) if spec.convergence_filter else True
             degenerate = n == 6 and w6_discriminant(nums[0], nums[1], den) == 0
             exact.append((tuple(v for v, _ in point), convergent, degenerate))
-        scaled = [(den, B) for B in padded[:, entry]]
+        scaled = [(den, B) for B in local_stack(runs)]
         for (params, convergent, degenerate), sp in zip(exact, spectra(scaled)):
             if sp.has_complex:
                 cls = CellClass.COMPLEX_CONVERGENT if convergent else CellClass.COMPLEX_OTHER

@@ -114,8 +114,8 @@ class TestRefineAndBasis:
         assert code == 0
         assert out.startswith("<svg") and "<polyline" in out
 
-    # analyze and search classify at localmatrix.SPECTRAL_TOL and are
-    # checked in TestTolValidation; only dynamics takes --tol
+    # analyze, search and dynamics are checked in TestTolValidation; no
+    # command takes --tol
     @pytest.mark.parametrize("command", ["basis", "refine"])
     def test_exact_commands_take_no_tol(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
@@ -239,7 +239,8 @@ class TestSearch:
 
 
 class TestTolValidation:
-    # dynamics checks the value; analyze and search take no --tol at all
+    # no command takes --tol: analyze and search classify at
+    # localmatrix.SPECTRAL_TOL, dynamics pairs modes by LAPACK's order
     @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize("argv", [
         ("analyze", "--scheme", "catalog:a"),
@@ -247,16 +248,11 @@ class TestTolValidation:
         ("dynamics", "--scheme", "catalog:a", "--K", "5"),
     ], ids=["analyze", "search", "dynamics"])
     def test_rejects_tol_not_finite_positive(self, capsys, argv, tol):
-        if argv[0] != "dynamics":
-            with pytest.raises(SystemExit) as exc:
-                main([*argv, "--tol=" + tol])
-            captured = capsys.readouterr()
-            assert exc.value.code == 2 and captured.out == ""
-            assert "unrecognized arguments: --tol" in captured.err
-            return
-        code, out, err = run(capsys, *argv, "--tol=" + tol)
-        assert code == 1 and out == ""
-        assert "tol must be > 0" in err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--tol=" + tol])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "unrecognized arguments: --tol" in captured.err
 
 
 class TestParserReuse:
@@ -271,7 +267,7 @@ class TestParserReuse:
         return done.stdout
 
     @pytest.mark.parametrize("first, second", [
-        (("dynamics", "--scheme", "catalog:a", "--K", "20", "--norm", "2", "--tol", "1e-6"),
+        (("dynamics", "--scheme", "catalog:a", "--K", "20", "--norm", "2"),
          ("dynamics", "--scheme", "catalog:a", "--K", "20")),
         (("search", "--width", "6", "--grid=-1/5:0:1/10,1/5:2/5:1/10", "--no-filter"),
          ("search", "--width", "6", "--grid=-1/5:0:1/10,1/5:2/5:1/10")),
@@ -298,7 +294,7 @@ class TestParserReuse:
     def test_each_call_parses_into_a_fresh_namespace(self, capsys, monkeypatch):
         grid = "--grid=-1/5:0:1/10,1/5:2/5:1/10"
         calls = [("dynamics", "--scheme", "catalog:a", "--K", "5", "--norm", "2",
-                  "--tol", "1e-6", "--v0", "0,1,0,0,0,0"),
+                  "--v0", "0,1,0,0,0,0"),
                  ("dynamics", "--scheme", "catalog:b"),
                  ("search", "--width", "6", grid, "--no-filter"),
                  ("search", "--width", "6", grid)]
@@ -329,8 +325,7 @@ OPTIONS = {
     "refine": {"-h", "--help", "--scheme", "--out", "-o", "--iters", "--points",
                "--first-index", "--mesh", "--format"},
     "basis": {"-h", "--help", "--scheme", "--out", "-o", "--iters", "--format"},
-    "dynamics": {"-h", "--help", "--scheme", "--out", "-o", "--K", "--v0", "--norm",
-                 "--tol"},
+    "dynamics": {"-h", "--help", "--scheme", "--out", "-o", "--K", "--v0", "--norm"},
     "search": {"-h", "--help", "--out", "-o", "--width", "--grid", "--no-filter",
                "--min-width", "--max-width"},
 }
@@ -470,8 +465,15 @@ W13R_COEFFS = tuple(F(c) for c in (
 # file in place of MASK4U
 MASK4U = "<width-4 unbalanced mask file>"
 W4U_COEFFS = tuple(F(c) for c in ("1", "-2/3", "-1/3", "-1/2"))
+# an unbalanced width-6 rational mask (even sum 1/2, odd sum 6/5) whose
+# local matrix has no eigenvalue 1 and one complex pair: the fixed point is
+# 0 and the transients are the exact states; the test writes it to a file
+# in place of MASK6N
+MASK6N = "<width-6 mask file without eigenvalue 1>"
+W6N_COEFFS = tuple(F(c) for c in ("-1/8", "1/2", "3/4", "1/2", "-1/8", "1/5"))
 MASK_FILES = {MASK13: ("w13", W13_COEFFS), MASK13Y: ("w13y", W13Y_COEFFS),
-              MASK13R: ("w13r", W13R_COEFFS), MASK4U: ("w4u", W4U_COEFFS)}
+              MASK13R: ("w13r", W13R_COEFFS), MASK4U: ("w4u", W4U_COEFFS),
+              MASK6N: ("w6n", W6N_COEFFS)}
 
 
 class TestDeterminism:
@@ -542,6 +544,9 @@ class TestDeterminism:
         pytest.param(("dynamics", "--scheme", MASK4U, "--K", "300"),
                      "bbed484491ecb69fed1dc3ebccb3adce30b4a504b21e00268a5871f03a9ce3d0",
                      id="argv18"),
+        pytest.param(("dynamics", "--scheme", MASK6N, "--K", "30"),
+                     "32860fe0d2443a4a05e5e8072c97f4c3e8d392c0446dcdeaf3200bac1acc8cfb",
+                     id="argv19"),
     ])
     def test_byte_identical_runs(self, capsys, tmp_path, argv, sha256):
         for placeholder, (name, coeffs) in MASK_FILES.items():

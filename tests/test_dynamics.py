@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fraction_entries
 from subdiv import dynamics
-from subdiv.dynamics import (MAX_K, _rational_null_weights, _transient_numerators,
-                             decompose_modes, iterate_local, window_vector,
-                             write_trajectory_csv)
+from subdiv.dynamics import (MAX_K, TrajectoryReport, _rational_null_weights,
+                             _transient_numerators, decompose_modes, iterate_local,
+                             window_vector, write_trajectory_csv)
 from subdiv.localmatrix import LocalMatrix, build_local_matrix, matrix_from_coeffs
 from subdiv.masks import catalog_get
 from subdiv.refine import ControlPolygon, delta
@@ -56,8 +56,11 @@ class TestIterateLocal:
             assert abs(d[k + 1] / d[k] - 0.5) < 1e-9
 
     def test_non_convergent_matrix_reported(self):
-        traj = iterate_local((1.0, 0.0), np.array([[2.0, 0.0], [0.0, 1.0]]), 5)
-        assert len(traj.transients) == 6
+        # eigenvalue 1 is simple with u = e2, so f = v0[1] = 0 and the
+        # transients are the states, the first entry doubling each step
+        A = LocalMatrix(1, ((2, 0), (0, 1)), 0)
+        traj = iterate_local((1.0, 0.0), A, 5)
+        assert traj.transients == tuple((2.0 ** k, 0.0) for k in range(6))
 
     def test_K_bound_checked_before_any_step(self, monkeypatch):
         def fail(*args):
@@ -65,8 +68,8 @@ class TestIterateLocal:
 
         monkeypatch.setattr(dynamics, "_transient_numerators", fail)
         monkeypatch.setattr(dynamics, "_rational_null_weights", fail)
-        monkeypatch.setattr(dynamics, "_as_array", fail)
-        for A in (A_MATRIX, np.eye(6)):
+        identity = LocalMatrix(1, tuple(tuple(int(i == j) for j in range(6)) for i in range(6)), 0)
+        for A in (A_MATRIX, identity):
             with pytest.raises(ValueError, match="K must be <= %d" % MAX_K):
                 iterate_local(E1, A, MAX_K + 1)
             with pytest.raises(ValueError, match="K must be <= %d" % MAX_K):
@@ -87,14 +90,12 @@ def sympy_null_weights(A: LocalMatrix):
 
 def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
     """The former Fraction loop, kept as an oracle: (transients,
-    fixed_point, distances), with the weights solved by sympy; None where
-    eigenvalue 1 is not simple and the float path runs instead."""
+    fixed_point, distances), with the weights solved by sympy; the fixed
+    point is 0 where eigenvalue 1 is not simple."""
     weights = sympy_null_weights(A)
-    if weights is None:
-        return None
     n, E = A.n, fraction_entries(A)
     vq = [F(x) for x in v0]
-    fq = sum((w * x for w, x in zip(weights, vq)), F(0))
+    fq = F(0) if weights is None else sum((w * x for w, x in zip(weights, vq)), F(0))
     states_q = [vq]
     for _ in range(K):
         prev = states_q[-1]
@@ -151,11 +152,7 @@ class TestExactTrajectory:
     def test_matches_fraction_reference(self, data, A, K, norm):
         v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
         traj = iterate_local(v0, A, K, norm)
-        ref = reference_trajectory(v0, A, K, norm)
-        if ref is None:
-            assert _rational_null_weights(A.L, A.B) is None
-            return
-        transients, fixed, dists = ref
+        transients, fixed, dists = reference_trajectory(v0, A, K, norm)
         assert bits(traj.transients) == bits(transients)
         assert bits(traj.fixed_point) == bits(fixed)
         assert bits(traj.distances) == bits(dists)
@@ -216,14 +213,6 @@ class TestTwoNormRange:
             assert 0 < ref < math.inf and d == pytest.approx(ref, rel=1e-15, abs=0)
             v = [sum((e * x for e, x in zip(row, v)), F(0)) for row in E]
 
-    @pytest.mark.parametrize("scale", [1e200, 1e-200])
-    def test_float_path_matches_hypot(self, scale):
-        v0 = (0.0, 3 * scale, 4 * scale)
-        traj = iterate_local(v0, self.A.as_float(), 20, "2")
-        for d, row in zip(traj.distances, traj.transients):
-            ref = math.hypot(*row)
-            assert 0 < ref < math.inf and d == pytest.approx(ref, rel=1e-15, abs=0)
-
 
 class TestDecomposeModes:
     def test_rotation_scaling_of_width6_scheme(self):
@@ -266,17 +255,19 @@ class TestDecomposeModes:
         assert all(not m.is_complex_pair for m in traj.modes)
 
     def test_defective_matrix_skips_decomposition(self):
-        A = np.array([[0.5, 1.0], [0.0, 0.5]])  # Jordan block
+        A = LocalMatrix(2, ((1, 2), (0, 1)), 0)  # a Jordan block at 1/2
         traj = decompose_modes(iterate_local((1.0, 1.0), A, 5))
         assert traj.modes is None
         assert "defective" in traj.mode_diagnostic
         assert len(traj.distances) == 6
 
 
-def reference_decompose(traj, tol=dynamics.MODE_TOL):
+def reference_decompose(traj, tol=1e-9):
     """The former per-state loop, kept as an oracle: one np.linalg.solve per
-    transient, scalar np.hypot and np.abs per coefficient, and the flip loop.
-    None where the matrix is defective and the decomposition is skipped."""
+    transient, scalar np.hypot and np.abs per coefficient, the flip loop,
+    and complex pairs found by the former tolerance search (|Im| > tol,
+    partner within 1e-8).  None where the matrix is defective and the
+    decomposition is skipped."""
     Af = np.asarray(traj.matrix)
     w, V = np.linalg.eig(Af)
     if np.linalg.cond(V) > 1e10:
@@ -342,19 +333,25 @@ def mixed_spectrum_matrices(draw):
     return P @ J @ np.linalg.inv(P)
 
 
+def float_trajectory(A, v0, K):
+    """A TrajectoryReport of float states v_{k+1} = A v_k about the fixed
+    point 0: decompose_modes reads only the matrix and the transients."""
+    states = [np.array(v0, dtype=float)]
+    for _ in range(K):
+        states.append(A @ states[-1])
+    D = np.array(states)
+    return TrajectoryReport(
+        transients=tuple(map(tuple, D.tolist())), fixed_point=(0.0,) * len(A),
+        distances=tuple(np.max(np.abs(D), axis=1).tolist()),
+        monotonicity_violations=0, matrix=tuple(map(tuple, A.tolist())))
+
+
 class TestDecomposeBitIdentity:
     """The stacked solve and array-wide magnitudes and distances against the
     former per-state loop, bit for bit."""
 
     def check(self, traj, norm):
-        got = decompose_modes(traj)
-        ref = reference_decompose(traj)
-        if ref is None:
-            assert got.modes is None
-        else:
-            assert mode_bits([(m.eigenvalue, m.is_complex_pair, m.magnitudes,
-                               m.coefficients, m.sign_flips) for m in got.modes]) == \
-                mode_bits(ref)
+        self.check_modes(traj)
         rows = [np.array(d) for d in traj.transients]
         if norm == "inf":
             dists = [float(np.max(np.abs(d))) for d in rows]
@@ -364,12 +361,28 @@ class TestDecomposeBitIdentity:
         assert all(type(x) is float for x in traj.distances + traj.fixed_point
                    + traj.transients[-1] + traj.matrix[0])
 
+    @staticmethod
+    def check_modes(traj):
+        got = decompose_modes(traj)
+        # the former tolerance and LAPACK's conjugate order pair the same
+        # eigenvalues unless some |Im| lies in (0, 1e-9], as when LAPACK
+        # splits a double real eigenvalue: it then reports a complex pair,
+        # which the oracle finds at tol = 0
+        w = np.linalg.eig(np.asarray(traj.matrix))[0]
+        ref = reference_decompose(traj, 0.0 if any(0 < abs(mu.imag) <= 1e-9 for mu in w)
+                                  else 1e-9)
+        if ref is None:
+            assert got.modes is None
+        else:
+            assert mode_bits([(m.eigenvalue, m.is_complex_pair, m.magnitudes,
+                               m.coefficients, m.sign_flips) for m in got.modes]) == \
+                mode_bits(ref)
+
     @settings(max_examples=40, deadline=None)
-    @given(st.data(), mixed_spectrum_matrices(), st.integers(1, 300),
-           st.sampled_from(["inf", "2"]))
-    def test_float_matrices(self, data, A, K, norm):
+    @given(st.data(), mixed_spectrum_matrices(), st.integers(1, 300))
+    def test_float_matrices(self, data, A, K):
         v0 = data.draw(st.lists(st.floats(-4, 4), min_size=len(A), max_size=len(A)))
-        self.check(iterate_local(v0, A, K, norm), norm)
+        self.check_modes(float_trajectory(A, v0, K))
 
     # a matrix with an eigenvalue past 1 overflows to inf within 300 steps
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -384,6 +397,24 @@ class TestDecomposeBitIdentity:
         traj = iterate_local(E1, A_MATRIX, 300, norm)
         assert any(m[1] for m in reference_decompose(traj))
         self.check(traj, norm)
+
+
+class TestLapackPairs:
+    """decompose_modes pairs w[j] (Im > 0) with w[j + 1] and reads every
+    entry with Im exactly 0 as real: dgeev's order for a real matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_spectrum_matrices())
+    def test_modes_follow_the_eigenvalue_order(self, A):
+        w = np.linalg.eig(A)[0]
+        for j, mu in enumerate(w):
+            assert mu.imag >= 0 or w[j - 1] == np.conj(mu)
+            assert mu.imag <= 0 or w[j + 1] == np.conj(mu)
+        traj = decompose_modes(float_trajectory(A, np.ones(len(A)), 3))
+        if traj.modes is None:
+            return
+        assert [(m.eigenvalue, m.is_complex_pair) for m in traj.modes] == \
+            [(complex(mu), mu.imag > 0) for mu in w if mu.imag >= 0]
 
 
 class TestTrajectoryCsv:

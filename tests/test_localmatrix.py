@@ -16,7 +16,7 @@ from subdiv import localmatrix
 from subdiv.localmatrix import (_PRIMES, Spectrum, _central_charpolys, _centrosymmetric,
                                 _certified, _charpoly_factors, _charpolys, _flip_stacks,
                                 _gcd_mod, _poly_mul, _roots_stacked, _squarefree_split,
-                                build_local_matrix,
+                                build_local_matrix, local_entries, local_stack,
                                 complex_region_predicate, eigenvalues,
                                 matrix_from_coeffs, w5_closed_form,
                                 w6_closed_form, w6_discriminant)
@@ -111,6 +111,21 @@ class TestBuild:
     def test_width_one_rejected(self):
         with pytest.raises(ValueError):
             build_local_matrix(Mask(0, (F(2),)))
+
+    @given(st.integers(2, 12).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n),
+        min_size=1, max_size=5)))
+    def test_stack_rows_are_each_runs_entries(self, runs):
+        # one home for the layout: local_entries is local_stack of one run,
+        # and each matrix of a stack is its run's on its own
+        n = len(runs[0])
+        S = local_stack(runs)
+        assert S.shape == (len(runs), n, n)
+        for run, B in zip(runs, S.tolist()):
+            assert tuple(map(tuple, B)) == local_entries(run) == tuple(
+                tuple(run[2 * j - i] if 0 <= 2 * j - i < n else 0 for j in range(n))
+                for i in range(n))
+            assert all(type(b) is int for row in B for b in row)
 
     def test_row_sums_are_one_for_catalog(self):
         for name in "abcd":
@@ -607,15 +622,18 @@ class TestModularCertificate:
         lift = localmatrix._yun_lift
         monkeypatch.setattr(localmatrix, "_yun_lift", counted)
         c = times(*([-r, 1] for r in roots))
+        # a square-free c is certified by the stacked certificate; any c
+        # the split gets goes straight to Yun, over one prime here
+        assert _certified(stack(c)).tolist() == [squarefree]
         assert split(c) == sympy_split(c)
-        # a square-free c is certified by the first gcd, with no split
-        assert (not lifts) is squarefree
+        assert len(lifts) == 1
 
     def test_square_mod_the_prime_is_not_certified(self):
         # y (y - P) is square-free over the rationals but y^2 mod P = 2^61 - 1:
-        # the first gcd certifies nothing, the Mignotte bound passes P, and
-        # the next prime returns c whole
+        # the certificate leaves it out, the Mignotte bound passes P, and
+        # Yun over the next prime returns c whole
         P = _PRIMES[0]
+        assert _certified(stack([0, -P, 1])).tolist() == [False]
         assert _squarefree_split([0, -P, 1]) == {1: [0, -P, 1]}
 
     def test_no_prime_above_the_bound_is_an_eigensolve_error(self, monkeypatch):
@@ -848,15 +866,24 @@ class TestStackedCertificate:
     @pytest.mark.parametrize("c", [[2, 3, 3, 1], [-1, 0, 0, 1]])
     def test_abnormal_sequences_take_the_split(self, monkeypatch, c):
         # (y + 2)(y^2 + y + 1) and y^3 - 1 are square-free, but a
-        # pseudo-remainder skips a degree: no certificate, and the per-row
-        # split still returns c whole, without Yun
+        # pseudo-remainder skips a degree: no certificate, and the split
+        # returns c whole through Yun, which takes gcd(c, c') once
         assert _certified(stack(c, [0, -1, 0, 1])).tolist() == [False, True]
+        lifts, gcds = [], []
 
-        def no_lift(*args):
-            raise AssertionError("Yun ran on a square-free c")
+        def counted_lift(*args):
+            lifts.append(args)
+            return lift(*args)
 
-        monkeypatch.setattr(localmatrix, "_yun_lift", no_lift)
+        def counted_gcd(a, b, p):
+            gcds.append((list(a), list(b)))
+            return gcd(a, b, p)
+
+        lift, gcd = localmatrix._yun_lift, localmatrix._gcd_mod
+        monkeypatch.setattr(localmatrix, "_yun_lift", counted_lift)
+        monkeypatch.setattr(localmatrix, "_gcd_mod", counted_gcd)
         assert _squarefree_split(c) == {1: c}
+        assert len(lifts) == 1 and gcds.count((c, derivative(c))) == 1
 
     @pytest.mark.parametrize("d", [0, 1])
     def test_constant_and_linear_rows(self, d):
