@@ -30,6 +30,11 @@ from .refine import ControlPolygon
 _COEFF_FLOOR = 1e-12  # coefficients below this are treated as unexcited
 
 
+class TrajectoryOverflowError(OverflowError):
+    """A transient of the exact trajectory leaves the float range before
+    step K: its correctly rounded float would be infinite."""
+
+
 @dataclass(frozen=True)
 class EigenMode:
     eigenvalue: complex          # representative; Im >= 0 for a complex pair
@@ -152,7 +157,8 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     as np.linalg.norm of each row scaled by 2^-e, e the exponent of its
     largest entry, then scaled back.  The spectrum is not checked: a
     non-convergent matrix still yields its trajectory
-    (Spectrum.convergence_spectral_ok decides convergence).  K is at most
+    (Spectrum.convergence_spectral_ok decides convergence), but a transient
+    entry past the float range is TrajectoryOverflowError.  K is at most
     MAX_K.
     """
     if K < 1:
@@ -168,8 +174,15 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     vq = [Fraction(float(x)) for x in v0]  # floats are exact binary rationals
     weights = _rational_null_weights(M.L, M.B)
     fq = Fraction(0) if weights is None else sum((w * x for w, x in zip(weights, vq)), Fraction(0))
-    diffs = [[y / common for y in T]
-             for T, common in islice(_transient_numerators(vq, fq, M.L, M.B), K + 1)]
+    diffs: list[list[float]] = []
+    try:
+        for T, common in islice(_transient_numerators(vq, fq, M.L, M.B), K + 1):
+            diffs.append([y / common for y in T])
+    except OverflowError:
+        k = len(diffs)
+        raise TrajectoryOverflowError(
+            "transient %d leaves the float range; the trajectory is finite up to K = %d"
+            % (k, k - 1)) from None
     D = np.array(diffs)
 
     top = np.max(np.abs(D), axis=1)

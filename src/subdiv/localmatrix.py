@@ -43,9 +43,13 @@ the row-by-row product of the two; every other row takes the full order.
 q is the same integer polynomial either way, so the factors and every root
 are unchanged.
 
-The spectral class (complex pair, negative real count, simple eigenvalue 1
-with all others inside the unit disc) is decided once, at SPECTRAL_TOL, in
-Spectrum.from_values; callers read the resulting fields.
+For analyze and dynamics the spectral class (complex pair, negative real
+count, simple eigenvalue 1 with all others inside the unit disc) is decided
+once, at SPECTRAL_TOL, in Spectrum.from_values; callers read the resulting
+fields.  A family scan decides its one class, complex pair or not, exactly
+(palindromic_classes): both J-blocks have order <= 3 at widths <= 9, so a
+complex pair is a negative block discriminant, and only those matrices are
+root-solved, for their largest |Im|.
 """
 from __future__ import annotations
 
@@ -181,9 +185,11 @@ def _sort_key(z: complex):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues and their class at SPECTRAL_TOL: has_complex when some
-    |Im| > SPECTRAL_TOL; negative_real_count counts every eigenvalue with
-    Re < -SPECTRAL_TOL, complex ones included."""
+    """Eigenvalues and their class at SPECTRAL_TOL, as analyze and the
+    closed forms report them: has_complex when some |Im| > SPECTRAL_TOL;
+    negative_real_count counts every eigenvalue with Re < -SPECTRAL_TOL,
+    complex ones included.  A family scan builds none: it decides
+    has_complex exactly (palindromic_classes)."""
 
     eigenvalues: tuple[complex, ...]  # sorted by modulus desc, ties real desc then imag
     has_complex: bool
@@ -273,6 +279,21 @@ def _flip_stacks(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+def _block_charpolys(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The charpolys of the J-even and J-odd blocks (_flip_stacks) of an
+    (N, m, m) stack of centrosymmetric integer matrices."""
+    even, odd = _flip_stacks(C)
+    return _charpolys(even), _charpolys(odd)
+
+
+def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a(y) * b(y) row by row, for two stacks of coefficient lists."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=object)
+    for j in range(b.shape[1]):
+        out[:, j:j + a.shape[1]] += a * b[:, j, None]
+    return out
+
+
 def _central_charpolys(C: np.ndarray) -> np.ndarray:
     """det(yI - C) of each matrix of an (N, m, m) stack, as an (N, m + 1)
     stack: from the J-even and J-odd blocks on the centrosymmetric rows, the
@@ -281,14 +302,29 @@ def _central_charpolys(C: np.ndarray) -> np.ndarray:
     out = np.empty((N, m + 1), dtype=object)
     sym = _centrosymmetric(C)
     if sym.any():
-        even, odd = (_charpolys(b) for b in _flip_stacks(C[sym]))
-        prod = np.zeros((len(even), m + 1), dtype=object)
-        for j in range(odd.shape[1]):
-            prod[:, j:j + even.shape[1]] += even * odd[:, j, None]
-        out[sym] = prod
+        out[sym] = _row_products(*_block_charpolys(C[sym]))
     if not sym.all():
         out[~sym] = _charpolys(C[~sym])
     return out
+
+
+def _discriminants(c: np.ndarray) -> np.ndarray:
+    """The discriminant of each monic polynomial of an (N, d + 1) stack of
+    integer coefficient lists (from y^0 up), d <= 3: b^2 - 4c for
+    y^2 + b y + c, b^2 c^2 - 4c^3 - 4b^3 d - 27d^2 + 18bcd for
+    y^3 + b y^2 + c y + d, and 1 at d <= 1, which has no repeated root.
+    A real polynomial of degree <= 3 has a non-real root exactly when its
+    discriminant is < 0, and a repeated root exactly when it is 0."""
+    d = c.shape[1] - 1
+    if d <= 1:
+        return np.ones(len(c), dtype=object)
+    if d == 2:
+        return c[:, 1] * c[:, 1] - 4 * c[:, 0]
+    if d == 3:
+        b, c1, c0 = c[:, 2], c[:, 1], c[:, 0]
+        bc = b * c1
+        return bc * bc - 4 * c1 ** 3 - 4 * b ** 3 * c0 - 27 * c0 * c0 + 18 * bc * c0
+    raise ValueError("no closed-form discriminant at degree %d" % d)
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -427,16 +463,20 @@ def _charpoly_factors(B: Sequence[Sequence[Sequence[int]]]) -> list[list[tuple[l
     a stack of integer-scaled local matrices B = L*A of one order (an
     (N, n, n) array of Python ints, or anything np.array makes one of): each
     factor an integer coefficient list with its multiplicity, in ascending
-    multiplicity.  det(xI - A) has the factors f(Lx) / L^deg(f).
-
-    The charpolys c of the central blocks come first, for the whole stack
-    (_central_charpolys), then the stacked certificate (_certified); a row it
-    leaves out takes _squarefree_split.  A corner that is a root of
-    multiplicity m in c then moves to class m+1 (m+2 when both corners are
-    that root; m = 0 when it is no root)."""
+    multiplicity.  det(xI - A) has the factors f(Lx) / L^deg(f).  The
+    charpolys of the central blocks come first, for the whole stack
+    (_central_charpolys), then _split_factors."""
     S = np.array(B, dtype=object)
     n = S.shape[1]
-    cs = _central_charpolys(S[:, 1:n - 1, 1:n - 1])
+    return _split_factors(_central_charpolys(S[:, 1:n - 1, 1:n - 1]), S)
+
+
+def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[list[tuple[list[int], int]]]:
+    """_charpoly_factors from the central charpolys cs of the (N, n, n)
+    stack S: the stacked certificate (_certified) first; a row it leaves
+    out takes _squarefree_split.  A corner that is a root of multiplicity m
+    in its row's c then moves to class m+1 (m+2 when both corners are that
+    root; m = 0 when it is no root)."""
     out = []
     for c, certified, first, last in zip(cs.tolist(), _certified(cs).tolist(),
                                          S[:, 0, 0].tolist(), S[:, -1, -1].tolist()):
@@ -511,6 +551,34 @@ def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
     return out
 
 
+def _eigenvalues(Ls: Sequence[int], orders: Sequence[int],
+                 factors: Sequence[list[tuple[list[int], int]]]) -> list[list[complex]]:
+    """All eigenvalues, with multiplicity, of each matrix A = B / L of order
+    n, given L, n and the factors of det(yI - B) (_split_factors).  The
+    non-linear factors of every matrix are root-solved together
+    (_roots_stacked); a linear factor's root is one integer division."""
+    owners, rows = [], []
+    for i, (L, fs) in enumerate(zip(Ls, factors)):
+        for f, mult in fs:
+            d = len(f) - 1
+            if d == 1:
+                # monic linear: the root -f0/L correctly rounded, which is
+                # what the stacked eigvals gives and the polish leaves
+                owners.append((i, mult, [-f[0] / L]))
+                continue
+            owners.append((i, mult, None))
+            # the coefficients of f(Lx) / L^d, each one correctly rounded
+            rows.append([f[k] / L ** (d - k) for k in range(d, -1, -1)])
+    vals: list[list[complex]] = [[] for _ in factors]
+    stacked = iter(_roots_stacked(rows))
+    for i, mult, roots in owners:
+        vals[i].extend((roots or next(stacked)) * mult)
+    for n, v in zip(orders, vals):
+        if len(v) != n:
+            raise EigensolveError("root count %d != matrix order %d" % (len(v), n))
+    return vals
+
+
 def spectra(scaled: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> list[Spectrum]:
     """The Spectrum of each local matrix A, given as an integer-scaled pair
     (L, B = L*A), B any n x n integer array-like (nested sequences, or an
@@ -532,26 +600,37 @@ def spectra(scaled: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> list[Spect
     for idx in by_order.values():
         for i, fs in zip(idx, _charpoly_factors([scaled[i][1] for i in idx])):
             factors[i] = fs
-    owners, rows = [], []
-    for i, ((L, _), fs) in enumerate(zip(scaled, factors)):
-        for f, mult in fs:
-            d = len(f) - 1
-            if d == 1:
-                # monic linear: the root -f0/L correctly rounded, which is
-                # what the stacked eigvals gives and the polish leaves
-                owners.append((i, mult, [-f[0] / L]))
-                continue
-            owners.append((i, mult, None))
-            # the coefficients of f(Lx) / L^d, each one correctly rounded
-            rows.append([f[k] / L ** (d - k) for k in range(d, -1, -1)])
-    vals: list[list[complex]] = [[] for _ in scaled]
-    stacked = iter(_roots_stacked(rows))
-    for i, mult, roots in owners:
-        vals[i].extend((roots or next(stacked)) * mult)
-    for (_, B), v in zip(scaled, vals):
-        if len(v) != len(B):
-            raise EigensolveError("root count %d != matrix order %d" % (len(v), len(B)))
+    vals = _eigenvalues([L for L, _ in scaled], [len(B) for _, B in scaled], factors)
     return [Spectrum.from_values(v) for v in vals]
+
+
+def palindromic_classes(L: int, S: np.ndarray) -> list[tuple[bool, float, int]]:
+    """(has_complex, max |Im| of the eigenvalues, J-odd discriminant) of
+    each matrix A = S[k] / L of an (N, n, n) stack S of integer-scaled
+    local matrices of palindromic runs (local_stack), n <= 9.
+
+    has_complex is exact.  The corners are rational, and the central
+    block's J-even and J-odd blocks (_flip_stacks) have order <= 3 and
+    integer charpolys, so A has a non-real eigenvalue exactly when one of
+    their discriminants is < 0 (_discriminants).  Only those matrices are
+    root-solved, by spectra's route from the same central charpoly (the
+    product of the two block charpolys), so their max |Im| has the bits
+    spectra gives; a real matrix has max |Im| 0.0.  At width 6 the J-odd
+    discriminant is L^2 D(a, b), w6_discriminant(a, b, L) in numerators."""
+    n = S.shape[1]
+    C = S[:, 1:n - 1, 1:n - 1]
+    if not _centrosymmetric(C).all():
+        raise ValueError("palindromic_classes needs palindromic runs")
+    even, odd = _block_charpolys(C)
+    odd_disc = _discriminants(odd)
+    has_complex = (_discriminants(even) < 0) | (odd_disc < 0)
+    max_imag = [0.0] * len(S)
+    rows = np.flatnonzero(has_complex)
+    if len(rows):
+        factors = _split_factors(_row_products(even[rows], odd[rows]), S[rows])
+        for k, v in zip(rows.tolist(), _eigenvalues([L] * len(rows), [n] * len(rows), factors)):
+            max_imag[k] = max(abs(x.imag) for x in v)
+    return list(zip(has_complex.tolist(), max_imag, odd_disc.tolist()))
 
 
 def eigenvalues(M: LocalMatrix) -> Spectrum:

@@ -24,7 +24,7 @@ from itertools import islice, product
 from typing import Optional, Sequence, TextIO
 
 from .convergence import is_contractive
-from .localmatrix import local_stack, spectra, w6_discriminant
+from .localmatrix import local_stack, palindromic_classes, w6_discriminant
 
 
 @dataclass(frozen=True)
@@ -126,28 +126,33 @@ class SearchResult:
                 if c.cls is CellClass.COMPLEX_CONVERGENT and not c.degenerate]
 
 
-# Cells per spectra call in scan.  One call stacks both the exact integer
-# stage and the float root finding of its cells.  On the family-scan
-# benchmark (--trace 0, scaled, seeds 1-3, 2 cores) blocks of 1024 cells
-# took 0.545 / 0.590 / 0.580 s against 0.696 / 0.609 / 0.591 s for 256, but
-# raised peak RSS from 41.6-41.7 to 43.2-43.5 MB; a whole-grid stack had
-# raised it to 47.0 MB before the exact stage was stacked.
+# Cells per palindromic_classes call in scan.  One call stacks the exact
+# integer stage of its cells and the float root finding of its complex
+# ones.  On the family-scan benchmark (--trace 0, scaled, seeds 2-7, one
+# pinned core, Python 3.11) blocks of 1024 cells took a median 0.283 s
+# against 0.294 s for 256, but raised the median peak RSS from 41.9 to
+# 42.3 MB; a whole-grid stack had raised it to 47.0 MB before the exact
+# stage was stacked.
 SCAN_BLOCK = 256
 
 
 def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     """Classify every grid cell of the family by spectrum and contractivity,
     in blocks of SCAN_BLOCK cells: the exact per-cell pass, then the
-    block's local matrices as one stack and one spectra call on it.
+    block's local matrices as one stack and one palindromic_classes call
+    on it.
 
-    The exact pass runs in integers.  Every grid value is a numerator over
-    the grid's common denominator D = lcm(2, each range's lo and step
-    denominators), so each cell's run is too: contractivity is tested as a
-    parity norm < D, the width-6 degenerate flag as D^2 times the
-    discriminant == 0.  The block's runs make one (N, n, n) stack of D*A
-    (local_stack), and spectra gets the pairs (D, D*A).  No Fraction or
-    LocalMatrix is built per cell, and the floats equal those of each cell's
-    own lcm."""
+    Everything but max_imag is exact and runs in integers.  Every grid
+    value is a numerator over the grid's common denominator
+    D = lcm(2, each range's lo and step denominators), so each cell's run
+    is too: contractivity is tested as a parity norm < D.  The block's runs
+    make one (N, n, n) stack of D*A (local_stack), and palindromic_classes
+    decides each cell's complex pair from the discriminants of its J-blocks;
+    the width-6 degenerate flag is a J-odd discriminant of 0 (D^2 times the
+    paper's D).  Only complex cells are root-solved, for max_imag; a real
+    cell has max_imag 0.0.  No Fraction, LocalMatrix or Spectrum is built
+    per cell, and the floats equal those spectra gives at each cell's own
+    lcm."""
     try:
         n_cells = math.prod(len(r) for r in spec.param_ranges)
     except OverflowError:  # a single range longer than sys.maxsize
@@ -167,22 +172,19 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     while block := list(islice(grid, SCAN_BLOCK)):
         runs, exact = [], []
         for point in block:
-            nums = [x for _, x in point]
-            support_min, run = _run_numerators(n, nums, den)
+            support_min, run = _run_numerators(n, [x for _, x in point], den)
             runs.append(run)
             # Theorem-1 conditions hold by construction; the filter adds the
             # contractivity requirement for the Convergent classes.
             convergent = is_contractive(support_min, run, den) if spec.convergence_filter else True
-            degenerate = n == 6 and w6_discriminant(nums[0], nums[1], den) == 0
-            exact.append((tuple(v for v, _ in point), convergent, degenerate))
-        scaled = [(den, B) for B in local_stack(runs)]
-        for (params, convergent, degenerate), sp in zip(exact, spectra(scaled)):
-            if sp.has_complex:
+            exact.append((tuple(v for v, _ in point), convergent))
+        classes = palindromic_classes(den, local_stack(runs))
+        for (params, convergent), (has_complex, max_imag, odd_disc) in zip(exact, classes):
+            if has_complex:
                 cls = CellClass.COMPLEX_CONVERGENT if convergent else CellClass.COMPLEX_OTHER
             else:
                 cls = CellClass.REAL_CONVERGENT if convergent else CellClass.REAL_OTHER
-            max_imag = max(abs(v.imag) for v in sp.eigenvalues)
-            cell = Cell(params, cls, max_imag, degenerate)
+            cell = Cell(params, cls, max_imag, n == 6 and odd_disc == 0)
             cells.append(cell)
             counts[cls.value] += 1
             witnesses.setdefault(cls.value, cell)

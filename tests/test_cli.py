@@ -183,6 +183,18 @@ class TestDynamics:
         assert code == 1 and out == ""
         assert err.startswith("error: ")
 
+    def test_transient_past_float_range_is_named(self, capsys, tmp_path):
+        # the width-8 mask of eight 3s: transient 287 is the first past the
+        # float range, so K = 300 is an error, exit 1, and K = 286 is not
+        path = tmp_path / "threes.json"
+        save_scheme(SchemeRecord("threes", Mask(-4, (F(3),) * 8)), path)
+        code, out, err = run(capsys, "dynamics", "--scheme", str(path), "--K", "300")
+        assert code == 1 and out == ""
+        assert err == ("error: transient 287 leaves the float range; "
+                       "the trajectory is finite up to K = 286\n")
+        code, out, _ = run(capsys, "dynamics", "--scheme", str(path), "--K", "286")
+        assert code == 0 and len(out.splitlines()) == 288
+
     def test_bad_v0_length(self, capsys):
         code, _, err = run(capsys, "dynamics", "--scheme", "catalog:a",
                            "--v0", "1,2")

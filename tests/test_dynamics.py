@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fraction_entries
 from subdiv import dynamics
-from subdiv.dynamics import (MAX_K, TrajectoryReport, _rational_null_weights,
-                             _transient_numerators, decompose_modes, iterate_local,
-                             window_vector, write_trajectory_csv)
+from subdiv.dynamics import (MAX_K, TrajectoryOverflowError, TrajectoryReport,
+                             _rational_null_weights, _transient_numerators, decompose_modes,
+                             iterate_local, window_vector, write_trajectory_csv)
 from subdiv.localmatrix import LocalMatrix, build_local_matrix, matrix_from_coeffs
 from subdiv.masks import catalog_get
 from subdiv.refine import ControlPolygon, delta
@@ -62,6 +62,19 @@ class TestIterateLocal:
         traj = iterate_local((1.0, 0.0), A, 5)
         assert traj.transients == tuple((2.0 ** k, 0.0) for k in range(6))
 
+    def test_float_overflow_is_named_error(self):
+        # the width-8 mask of eight 3s: transient 287 of e4 is the first past
+        # the float range
+        M = matrix_from_coeffs(-4, (F(3),) * 8)
+        v0 = tuple(float(i == 4) for i in range(8))
+        assert first_overflow(v0, M, 300) == 287
+        with pytest.raises(TrajectoryOverflowError, match="transient 287 leaves the float range"):
+            iterate_local(v0, M, 300)
+        with pytest.raises(OverflowError):
+            iterate_local(v0, M, 287)
+        traj = iterate_local(v0, M, 286)
+        assert len(traj.distances) == 287 and math.isfinite(traj.distances[-1])
+
     def test_K_bound_checked_before_any_step(self, monkeypatch):
         def fail(*args):
             raise AssertionError("trajectory work before the K bound was checked")
@@ -92,6 +105,18 @@ def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
     """The former Fraction loop, kept as an oracle: (transients,
     fixed_point, distances), with the weights solved by sympy; the fixed
     point is 0 where eigenvalue 1 is not simple."""
+    fq, transients = exact_transients(v0, A, K)
+    diffs = [np.array([float(x) for x in t]) for t in transients]
+    if norm == "inf":
+        dists = [float(np.max(np.abs(d))) for d in diffs]
+    else:
+        dists = [float(np.linalg.norm(d)) for d in diffs]
+    return diffs, [float(fq)] * A.n, dists
+
+
+def exact_transients(v0, A: LocalMatrix, K: int):
+    """(f, [v_k - f 1 for k = 0..K]) in Fractions, f from sympy's weights
+    (0 where eigenvalue 1 is not simple)."""
     weights = sympy_null_weights(A)
     n, E = A.n, fraction_entries(A)
     vq = [F(x) for x in v0]
@@ -101,12 +126,27 @@ def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
         prev = states_q[-1]
         states_q.append([sum((E[i][j] * prev[j] for j in range(n)), F(0))
                          for i in range(n)])
-    diffs = [np.array([float(x - fq) for x in s]) for s in states_q]
-    if norm == "inf":
-        dists = [float(np.max(np.abs(d))) for d in diffs]
-    else:
-        dists = [float(np.linalg.norm(d)) for d in diffs]
-    return diffs, [float(fq)] * n, dists
+    return fq, [[x - fq for x in s] for s in states_q]
+
+
+# the least magnitude that rounds to inf: the largest double plus half its ulp
+FLOAT_EDGE = F(2 ** 1024 - 2 ** 970)
+
+
+def first_overflow(v0, A: LocalMatrix, K: int):
+    """The first k <= K whose exact transient has an entry that rounds past
+    the float range, or None."""
+    _, transients = exact_transients(v0, A, K)
+    return next((k for k, t in enumerate(transients) if any(abs(x) >= FLOAT_EDGE for x in t)),
+                None)
+
+
+def scaled_norm(d) -> float:
+    """The 2-norm of a float row, scaled by 2^-e (e the exponent of its
+    largest entry) before squaring and scaled back: finite wherever the
+    norm is."""
+    _, e = np.frexp(np.max(np.abs(d)))
+    return float(np.ldexp(np.linalg.norm(np.ldexp(d, -e)), e))
 
 
 def bits(rows):
@@ -356,7 +396,7 @@ class TestDecomposeBitIdentity:
         if norm == "inf":
             dists = [float(np.max(np.abs(d))) for d in rows]
         else:
-            dists = [float(np.linalg.norm(d)) for d in rows]
+            dists = [scaled_norm(d) for d in rows]
         assert bits(traj.distances) == bits(dists)
         assert all(type(x) is float for x in traj.distances + traj.fixed_point
                    + traj.transients[-1] + traj.matrix[0])
@@ -384,13 +424,21 @@ class TestDecomposeBitIdentity:
         v0 = data.draw(st.lists(st.floats(-4, 4), min_size=len(A), max_size=len(A)))
         self.check_modes(float_trajectory(A, v0, K))
 
-    # a matrix with an eigenvalue past 1 overflows to inf within 300 steps
+    # a matrix with an eigenvalue past 1 can leave the float range within
+    # 300 steps: the trajectory is then an error, and the modes of a
+    # trajectory near the edge may overflow in the solve
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=40, deadline=None)
     @given(st.data(), local_matrices(), st.integers(1, 300), st.sampled_from(["inf", "2"]))
     def test_rational_matrices(self, data, A, K, norm):
         v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
-        self.check(iterate_local(v0, A, K, norm), norm)
+        try:
+            traj = iterate_local(v0, A, K, norm)
+        except TrajectoryOverflowError as exc:
+            k = first_overflow(v0, A, K)
+            assert k is not None and "transient %d " % k in str(exc)
+            return
+        self.check(traj, norm)
 
     @pytest.mark.parametrize("norm", ["inf", "2"])
     def test_width6_scheme(self, norm):

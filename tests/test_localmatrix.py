@@ -13,15 +13,15 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import fraction_entries
 from subdiv import localmatrix
-from subdiv.localmatrix import (_PRIMES, Spectrum, _central_charpolys, _centrosymmetric,
-                                _certified, _charpoly_factors, _charpolys, _flip_stacks,
-                                _gcd_mod, _poly_mul, _roots_stacked, _squarefree_split,
-                                build_local_matrix, local_entries, local_stack,
-                                complex_region_predicate, eigenvalues,
-                                matrix_from_coeffs, w5_closed_form,
-                                w6_closed_form, w6_discriminant)
+from subdiv.localmatrix import (_PRIMES, Spectrum, _block_charpolys, _central_charpolys,
+                                _centrosymmetric, _certified, _charpoly_factors, _charpolys,
+                                _discriminants, _flip_stacks, _gcd_mod, _poly_mul,
+                                _roots_stacked, _squarefree_split, build_local_matrix,
+                                local_entries, local_stack, complex_region_predicate,
+                                eigenvalues, matrix_from_coeffs, palindromic_classes,
+                                w5_closed_form, w6_closed_form, w6_discriminant)
 from subdiv.masks import Mask, catalog_get
-from subdiv.search import default_grid, palindromic_coeffs
+from subdiv.search import _run_numerators, default_grid, palindromic_coeffs
 
 
 def match_multiset(got, expected, tol):
@@ -916,3 +916,86 @@ class TestScaleInvariance:
         base, scaled = localmatrix.spectra(
             [(L, B), (k * L, [[k * e for e in row] for row in B])])
         assert packed(scaled.eigenvalues) == packed(base.eigenvalues)
+
+
+# -- the exact class of palindromic cells --------------------------------
+
+@st.composite
+def flip_blocks(draw):
+    """A centrosymmetric integer matrix of order 0-6 (the central blocks of
+    widths 2-8) and the name of a J-block forced to a repeated root, or
+    None: the forced block is triangular with a repeated diagonal entry."""
+    m = draw(st.integers(0, 6))
+    k = m // 2
+    vals = draw(st.lists(st.integers(-9, 9), min_size=m * m, max_size=m * m))
+    C = [[vals[min(i * m + j, (m - 1 - i) * m + m - 1 - j)] for j in range(m)]
+         for i in range(m)]
+    forced = draw(st.sampled_from([None, "odd", "even"] if m % 2 == 0 else [None, "odd"]))
+    if k < 2:
+        forced = None
+    if forced:
+        r, s = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        T = [[(r, r, s)[i] if i == j else draw(st.integers(-9, 9)) if j > i else 0
+              for j in range(k)] for i in range(k)]
+        # the J-odd block is P - QJ and the J-even one P + QJ (at even
+        # order), with QJ[i][j] = C[i][m-1-j], whose flip partner is
+        # C[m-1-i][j]
+        for i in range(k):
+            for j in range(k):
+                qj = C[i][j] - T[i][j] if forced == "odd" else T[i][j] - C[i][j]
+                C[i][m - 1 - j] = C[m - 1 - i][j] = qj
+    return C, forced
+
+
+class TestBlockDiscriminants:
+    """The exact rule of palindromic_classes: a centrosymmetric integer
+    matrix of order <= 6 has a non-real eigenvalue exactly when one of its
+    J-block charpolys has a negative discriminant."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(flip_blocks())
+    def test_rule_matches_sympy_real_root_count(self, drawn):
+        C, forced = drawn
+        m = len(C)
+        S = np.array(C, dtype=object).reshape(1, m, m)
+        assert _centrosymmetric(S).all()
+        even, odd = _block_charpolys(S)
+        discs = {"even": _discriminants(even)[0], "odd": _discriminants(odd)[0]}
+        if forced:
+            assert discs[forced] == 0
+        # count_roots counts distinct real roots: compare it with the
+        # degree of the square-free part
+        x = sympy.Symbol("x")
+        p = sympy.Poly(list(reversed(sympy_charpoly(C))), x).sqf_part()
+        assert (min(discs.values()) < 0) == (p.count_roots() < p.degree())
+
+    @pytest.mark.parametrize("c, disc", [
+        ([[5]], 1), ([[-3, 1]], 1),                         # degree <= 1: no repeated root
+        ([[4, -4, 1]], 0), ([[1, 0, 1]], -4), ([[-1, 0, 1]], 4),
+        ([[-1, 3, -3, 1]], 0), ([[0, -1, 0, 1]], 4), ([[-1, 0, 0, 1]], -27),
+    ])
+    def test_discriminant_values(self, c, disc):
+        assert _discriminants(np.array(c, dtype=object)).tolist() == [disc]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-300, 300), st.integers(-300, 300),
+           st.sampled_from([2, 10, 60, 2 ** 64 + 2]))
+    @example(0, 10, 30)  # (a, b) = (0, 1/3): D = 0, a degenerate cell
+    @example(-4, 1, 32)  # b = a + 1/4: D a perfect square
+    def test_width6_blocks(self, a, b, den):
+        # at width 6 the J-odd discriminant is den^2 D(a, b) and the J-even
+        # one the square (a - b + den)^2
+        _, run = _run_numerators(6, [a, b], den)
+        S = local_stack([run])
+        even, odd = _block_charpolys(S[:, 1:5, 1:5])
+        D = w6_discriminant(a, b, den)
+        assert _discriminants(odd).tolist() == [D]
+        assert _discriminants(even).tolist() == [(a - b + den) ** 2]
+        [(has_complex, max_imag, odd_disc)] = palindromic_classes(den, S)
+        assert (has_complex, odd_disc) == (D < 0, D)
+        assert (max_imag > 0) == has_complex
+
+    def test_rejects_a_matrix_that_is_not_palindromic(self):
+        S = local_stack([[1, 2, 3, 4, 5, 6]])
+        with pytest.raises(ValueError, match="palindromic"):
+            palindromic_classes(1, S)

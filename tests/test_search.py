@@ -9,7 +9,7 @@ from conftest import Z, fraction_entries, sympy_symbol
 from subdiv import localmatrix, search
 from subdiv.convergence import is_contractive
 from subdiv.localmatrix import (complex_region_predicate, eigenvalues, matrix_from_coeffs,
-                                spectra, w6_discriminant)
+                                palindromic_classes, w6_discriminant)
 from subdiv.masks import Mask
 from subdiv.search import (SCAN_BLOCK, CellClass, GridRange, SearchSpec, c1_w6_obstruction,
                            default_grid, free_param_count, min_width_report,
@@ -111,18 +111,26 @@ class TestScan:
         assert [c.params for c in result.cells if c.degenerate] == [(F(0), F(1, 3))]
 
     def test_spectra_calls_are_blocked(self, monkeypatch):
-        # the 401 cells of the w5 default grid take more than one block; no
-        # spectra call stacks more than SCAN_BLOCK matrices
-        sizes = []
+        # the 401 cells of the w5 default grid and the 2601 of w6 take more
+        # than one block; no call classifies and no root finding stacks
+        # more than SCAN_BLOCK matrices (every w5 cell is real and reaches
+        # no root finding)
+        sizes, solved = [], []
 
-        def counted(matrices):
-            sizes.append(len(matrices))
-            return spectra(matrices)
+        def counted(L, S):
+            sizes.append(len(S))
+            return palindromic_classes(L, S)
 
-        monkeypatch.setattr(search, "spectra", counted)
+        def counted_roots(Ls, orders, factors):
+            solved.append(len(factors))
+            return eigenvalues_of(Ls, orders, factors)
+
+        eigenvalues_of = localmatrix._eigenvalues
+        monkeypatch.setattr(search, "palindromic_classes", counted)
+        monkeypatch.setattr(localmatrix, "_eigenvalues", counted_roots)
         result = scan(SearchSpec(5, default_grid(5)))
         assert len(result.cells) == 401 > SCAN_BLOCK
-        assert max(sizes) <= SCAN_BLOCK and sum(sizes) == 401
+        assert max(sizes) <= SCAN_BLOCK and sum(sizes) == 401 and solved == []
         for cell in result.cells:
             smin, run = palindromic_coeffs(5, cell.params)
             sp = eigenvalues(matrix_from_coeffs(smin, run))
@@ -133,6 +141,45 @@ class TestScan:
                       (False, False): CellClass.REAL_OTHER}[sp.has_complex, convergent]
             assert cell.cls is expect, cell.params
             assert cell.max_imag == max(abs(v.imag) for v in sp.eigenvalues), cell.params
+        sizes.clear()
+        solved.clear()
+        result = scan(SearchSpec(6, default_grid(6)))
+        assert max(sizes) <= SCAN_BLOCK and sum(sizes) == len(result.cells) == 2601
+        assert len(solved) > 1 and max(solved) <= SCAN_BLOCK
+
+    def test_only_complex_cells_reach_root_finding(self, monkeypatch):
+        # the exact rule decides the class: of the 3862 default-grid cells
+        # of widths 2-8 only the 1007 complex ones are factored and
+        # root-solved, none at widths 2-5, and no cell builds a Spectrum or
+        # evaluates w6_discriminant
+        factored, solved = {}, {}
+
+        def counted_split(cs, S):
+            factored[S.shape[1]] = factored.get(S.shape[1], 0) + len(cs)
+            return split(cs, S)
+
+        def counted_roots(Ls, orders, factors):
+            for n in orders:
+                solved[n] = solved.get(n, 0) + 1
+            return eigenvalues_of(Ls, orders, factors)
+
+        def no_call(*args):
+            raise AssertionError("called in a scan")
+
+        split, eigenvalues_of = localmatrix._split_factors, localmatrix._eigenvalues
+        monkeypatch.setattr(localmatrix, "_split_factors", counted_split)
+        monkeypatch.setattr(localmatrix, "_eigenvalues", counted_roots)
+        monkeypatch.setattr(localmatrix.Spectrum, "from_values", no_call)
+        monkeypatch.setattr(localmatrix, "w6_discriminant", no_call)
+        monkeypatch.setattr(search, "w6_discriminant", no_call)
+        cells, n_complex = {}, {}
+        for w in range(2, 9):
+            result = scan(SearchSpec(w, default_grid(w)))
+            cells[w] = len(result.cells)
+            n_complex[w] = result.counts["ComplexConvergent"] + result.counts["ComplexOther"]
+        assert sum(cells.values()) == 3862 and sum(n_complex.values()) == 1007
+        assert n_complex == {2: 0, 3: 0, 4: 0, 5: 0, 6: 716, 7: 142, 8: 149}
+        assert factored == solved == {w: n_complex[w] for w in (6, 7, 8)}
 
     def test_cell_cap(self, monkeypatch):
         spec = SearchSpec(6, (GridRange(F(-1), F(1), F(1, 100)),) * 2)
@@ -243,11 +290,11 @@ class TestIntegerScan:
         # array; each pair (L, B) is the cell's local matrix times L
         seen = []
 
-        def recorded(scaled):
-            seen.extend(scaled)
-            return spectra(scaled)
+        def recorded(L, S):
+            seen.extend((L, B) for B in S)
+            return palindromic_classes(L, S)
 
-        monkeypatch.setattr(search, "spectra", recorded)
+        monkeypatch.setattr(search, "palindromic_classes", recorded)
         result = scan(SearchSpec(width, odd_denominator_grid(width)))
         assert len(seen) == len(result.cells)
         for (L, B), cell in zip(seen, result.cells):
