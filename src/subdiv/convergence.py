@@ -12,8 +12,9 @@ leaves zero (s(-1) = 0).  The ladder scales the run once to integer
 numerators over L (masks.integer_run) and makes one chain of such
 divisions, d_{j+1} = d_j / (1+z), while each is exact; rung m's quotient by
 ((1+z)/2)^m is 2^m d_m / L.  Contractivity (norm of the difference scheme
-< 1) is decided in one place, is_contractive, which both the ladder and the
-family scan call on a coefficient run.  The norm test is sufficient only,
+< 1) is decided in one place, contractive_runs, on a stack of runs: the
+family scan calls it once per block of cells, and is_contractive, which
+the ladder calls, is its one-row case.  The norm test is sufficient only,
 so a failed test yields "inconclusive", never "divergent".
 """
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .masks import Mask, integer_run, recenter
 
@@ -102,18 +105,35 @@ def contractivity_norm(b: Mask) -> Fraction:
     return Fraction(max(_parity_sums(b.support_min, map(abs, b.coeffs))))
 
 
-def is_contractive(support_min: int, coeffs: Sequence[Fraction], den: int = 1) -> bool:
-    """True iff the difference scheme of the run a_{support_min}, ... has
-    contractivity norm < 1.  Zero end coefficients are allowed.  With den,
-    the run holds integer numerators over den and the test stays in
-    integers: the division by (1+z) is linear, so the norm is < den.
+def contractive_runs(support_min: int, runs, den: int = 1) -> np.ndarray:
+    """For each row of an (N, n) stack of runs a_{support_min}, ... (an
+    array or nested sequences of ints or Fractions), whether its difference
+    scheme has contractivity norm < 1.  Zero end coefficients are allowed.
+    With den, the runs hold integer numerators over den and the test stays
+    in integers: the division by (1+z) is linear, so the norm is < den.
 
-    The run must satisfy s(-1) = 0 (NotFactorableError otherwise).
+    The synthetic division q_k = a_k - q_{k-1} is an alternating cumulative
+    sum: q_k = (-1)^k sum_{j <= k} (-1)^j a_j, so |q_k| is the absolute
+    value of that sum, and the last column is the remainder s(-1).  Every
+    row must satisfy s(-1) = 0 (NotFactorableError otherwise).  The norm is
+    the larger of the sums of |q_k| over even and over odd absolute k.
     """
-    q = _over_one_plus_z(coeffs)
-    if q is None:
+    R = np.array(runs, dtype=object)
+    n = R.shape[1]
+    q = np.cumsum(R * np.where(np.arange(n) % 2, -1, 1), axis=1)
+    if n and (q[:, -1] != 0).any():
         raise NotFactorableError("s(-1) != 0, no (1+z) factor")
-    return max(_parity_sums(support_min, map(abs, q))) < den
+    q = abs(q[:, :-1])
+    even = support_min % 2  # column of the first even absolute index
+    return (q[:, even::2].sum(axis=1) < den) & (q[:, 1 - even::2].sum(axis=1) < den)
+
+
+def is_contractive(support_min: int, coeffs: Sequence[Fraction], den: int = 1) -> bool:
+    """contractive_runs of the one run a_{support_min}, ...: True iff its
+    difference scheme has contractivity norm < 1 (< den for numerators
+    over den).  The run must satisfy s(-1) = 0 (NotFactorableError
+    otherwise)."""
+    return bool(contractive_runs(support_min, [coeffs], den)[0])
 
 
 def smooth_lift(mask: Mask) -> Mask:

@@ -35,6 +35,11 @@ class TrajectoryOverflowError(OverflowError):
     step K: its correctly rounded float would be infinite."""
 
 
+class ModeOverflowError(OverflowError):
+    """A mode coefficient or magnitude of a finite transient leaves the float
+    range: its eigenbasis coordinates overflow where the transient does not."""
+
+
 @dataclass(frozen=True)
 class EigenMode:
     eigenvalue: complex          # representative; Im >= 0 for a complex pair
@@ -218,7 +223,9 @@ def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
     transient come from one stacked solve, each system a single right-hand
     side as in a solve per transient, and the magnitudes and flips from
     array operations.  A matrix that is defective beyond tolerance skips
-    the decomposition with a diagnostic.
+    the decomposition with a diagnostic.  A coefficient or pair magnitude
+    past the float range is ModeOverflowError, naming the first transient
+    that has one, as no printed magnitude may be inf or nan.
     """
     Af = np.asarray(traj.matrix)
     w, V = np.linalg.eig(Af)
@@ -228,20 +235,33 @@ def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
                                        "mode decomposition skipped")
 
     D = np.asarray(traj.transients)
-    coeffs = np.linalg.solve(np.broadcast_to(V, (len(D),) + V.shape), D[..., None])[..., 0]
+    # (eigenvalue, is a pair, magnitudes, signed coefficients) per mode
+    columns = []
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite magnitude
+        coeffs = np.linalg.solve(np.broadcast_to(V, (len(D),) + V.shape), D[..., None])[..., 0]
+        for j, mu in enumerate(w):
+            if mu.imag > 0:  # w[j + 1] is its conjugate, skipped below
+                mags = np.hypot(np.abs(coeffs[:, j]), np.abs(coeffs[:, j + 1]))
+                columns.append((complex(mu), True, mags, None))
+            elif mu.imag == 0:
+                cj = np.real(coeffs[:, j])
+                columns.append((complex(mu.real, 0.0), False, np.abs(cj), cj))
+    finite = np.ones(len(D), dtype=bool)
+    for _, _, mags, _ in columns:
+        finite &= np.isfinite(mags)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ModeOverflowError("the mode magnitudes of transient %d leave the float range" % k
+                                + ("; they are finite up to K = %d" % (k - 1) if k else ""))
 
     modes: list[EigenMode] = []
-    for j, mu in enumerate(w):
-        if mu.imag > 0:  # w[j + 1] is its conjugate, skipped below
-            mags = np.hypot(np.abs(coeffs[:, j]), np.abs(coeffs[:, j + 1]))
-            modes.append(EigenMode(complex(mu), True, tuple(mags.tolist()), None, 0))
-        elif mu.imag == 0:
-            cj = np.real(coeffs[:, j])
-            big, pos = np.abs(cj) > _COEFF_FLOOR, cj > 0
+    for mu, is_pair, mags, cj in columns:
+        if is_pair:
+            modes.append(EigenMode(mu, True, tuple(mags.tolist()), None, 0))
+        else:
+            big, pos = mags > _COEFF_FLOOR, cj > 0
             flips = int(np.count_nonzero(big[:-1] & big[1:] & (pos[:-1] != pos[1:])))
-            modes.append(EigenMode(complex(mu.real, 0.0), False,
-                                   tuple(np.abs(cj).tolist()),
-                                   tuple(cj.tolist()), flips))
+            modes.append(EigenMode(mu, False, tuple(mags.tolist()), tuple(cj.tolist()), flips))
 
     rotation = None
     pairs = [m for m in modes if m.is_complex_pair]

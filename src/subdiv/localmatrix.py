@@ -441,7 +441,9 @@ def _certified(c: np.ndarray) -> np.ndarray:
 
 
 def _horner(c: Sequence[int], y: int) -> int:
-    """c(y), exact."""
+    """c(y), exact, coefficients from y^0 up.  Given the coefficient
+    columns of a stack of polynomials (cs.T, object arrays) and an array of
+    points y, each polynomial at its own point."""
     v = 0
     for x in reversed(c):
         v = v * y + x
@@ -476,17 +478,28 @@ def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[list[tuple[list[int], 
     stack S: the stacked certificate (_certified) first; a row it leaves
     out takes _squarefree_split.  A corner that is a root of multiplicity m
     in its row's c then moves to class m+1 (m+2 when both corners are that
-    root; m = 0 when it is no root)."""
+    root; m = 0 when it is no root).  The certified rows whose corners are
+    no root of c (one stacked Horner evaluation per corner) skip the
+    per-row search: c is class 1 and the corners join class 2 (equal) or
+    class 1 (unequal)."""
+    certified = _certified(cs)
+    first, last = S[:, 0, 0], S[:, -1, -1]
+    plain = certified & (_horner(cs.T, first) != 0) & (_horner(cs.T, last) != 0)
     out = []
-    for c, certified, first, last in zip(cs.tolist(), _certified(cs).tolist(),
-                                         S[:, 0, 0].tolist(), S[:, -1, -1].tolist()):
-        classes = {1: c} if certified else _squarefree_split(c)
-        for r in {first, last}:
-            m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
-            if m:
-                classes[m] = _over_linear(classes[m], r)
-            up = m + (2 if first == last else 1)
-            classes[up] = _poly_mul(classes.get(up, [1]), [-r, 1])
+    for c, cert, easy, a, b in zip(cs.tolist(), certified.tolist(), plain.tolist(),
+                                   first.tolist(), last.tolist()):
+        if not easy:
+            classes = {1: c} if cert else _squarefree_split(c)
+            for r in {a, b}:
+                m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
+                if m:
+                    classes[m] = _over_linear(classes[m], r)
+                up = m + (2 if a == b else 1)
+                classes[up] = _poly_mul(classes.get(up, [1]), [-r, 1])
+        elif a == b:
+            classes = {1: c, 2: [-a, 1]}
+        else:
+            classes = {1: _poly_mul(_poly_mul(c, [-a, 1]), [-b, 1])}
         factors = [(classes[m], m) for m in sorted(classes)]
         out.append([(f, m) for f, m in factors if len(f) > 1])
     return out
@@ -518,36 +531,40 @@ def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
     Rows of one shape (length, trailing zeros) share one stacked eigvals of
     their companion matrices and a vectorised polish, each step done as
     np.roots and np.polyval do it, so every root is bit-identical to a call
-    of those per row.  As in a single eigvals call, a row whose eigenvalues
+    of those per row.  The rows of one length make one array, and one numpy
+    pass over it counts their trailing zeros.  As in a single eigvals call, a row whose eigenvalues
     all have a zero imaginary part is polished in float64, others in
     complex128.  EigensolveError when a polished root is not finite: the
     polish overflowed on coefficients near the float range."""
-    groups: dict[tuple[int, int], list[int]] = {}
+    by_length: dict[int, list[int]] = {}
     for k, cf in enumerate(rows):
-        nz = max(j for j, x in enumerate(cf) if x)
-        groups.setdefault((len(cf), len(cf) - 1 - nz), []).append(k)
+        by_length.setdefault(len(cf), []).append(k)
     out: list[list[complex]] = [[] for _ in rows]
-    for (n, zeros), idx in groups.items():
-        P = np.array([rows[k] for k in idx])
-        m = n - 1 - zeros  # companion order, after stripping the zero roots
-        if m:
-            C = np.zeros((len(idx), m, m))
-            C[:, 1:, :-1] = np.eye(m - 1)
-            C[:, 0, :] = -P[:, 1:m + 1] / P[:, :1]
-            W = np.linalg.eigvals(C)
-        else:  # a single nonzero coefficient: no companion, only zero roots
-            W = np.zeros((len(idx), 0))
-        if zeros:
-            W = np.hstack((W, np.zeros((len(idx), zeros), W.dtype)))
-        real = np.all(W.imag == 0, axis=1)
-        for sel, X in ((real, W.real), (~real, W)):
-            if sel.any():
-                with np.errstate(all="ignore"):  # overflow shows as a non-finite root
-                    X = _polish(P[sel], X[sel])
-                if not np.isfinite(X).all():
-                    raise EigensolveError("an eigenvalue leaves the float range")
-                for k, r in zip(np.flatnonzero(sel), X.tolist()):
-                    out[idx[k]] = r
+    for n, ks in by_length.items():
+        Pn = np.array([rows[k] for k in ks], dtype=float)
+        trailing = (Pn[:, ::-1] != 0).argmax(axis=1)  # each row's zero roots
+        for zeros in np.flatnonzero(np.bincount(trailing)).tolist():
+            at = np.flatnonzero(trailing == zeros)
+            P, idx = Pn[at], [ks[k] for k in at.tolist()]
+            m = n - 1 - zeros  # companion order, after stripping the zero roots
+            if m:
+                C = np.zeros((len(idx), m, m))
+                C[:, 1:, :-1] = np.eye(m - 1)
+                C[:, 0, :] = -P[:, 1:m + 1] / P[:, :1]
+                W = np.linalg.eigvals(C)
+            else:  # a single nonzero coefficient: no companion, only zero roots
+                W = np.zeros((len(idx), 0))
+            if zeros:
+                W = np.hstack((W, np.zeros((len(idx), zeros), W.dtype)))
+            real = np.all(W.imag == 0, axis=1)
+            for sel, X in ((real, W.real), (~real, W)):
+                if sel.any():
+                    with np.errstate(all="ignore"):  # overflow shows as a non-finite root
+                        X = _polish(P[sel], X[sel])
+                    if not np.isfinite(X).all():
+                        raise EigensolveError("an eigenvalue leaves the float range")
+                    for k, r in zip(np.flatnonzero(sel).tolist(), X.tolist()):
+                        out[idx[k]] = r
     return out
 
 
@@ -558,17 +575,21 @@ def _eigenvalues(Ls: Sequence[int], orders: Sequence[int],
     non-linear factors of every matrix are root-solved together
     (_roots_stacked); a linear factor's root is one integer division."""
     owners, rows = [], []
+    powers: dict[int, list[int]] = {}  # L -> [1, L, L^2, ...], to the top order
+    top = max(orders, default=0) + 1
     for i, (L, fs) in enumerate(zip(Ls, factors)):
+        if (pw := powers.get(L)) is None:
+            pw = powers[L] = [L ** j for j in range(top)]
         for f, mult in fs:
-            d = len(f) - 1
-            if d == 1:
+            if len(f) == 2:
                 # monic linear: the root -f0/L correctly rounded, which is
                 # what the stacked eigvals gives and the polish leaves
                 owners.append((i, mult, [-f[0] / L]))
                 continue
             owners.append((i, mult, None))
-            # the coefficients of f(Lx) / L^d, each one correctly rounded
-            rows.append([f[k] / L ** (d - k) for k in range(d, -1, -1)])
+            # the coefficients f_k / L^(d-k) of f(Lx) / L^d, from the top
+            # degree d down, each one correctly rounded
+            rows.append([x / p for x, p in zip(reversed(f), pw)])
     vals: list[list[complex]] = [[] for _ in factors]
     stacked = iter(_roots_stacked(rows))
     for i, mult, roots in owners:
@@ -614,9 +635,11 @@ def palindromic_classes(L: int, S: np.ndarray) -> list[tuple[bool, float, int]]:
     integer charpolys, so A has a non-real eigenvalue exactly when one of
     their discriminants is < 0 (_discriminants).  Only those matrices are
     root-solved, by spectra's route from the same central charpoly (the
-    product of the two block charpolys), so their max |Im| has the bits
-    spectra gives; a real matrix has max |Im| 0.0.  At width 6 the J-odd
-    discriminant is L^2 D(a, b), w6_discriminant(a, b, L) in numerators."""
+    product of the two block charpolys): the same factors, stacked eigvals
+    and polish.  Their max |Im| is one row-wise max over the array of their
+    eigenvalues, the bits spectra gives; a real matrix has max |Im| 0.0.
+    At width 6 the J-odd discriminant is L^2 D(a, b), w6_discriminant(a, b,
+    L) in numerators."""
     n = S.shape[1]
     C = S[:, 1:n - 1, 1:n - 1]
     if not _centrosymmetric(C).all():
@@ -624,13 +647,13 @@ def palindromic_classes(L: int, S: np.ndarray) -> list[tuple[bool, float, int]]:
     even, odd = _block_charpolys(C)
     odd_disc = _discriminants(odd)
     has_complex = (_discriminants(even) < 0) | (odd_disc < 0)
-    max_imag = [0.0] * len(S)
+    max_imag = np.zeros(len(S))
     rows = np.flatnonzero(has_complex)
     if len(rows):
         factors = _split_factors(_row_products(even[rows], odd[rows]), S[rows])
-        for k, v in zip(rows.tolist(), _eigenvalues([L] * len(rows), [n] * len(rows), factors)):
-            max_imag[k] = max(abs(x.imag) for x in v)
-    return list(zip(has_complex.tolist(), max_imag, odd_disc.tolist()))
+        vals = _eigenvalues([L] * len(rows), [n] * len(rows), factors)
+        max_imag[rows] = np.abs(np.array(vals).imag).max(axis=1)
+    return list(zip(has_complex.tolist(), max_imag.tolist(), odd_disc.tolist()))
 
 
 def eigenvalues(M: LocalMatrix) -> Spectrum:

@@ -131,6 +131,10 @@ def record_to_json(record: SchemeRecord) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def record_from_json(data: dict) -> SchemeRecord:
     if not isinstance(data, dict):
         raise SchemeFormatError("scheme file must contain a JSON object")
@@ -139,18 +143,22 @@ def record_from_json(data: dict) -> SchemeRecord:
             raise SchemeFormatError("missing field %r" % field)
     if not isinstance(data["name"], str):
         raise SchemeFormatError("field 'name' must be a string")
-    if not isinstance(data["support_min"], int):
+    # JSON true and false load as bool, which Python counts as an int
+    if not _is_int(data["support_min"]):
         raise SchemeFormatError("field 'support_min' must be an integer")
     if not isinstance(data["coeffs"], list) or not data["coeffs"]:
         raise SchemeFormatError("field 'coeffs' must be a nonempty list")
     coeffs = []
     for i, s in enumerate(data["coeffs"]):
         try:
+            if isinstance(s, bool):
+                raise TypeError("a boolean is not a number")
             coeffs.append(Fraction(s))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+            # OverflowError: JSON Infinity loads as a float with no ratio
             raise SchemeFormatError("coeffs[%d] = %r is not a valid rational: %s" % (i, s, exc)) from exc
     smoothness = data.get("smoothness")
-    if smoothness is not None and not isinstance(smoothness, int):
+    if smoothness is not None and not _is_int(smoothness):
         raise SchemeFormatError("field 'smoothness' must be an integer or null")
     try:
         mask = Mask(data["support_min"], tuple(coeffs))

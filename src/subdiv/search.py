@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import islice, product
 from typing import Optional, Sequence, TextIO
 
-from .convergence import is_contractive
+import numpy as np
+
+from .convergence import contractive_runs
 from .localmatrix import local_stack, palindromic_classes, w6_discriminant
 
 
@@ -47,7 +48,10 @@ class GridRange:
         return (self.hi - self.lo) // self.step + 1
 
     def values(self) -> list[Fraction]:
-        return [self.lo + k * self.step for k in range(len(self))]
+        # lo + k step as numerators over one denominator: one gcd a value
+        den = math.lcm(self.lo.denominator, self.step.denominator)
+        lo, step = int(self.lo * den), int(self.step * den)
+        return [Fraction(lo + k * step, den) for k in range(len(self))]
 
 
 def free_param_count(width: int) -> int:
@@ -135,24 +139,43 @@ class SearchResult:
 # stage was stacked.
 SCAN_BLOCK = 256
 
+# a cell's class by its code 2 * (not has_complex) + (not convergent)
+_CLASS_OF_CODE = (CellClass.COMPLEX_CONVERGENT, CellClass.COMPLEX_OTHER,
+                  CellClass.REAL_CONVERGENT, CellClass.REAL_OTHER)
+
+
+def _run_map(width: int, den: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(support_min, base, lin) with _run_numerators(width, x, den)'s run
+    equal to base + x @ lin for every vector x of free numerators: the run
+    is affine in them, so base is the run at x = 0 and row i of lin the
+    run at the i-th unit vector less base (object arrays of Python ints)."""
+    p = free_param_count(width)
+    support_min, base = _run_numerators(width, [0] * p, den)
+    lin = [[x - b for x, b in zip(_run_numerators(width, e, den)[1], base)]
+           for e in np.eye(p, dtype=int).tolist()]
+    return support_min, np.array(base, dtype=object), np.array(lin, dtype=object).reshape(p, width)
+
 
 def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     """Classify every grid cell of the family by spectrum and contractivity,
-    in blocks of SCAN_BLOCK cells: the exact per-cell pass, then the
-    block's local matrices as one stack and one palindromic_classes call
-    on it.
+    in itertools.product order, in blocks of SCAN_BLOCK cells; each block
+    is one pass of array operations from grid indices to cells.
 
     Everything but max_imag is exact and runs in integers.  Every grid
     value is a numerator over the grid's common denominator
-    D = lcm(2, each range's lo and step denominators), so each cell's run
-    is too: contractivity is tested as a parity norm < D.  The block's runs
-    make one (N, n, n) stack of D*A (local_stack), and palindromic_classes
-    decides each cell's complex pair from the discriminants of its J-blocks;
-    the width-6 degenerate flag is a J-odd discriminant of 0 (D^2 times the
-    paper's D).  Only complex cells are root-solved, for max_imag; a real
-    cell has max_imag 0.0.  No Fraction, LocalMatrix or Spectrum is built
-    per cell, and the floats equal those spectra gives at each cell's own
-    lcm."""
+    D = lcm(2, each range's lo and step denominators), and a run is affine
+    in the free numerators (_run_map), so a block's (N, n) runs are
+    base + X @ lin, X the numerators its flat cell indices pick from each
+    axis (np.unravel_index).  Contractivity is one contractive_runs call on
+    the block's runs (a parity norm < D).  The runs make one (N, n, n)
+    stack of D*A (local_stack), and palindromic_classes decides each cell's
+    complex pair from the discriminants of its J-blocks; the width-6
+    degenerate flag is a J-odd discriminant of 0 (D^2 times the paper's D).
+    Only complex cells are root-solved, for max_imag; a real cell has
+    max_imag 0.0.  A cell's class is looked up from its code, and the
+    counts and witnesses are read from the codes after the last block.  No
+    Fraction, LocalMatrix or Spectrum is built per cell, and the floats
+    equal those spectra gives at each cell's own lcm."""
     try:
         n_cells = math.prod(len(r) for r in spec.param_ranges)
     except OverflowError:  # a single range longer than sys.maxsize
@@ -160,34 +183,38 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     if n_cells > max_cells:
         raise ValueError("grid has %s cells, cap is %d" % (n_cells, max_cells))
     den = math.lcm(2, *(x.denominator for r in spec.param_ranges for x in (r.lo, r.step)))
-    # each axis as (value, numerator over den); cells share these objects
-    axes = [[(v, v.numerator * (den // v.denominator)) for v in r.values()]
-            for r in spec.param_ranges]
+    values = [np.array(r.values(), dtype=object) for r in spec.param_ranges]
+    # each axis's values as numerators over den: lo + k step, in integers
+    nums = [int(r.lo * den) + int(r.step * den) * np.arange(len(v), dtype=object)
+            for r, v in zip(spec.param_ranges, values)]
+    support_min, base, lin = _run_map(spec.width, den)
 
     cells: list[Cell] = []
-    counts = {c.value: 0 for c in CellClass}
-    witnesses: dict[str, Cell] = {}
-    n = spec.width
-    grid = product(*axes)  # one empty tuple when the family has no parameter
-    while block := list(islice(grid, SCAN_BLOCK)):
-        runs, exact = [], []
-        for point in block:
-            support_min, run = _run_numerators(n, [x for _, x in point], den)
-            runs.append(run)
-            # Theorem-1 conditions hold by construction; the filter adds the
-            # contractivity requirement for the Convergent classes.
-            convergent = is_contractive(support_min, run, den) if spec.convergence_filter else True
-            exact.append((tuple(v for v, _ in point), convergent))
-        classes = palindromic_classes(den, local_stack(runs))
-        for (params, convergent), (has_complex, max_imag, odd_disc) in zip(exact, classes):
-            if has_complex:
-                cls = CellClass.COMPLEX_CONVERGENT if convergent else CellClass.COMPLEX_OTHER
-            else:
-                cls = CellClass.REAL_CONVERGENT if convergent else CellClass.REAL_OTHER
-            cell = Cell(params, cls, max_imag, n == 6 and odd_disc == 0)
-            cells.append(cell)
-            counts[cls.value] += 1
-            witnesses.setdefault(cls.value, cell)
+    codes = []
+    for start in range(0, n_cells, SCAN_BLOCK):
+        flat = np.arange(start, min(start + SCAN_BLOCK, n_cells))
+        if values:
+            # each cell's index on each axis, in itertools.product order
+            axes = np.unravel_index(flat, [len(v) for v in values])
+            runs = base + np.column_stack([x[i] for x, i in zip(nums, axes)]) @ lin
+            params = zip(*(v[i].tolist() for v, i in zip(values, axes)))
+        else:  # the family with no parameter has one cell, at the empty tuple
+            runs, params = base[None, :], [()]
+        # Theorem-1 conditions hold by construction; the filter adds the
+        # contractivity requirement for the Convergent classes.
+        convergent = (contractive_runs(support_min, runs, den) if spec.convergence_filter
+                      else np.ones(len(flat), dtype=bool))
+        has_complex, max_imag, odd_disc = zip(*palindromic_classes(den, local_stack(runs)))
+        code = 2 * ~np.array(has_complex) + ~convergent
+        degenerate = [d == 0 for d in odd_disc] if spec.width == 6 else [False] * len(flat)
+        cells += map(Cell, params, map(_CLASS_OF_CODE.__getitem__, code.tolist()),
+                     max_imag, degenerate)
+        codes.append(code)
+    codes = np.concatenate(codes)
+    tally = np.bincount(codes, minlength=4).tolist()
+    counts = {c.value: tally[_CLASS_OF_CODE.index(c)] for c in CellClass}
+    first = [int(np.argmax(codes == code)) for code in range(4) if tally[code]]
+    witnesses = {cells[k].cls.value: cells[k] for k in sorted(first)}
     return SearchResult(spec.width, cells, counts, witnesses)
 
 

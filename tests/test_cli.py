@@ -68,6 +68,23 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["convergence"]["certified_smoothness"] == 1
 
+    @pytest.mark.parametrize("text, field", [
+        ('{"name": "x", "support_min": true, "coeffs": ["1/2", "1", "1/2"]}',
+         "field 'support_min' must be an integer"),
+        ('{"name": "x", "support_min": -1, "coeffs": ["1/2", "1", "1/2"], "smoothness": true}',
+         "field 'smoothness' must be an integer or null"),
+        ('{"name": "x", "support_min": -1, "coeffs": ["1/2", true, "1/2"]}', "coeffs[1] = True"),
+        ('{"name": "x", "support_min": -1, "coeffs": ["1/2", Infinity, "1/2"]}', "coeffs[1] = inf"),
+    ])
+    def test_scheme_file_field_is_named(self, capsys, tmp_path, text, field):
+        # JSON booleans are no integers, and Infinity no rational: exit 1,
+        # the message naming the field
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", "--scheme", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + field)
+
     def test_unknown_catalog_name(self, capsys):
         code, out, err = run(capsys, "analyze", "--scheme", "catalog:nope")
         assert code == 1
@@ -185,15 +202,28 @@ class TestDynamics:
 
     def test_transient_past_float_range_is_named(self, capsys, tmp_path):
         # the width-8 mask of eight 3s: transient 287 is the first past the
-        # float range, so K = 300 is an error, exit 1, and K = 286 is not
+        # float range, so K = 300 is an error, exit 1; the mode magnitudes
+        # of transient 286 overflow too (test_mode_past_float_range_is_named),
+        # so K = 285 is the last K that prints
         path = tmp_path / "threes.json"
         save_scheme(SchemeRecord("threes", Mask(-4, (F(3),) * 8)), path)
         code, out, err = run(capsys, "dynamics", "--scheme", str(path), "--K", "300")
         assert code == 1 and out == ""
         assert err == ("error: transient 287 leaves the float range; "
                        "the trajectory is finite up to K = 286\n")
-        code, out, _ = run(capsys, "dynamics", "--scheme", str(path), "--K", "286")
-        assert code == 0 and len(out.splitlines()) == 288
+        code, out, _ = run(capsys, "dynamics", "--scheme", str(path), "--K", "285")
+        assert code == 0 and len(out.splitlines()) == 287
+        assert "nan" not in out and "inf" not in out
+
+    def test_mode_past_float_range_is_named(self, capsys, tmp_path):
+        # transient 286 of the eight 3s is finite, but its eigenbasis
+        # coefficients are not: exit 1 naming the step, no inf or nan row
+        path = tmp_path / "threes.json"
+        save_scheme(SchemeRecord("threes", Mask(-4, (F(3),) * 8)), path)
+        code, out, err = run(capsys, "dynamics", "--scheme", str(path), "--K", "286")
+        assert code == 1 and out == ""
+        assert err == ("error: the mode magnitudes of transient 286 leave the float range; "
+                       "they are finite up to K = 285\n")
 
     def test_bad_v0_length(self, capsys):
         code, _, err = run(capsys, "dynamics", "--scheme", "catalog:a",

@@ -7,8 +7,8 @@ from hypothesis import assume, example, given, strategies as st
 
 from conftest import Z, laurent_terms, sympy_symbol
 from subdiv.convergence import (ConvergenceReport, Verdict, _over_one_plus_z, certify,
-                                contractivity_norm, difference_scheme, is_contractive,
-                                necessary_conditions, NotFactorableError,
+                                contractive_runs, contractivity_norm, difference_scheme,
+                                is_contractive, necessary_conditions, NotFactorableError,
                                 smooth_lift)
 from subdiv.masks import Mask, catalog_get, recenter
 
@@ -224,6 +224,70 @@ class TestContractivityNorm:
         den = k * math.lcm(*(c.denominator for c in coeffs))
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
         assert is_contractive(support_min, nums, den) == is_contractive(support_min, coeffs)
+
+
+def synthetic_division_verdict(support_min, run, den):
+    """The per-run reference: q_k = a_k - q_{k-1} by a loop, None when the
+    remainder s(-1) is not 0, else whether the parity norm of q is < den."""
+    q, r = [], 0
+    for a in run:
+        r = a - r
+        q.append(r)
+    if r != 0:
+        return None
+    return parity_norm(support_min, q[:-1]) < den
+
+
+@st.composite
+def numerator_stacks(draw):
+    """(rows, den): 1-6 integer runs of one length 1-9, each (1+z) times a
+    drawn run (so s(-1) = 0), numerators up to 2^8, 2^64 or 2^300 in size,
+    up to two zero coefficients at either end, and a den that puts the
+    verdicts either way."""
+    n = draw(st.integers(1, 9))
+    big = draw(st.sampled_from([2 ** 8, 2 ** 64, 2 ** 300]))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        b = draw(st.lists(st.integers(-big, big), min_size=n - 1, max_size=n - 1))
+        lo, hi = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        b = [0 if k < lo or k >= n - 1 - hi else x for k, x in enumerate(b)]
+        rows.append([x + y for x, y in zip(b + [0], [0] + b)])
+    return rows, draw(st.integers(1, 2 * n * big))
+
+
+class TestContractiveRuns:
+    """The stack-wise rule equals a synthetic division per run."""
+
+    @given(numerator_stacks(), st.integers(-5, 5))
+    @example(([[0]], 1), 0)
+    @example(([[1, 1], [2 ** 300, 2 ** 300]], 2 ** 300 + 1), -1)
+    def test_matches_synthetic_division(self, stack, support_min):
+        rows, den = stack
+        expect = [synthetic_division_verdict(support_min, r, den) for r in rows]
+        assert contractive_runs(support_min, rows, den).tolist() == expect
+        assert [is_contractive(support_min, r, den) for r in rows] == expect
+
+    def test_both_parities_of_support_min(self):
+        # q = (3, 0, 1): parity sums 4 and 0 at an even start, or the
+        # other way round at an odd one; the norm is 4 either way
+        rows = [[3, 3, 1, 1]]
+        for support_min in (-3, -2, 0, 1):
+            assert contractive_runs(support_min, rows, 5).tolist() == [True]
+            assert contractive_runs(support_min, rows, 4).tolist() == [False]
+        # q = (3, 1): 3 at one parity, 1 at the other
+        assert contractive_runs(0, [[3, 4, 1]], 4).tolist() == [True]
+
+    @given(numerator_stacks(), st.integers(-5, 5), st.data())
+    def test_nonzero_remainder_raises(self, stack, support_min, data):
+        rows, den = stack
+        k = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows[k]) - 1))
+        rows[k][j] += data.draw(st.sampled_from([-1, 1]))  # s(-1) moves by 1
+        assert synthetic_division_verdict(support_min, rows[k], den) is None
+        with pytest.raises(NotFactorableError):
+            contractive_runs(support_min, rows, den)
+        with pytest.raises(NotFactorableError):
+            is_contractive(support_min, rows[k], den)
 
 
 class TestCertify:

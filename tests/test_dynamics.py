@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fraction_entries
 from subdiv import dynamics
-from subdiv.dynamics import (MAX_K, TrajectoryOverflowError, TrajectoryReport,
-                             _rational_null_weights, _transient_numerators, decompose_modes,
-                             iterate_local, window_vector, write_trajectory_csv)
+from subdiv.dynamics import (MAX_K, ModeOverflowError, TrajectoryOverflowError,
+                             TrajectoryReport, _rational_null_weights, _transient_numerators,
+                             decompose_modes, iterate_local, window_vector, write_trajectory_csv)
 from subdiv.localmatrix import LocalMatrix, build_local_matrix, matrix_from_coeffs
 from subdiv.masks import catalog_get
 from subdiv.refine import ControlPolygon, delta
@@ -294,6 +294,31 @@ class TestDecomposeModes:
         assert traj.rotation is None
         assert all(not m.is_complex_pair for m in traj.modes)
 
+    def test_mode_overflow_is_named_error(self):
+        # the width-8 mask of eight 3s: transient 286 of e4 is finite, but
+        # its coordinates in the eigenbasis are not (the solve gives inf and
+        # nan), so its mode magnitudes cannot be printed
+        M = matrix_from_coeffs(-4, (F(3),) * 8)
+        v0 = tuple(float(i == 4) for i in range(8))
+        traj = iterate_local(v0, M, 286)
+        assert all(math.isfinite(x) for x in traj.transients[-1])
+        with pytest.raises(ModeOverflowError, match="^the mode magnitudes of transient 286 "
+                                                    "leave the float range; they are finite "
+                                                    "up to K = 285$"):
+            decompose_modes(traj)
+        modes = decompose_modes(iterate_local(v0, M, 285)).modes
+        assert all(math.isfinite(x) for m in modes for x in m.magnitudes)
+
+    def test_pair_magnitude_overflow_at_step_0(self):
+        # a quarter turn: the pair's two coefficients are finite, their
+        # hypot |d| = 1.5e308 * sqrt(2) is not
+        traj = TrajectoryReport(transients=((1.5e308, 1.5e308),), fixed_point=(0.0, 0.0),
+                                distances=(1.5e308,), monotonicity_violations=0,
+                                matrix=((0.0, -1.0), (1.0, 0.0)))
+        with pytest.raises(ModeOverflowError,
+                           match="^the mode magnitudes of transient 0 leave the float range$"):
+            decompose_modes(traj)
+
     def test_defective_matrix_skips_decomposition(self):
         A = LocalMatrix(2, ((1, 2), (0, 1)), 0)  # a Jordan block at 1/2
         traj = decompose_modes(iterate_local((1.0, 1.0), A, 5))
@@ -403,7 +428,6 @@ class TestDecomposeBitIdentity:
 
     @staticmethod
     def check_modes(traj):
-        got = decompose_modes(traj)
         # the former tolerance and LAPACK's conjugate order pair the same
         # eigenvalues unless some |Im| lies in (0, 1e-9], as when LAPACK
         # splits a double real eigenvalue: it then reports a complex pair,
@@ -411,6 +435,14 @@ class TestDecomposeBitIdentity:
         w = np.linalg.eig(np.asarray(traj.matrix))[0]
         ref = reference_decompose(traj, 0.0 if any(0 < abs(mu.imag) <= 1e-9 for mu in w)
                                   else 1e-9)
+        if ref is not None and not all(map(math.isfinite, (x for m in ref for x in m[2]))):
+            # a magnitude the former loop gave as inf or nan is an error,
+            # named by the first transient that has one
+            k = min(k for m in ref for k, x in enumerate(m[2]) if not math.isfinite(x))
+            with pytest.raises(ModeOverflowError, match="transient %d " % k):
+                decompose_modes(traj)
+            return
+        got = decompose_modes(traj)
         if ref is None:
             assert got.modes is None
         else:

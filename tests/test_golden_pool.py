@@ -1,0 +1,50 @@
+"""The benchmark's recorded outputs, as a tier-1 check of unchanged bytes.
+
+Every family-scan request of the benchmark pool and every user-masks
+analyze request runs through subdiv.cli.main, and each output must hash, by
+perfbench/run.digest, to the digest perfbench/golden.json records for it.
+The hashes pin the floats of one Python and numpy build, so the test skips
+on another one.  It only reads perfbench/.
+"""
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from subdiv import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))  # as perfbench's own tests import it
+
+import workloads  # noqa: E402
+from run import digest  # noqa: E402
+
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
+
+pytestmark = pytest.mark.skipif(
+    (platform.python_version(), np.__version__) != (GOLDEN["python"], GOLDEN["numpy"]),
+    reason="golden.json records Python %s and numpy %s" % (GOLDEN["python"], GOLDEN["numpy"]))
+
+
+def changed_outputs(workload, requests):
+    """Keys of the requests that fail or whose output hash is not the one
+    recorded; every request must have a recorded hash."""
+    recorded = GOLDEN["hashes"][workload]
+    return [req.key for req in requests
+            if cli.main(req.argv) != 0 or digest(req.outputs) != recorded[req.key]]
+
+
+def test_family_scan_pool(tmp_path):
+    requests = workloads.pool("family-scan", tmp_path)
+    assert len(requests) == len(GOLDEN["hashes"]["family-scan"]) == 292
+    assert changed_outputs("family-scan", requests) == []
+
+
+def test_user_masks_analyze(tmp_path):
+    requests = [r for r in workloads.pool("user-masks", tmp_path)
+                if r.check["kind"] == "analyze"]
+    assert len(requests) == 180
+    assert changed_outputs("user-masks", requests) == []

@@ -209,6 +209,31 @@ class TestRootsStack:
         for row, roots in zip(rows, got):
             assert packed(roots) == packed(reference_roots(row)), row
 
+    @settings(max_examples=15)
+    @given(st.data())
+    def test_mixed_lengths_and_zeros_in_one_call(self, data):
+        # every degree 1-8 with each count of appended zero roots 0-3 it
+        # allows, 1-3 rows a shape, shuffled into one call: rows of one
+        # length with different zero counts, and one zero count at several
+        # lengths.  One eigvals per shape (length, trailing zeros; a drawn
+        # row may end in zeros of its own) that has a companion, and each
+        # row's roots, in input order, bit-identical to np.roots of the row
+        rows = [data.draw(monic_rows(d - z)) + [0.0] * z
+                for d in range(1, 9) for z in range(min(3, d) + 1)
+                for _ in range(data.draw(st.integers(1, 3)))]
+        rows = data.draw(st.permutations(rows))
+        shapes = {(len(r), len(r) - 1 - max(j for j, x in enumerate(r) if x)) for r in rows}
+        assert len({n for n, _ in shapes}) == 8 and len({z for _, z in shapes}) >= 4
+        calls = []
+        eigvals = np.linalg.eigvals
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigvals", lambda C: calls.append(C.shape) or eigvals(C))
+            got = _roots_stacked(rows)
+        assert sorted(c[1] for c in calls) == sorted(n - 1 - z for n, z in shapes if n - 1 > z)
+        assert len(got) == len(rows)
+        for row, roots in zip(rows, got):
+            assert packed(roots) == packed(reference_roots(row)), row
+
     def test_real_and_complex_rows_share_a_shape(self):
         # y^2 - 3y + 2 has real roots and y^2 + 1 a complex pair: one stacked
         # eigvals call returns both, and each row keeps its own dtype

@@ -70,6 +70,28 @@ class TestFileIO:
             load_scheme(path)
         assert "support_min" in str(exc.value)
 
+    @pytest.mark.parametrize("field, value", [("support_min", True), ("smoothness", True),
+                                              ("smoothness", False)])
+    def test_boolean_is_not_an_integer(self, tmp_path, field, value):
+        doc = {"name": "x", "support_min": -1, "coeffs": ["1/2", "1", "1/2"], field: value}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemeFormatError, match="field '%s' must be an integer" % field):
+            load_scheme(path)
+
+    def test_boolean_coefficient(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "x", "support_min": -1, "coeffs": ["1/2", true, "1/2"]}')
+        with pytest.raises(SchemeFormatError, match=r"coeffs\[1\] = True is not a valid rational"):
+            load_scheme(path)
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_coefficient(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "x", "support_min": 0, "coeffs": [1, %s]}' % text)
+        with pytest.raises(SchemeFormatError, match=r"coeffs\[1\] = .* is not a valid rational"):
+            load_scheme(path)
+
     def test_rationals_survive_exactly(self, tmp_path):
         rec = SchemeRecord("tiny", Mask(-1, (F(1, 3), F(1, 3), F(1, 3))), None)
         path = tmp_path / "t.json"

@@ -3,7 +3,9 @@ import math
 from fractions import Fraction as F
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import Z, fraction_entries, sympy_symbol
 from subdiv import localmatrix, search
@@ -180,6 +182,34 @@ class TestScan:
         assert sum(cells.values()) == 3862 and sum(n_complex.values()) == 1007
         assert n_complex == {2: 0, 3: 0, 4: 0, 5: 0, 6: 716, 7: 142, 8: 149}
         assert factored == solved == {w: n_complex[w] for w in (6, 7, 8)}
+
+    def test_runs_without_a_per_cell_run_numerators_call(self, monkeypatch):
+        # the runs of every cell come from base + X @ lin: _run_numerators
+        # runs once at the zero vector and once per unit vector, per scan
+        calls = []
+
+        def counted(width, nums, den):
+            calls.append(width)
+            return run_numerators(width, nums, den)
+
+        run_numerators = search._run_numerators
+        monkeypatch.setattr(search, "_run_numerators", counted)
+        cells = 0
+        for width in range(2, 9):
+            calls.clear()
+            cells += len(scan(SearchSpec(width, default_grid(width))).cells)
+            assert calls == [width] * (1 + free_param_count(width)), width
+        assert cells == 3862
+
+    @given(st.integers(2, 8), st.data())
+    def test_run_map_is_the_family(self, width, data):
+        # base + x @ lin equals _run_numerators at x, numerators up to 2^300
+        den = 2 * data.draw(st.integers(1, 2 ** 300))
+        x = data.draw(st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=free_param_count(width),
+                               max_size=free_param_count(width)))
+        support_min, base, lin = search._run_map(width, den)
+        assert (support_min, tuple((base + np.array(x, dtype=object) @ lin).tolist())) == \
+            search._run_numerators(width, x, den)
 
     def test_cell_cap(self, monkeypatch):
         spec = SearchSpec(6, (GridRange(F(-1), F(1), F(1, 100)),) * 2)
