@@ -11,25 +11,26 @@ LocalMatrix holds the integer-scaled pair (L, B = L*A), L the lcm of the
 mask's denominators (masks.integer_run), and spectra() solves many such
 pairs at once.  It groups them by order, and each integer step runs once per
 group, on one (N, n, n) stack of Python ints (numpy dtype=object): exact at
-any bit size, with no fixed-width path.  The factors of every matrix are
-then grouped by shape, and each shape takes one stacked eigvals of
-companion matrices and one vectorised polish, bit-identical to np.roots and
-np.polyval per factor.  eigenvalues(M) is spectra([(M.L, M.B)])[0], so one
-route serves both.
+any bit size, with no fixed-width path.  The factors are root-solved in
+stacks of one shape, each one stacked eigvals of companion matrices and one
+vectorised polish, bit-identical to np.roots and np.polyval per factor.
+eigenvalues(M) is spectra([(M.L, M.B)])[0], so one route serves both.
 
 The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
 entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
 q the characteristic polynomial of the central block, computed exactly in
 integers (Faddeev-LeVerrier on L*A, one stacked matrix product per step).
-A fraction-free remainder sequence of (q, q') over GF(2^61 - 1), run on the
-whole stack, certifies q square-free when it drops one degree at a time to
-a nonzero constant; q is then its own single class.  Any other q goes
-straight to Yun's split over GF(p), p a Mersenne prime above twice q's
-Mignotte bound, kept when its lifted factors multiply to q in integers (a
-square-free q whose sequence skipped a degree comes back whole).  Each
-corner then joins the class above its multiplicity as a root of q (0 when
-it is none), two classes up when the corners are equal (every palindromic
-mask).
+A fraction-free remainder sequence of (q, q') over GF(2^31 - 1), run on the
+whole stack in int64 residues, certifies q square-free when it drops one
+degree at a time to a nonzero constant; q is then its own single class.
+Any other q goes straight to Yun's split over GF(p), p a Mersenne prime
+above twice q's Mignotte bound, kept when its lifted factors multiply to q
+in integers (a square-free q whose sequence skipped a degree comes back
+whole).  Each corner then joins the class above its multiplicity as a root
+of q (0 when it is none), two classes up when the corners are equal (every
+palindromic mask).  A certified q with no corner among its roots makes a
+plain row: its factors are q and the corners, and the plain rows of a stack
+go to the root finder as one array, with no per-row factor lists.
 
 A palindromic run makes A commute with the flip J (A[i][j] = A[n-1-i][n-1-j]),
 so the central block C is centrosymmetric.  Such a C of order 2k splits
@@ -47,9 +48,10 @@ For analyze and dynamics the spectral class (complex pair, negative real
 count, simple eigenvalue 1 with all others inside the unit disc) is decided
 once, at SPECTRAL_TOL, in Spectrum.from_values; callers read the resulting
 fields.  A family scan decides its one class, complex pair or not, exactly
-(palindromic_classes): both J-blocks have order <= 3 at widths <= 9, so a
+(palindromic_classes): both J-blocks have order <= 3 at widths <= 8, so a
 complex pair is a negative block discriminant, and only those matrices are
-root-solved, for their largest |Im|.
+root-solved, for their largest |Im|.  Width 9 has a J-even block of order
+4, and palindromic_classes refuses it.
 """
 from __future__ import annotations
 
@@ -65,8 +67,8 @@ from .masks import Mask, integer_run
 
 class EigensolveError(RuntimeError):
     """No table prime split the charpoly, a Faddeev-LeVerrier trace was not
-    divisible (the matrix was not integer), or the root count is not the
-    order."""
+    divisible (the matrix was not integer), or a root left the float
+    range."""
 
 
 @dataclass(frozen=True)
@@ -412,20 +414,25 @@ def _squarefree_split(c: Sequence[int]) -> dict[int, list[int]]:
     raise EigensolveError("no table prime splits the characteristic polynomial")
 
 
+# The prime of _certified: residues below 2^31, so a product of two stays
+# below 2^62 and the whole sequence runs in int64.
+_CERT_PRIME = (1 << 31) - 1
+
+
 def _certified(c: np.ndarray) -> np.ndarray:
     """Which rows of an (N, d + 1) stack of monic integer polynomials are
-    square-free by a normal remainder sequence of (c, c') over GF(_PRIMES[0]):
-    each fraction-free pseudo-remainder exactly one degree lower than the
-    divisor, with a leading coefficient nonzero mod p, down to a nonzero
-    constant.  Over GF(p) each is a unit times the true remainder, so
-    gcd(c, c') is a unit there, and c is square-free: a square factor g^2
-    has a monic integer g (Gauss's lemma), which keeps its degree mod p and
-    divides c' there too.  A row left out may still be square-free: its
-    sequence skipped a degree, or p divides a subresultant; _squarefree_split
-    returns it whole."""
-    p = _PRIMES[0]
-    a = c % p
-    b = c[:, 1:] * np.arange(1, c.shape[1]) % p  # c', leading coefficient d
+    square-free by a normal remainder sequence of (c, c') over
+    GF(_CERT_PRIME): each fraction-free pseudo-remainder exactly one degree
+    lower than the divisor, with a leading coefficient nonzero mod p, down
+    to a nonzero constant.  Over GF(p) each is a unit times the true
+    remainder, so gcd(c, c') is a unit there, and c is square-free: a square
+    factor g^2 has a monic integer g (Gauss's lemma), which keeps its degree
+    mod p and divides c' there too.  This holds for any prime p above d.  A
+    row left out may still be square-free: its sequence skipped a degree, or
+    p divides a subresultant; _squarefree_split returns it whole."""
+    p = _CERT_PRIME
+    a = (c % p).astype(np.int64)
+    b = a[:, 1:] * np.arange(1, c.shape[1]) % p  # c', leading coefficient d
     ok = np.ones(len(c), dtype=bool)
     for d in range(c.shape[1] - 2, 0, -1):  # a of degree d + 1, b of degree d
         lb = b[:, -1:]
@@ -460,49 +467,36 @@ def _over_linear(c: Sequence[int], r: int) -> list[int]:
     return q
 
 
-def _charpoly_factors(B: Sequence[Sequence[Sequence[int]]]) -> list[list[tuple[list[int], int]]]:
-    """The monic square-free factorisation of det(yI - B) for each matrix of
-    a stack of integer-scaled local matrices B = L*A of one order (an
-    (N, n, n) array of Python ints, or anything np.array makes one of): each
-    factor an integer coefficient list with its multiplicity, in ascending
-    multiplicity.  det(xI - A) has the factors f(Lx) / L^deg(f).  The
-    charpolys of the central blocks come first, for the whole stack
-    (_central_charpolys), then _split_factors."""
-    S = np.array(B, dtype=object)
-    n = S.shape[1]
-    return _split_factors(_central_charpolys(S[:, 1:n - 1, 1:n - 1]), S)
+def _split_factors(cs: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, list[list[tuple[list[int], int]]]]:
+    """The monic square-free factorisation of det(yI - B) for each matrix
+    of an (N, n, n) stack S of integer-scaled local matrices B = L*A, given
+    the charpolys cs of their central blocks (_central_charpolys), as
+    (plain, factors); det(xI - A) has the factors f(Lx) / L^deg(f).
 
-
-def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[list[tuple[list[int], int]]]:
-    """_charpoly_factors from the central charpolys cs of the (N, n, n)
-    stack S: the stacked certificate (_certified) first; a row it leaves
-    out takes _squarefree_split.  A corner that is a root of multiplicity m
-    in its row's c then moves to class m+1 (m+2 when both corners are that
-    root; m = 0 when it is no root).  The certified rows whose corners are
-    no root of c (one stacked Horner evaluation per corner) skip the
-    per-row search: c is class 1 and the corners join class 2 (equal) or
-    class 1 (unequal)."""
+    plain marks the rows that _certified clears and whose corners are no
+    root of c (one stacked Horner evaluation per corner): c is then class 1
+    and the corners join class 2 (equal) or class 1 (unequal), which
+    _eigenvalues reads from cs and S.  factors holds, for each other row in
+    order, every factor as an integer coefficient list with its
+    multiplicity, in ascending multiplicity: a row the certificate leaves
+    out takes _squarefree_split, and a corner that is a root of
+    multiplicity m in its row's c then moves to class m+1 (m+2 when both
+    corners are that root; m = 0 when it is no root)."""
     certified = _certified(cs)
     first, last = S[:, 0, 0], S[:, -1, -1]
     plain = certified & (_horner(cs.T, first) != 0) & (_horner(cs.T, last) != 0)
     out = []
-    for c, cert, easy, a, b in zip(cs.tolist(), certified.tolist(), plain.tolist(),
-                                   first.tolist(), last.tolist()):
-        if not easy:
-            classes = {1: c} if cert else _squarefree_split(c)
-            for r in {a, b}:
-                m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
-                if m:
-                    classes[m] = _over_linear(classes[m], r)
-                up = m + (2 if a == b else 1)
-                classes[up] = _poly_mul(classes.get(up, [1]), [-r, 1])
-        elif a == b:
-            classes = {1: c, 2: [-a, 1]}
-        else:
-            classes = {1: _poly_mul(_poly_mul(c, [-a, 1]), [-b, 1])}
-        factors = [(classes[m], m) for m in sorted(classes)]
-        out.append([(f, m) for f, m in factors if len(f) > 1])
-    return out
+    for i in np.flatnonzero(~plain).tolist():
+        c, a, b = cs[i].tolist(), first[i], last[i]
+        classes = {1: c} if certified[i] else _squarefree_split(c)
+        for r in {a, b}:
+            m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
+            if m:
+                classes[m] = _over_linear(classes[m], r)
+            up = m + (2 if a == b else 1)
+            classes[up] = _poly_mul(classes.get(up, [1]), [-r, 1])
+        out.append([(classes[m], m) for m in sorted(classes) if len(classes[m]) > 1])
+    return plain, out
 
 
 def _polyval(P: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -524,79 +518,92 @@ def _polish(P: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
-    """Roots of square-free polynomials, float coefficients from the top
-    degree down (leading coefficient nonzero), Newton-polished.
+def _roots_of_stack(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of the square-free polynomials of a (K, n) float stack,
+    coefficients from the top degree down (leading coefficient nonzero),
+    Newton-polished: a (K, n - 1) complex array, and which rows are real.
 
-    Rows of one shape (length, trailing zeros) share one stacked eigvals of
+    Rows with one count of trailing zeros share one stacked eigvals of
     their companion matrices and a vectorised polish, each step done as
     np.roots and np.polyval do it, so every root is bit-identical to a call
-    of those per row.  The rows of one length make one array, and one numpy
-    pass over it counts their trailing zeros.  As in a single eigvals call, a row whose eigenvalues
+    of those per row.  As in a single eigvals call, a row whose eigenvalues
     all have a zero imaginary part is polished in float64, others in
     complex128.  EigensolveError when a polished root is not finite: the
     polish overflowed on coefficients near the float range."""
-    by_length: dict[int, list[int]] = {}
-    for k, cf in enumerate(rows):
-        by_length.setdefault(len(cf), []).append(k)
+    K, n = P.shape
+    roots, real = np.empty((K, n - 1), dtype=complex), np.empty(K, dtype=bool)
+    trailing = (P[:, ::-1] != 0).argmax(axis=1)  # each row's zero roots
+    for zeros in np.flatnonzero(np.bincount(trailing)).tolist():
+        at = np.flatnonzero(trailing == zeros)
+        Q, m = P[at], n - 1 - zeros  # m: companion order, after stripping the zero roots
+        if m:
+            C = np.zeros((len(at), m, m))
+            C[:, 1:, :-1] = np.eye(m - 1)
+            C[:, 0, :] = -Q[:, 1:m + 1] / Q[:, :1]
+            W = np.linalg.eigvals(C)
+        else:  # a single nonzero coefficient: no companion, only zero roots
+            W = np.zeros((len(at), 0))
+        if zeros:
+            W = np.hstack((W, np.zeros((len(at), zeros), W.dtype)))
+        real[at] = is_real = np.all(W.imag == 0, axis=1)
+        for sel, X in ((is_real, W.real), (~is_real, W)):
+            if sel.any():
+                with np.errstate(all="ignore"):  # overflow shows as a non-finite root
+                    X = _polish(Q[sel], X[sel])
+                if not np.isfinite(X).all():
+                    raise EigensolveError("an eigenvalue leaves the float range")
+                roots[at[sel]] = X
+    return roots, real
+
+
+def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
+    """Roots of square-free polynomials of any lengths, float coefficients
+    from the top degree down (leading coefficient nonzero): the rows of one
+    length make one _roots_of_stack call, and a real row's roots come back as
+    floats, bit-identical to np.roots and np.polyval per row."""
     out: list[list[complex]] = [[] for _ in rows]
-    for n, ks in by_length.items():
-        Pn = np.array([rows[k] for k in ks], dtype=float)
-        trailing = (Pn[:, ::-1] != 0).argmax(axis=1)  # each row's zero roots
-        for zeros in np.flatnonzero(np.bincount(trailing)).tolist():
-            at = np.flatnonzero(trailing == zeros)
-            P, idx = Pn[at], [ks[k] for k in at.tolist()]
-            m = n - 1 - zeros  # companion order, after stripping the zero roots
-            if m:
-                C = np.zeros((len(idx), m, m))
-                C[:, 1:, :-1] = np.eye(m - 1)
-                C[:, 0, :] = -P[:, 1:m + 1] / P[:, :1]
-                W = np.linalg.eigvals(C)
-            else:  # a single nonzero coefficient: no companion, only zero roots
-                W = np.zeros((len(idx), 0))
-            if zeros:
-                W = np.hstack((W, np.zeros((len(idx), zeros), W.dtype)))
-            real = np.all(W.imag == 0, axis=1)
-            for sel, X in ((real, W.real), (~real, W)):
-                if sel.any():
-                    with np.errstate(all="ignore"):  # overflow shows as a non-finite root
-                        X = _polish(P[sel], X[sel])
-                    if not np.isfinite(X).all():
-                        raise EigensolveError("an eigenvalue leaves the float range")
-                    for k, r in zip(np.flatnonzero(sel).tolist(), X.tolist()):
-                        out[idx[k]] = r
+    for n in {len(cf) for cf in rows}:
+        ks = [k for k, cf in enumerate(rows) if len(cf) == n]
+        W, real = _roots_of_stack(np.array([rows[k] for k in ks], dtype=float))
+        for k, w, r in zip(ks, W.tolist(), real.tolist()):
+            out[k] = [x.real for x in w] if r else w
     return out
 
 
-def _eigenvalues(Ls: Sequence[int], orders: Sequence[int],
-                 factors: Sequence[list[tuple[list[int], int]]]) -> list[list[complex]]:
-    """All eigenvalues, with multiplicity, of each matrix A = B / L of order
-    n, given L, n and the factors of det(yI - B) (_split_factors).  The
-    non-linear factors of every matrix are root-solved together
-    (_roots_stacked); a linear factor's root is one integer division."""
-    owners, rows = [], []
-    powers: dict[int, list[int]] = {}  # L -> [1, L, L^2, ...], to the top order
-    top = max(orders, default=0) + 1
-    for i, (L, fs) in enumerate(zip(Ls, factors)):
-        if (pw := powers.get(L)) is None:
-            pw = powers[L] = [L ** j for j in range(top)]
-        for f, mult in fs:
-            if len(f) == 2:
-                # monic linear: the root -f0/L correctly rounded, which is
-                # what the stacked eigvals gives and the polish leaves
-                owners.append((i, mult, [-f[0] / L]))
-                continue
-            owners.append((i, mult, None))
-            # the coefficients f_k / L^(d-k) of f(Lx) / L^d, from the top
-            # degree d down, each one correctly rounded
-            rows.append([x / p for x, p in zip(reversed(f), pw)])
-    vals: list[list[complex]] = [[] for _ in factors]
-    stacked = iter(_roots_stacked(rows))
-    for i, mult, roots in owners:
-        vals[i].extend((roots or next(stacked)) * mult)
-    for n, v in zip(orders, vals):
-        if len(v) != n:
-            raise EigensolveError("root count %d != matrix order %d" % (len(v), n))
+def _eigenvalues(L, cs: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """All eigenvalues, with multiplicity, of each matrix A = S[k] / L of
+    an (N, n, n) stack of integer-scaled local matrices (L an int, or one
+    per matrix), given the charpolys cs of their central blocks, as an
+    (N, n) complex array: the roots of each factor of _split_factors, in
+    ascending multiplicity.  The float coefficients of a factor f of degree
+    d are f_k / L^(d-k), from the top degree down, each one correctly
+    rounded integer division.
+
+    The plain rows are stacks: c (c (y - a)(y - b) when the corners a, b
+    are unequal) is divided by the powers of L in one object-array
+    division and root-solved by one _roots_of_stack call (a linear c, at
+    order 3, too), and an equal corner adds a / L twice.  The other rows'
+    non-linear factors are root-solved together (_roots_stacked), and a
+    linear factor's root is one integer division, the bits the stacked
+    eigvals and polish give."""
+    N, n = S.shape[:2]
+    plain, factors = _split_factors(cs, S)
+    pw = np.broadcast_to(np.asarray(L, dtype=object)[..., None] ** np.arange(n + 1), (N, n + 1))
+    vals = np.empty((N, n), dtype=complex)
+    at = np.flatnonzero(plain)
+    a, b = S[at, 0, 0], S[at, -1, -1]
+    equal, other = at[a == b], at[a != b]
+    vals[equal, n - 2:] = (a[a == b] / pw[equal, 1]).astype(float)[:, None]
+    ab = np.column_stack((a * b, -a - b, np.ones_like(a)))[a != b]  # (y - a)(y - b)
+    for k, f in ((equal, cs[equal]), (other, _row_products(cs[other], ab))):
+        d = f.shape[1] - 1
+        if len(k) and d:
+            vals[k, :d] = _roots_of_stack((f[:, ::-1] / pw[k, :d + 1]).astype(float))[0]
+    rest = np.flatnonzero(~plain).tolist()
+    stacked = iter(_roots_stacked([[x / q for x, q in zip(reversed(f), pw[i])]
+                                   for i, fs in zip(rest, factors) for f, _ in fs if len(f) > 2]))
+    for i, fs in zip(rest, factors):
+        vals[i] = [r for f, m in fs for r in ([-f[0] / pw[i, 1]] if len(f) == 2 else next(stacked)) * m]
     return vals
 
 
@@ -605,42 +612,45 @@ def spectra(scaled: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> list[Spect
     (L, B = L*A), B any n x n integer array-like (nested sequences, or an
     object array of Python ints), all eigenvalues with multiplicity, from
     the exact square-free factors of its characteristic polynomial.  The
-    matrices are grouped by order, and _charpoly_factors runs once per
-    order on the stack of that order's B.  Any L that makes B integer gives
-    the same floats: a factor's coefficients in x are the same rationals
-    f_k / L^(d-k) whatever L is, each one correctly rounded.  The factors
-    of every matrix are root-solved together: one stacked
-    eigvals per factor shape, bit-identical to np.roots per factor, then
-    three Newton steps; residuals are bounded by the polish (|p(mu)| ~
-    machine eps relative to the coefficient scale).  A linear factor skips
-    both: its root is one integer division."""
-    by_order: dict[int, list[int]] = {}
-    for i, (_, B) in enumerate(scaled):
-        by_order.setdefault(len(B), []).append(i)
-    factors: list = [None] * len(scaled)
-    for idx in by_order.values():
-        for i, fs in zip(idx, _charpoly_factors([scaled[i][1] for i in idx])):
-            factors[i] = fs
-    vals = _eigenvalues([L for L, _ in scaled], [len(B) for _, B in scaled], factors)
-    return [Spectrum.from_values(v) for v in vals]
+    matrices are grouped by order, and each order's stack of B takes one
+    _central_charpolys and one _eigenvalues call.  Any L that makes B
+    integer gives the same floats: a factor's coefficients in x are the
+    same rationals f_k / L^(d-k) whatever L is, each one correctly rounded.
+    The roots come from one stacked eigvals per factor shape,
+    bit-identical to np.roots per factor, then three Newton steps;
+    residuals are bounded by the polish (|p(mu)| ~ machine eps relative to
+    the coefficient scale).  A linear factor of a row that is not plain
+    (_split_factors) skips both: its root is one integer division."""
+    vals: dict[int, list[complex]] = {}
+    for n in {len(B) for _, B in scaled}:
+        idx = [i for i, (_, B) in enumerate(scaled) if len(B) == n]
+        S = np.array([scaled[i][1] for i in idx], dtype=object)
+        found = _eigenvalues([scaled[i][0] for i in idx], _central_charpolys(S[:, 1:n - 1, 1:n - 1]), S)
+        vals.update(zip(idx, found.tolist()))
+    return [Spectrum.from_values(vals[i]) for i in range(len(scaled))]
 
 
-def palindromic_classes(L: int, S: np.ndarray) -> list[tuple[bool, float, int]]:
-    """(has_complex, max |Im| of the eigenvalues, J-odd discriminant) of
-    each matrix A = S[k] / L of an (N, n, n) stack S of integer-scaled
-    local matrices of palindromic runs (local_stack), n <= 9.
+def palindromic_classes(L: int, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(has_complex, max |Im| of the eigenvalues, J-odd discriminant), each
+    an array over the matrices A = S[k] / L of an (N, n, n) stack S of
+    integer-scaled local matrices of palindromic runs (local_stack),
+    n <= 8.
 
     has_complex is exact.  The corners are rational, and the central
     block's J-even and J-odd blocks (_flip_stacks) have order <= 3 and
     integer charpolys, so A has a non-real eigenvalue exactly when one of
-    their discriminants is < 0 (_discriminants).  Only those matrices are
-    root-solved, by spectra's route from the same central charpoly (the
-    product of the two block charpolys): the same factors, stacked eigvals
-    and polish.  Their max |Im| is one row-wise max over the array of their
-    eigenvalues, the bits spectra gives; a real matrix has max |Im| 0.0.
-    At width 6 the J-odd discriminant is L^2 D(a, b), w6_discriminant(a, b,
-    L) in numerators."""
+    their discriminants is < 0 (_discriminants).  At n = 9 the J-even block
+    has order 4, which has no such closed form, so n > 8 is refused first.
+    Only the complex matrices are root-solved, by spectra's route
+    (_eigenvalues) from the same central charpoly (the product of the two
+    block charpolys): the same factors, stacked eigvals and polish.  Their
+    max |Im| is one row-wise max over the array of their eigenvalues, the
+    bits spectra gives; a real matrix has max |Im| 0.0.  At width 6 the
+    J-odd discriminant is L^2 D(a, b), w6_discriminant(a, b, L) in
+    numerators."""
     n = S.shape[1]
+    if n > 8:
+        raise ValueError("palindromic_classes needs order <= 8, got %d" % n)
     C = S[:, 1:n - 1, 1:n - 1]
     if not _centrosymmetric(C).all():
         raise ValueError("palindromic_classes needs palindromic runs")
@@ -650,10 +660,9 @@ def palindromic_classes(L: int, S: np.ndarray) -> list[tuple[bool, float, int]]:
     max_imag = np.zeros(len(S))
     rows = np.flatnonzero(has_complex)
     if len(rows):
-        factors = _split_factors(_row_products(even[rows], odd[rows]), S[rows])
-        vals = _eigenvalues([L] * len(rows), [n] * len(rows), factors)
-        max_imag[rows] = np.abs(np.array(vals).imag).max(axis=1)
-    return list(zip(has_complex.tolist(), max_imag.tolist(), odd_disc.tolist()))
+        vals = _eigenvalues(L, _row_products(even[rows], odd[rows]), S[rows])
+        max_imag[rows] = np.abs(vals.imag).max(axis=1)
+    return has_complex, max_imag, odd_disc
 
 
 def eigenvalues(M: LocalMatrix) -> Spectrum:

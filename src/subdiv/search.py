@@ -20,12 +20,15 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .convergence import contractive_runs
 from .localmatrix import local_stack, palindromic_classes, w6_discriminant
+from .masks import integer_run
 
 
 @dataclass(frozen=True)
@@ -45,12 +48,12 @@ class GridRange:
         object.__setattr__(self, "step", step)
 
     def __len__(self) -> int:
-        return (self.hi - self.lo) // self.step + 1
+        _, (lo, hi, step) = integer_run((self.lo, self.hi, self.step))
+        return (hi - lo) // step + 1
 
     def values(self) -> list[Fraction]:
         # lo + k step as numerators over one denominator: one gcd a value
-        den = math.lcm(self.lo.denominator, self.step.denominator)
-        lo, step = int(self.lo * den), int(self.step * den)
+        den, (lo, step) = integer_run((self.lo, self.step))
         return [Fraction(lo + k * step, den) for k in range(len(self))]
 
 
@@ -118,16 +121,37 @@ class SearchSpec:
                              % (self.width, free_param_count(self.width), len(self.param_ranges)))
 
 
-@dataclass
+# a cell's class by its code 2 * (not has_complex) + (not convergent)
+_CLASS_OF_CODE = (CellClass.COMPLEX_CONVERGENT, CellClass.COMPLEX_OTHER,
+                  CellClass.REAL_CONVERGENT, CellClass.REAL_OTHER)
+
+
+@dataclass(eq=False)
 class SearchResult:
+    """A scan's cells as columns, in itertools.product order of the axis
+    values: each cell's class code (an index into _CLASS_OF_CODE),
+    max_imag and degenerate flag.  cells is a view of them as Cell objects,
+    built on first access."""
+
     width: int
-    cells: list[Cell]
+    values: tuple[list[Fraction], ...]  # each axis's grid values
+    codes: np.ndarray
+    max_imag: np.ndarray
+    degenerate: np.ndarray
     counts: dict[str, int] = field(default_factory=dict)
     witnesses: dict[str, Cell] = field(default_factory=dict)
 
+    def params(self, k: int) -> tuple[Fraction, ...]:
+        """The parameters of cell k."""
+        return tuple(v[i] for v, i in zip(self.values, np.unravel_index(k, [len(v) for v in self.values])))
+
+    @cached_property
+    def cells(self) -> list[Cell]:
+        return list(map(Cell, product(*self.values), map(_CLASS_OF_CODE.__getitem__, self.codes.tolist()),
+                        self.max_imag.tolist(), self.degenerate.tolist()))
+
     def complex_convergent_params(self) -> list[tuple[Fraction, ...]]:
-        return [c.params for c in self.cells
-                if c.cls is CellClass.COMPLEX_CONVERGENT and not c.degenerate]
+        return [self.params(k) for k in np.flatnonzero((self.codes == 0) & ~self.degenerate).tolist()]
 
 
 # Cells per palindromic_classes call in scan.  One call stacks the exact
@@ -138,10 +162,6 @@ class SearchResult:
 # 42.3 MB; a whole-grid stack had raised it to 47.0 MB before the exact
 # stage was stacked.
 SCAN_BLOCK = 256
-
-# a cell's class by its code 2 * (not has_complex) + (not convergent)
-_CLASS_OF_CODE = (CellClass.COMPLEX_CONVERGENT, CellClass.COMPLEX_OTHER,
-                  CellClass.REAL_CONVERGENT, CellClass.REAL_OTHER)
 
 
 def _run_map(width: int, den: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -159,7 +179,7 @@ def _run_map(width: int, den: int) -> tuple[int, np.ndarray, np.ndarray]:
 def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     """Classify every grid cell of the family by spectrum and contractivity,
     in itertools.product order, in blocks of SCAN_BLOCK cells; each block
-    is one pass of array operations from grid indices to cells.
+    is one pass of array operations from grid indices to class codes.
 
     Everything but max_imag is exact and runs in integers.  Every grid
     value is a numerator over the grid's common denominator
@@ -172,10 +192,11 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     complex pair from the discriminants of its J-blocks; the width-6
     degenerate flag is a J-odd discriminant of 0 (D^2 times the paper's D).
     Only complex cells are root-solved, for max_imag; a real cell has
-    max_imag 0.0.  A cell's class is looked up from its code, and the
-    counts and witnesses are read from the codes after the last block.  No
-    Fraction, LocalMatrix or Spectrum is built per cell, and the floats
-    equal those spectra gives at each cell's own lcm."""
+    max_imag 0.0.  The result holds the codes, max_imag and flags as
+    arrays, and counts and witnesses are read from the codes after the
+    last block.  No Fraction but the axis values, and no LocalMatrix,
+    Spectrum or Cell, is built per cell, and the floats equal those
+    spectra gives at each cell's own lcm."""
     try:
         n_cells = math.prod(len(r) for r in spec.param_ranges)
     except OverflowError:  # a single range longer than sys.maxsize
@@ -183,39 +204,36 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     if n_cells > max_cells:
         raise ValueError("grid has %s cells, cap is %d" % (n_cells, max_cells))
     den = math.lcm(2, *(x.denominator for r in spec.param_ranges for x in (r.lo, r.step)))
-    values = [np.array(r.values(), dtype=object) for r in spec.param_ranges]
-    # each axis's values as numerators over den: lo + k step, in integers
-    nums = [int(r.lo * den) + int(r.step * den) * np.arange(len(v), dtype=object)
-            for r, v in zip(spec.param_ranges, values)]
+    values = tuple(r.values() for r in spec.param_ranges)
+    # each axis's values as numerators over den
+    nums = [np.array([x.numerator * (den // x.denominator) for x in v], dtype=object) for v in values]
     support_min, base, lin = _run_map(spec.width, den)
 
-    cells: list[Cell] = []
-    codes = []
+    codes, max_imag, degenerate = [], [], []
     for start in range(0, n_cells, SCAN_BLOCK):
         flat = np.arange(start, min(start + SCAN_BLOCK, n_cells))
         if values:
             # each cell's index on each axis, in itertools.product order
             axes = np.unravel_index(flat, [len(v) for v in values])
             runs = base + np.column_stack([x[i] for x, i in zip(nums, axes)]) @ lin
-            params = zip(*(v[i].tolist() for v, i in zip(values, axes)))
         else:  # the family with no parameter has one cell, at the empty tuple
-            runs, params = base[None, :], [()]
+            runs = base[None, :]
         # Theorem-1 conditions hold by construction; the filter adds the
         # contractivity requirement for the Convergent classes.
         convergent = (contractive_runs(support_min, runs, den) if spec.convergence_filter
                       else np.ones(len(flat), dtype=bool))
-        has_complex, max_imag, odd_disc = zip(*palindromic_classes(den, local_stack(runs)))
-        code = 2 * ~np.array(has_complex) + ~convergent
-        degenerate = [d == 0 for d in odd_disc] if spec.width == 6 else [False] * len(flat)
-        cells += map(Cell, params, map(_CLASS_OF_CODE.__getitem__, code.tolist()),
-                     max_imag, degenerate)
-        codes.append(code)
-    codes = np.concatenate(codes)
+        has_complex, imag, odd_disc = palindromic_classes(den, local_stack(runs))
+        codes.append(2 * ~has_complex + ~convergent)
+        max_imag.append(imag)
+        degenerate.append(odd_disc == 0 if spec.width == 6 else np.zeros(len(flat), dtype=bool))
+    codes, max_imag, degenerate = map(np.concatenate, (codes, max_imag, degenerate))
     tally = np.bincount(codes, minlength=4).tolist()
-    counts = {c.value: tally[_CLASS_OF_CODE.index(c)] for c in CellClass}
-    first = [int(np.argmax(codes == code)) for code in range(4) if tally[code]]
-    witnesses = {cells[k].cls.value: cells[k] for k in sorted(first)}
-    return SearchResult(spec.width, cells, counts, witnesses)
+    result = SearchResult(spec.width, values, codes, max_imag, degenerate,
+                          {c.value: tally[_CLASS_OF_CODE.index(c)] for c in CellClass})
+    for k in sorted(int(np.argmax(codes == code)) for code in range(4) if tally[code]):
+        cls = _CLASS_OF_CODE[codes[k]]
+        result.witnesses[cls.value] = Cell(result.params(k), cls, max_imag[k].item(), bool(degenerate[k]))
+    return result
 
 
 def negativity_lemma_check(lo=Fraction(-5), hi=Fraction(5), step=Fraction(1, 1000)) -> tuple[float, Fraction]:
@@ -278,21 +296,27 @@ def min_width_report(max_width: int) -> MinWidthReport:
 # -- exports -------------------------------------------------------------
 
 def write_search_csv(result: SearchResult, f: TextIO) -> None:
-    n_params = free_param_count(result.width)
-    header = ["p%d" % i for i in range(n_params)] + ["class", "max_imag", "degenerate"]
+    """One row per cell, in itertools.product order: the parameters from
+    per-axis string tables, then the class, max_imag and degenerate flag.
+    Those three come from one text per (code, flag); only a complex cell
+    formats its max_imag (a real cell's is 0.0, printed "0")."""
+    header = ["p%d" % i for i in range(len(result.values))] + ["class", "max_imag", "degenerate"]
+    tables = [[str(v) + "," for v in axis] for axis in result.values]
+    tails = np.array(["%s,%s,%d\n" % (cls.value, "%.12g" if code < 2 else "0", flag)
+                      for code, cls in enumerate(_CLASS_OF_CODE) for flag in (0, 1)],
+                     dtype=object)[2 * result.codes + result.degenerate]
+    cx = result.codes < 2  # the complex cells, whose max_imag is formatted
+    tails[cx] = [t % m for t, m in zip(tails[cx].tolist(), result.max_imag[cx].tolist())]
     f.write(",".join(header) + "\n")
-    for cell in result.cells:
-        row = [str(p) for p in cell.params]
-        row += [cell.cls.value, "%.12g" % cell.max_imag, "1" if cell.degenerate else "0"]
-        f.write(",".join(row) + "\n")
+    f.write("".join(map(str.__add__, map("".join, product(*tables)), tails.tolist())))
 
 
 def search_summary_json(result: SearchResult) -> dict:
     return {
         "width": result.width,
-        "cells": len(result.cells),
+        "cells": len(result.codes),
         "counts": result.counts,
-        "degenerate_cells": sum(1 for c in result.cells if c.degenerate),
+        "degenerate_cells": int(result.degenerate.sum()),
         "witnesses": {
             cls: {"params": [str(p) for p in cell.params], "max_imag": cell.max_imag}
             for cls, cell in sorted(result.witnesses.items())

@@ -13,8 +13,8 @@ from sympy.polys.matrices import DomainMatrix
 
 from conftest import fraction_entries
 from subdiv import localmatrix
-from subdiv.localmatrix import (_PRIMES, Spectrum, _block_charpolys, _central_charpolys,
-                                _centrosymmetric, _certified, _charpoly_factors, _charpolys,
+from subdiv.localmatrix import (_CERT_PRIME, _PRIMES, Spectrum, _block_charpolys,
+                                _central_charpolys, _centrosymmetric, _certified, _charpolys,
                                 _discriminants, _flip_stacks, _gcd_mod, _poly_mul,
                                 _roots_stacked, _squarefree_split, build_local_matrix,
                                 local_entries, local_stack, complex_region_predicate,
@@ -479,11 +479,37 @@ def sympy_factors(M):
                   for f, m in factors if f.degree() > 0)
 
 
+def with_plain_rows(cs, S, plain, factors):
+    """The factor lists of every row of _split_factors(cs, S) = (plain,
+    factors): a plain row's c is class 1, and its corners a, b join class 2
+    when equal, else class 1, as _eigenvalues reads them."""
+    rest = iter(factors)
+    out = []
+    for c, easy, a, b in zip(cs.tolist(), plain.tolist(), S[:, 0, 0].tolist(),
+                             S[:, -1, -1].tolist()):
+        if not easy:
+            out.append(next(rest))
+            continue
+        classes = {1: c, 2: [-a, 1]} if a == b else {1: times(c, [-a, 1], [-b, 1])}
+        out.append([(classes[m], m) for m in sorted(classes) if len(classes[m]) > 1])
+    return out
+
+
+def charpoly_factors(Bs):
+    """The monic square-free factors of det(yI - B), in ascending
+    multiplicity, of each matrix of a stack of one order, by the route:
+    _central_charpolys, then _split_factors."""
+    S = np.array(Bs, dtype=object)
+    n = S.shape[1]
+    cs = _central_charpolys(S[:, 1:n - 1, 1:n - 1])
+    return with_plain_rows(cs, S, *localmatrix._split_factors(cs, S))
+
+
 def route_factors_of(Ms):
-    """_charpoly_factors of the integer-scaled Ms, local matrices of one
+    """charpoly_factors of the integer-scaled Ms, local matrices of one
     order, in one stack; each checked to be in ascending multiplicity."""
     out = []
-    for factors in _charpoly_factors([M.B for M in Ms]):
+    for factors in charpoly_factors([M.B for M in Ms]):
         assert [m for _, m in factors] == sorted(m for _, m in factors)
         out.append(sorted(factors))
     return out
@@ -589,7 +615,7 @@ def stacked_spectrum(M):
     _roots_stacked, as spectra did before linear factors skipped it."""
     L, B = M.L, M.B
     vals = []
-    for f, mult in _charpoly_factors([B])[0]:
+    for f, mult in charpoly_factors([B])[0]:
         d = len(f) - 1
         [roots] = _roots_stacked([[f[k] / L ** (d - k) for k in range(d, -1, -1)]])
         vals += roots * mult
@@ -628,6 +654,90 @@ class TestLinearFactors:
         assert seen and all(len(row) > 2 for row in seen)
 
 
+def reference_values(M):
+    """Every eigenvalue of M, factor by factor (charpoly_factors) in
+    ascending multiplicity: a non-linear factor by the per-factor np.roots
+    and three np.polyval Newton steps (reference_roots), a linear one by
+    the integer division -f0/L."""
+    vals = []
+    for f, mult in charpoly_factors([M.B])[0]:
+        d = len(f) - 1
+        roots = [-f[0] / M.L] if d == 1 else reference_roots(
+            [f[k] / M.L ** (d - k) for k in range(d, -1, -1)])
+        vals += roots * mult
+    return vals
+
+
+BIG_DEN = st.sampled_from([1, 3, 10, 2 ** 64 + 13])
+
+
+@st.composite
+def one_order_stacks(draw):
+    """1-6 runs of one width 2-12, each palindromic (equal corners),
+    asymmetric (unequal corners) or with equal ends on an asymmetric run,
+    or zero at every odd place (a repeated central root), over
+    denominators up to 2^64 + 13."""
+    w = draw(st.integers(2, 12))
+    runs = []
+    for _ in range(draw(st.integers(1, 6))):
+        den = draw(BIG_DEN)
+        run = draw(st.lists(st.integers(-2 * den, 2 * den).map(lambda x: F(x, den)),
+                            min_size=w, max_size=w))
+        kind = draw(st.sampled_from(["palindromic", "asymmetric", "equal_ends", "odd_zero"]))
+        if kind == "palindromic":
+            run = run[:(w + 1) // 2] + run[:w // 2][::-1]
+        elif kind == "equal_ends":
+            run[-1] = run[0]
+        elif kind == "odd_zero":
+            run = [c if k % 2 == 0 else F(0) for k, c in enumerate(run)]
+        runs.append((draw(st.integers(-w, 1)), run))
+    return [matrix_from_coeffs(*r) for r in runs]
+
+
+def route_values(Ms):
+    """(plain, eigenvalues) of a stack of local matrices of one order by
+    the route: _split_factors' plain rows and _eigenvalues' array."""
+    S = np.array([M.B for M in Ms], dtype=object)
+    n = S.shape[1]
+    cs = _central_charpolys(S[:, 1:n - 1, 1:n - 1])
+    plain, _ = localmatrix._split_factors(cs, S)
+    return plain, localmatrix._eigenvalues([M.L for M in Ms], cs, S)
+
+
+class TestPlainRows:
+    """The plain rows of a stack (certified, no corner among the central
+    roots) are root-solved as one array, bit for bit what np.roots and
+    np.polyval give factor by factor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_order_stacks())
+    @example([w6_matrix(F(-1, 10), F(3, 10)), w6_matrix(F(0), F(1, 5)),    # plain, split
+              w6_matrix(F(1, 10), F(1, 5)), w6_matrix(F(1, 7), F(2, 9))])  # corner root, plain
+    @example([matrix_from_coeffs(-1, [F(1, 3), F(1), F(2, 3)]),             # order 3: a linear c
+              matrix_from_coeffs(-1, [F(1, 2), F(1), F(1, 2)])])
+    def test_bit_identical_to_the_per_factor_roots(self, Ms):
+        _, got = route_values(Ms)
+        assert got.shape == (len(Ms), Ms[0].n)
+        for M, row in zip(Ms, got.tolist()):
+            assert packed(row) == packed(reference_values(M))
+
+    def test_both_corner_kinds_are_plain(self):
+        # equal corners (palindromic) and unequal ones, at orders 2-8, each
+        # a plain row, and each row's order of roots that of its factors
+        Ms = [matrix_from_coeffs(-1, [F(1, 3), F(2, 3)]),
+              matrix_from_coeffs(0, [F(1, 4), F(3, 4)]),
+              matrix_from_coeffs(-1, [F(1, 3), F(1), F(2, 3)]),
+              w6_matrix(F(-1, 10), F(3, 10)),
+              matrix_from_coeffs(-2, [F(-1, 9), F(1, 3), F(5, 7), F(2, 3), F(1, 5), F(-1, 7)]),
+              matrix_from_coeffs(*palindromic_coeffs(8, (F(-1, 20), F(1, 10), F(3, 20))))]
+        for M in Ms:
+            plain, [row] = route_values([M])
+            assert plain.tolist() == [True], M
+            assert packed(row) == packed(reference_values(M))
+        corners = {(M.B[0][0] == M.B[-1][-1]) for M in Ms}
+        assert corners == {True, False}
+
+
 class TestModularCertificate:
     @pytest.mark.parametrize("roots, squarefree", [
         ((), True),
@@ -654,10 +764,11 @@ class TestModularCertificate:
         assert len(lifts) == 1
 
     def test_square_mod_the_prime_is_not_certified(self):
-        # y (y - P) is square-free over the rationals but y^2 mod P = 2^61 - 1:
-        # the certificate leaves it out, the Mignotte bound passes P, and
-        # Yun over the next prime returns c whole
-        P = _PRIMES[0]
+        # y (y - P) is square-free over the rationals but y^2 mod the
+        # certificate's prime P = 2^31 - 1: the certificate leaves it out,
+        # the Mignotte bound passes P, and Yun over the first table prime
+        # returns c whole
+        P = _CERT_PRIME
         assert _certified(stack([0, -P, 1])).tolist() == [False]
         assert _squarefree_split([0, -P, 1]) == {1: [0, -P, 1]}
 
@@ -841,15 +952,15 @@ class TestStackedCharpoly:
         # in one of them, its factors multiplying to sympy's charpoly
         stacks = []
 
-        def recorded(Bs):
-            out = factor_stack(Bs)
-            stacks.append((np.array(Bs, dtype=object), out))
+        def recorded(cs, S):
+            out = factor_stack(cs, S)
+            stacks.append((S, with_plain_rows(cs, S, *out)))
             return out
 
-        factor_stack = localmatrix._charpoly_factors
+        factor_stack = localmatrix._split_factors
         Ms = [matrix_from_coeffs(*r) for r in runs]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(localmatrix, "_charpoly_factors", recorded)
+            mp.setattr(localmatrix, "_split_factors", recorded)
             got = localmatrix.spectra([(M.L, M.B) for M in Ms])
         orders = [S.shape[1] for S, _ in stacks]
         assert sorted(orders) == sorted(set(M.n for M in Ms))
@@ -876,7 +987,7 @@ class TestStackedCertificate:
     def test_certified_rows_have_a_unit_gcd(self, rows):
         for c, ok in zip(rows, _certified(np.array(rows, dtype=object))):
             if ok:
-                assert _gcd_mod(c, derivative(c), _PRIMES[0]) == [1], c
+                assert _gcd_mod(c, derivative(c), _CERT_PRIME) == [1], c
 
     @given(st.integers(1, 8).flatmap(lambda d: st.lists(
         st.lists(st.integers(-6, 6), min_size=d, max_size=d), min_size=1, max_size=6)))
@@ -913,6 +1024,64 @@ class TestStackedCertificate:
     @pytest.mark.parametrize("d", [0, 1])
     def test_constant_and_linear_rows(self, d):
         assert _certified(stack(*[[3] * d + [1]] * 2)).tolist() == [True, True]
+
+
+def object_certified(c, p):
+    """_certified's remainder sequence run in Python ints (an object
+    array) mod p, as it ran before it moved to int64 residues."""
+    a = np.array(c, dtype=object) % p
+    b = a[:, 1:] * np.arange(1, a.shape[1]) % p
+    ok = np.ones(len(a), dtype=bool)
+    for _ in range(a.shape[1] - 2, 0, -1):
+        lb = b[:, -1:]
+        t = lb * a[:, :-1]
+        t[:, 1:] -= a[:, -1:] * b[:, :-1]
+        t %= p
+        r = (lb * t[:, :-1] - t[:, -1:] * b[:, :-1]) % p
+        ok &= r[:, -1] != 0
+        a, b = b, r
+    return ok.tolist()
+
+
+HUGE = 2 ** localmatrix.MAX_CHARPOLY_BITS
+
+
+@st.composite
+def certificate_rows(draw, d):
+    """A monic row of degree d: coefficients up to MAX_CHARPOLY_BITS bits,
+    or each one p - 1 mod the certificate's prime p (the largest residue,
+    whose products reach 2^62), or small, or (d >= 2) a square f^2 g with
+    f's coefficients up to 5400 bits."""
+    kind = draw(st.sampled_from(["huge", "p-1", "small"] + ["square"] * (d >= 2)))
+    if kind == "square":
+        k = draw(st.integers(1, d // 2))
+        f = draw(st.lists(st.integers(-2 ** 5400, 2 ** 5400), min_size=k, max_size=k)) + [1]
+        g = draw(st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=d - 2 * k, max_size=d - 2 * k))
+        return times(f, f, g + [1])
+    tail = {"huge": st.integers(-HUGE + 1, HUGE - 1),
+            "p-1": st.integers(-2 ** 300, 2 ** 300).map(lambda j: j * _CERT_PRIME - 1),
+            "small": st.integers(-9, 9)}[kind]
+    return draw(st.lists(tail, min_size=d, max_size=d)) + [1]
+
+
+class TestInt64Certificate:
+    """The certificate in int64 residues mod 2^31 - 1 gives the verdicts of
+    the same sequence in Python ints, and never clears a row with a
+    repeated factor."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 8).flatmap(lambda d: st.lists(certificate_rows(d), min_size=1, max_size=5)))
+    @example([[_CERT_PRIME - 1] * 8 + [1], [-1] * 8 + [1], [HUGE - 1] * 8 + [1]])
+    @example([[2 * _CERT_PRIME - 1, _CERT_PRIME - 1, 1], [0, -_CERT_PRIME, 1]])
+    def test_matches_python_int_residues(self, rows):
+        assert _certified(np.array(rows, dtype=object)).tolist() == object_certified(rows, _CERT_PRIME)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 8).flatmap(certificate_rows))
+    def test_never_clears_a_row_sympy_finds_not_squarefree(self, c):
+        poly = sympy.Poly(list(reversed(c)), Y, domain="ZZ")
+        if sympy.gcd(poly, poly.diff(Y)).degree() > 0:
+            assert _certified(np.array([c], dtype=object)).tolist() == [False], c
 
 
 class TestScaleInvariance:
@@ -1016,7 +1185,7 @@ class TestBlockDiscriminants:
         D = w6_discriminant(a, b, den)
         assert _discriminants(odd).tolist() == [D]
         assert _discriminants(even).tolist() == [(a - b + den) ** 2]
-        [(has_complex, max_imag, odd_disc)] = palindromic_classes(den, S)
+        [(has_complex, max_imag, odd_disc)] = zip(*palindromic_classes(den, S))
         assert (has_complex, odd_disc) == (D < 0, D)
         assert (max_imag > 0) == has_complex
 
@@ -1024,3 +1193,17 @@ class TestBlockDiscriminants:
         S = local_stack([[1, 2, 3, 4, 5, 6]])
         with pytest.raises(ValueError, match="palindromic"):
             palindromic_classes(1, S)
+
+    def test_order_above_8_is_refused_first(self, monkeypatch):
+        # width 9 has a central block of order 7 and a J-even block of
+        # order 4, with no closed-form discriminant: refused by name before
+        # any block is built; width 8, with blocks of order 3, runs
+        def no_call(*args):
+            raise AssertionError("a block built for an order-9 stack")
+
+        _, run8 = _run_numerators(8, [1, -2, 3], 20)
+        has_complex, max_imag, _ = palindromic_classes(20, local_stack([run8]))
+        assert len(has_complex) == len(max_imag) == 1
+        monkeypatch.setattr(localmatrix, "_block_charpolys", no_call)
+        with pytest.raises(ValueError, match="order <= 8, got 9"):
+            palindromic_classes(2, local_stack([[1, -2, 3, 2, 2, 2, 3, -2, 1]]))

@@ -1,11 +1,12 @@
 import io
+import json
 import math
 from fractions import Fraction as F
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import Z, fraction_entries, sympy_symbol
 from subdiv import localmatrix, search
@@ -123,9 +124,9 @@ class TestScan:
             sizes.append(len(S))
             return palindromic_classes(L, S)
 
-        def counted_roots(Ls, orders, factors):
-            solved.append(len(factors))
-            return eigenvalues_of(Ls, orders, factors)
+        def counted_roots(L, cs, S):
+            solved.append(len(S))
+            return eigenvalues_of(L, cs, S)
 
         eigenvalues_of = localmatrix._eigenvalues
         monkeypatch.setattr(search, "palindromic_classes", counted)
@@ -160,10 +161,9 @@ class TestScan:
             factored[S.shape[1]] = factored.get(S.shape[1], 0) + len(cs)
             return split(cs, S)
 
-        def counted_roots(Ls, orders, factors):
-            for n in orders:
-                solved[n] = solved.get(n, 0) + 1
-            return eigenvalues_of(Ls, orders, factors)
+        def counted_roots(L, cs, S):
+            solved[S.shape[1]] = solved.get(S.shape[1], 0) + len(S)
+            return eigenvalues_of(L, cs, S)
 
         def no_call(*args):
             raise AssertionError("called in a scan")
@@ -417,3 +417,126 @@ class TestExports:
         doc = search_summary_json(result)
         assert doc["width"] == 5
         assert doc["cells"] == len(result.cells)
+
+
+# -- the columnar result against the per-cell one ------------------------
+
+def per_cell_csv(width, cells):
+    """write_search_csv as it was when a scan built a Cell per cell: one
+    row per Cell, each field formatted on its own."""
+    f = io.StringIO()
+    header = ["p%d" % i for i in range(free_param_count(width))] + ["class", "max_imag", "degenerate"]
+    f.write(",".join(header) + "\n")
+    for cell in cells:
+        row = [str(p) for p in cell.params]
+        row += [cell.cls.value, "%.12g" % cell.max_imag, "1" if cell.degenerate else "0"]
+        f.write(",".join(row) + "\n")
+    return f.getvalue()
+
+
+def per_cell_summary(width, cells):
+    """search_summary_json from a list of Cells: counts by class, and the
+    first cell of each class as its witness."""
+    witnesses = {}
+    for cell in cells:
+        witnesses.setdefault(cell.cls.value, cell)
+    return {
+        "width": width,
+        "cells": len(cells),
+        "counts": {c.value: sum(1 for x in cells if x.cls is c) for c in CellClass},
+        "degenerate_cells": sum(1 for c in cells if c.degenerate),
+        "witnesses": {
+            cls: {"params": [str(p) for p in cell.params], "max_imag": cell.max_imag}
+            for cls, cell in sorted(witnesses.items())
+        },
+    }, witnesses
+
+
+@st.composite
+def small_specs(draw):
+    """A SearchSpec of width 2-8, mostly 6-8 (the widths with complex
+    cells), with at most about 40 cells: each axis a range from lo in
+    [-1/2, 1/2] over denominators 1-12 (one drawn huge), the convergence
+    filter on or off."""
+    width = draw(st.sampled_from([2, 3, 4, 5, 6, 6, 6, 7, 7, 8, 8]))
+    p = free_param_count(width)
+    ranges = []
+    for _ in range(p):
+        den = draw(st.sampled_from([1, 2, 3, 5, 7, 10, 12, 2 ** 70 + 1]))
+        lo = F(draw(st.integers(-den, den)), 2 * den)
+        step = F(draw(st.integers(1, den)), den * draw(st.sampled_from([1, 2, 5])))
+        count = draw(st.integers(1, max(1, round(40 ** (1 / p)))))
+        ranges.append(GridRange(lo, lo + (count - 1) * step + step / 2, step))
+    return SearchSpec(width, tuple(ranges), draw(st.booleans()))
+
+
+def one_cell(width, params, convergence_filter):
+    """The Cell of one grid point on its own: palindromic_classes of its
+    one local matrix at its own lcm, is_contractive of its run, and the
+    max |Im| of its spectrum when it has a complex pair (0.0 when not)."""
+    smin, run = palindromic_coeffs(width, params)
+    M = matrix_from_coeffs(smin, run)
+    [(has_complex, _, _)] = zip(*palindromic_classes(M.L, np.array([M.B], dtype=object)))
+    convergent = is_contractive(smin, run) if convergence_filter else True
+    cls = {(True, True): CellClass.COMPLEX_CONVERGENT,
+           (True, False): CellClass.COMPLEX_OTHER,
+           (False, True): CellClass.REAL_CONVERGENT,
+           (False, False): CellClass.REAL_OTHER}[bool(has_complex), convergent]
+    max_imag = max(abs(v.imag) for v in eigenvalues(M).eigenvalues) if has_complex else 0.0
+    return search.Cell(params, cls, max_imag, width == 6 and w6_discriminant(*params) == 0)
+
+
+class TestColumnarResult:
+    """A scan's columns give the bytes, cells, witnesses and parameters of
+    the per-cell route: a Cell per grid point, each classified on its own
+    (one_cell), written by the per-cell CSV loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_specs())
+    @example(SearchSpec(6, (GridRange(F(-1, 8), F(0), F(1, 8)),          # D = 0 at
+                            GridRange(F(1, 8), F(1, 3), F(5, 24))), True))  # (-1/8, 1/8), (0, 1/3)
+    @example(SearchSpec(6, (GridRange(F(-1, 8), F(0), F(1, 8)),
+                            GridRange(F(1, 8), F(1, 3), F(5, 24))), False))
+    @example(SearchSpec(3, (), True))
+    def test_matches_the_per_cell_route(self, spec):
+        result = scan(spec)
+        grid = list(product(*(r.values() for r in spec.param_ranges)))
+        cells = [one_cell(spec.width, params, spec.convergence_filter) for params in grid]
+        buf = io.StringIO()
+        write_search_csv(result, buf)
+        assert buf.getvalue() == per_cell_csv(spec.width, cells)
+        assert [(c.params, c.cls, c.max_imag.hex(), c.degenerate) for c in result.cells] == \
+            [(c.params, c.cls, c.max_imag.hex(), c.degenerate) for c in cells]
+        summary, witnesses = per_cell_summary(spec.width, cells)
+        assert result.witnesses == witnesses
+        assert list(result.witnesses) == list(witnesses)
+        assert search_summary_json(result) == summary
+        assert json.dumps(search_summary_json(result)) == json.dumps(summary)
+        assert result.complex_convergent_params() == [
+            c.params for c in cells if c.cls is CellClass.COMPLEX_CONVERGENT and not c.degenerate]
+
+    def test_builds_no_fraction_or_cell_per_cell(self, monkeypatch):
+        # the width-6 default grid: a Fraction per axis value and a Cell
+        # per witness, none per cell, through the scan and its CSV
+        made, built = [], []
+        original_new, original_init = F.__new__, search.Cell.__init__
+
+        def counted_new(cls, *args, **kwargs):
+            made.append(args)
+            return original_new(cls, *args, **kwargs)
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            original_init(self, *args, **kwargs)
+
+        spec = SearchSpec(6, default_grid(6))
+        monkeypatch.setattr(F, "__new__", counted_new)
+        monkeypatch.setattr(search.Cell, "__init__", counted_init)
+        result = scan(spec)
+        write_search_csv(result, io.StringIO())
+        search_summary_json(result)
+        monkeypatch.undo()
+        axis_lengths = sum(len(r) for r in spec.param_ranges)
+        assert len(result.codes) == 51 * 51 and axis_lengths == 102
+        assert len(made) <= axis_lengths + len(result.witnesses)
+        assert len(built) == len(result.witnesses) == 4
