@@ -28,11 +28,11 @@ def _resolve_scheme(source: str) -> masks.SchemeRecord:
     return masks.load_scheme(source)
 
 
-def _parse_fraction(s: str) -> Fraction:
+def _parse_fraction(s: str, option: str) -> Fraction:
     try:
-        return Fraction(s)
+        return masks.parse_rational(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError("bad rational %r: %s" % (s, exc)) from exc
+        raise CliError("bad rational %r in %s: %s" % (s, option, exc)) from exc
 
 
 def _parse_grid(spec: str) -> tuple[search.GridRange, ...]:
@@ -42,7 +42,7 @@ def _parse_grid(spec: str) -> tuple[search.GridRange, ...]:
         pieces = part.split(":")
         if len(pieces) != 3:
             raise CliError("grid range must be lo:hi:step, got %r" % part)
-        lo, hi, step = (_parse_fraction(p) for p in pieces)
+        lo, hi, step = (_parse_fraction(p, "--grid") for p in pieces)
         try:
             ranges.append(search.GridRange(lo, hi, step))
         except ValueError as exc:
@@ -115,7 +115,7 @@ def _initial_polygon(args, rec: masks.SchemeRecord) -> refine.ControlPolygon:
         mesh = refine.MeshType.DUAL if sym is masks.SymmetryClass.DUAL else refine.MeshType.PRIMAL
     else:
         mesh = refine.MeshType(args.mesh)
-    values = tuple(_parse_fraction(v) for v in args.points.split(","))
+    values = tuple(_parse_fraction(v, "--points") for v in args.points.split(","))
     return refine.ControlPolygon(0, args.first_index, values, mesh)
 
 
@@ -141,7 +141,7 @@ def cmd_dynamics(args) -> int:
     localmatrix.check_size(rec.mask)
     M = localmatrix.build_local_matrix(rec.mask)
     if args.v0 is not None:
-        v0 = tuple(float(_parse_fraction(v)) for v in args.v0.split(","))
+        v0 = tuple(float(_parse_fraction(v, "--v0")) for v in args.v0.split(","))
         if len(v0) != M.n:
             raise CliError("v0 has %d entries, matrix order is %d" % (len(v0), M.n))
     else:

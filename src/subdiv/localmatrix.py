@@ -11,9 +11,10 @@ LocalMatrix holds the integer-scaled pair (L, B = L*A), L the lcm of the
 mask's denominators (masks.integer_run), and spectra() solves many such
 pairs at once.  It groups them by order, and each integer step runs once per
 group, on one (N, n, n) stack of Python ints (numpy dtype=object): exact at
-any bit size, with no fixed-width path.  The factors are root-solved in
-stacks of one shape, each one stacked eigvals of companion matrices and one
-vectorised polish, bit-identical to np.roots and np.polyval per factor.
+any bit size, with no fixed-width path.  A linear factor's root is one
+integer division; the others are root-solved in stacks of one shape, each
+one stacked eigvals of companion matrices and one vectorised polish,
+bit-identical to np.roots and np.polyval per factor.
 eigenvalues(M) is spectra([(M.L, M.B)])[0], so one route serves both.
 
 The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
@@ -28,9 +29,11 @@ above twice q's Mignotte bound, kept when its lifted factors multiply to q
 in integers (a square-free q whose sequence skipped a degree comes back
 whole).  Each corner then joins the class above its multiplicity as a root
 of q (0 when it is none), two classes up when the corners are equal (every
-palindromic mask).  A certified q with no corner among its roots makes a
-plain row: its factors are q and the corners, and the plain rows of a stack
-go to the root finder as one array, with no per-row factor lists.
+palindromic mask).  _split_factors writes every factor into one table of
+stacks, one per multiplicity and degree: a certified q with no corner among
+its roots makes a plain row, whose factors (q and the corners) join those
+stacks as arrays, and every other row adds its factors one by one.
+_eigenvalues then runs one loop over the table, the same for every row.
 
 A palindromic run makes A commute with the flip J (A[i][j] = A[n-1-i][n-1-j]),
 so the central block C is centrosymmetric.  Such a C of order 2k splits
@@ -467,25 +470,29 @@ def _over_linear(c: Sequence[int], r: int) -> list[int]:
     return q
 
 
-def _split_factors(cs: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, list[list[tuple[list[int], int]]]]:
-    """The monic square-free factorisation of det(yI - B) for each matrix
-    of an (N, n, n) stack S of integer-scaled local matrices B = L*A, given
-    the charpolys cs of their central blocks (_central_charpolys), as
-    (plain, factors); det(xI - A) has the factors f(Lx) / L^deg(f).
+def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """The monic square-free factors of det(yI - B) for each matrix of an
+    (N, n, n) stack S of integer-scaled local matrices B = L*A, given the
+    charpolys cs of their central blocks (_central_charpolys), as one table
+    of stacks (rows, m, F), one per (multiplicity m, degree d >= 1), in
+    ascending m: row k of F holds the integer coefficients, from y^0 up, of
+    the factor of multiplicity m of matrix rows[k].  det(xI - A) has the
+    factors f(Lx) / L^d.
 
-    plain marks the rows that _certified clears and whose corners are no
-    root of c (one stacked Horner evaluation per corner): c is then class 1
-    and the corners join class 2 (equal) or class 1 (unequal), which
-    _eigenvalues reads from cs and S.  factors holds, for each other row in
-    order, every factor as an integer coefficient list with its
-    multiplicity, in ascending multiplicity: a row the certificate leaves
-    out takes _squarefree_split, and a corner that is a root of
-    multiplicity m in its row's c then moves to class m+1 (m+2 when both
-    corners are that root; m = 0 when it is no root)."""
+    A row that _certified clears and whose corners a, b are no root of c
+    (one stacked Horner evaluation per corner) is plain, and its factors
+    are arrays: c and (y - a) of multiplicity 2 when a = b, else
+    c (y - a)(y - b).  Every other row adds its factors as one-row stacks:
+    c whole when certified, else _squarefree_split, and a corner that is a
+    root of multiplicity m in its row's c then moves to class m+1 (m+2 when
+    both corners are that root; m = 0 when it is no root).  The stacks of
+    one (m, d) are then joined."""
     certified = _certified(cs)
     first, last = S[:, 0, 0], S[:, -1, -1]
     plain = certified & (_horner(cs.T, first) != 0) & (_horner(cs.T, last) != 0)
-    out = []
+    eq, ne = np.flatnonzero(plain & (first == last)), np.flatnonzero(plain & (first != last))
+    ya, yb = (np.column_stack((-r, np.ones_like(r))) for r in (first, last))  # y - a, y - b
+    parts = [(eq, 1, cs[eq]), (eq, 2, ya[eq]), (ne, 1, _row_products(_row_products(cs[ne], ya[ne]), yb[ne]))]
     for i in np.flatnonzero(~plain).tolist():
         c, a, b = cs[i].tolist(), first[i], last[i]
         classes = {1: c} if certified[i] else _squarefree_split(c)
@@ -495,8 +502,13 @@ def _split_factors(cs: np.ndarray, S: np.ndarray) -> tuple[np.ndarray, list[list
                 classes[m] = _over_linear(classes[m], r)
             up = m + (2 if a == b else 1)
             classes[up] = _poly_mul(classes.get(up, [1]), [-r, 1])
-        out.append([(classes[m], m) for m in sorted(classes) if len(classes[m]) > 1])
-    return plain, out
+        parts += [(np.array([i]), m, np.array([f], dtype=object)) for m, f in classes.items()]
+    table: dict[tuple[int, int], list] = {}
+    for rows, m, F in parts:
+        if len(rows) and F.shape[1] > 1:
+            table.setdefault((m, F.shape[1]), []).append((rows, F))
+    return [(np.concatenate([r for r, _ in g]), m, np.concatenate([F for _, F in g]))
+            for (m, _), g in sorted(table.items())]
 
 
 def _polyval(P: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -518,10 +530,10 @@ def _polish(P: np.ndarray, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _roots_of_stack(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _roots_of_stack(P: np.ndarray) -> np.ndarray:
     """Roots of the square-free polynomials of a (K, n) float stack,
     coefficients from the top degree down (leading coefficient nonzero),
-    Newton-polished: a (K, n - 1) complex array, and which rows are real.
+    Newton-polished, as a (K, n - 1) complex array.
 
     Rows with one count of trailing zeros share one stacked eigvals of
     their companion matrices and a vectorised polish, each step done as
@@ -531,7 +543,7 @@ def _roots_of_stack(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     complex128.  EigensolveError when a polished root is not finite: the
     polish overflowed on coefficients near the float range."""
     K, n = P.shape
-    roots, real = np.empty((K, n - 1), dtype=complex), np.empty(K, dtype=bool)
+    roots = np.empty((K, n - 1), dtype=complex)
     trailing = (P[:, ::-1] != 0).argmax(axis=1)  # each row's zero roots
     for zeros in np.flatnonzero(np.bincount(trailing)).tolist():
         at = np.flatnonzero(trailing == zeros)
@@ -545,7 +557,7 @@ def _roots_of_stack(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             W = np.zeros((len(at), 0))
         if zeros:
             W = np.hstack((W, np.zeros((len(at), zeros), W.dtype)))
-        real[at] = is_real = np.all(W.imag == 0, axis=1)
+        is_real = np.all(W.imag == 0, axis=1)
         for sel, X in ((is_real, W.real), (~is_real, W)):
             if sel.any():
                 with np.errstate(all="ignore"):  # overflow shows as a non-finite root
@@ -553,57 +565,31 @@ def _roots_of_stack(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 if not np.isfinite(X).all():
                     raise EigensolveError("an eigenvalue leaves the float range")
                 roots[at[sel]] = X
-    return roots, real
-
-
-def _roots_stacked(rows: Sequence[Sequence[float]]) -> list[list[complex]]:
-    """Roots of square-free polynomials of any lengths, float coefficients
-    from the top degree down (leading coefficient nonzero): the rows of one
-    length make one _roots_of_stack call, and a real row's roots come back as
-    floats, bit-identical to np.roots and np.polyval per row."""
-    out: list[list[complex]] = [[] for _ in rows]
-    for n in {len(cf) for cf in rows}:
-        ks = [k for k, cf in enumerate(rows) if len(cf) == n]
-        W, real = _roots_of_stack(np.array([rows[k] for k in ks], dtype=float))
-        for k, w, r in zip(ks, W.tolist(), real.tolist()):
-            out[k] = [x.real for x in w] if r else w
-    return out
+    return roots
 
 
 def _eigenvalues(L, cs: np.ndarray, S: np.ndarray) -> np.ndarray:
     """All eigenvalues, with multiplicity, of each matrix A = S[k] / L of
     an (N, n, n) stack of integer-scaled local matrices (L an int, or one
     per matrix), given the charpolys cs of their central blocks, as an
-    (N, n) complex array: the roots of each factor of _split_factors, in
-    ascending multiplicity.  The float coefficients of a factor f of degree
-    d are f_k / L^(d-k), from the top degree down, each one correctly
-    rounded integer division.
-
-    The plain rows are stacks: c (c (y - a)(y - b) when the corners a, b
-    are unequal) is divided by the powers of L in one object-array
-    division and root-solved by one _roots_of_stack call (a linear c, at
-    order 3, too), and an equal corner adds a / L twice.  The other rows'
-    non-linear factors are root-solved together (_roots_stacked), and a
-    linear factor's root is one integer division, the bits the stacked
-    eigvals and polish give."""
+    (N, n) complex array, by one loop over the table of _split_factors.
+    The float coefficients of a factor f of degree d are f_k / L^(d-k),
+    from the top degree down, each one correctly rounded integer division:
+    a stack of degree 1 gives its roots as the one division (-f_0) / L (the
+    bits the stacked eigvals and polish give), any other stack is
+    root-solved by one _roots_of_stack call.  The roots of a factor of
+    multiplicity m fill the next m times d columns of its row, written m
+    times, so a row holds its factors' roots in ascending multiplicity."""
     N, n = S.shape[:2]
-    plain, factors = _split_factors(cs, S)
     pw = np.broadcast_to(np.asarray(L, dtype=object)[..., None] ** np.arange(n + 1), (N, n + 1))
-    vals = np.empty((N, n), dtype=complex)
-    at = np.flatnonzero(plain)
-    a, b = S[at, 0, 0], S[at, -1, -1]
-    equal, other = at[a == b], at[a != b]
-    vals[equal, n - 2:] = (a[a == b] / pw[equal, 1]).astype(float)[:, None]
-    ab = np.column_stack((a * b, -a - b, np.ones_like(a)))[a != b]  # (y - a)(y - b)
-    for k, f in ((equal, cs[equal]), (other, _row_products(cs[other], ab))):
-        d = f.shape[1] - 1
-        if len(k) and d:
-            vals[k, :d] = _roots_of_stack((f[:, ::-1] / pw[k, :d + 1]).astype(float))[0]
-    rest = np.flatnonzero(~plain).tolist()
-    stacked = iter(_roots_stacked([[x / q for x, q in zip(reversed(f), pw[i])]
-                                   for i, fs in zip(rest, factors) for f, _ in fs if len(f) > 2]))
-    for i, fs in zip(rest, factors):
-        vals[i] = [r for f, m in fs for r in ([-f[0] / pw[i, 1]] if len(f) == 2 else next(stacked)) * m]
+    vals, free = np.empty((N, n), dtype=complex), np.zeros(N, dtype=int)
+    for rows, m, F in _split_factors(cs, S):
+        d = F.shape[1] - 1
+        # a linear factor negates the integer: -(f_0 / L) is -0.0 for a zero root
+        roots = ((-F[:, :1] / pw[rows, 1:2]).astype(float) if d == 1
+                 else _roots_of_stack((F[:, ::-1] / pw[rows, :d + 1]).astype(float)))
+        vals[rows[:, None], free[rows, None] + np.arange(m * d)] = np.tile(roots, m)
+        free[rows] += m * d
     return vals
 
 
@@ -616,11 +602,11 @@ def spectra(scaled: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> list[Spect
     _central_charpolys and one _eigenvalues call.  Any L that makes B
     integer gives the same floats: a factor's coefficients in x are the
     same rationals f_k / L^(d-k) whatever L is, each one correctly rounded.
-    The roots come from one stacked eigvals per factor shape,
-    bit-identical to np.roots per factor, then three Newton steps;
-    residuals are bounded by the polish (|p(mu)| ~ machine eps relative to
-    the coefficient scale).  A linear factor of a row that is not plain
-    (_split_factors) skips both: its root is one integer division."""
+    Every factor takes the one route of _eigenvalues: a linear one's root
+    is one integer division, and the others come from one stacked eigvals
+    per factor shape, bit-identical to np.roots per factor, then three
+    Newton steps; residuals are bounded by the polish (|p(mu)| ~ machine
+    eps relative to the coefficient scale)."""
     vals: dict[int, list[complex]] = {}
     for n in {len(B) for _, B in scaled}:
         idx = [i for i, (_, B) in enumerate(scaled) if len(B) == n]

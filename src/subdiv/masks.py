@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -57,6 +58,18 @@ class Mask:
         return Fraction(0)
 
 
+def parse_rational(s) -> Fraction:
+    """Fraction(s), the one parser of user rationals (scheme-file coeffs,
+    CLI values).  A decimal exponent above 4300 in absolute value is a
+    ValueError first: Fraction would build 10**exp before any size check
+    ran, and 4300 is CPython's digit limit for int strings, so an exponent
+    builds no larger int than a digit string can."""
+    exp = isinstance(s, str) and re.search(r"[eE]([-+]?\d+(_\d+)*)\s*$", s)
+    if exp and abs(int(exp[1])) > 4300:
+        raise ValueError("decimal exponent %s is past +-4300" % exp[1])
+    return Fraction(s)
+
+
 def integer_run(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(L, nums): L the lcm of the denominators of the rationals (ints or
     Fractions), nums the values as integer numerators over L."""
@@ -92,19 +105,15 @@ class SchemeRecord:
     smoothness: Optional[int] = None  # documented C^m, if known
 
 
-def _F(s: str) -> Fraction:
-    return Fraction(s)
-
-
 _CATALOG: dict[str, SchemeRecord] = {
     # width-6 dual scheme with a complex eigenvalue pair, C^0
-    "a": SchemeRecord("a", Mask(-2, tuple(map(_F, ("-1/10", "3/10", "4/5", "4/5", "3/10", "-1/10")))), 0),
+    "a": SchemeRecord("a", Mask(-2, ("-1/10", "3/10", "4/5", "4/5", "3/10", "-1/10")), 0),
     # its (1+z)/2 lift, C^1
-    "b": SchemeRecord("b", Mask(-3, tuple(map(_F, ("-1/20", "1/10", "11/20", "4/5", "11/20", "1/10", "-1/20")))), 1),
+    "b": SchemeRecord("b", Mask(-3, ("-1/20", "1/10", "11/20", "4/5", "11/20", "1/10", "-1/20")), 1),
     # two-point ("simplest") scheme, C^0
-    "c": SchemeRecord("c", Mask(-1, tuple(map(_F, ("1/2", "1", "1/2")))), 0),
+    "c": SchemeRecord("c", Mask(-1, ("1/2", "1", "1/2")), 0),
     # cubic B-spline scheme, C^2
-    "d": SchemeRecord("d", Mask(-2, tuple(map(_F, ("1/8", "4/8", "6/8", "4/8", "1/8")))), 2),
+    "d": SchemeRecord("d", Mask(-2, ("1/8", "4/8", "6/8", "4/8", "1/8")), 2),
 }
 
 def catalog_names() -> tuple[str, ...]:
@@ -153,7 +162,7 @@ def record_from_json(data: dict) -> SchemeRecord:
         try:
             if isinstance(s, bool):
                 raise TypeError("a boolean is not a number")
-            coeffs.append(Fraction(s))
+            coeffs.append(parse_rational(s))
         except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
             # OverflowError: JSON Infinity loads as a float with no ratio
             raise SchemeFormatError("coeffs[%d] = %r is not a valid rational: %s" % (i, s, exc)) from exc

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -295,6 +296,34 @@ class TestTolValidation:
         captured = capsys.readouterr()
         assert exc.value.code == 2 and captured.out == ""
         assert "unrecognized arguments: --tol" in captured.err
+
+
+class TestRationalBounds:
+    """A decimal exponent past +-4300 is refused before Fraction builds
+    10**exp: exit 1 at once, the message naming the option or field."""
+
+    @pytest.mark.parametrize("text", ["1e100000000", "1e-100000000"])
+    @pytest.mark.parametrize("argv, named", [
+        (("refine", "--scheme", "catalog:c", "--points", "1,{}"), "--points"),
+        (("search", "--width", "5", "--grid={}:1:1/8"), "--grid"),
+        (("dynamics", "--scheme", "catalog:c", "--K", "5", "--v0", "1,{},1"), "--v0"),
+    ], ids=["points", "grid", "v0"])
+    def test_cli_values(self, capsys, argv, named, text):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(a.format(text) for a in argv))
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad rational %r in %s: decimal exponent" % (text, named))
+
+    @pytest.mark.parametrize("text", ["1e100000000", "1e-100000000"])
+    def test_scheme_file_coeffs(self, capsys, tmp_path, text):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "x", "support_min": -1, "coeffs": ["1/2", text, "1/2"]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--scheme", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error: coeffs[1] = %r is not a valid rational: decimal exponent" % text)
 
 
 class TestParserReuse:

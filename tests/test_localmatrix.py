@@ -16,7 +16,7 @@ from subdiv import localmatrix
 from subdiv.localmatrix import (_CERT_PRIME, _PRIMES, Spectrum, _block_charpolys,
                                 _central_charpolys, _centrosymmetric, _certified, _charpolys,
                                 _discriminants, _flip_stacks, _gcd_mod, _poly_mul,
-                                _roots_stacked, _squarefree_split, build_local_matrix,
+                                _roots_of_stack, _squarefree_split, build_local_matrix,
                                 local_entries, local_stack, complex_region_predicate,
                                 eigenvalues, matrix_from_coeffs, palindromic_classes,
                                 w5_closed_form, w6_closed_form, w6_discriminant)
@@ -153,7 +153,7 @@ class TestEigenvalues:
 
 
 def reference_roots(cf):
-    """The per-factor root finder that _roots_stacked replaced: np.roots,
+    """The per-factor root finder that _roots_of_stack replaced: np.roots,
     then three Newton steps with np.polyval."""
     cf = np.array(cf)
     roots = np.roots(cf)
@@ -169,6 +169,17 @@ def reference_roots(cf):
 def packed(roots):
     """The bytes of every root's real and imaginary part, in order."""
     return b"".join(struct.pack("<dd", complex(r).real, complex(r).imag) for r in roots)
+
+
+def roots_by_length(rows):
+    """The roots of each row, in input order: one _roots_of_stack call per
+    row length, on the rows of that length."""
+    out = [None] * len(rows)
+    for n in {len(r) for r in rows}:
+        ks = [k for k, r in enumerate(rows) if len(r) == n]
+        for k, roots in zip(ks, _roots_of_stack(np.array([rows[k] for k in ks])).tolist()):
+            out[k] = roots
+    return out
 
 
 @st.composite
@@ -198,14 +209,13 @@ def row_stacks(draw):
 
 
 class TestRootsStack:
-    """_roots_stacked equals the per-row np.roots path bit for bit."""
+    """_roots_of_stack equals the per-row np.roots path bit for bit."""
 
     @given(row_stacks())
     @example([[1.0, -3.0, 2.0], [1.0, 0.0, 1.0], [1.0, 0.0], [1.0, -1.0, 0.0],
               [1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0], [1.0, -6.0, 11.0, -6.0]])
     def test_bit_identical_to_np_roots(self, rows):
-        got = _roots_stacked(rows)
-        assert len(got) == len(rows)
+        got = roots_by_length(rows)
         for row, roots in zip(rows, got):
             assert packed(roots) == packed(reference_roots(row)), row
 
@@ -213,11 +223,12 @@ class TestRootsStack:
     @given(st.data())
     def test_mixed_lengths_and_zeros_in_one_call(self, data):
         # every degree 1-8 with each count of appended zero roots 0-3 it
-        # allows, 1-3 rows a shape, shuffled into one call: rows of one
-        # length with different zero counts, and one zero count at several
-        # lengths.  One eigvals per shape (length, trailing zeros; a drawn
-        # row may end in zeros of its own) that has a companion, and each
-        # row's roots, in input order, bit-identical to np.roots of the row
+        # allows, 1-3 rows a shape, shuffled, one call per length: rows of
+        # one length with different zero counts in one call, and one zero
+        # count at several lengths.  One eigvals per shape (length, trailing
+        # zeros; a drawn row may end in zeros of its own) that has a
+        # companion, and each row's roots, in input order, bit-identical to
+        # np.roots of the row
         rows = [data.draw(monic_rows(d - z)) + [0.0] * z
                 for d in range(1, 9) for z in range(min(3, d) + 1)
                 for _ in range(data.draw(st.integers(1, 3)))]
@@ -228,19 +239,16 @@ class TestRootsStack:
         eigvals = np.linalg.eigvals
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np.linalg, "eigvals", lambda C: calls.append(C.shape) or eigvals(C))
-            got = _roots_stacked(rows)
+            got = roots_by_length(rows)
         assert sorted(c[1] for c in calls) == sorted(n - 1 - z for n, z in shapes if n - 1 > z)
-        assert len(got) == len(rows)
         for row, roots in zip(rows, got):
             assert packed(roots) == packed(reference_roots(row)), row
 
     def test_real_and_complex_rows_share_a_shape(self):
         # y^2 - 3y + 2 has real roots and y^2 + 1 a complex pair: one stacked
-        # eigvals call returns both, and each row keeps its own dtype
+        # eigvals call returns both, each bit for bit np.roots of its row
         rows = [[1.0, -3.0, 2.0], [1.0, 0.0, 1.0]]
-        got = _roots_stacked(rows)
-        assert [type(r) for r in got[0]] == [float, float]
-        assert [type(r) for r in got[1]] == [complex, complex]
+        got = _roots_of_stack(np.array(rows)).tolist()
         assert all(packed(g) == packed(reference_roots(r)) for g, r in zip(got, rows))
 
     def test_spectra_of_many_matrices_equal_single_calls(self):
@@ -479,30 +487,27 @@ def sympy_factors(M):
                   for f, m in factors if f.degree() > 0)
 
 
-def with_plain_rows(cs, S, plain, factors):
-    """The factor lists of every row of _split_factors(cs, S) = (plain,
-    factors): a plain row's c is class 1, and its corners a, b join class 2
-    when equal, else class 1, as _eigenvalues reads them."""
-    rest = iter(factors)
-    out = []
-    for c, easy, a, b in zip(cs.tolist(), plain.tolist(), S[:, 0, 0].tolist(),
-                             S[:, -1, -1].tolist()):
-        if not easy:
-            out.append(next(rest))
-            continue
-        classes = {1: c, 2: [-a, 1]} if a == b else {1: times(c, [-a, 1], [-b, 1])}
-        out.append([(classes[m], m) for m in sorted(classes) if len(classes[m]) > 1])
+def table_rows(table, N):
+    """The factor list of each of the N rows of a _split_factors table of
+    stacks (rows, m, F), in the table's order: [(coefficients from y^0 up,
+    m)].  Each stack is checked to hold integer rows of one degree >= 1."""
+    out = [[] for _ in range(N)]
+    for rows, m, F in table:
+        assert F.dtype == object and F.shape == (len(rows), F.shape[1]) and F.shape[1] > 1
+        for i, f in zip(rows.tolist(), F.tolist()):
+            assert all(type(x) is int for x in f)
+            out[i].append((f, m))
     return out
 
 
 def charpoly_factors(Bs):
     """The monic square-free factors of det(yI - B), in ascending
     multiplicity, of each matrix of a stack of one order, by the route:
-    _central_charpolys, then _split_factors."""
+    _central_charpolys, then _split_factors' table."""
     S = np.array(Bs, dtype=object)
     n = S.shape[1]
     cs = _central_charpolys(S[:, 1:n - 1, 1:n - 1])
-    return with_plain_rows(cs, S, *localmatrix._split_factors(cs, S))
+    return table_rows(localmatrix._split_factors(cs, S), len(S))
 
 
 def route_factors_of(Ms):
@@ -612,12 +617,12 @@ class TestCharpolyFactors:
 
 def stacked_spectrum(M):
     """The Spectrum with every factor, linear ones included, root-solved by
-    _roots_stacked, as spectra did before linear factors skipped it."""
+    _roots_of_stack, as spectra did before linear factors skipped it."""
     L, B = M.L, M.B
     vals = []
     for f, mult in charpoly_factors([B])[0]:
         d = len(f) - 1
-        [roots] = _roots_stacked([[f[k] / L ** (d - k) for k in range(d, -1, -1)]])
+        [roots] = _roots_of_stack(np.array([[f[k] / L ** (d - k) for k in range(d, -1, -1)]])).tolist()
         vals += roots * mult
     return Spectrum.from_values(vals)
 
@@ -630,7 +635,7 @@ class TestLinearFactors:
     @example(0, 7)
     @example(-1, 3)
     def test_division_is_the_stacked_root(self, f0, L):
-        assert packed([-f0 / L]) == packed(_roots_stacked([[1.0, f0 / L]])[0])
+        assert packed([-f0 / L]) == packed(_roots_of_stack(np.array([[1.0, f0 / L]]))[0])
 
     @settings(max_examples=40)
     @given(drawn_runs())
@@ -641,17 +646,19 @@ class TestLinearFactors:
         assert packed(eigenvalues(M).eigenvalues) == packed(stacked_spectrum(M).eigenvalues)
 
     def test_no_linear_row_reaches_the_stacked_solve(self, monkeypatch):
+        # the w6 grid has linear factors (the corners, and split central
+        # roots) on every route: none reaches _roots_of_stack
         seen = []
 
-        def recording(rows):
-            seen.extend(rows)
-            return _roots_stacked(rows)
+        def recording(P):
+            seen.append(P.shape[1])
+            return _roots_of_stack(P)
 
-        monkeypatch.setattr(localmatrix, "_roots_stacked", recording)
+        monkeypatch.setattr(localmatrix, "_roots_of_stack", recording)
         Ms = [w6_matrix(F(a, 10), F(b, 10)) for a in range(-5, 6) for b in range(-5, 6)]
         for M, sp in zip(Ms, localmatrix.spectra([(M.L, M.B) for M in Ms])):
             assert packed(sp.eigenvalues) == packed(stacked_spectrum(M).eigenvalues)
-        assert seen and all(len(row) > 2 for row in seen)
+        assert seen and all(length > 2 for length in seen)
 
 
 def reference_values(M):
@@ -695,13 +702,12 @@ def one_order_stacks(draw):
 
 
 def route_values(Ms):
-    """(plain, eigenvalues) of a stack of local matrices of one order by
-    the route: _split_factors' plain rows and _eigenvalues' array."""
+    """The eigenvalues of a stack of local matrices of one order by the
+    route, _eigenvalues' (N, n) array."""
     S = np.array([M.B for M in Ms], dtype=object)
     n = S.shape[1]
     cs = _central_charpolys(S[:, 1:n - 1, 1:n - 1])
-    plain, _ = localmatrix._split_factors(cs, S)
-    return plain, localmatrix._eigenvalues([M.L for M in Ms], cs, S)
+    return localmatrix._eigenvalues([M.L for M in Ms], cs, S)
 
 
 class TestPlainRows:
@@ -716,14 +722,19 @@ class TestPlainRows:
     @example([matrix_from_coeffs(-1, [F(1, 3), F(1), F(2, 3)]),             # order 3: a linear c
               matrix_from_coeffs(-1, [F(1, 2), F(1), F(1, 2)])])
     def test_bit_identical_to_the_per_factor_roots(self, Ms):
-        _, got = route_values(Ms)
+        got = route_values(Ms)
         assert got.shape == (len(Ms), Ms[0].n)
         for M, row in zip(Ms, got.tolist()):
             assert packed(row) == packed(reference_values(M))
 
-    def test_both_corner_kinds_are_plain(self):
+    def test_both_corner_kinds_are_plain(self, monkeypatch):
         # equal corners (palindromic) and unequal ones, at orders 2-8, each
-        # a plain row, and each row's order of roots that of its factors
+        # a plain row: its factors are arrays, so no per-row factor product
+        # (_poly_mul) runs, and each row's order of roots is that of its
+        # factors
+        def no_call(*args):
+            raise AssertionError("a plain row built a factor of its own")
+
         Ms = [matrix_from_coeffs(-1, [F(1, 3), F(2, 3)]),
               matrix_from_coeffs(0, [F(1, 4), F(3, 4)]),
               matrix_from_coeffs(-1, [F(1, 3), F(1), F(2, 3)]),
@@ -731,11 +742,89 @@ class TestPlainRows:
               matrix_from_coeffs(-2, [F(-1, 9), F(1, 3), F(5, 7), F(2, 3), F(1, 5), F(-1, 7)]),
               matrix_from_coeffs(*palindromic_coeffs(8, (F(-1, 20), F(1, 10), F(3, 20))))]
         for M in Ms:
-            plain, [row] = route_values([M])
-            assert plain.tolist() == [True], M
+            with monkeypatch.context() as mp:
+                mp.setattr(localmatrix, "_poly_mul", no_call)
+                [row] = route_values([M])
             assert packed(row) == packed(reference_values(M))
         corners = {(M.B[0][0] == M.B[-1][-1]) for M in Ms}
         assert corners == {True, False}
+
+
+@st.composite
+def mixed_kind_stacks(draw):
+    """1-6 local matrices of one order 2-8, each of a kind drawn from:
+    palindromic or equal ends on an asymmetric run (equal corners),
+    asymmetric (unequal corners), zero at every odd place (orders >= 5: a
+    repeated central root, which _certified leaves out), a corner that is
+    a root of the central block (orders 3-6), and the w6 cell with a
+    double central root."""
+    n = draw(st.integers(2, 8))
+    kinds = (["palindromic", "asymmetric", "equal_ends"] + ["odd_zero"] * (n >= 5)
+             + ["corner_root"] * (3 <= n <= 6) + ["double_pair"] * (n == 6))
+    Ms = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(kinds))
+        run = draw(st.lists(SMALL, min_size=n, max_size=n))
+        if kind == "palindromic":
+            run = run[:(n + 1) // 2] + run[:n // 2][::-1]
+        elif kind == "equal_ends":
+            run[-1] = run[0]
+        elif kind == "odd_zero":
+            run = [c if k % 2 == 0 else F(0) for k, c in enumerate(run)]
+        elif kind == "double_pair":
+            run = palindromic_coeffs(6, w6_double_pair(draw(st.integers(-15, 15))))[1]
+        elif kind == "corner_root" and n == 3:  # c = y - run[1]
+            run[1] = run[0]
+        elif kind == "corner_root" and n == 4:
+            # c = (y - r1)(y - r2) - r0 r3, zero at the corner r0
+            r0 = run[0] or F(1)
+            run = [r0, run[1], run[2], (r0 - run[1]) * (r0 - run[2]) / r0]
+        elif kind == "corner_root" and n == 5:  # {1, 1/2, 1/2 - 2a, a, a}
+            a = draw(st.sampled_from([F(1, 6), F(1, 2)]))
+            run = [a, F(1, 2), 1 - 2 * a, F(1, 2), a]
+        elif kind == "corner_root":
+            run = palindromic_coeffs(6, (run[0], 2 * run[0]))[1]
+        Ms.append(matrix_from_coeffs(draw(st.integers(-n, 1)), run))
+    return Ms
+
+
+class TestOneSolveLoop:
+    """_eigenvalues is one loop over the factor table: whatever mix of row
+    kinds a stack holds, each row's eigenvalues are bit for bit, and in
+    column order, the per-factor reference."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(mixed_kind_stacks())
+    @example([w6_matrix(F(-1, 10), F(3, 10)),                       # plain, equal corners
+              matrix_from_coeffs(-2, [F(-1, 9), F(1, 3), F(5, 7), F(2, 3), F(1, 5), F(-1, 7)]),
+              w6_matrix(F(0), F(1, 5)),                             # not certified
+              w6_matrix(F(1, 10), F(1, 5))])                        # certified, corner root
+    @example([w6_matrix(F(0), F(1, 5)), w6_matrix(F(1, 10), F(1, 5))])  # no plain row
+    @example([w6_matrix(F(-1, 10), F(3, 10)), w6_matrix(F(1, 7), F(2, 9))])  # only plain rows
+    @example([matrix_from_coeffs(0, [F(1, 3), F(2, 3)]), matrix_from_coeffs(0, [F(1, 2)] * 2)])
+    @example([matrix_from_coeffs(-1, [F(1, 3), F(1, 3), F(2, 3)]),  # order 3: corner root
+              matrix_from_coeffs(-1, [F(1, 2), F(1), F(1, 2)])])
+    def test_bit_identical_to_the_per_factor_roots(self, Ms):
+        got = route_values(Ms)
+        assert got.shape == (len(Ms), Ms[0].n)
+        for M, row in zip(Ms, got.tolist()):
+            assert packed(row) == packed(reference_values(M))
+
+    def test_zero_equal_corner_is_positive_zero(self):
+        # the plain corners 0, 0 of (0, 1/3, 1/2, 0) are the root of y - 0,
+        # (-0) / L = +0.0; -(0 / L) would be -0.0
+        M = matrix_from_coeffs(-1, [F(0), F(1, 3), F(1, 2), F(0)])
+        [row] = route_values([M])
+        assert packed(row) == packed(reference_values(M))
+        assert packed(row[2:]) == packed([0.0, 0.0])
+
+    def test_classes_of_multiplicity_one_two_and_three(self):
+        # w6 (0, 1/2), L = 2: y - 2, (y - 1)^2 and y^3, in ascending
+        # multiplicity, each class's roots written m times
+        M = w6_matrix(F(0), F(1, 2))
+        assert [m for _, m in charpoly_factors([M.B])[0]] == [1, 2, 3]
+        [row] = route_values([M])
+        assert packed(row) == packed(reference_values(M)) == packed([1.0, 0.5, 0.5, 0.0, 0.0, 0.0])
 
 
 class TestModularCertificate:
@@ -954,7 +1043,7 @@ class TestStackedCharpoly:
 
         def recorded(cs, S):
             out = factor_stack(cs, S)
-            stacks.append((S, with_plain_rows(cs, S, *out)))
+            stacks.append((S, table_rows(out, len(S))))
             return out
 
         factor_stack = localmatrix._split_factors

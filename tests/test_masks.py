@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from subdiv.masks import (Mask, SchemeFormatError, SchemeRecord, SymmetryClass,
                           catalog_get, classify_symmetry, integer_run, load_scheme,
-                          recenter, save_scheme)
+                          parse_rational, recenter, save_scheme)
 
 
 class TestSymmetry:
@@ -92,11 +93,50 @@ class TestFileIO:
         with pytest.raises(SchemeFormatError, match=r"coeffs\[1\] = .* is not a valid rational"):
             load_scheme(path)
 
+    @pytest.mark.parametrize("text", ["1e100000000", "1e-100000000"])
+    def test_huge_exponent_is_refused_at_once(self, tmp_path, text):
+        # Fraction would build 10**(10**8) first; the refusal names the field
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "x", "support_min": 0, "coeffs": ["1", text]}))
+        start = time.perf_counter()
+        with pytest.raises(SchemeFormatError, match=r"coeffs\[1\] = .* decimal exponent"):
+            load_scheme(path)
+        assert time.perf_counter() - start < 0.5
+
     def test_rationals_survive_exactly(self, tmp_path):
         rec = SchemeRecord("tiny", Mask(-1, (F(1, 3), F(1, 3), F(1, 3))), None)
         path = tmp_path / "t.json"
         save_scheme(rec, path)
         assert load_scheme(path).mask.coeffs == rec.mask.coeffs
+
+
+class TestParseRational:
+    @pytest.mark.parametrize("text", ["3/7", " -2 ", "1.5e+3", "1e4300", "-1E-4300", "2e0_1",
+                                      "0.5", "1_000"])
+    def test_fraction_of_the_string(self, text):
+        assert parse_rational(text) == F(text)
+
+    @given(st.integers(-4300, 4300), st.integers(-99, 99))
+    def test_every_exponent_in_the_bound_is_read(self, exp, digits):
+        text = "%de%d" % (digits, exp)
+        assert parse_rational(text) == F(text)
+
+    @pytest.mark.parametrize("text", ["1e4301", "-1e-4301", "1e100000000", "1e-100000000",
+                                      "1.5E+1_000_000", " 2e99999999999 "])
+    def test_exponent_past_4300_is_refused_first(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="decimal exponent"):
+            parse_rational(text)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("text", ["1e", "e5", "1/2e3", "x"])
+    def test_other_bad_strings_are_fractions_errors(self, text):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            parse_rational(text)
+
+    def test_numbers_pass_through(self):
+        assert parse_rational(3) == 3 and parse_rational(0.25) == F(1, 4)
+        assert parse_rational(F(2, 3)) == F(2, 3)
 
 
 class TestMaskInvariants:
