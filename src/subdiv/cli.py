@@ -141,7 +141,10 @@ def cmd_dynamics(args) -> int:
     localmatrix.check_size(rec.mask)
     M = localmatrix.build_local_matrix(rec.mask)
     if args.v0 is not None:
-        v0 = tuple(float(_parse_fraction(v, "--v0")) for v in args.v0.split(","))
+        try:  # s is the value being converted when float() overflows
+            v0 = tuple(float(_parse_fraction(s := v, "--v0")) for v in args.v0.split(","))
+        except OverflowError as exc:
+            raise CliError("bad rational %r in --v0: past the float range" % s) from exc
         if len(v0) != M.n:
             raise CliError("v0 has %d entries, matrix order is %d" % (len(v0), M.n))
     else:

@@ -1,21 +1,27 @@
 """Convergence certification on the mask's coefficient run.
 
-Necessary conditions s(1) = 2, s(-1) = 0, two sums of the run; the
-difference scheme from the (1+z) factor; the parity-sum contractivity
-norm; and a certification ladder that peels (1+z)/2 factors to certify
-higher smoothness.
+Necessary conditions s(1) = 2, s(-1) = 0; the difference scheme from the
+(1+z) factor; the parity-sum contractivity norm; and a certification ladder
+that peels (1+z)/2 factors to certify higher smoothness.
 
-(1+z) is the only divisor, so division is synthetic division on a
-coefficient run, _over_one_plus_z: the quotient b_k = a_k - b_{k-1} keeps
-the run's start exponent, and the division is exact iff the last step
-leaves zero (s(-1) = 0).  The ladder scales the run once to integer
-numerators over L (masks.integer_run) and makes one chain of such
-divisions, d_{j+1} = d_j / (1+z), while each is exact; rung m's quotient by
-((1+z)/2)^m is 2^m d_m / L.  Contractivity (norm of the difference scheme
-< 1) is decided in one place, contractive_runs, on a stack of runs: the
-family scan calls it once per block of cells, and is_contractive, which
-the ladder calls, is its one-row case.  The norm test is sufficient only,
-so a failed test yields "inconclusive", never "divergent".
+(1+z) is the only divisor, and one routine, _divide, does every division.
+It works on the alternated run, the coefficients of s(-z) (entries at odd
+absolute index negated): there the synthetic division q_k = a_k - q_{k-1}
+is the prefix sum p_k = (-1)^k q_k = sum_{j <= k} (-1)^j a_j, one np.cumsum
+on a stack of runs, whose last column is the remainder s(-1) and whose
+other columns are the quotient's alternated run, same start exponent.
+|p_k| = |q_k|, so one routine, _parity_norm, takes the norm of a quotient
+with no sign restored.  necessary_conditions reads s(-1) off one division,
+difference_scheme its quotient; contractive_runs divides a stack of runs
+and takes their norms (the family scan calls it once per block of cells,
+and is_contractive is its one-row case).  The ladder, certify, scales the
+run once to integer numerators over L (masks.integer_run) and makes one
+chain of divisions, d_j = L s_a / (1+z)^j, while each is exact; the first
+gives s(-1) and the difference mask, and rung m's quotient by
+((1+z)/2)^m has difference scheme 2^m d_{m+1} / L, so one _parity_norm call
+on the stacked chain gives the difference mask's norm and every rung's
+verdict.  The norm test is sufficient only, so a failed test yields
+"inconclusive", never "divergent".
 """
 from __future__ import annotations
 
@@ -64,45 +70,48 @@ class NotFactorableError(ValueError):
     """The symbol has no (1+z) factor (s(-1) != 0)."""
 
 
-def _parity_sums(support_min: int, coeffs) -> list:
-    """[sum over even, sum over odd absolute indices] of the run, in its
-    number type."""
-    sums = [0, 0]
-    for k, c in enumerate(coeffs, support_min):
-        sums[k % 2] += c
-    return sums
+def _alternate(support_min: int, runs) -> np.ndarray:
+    """The runs a_{support_min}, ... (last axis) as an object array of the
+    coefficients (-1)^k a_k of s(-z), k the absolute index.  Its own
+    inverse."""
+    runs = np.array(runs, dtype=object)
+    return runs * (-1) ** ((support_min + np.arange(runs.shape[-1])) % 2)
+
+
+def _divide(alt: np.ndarray) -> np.ndarray:
+    """The division by (1+z) of alternated runs, at their width: prefix sums
+    along the last axis.  The last column is the remainder s(-1); when it is
+    0 the others are the quotient's alternated run, same start exponent."""
+    return np.cumsum(alt, axis=-1)
+
+
+def _parity_norm(runs) -> np.ndarray:
+    """For runs (last axis), the larger of the sums of |entries| over the
+    even and over the odd columns: the parity norm, whichever of them holds
+    the even absolute indices."""
+    runs = abs(np.array(runs, dtype=object))
+    return np.maximum(runs[..., ::2].sum(axis=-1), runs[..., 1::2].sum(axis=-1))
 
 
 def necessary_conditions(mask: Mask) -> tuple[Fraction, Fraction, bool]:
     """s(1) = sum a_k and s(-1) = sum (-1)^k a_k, k the absolute index, and
     whether they are 2 and 0."""
-    even, odd = _parity_sums(mask.support_min, mask.coeffs)
-    s1, sm1 = even + odd, even - odd
+    s1, sm1 = sum(mask.coeffs), _divide(_alternate(mask.support_min, mask.coeffs))[-1]
     return s1, sm1, s1 == 2 and sm1 == 0
-
-
-def _over_one_plus_z(coeffs: Sequence[Fraction]) -> Optional[list]:
-    """Quotient run of s(z) / (1+z), same start exponent, by synthetic
-    division; None when s(-1) != 0.  The zero run gives the empty run."""
-    q, r = [], 0
-    for c in coeffs:
-        r = c - r
-        q.append(r)
-    return q[:-1] if r == 0 else None
 
 
 def difference_scheme(mask: Mask) -> Mask:
     """Mask b with s_a(z) = (1+z) s_b(z), exact."""
-    q = _over_one_plus_z(mask.coeffs)
-    if not q:  # None when s(-1) != 0, empty for the zero mask
-        raise NotFactorableError("s(-1) != 0, no (1+z) factor" if q is None
+    q = _divide(_alternate(mask.support_min, mask.coeffs))
+    if q[-1] or mask.is_zero():
+        raise NotFactorableError("s(-1) != 0, no (1+z) factor" if q[-1]
                                  else "the zero mask has no difference scheme")
-    return Mask(mask.support_min, tuple(q))
+    return Mask(mask.support_min, tuple(_alternate(mask.support_min, q[:-1])))
 
 
 def contractivity_norm(b: Mask) -> Fraction:
     """max of the even- and odd-index absolute coefficient sums."""
-    return Fraction(max(_parity_sums(b.support_min, map(abs, b.coeffs))))
+    return Fraction(_parity_norm(b.coeffs))
 
 
 def contractive_runs(support_min: int, runs, den: int = 1) -> np.ndarray:
@@ -111,21 +120,14 @@ def contractive_runs(support_min: int, runs, den: int = 1) -> np.ndarray:
     scheme has contractivity norm < 1.  Zero end coefficients are allowed.
     With den, the runs hold integer numerators over den and the test stays
     in integers: the division by (1+z) is linear, so the norm is < den.
-
-    The synthetic division q_k = a_k - q_{k-1} is an alternating cumulative
-    sum: q_k = (-1)^k sum_{j <= k} (-1)^j a_j, so |q_k| is the absolute
-    value of that sum, and the last column is the remainder s(-1).  Every
-    row must satisfy s(-1) = 0 (NotFactorableError otherwise).  The norm is
-    the larger of the sums of |q_k| over even and over odd absolute k.
+    Every row must satisfy s(-1) = 0 (NotFactorableError otherwise).  The
+    norm is read off the alternated quotients, whose |q_k| are those of the
+    quotients.
     """
-    R = np.array(runs, dtype=object)
-    n = R.shape[1]
-    q = np.cumsum(R * np.where(np.arange(n) % 2, -1, 1), axis=1)
-    if n and (q[:, -1] != 0).any():
+    q = _divide(_alternate(support_min, runs))
+    if (q[:, -1] != 0).any():
         raise NotFactorableError("s(-1) != 0, no (1+z) factor")
-    q = abs(q[:, :-1])
-    even = support_min % 2  # column of the first even absolute index
-    return (q[:, even::2].sum(axis=1) < den) & (q[:, 1 - even::2].sum(axis=1) < den)
+    return _parity_norm(q) < den
 
 
 def is_contractive(support_min: int, coeffs: Sequence[Fraction], den: int = 1) -> bool:
@@ -150,27 +152,25 @@ def certify(mask: Mask, target_m: int) -> ConvergenceReport:
 
     Writes s_a = ((1+z)/2)^m s_q for the largest m such that the division is
     exact and S_q passes the necessary conditions with a contractive
-    difference scheme (is_contractive).  s_q(-1) = 0 is the exactness of
-    the next division in the chain; s_q(1) = s_a(1) = 2 on every rung.
+    difference scheme.  s_q(-1) = 0 is the exactness of the next division
+    in the chain; s_q(1) = s_a(1) = 2 on every rung.  Each quotient of the
+    chain is computed once, and every rung's norm comes from one stacked
+    _parity_norm call.
     """
     if target_m < 0:
         raise ValueError("target_m must be >= 0")
-    s1, sm1, ok = necessary_conditions(mask)
-    if not ok:
-        return ConvergenceReport(s1, sm1, False, None, None, Verdict.DIVERGENT, None)
-
-    b = difference_scheme(mask)
-    norm = contractivity_norm(b)
-
-    # d[j] = L s_a / (1+z)^j in integers while exact; rung m needs d[m + 1]
-    # (q(-1) = 0)
+    # d[j] = L s_a / (1+z)^(j+1), alternated, in integers at the mask's width
+    # while exact: the first remainder is L s(-1), and rung m's difference
+    # scheme is 2^m d[m] / L
     L, nums = integer_run(mask.coeffs)
-    d = [nums]
-    while len(d) <= target_m + 1 and (nxt := _over_one_plus_z(d[-1])) is not None:
-        d.append(nxt)
-
-    for m in range(len(d) - 2, -1, -1):
-        if is_contractive(mask.support_min, [x << m for x in d[m]], L):
-            return ConvergenceReport(s1, sm1, True, b, norm, Verdict.C0_CERTIFIED, m)
-
-    return ConvergenceReport(s1, sm1, True, b, norm, Verdict.INCONCLUSIVE, None)
+    d = [_divide(_alternate(mask.support_min, nums))]
+    s1, sm1 = Fraction(sum(nums), L), Fraction(d[0][-1], L)
+    if s1 != 2 or sm1:
+        return ConvergenceReport(s1, sm1, False, None, None, Verdict.DIVERGENT, None)
+    while len(d) <= target_m and not (q := _divide(d[-1]))[-1]:
+        d.append(q)
+    norms = _parity_norm(d)  # one row per rung
+    b = Mask(mask.support_min, tuple(_alternate(mask.support_min, d[0][:-1]) * Fraction(1, L)))
+    m = max((m for m, norm in enumerate(norms) if norm << m < L), default=None)
+    return ConvergenceReport(s1, sm1, True, b, Fraction(norms[0], L),
+                             Verdict.INCONCLUSIVE if m is None else Verdict.C0_CERTIFIED, m)

@@ -47,14 +47,16 @@ the row-by-row product of the two; every other row takes the full order.
 q is the same integer polynomial either way, so the factors and every root
 are unchanged.
 
-For analyze and dynamics the spectral class (complex pair, negative real
-count, simple eigenvalue 1 with all others inside the unit disc) is decided
-once, at SPECTRAL_TOL, in Spectrum.from_values; callers read the resulting
-fields.  A family scan decides its one class, complex pair or not, exactly
-(palindromic_classes): both J-blocks have order <= 3 at widths <= 8, so a
-complex pair is a negative block discriminant, and only those matrices are
-root-solved, for their largest |Im|.  Width 9 has a J-even block of order
-4, and palindromic_classes refuses it.
+For analyze the spectral class (complex pair, negative real count, simple
+eigenvalue 1 with all others inside the unit disc) is decided once, at
+SPECTRAL_TOL, in Spectrum.from_values; callers read the resulting fields.
+dynamics builds no Spectrum: it reads its modes off LAPACK's eigenvalue
+order in dynamics.decompose_modes.  A family scan decides its one class,
+complex pair or not, exactly (palindromic_classes): both J-blocks have
+order <= 3 at widths <= 8, so a complex pair is a negative block
+discriminant, and only those matrices are root-solved, for their largest
+|Im|.  Width 9 has a J-even block of order 4, and palindromic_classes
+refuses it.
 """
 from __future__ import annotations
 
@@ -521,8 +523,10 @@ def _polyval(P: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _polish(P: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Three Newton steps on the roots X[k] of row P[k], each step the one
-    the per-call path took with np.polyder and np.polyval."""
+    """Three Newton steps on the roots X[k] of row P[k], all rows at once:
+    the derivative rows are np.polyder's coefficients and every value is
+    _polyval's, so each step equals the Newton step of np.polyder and
+    np.polyval on the one row."""
     dP = P[:, :-1] * np.arange(P.shape[1] - 1, 0, -1)
     for _ in range(3):
         v, dv = _polyval(P, X), _polyval(dP, X)

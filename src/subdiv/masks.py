@@ -188,4 +188,6 @@ def load_scheme(path) -> SchemeRecord:
             data = json.load(f)
         except json.JSONDecodeError as exc:
             raise SchemeFormatError("invalid JSON at line %d: %s" % (exc.lineno, exc.msg)) from exc
+        except ValueError as exc:  # an integer past the int-string digit limit, or bad UTF-8
+            raise SchemeFormatError("unreadable scheme file: %s" % exc) from exc
     return record_from_json(data)

@@ -256,7 +256,10 @@ def parameterize(P: ControlPolygon) -> SampledCurve:
         t = map(truediv, range(lo, hi + 1), repeat(n))
     else:
         t = map(truediv, range(2 * lo + 1, 2 * hi + 2, 2), repeat(2 * n))
-    return SampledCurve(tuple(t), tuple(map(truediv, P.nums, repeat(P.den))))
+    try:
+        return SampledCurve(tuple(t), tuple(map(truediv, P.nums, repeat(P.den))))
+    except OverflowError:
+        raise OverflowError("a curve value leaves the float range") from None
 
 
 # -- the basis-function experiment ---------------------------------------

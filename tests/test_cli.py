@@ -326,6 +326,35 @@ class TestRationalBounds:
         assert err.startswith("error: coeffs[1] = %r is not a valid rational: decimal exponent" % text)
 
 
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1" + "0" * 400 + "/3"],
+                             ids=["1e400", "-1e400", "10^400/3"])
+    def test_v0_past_the_float_range(self, capsys, text):
+        code, out, err = run(capsys, "dynamics", "--scheme", "catalog:c", "--K", "3",
+                             "--v0", "1,%s,1" % text)
+        assert code == 1 and out == ""
+        assert err == "error: bad rational %r in --v0: past the float range\n" % text
+
+    def test_refined_curve_past_the_float_range(self, capsys):
+        code, out, err = run(capsys, "refine", "--scheme", "catalog:c", "--points", "1e400",
+                             "--iters", "1")
+        assert code == 1 and out == ""
+        assert err == "error: a curve value leaves the float range\n"
+
+    @pytest.mark.parametrize("field", ["coeffs", "support_min"])
+    def test_scheme_file_integer_past_the_digit_limit(self, capsys, tmp_path, field):
+        limit = sys.get_int_max_str_digits()
+        doc = {"coeffs": '{"name": "x", "support_min": -1, "coeffs": [1, %s, 1]}',
+               "support_min": '{"name": "x", "support_min": %s, "coeffs": [1]}'}[field]
+        path = tmp_path / "big.json"
+        path.write_text(doc % ("1" * (limit + 1)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "analyze", "--scheme", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error: unreadable scheme file: ")
+        assert "limit (%d digits)" % limit in err
+
+
 class TestParserReuse:
     """main() parses every call with one parser; each call's output must be
     the one a fresh process prints, with nothing carried over."""

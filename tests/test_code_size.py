@@ -16,7 +16,7 @@ import subdiv
 SRC = Path(subdiv.__file__).parent
 
 # the count of src/subdiv as it stands; lower it when code goes
-MAX_CODE_LINES = 1348
+MAX_CODE_LINES = 1347
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
@@ -37,8 +37,11 @@ def code_lines(text: str) -> int:
 
 
 def test_src_is_no_larger_than_recorded():
-    count = sum(code_lines(path.read_text(encoding="utf-8")) for path in SRC.rglob("*.py"))
-    assert count <= MAX_CODE_LINES, "src/subdiv grew to %d code lines" % count
+    counts = {path.relative_to(SRC).as_posix(): code_lines(path.read_text(encoding="utf-8"))
+              for path in sorted(SRC.rglob("*.py"))}
+    count = sum(counts.values())
+    assert count <= MAX_CODE_LINES, "src/subdiv grew to %d code lines (%s)" % (
+        count, ", ".join("%s %d" % kv for kv in counts.items()))
 
 
 def test_counting_rule():

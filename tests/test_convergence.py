@@ -6,8 +6,9 @@ import sympy
 from hypothesis import assume, example, given, strategies as st
 
 from conftest import Z, laurent_terms, sympy_symbol
-from subdiv.convergence import (ConvergenceReport, Verdict, _over_one_plus_z, certify,
-                                contractive_runs, contractivity_norm, difference_scheme,
+from subdiv import convergence
+from subdiv.convergence import (ConvergenceReport, Verdict, certify, contractive_runs,
+                                contractivity_norm, difference_scheme,
                                 is_contractive, necessary_conditions, NotFactorableError,
                                 smooth_lift)
 from subdiv.masks import Mask, catalog_get, recenter
@@ -25,6 +26,18 @@ def runs(draw):
     if draw(st.booleans()):
         run = [F(0)] * draw(st.integers(0, 2)) + run + [F(0)] * draw(st.integers(0, 2))
     return run
+
+
+def over_one_plus_z(coeffs):
+    """Quotient run of s(z) / (1+z), same start exponent, by the synthetic
+    division loop q_k = a_k - q_{k-1}; None when the remainder s(-1) is not
+    0.  The zero run gives the empty run.  The reference for the module's
+    prefix-sum division."""
+    q, r = [], 0
+    for c in coeffs:
+        r = c - r
+        q.append(r)
+    return q[:-1] if r == 0 else None
 
 
 def sympy_poly(coeffs):
@@ -111,10 +124,10 @@ def fraction_certify(mask, target_m):
     b = difference_scheme(mask)
     norm = contractivity_norm(b)
     d = [mask.coeffs]
-    while len(d) <= target_m + 1 and (nxt := _over_one_plus_z(d[-1])) is not None:
+    while len(d) <= target_m + 1 and (nxt := over_one_plus_z(d[-1])) is not None:
         d.append(nxt)
     for m in range(len(d) - 2, -1, -1):
-        if parity_norm(mask.support_min, _over_one_plus_z([c * 2 ** m for c in d[m]])) < 1:
+        if parity_norm(mask.support_min, over_one_plus_z([c * 2 ** m for c in d[m]])) < 1:
             return ConvergenceReport(s1, sm1, True, b, norm, Verdict.C0_CERTIFIED, m)
     return ConvergenceReport(s1, sm1, True, b, norm, Verdict.INCONCLUSIVE, None)
 
@@ -166,7 +179,7 @@ class TestDifferenceScheme:
         with pytest.raises(NotFactorableError):
             difference_scheme(Mask(0, (F(1), F(1), F(1))))
         # the zero mask divides exactly, but its quotient is no mask
-        assert _over_one_plus_z((F(0),)) == []
+        assert over_one_plus_z((F(0),)) == []
         with pytest.raises(NotFactorableError):
             difference_scheme(Mask(0, (F(0),)))
 
@@ -181,7 +194,7 @@ class TestDifferenceScheme:
     def test_matches_sympy_division(self, coeffs, support_min):
         # zero end coefficients and all-zero runs included
         expect = sympy_over_one_plus_z(coeffs)
-        assert _over_one_plus_z(coeffs) == expect
+        assert over_one_plus_z(coeffs) == expect
         if expect is None:
             with pytest.raises(NotFactorableError):
                 is_contractive(support_min, coeffs)
@@ -220,22 +233,17 @@ class TestContractivityNorm:
     def test_integer_numerators_over_a_denominator(self, coeffs, support_min, k):
         # the run as numerators over a multiple of its common denominator
         # gets the verdict of the Fraction run
-        assume(_over_one_plus_z(coeffs) is not None)
+        assume(over_one_plus_z(coeffs) is not None)
         den = k * math.lcm(*(c.denominator for c in coeffs))
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
         assert is_contractive(support_min, nums, den) == is_contractive(support_min, coeffs)
 
 
 def synthetic_division_verdict(support_min, run, den):
-    """The per-run reference: q_k = a_k - q_{k-1} by a loop, None when the
+    """The per-run reference: q = over_one_plus_z(run), None when the
     remainder s(-1) is not 0, else whether the parity norm of q is < den."""
-    q, r = [], 0
-    for a in run:
-        r = a - r
-        q.append(r)
-    if r != 0:
-        return None
-    return parity_norm(support_min, q[:-1]) < den
+    q = over_one_plus_z(run)
+    return None if q is None else parity_norm(support_min, q) < den
 
 
 @st.composite
@@ -288,6 +296,61 @@ class TestContractiveRuns:
             contractive_runs(support_min, rows, den)
         with pytest.raises(NotFactorableError):
             is_contractive(support_min, rows[k], den)
+
+
+class TestOneDivision:
+    """Every check reads the one (1+z) division and the one parity norm,
+    and certify computes each quotient of its chain once."""
+
+    @given(st.one_of(plain_masks(), ladder_masks()))
+    @example(Mask(0, (F(0),)))
+    @example(Mask(-3, (F(1), F(1))))
+    def test_checks_agree(self, mask):
+        sm1 = necessary_conditions(mask)[1]
+        try:
+            b = difference_scheme(mask)
+        except NotFactorableError:
+            b = None
+        try:
+            contractive = is_contractive(mask.support_min, mask.coeffs)
+        except NotFactorableError:
+            contractive = None
+        assert (sm1 == 0) == (contractive is not None)
+        if not mask.is_zero():
+            assert (sm1 == 0) == (b is not None)
+        if b is not None:
+            assert contractive == (contractivity_norm(b) < 1)
+
+    def test_certify_divides_each_quotient_once(self, monkeypatch):
+        divided = []
+        divide = convergence._divide
+
+        def spy(alt):
+            divided.append(tuple(alt))
+            return divide(alt)
+
+        def no_second_division(*args):
+            raise AssertionError("certify divided outside its chain")
+
+        monkeypatch.setattr(convergence, "_divide", spy)
+        for name in ("contractive_runs", "is_contractive", "necessary_conditions",
+                     "difference_scheme", "contractivity_norm"):
+            monkeypatch.setattr(convergence, name, no_second_division)
+        for name in "abcd":
+            for target_m in range(7):
+                divided.clear()
+                report = certify(catalog_get(name).mask, target_m)
+                assert 1 <= len(divided) <= target_m + 1
+                # the runs divided are pairwise distinct up to a scale, so
+                # no rung's quotient is divided again from a scaled run
+                primitive = {tuple(F(x, run[0]) for x in run) for run in divided}
+                assert len(primitive) == len(divided)
+                assert report.certified_smoothness == min(target_m, catalog_get(name).smoothness)
+        # the cubic B-spline (1+z)^4 / 8: four exact divisions, and the
+        # fifth stops the chain on its remainder
+        divided.clear()
+        certify(catalog_get("d").mask, 6)
+        assert len(divided) == 5
 
 
 class TestCertify:

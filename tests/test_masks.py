@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 from fractions import Fraction as F
 
@@ -102,6 +103,26 @@ class TestFileIO:
         with pytest.raises(SchemeFormatError, match=r"coeffs\[1\] = .* decimal exponent"):
             load_scheme(path)
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("field", ["coeffs", "support_min"])
+    def test_integer_past_the_digit_limit(self, tmp_path, field):
+        # a bare JSON integer one digit past the int-string limit fails in
+        # json.load, before any field is read; the refusal names the limit
+        limit = sys.get_int_max_str_digits()
+        doc = {"coeffs": '{"name": "x", "support_min": 0, "coeffs": [1, %s]}',
+               "support_min": '{"name": "x", "support_min": %s, "coeffs": [1]}'}[field]
+        path = tmp_path / "big.json"
+        path.write_text(doc % ("1" * (limit + 1)))
+        start = time.perf_counter()
+        with pytest.raises(SchemeFormatError, match=r"limit \(%d digits\)" % limit):
+            load_scheme(path)
+        assert time.perf_counter() - start < 0.5
+
+    def test_bad_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff{"name": "x"}')
+        with pytest.raises(SchemeFormatError, match="utf-8"):
+            load_scheme(path)
 
     def test_rationals_survive_exactly(self, tmp_path):
         rec = SchemeRecord("tiny", Mask(-1, (F(1, 3), F(1, 3), F(1, 3))), None)
