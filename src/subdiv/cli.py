@@ -10,6 +10,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable
 
 from . import convergence, dynamics, localmatrix, masks, refine, search
 
@@ -50,23 +51,22 @@ def _parse_grid(spec: str) -> tuple[search.GridRange, ...]:
     return tuple(ranges)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(parts: Iterable[str], out: str | None) -> None:
+    """Write the pieces of text in order to the file out, or to stdout."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
         with open(out, "w", encoding="utf-8", newline="") as f:
-            f.write(text)
+            f.writelines(parts)
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _curve_text(curve: refine.SampledCurve, fmt: str) -> str:
-    """fmt is "csv" or "svg", the only choices the parser admits."""
-    if fmt == "csv":
-        return refine.curve_csv_text(curve)
-    return refine.curve_svg_text(curve)
+def _emit_curve(rows: refine.CurveRows, args) -> None:
+    """args.format is "csv" or "svg", the only choices the parser admits."""
+    _emit((refine.curve_csv if args.format == "csv" else refine.curve_svg)(rows), args.out)
 
 
 # -- commands ------------------------------------------------------------
@@ -82,7 +82,7 @@ def cmd_catalog(args) -> int:
             "symmetry": masks.classify_symmetry(rec.mask).value,
             "smoothness": rec.smoothness,
         })
-    _emit(_json_text(rows), args.out)
+    _emit([_json_text(rows)], args.out)
     return 0
 
 
@@ -105,7 +105,7 @@ def cmd_analyze(args) -> int:
             "negative_real_count": spec.negative_real_count,
             "convergence_spectral_ok": spec.convergence_spectral_ok,
         }
-    _emit(_json_text(doc), args.out)
+    _emit([_json_text(doc)], args.out)
     return 0
 
 
@@ -123,14 +123,13 @@ def cmd_refine(args) -> int:
     rec = _resolve_scheme(args.scheme)
     P = _initial_polygon(args, rec)
     P = refine.refine_k(P, rec.mask, args.iters)
-    _emit(_curve_text(refine.parameterize(P), args.format), args.out)
+    _emit_curve(refine.CurveRows(P, P.first_index, P.last_index), args)
     return 0
 
 
 def cmd_basis(args) -> int:
     rec = _resolve_scheme(args.scheme)
-    curve = refine.basis_experiment(rec.mask, args.iters)
-    _emit(_curve_text(curve, args.format), args.out)
+    _emit_curve(refine.basis_rows(rec.mask, args.iters), args)
     return 0
 
 
@@ -145,15 +144,13 @@ def cmd_dynamics(args) -> int:
             v0 = tuple(float(_parse_fraction(s := v, "--v0")) for v in args.v0.split(","))
         except OverflowError as exc:
             raise CliError("bad rational %r in --v0: past the float range" % s) from exc
-        if len(v0) != M.n:
-            raise CliError("v0 has %d entries, matrix order is %d" % (len(v0), M.n))
     else:
         v0 = dynamics.window_vector(refine.delta(), 0, M.n)
     traj = dynamics.iterate_local(v0, M, args.K, norm=args.norm)
     traj = dynamics.decompose_modes(traj)
     buf = io.StringIO()
     dynamics.write_trajectory_csv(traj, buf)
-    _emit(buf.getvalue(), args.out)
+    _emit([buf.getvalue()], args.out)
     return 0
 
 
@@ -165,7 +162,7 @@ def cmd_search(args) -> int:
             "witnesses": [[str(p) for p in w] for w in report.witnesses],
             "counts_by_width": [{"width": w, "counts": c} for w, c in report.counts_by_width],
         }
-        _emit(_json_text(doc), args.out)
+        _emit([_json_text(doc)], args.out)
         return 0
     if args.width is None:
         raise CliError("search needs --width or --min-width")

@@ -128,9 +128,10 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
     With the state N_k / den_k (den_k = den_0 L^k, N_{k+1} = B N_k) and
     f = fn / fd, the transient is T_k / (fd den_k) with
     T_k = fd N_k - fn den_k 1, which steps as T_{k+1} = B T_k + fn den_k r,
-    r = B 1 - L 1 (zero when every row of A sums to 1).  A step is one
-    product of numpy arrays of Python ints (dtype=object); nothing is
-    reduced, so the operands grow by log2(L) bits a step.
+    r = B 1 - L 1.  r is zero when every row of A sums to 1, and the term
+    is then skipped.  A step is one product of numpy arrays of Python ints
+    (dtype=object); nothing is reduced, so the operands grow by log2(L)
+    bits a step.
     """
     fn, fd = f.numerator, f.denominator
     den, nums = integer_run(v)
@@ -140,7 +141,7 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
     T = np.array([fd * x - shift for x in nums], dtype=object)
     while True:
         yield T.tolist(), common
-        T = Bq @ T + shift * r
+        T = Bq @ T + shift * r if any(r) else Bq @ T
         shift *= L
         common *= L
 

@@ -12,8 +12,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from operator import neg, truediv
+from typing import Iterator
 
 import numpy as np
 
@@ -194,13 +195,17 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
 # products and their byte strings, the interleaved buffer) or as ints (the
 # unpacked list and its reduced copy).  Every slot is as wide as the bound
 # on the largest value, so a numerator counts the larger of its estimated
-# size and the slot.  An exported sample is a float in each column plus its
-# share of the text.  tracemalloc peaks of refine_k against the estimate
-# without samples: catalog:a, 3-point polygons of 1-, 300- and 1500-digit
-# numerators at k = 16 / 14 / 12, 29 / 39 / 46 MB under 74 / 58 / 55 MB;
-# the mask (2^200, 1) from one point at k = 16, 67 MB under 84 MB (its
-# numerators alone, at bitlen(L) bits a level, would count 8 MB).  Basis
-# plus CSV text at depth 14-18 peaks at a third of its estimate.
+# size and the slot.  An exported sample counts a float in each column plus
+# its share of the text, the cost of a whole SampledCurve and its text.  The
+# CLI streams its exports a chunk of rows at a time, so for them the term
+# over-estimates; it stays so that a SampledCurve of every sample
+# (parameterize, basis_experiment) is bounded too.  tracemalloc peaks of
+# refine_k against the estimate without samples: catalog:a, 3-point
+# polygons of 1-, 300- and 1500-digit numerators at k = 16 / 14 / 12,
+# 29 / 39 / 46 MB under 74 / 58 / 55 MB; the mask (2^200, 1) from one point
+# at k = 16, 67 MB under 84 MB (its numerators alone, at bitlen(L) bits a
+# level, would count 8 MB).  Basis plus whole CSV text at depth 14-18
+# peaked at a third of its estimate.
 # The level cap bounds time where the other two cannot (a one-point polygon
 # stays one point): past level 60 neighbouring parameters i/2^k collide as
 # doubles wherever |t| >= 2^-7.
@@ -249,17 +254,72 @@ def refine_k(P: ControlPolygon, mask: Mask, k: int, max_points: int = MAX_POINTS
     return _refine(P, mask, k)
 
 
+# -- samples and exports -------------------------------------------------
+
+# rows a chunk holds.  Measured on a 2-core Xeon, CPython 3.11, exporting
+# the 57340 rows of a depth-13 refine: 1024, 4096 and 16384 rows take
+# 43-44 ms (medians of 15), one chunk of every row 45 ms; a chunk of 4096
+# rows holds its floats and text in well under 1 MB.
+_CHUNK = 4096
+
+
+class CurveRows:
+    """Rows lo..hi of P's mesh as floats, read _CHUNK rows at a time.
+
+    Iterating yields a (t, value) pair of lists per chunk: primal
+    t = i*2^-k, dual t = (i+1/2)*2^-k, value nums/den in the stored window
+    and 0.0 outside it, each one correctly rounded integer division.  A t
+    or value past the float range is refused when the rows are made, from
+    the first and last row and the extreme numerators in range (truediv is
+    monotone), so before an export writes anything."""
+
+    def __init__(self, P: ControlPolygon, lo: int, hi: int):
+        first = P.first_index
+        start = max(lo - first, 0)
+        # the zero rows before the stored ones, and the stored numerators, in lo..hi
+        self.P, self.lo, self.hi, self.pad = P, lo, hi, max(first - lo, 0)
+        self.window = P.nums[start:max(hi + 1 - first, start)]
+        try:
+            self.low = min(self.window, default=0) / P.den
+            self.high = max(self.window, default=0) / P.den
+            self.tmin, self.tmax = self._t(lo, lo + 1)[0], self._t(hi, hi + 1)[0]
+        except OverflowError:
+            raise OverflowError("a curve value leaves the float range") from None
+
+    def _t(self, a: int, b: int) -> list[float]:
+        """t of the rows a..b-1."""
+        s = 1 if self.P.mesh is MeshType.PRIMAL else 2  # t = (s i + s - 1) / (s 2^k)
+        u = range(s * a + s - 1, s * b + s - 1, s)
+        return list(map(truediv, u, repeat(s << self.P.level)))
+
+    def __iter__(self) -> Iterator[tuple[list[float], list[float]]]:
+        values = chain(repeat(0.0, self.pad), map(truediv, self.window, repeat(self.P.den)),
+                       repeat(0.0))
+        for a in range(self.lo, self.hi + 1, _CHUNK):
+            b = min(a + _CHUNK, self.hi + 1)
+            yield self._t(a, b), list(islice(values, b - a))
+
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(min t, max t, min value, max value), as min() and max() over the
+        rows give them.  t increases with the row.  Below a denominator of
+        2^1074 no value rounds to -0.0, so the extreme values are those of
+        the extreme numerators and of the zero rows outside the window; from
+        2^1074 on one may, and min() and max() keep the first of equal
+        zeros, so the values are read in a pass over the rows."""
+        if self.P.den >> 1074:
+            return (self.tmin, self.tmax, min(min(v) for _, v in self),
+                    max(max(v) for _, v in self))
+        zeros = (0.0,) * (len(self.window) <= self.hi - self.lo)
+        return self.tmin, self.tmax, min((self.low, *zeros)), max((self.high, *zeros))
+
+
+def _sampled(rows: CurveRows) -> SampledCurve:
+    return SampledCurve(*(tuple(chain.from_iterable(column)) for column in zip(*rows)))
+
+
 def parameterize(P: ControlPolygon) -> SampledCurve:
     """Attach mesh parameters: primal t = i*2^-k, dual t = (i+1/2)*2^-k."""
-    n, lo, hi = 2 ** P.level, P.first_index, P.last_index
-    if P.mesh is MeshType.PRIMAL:
-        t = map(truediv, range(lo, hi + 1), repeat(n))
-    else:
-        t = map(truediv, range(2 * lo + 1, 2 * hi + 2, 2), repeat(2 * n))
-    try:
-        return SampledCurve(tuple(t), tuple(map(truediv, P.nums, repeat(P.den))))
-    except OverflowError:
-        raise OverflowError("a curve value leaves the float range") from None
+    return _sampled(CurveRows(P, P.first_index, P.last_index))
 
 
 # -- the basis-function experiment ---------------------------------------
@@ -284,21 +344,21 @@ def basis_points_exact(mask: Mask, iters: int) -> list[tuple[Fraction, Fraction]
     return [(Fraction(i, n), P[i]) for i in range(-4 * n, 4 * n + 1)]
 
 
+def basis_rows(mask: Mask, iters: int) -> CurveRows:
+    """The rows of basis_points_exact: the level-k mesh over [-4, 4]."""
+    P = basis_polygon(mask, iters)
+    n = 2 ** P.level
+    return CurveRows(P, -4 * n, 4 * n)
+
+
 def basis_experiment(mask: Mask, iters: int) -> SampledCurve:
     """basis_points_exact as floats, read from the integer numerators."""
-    P = basis_polygon(mask, iters)
-    n, first = 2 ** P.level, P.first_index
-    lo, hi = max(first, -4 * n), min(P.last_index, 4 * n)
-    if lo > hi:  # the support misses [-4, 4]
-        value = (0.0,) * (8 * n + 1)
-    else:  # the stored window clipped to [-4n, 4n], zeros around it
-        value = ((0.0,) * (lo + 4 * n)
-                 + tuple(map(truediv, P.nums[lo - first:hi - first + 1], repeat(P.den)))
-                 + (0.0,) * (4 * n - hi))
-    return SampledCurve(tuple(map(truediv, range(-4 * n, 4 * n + 1), repeat(n))), value)
+    return _sampled(basis_rows(mask, iters))
 
 
 # -- exports -------------------------------------------------------------
+# An export yields its text a chunk of rows at a time, each chunk one
+# C-level % format.
 
 def _interleave(xs, ys) -> tuple:
     flat = [0.0] * (2 * len(xs))
@@ -306,26 +366,26 @@ def _interleave(xs, ys) -> tuple:
     return tuple(flat)
 
 
-def curve_csv_text(curve: SampledCurve) -> str:
-    # one C-level format call over all points
-    return "t,value\n" + ("%.12g,%.12g\n" * len(curve.t)) % _interleave(curve.t, curve.value)
+def curve_csv(rows: CurveRows) -> Iterator[str]:
+    yield "t,value\n"
+    for t, value in rows:
+        yield ("%.12g,%.12g\n" * len(t)) % _interleave(t, value)
 
 
-def curve_svg_text(curve: SampledCurve) -> str:
-    xs, ys = curve.t, curve.value
-    xmin, xmax = min(xs), max(xs)
-    ymin, ymax = min(ys), max(ys)
+def curve_svg(rows: CurveRows) -> Iterator[str]:
+    xmin, xmax, ymin, ymax = rows.bounds()
     if xmax == xmin:
         xmax = xmin + 1.0
     if ymax == ymin:
         ymax = ymin + 1.0
     # y is flipped so larger values plot upward
     vb = "%.6g %.6g %.6g %.6g" % (xmin, -ymax, xmax - xmin, ymax - ymin)
-    pts = " ".join(["%.6g,%.6g"] * len(xs)) % _interleave(xs, map(neg, ys))
-    sw = (ymax - ymin) / 200.0
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
-        'viewBox="%s" preserveAspectRatio="none">\n'
-        '<polyline fill="none" stroke="black" stroke-width="%.6g" points="%s"/>\n'
-        "</svg>\n" % (vb, sw, pts)
-    )
+    yield ('<svg xmlns="http://www.w3.org/2000/svg" width="640" height="480" '
+           'viewBox="%s" preserveAspectRatio="none">\n'
+           '<polyline fill="none" stroke="black" stroke-width="%.6g" points="'
+           % (vb, (ymax - ymin) / 200.0))
+    sep = ""
+    for t, value in rows:
+        yield (sep + " ".join(["%.6g,%.6g"] * len(t))) % _interleave(t, map(neg, value))
+        sep = " "
+    yield '"/>\n</svg>\n'

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -146,6 +147,37 @@ class TestRefineAndBasis:
         assert code == 1 and out == ""
         assert "refinement would exceed 10000000 stored points" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("basis", "--scheme", "catalog:b", "--iters", "10", "--format", "csv"),
+        ("basis", "--scheme", "catalog:d", "--iters", "10", "--format", "svg"),
+        ("refine", "--scheme", "catalog:a", "--points=1/3,-2/5,4/7", "--iters", "10",
+         "--format", "csv"),
+        ("refine", "--scheme", "catalog:b", "--points=2/3,-1/5", "--mesh", "dual",
+         "--iters", "10", "--format", "svg"),
+    ], ids=["basis-csv", "basis-svg", "refine-csv", "refine-svg"])
+    def test_out_matches_stdout(self, capsys, tmp_path, argv):
+        # the streamed chunks reach a file and stdout alike
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        path = tmp_path / "curve"
+        code, _, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0
+        assert path.read_bytes() == out.encode("utf-8")
+
+    def test_basis_export_memory(self, tmp_path):
+        # the curve is streamed from the integer numerators: no whole float
+        # columns and no whole text.  Building both peaked at 12.2 MB here,
+        # the stream at 2.2 MB.
+        argv = ["basis", "--scheme", "catalog:c", "--iters", "14", "--out", str(tmp_path / "c.csv")]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.1 * 2 ** 20
+
     def test_level_cap_exits_before_refining(self, capsys, monkeypatch, tmp_path):
         # a width-1 mask keeps one point, so only the level cap bounds the time
         def no_step(P, mask, k):
@@ -231,6 +263,12 @@ class TestDynamics:
                            "--v0", "1,2")
         assert code == 1
         assert "matrix order" in err
+
+    def test_v0_length_named_by_iterate_local(self, capsys):
+        # one check of the length, iterate_local's
+        code, out, err = run(capsys, "dynamics", "--scheme", "catalog:a", "--v0", "1,2")
+        assert code == 1 and out == ""
+        assert err == "error: v0 has dimension 2, matrix order is 6\n"
 
 
 class TestSearch:
@@ -339,6 +377,29 @@ class TestRationalBounds:
                              "--iters", "1")
         assert code == 1 and out == ""
         assert err == "error: a curve value leaves the float range\n"
+
+    @pytest.mark.parametrize("argv", [
+        # values near 1e600 after two levels, refused from the extreme numerators
+        ("basis", "--scheme", "huge", "--iters", "2"),
+        ("refine", "--scheme", "huge", "--iters", "2"),
+        # the parameter t of the one row past the float range
+        ("refine", "--scheme", "catalog:a", "--points", "1",
+         "--first-index", str(10 ** 309), "--iters", "0"),
+    ], ids=["basis", "refine", "refine-first-index"])
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_curve_past_the_float_range_writes_nothing(self, capsys, tmp_path, argv, fmt,
+                                                       to_file):
+        # refused before the output file is opened or stdout is written
+        path = tmp_path / "huge.json"
+        save_scheme(SchemeRecord("huge", Mask(-1, (F(10 ** 300), F(1), F(10 ** 300)))), path)
+        out_path = tmp_path / "curve.out"
+        argv = [str(path) if a == "huge" else a for a in argv]
+        code, out, err = run(capsys, *argv, "--format", fmt,
+                             *(["--out", str(out_path)] if to_file else []))
+        assert code == 1 and out == ""
+        assert err == "error: a curve value leaves the float range\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("field", ["coeffs", "support_min"])
     def test_scheme_file_integer_past_the_digit_limit(self, capsys, tmp_path, field):

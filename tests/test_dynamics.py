@@ -237,6 +237,20 @@ class TestExactTrajectory:
             assert [F(y, common) for y in T] == [x - f for x in v]
 
 
+    @pytest.mark.parametrize("A, balanced", [
+        (A_MATRIX, True),                                               # rows of A sum to 1
+        (LocalMatrix(2, ((2, 0, 0), (0, 1, 0), (0, 1, 1)), 0), False),  # r = (0, -1, 0)
+    ], ids=["r-zero", "r-nonzero"])
+    def test_transients_with_and_without_the_r_term(self, A, balanced):
+        # the term f den_k r is skipped when r = B 1 - L 1 is zero
+        assert (not any(sum(row) - A.L for row in A.B)) == balanced
+        v0, f = [F(k - 2, k + 3) for k in range(A.n)], F(2, 7)
+        steps, v = _transient_numerators(v0, f, A.L, A.B), v0
+        for _ in range(12):
+            T, common = next(steps)
+            assert [F(y, common) for y in T] == [x - f for x in v]
+            v = [sum((e * x for e, x in zip(row, v)), F(0)) for row in fraction_entries(A)]
+
 class TestTwoNormRange:
     """2-norm distances of rows whose squares pass the float range: A keeps
     the first entry and halves and mixes the other two, so eigenvalue 1 is

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+import unittest.mock
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import Z, laurent_terms, sympy_symbol
 from subdiv import refine
 from subdiv.masks import Mask, catalog_get
-from subdiv.refine import (ControlPolygon, MeshType, RefinementLimitError,
-                           SampledCurve, basis_experiment, basis_points_exact,
-                           basis_polygon, curve_csv_text, curve_svg_text, delta,
-                           parameterize, refine_k)
+from subdiv.refine import (ControlPolygon, CurveRows, MeshType, RefinementLimitError,
+                           basis_experiment, basis_points_exact, basis_polygon,
+                           basis_rows, curve_csv, curve_svg, delta, parameterize,
+                           refine_k)
 
 
 def rand_polygon(rng, mesh=MeshType.PRIMAL):
@@ -381,7 +382,7 @@ class TestBasisExperiment:
 
 class TestCsvExport:
     def test_header_and_format(self):
-        text = curve_csv_text(parameterize(delta()))
+        text = "".join(curve_csv(CurveRows(delta(), 0, 0)))
         lines = text.split("\n")
         assert lines[0] == "t,value"
         assert lines[1] == "0,1"
@@ -394,6 +395,14 @@ def basis_per_index(mask: Mask, iters: int) -> tuple:
     n, first, last = 2 ** P.level, P.first_index, P.last_index
     return tuple((i / n, P.nums[i - first] / P.den if first <= i <= last else 0.0)
                  for i in range(-4 * n, 4 * n + 1))
+
+
+def rows_per_index(P: ControlPolygon, lo: int, hi: int) -> list:
+    """The rows lo..hi of P as (t, value) floats, one division each."""
+    n, first, last = 2 ** P.level, P.first_index, P.last_index
+    return [(i / n if P.mesh is MeshType.PRIMAL else (2 * i + 1) / (2 * n),
+             P.nums[i - first] / P.den if first <= i <= last else 0.0)
+            for i in range(lo, hi + 1)]
 
 
 def csv_per_line(points) -> str:
@@ -454,23 +463,31 @@ class TestColumnExport:
         assert (set(curve.value) == {0.0}) == misses
 
     def curves(self):
-        yield parameterize(delta())                                        # one point
-        yield parameterize(ControlPolygon(3, -2, (F(1, 3),) * 5))          # constant y
-        yield SampledCurve((-0.5, 0.0, 0.5), (-0.0, 0.0, -0.0))            # signed zeros
-        yield SampledCurve((1.0,), (-0.0,))
-        yield parameterize(refine_k(ControlPolygon(0, 0, (F(1), F(-2, 3)), MeshType.DUAL),
-                                    catalog_get("b").mask, 4))             # dual mesh
-        for level in (0, 5):                                               # t past 2^53
-            yield parameterize(ControlPolygon(level, 2 ** 60 + 1, (F(1, 7), F(-3), F(5, 9))))
-            yield parameterize(ControlPolygon(level, -(2 ** 54) - 3, (F(2), 0, F(1, 3)),
-                                              MeshType.DUAL))
-        yield basis_experiment(catalog_get("a").mask, 6)
+        yield CurveRows(delta(), 0, 0)                                     # one point
+        yield CurveRows(ControlPolygon(3, -2, (F(1, 3),) * 5), -2, 2)      # constant y
+        tiny = F(-1, 2 ** 1100)                                            # rounds to -0.0
+        yield CurveRows(ControlPolygon(1, -1, (tiny, 0, tiny)), -1, 1)     # signed zeros
+        yield CurveRows(ControlPolygon(0, 1, (tiny,)), 1, 1)
+        yield CurveRows(ControlPolygon(0, 0, (-1, tiny, -tiny)), -1, 2)   # max -0.0, then 0.0
+        yield CurveRows(ControlPolygon(0, 0, (1, -tiny, tiny)), 0, 2)     # min 0.0, then -0.0
+        P = refine_k(ControlPolygon(0, 0, (F(1), F(-2, 3)), MeshType.DUAL),
+                     catalog_get("b").mask, 4)
+        yield CurveRows(P, P.first_index, P.last_index)                    # dual mesh
+        for level in (0, 5, 70):                                           # t past 2^53
+            P = ControlPolygon(level, 2 ** 60 + 1, (F(1, 7), F(-3), F(5, 9)))
+            yield CurveRows(P, P.first_index, P.last_index)
+            P = ControlPolygon(level, -(2 ** 54) - 3, (F(2), 0, F(1, 3)), MeshType.DUAL)
+            yield CurveRows(P, P.first_index, P.last_index)
+        for first in (2 ** 63 - 2, -(2 ** 63) - 1):                       # past int64
+            P = ControlPolygon(3, first, (F(1, 7), F(-3), F(5, 9)))
+            yield CurveRows(P, P.first_index, P.last_index)
+        yield basis_rows(catalog_get("a").mask, 6)
 
     def test_csv_and_svg_match_per_line_formatters(self):
-        for curve in self.curves():
-            assert curve.points == tuple(zip(curve.t, curve.value))
-            assert curve_csv_text(curve) == csv_per_line(curve.points)
-            assert curve_svg_text(curve) == svg_per_point(curve.points)
+        for rows in self.curves():
+            points = rows_per_index(rows.P, rows.lo, rows.hi)
+            assert "".join(curve_csv(rows)) == csv_per_line(points)
+            assert "".join(curve_svg(rows)) == svg_per_point(points)
 
     def test_huge_first_index_parameters(self):
         # integer true division, correctly rounded, as the per-point loop did
@@ -481,3 +498,77 @@ class TestColumnExport:
             P = ControlPolygon(level, -(2 ** 54) - 3, (F(2), F(1), F(1, 3)), MeshType.DUAL)
             assert parameterize(P).t == tuple((2 * i + 1) / (2 * n)
                                               for i in range(P.first_index, P.last_index + 1))
+
+
+@st.composite
+def row_ranges(draw):
+    """A polygon, some with values that round to -0.0 or 0.0 among others
+    that do not (denominators past 2^1074), and rows lo..hi that cover,
+    clip or miss its window."""
+    P = draw(wide_polygons())
+    if draw(st.booleans()):
+        tiny = draw(st.lists(st.booleans(), min_size=len(P.nums), max_size=len(P.nums)))
+        P = ControlPolygon(P.level, P.first_index,
+                           [v / 2 ** 1100 if t else v for v, t in zip(P.values, tiny)], P.mesh)
+    lo = P.first_index + draw(st.integers(-12, 12))
+    return P, lo, lo + draw(st.integers(0, 24))
+
+
+class TestStreamedExport:
+    """The chunked exports against the per-row oracles, byte for byte."""
+
+    @pytest.mark.parametrize("n", [refine._CHUNK - 1, refine._CHUNK, refine._CHUNK + 1,
+                                   2 * refine._CHUNK + 1])
+    def test_chunk_boundaries(self, n):
+        rng = random.Random(n)
+        values = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n)]
+        values[0] = values[-1] = F(1, 3)
+        for mesh in MeshType:
+            P = ControlPolygon(7, -n // 2, values, mesh)
+            rows = CurveRows(P, P.first_index, P.last_index)
+            sizes = [len(t) for t, _ in rows]
+            assert sum(sizes) == n and set(sizes[:-1]) <= {refine._CHUNK}
+            points = rows_per_index(P, rows.lo, rows.hi)
+            assert "".join(curve_csv(rows)) == csv_per_line(points)
+            assert "".join(curve_svg(rows)) == svg_per_point(points)
+
+    @settings(max_examples=150)
+    @given(row_ranges(), st.integers(1, 5))
+    def test_any_rows_in_small_chunks(self, case, chunk):
+        P, lo, hi = case
+        points = rows_per_index(P, lo, hi)
+        with unittest.mock.patch.object(refine, "_CHUNK", chunk):
+            rows = CurveRows(P, lo, hi)
+            assert [(t, v) for ts, vs in rows for t, v in zip(ts, vs)] == points
+            assert "".join(curve_csv(rows)) == csv_per_line(points)
+            assert "".join(curve_svg(rows)) == svg_per_point(points)
+
+    @pytest.mark.parametrize("mask", [Mask(20, (F(1),) * 12), Mask(-40, (F(-1, 2),) * 10)])
+    def test_basis_support_misses_the_window(self, mask):
+        rows = basis_rows(mask, 3)
+        points = basis_per_index(mask, 3)
+        assert set(v for _, v in points) == {0.0}
+        assert "".join(curve_csv(rows)) == csv_per_line(points)
+        assert "".join(curve_svg(rows)) == svg_per_point(points)
+
+    def test_value_range_checked_when_rows_are_made(self):
+        # only the rows in lo..hi count: a stored value past the float range
+        # outside them is no error
+        P = ControlPolygon(0, 0, (F(1), F(10 ** 400)))
+        assert list(CurveRows(P, -1, 0)) == [([-1.0, 0.0], [0.0, 1.0])]
+        for lo, hi in ((0, 1), (1, 3)):
+            with pytest.raises(OverflowError, match="a curve value leaves the float range"):
+                CurveRows(P, lo, hi)
+        with pytest.raises(OverflowError, match="a curve value leaves the float range"):
+            parameterize(ControlPolygon(0, 0, (F(-(10 ** 400)), F(1))))
+
+    # 2^1024 - 2^970 is the least integer that rounds past the largest double
+    @pytest.mark.parametrize("first, mesh", [(2 ** 1024 - 2 ** 970 - 1, MeshType.PRIMAL),
+                                             (-(2 ** 1024 - 2 ** 970), MeshType.PRIMAL),
+                                             (-(10 ** 400), MeshType.DUAL)],
+                             ids=["last", "first", "both"])
+    def test_t_range_checked_when_rows_are_made(self, first, mesh):
+        # the t of only the last row, only the first row, or both leave the range
+        P = ControlPolygon(0, first, (F(1), F(2)), mesh)
+        with pytest.raises(OverflowError, match="a curve value leaves the float range"):
+            parameterize(P)
