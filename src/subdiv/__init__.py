@@ -15,8 +15,7 @@ from .convergence import (ConvergenceReport, NotFactorableError, Verdict,
                           certify, contractivity_norm, difference_scheme,
                           is_contractive, necessary_conditions, smooth_lift)
 from .refine import (ControlPolygon, MeshType, RefinementLimitError,
-                     SampledCurve, basis_experiment, basis_points_exact,
-                     basis_polygon, delta, parameterize, refine_k)
+                     basis_points_exact, basis_polygon, delta, refine_k)
 from .dynamics import (EigenMode, TrajectoryReport, decompose_modes,
                        iterate_local, window_vector)
 from .search import (Cell, CellClass, GridRange, MinWidthReport, SearchResult,

@@ -257,10 +257,8 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, KeyError,
-            convergence.NotFactorableError, masks.SchemeFormatError,
-            refine.RefinementLimitError, localmatrix.EigensolveError,
-            OverflowError) as exc:
+    except (CliError, ValueError, refine.RefinementLimitError,
+            localmatrix.EigensolveError, OverflowError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print("error: %s" % msg, file=sys.stderr)
         return 1

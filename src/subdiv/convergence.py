@@ -75,7 +75,7 @@ def _alternate(support_min: int, runs) -> np.ndarray:
     coefficients (-1)^k a_k of s(-z), k the absolute index.  Its own
     inverse."""
     runs = np.array(runs, dtype=object)
-    return runs * (-1) ** ((support_min + np.arange(runs.shape[-1])) % 2)
+    return runs * (-1) ** ((support_min % 2 + np.arange(runs.shape[-1])) % 2)
 
 
 def _divide(alt: np.ndarray) -> np.ndarray:

@@ -8,14 +8,14 @@ square-free factors of its characteristic polynomial, each root-solved with
 Newton polishing; this keeps multiple eigenvalues accurate to ~1e-12 where a
 plain dense eigensolve loses half the digits at defective points.  A
 LocalMatrix holds the integer-scaled pair (L, B = L*A), L the lcm of the
-mask's denominators (masks.integer_run), and spectra() solves many such
-pairs at once.  It groups them by order, and each integer step runs once per
-group, on one (N, n, n) stack of Python ints (numpy dtype=object): exact at
-any bit size, with no fixed-width path.  A linear factor's root is one
-integer division; the others are root-solved in stacks of one shape, each
-one stacked eigvals of companion matrices and one vectorised polish,
-bit-identical to np.roots and np.polyval per factor.
-eigenvalues(M) is spectra([(M.L, M.B)])[0], so one route serves both.
+mask's denominators (masks.integer_run).  spectra(L, S) solves a whole
+(N, n, n) stack S of such B over one L, the stack palindromic_classes takes
+too: each integer step runs once on the stack of Python ints (numpy
+dtype=object), exact at any bit size, with no fixed-width path.  A linear
+factor's root is one integer division; the others are root-solved in stacks
+of one shape, each one stacked eigvals of companion matrices and one
+vectorised polish, bit-identical to np.roots and np.polyval per factor.
+eigenvalues(M) is spectra of M's one-row stack, so one route serves both.
 
 The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
 entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
@@ -40,12 +40,12 @@ so the central block C is centrosymmetric.  Such a C of order 2k splits
 (Cantoni & Butler, 1976) into a J-even block P + QJ and a J-odd block P - QJ
 of order k, with P, Q the top-left and top-right k x k blocks of C; at
 order 2k+1 the J-even block also takes the middle column x and twice the
-middle row y, [[P + QJ, x], [2y^T, C_kk]], still in integers.  The
-centrosymmetric rows of a stack (C equal to C[::-1, ::-1]) go to a J-even
-and a J-odd stack, each Faddeev-LeVerrier run on half the order, and q is
-the row-by-row product of the two; every other row takes the full order.
-q is the same integer polynomial either way, so the factors and every root
-are unchanged.
+middle row y, [[P + QJ, x], [2y^T, C_kk]], still in integers.  When
+every C of a stack is centrosymmetric (C equal to C[::-1, ::-1]), spectra
+runs Faddeev-LeVerrier on a J-even and a J-odd stack of half the order, and
+q is the row-by-row product of the two; any other stack takes the full
+order.  q is the same integer polynomial either way, so the factors and
+every root are unchanged.
 
 For analyze the spectral class (complex pair, negative real count, simple
 eigenvalue 1 with all others inside the unit disc) is decided once, at
@@ -72,8 +72,8 @@ from .masks import Mask, integer_run
 
 class EigensolveError(RuntimeError):
     """No table prime split the charpoly, a Faddeev-LeVerrier trace was not
-    divisible (the matrix was not integer), or a root left the float
-    range."""
+    divisible (the matrix was not integer), or a characteristic polynomial
+    coefficient or a root left the float range."""
 
 
 @dataclass(frozen=True)
@@ -301,20 +301,6 @@ def _row_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _central_charpolys(C: np.ndarray) -> np.ndarray:
-    """det(yI - C) of each matrix of an (N, m, m) stack, as an (N, m + 1)
-    stack: from the J-even and J-odd blocks on the centrosymmetric rows, the
-    product taken row by row, from the whole matrix on the others."""
-    N, m = C.shape[:2]
-    out = np.empty((N, m + 1), dtype=object)
-    sym = _centrosymmetric(C)
-    if sym.any():
-        out[sym] = _row_products(*_block_charpolys(C[sym]))
-    if not sym.all():
-        out[~sym] = _charpolys(C[~sym])
-    return out
-
-
 def _discriminants(c: np.ndarray) -> np.ndarray:
     """The discriminant of each monic polynomial of an (N, d + 1) stack of
     integer coefficient lists (from y^0 up), d <= 3: b^2 - 4c for
@@ -475,11 +461,11 @@ def _over_linear(c: Sequence[int], r: int) -> list[int]:
 def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[tuple[np.ndarray, int, np.ndarray]]:
     """The monic square-free factors of det(yI - B) for each matrix of an
     (N, n, n) stack S of integer-scaled local matrices B = L*A, given the
-    charpolys cs of their central blocks (_central_charpolys), as one table
-    of stacks (rows, m, F), one per (multiplicity m, degree d >= 1), in
-    ascending m: row k of F holds the integer coefficients, from y^0 up, of
-    the factor of multiplicity m of matrix rows[k].  det(xI - A) has the
-    factors f(Lx) / L^d.
+    charpolys cs of their central blocks, as one table of stacks
+    (rows, m, F), one per (multiplicity m, degree d >= 1), in ascending m:
+    row k of F holds the integer coefficients, from y^0 up, of the factor
+    of multiplicity m of matrix rows[k].  det(xI - A) has the factors
+    f(Lx) / L^d.
 
     A row that _certified clears and whose corners a, b are no root of c
     (one stacked Horner evaluation per corner) is plain, and its factors
@@ -572,52 +558,54 @@ def _roots_of_stack(P: np.ndarray) -> np.ndarray:
     return roots
 
 
-def _eigenvalues(L, cs: np.ndarray, S: np.ndarray) -> np.ndarray:
+def _eigenvalues(L: int, cs: np.ndarray, S: np.ndarray) -> np.ndarray:
     """All eigenvalues, with multiplicity, of each matrix A = S[k] / L of
-    an (N, n, n) stack of integer-scaled local matrices (L an int, or one
-    per matrix), given the charpolys cs of their central blocks, as an
-    (N, n) complex array, by one loop over the table of _split_factors.
-    The float coefficients of a factor f of degree d are f_k / L^(d-k),
-    from the top degree down, each one correctly rounded integer division:
-    a stack of degree 1 gives its roots as the one division (-f_0) / L (the
-    bits the stacked eigvals and polish give), any other stack is
-    root-solved by one _roots_of_stack call.  The roots of a factor of
-    multiplicity m fill the next m times d columns of its row, written m
-    times, so a row holds its factors' roots in ascending multiplicity."""
+    an (N, n, n) stack of integer-scaled local matrices, given the
+    charpolys cs of their central blocks, as an (N, n) complex array, by one
+    loop over the table of _split_factors.  The float coefficients of a
+    factor f of degree d are f_k / L^(d-k), from the top degree down, each
+    one correctly rounded integer division (EigensolveError past the float
+    range): a stack of degree 1 gives its roots as the one division
+    (-f_0) / L (the bits the stacked eigvals and polish give), any other
+    stack is root-solved by one _roots_of_stack call.  The roots of a
+    factor of multiplicity m fill the next m times d columns of its row,
+    written m times, so a row holds its factors' roots in ascending
+    multiplicity."""
     N, n = S.shape[:2]
-    pw = np.broadcast_to(np.asarray(L, dtype=object)[..., None] ** np.arange(n + 1), (N, n + 1))
+    pw = L ** np.arange(n + 1, dtype=object)
     vals, free = np.empty((N, n), dtype=complex), np.zeros(N, dtype=int)
     for rows, m, F in _split_factors(cs, S):
         d = F.shape[1] - 1
-        # a linear factor negates the integer: -(f_0 / L) is -0.0 for a zero root
-        roots = ((-F[:, :1] / pw[rows, 1:2]).astype(float) if d == 1
-                 else _roots_of_stack((F[:, ::-1] / pw[rows, :d + 1]).astype(float)))
+        try:
+            P = (F[:, ::-1] / pw[:d + 1]).astype(float)
+        except OverflowError:
+            raise EigensolveError("a characteristic polynomial coefficient leaves "
+                                  "the float range") from None
+        # -(f_0 / L) exactly, but +0.0 for a zero root, as (-f_0) / L gives
+        roots = 0.0 - P[:, 1:] if d == 1 else _roots_of_stack(P)
         vals[rows[:, None], free[rows, None] + np.arange(m * d)] = np.tile(roots, m)
         free[rows] += m * d
     return vals
 
 
-def spectra(scaled: Sequence[tuple[int, Sequence[Sequence[int]]]]) -> list[Spectrum]:
-    """The Spectrum of each local matrix A, given as an integer-scaled pair
-    (L, B = L*A), B any n x n integer array-like (nested sequences, or an
-    object array of Python ints), all eigenvalues with multiplicity, from
-    the exact square-free factors of its characteristic polynomial.  The
-    matrices are grouped by order, and each order's stack of B takes one
-    _central_charpolys and one _eigenvalues call.  Any L that makes B
-    integer gives the same floats: a factor's coefficients in x are the
-    same rationals f_k / L^(d-k) whatever L is, each one correctly rounded.
-    Every factor takes the one route of _eigenvalues: a linear one's root
-    is one integer division, and the others come from one stacked eigvals
-    per factor shape, bit-identical to np.roots per factor, then three
-    Newton steps; residuals are bounded by the polish (|p(mu)| ~ machine
-    eps relative to the coefficient scale)."""
-    vals: dict[int, list[complex]] = {}
-    for n in {len(B) for _, B in scaled}:
-        idx = [i for i, (_, B) in enumerate(scaled) if len(B) == n]
-        S = np.array([scaled[i][1] for i in idx], dtype=object)
-        found = _eigenvalues([scaled[i][0] for i in idx], _central_charpolys(S[:, 1:n - 1, 1:n - 1]), S)
-        vals.update(zip(idx, found.tolist()))
-    return [Spectrum.from_values(vals[i]) for i in range(len(scaled))]
+def spectra(L: int, S: np.ndarray) -> list[Spectrum]:
+    """The Spectrum of each matrix A = S[k] / L of an (N, n, n) stack S of
+    integer-scaled local matrices (Python ints, dtype=object; local_stack),
+    all eigenvalues with multiplicity, from the exact square-free factors
+    of its characteristic polynomial.  The central charpolys are the
+    product of the J-block ones when every central block of the stack is
+    centrosymmetric, and whole-order Faddeev-LeVerrier otherwise.  Any L
+    that makes B integer gives the same floats: a factor's coefficients in
+    x are the same rationals f_k / L^(d-k) whatever L is, each one
+    correctly rounded.  Every factor takes the one route of _eigenvalues: a
+    linear one's root is one integer division, and the others come from one
+    stacked eigvals per factor shape, bit-identical to np.roots per factor,
+    then three Newton steps; residuals are bounded by the polish
+    (|p(mu)| ~ machine eps relative to the coefficient scale)."""
+    n = S.shape[1]
+    C = S[:, 1:n - 1, 1:n - 1]
+    cs = _row_products(*_block_charpolys(C)) if _centrosymmetric(C).all() else _charpolys(C)
+    return [Spectrum.from_values(v) for v in _eigenvalues(L, cs, S).tolist()]
 
 
 def palindromic_classes(L: int, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -656,10 +644,10 @@ def palindromic_classes(L: int, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 def eigenvalues(M: LocalMatrix) -> Spectrum:
-    """All eigenvalues of M with multiplicity as a Spectrum:
-    spectra([(M.L, M.B)])[0], the roots from the stacked eigvals that equals
+    """All eigenvalues of M with multiplicity as a Spectrum: spectra of
+    M's one-row stack, the roots from the stacked eigvals that equals
     np.roots bit for bit."""
-    return spectra([(M.L, M.B)])[0]
+    return spectra(M.L, np.array([M.B], dtype=object))[0]
 
 
 # -- closed forms for the palindromic families ---------------------------

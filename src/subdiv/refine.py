@@ -88,18 +88,6 @@ class ControlPolygon:
         return Fraction(sum(self.nums), self.den)
 
 
-@dataclass(frozen=True)
-class SampledCurve:
-    """A curve as two columns: strictly increasing parameters t and values."""
-
-    t: tuple[float, ...]
-    value: tuple[float, ...]
-
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.t, self.value))
-
-
 def delta(mesh: MeshType = MeshType.PRIMAL) -> ControlPolygon:
     """The cardinal test sequence: a single 1 at index 0, level 0."""
     return ControlPolygon(0, 0, (Fraction(1),), mesh)
@@ -196,10 +184,10 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
 # unpacked list and its reduced copy).  Every slot is as wide as the bound
 # on the largest value, so a numerator counts the larger of its estimated
 # size and the slot.  An exported sample counts a float in each column plus
-# its share of the text, the cost of a whole SampledCurve and its text.  The
-# CLI streams its exports a chunk of rows at a time, so for them the term
-# over-estimates; it stays so that a SampledCurve of every sample
-# (parameterize, basis_experiment) is bounded too.  tracemalloc peaks of
+# its share of the text, the cost of holding every sample and its text at
+# once.  The exports stream a chunk of rows at a time (CurveRows), so the
+# term over-estimates them; it stays so that a caller who collects every
+# row of a CurveRows is bounded too.  tracemalloc peaks of
 # refine_k against the estimate without samples: catalog:a, 3-point
 # polygons of 1-, 300- and 1500-digit numerators at k = 16 / 14 / 12,
 # 29 / 39 / 46 MB under 74 / 58 / 55 MB; the mask (2^200, 1) from one point
@@ -277,7 +265,7 @@ class CurveRows:
         first = P.first_index
         start = max(lo - first, 0)
         # the zero rows before the stored ones, and the stored numerators, in lo..hi
-        self.P, self.lo, self.hi, self.pad = P, lo, hi, max(first - lo, 0)
+        self.P, self.lo, self.hi, self.pad = P, lo, hi, min(max(first - lo, 0), hi - lo + 1)
         self.window = P.nums[start:max(hi + 1 - first, start)]
         try:
             self.low = min(self.window, default=0) / P.den
@@ -313,15 +301,6 @@ class CurveRows:
         return self.tmin, self.tmax, min((self.low, *zeros)), max((self.high, *zeros))
 
 
-def _sampled(rows: CurveRows) -> SampledCurve:
-    return SampledCurve(*(tuple(chain.from_iterable(column)) for column in zip(*rows)))
-
-
-def parameterize(P: ControlPolygon) -> SampledCurve:
-    """Attach mesh parameters: primal t = i*2^-k, dual t = (i+1/2)*2^-k."""
-    return _sampled(CurveRows(P, P.first_index, P.last_index))
-
-
 # -- the basis-function experiment ---------------------------------------
 
 def basis_polygon(mask: Mask, iters: int) -> ControlPolygon:
@@ -349,11 +328,6 @@ def basis_rows(mask: Mask, iters: int) -> CurveRows:
     P = basis_polygon(mask, iters)
     n = 2 ** P.level
     return CurveRows(P, -4 * n, 4 * n)
-
-
-def basis_experiment(mask: Mask, iters: int) -> SampledCurve:
-    """basis_points_exact as floats, read from the integer numerators."""
-    return _sampled(basis_rows(mask, iters))
 
 
 # -- exports -------------------------------------------------------------

@@ -265,6 +265,7 @@ class MinWidthReport:
 
 
 def default_grid(width: int) -> tuple[GridRange, ...]:
+    free_param_count(width)  # refuses a width outside 2..8
     half = Fraction(1, 2)
     table = {
         2: (),

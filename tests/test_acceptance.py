@@ -13,8 +13,8 @@ from conftest import fraction_entries
 from subdiv.convergence import certify, contractivity_norm, difference_scheme, smooth_lift
 from subdiv.dynamics import decompose_modes, iterate_local
 from subdiv.localmatrix import (build_local_matrix, complex_region_predicate,
-                               eigenvalues, matrix_from_coeffs, spectra, w5_closed_form,
-                               w6_closed_form, w6_discriminant)
+                               eigenvalues, local_stack, matrix_from_coeffs, spectra,
+                               w5_closed_form, w6_closed_form, w6_discriminant)
 from subdiv.masks import catalog_get
 from subdiv.refine import basis_points_exact, delta, refine_k
 from subdiv.search import min_width_report, negativity_lemma_check
@@ -77,9 +77,12 @@ def test_criterion_04_width5_closed_form():
 
 def test_criterion_05_width6_closed_form():
     def body():
-        grid = [(F(i, 100), F(j, 100)) for i in range(-50, 51) for j in range(-50, 51)]
-        Ms = [matrix_from_coeffs(-2, (a, b, 1 - a - b, 1 - a - b, b, a)) for a, b in grid]
-        for (a, b), sp in zip(grid, spectra([(M.L, M.B) for M in Ms])):
+        # the runs (a, b, 1-a-b, 1-a-b, b, a) as numerators over 100, one
+        # stack over L = 100
+        grid = [(i, j) for i in range(-50, 51) for j in range(-50, 51)]
+        runs = [(i, j, 100 - i - j, 100 - i - j, j, i) for i, j in grid]
+        for (i, j), sp in zip(grid, spectra(100, local_stack(runs))):
+            a, b = F(i, 100), F(j, 100)
             vals = sp.eigenvalues
             _match(vals, w6_closed_form(a, b).eigenvalues, 1e-8)
             if abs(w6_discriminant(a, b)) >= F(1, 10 ** 10):

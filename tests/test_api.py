@@ -17,9 +17,8 @@ PUBLIC = {
     "complex_region_predicate", "eigenvalues", "matrix_from_coeffs",
     "w5_closed_form", "w6_closed_form", "w6_discriminant",
     # refine
-    "ControlPolygon", "MeshType", "RefinementLimitError", "SampledCurve",
-    "basis_experiment", "basis_points_exact", "basis_polygon", "delta",
-    "parameterize", "refine_k",
+    "ControlPolygon", "MeshType", "RefinementLimitError", "basis_points_exact",
+    "basis_polygon", "delta", "refine_k",
     # dynamics
     "EigenMode", "TrajectoryReport", "decompose_modes", "iterate_local",
     "window_vector",

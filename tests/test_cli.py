@@ -110,6 +110,36 @@ class TestAnalyze:
         assert code == 1 and out == ""
         assert err == "error: an eigenvalue leaves the float range\n"
 
+    def test_charpoly_coefficient_past_float_range_is_an_error(self, capsys, tmp_path):
+        # 6 * 997 bits pass check_size, but a factor coefficient f_k / L^(d-k)
+        # is past the largest double
+        path = tmp_path / "w8.json"
+        path.write_text('{"name": "w8", "support_min": -3, "coeffs": '
+                        '["1e300", "1", "1", "1", "1", "1", "1", "1e300"]}')
+        code, out, err = run(capsys, "analyze", "--scheme", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: a characteristic polynomial coefficient leaves the float range\n"
+
+    @pytest.mark.parametrize("shift", [2 ** 63, 10 ** 400, -(2 ** 63) - 1])
+    def test_far_shifted_mask(self, capsys, tmp_path, shift):
+        # only the parity of support_min reaches the arithmetic: the report
+        # is that of the same run at shift 0 or 1, save for the shift
+        reports = []
+        for support_min in (shift % 2, shift):
+            path = tmp_path / "shifted.json"
+            path.write_text('{"name": "x", "support_min": %d, "coeffs": ["1/2", "1", "1/2"]}'
+                            % support_min)
+            code, out, err = run(capsys, "analyze", "--scheme", str(path))
+            assert code == 0 and err == ""
+            doc = json.loads(out)
+            assert doc["scheme"]["support_min"] == doc["convergence"]["difference_mask"][
+                "support_min"] == support_min
+            assert doc["local_matrix"]["column_offset"] == 1 - support_min
+            for d in (doc["scheme"], doc["convergence"]["difference_mask"], doc["local_matrix"]):
+                d.pop("support_min", None), d.pop("column_offset", None)
+            reports.append(doc)
+        assert reports[1] == reports[0]
+
 
 class TestRefineAndBasis:
     def test_basis_row_count(self, capsys):
@@ -198,6 +228,28 @@ class TestRefineAndBasis:
         code, out, err = run(capsys, "basis", "--scheme", "catalog:a", "--iters", "20")
         assert code == 1 and out == ""
         assert "refinement would exceed 1024 MB of memory" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_basis_of_a_far_shifted_mask(self, capsys, tmp_path, fmt):
+        # the basis function lies far right or left of [-4, 4]: every value
+        # is 0, and the bytes are the same for every shift, to stdout and
+        # to --out
+        outs = []
+        for shift in (100, 2 ** 63, 10 ** 400, -(2 ** 63) - 1):
+            path = tmp_path / "shifted.json"
+            path.write_text('{"name": "x", "support_min": %d, "coeffs": ["1/2", "1", "1/2"]}'
+                            % shift)
+            argv = ("basis", "--scheme", str(path), "--iters", "2", "--format", fmt)
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == ""
+            out_path = tmp_path / "curve.out"
+            assert run(capsys, *argv, "--out", str(out_path)) == (0, "", "")
+            assert out_path.read_text() == out
+            outs.append(out)
+        assert outs == [outs[0]] * 4
+        if fmt == "csv":
+            rows = [line.split(",") for line in outs[0].splitlines()[1:]]
+            assert len(rows) == 8 * 2 ** 2 + 1 and {v for _, v in rows} == {"0"}
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "curve.csv"
@@ -306,6 +358,19 @@ class TestSearch:
             code, out, err = run(capsys, "search", "--width", "6", "--grid", grid)
         assert code == 1 and out == ""
         assert err == "error: an eigenvalue leaves the float range\n"
+
+    def test_charpoly_coefficient_past_float_range_is_an_error(self, capsys):
+        code, out, err = run(capsys, "search", "--width", "8",
+                             "--grid", "1e300:2e300:1e300,0:1:1,0:1:1")
+        assert code == 1 and out == ""
+        assert err == "error: a characteristic polynomial coefficient leaves the float range\n"
+
+    @pytest.mark.parametrize("width", ["1", "9"])
+    @pytest.mark.parametrize("grid", [[], ["--grid", "0:1:1"]], ids=["default", "grid"])
+    def test_width_outside_2_to_8(self, capsys, width, grid):
+        code, out, err = run(capsys, "search", "--width", width, *grid)
+        assert code == 1 and out == ""
+        assert err == "error: width must be in 2..8\n"
 
     # the second grid has more points than len() can return
     @pytest.mark.parametrize("grid", ["0:1000000:1/1000000", "0:1e30:1e-30"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -261,6 +262,36 @@ def numerator_stacks(draw):
         b = [0 if k < lo or k >= n - 1 - hi else x for k, x in enumerate(b)]
         rows.append([x + y for x, y in zip(b + [0], [0] + b)])
     return rows, draw(st.integers(1, 2 * n * big))
+
+
+class TestFarShift:
+    """Only the parity of support_min enters the alternated run: a shift
+    past int64, or past any float, gives what the shift 0 or 1 of the same
+    parity gives, save for the shift itself."""
+
+    MASKS = [catalog_get(name).mask.coeffs for name in "abcd"] + [(F(1), F(1, 3), F(1, 2))]
+
+    @pytest.mark.parametrize("shift", [2 ** 63, 2 ** 63 + 1, 10 ** 400])
+    @pytest.mark.parametrize("coeffs", MASKS, ids=["a", "b", "c", "d", "no-factor"])
+    def test_same_as_the_near_shift(self, shift, coeffs):
+        near, far = Mask(shift % 2, coeffs), Mask(shift, coeffs)
+        assert necessary_conditions(far) == necessary_conditions(near)
+        a, b = certify(near, 6), certify(far, 6)
+        if a.difference_mask is None:
+            assert b == a
+        else:
+            assert b == dataclasses.replace(a, difference_mask=Mask(shift, a.difference_mask.coeffs))
+            assert difference_scheme(far) == b.difference_mask
+            assert difference_scheme(near) == a.difference_mask
+
+    @pytest.mark.parametrize("shift", [2 ** 63, 2 ** 63 + 1, 10 ** 400])
+    def test_contractive_runs(self, shift):
+        rows = [[3, 3, 1, 1], [1, 2, 1, 0], [3, 4, 1, 0]]
+        for den in (4, 5):
+            want = contractive_runs(shift % 2, rows, den).tolist()
+            assert contractive_runs(shift, rows, den).tolist() == want
+        with pytest.raises(NotFactorableError):
+            contractive_runs(shift, [[1, 1, 1, 0]], 4)
 
 
 class TestContractiveRuns:

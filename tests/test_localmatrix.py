@@ -14,9 +14,9 @@ from sympy.polys.matrices import DomainMatrix
 from conftest import fraction_entries
 from subdiv import localmatrix
 from subdiv.localmatrix import (_CERT_PRIME, _PRIMES, Spectrum, _block_charpolys,
-                                _central_charpolys, _centrosymmetric, _certified, _charpolys,
-                                _discriminants, _flip_stacks, _gcd_mod, _poly_mul,
-                                _roots_of_stack, _squarefree_split, build_local_matrix,
+                                _centrosymmetric, _certified, _charpolys, _discriminants,
+                                _flip_stacks, _gcd_mod, _poly_mul, _roots_of_stack,
+                                _row_products, _squarefree_split, build_local_matrix,
                                 local_entries, local_stack, complex_region_predicate,
                                 eigenvalues, matrix_from_coeffs, palindromic_classes,
                                 w5_closed_form, w6_closed_form, w6_discriminant)
@@ -37,6 +37,21 @@ def match_multiset(got, expected, tol):
 def w5_mask(a):
     a = F(a)
     return matrix_from_coeffs(-2, (a, F(1, 2), 1 - 2 * a, F(1, 2), a))
+
+
+def common_stack(Ms):
+    """(L, S) of local matrices of one order: L the lcm of their scales and
+    S the (N, n, n) stack of their integer-scaled matrices over it, the
+    arguments spectra takes."""
+    L = math.lcm(*(M.L for M in Ms))
+    return L, np.array([[[e * (L // M.L) for e in row] for row in M.B] for M in Ms], dtype=object)
+
+
+def central_charpolys(C):
+    """det(yI - C) of each matrix of an (N, m, m) stack of central blocks,
+    by spectra's choice: the J-block product when every block is
+    centrosymmetric, whole-order Faddeev-LeVerrier otherwise."""
+    return _row_products(*_block_charpolys(C)) if _centrosymmetric(C).all() else _charpolys(C)
 
 
 def w6_matrix(a, b):
@@ -252,10 +267,10 @@ class TestRootsStack:
         assert all(packed(g) == packed(reference_roots(r)) for g, r in zip(got, rows))
 
     def test_spectra_of_many_matrices_equal_single_calls(self):
-        Ms = [w6_matrix(F(a, 10), F(b, 10)) for a in range(-5, 6) for b in range(-5, 6)]
-        Ms += [w5_mask(F(a, 8)) for a in range(-8, 9)]
-        for M, sp in zip(Ms, localmatrix.spectra([(M.L, M.B) for M in Ms])):
-            assert sp == eigenvalues(M)
+        for Ms in ([w6_matrix(F(a, 10), F(b, 10)) for a in range(-5, 6) for b in range(-5, 6)],
+                   [w5_mask(F(a, 8)) for a in range(-8, 9)]):
+            for M, sp in zip(Ms, localmatrix.spectra(*common_stack(Ms))):
+                assert sp == eigenvalues(M)
 
 
 class TestClassify:
@@ -503,10 +518,10 @@ def table_rows(table, N):
 def charpoly_factors(Bs):
     """The monic square-free factors of det(yI - B), in ascending
     multiplicity, of each matrix of a stack of one order, by the route:
-    _central_charpolys, then _split_factors' table."""
+    central_charpolys, then _split_factors' table."""
     S = np.array(Bs, dtype=object)
     n = S.shape[1]
-    cs = _central_charpolys(S[:, 1:n - 1, 1:n - 1])
+    cs = central_charpolys(S[:, 1:n - 1, 1:n - 1])
     return table_rows(localmatrix._split_factors(cs, S), len(S))
 
 
@@ -587,7 +602,7 @@ class TestCharpolyFactors:
                           for row in fraction_entries(M)], (n, n), QQ)
         ref = sympy.Poly(A.charpoly(), x, domain="QQ")
         L, B = M.L, M.B
-        [c] = _central_charpolys(np.array(B, dtype=object)[None, 1:n - 1, 1:n - 1]).tolist()
+        [c] = central_charpolys(np.array(B, dtype=object)[None, 1:n - 1, 1:n - 1]).tolist()
         q = sympy.Poly([QQ(ck, L ** (n - 2 - k)) for k, ck in reversed(list(enumerate(c)))],
                        x, domain="QQ")
         first, last = (sympy.Poly([1, -QQ(e.numerator, e.denominator)], x, domain="QQ")
@@ -656,7 +671,7 @@ class TestLinearFactors:
 
         monkeypatch.setattr(localmatrix, "_roots_of_stack", recording)
         Ms = [w6_matrix(F(a, 10), F(b, 10)) for a in range(-5, 6) for b in range(-5, 6)]
-        for M, sp in zip(Ms, localmatrix.spectra([(M.L, M.B) for M in Ms])):
+        for M, sp in zip(Ms, localmatrix.spectra(*common_stack(Ms))):
             assert packed(sp.eigenvalues) == packed(stacked_spectrum(M).eigenvalues)
         assert seen and all(length > 2 for length in seen)
 
@@ -703,11 +718,10 @@ def one_order_stacks(draw):
 
 def route_values(Ms):
     """The eigenvalues of a stack of local matrices of one order by the
-    route, _eigenvalues' (N, n) array."""
-    S = np.array([M.B for M in Ms], dtype=object)
+    route, over their common L: _eigenvalues' (N, n) array."""
+    L, S = common_stack(Ms)
     n = S.shape[1]
-    cs = _central_charpolys(S[:, 1:n - 1, 1:n - 1])
-    return localmatrix._eigenvalues([M.L for M in Ms], cs, S)
+    return localmatrix._eigenvalues(L, central_charpolys(S[:, 1:n - 1, 1:n - 1]), S)
 
 
 class TestPlainRows:
@@ -827,6 +841,44 @@ class TestOneSolveLoop:
         assert packed(row) == packed(reference_values(M)) == packed([1.0, 0.5, 0.5, 0.0, 0.0, 0.0])
 
 
+class TestSpectraOfAStack:
+    """spectra(L, S) of one stack over one L: each matrix's Spectrum is, bit
+    for bit, that of eigenvalues on the matrix alone, whether every central
+    block of the stack is centrosymmetric (the J-block product) or not (the
+    whole order on every row)."""
+
+    PALINDROMIC = w6_matrix(F(-1, 10), F(3, 10))
+    ASYMMETRIC = matrix_from_coeffs(-2, [F(-1, 9), F(1, 3), F(5, 7), F(2, 3), F(1, 5), F(-1, 7)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_kind_stacks())
+    @example([PALINDROMIC, ASYMMETRIC, w6_matrix(F(0), F(1, 5)), w6_matrix(F(1, 10), F(1, 5))])
+    @example([matrix_from_coeffs(-1, [F(1, 3), F(1), F(2, 3)]),
+              matrix_from_coeffs(-1, [F(1, 2), F(1), F(1, 2)])])
+    def test_equals_per_matrix_eigenvalues(self, Ms):
+        for M, sp in zip(Ms, localmatrix.spectra(*common_stack(Ms))):
+            want = eigenvalues(M)
+            assert packed(sp.eigenvalues) == packed(want.eigenvalues)
+            assert sp == want
+
+    def test_central_route_follows_the_whole_stack(self, monkeypatch):
+        # the palindromic cell alone takes two J-blocks of order 2; with an
+        # asymmetric matrix in its stack every row takes order 4
+        seen = []
+
+        def counted(S):
+            seen.append(S.shape[1])
+            return charpolys(S)
+
+        charpolys = localmatrix._charpolys
+        monkeypatch.setattr(localmatrix, "_charpolys", counted)
+        for Ms, orders in (([self.PALINDROMIC], [2, 2]),
+                           ([self.PALINDROMIC, self.ASYMMETRIC], [4])):
+            seen.clear()
+            localmatrix.spectra(*common_stack(Ms))
+            assert seen == orders
+
+
 class TestModularCertificate:
     @pytest.mark.parametrize("roots, squarefree", [
         ((), True),
@@ -901,7 +953,7 @@ class TestSizeCap:
         rng = random.Random(24)
         half = [F(rng.randrange(-L + 1, L), L) for _ in range(12)]
         n, B = 24, matrix_from_coeffs(-11, half[::-1] + half).B
-        [c] = _central_charpolys(stack([row[1:n - 1] for row in B[1:n - 1]])).tolist()
+        [c] = central_charpolys(stack([row[1:n - 1] for row in B[1:n - 1]])).tolist()
         bound = 2 ** len(c) * (math.isqrt(sum(x * x for x in c)) + 1)
         assert bound.bit_length() <= 22 * 500 + 44 + 2 + 11 * math.log2(22) < top
 
@@ -938,7 +990,8 @@ class TestFlipSplit:
         [even], [odd] = _flip_stacks(stack(C))
         assert (len(even), len(odd)) == ((m + 1) // 2, m // 2)
         ref = sympy_charpoly(C)
-        assert _central_charpolys(stack(C))[0].tolist() == _charpolys(stack(C))[0].tolist() == ref
+        split = _row_products(*_block_charpolys(stack(C)))
+        assert split[0].tolist() == _charpolys(stack(C))[0].tolist() == ref
         # the J-symmetry check: the J-even and J-odd characteristic
         # polynomials, each from sympy, multiply to the whole one
         x = sympy.Symbol("x")
@@ -963,9 +1016,10 @@ class TestFlipSplit:
             seen.append(S.shape[1])
             return _charpolys(S)
 
-        monkeypatch.setattr(localmatrix, "_charpolys", counted)
         M = matrix_from_coeffs(support_min, run)
         assert route_factors(M) == sympy_factors(M)
+        monkeypatch.setattr(localmatrix, "_charpolys", counted)
+        eigenvalues(M)
         assert seen == orders
 
 
@@ -990,23 +1044,6 @@ def central_stacks(draw):
     return np.array(rows, dtype=object).reshape(len(rows), m, m)
 
 
-@st.composite
-def mixed_order_runs(draw):
-    """1-4 (support_min, run) pairs of widths 2 to MAX_ORDER, palindromic or
-    not, coefficients in [-2, 2]; over the denominator 2^64 + 13 the
-    integer-scaled entries pass 2^64."""
-    runs = []
-    for _ in range(draw(st.integers(1, 4))):
-        w = draw(st.integers(2, localmatrix.MAX_ORDER))
-        den = draw(st.sampled_from([1, 3, 10, 2 ** 64 + 13]))
-        run = draw(st.lists(st.integers(-2 * den, 2 * den).map(lambda x: F(x, den)),
-                            min_size=w, max_size=w))
-        if draw(st.booleans()):
-            run = run[:(w + 1) // 2] + run[:w // 2][::-1]
-        runs.append((draw(st.integers(-w, 1)), run))
-    return runs
-
-
 class TestStackedCharpoly:
     """The stacked Faddeev-LeVerrier on Python ints, against sympy."""
 
@@ -1016,48 +1053,26 @@ class TestStackedCharpoly:
                    [[2 ** 64 + i + 2 * j for j in range(4)] for i in range(4)]))
     @example(stack([[2 ** 64, 2 ** 64 + 1, 1], [7, 2 ** 65, 7], [1, 2 ** 64 + 1, 2 ** 64]]))
     def test_central_charpolys_match_sympy(self, S):
-        got = _central_charpolys(S).tolist()
-        assert got == _charpolys(S).tolist()
+        # the whole order on every row, the J-block product on the
+        # centrosymmetric ones
+        got = _charpolys(S).tolist()
         assert got == [sympy_charpoly(C.tolist()) if len(C) else [1] for C in S]
+        sym = _centrosymmetric(S)
+        if sym.any():
+            split = _row_products(*_block_charpolys(S[sym])).tolist()
+            assert split == [got[i] for i in np.flatnonzero(sym).tolist()]
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_central_orders_zero_and_one(self, m):
         S = np.full((3, m, m), 5, dtype=object)
-        assert _central_charpolys(S).tolist() == [[-5, 1] if m else [1]] * 3
+        want = [[-5, 1] if m else [1]] * 3
+        assert _charpolys(S).tolist() == _row_products(*_block_charpolys(S)).tolist() == want
 
     def test_a_trace_not_divisible_is_an_eigensolve_error(self):
         # a rational entry leaves tr(B M_1) = 1/2 not divisible by 1: the
         # check raises, and is no assert that python -O removes
         with pytest.raises(localmatrix.EigensolveError, match="not divisible by 1"):
             _charpolys(stack([[F(1, 2)]]))
-
-    @settings(max_examples=20, deadline=None)
-    @given(mixed_order_runs())
-    @example([(0, [F(2 ** 64 + 1, 2 ** 65)] * 24), (-1, [F(1), F(-2 ** 64, 2 ** 64 + 13)]),
-              (0, [F(0), F(2 ** 65, 2 ** 64 + 13), F(0)]),
-              (-2, [F(1, 4), F(2 ** 64, 2 ** 64 + 13), F(1, 4)] * 2)])
-    def test_mixed_orders_in_one_call(self, runs):
-        # spectra groups by order: one factor stack per order, every matrix
-        # in one of them, its factors multiplying to sympy's charpoly
-        stacks = []
-
-        def recorded(cs, S):
-            out = factor_stack(cs, S)
-            stacks.append((S, table_rows(out, len(S))))
-            return out
-
-        factor_stack = localmatrix._split_factors
-        Ms = [matrix_from_coeffs(*r) for r in runs]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(localmatrix, "_split_factors", recorded)
-            got = localmatrix.spectra([(M.L, M.B) for M in Ms])
-        orders = [S.shape[1] for S, _ in stacks]
-        assert sorted(orders) == sorted(set(M.n for M in Ms))
-        assert sum(len(S) for S, _ in stacks) == len(Ms)
-        for S, out in stacks:
-            for B, factors in zip(S.tolist(), out):
-                assert times(*(f for f, m in factors for _ in range(m))) == sympy_charpoly(B)
-        assert got == [eigenvalues(M) for M in Ms]
 
 
 def derivative(c):
@@ -1186,18 +1201,16 @@ class TestScaleInvariance:
     @pytest.mark.parametrize("k", [2, 3, 7, 10 ** 9 + 7])
     def test_width6_cells(self, params, k):
         M = w6_matrix(*params)
-        L, B = M.L, M.B
-        base, scaled = localmatrix.spectra(
-            [(L, B), (k * L, [[k * e for e in row] for row in B])])
+        L, S = M.L, stack(M.B)
+        [base], [scaled] = localmatrix.spectra(L, S), localmatrix.spectra(k * L, k * S)
         assert packed(scaled.eigenvalues) == packed(base.eigenvalues)
         assert scaled == base
 
     @given(drawn_runs(), st.integers(2, 10 ** 6))
     def test_drawn_masks(self, drawn, k):
         M = matrix_from_coeffs(*drawn)
-        L, B = M.L, M.B
-        base, scaled = localmatrix.spectra(
-            [(L, B), (k * L, [[k * e for e in row] for row in B])])
+        L, S = M.L, stack(M.B)
+        [base], [scaled] = localmatrix.spectra(L, S), localmatrix.spectra(k * L, k * S)
         assert packed(scaled.eigenvalues) == packed(base.eigenvalues)
 
 

@@ -11,9 +11,18 @@ from conftest import Z, laurent_terms, sympy_symbol
 from subdiv import refine
 from subdiv.masks import Mask, catalog_get
 from subdiv.refine import (ControlPolygon, CurveRows, MeshType, RefinementLimitError,
-                           basis_experiment, basis_points_exact, basis_polygon,
-                           basis_rows, curve_csv, curve_svg, delta, parameterize,
-                           refine_k)
+                           basis_points_exact, basis_polygon, basis_rows, curve_csv,
+                           curve_svg, delta, refine_k)
+
+
+def stored_rows(P):
+    """The CurveRows of P's stored window, as refine exports it."""
+    return CurveRows(P, P.first_index, P.last_index)
+
+
+def points(rows):
+    """Every (t, value) row of a CurveRows, in order, chunk after chunk."""
+    return tuple((t, v) for ts, vs in rows for t, v in zip(ts, vs))
 
 
 def rand_polygon(rng, mesh=MeshType.PRIMAL):
@@ -150,7 +159,7 @@ class TestIntegerStep:
         n = 2 ** P.level
         offset = F(0) if P.mesh is MeshType.PRIMAL else F(1, 2)
         want = tuple((float((i + offset) / n), float(v)) for i, v in P.items())
-        assert parameterize(P).points == want
+        assert points(stored_rows(P)) == want
 
     def test_constructor_takes_rationals(self):
         P = ControlPolygon(2, -3, (0, F(1, 6), 0.5, F(-4, 3), 0, 0))
@@ -334,17 +343,16 @@ class TestRefineK:
 
 class TestParameterize:
     def test_level0_delta(self):
-        curve = parameterize(delta())
-        assert curve.points == ((0.0, 1.0),)
+        assert points(stored_rows(delta())) == ((0.0, 1.0),)
 
     def test_level1_primal(self):
         P = ControlPolygon(1, -1, (F(1), F(2), F(1)))
-        ts = [t for t, _ in parameterize(P).points]
+        ts = [t for t, _ in points(stored_rows(P))]
         assert ts == [-0.5, 0.0, 0.5]
 
     def test_level1_dual_offsets_by_half_step(self):
         P = ControlPolygon(1, 0, (F(1), F(2)), MeshType.DUAL)
-        ts = [t for t, _ in parameterize(P).points]
+        ts = [t for t, _ in points(stored_rows(P))]
         assert ts == [0.25, 0.75]
 
 
@@ -358,19 +366,18 @@ class TestBasisExperiment:
         assert abs(float(pts[F(0)]) - 2.0 / 3.0) < 1e-3
 
     def test_zero_iters_gives_nine_points(self):
-        curve = basis_experiment(catalog_get("a").mask, 0)
-        assert len(curve.points) == 9
-        assert [t for t, _ in curve.points] == [float(i) for i in range(-4, 5)]
+        curve = points(basis_rows(catalog_get("a").mask, 0))
+        assert len(curve) == 9
+        assert [t for t, _ in curve] == [float(i) for i in range(-4, 5)]
 
     @pytest.mark.parametrize("name", "abcd")
     def test_floats_match_exact_points(self, name):
         mask = catalog_get(name).mask
         exact = basis_points_exact(mask, 5)
-        assert basis_experiment(mask, 5).points == tuple((float(t), float(v)) for t, v in exact)
+        assert points(basis_rows(mask, 5)) == tuple((float(t), float(v)) for t, v in exact)
 
     def test_grid_size(self):
-        curve = basis_experiment(catalog_get("c").mask, 4)
-        assert len(curve.points) == 8 * 2 ** 4 + 1
+        assert len(points(basis_rows(catalog_get("c").mask, 4))) == 8 * 2 ** 4 + 1
 
     def test_compact_support_outside_is_zero(self):
         mask = catalog_get("d").mask
@@ -449,7 +456,7 @@ class TestColumnExport:
     @settings(max_examples=60)
     @given(wide_masks(), st.integers(0, 4))
     def test_basis_matches_per_index_formula(self, mask, k):
-        assert basis_experiment(mask, k).points == basis_per_index(mask, k)
+        assert points(basis_rows(mask, k)) == basis_per_index(mask, k)
 
     @pytest.mark.parametrize("mask, k, misses", [
         (Mask(20, (F(1),) * 12), 3, True),                  # support right of [-4, 4]
@@ -457,10 +464,10 @@ class TestColumnExport:
         (Mask(-12, (F(1, 3), F(-1, 7)) * 12), 3, False),    # spills past both ends
     ])
     def test_basis_window_clipped(self, mask, k, misses):
-        curve = basis_experiment(mask, k)
-        assert curve.points == basis_per_index(mask, k)
-        assert len(curve.t) == len(curve.value) == 8 * 2 ** k + 1
-        assert (set(curve.value) == {0.0}) == misses
+        curve = points(basis_rows(mask, k))
+        assert curve == basis_per_index(mask, k)
+        assert len(curve) == 8 * 2 ** k + 1
+        assert (set(v for _, v in curve) == {0.0}) == misses
 
     def curves(self):
         yield CurveRows(delta(), 0, 0)                                     # one point
@@ -494,10 +501,11 @@ class TestColumnExport:
         for level in (0, 5):
             n = 2 ** level
             P = ControlPolygon(level, 2 ** 60 + 1, (F(1, 7), F(-3), F(5, 9)))
-            assert parameterize(P).t == tuple(i / n for i in range(P.first_index, P.last_index + 1))
+            ts = tuple(t for t, _ in points(stored_rows(P)))
+            assert ts == tuple(i / n for i in range(P.first_index, P.last_index + 1))
             P = ControlPolygon(level, -(2 ** 54) - 3, (F(2), F(1), F(1, 3)), MeshType.DUAL)
-            assert parameterize(P).t == tuple((2 * i + 1) / (2 * n)
-                                              for i in range(P.first_index, P.last_index + 1))
+            ts = tuple(t for t, _ in points(stored_rows(P)))
+            assert ts == tuple((2 * i + 1) / (2 * n) for i in range(P.first_index, P.last_index + 1))
 
 
 @st.composite
@@ -551,6 +559,15 @@ class TestStreamedExport:
         assert "".join(curve_csv(rows)) == csv_per_line(points)
         assert "".join(curve_svg(rows)) == svg_per_point(points)
 
+    @pytest.mark.parametrize("first", [2 ** 63, 10 ** 400, -(2 ** 63) - 1])
+    def test_window_far_outside_the_rows(self, first):
+        # zero rows past sys.maxsize of them before the window: only those
+        # in lo..hi are read
+        rows = CurveRows(ControlPolygon(2, first, (F(1, 3), F(2))), -4, 4)
+        assert points(rows) == tuple((i / 4, 0.0) for i in range(-4, 5))
+        assert "".join(curve_csv(rows)) == csv_per_line(points(rows))
+        assert "".join(curve_svg(rows)) == svg_per_point(points(rows))
+
     def test_value_range_checked_when_rows_are_made(self):
         # only the rows in lo..hi count: a stored value past the float range
         # outside them is no error
@@ -560,7 +577,7 @@ class TestStreamedExport:
             with pytest.raises(OverflowError, match="a curve value leaves the float range"):
                 CurveRows(P, lo, hi)
         with pytest.raises(OverflowError, match="a curve value leaves the float range"):
-            parameterize(ControlPolygon(0, 0, (F(-(10 ** 400)), F(1))))
+            stored_rows(ControlPolygon(0, 0, (F(-(10 ** 400)), F(1))))
 
     # 2^1024 - 2^970 is the least integer that rounds past the largest double
     @pytest.mark.parametrize("first, mesh", [(2 ** 1024 - 2 ** 970 - 1, MeshType.PRIMAL),
@@ -571,4 +588,4 @@ class TestStreamedExport:
         # the t of only the last row, only the first row, or both leave the range
         P = ControlPolygon(0, first, (F(1), F(2)), mesh)
         with pytest.raises(OverflowError, match="a curve value leaves the float range"):
-            parameterize(P)
+            stored_rows(P)

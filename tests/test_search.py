@@ -26,6 +26,11 @@ class TestParameterization:
     def test_free_param_counts(self):
         assert [free_param_count(w) for w in range(2, 9)] == [0, 0, 1, 1, 2, 2, 3]
 
+    @pytest.mark.parametrize("width", [-3, 0, 1, 9, 100])
+    def test_default_grid_refuses_a_width_outside_2_to_8(self, width):
+        with pytest.raises(ValueError, match=r"width must be in 2\.\.8"):
+            default_grid(width)
+
     def test_width5_family(self):
         a = F(1, 8)
         support_min, run = palindromic_coeffs(5, (a,))
