@@ -139,9 +139,10 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
     r = Bq.sum(axis=1) - L
     shift, common = fn * den, fd * den
     T = np.array([fd * x - shift for x in nums], dtype=object)
+    drift = any(r)
     while True:
         yield T.tolist(), common
-        T = Bq @ T + shift * r if any(r) else Bq @ T
+        T = Bq @ T + shift * r if drift else Bq @ T
         shift *= L
         common *= L
 

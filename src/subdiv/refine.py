@@ -99,22 +99,16 @@ def _biased(m: int, s: int) -> int:
 
 
 def _slot_bytes(P: ControlPolygon, taps: list[int], k: int) -> int:
-    """Bytes s per slot for k packed steps of P: a multiple of 8 with
+    """Bytes s per slot for k steps of P: a multiple of 8 with
     max|P| * (max over the phases of sum |taps|)^k < 2^(8s-1), a bound on
-    every value of every level."""
+    every value and partial sum of every level.  8 selects the int64 route."""
     bound = max(map(abs, P.nums)) * max(sum(map(abs, taps[0::2])), sum(map(abs, taps[1::2]))) ** k
     return (bound.bit_length() // 64 + 1) * 8
 
 
 def _times(X: int, taps: list[int], w: int) -> int:
     """X * sum taps[i] 2^(w i)."""
-    # Measured on a 2-core x86-64 host, CPython 3.11.  One-limb slots take
-    # one dense product: every step of the perfbench deep-refine pool has
-    # 8-byte slots, and the shift-add loop alone raised its wall_s by 2.4%
-    # (medians of 20 alternating pairs, seeds 1-20; slower in 16 of 20).
-    if w == 64:
-        return X * sum(a << (w * i) for i, a in enumerate(taps))
-    # wider slots are mostly zero padding around small taps, which the dense
+    # the slots are mostly zero padding around small taps, which a dense
     # product would multiply out: a shift and an add per tap instead (the
     # 1776 16-byte products of the user-masks basis pool: 0.038 s, against
     # 0.049 s dense)
@@ -128,19 +122,23 @@ def _times(X: int, taps: list[int], w: int) -> int:
 
 def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
     """k exact refinement steps, out_{2l+j} += a_j P_l at each level, on
-    integer numerators packed into one int (Kronecker substitution).
+    integer numerators.
 
-    A sequence x is the int X = sum x_i 2^(8s i), s bytes a slot.  With the
-    mask scaled by L to integer taps, one level is two products, X times the
-    packed even taps and X times the packed odd taps: their slots are the
-    even and the odd outputs.  The slot width is fixed up front from
-    max|P| * (max over the phases of sum |taps|)^k, which bounds every value
-    at every level, and each product gets 2^(8s-1) added in every slot, so
-    no slot is negative and nothing carries between slots; the two byte
-    strings are then interleaved slot by slot.  The step is linear with
-    integer taps, so one gcd after the last level gives the same canonical
-    polygon as a gcd after each level.  Each product and byte string is
-    dropped as soon as the next one no longer needs it (see _check_limits)."""
+    With the mask scaled by L to integer taps, the bound
+    max|P| * (max over the phases of sum |taps|)^k holds every value and
+    every partial sum at every level.  Below 2^63 (8-byte slots) the k
+    levels run on an int64 array: the even outputs are np.convolve of the
+    level by the even taps, the odd ones by the odd taps.  Otherwise the
+    numerators are packed into one int (Kronecker substitution): a sequence
+    x is X = sum x_i 2^(8s i), s bytes a slot, sized from the same bound,
+    and a level is two products, X times the packed even taps and X times
+    the packed odd taps, whose slots are the even and the odd outputs.
+    Each product gets 2^(8s-1) added in every slot, so no slot is negative
+    and nothing carries between slots; the two byte strings are then
+    interleaved slot by slot.  The step is linear with integer taps, so one
+    gcd after the last level gives the same canonical polygon as a gcd
+    after each level.  Each product and byte string is dropped as soon as
+    the next one no longer needs it (see _check_limits)."""
     if k == 0:
         return P
     if mask.is_zero() or P.nums == (0,):
@@ -148,27 +146,35 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
     L, taps = integer_run(mask.coeffs)
     phases = taps[0::2], taps[1::2]
     s = _slot_bytes(P, taps, k)
-    half, n = 1 << (8 * s - 1), len(P.nums)
-    X = int.from_bytes(b"".join([(v + half).to_bytes(s, "little") for v in P.nums]),
-                       "little") - _biased(n, s)
-    for level in range(k):
-        m = n + (mask.width + 1) // 2 - 1  # slots of the even product, >= the odd one's
-        Y = [(_times(X, ph, 8 * s) + _biased(m, s)).to_bytes(m * s, "little") for ph in phases]
-        del X
-        buf = np.empty((m, 2, s), np.uint8)
-        for j, y in enumerate(Y):
-            buf[:, j, :] = np.frombuffer(y, np.uint8).reshape(m, s)
-        del Y, y
-        n = 2 * (n - 1) + mask.width
-        if level < k - 1:
-            X = int.from_bytes(buf, "little") - _biased(2 * m, s)
-            del buf
-    # flip each slot's top bit: the biased slots become two's complement
-    slots = buf.reshape(2 * m, s)[:n]
-    slots[:, -1] ^= 0x80
-    if s == 8:  # a third of the time of from_bytes per slot on deep-refine's steps
-        nums = slots.view("<i8").ravel().tolist()
-    else:  # one from_bytes per slot is linear in its width; joining limbs is not
+    if s == 8:
+        x = np.array(P.nums, np.int64)
+        for _ in range(k):
+            y = np.zeros(2 * len(x) - 2 + mask.width, np.int64)
+            for j, ph in enumerate(phases):
+                if ph:  # a width-1 mask has no odd taps
+                    y[j::2] = np.convolve(x, np.array(ph, np.int64))
+            x = y
+        nums = x.tolist()
+    else:
+        half, n = 1 << (8 * s - 1), len(P.nums)
+        X = int.from_bytes(b"".join([(v + half).to_bytes(s, "little") for v in P.nums]),
+                           "little") - _biased(n, s)
+        for level in range(k):
+            m = n + (mask.width + 1) // 2 - 1  # slots of the even product, >= the odd one's
+            Y = [(_times(X, ph, 8 * s) + _biased(m, s)).to_bytes(m * s, "little") for ph in phases]
+            del X
+            buf = np.empty((m, 2, s), np.uint8)
+            for j, y in enumerate(Y):
+                buf[:, j, :] = np.frombuffer(y, np.uint8).reshape(m, s)
+            del Y, y
+            n = 2 * (n - 1) + mask.width
+            if level < k - 1:
+                X = int.from_bytes(buf, "little") - _biased(2 * m, s)
+                del buf
+        # flip each slot's top bit: the biased slots become two's complement;
+        # one from_bytes per slot is linear in its width, joining limbs is not
+        slots = buf.reshape(2 * m, s)[:n]
+        slots[:, -1] ^= 0x80
         data = slots.tobytes()
         del buf, slots
         nums = [int.from_bytes(data[i:i + s], "little", signed=True) for i in range(0, n * s, s)]
@@ -178,8 +184,9 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
 
 
 # Caps decided before the first step.  The memory estimate uses peak costs
-# measured with CPython 3.11: the packed step's last level holds a numerator
-# at most about three times over, as packed bytes (its input, the two
+# measured with CPython 3.11: the last level holds a numerator at most about
+# three times over, as int64 arrays (the level, its two convolutions and the
+# next level, 8 bytes a value), as packed bytes (the packed input, the two
 # products and their byte strings, the interleaved buffer) or as ints (the
 # unpacked list and its reduced copy).  Every slot is as wide as the bound
 # on the largest value, so a numerator counts the larger of its estimated
@@ -190,7 +197,10 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
 # row of a CurveRows is bounded too.  tracemalloc peaks of
 # refine_k against the estimate without samples: catalog:a, 3-point
 # polygons of 1-, 300- and 1500-digit numerators at k = 16 / 14 / 12,
-# 29 / 39 / 46 MB under 74 / 58 / 55 MB; the mask (2^200, 1) from one point
+# 29 / 39 / 46 MB under 74 / 58 / 55 MB (the first runs the int64 arrays,
+# where the list of ints sets the peak, as it does packed: 31.5 MB from
+# three one-digit fractions, and 2.0 MB under 3.9 MB for the catalog:a
+# step at k = 12 of the tests); the mask (2^200, 1) from one point
 # at k = 16, 67 MB under 84 MB (its numerators alone, at bitlen(L) bits a
 # level, would count 8 MB).  Basis plus whole CSV text at depth 14-18
 # peaked at a third of its estimate.
@@ -275,10 +285,14 @@ class CurveRows:
             raise OverflowError("a curve value leaves the float range") from None
 
     def _t(self, a: int, b: int) -> list[float]:
-        """t of the rows a..b-1."""
+        """t of the rows a..b-1, each u / (s 2^k) correctly rounded: an int64
+        u casts to the nearest double, and a power of two up to 2^1022 scales
+        it exactly (|u| >= 1 keeps t normal); other u take one truediv each."""
         s = 1 if self.P.mesh is MeshType.PRIMAL else 2  # t = (s i + s - 1) / (s 2^k)
-        u = range(s * a + s - 1, s * b + s - 1, s)
-        return list(map(truediv, u, repeat(s << self.P.level)))
+        u0, u1, den = s * a + s - 1, s * b + s - 1, s << self.P.level
+        if -2 ** 63 <= u0 and u1 - s < 2 ** 63 and den <= 2 ** 1022:
+            return (np.arange(u0, u1, s, dtype=np.int64) * (1.0 / den)).tolist()
+        return list(map(truediv, range(u0, u1, s), repeat(den)))
 
     def __iter__(self) -> Iterator[tuple[list[float], list[float]]]:
         values = chain(repeat(0.0, self.pad), map(truediv, self.window, repeat(self.P.den)),

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import Z, laurent_terms, sympy_symbol
 from subdiv import refine
-from subdiv.masks import Mask, catalog_get
+from subdiv.masks import Mask, catalog_get, integer_run
 from subdiv.refine import (ControlPolygon, CurveRows, MeshType, RefinementLimitError,
                            basis_points_exact, basis_polygon, basis_rows, curve_csv,
                            curve_svg, delta, refine_k)
@@ -181,16 +181,33 @@ class TestPackedRefinement:
         assert refine_k(P, mask, k) == Q
         assert_canonical(Q)
 
-    @pytest.mark.parametrize("scale", [1, 2 ** 63, -(2 ** 63), 2 ** 200 + 1])
-    def test_slot_edges(self, scale):
+    @pytest.mark.parametrize("scale", [1, 2 ** 63 - 1, -(2 ** 63 - 1), 2 ** 63, -(2 ** 63),
+                                       2 ** 200 + 1])
+    def test_slot_edges(self, scale, monkeypatch):
         # values at a slot boundary, one tap per phase (width 2, odd start),
-        # a width-1 mask and a mask with zero interior taps
+        # a width-1 mask and a mask with zero interior taps; 8-byte slots
+        # run the int64 route, which never packs, and wider slots the packed one
+        packed, times = [], refine._times
+
+        def spy(X, taps, w):
+            packed.append(w)
+            return times(X, taps, w)
+        monkeypatch.setattr(refine, "_times", spy)
         for mask in (Mask(-1, (F(1), F(1))), Mask(0, (F(-3, 2),)),
                      Mask(-3, (F(1, 4), F(0), F(0), F(-1), F(0), F(3, 4)))):
             P = ControlPolygon(0, 1, (scale, -scale, 0, scale - 1))
+            taps = integer_run(mask.coeffs)[1]
             Q = P
             for k in range(7):
+                packed.clear()
                 assert refine_k(P, mask, k) == Q
+                s = refine._slot_bytes(P, taps, k)
+                assert bool(packed) == (k > 0 and s > 8)
+                if mask.width == 2:
+                    # phase sums 1: 2^63 - 1 runs the int64 route at its
+                    # limit, and a value of 2^63 or -2^63 (scale - 1 at
+                    # -(2^63 - 1)) takes the packed one
+                    assert (s == 8) == (scale in (1, 2 ** 63 - 1))
                 first, values = reference_refine_once(Q, mask)
                 Q = ControlPolygon(k + 1, first, values)
 
@@ -488,6 +505,9 @@ class TestColumnExport:
         for first in (2 ** 63 - 2, -(2 ** 63) - 1):                       # past int64
             P = ControlPolygon(3, first, (F(1, 7), F(-3), F(5, 9)))
             yield CurveRows(P, P.first_index, P.last_index)
+        for first in (2 ** 62 - 3, 2 ** 62 - 1):       # dual u up to 2^63 - 1, across 2^63
+            P = ControlPolygon(3, first, (F(1, 7), F(-3), F(5, 9)), MeshType.DUAL)
+            yield CurveRows(P, first - 1500, P.last_index)
         yield basis_rows(catalog_get("a").mask, 6)
 
     def test_csv_and_svg_match_per_line_formatters(self):
@@ -497,8 +517,9 @@ class TestColumnExport:
             assert "".join(curve_svg(rows)) == svg_per_point(points)
 
     def test_huge_first_index_parameters(self):
-        # integer true division, correctly rounded, as the per-point loop did
-        for level in (0, 5):
+        # integer true division, correctly rounded, as the per-point loop did,
+        # also where t is subnormal
+        for level in (0, 5, 1100):
             n = 2 ** level
             P = ControlPolygon(level, 2 ** 60 + 1, (F(1, 7), F(-3), F(5, 9)))
             ts = tuple(t for t, _ in points(stored_rows(P)))
@@ -506,6 +527,14 @@ class TestColumnExport:
             P = ControlPolygon(level, -(2 ** 54) - 3, (F(2), F(1), F(1, 3)), MeshType.DUAL)
             ts = tuple(t for t, _ in points(stored_rows(P)))
             assert ts == tuple((2 * i + 1) / (2 * n) for i in range(P.first_index, P.last_index + 1))
+            # dual u = 2i + 1 past 2^53, in one chunk: up to 2^63 - 1, all in
+            # int64 and rounded by the cast, or across 2^63, one truediv each
+            for first in (2 ** 62 - 3, 2 ** 62 - 1):
+                P = ControlPolygon(level, first, (F(1, 7), F(-3), F(5, 9)), MeshType.DUAL)
+                rows = CurveRows(P, first - 1500, P.last_index)
+                ts = [t for ts, _ in rows for t in ts]
+                assert len(list(rows)) == 1
+                assert ts == [(2 * i + 1) / (2 * n) for i in range(rows.lo, rows.hi + 1)]
 
 
 @st.composite
