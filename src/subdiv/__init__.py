@@ -8,12 +8,11 @@ from .masks import (Mask, SchemeRecord, SchemeFormatError, SymmetryClass,
 # compiling it after numpy is loaded raised the peak RSS of a process by
 # about 0.8 MB
 from .localmatrix import (EigensolveError, LocalMatrix, Spectrum,
-                          build_local_matrix, complex_region_predicate,
-                          eigenvalues, matrix_from_coeffs, w5_closed_form,
-                          w6_closed_form, w6_discriminant)
+                          build_local_matrix, eigenvalues, matrix_from_coeffs,
+                          w5_closed_form, w6_closed_form, w6_discriminant)
 from .convergence import (ConvergenceReport, NotFactorableError, Verdict,
-                          certify, contractivity_norm, difference_scheme,
-                          is_contractive, necessary_conditions, smooth_lift)
+                          certify, difference_scheme, necessary_conditions,
+                          smooth_lift)
 from .refine import (ControlPolygon, MeshType, RefinementLimitError,
                      basis_points_exact, basis_polygon, delta, refine_k)
 from .dynamics import (EigenMode, TrajectoryReport, decompose_modes,

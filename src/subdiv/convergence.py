@@ -14,21 +14,21 @@ other columns are the quotient's alternated run, same start exponent.
 with no sign restored.  necessary_conditions reads s(-1) off one division,
 difference_scheme its quotient; contractive_runs divides a stack of runs
 and takes their norms (the family scan calls it once per block of cells,
-and is_contractive is its one-row case).  The ladder, certify, scales the
-run once to integer numerators over L (masks.integer_run) and makes one
-chain of divisions, d_j = L s_a / (1+z)^j, while each is exact; the first
+and one run is its one-row stack).  The ladder, certify, scales the run
+once to integer numerators over L (masks.integer_run) and makes one chain
+of divisions, d_j = L s_a / (1+z)^j, while each is exact; the first
 gives s(-1) and the difference mask, and rung m's quotient by
 ((1+z)/2)^m has difference scheme 2^m d_{m+1} / L, so one _parity_norm call
-on the stacked chain gives the difference mask's norm and every rung's
-verdict.  The norm test is sufficient only, so a failed test yields
-"inconclusive", never "divergent".
+on the stacked chain gives the difference mask's norm (certify(mask,
+0).norm) and every rung's verdict.  The norm test is sufficient only, so
+a failed test yields "inconclusive", never "divergent".
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -109,11 +109,6 @@ def difference_scheme(mask: Mask) -> Mask:
     return Mask(mask.support_min, tuple(_alternate(mask.support_min, q[:-1])))
 
 
-def contractivity_norm(b: Mask) -> Fraction:
-    """max of the even- and odd-index absolute coefficient sums."""
-    return Fraction(_parity_norm(b.coeffs))
-
-
 def contractive_runs(support_min: int, runs, den: int = 1) -> np.ndarray:
     """For each row of an (N, n) stack of runs a_{support_min}, ... (an
     array or nested sequences of ints or Fractions), whether its difference
@@ -128,14 +123,6 @@ def contractive_runs(support_min: int, runs, den: int = 1) -> np.ndarray:
     if (q[:, -1] != 0).any():
         raise NotFactorableError("s(-1) != 0, no (1+z) factor")
     return _parity_norm(q) < den
-
-
-def is_contractive(support_min: int, coeffs: Sequence[Fraction], den: int = 1) -> bool:
-    """contractive_runs of the one run a_{support_min}, ...: True iff its
-    difference scheme has contractivity norm < 1 (< den for numerators
-    over den).  The run must satisfy s(-1) = 0 (NotFactorableError
-    otherwise)."""
-    return bool(contractive_runs(support_min, [coeffs], den)[0])
 
 
 def smooth_lift(mask: Mask) -> Mask:

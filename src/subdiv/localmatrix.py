@@ -159,20 +159,14 @@ def local_stack(runs) -> np.ndarray:
     return padded[:, 2 * j - i + n - 1]
 
 
-def local_entries(nums: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Entries of the local matrix of one nominal run of integer numerators:
-    local_stack of the one run."""
-    return tuple(map(tuple, local_stack([nums])[0].tolist()))
-
-
 def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMatrix:
     """Local matrix for a nominal run of rationals (ints or Fractions); zero
     end coefficients are allowed (degenerate cells of a parameter family
     keep their nominal size).  Every coefficient is an entry, so L is the
-    lcm of the run's denominators.  The order is the run length, at most
-    MAX_ORDER."""
+    lcm of the run's denominators, and B is local_stack of the one run of
+    numerators.  The order is the run length, at most MAX_ORDER."""
     L, nums = integer_run(coeffs)
-    return LocalMatrix(L, local_entries(nums), -support_min + 1)
+    return LocalMatrix(L, tuple(map(tuple, local_stack([nums])[0].tolist())), -support_min + 1)
 
 
 def build_local_matrix(mask: Mask) -> LocalMatrix:
@@ -624,8 +618,8 @@ def palindromic_classes(L: int, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     block charpolys): the same factors, stacked eigvals and polish.  Their
     max |Im| is one row-wise max over the array of their eigenvalues, the
     bits spectra gives; a real matrix has max |Im| 0.0.  At width 6 the
-    J-odd discriminant is L^2 D(a, b), w6_discriminant(a, b, L) in
-    numerators."""
+    J-odd discriminant is L^2 D(a/L, b/L), a and b the outer numerators
+    and D w6_discriminant."""
     n = S.shape[1]
     if n > 8:
         raise ValueError("palindromic_classes needs order <= 8, got %d" % n)
@@ -659,13 +653,12 @@ def w5_closed_form(a) -> Spectrum:
     return Spectrum.from_values([1.0, 0.5, float(Fraction(1, 2) - 2 * a), float(a), float(a)])
 
 
-def w6_discriminant(a, b, den: int = 1) -> Fraction:
+def w6_discriminant(a, b) -> Fraction:
     """Exact discriminant D under the complex-pair square root for the
-    width-6 family (outer a, next b, inner 1-a-b).  Given a and b as integer
-    numerators over den > 1 it is den^2 D(a/den, b/den), an integer."""
-    if den == 1:
-        a, b = Fraction(a), Fraction(b)
-    return den * den + 2 * a * den - 7 * a * a - 6 * b * den + 2 * a * b + 9 * b * b
+    width-6 family (outer a, next b, inner 1-a-b): the family has a complex
+    conjugate pair exactly when D(a, b) < 0."""
+    a, b = Fraction(a), Fraction(b)
+    return 1 + 2 * a - 7 * a * a - 6 * b + 2 * a * b + 9 * b * b
 
 
 def w6_closed_form(a, b) -> Spectrum:
@@ -679,9 +672,3 @@ def w6_closed_form(a, b) -> Spectrum:
         root = complex(math.sqrt(float(D)), 0.0)
     mu5, mu6 = (base + root) / 2, (base - root) / 2
     return Spectrum.from_values([1.0, float(a), float(a), float(b - a), mu5, mu6])
-
-
-def complex_region_predicate(a, b) -> bool:
-    """True iff the width-6 family at (a, b) has a complex conjugate pair,
-    decided exactly as D < 0."""
-    return w6_discriminant(a, b) < 0

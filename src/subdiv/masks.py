@@ -85,17 +85,13 @@ def classify_symmetry(mask: Mask) -> SymmetryClass:
     return SymmetryClass.PRIMAL if mask.width % 2 == 1 else SymmetryClass.DUAL
 
 
-def canonical_support_min(mask: Mask) -> int:
-    """Centered support start for palindromic masks: -m for width 2m+1, 1-m for width 2m."""
-    w = mask.width
-    return -((w - 1) // 2) if w % 2 == 1 else -(w // 2) + 1
-
-
 def recenter(mask: Mask) -> Mask:
-    """Translate a palindromic mask to the centered support; others unchanged."""
+    """Translate a palindromic mask to the centered support, which starts at
+    -floor((w - 1) / 2) for width w: -m for width 2m+1, 1-m for width 2m.
+    Others are unchanged."""
     if classify_symmetry(mask) is SymmetryClass.ASYMMETRIC:
         return mask
-    return Mask(canonical_support_min(mask), mask.coeffs)
+    return Mask(-((mask.width - 1) // 2), mask.coeffs)
 
 
 @dataclass(frozen=True)

@@ -88,9 +88,9 @@ class ControlPolygon:
         return Fraction(sum(self.nums), self.den)
 
 
-def delta(mesh: MeshType = MeshType.PRIMAL) -> ControlPolygon:
-    """The cardinal test sequence: a single 1 at index 0, level 0."""
-    return ControlPolygon(0, 0, (Fraction(1),), mesh)
+def delta() -> ControlPolygon:
+    """The cardinal test sequence: a single 1 at index 0, level 0, primal."""
+    return ControlPolygon(0, 0, (Fraction(1),))
 
 
 def _biased(m: int, s: int) -> int:
@@ -214,10 +214,9 @@ _INT_BYTES = 40
 _SAMPLE_BYTES = 256
 
 
-def _check_limits(P: ControlPolygon, mask: Mask, k: int, max_points: int,
-                  samples: int | None) -> int:
+def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) -> int:
     """Refuse, before any step, k refinements of P that would pass level
-    MAX_LEVEL, store more than max_points points or need an estimated more
+    MAX_LEVEL, store more than MAX_POINTS points or need an estimated more
     than MAX_BYTES; samples is the number of float samples exported, None
     for one per stored point.  Returns the estimate in bytes."""
     if P.level + k > MAX_LEVEL:
@@ -226,9 +225,9 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, max_points: int,
     # polygon or mask stays one point)
     n, zero = len(P.nums), mask.is_zero() or P.nums == (0,)
     for _ in range(k):
-        if 2 * n + mask.width > max_points:
+        if 2 * n + mask.width > MAX_POINTS:
             raise RefinementLimitError(
-                "refinement would exceed %d stored points" % max_points)
+                "refinement would exceed %d stored points" % MAX_POINTS)
         if zero or n + mask.width == 2:
             break
         n = 2 * (n - 1) + mask.width
@@ -245,10 +244,10 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, max_points: int,
     return need
 
 
-def refine_k(P: ControlPolygon, mask: Mask, k: int, max_points: int = MAX_POINTS) -> ControlPolygon:
+def refine_k(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
     if k < 0:
         raise ValueError("k must be >= 0")
-    _check_limits(P, mask, k, max_points, None)
+    _check_limits(P, mask, k, None)
     return _refine(P, mask, k)
 
 
@@ -322,7 +321,7 @@ def basis_polygon(mask: Mask, iters: int) -> ControlPolygon:
     if iters < 0:
         raise ValueError("iters must be >= 0")
     P = delta()
-    _check_limits(P, mask, iters, MAX_POINTS, 8 * 2 ** iters + 1)
+    _check_limits(P, mask, iters, 8 * 2 ** iters + 1)
     return _refine(P, mask, iters)
 
 

@@ -47,14 +47,19 @@ class GridRange:
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "step", step)
 
+    @property
+    def count(self) -> int:
+        """The number of values, exact at any size; len() is this count,
+        up to sys.maxsize."""
+        return (self.hi - self.lo) // self.step + 1
+
     def __len__(self) -> int:
-        _, (lo, hi, step) = integer_run((self.lo, self.hi, self.step))
-        return (hi - lo) // step + 1
+        return self.count
 
     def values(self) -> list[Fraction]:
         # lo + k step as numerators over one denominator: one gcd a value
         den, (lo, step) = integer_run((self.lo, self.step))
-        return [Fraction(lo + k * step, den) for k in range(len(self))]
+        return [Fraction(lo + k * step, den) for k in range(self.count)]
 
 
 def free_param_count(width: int) -> int:
@@ -163,6 +168,10 @@ class SearchResult:
 # stage was stacked.
 SCAN_BLOCK = 256
 
+# The most cells scan classifies; a larger grid is refused before any grid
+# value is built.
+MAX_CELLS = 10 ** 6
+
 
 def _run_map(width: int, den: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(support_min, base, lin) with _run_numerators(width, x, den)'s run
@@ -176,7 +185,7 @@ def _run_map(width: int, den: int) -> tuple[int, np.ndarray, np.ndarray]:
     return support_min, np.array(base, dtype=object), np.array(lin, dtype=object).reshape(p, width)
 
 
-def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
+def scan(spec: SearchSpec) -> SearchResult:
     """Classify every grid cell of the family by spectrum and contractivity,
     in itertools.product order, in blocks of SCAN_BLOCK cells; each block
     is one pass of array operations from grid indices to class codes.
@@ -196,13 +205,12 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     arrays, and counts and witnesses are read from the codes after the
     last block.  No Fraction but the axis values, and no LocalMatrix,
     Spectrum or Cell, is built per cell, and the floats equal those
-    spectra gives at each cell's own lcm."""
-    try:
-        n_cells = math.prod(len(r) for r in spec.param_ranges)
-    except OverflowError:  # a single range longer than sys.maxsize
-        n_cells = math.inf
-    if n_cells > max_cells:
-        raise ValueError("grid has %s cells, cap is %d" % (n_cells, max_cells))
+    spectra gives at each cell's own lcm.  A grid of more than MAX_CELLS
+    cells is a ValueError that names its count, or says it passes 10^18."""
+    n_cells = math.prod(r.count for r in spec.param_ranges)
+    if n_cells > MAX_CELLS:
+        raise ValueError("grid has %s cells, cap is %d"
+                         % (n_cells if n_cells <= 10 ** 18 else "more than 10^18", MAX_CELLS))
     den = math.lcm(2, *(x.denominator for r in spec.param_ranges for x in (r.lo, r.step)))
     values = tuple(r.values() for r in spec.param_ranges)
     # each axis's values as numerators over den
@@ -236,25 +244,32 @@ def scan(spec: SearchSpec, max_cells: int = 10 ** 6) -> SearchResult:
     return result
 
 
-def negativity_lemma_check(lo=Fraction(-5), hi=Fraction(5), step=Fraction(1, 1000)) -> tuple[float, Fraction]:
-    """Grid maximum of g(b) = 1 + b - 2 sqrt(2 (1 - 5b + 8b^2)) and its argmax."""
-    best_v, best_b = -math.inf, None
-    for b in GridRange(lo, hi, step).values():
-        radicand = 2 * (1 - 5 * b + 8 * b * b)
-        g = float(1 + b) - 2.0 * math.sqrt(float(radicand))
-        if g > best_v:
-            best_v, best_b = g, b
-    return best_v, best_b
+def _vanishes(f) -> bool:
+    """Whether a polynomial f of degree <= 2 in one variable is zero, from
+    its exact values at 0, 1 and 2: a nonzero one has at most two roots."""
+    return not any(map(f, map(Fraction, range(3))))
 
 
-def c1_w6_obstruction(lo=Fraction(-1), hi=Fraction(1), step=Fraction(1, 100)) -> bool:
-    """Check exactly that on b = a + 1/4 the width-6 discriminant is the
-    perfect square (2a + 1/4)^2, hence never negative (all eigenvalues real)."""
+def negativity_lemma_check() -> tuple[Fraction, Fraction]:
+    """The maximum over every real b of g(b) = 1 + b - 2 sqrt(2 (1 - 5b + 8b^2))
+    and its argmax, exactly: (0, 1/3).  The radicand is positive (the
+    quadratic's discriminant is 25 - 32), so g(b) < 0 wherever 1 + b < 0,
+    and elsewhere g(b) <= 0 exactly when 8 (1 - 5b + 8b^2) - (1 + b)^2 >= 0.
+    That difference is 7 (3b - 1)^2, an identity of quadratics in b that
+    _vanishes decides, so it is 0 only at b = 1/3, where 1 + b = 4/3 and
+    g(1/3) = 0.  ArithmeticError when the identity fails."""
+    if not _vanishes(lambda b: 8 * (1 - 5 * b + 8 * b * b) - (1 + b) ** 2 - 7 * (3 * b - 1) ** 2):
+        raise ArithmeticError("8 (1 - 5b + 8b^2) - (1 + b)^2 is not 7 (3b - 1)^2")
+    return Fraction(0), Fraction(1, 3)
+
+
+def c1_w6_obstruction() -> bool:
+    """Whether on the line b = a + 1/4 the width-6 discriminant is the
+    perfect square (2a + 1/4)^2 for every a, hence never negative (all
+    eigenvalues real): both sides are quadratics in a, compared exactly
+    (_vanishes)."""
     q = Fraction(1, 4)
-    for a in GridRange(lo, hi, step).values():
-        if w6_discriminant(a, a + q) != (2 * a + q) ** 2:
-            return False
-    return True
+    return _vanishes(lambda a: w6_discriminant(a, a + q) - (2 * a + q) ** 2)
 
 
 @dataclass(frozen=True)

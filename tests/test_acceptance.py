@@ -10,14 +10,14 @@ from fractions import Fraction as F
 import numpy as np
 
 from conftest import fraction_entries
-from subdiv.convergence import certify, contractivity_norm, difference_scheme, smooth_lift
+from subdiv.convergence import certify, smooth_lift
 from subdiv.dynamics import decompose_modes, iterate_local
-from subdiv.localmatrix import (build_local_matrix, complex_region_predicate,
-                               eigenvalues, local_stack, matrix_from_coeffs, spectra,
-                               w5_closed_form, w6_closed_form, w6_discriminant)
+from subdiv.localmatrix import (build_local_matrix, eigenvalues, local_stack,
+                               matrix_from_coeffs, spectra, w5_closed_form,
+                               w6_closed_form, w6_discriminant)
 from subdiv.masks import catalog_get
 from subdiv.refine import basis_points_exact, delta, refine_k
-from subdiv.search import min_width_report, negativity_lemma_check
+from subdiv.search import c1_w6_obstruction, min_width_report, negativity_lemma_check
 
 
 def _match(got, expected, tol):
@@ -49,8 +49,9 @@ def test_criterion_01_width6_spectrum():
 
 def test_criterion_02_contractivity_norm():
     def body():
-        b = difference_scheme(catalog_get("a").mask)
-        assert contractivity_norm(b) == F(4, 5)
+        # the norm of the difference scheme, which certify reads off its
+        # first (1+z) division
+        assert certify(catalog_get("a").mask, 0).norm == F(4, 5)
     _criterion(2, "difference norm 4/5 exact", body)
 
 
@@ -87,15 +88,15 @@ def test_criterion_05_width6_closed_form():
             _match(vals, w6_closed_form(a, b).eigenvalues, 1e-8)
             if abs(w6_discriminant(a, b)) >= F(1, 10 ** 10):
                 numc = max(abs(v.imag) for v in vals) > 1e-7
-                assert complex_region_predicate(a, b) == numc
+                assert (w6_discriminant(a, b) < 0) == numc
     _criterion(5, "width-6 closed form + predicate on 101x101 grid", body)
 
 
 def test_criterion_06_negativity_lemma():
     def body():
-        mx, argmax = negativity_lemma_check(F(-5), F(5), F(1, 1000))
-        assert mx <= 1e-9
-        assert abs(float(argmax) - 1.0 / 3.0) < 0.01
+        # the exact maximum over all real b, and its argmax
+        mx, argmax = negativity_lemma_check()
+        assert mx == 0 and argmax == F(1, 3)
         rng = random.Random(101)
         for _ in range(100):
             b = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
@@ -105,6 +106,7 @@ def test_criterion_06_negativity_lemma():
 
 def test_criterion_07_c1_width6_obstruction():
     def body():
+        assert c1_w6_obstruction() is True
         rng = random.Random(103)
         for _ in range(100):
             a = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))

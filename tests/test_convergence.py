@@ -9,8 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 from conftest import Z, laurent_terms, sympy_symbol
 from subdiv import convergence
 from subdiv.convergence import (ConvergenceReport, Verdict, certify, contractive_runs,
-                                contractivity_norm, difference_scheme,
-                                is_contractive, necessary_conditions, NotFactorableError,
+                                difference_scheme, necessary_conditions, NotFactorableError,
                                 smooth_lift)
 from subdiv.masks import Mask, catalog_get, recenter
 
@@ -123,7 +122,7 @@ def fraction_certify(mask, target_m):
     if not ok:
         return ConvergenceReport(s1, sm1, False, None, None, Verdict.DIVERGENT, None)
     b = difference_scheme(mask)
-    norm = contractivity_norm(b)
+    norm = parity_norm(b.support_min, b.coeffs)
     d = [mask.coeffs]
     while len(d) <= target_m + 1 and (nxt := over_one_plus_z(d[-1])) is not None:
         d.append(nxt)
@@ -198,9 +197,10 @@ class TestDifferenceScheme:
         assert over_one_plus_z(coeffs) == expect
         if expect is None:
             with pytest.raises(NotFactorableError):
-                is_contractive(support_min, coeffs)
+                contractive_runs(support_min, [coeffs])
         else:
-            assert is_contractive(support_min, coeffs) == (parity_norm(support_min, expect) < 1)
+            assert contractive_runs(support_min, [coeffs])[0] == (
+                parity_norm(support_min, expect) < 1)
         if len(coeffs) > 1 and (coeffs[0] == 0 or coeffs[-1] == 0):
             return  # no Mask: its end coefficients must be nonzero
         mask = Mask(support_min, tuple(coeffs))
@@ -212,23 +212,26 @@ class TestDifferenceScheme:
 
 
 class TestContractivityNorm:
+    """The norm of the difference scheme is certify(mask, 0).norm, and the
+    verdict of one run its one-row contractive_runs stack."""
+
     def test_width6_scheme(self):
-        assert contractivity_norm(difference_scheme(catalog_get("a").mask)) == F(4, 5)
+        assert certify(catalog_get("a").mask, 0).norm == F(4, 5)
 
     def test_two_point_scheme(self):
-        assert contractivity_norm(difference_scheme(catalog_get("c").mask)) == F(1, 2)
+        assert certify(catalog_get("c").mask, 0).norm == F(1, 2)
 
     def test_cubic_bspline(self):
-        b = difference_scheme(catalog_get("d").mask)
-        assert b.coeffs == (F(1, 8), F(3, 8), F(3, 8), F(1, 8))
-        assert contractivity_norm(b) == F(1, 2)
+        mask = catalog_get("d").mask
+        assert difference_scheme(mask).coeffs == (F(1, 8), F(3, 8), F(3, 8), F(1, 8))
+        assert certify(mask, 0).norm == F(1, 2)
 
     def test_is_contractive_is_strict(self):
         a = catalog_get("a").mask
-        assert is_contractive(a.support_min, a.coeffs)      # norm 4/5
-        assert not is_contractive(0, (F(1), F(1)))          # norm exactly 1
+        assert contractive_runs(a.support_min, [a.coeffs])[0]      # norm 4/5
+        assert not contractive_runs(0, [(F(1), F(1))])[0]          # norm exactly 1
         # a nominal run with zero end coefficients gives the trimmed verdict
-        assert is_contractive(a.support_min - 1, (0,) + a.coeffs + (0, 0))
+        assert contractive_runs(a.support_min - 1, [(0,) + a.coeffs + (0, 0)])[0]
 
     @given(runs(), st.integers(-4, 4), st.integers(1, 50))
     def test_integer_numerators_over_a_denominator(self, coeffs, support_min, k):
@@ -237,7 +240,8 @@ class TestContractivityNorm:
         assume(over_one_plus_z(coeffs) is not None)
         den = k * math.lcm(*(c.denominator for c in coeffs))
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
-        assert is_contractive(support_min, nums, den) == is_contractive(support_min, coeffs)
+        assert (contractive_runs(support_min, [nums], den)[0]
+                == contractive_runs(support_min, [coeffs])[0])
 
 
 def synthetic_division_verdict(support_min, run, den):
@@ -304,7 +308,7 @@ class TestContractiveRuns:
         rows, den = stack
         expect = [synthetic_division_verdict(support_min, r, den) for r in rows]
         assert contractive_runs(support_min, rows, den).tolist() == expect
-        assert [is_contractive(support_min, r, den) for r in rows] == expect
+        assert [contractive_runs(support_min, [r], den)[0] for r in rows] == expect
 
     def test_both_parities_of_support_min(self):
         # q = (3, 0, 1): parity sums 4 and 0 at an even start, or the
@@ -326,7 +330,7 @@ class TestContractiveRuns:
         with pytest.raises(NotFactorableError):
             contractive_runs(support_min, rows, den)
         with pytest.raises(NotFactorableError):
-            is_contractive(support_min, rows[k], den)
+            contractive_runs(support_min, [rows[k]], den)
 
 
 class TestOneDivision:
@@ -343,14 +347,14 @@ class TestOneDivision:
         except NotFactorableError:
             b = None
         try:
-            contractive = is_contractive(mask.support_min, mask.coeffs)
+            contractive = contractive_runs(mask.support_min, [mask.coeffs])[0]
         except NotFactorableError:
             contractive = None
         assert (sm1 == 0) == (contractive is not None)
         if not mask.is_zero():
             assert (sm1 == 0) == (b is not None)
         if b is not None:
-            assert contractive == (contractivity_norm(b) < 1)
+            assert contractive == (parity_norm(b.support_min, b.coeffs) < 1)
 
     def test_certify_divides_each_quotient_once(self, monkeypatch):
         divided = []
@@ -364,8 +368,7 @@ class TestOneDivision:
             raise AssertionError("certify divided outside its chain")
 
         monkeypatch.setattr(convergence, "_divide", spy)
-        for name in ("contractive_runs", "is_contractive", "necessary_conditions",
-                     "difference_scheme", "contractivity_norm"):
+        for name in ("contractive_runs", "necessary_conditions", "difference_scheme"):
             monkeypatch.setattr(convergence, name, no_second_division)
         for name in "abcd":
             for target_m in range(7):

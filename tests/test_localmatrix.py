@@ -17,9 +17,9 @@ from subdiv.localmatrix import (_CERT_PRIME, _PRIMES, Spectrum, _block_charpolys
                                 _centrosymmetric, _certified, _charpolys, _discriminants,
                                 _flip_stacks, _gcd_mod, _poly_mul, _roots_of_stack,
                                 _row_products, _squarefree_split, build_local_matrix,
-                                local_entries, local_stack, complex_region_predicate,
-                                eigenvalues, matrix_from_coeffs, palindromic_classes,
-                                w5_closed_form, w6_closed_form, w6_discriminant)
+                                local_stack, eigenvalues, matrix_from_coeffs,
+                                palindromic_classes, w5_closed_form, w6_closed_form,
+                                w6_discriminant)
 from subdiv.masks import Mask, catalog_get
 from subdiv.search import _run_numerators, default_grid, palindromic_coeffs
 
@@ -131,13 +131,13 @@ class TestBuild:
         st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n),
         min_size=1, max_size=5)))
     def test_stack_rows_are_each_runs_entries(self, runs):
-        # one home for the layout: local_entries is local_stack of one run,
-        # and each matrix of a stack is its run's on its own
+        # one home for the layout: matrix_from_coeffs takes local_stack of
+        # its one run, and each matrix of a stack is its run's on its own
         n = len(runs[0])
         S = local_stack(runs)
         assert S.shape == (len(runs), n, n)
         for run, B in zip(runs, S.tolist()):
-            assert tuple(map(tuple, B)) == local_entries(run) == tuple(
+            assert tuple(map(tuple, B)) == matrix_from_coeffs(0, run).B == tuple(
                 tuple(run[2 * j - i] if 0 <= 2 * j - i < n else 0 for j in range(n))
                 for i in range(n))
             assert all(type(b) is int for row in B for b in row)
@@ -338,27 +338,31 @@ SMALL_W6 = st.fractions(min_value=-1, max_value=1, max_denominator=60)
 class TestW6DiscriminantScaled:
     @given(SMALL_W6, SMALL_W6, st.integers(1, 30))
     def test_integer_numerators(self, a, b, k):
-        # over a common denominator den it is den^2 D, an integer
+        # over a common denominator den the scan's J-odd discriminant is
+        # den^2 D, an integer
         den = 2 * k * a.denominator * b.denominator
-        num = [x.numerator * (den // x.denominator) for x in (a, b)]
-        got = w6_discriminant(*num, den)
+        _, run = _run_numerators(6, [x.numerator * (den // x.denominator) for x in (a, b)], den)
+        [got] = palindromic_classes(den, local_stack([run]))[2].tolist()
         assert type(got) is int and got == den * den * w6_discriminant(a, b)
 
 
 class TestComplexRegion:
+    """The width-6 family has a complex pair exactly where D(a, b) < 0."""
+
     def test_width6_scheme_is_complex(self):
-        assert complex_region_predicate(F(-1, 10), F(3, 10))
+        assert w6_discriminant(F(-1, 10), F(3, 10)) < 0
 
     def test_positive_a_example_is_real(self):
         assert w6_discriminant(F(1, 10), F(3, 10)) == F(1, 5)
-        assert not complex_region_predicate(F(1, 10), F(3, 10))
 
     def test_agrees_with_discriminant_sign(self):
+        # the closed form's class, at SPECTRAL_TOL, agrees with the sign:
+        # on this grid a nonzero D is at least 1/10^4 in size
         rng = random.Random(23)
         for _ in range(100):
             a = F(rng.randint(-50, 50), 100)
             b = F(rng.randint(-50, 50), 100)
-            assert complex_region_predicate(a, b) == (w6_discriminant(a, b) < 0)
+            assert w6_closed_form(a, b).has_complex == (w6_discriminant(a, b) < 0)
 
     def test_agrees_with_numerical_spectrum(self):
         rng = random.Random(29)
@@ -369,7 +373,7 @@ class TestComplexRegion:
                 continue
             sp = eigenvalues(w6_matrix(a, b))
             numc = max(abs(v.imag) for v in sp.eigenvalues) > 1e-7
-            assert complex_region_predicate(a, b) == numc
+            assert (w6_discriminant(a, b) < 0) == numc
 
 
 class TestRowSumEigenvector:
@@ -1284,7 +1288,7 @@ class TestBlockDiscriminants:
         _, run = _run_numerators(6, [a, b], den)
         S = local_stack([run])
         even, odd = _block_charpolys(S[:, 1:5, 1:5])
-        D = w6_discriminant(a, b, den)
+        D = den * den * w6_discriminant(F(a, den), F(b, den))
         assert _discriminants(odd).tolist() == [D]
         assert _discriminants(even).tolist() == [(a - b + den) ** 2]
         [(has_complex, max_imag, odd_disc)] = zip(*palindromic_classes(den, S))

@@ -260,9 +260,10 @@ class TestRefineK:
                 P = refine_k(P, mask, 1)
                 assert P.total() == 2 ** k
 
-    def test_resource_cap(self):
-        with pytest.raises(RefinementLimitError):
-            refine_k(delta(), catalog_get("a").mask, 40, max_points=1000)
+    def test_resource_cap(self, monkeypatch):
+        monkeypatch.setattr(refine, "MAX_POINTS", 1000)
+        with pytest.raises(RefinementLimitError, match="exceed 1000 stored points"):
+            refine_k(delta(), catalog_get("a").mask, 40)
 
     def test_cap_decided_before_any_step(self, monkeypatch):
         def no_step(P, mask, k):
@@ -333,7 +334,7 @@ class TestRefineK:
     ])
     def test_memory_estimate_bounds_the_step(self, mask, k):
         P = ControlPolygon(0, -1, (F(1, 3), F(-4, 5), F(2, 7)))
-        need = refine._check_limits(P, mask, k, refine.MAX_POINTS, 0)
+        need = refine._check_limits(P, mask, k, 0)
         tracemalloc.start()
         try:
             refine_k(P, mask, k)
@@ -351,11 +352,13 @@ class TestRefineK:
                 refused = True
                 break
             Q = refine_k(Q, mask, 1)
-        if refused:
-            with pytest.raises(RefinementLimitError):
-                refine_k(P, mask, k, max_points=cap)
-        else:
-            assert refine_k(P, mask, k, max_points=cap) == Q
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refine, "MAX_POINTS", cap)
+            if refused:
+                with pytest.raises(RefinementLimitError):
+                    refine_k(P, mask, k)
+            else:
+                assert refine_k(P, mask, k) == Q
 
 
 class TestParameterize:
