@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import repeat
 from operator import neg, truediv
 from typing import Iterator
 
@@ -293,12 +293,18 @@ class CurveRows:
             return (np.arange(u0, u1, s, dtype=np.int64) * (1.0 / den)).tolist()
         return list(map(truediv, range(u0, u1, s), repeat(den)))
 
+    def _values(self, a: int, b: int) -> list[float]:
+        """The values of the rows a..b-1, one truediv each."""
+        w = a - self.lo - self.pad  # the window position of row a
+        nums, zeros = self.window[max(w, 0):max(w + b - a, 0)], min(max(-w, 0), b - a)
+        return ([0.0] * zeros + list(map(truediv, nums, repeat(self.P.den)))
+                + [0.0] * (b - a - zeros - len(nums)))
+
+    def _chunks(self) -> Iterator[tuple[int, int]]:
+        return ((a, min(a + _CHUNK, self.hi + 1)) for a in range(self.lo, self.hi + 1, _CHUNK))
+
     def __iter__(self) -> Iterator[tuple[list[float], list[float]]]:
-        values = chain(repeat(0.0, self.pad), map(truediv, self.window, repeat(self.P.den)),
-                       repeat(0.0))
-        for a in range(self.lo, self.hi + 1, _CHUNK):
-            b = min(a + _CHUNK, self.hi + 1)
-            yield self._t(a, b), list(islice(values, b - a))
+        return ((self._t(a, b), self._values(a, b)) for a, b in self._chunks())
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(min t, max t, min value, max value), as min() and max() over the
@@ -345,18 +351,78 @@ def basis_rows(mask: Mask, iters: int) -> CurveRows:
 
 # -- exports -------------------------------------------------------------
 # An export yields its text a chunk of rows at a time, each chunk one
-# C-level % format.
+# C-level % format of a template that holds the t text literally, so that
+# % formats only the values.
 
-def _interleave(xs, ys) -> tuple:
-    flat = [0.0] * (2 * len(xs))
-    flat[0::2], flat[1::2] = xs, ys
-    return tuple(flat)
+def _admits(prec: int, e: int, d: int) -> bool:
+    """Whether "%.{prec}g" of a t = n + j/2^e, n of d digits (d = 0 for
+    n = 0), is str(n) followed by the text of 10^(d-1) + j/2^e past its
+    first d digits: the notation is fixed and the last digit kept a
+    fraction digit (d < prec), so a half-even tie does not depend on n, and
+    rounding never carries into n (2^(e-1) < 10^(prec-d))."""
+    return not d or d < prec and 1 << e < 2 * 10 ** (prec - d)
+
+
+def _t_table(prec: int, d: int, fracs: np.ndarray) -> tuple[str, np.ndarray]:
+    """The text of each fraction f of fracs as _admits has it, "%.{prec}g"
+    of 10^(d-1) + f past its first d digits ("%.{prec}g" of f for d = 0),
+    with "|" after each, made by one % a _CHUNK entries; and offs, where
+    entry m is text[offs[m] + 1:offs[m + 1]]."""
+    base, fmt = 10 ** d // 10, "%%.%dg|" % prec
+    text = "".join([(fmt * len(x)) % tuple(x) for x in
+                    ((fracs[m:m + _CHUNK] + base).tolist() for m in range(0, len(fracs), _CHUNK))])
+    text = text[d:].replace("|" + str(base), "|") if d else text
+    return text, np.concatenate(([-1], np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == 124)))
+
+
+def _templates(rows: CurveRows, prec: int, lead: str, tail: str) -> Iterator[tuple[str, list[float]]]:
+    """Per chunk of rows, its % template, lead + t + tail a row with tail
+    formatting the value, and its values.
+
+    With s = 2 on the dual mesh and 1 on the primal, the t of row i is
+    u/2^e, u = s i + s - 1, e = k + s - 1.  Write |u| = n 2^e + j: the rows
+    with one n run through the fractions j/2^e, j = s m + s - 1 for
+    m < 2^k, m ascending with i for u >= 0 and descending for u < 0.  In a
+    chunk whose n are admitted (_admits), "%.{prec}g" % t is the sign,
+    str(n) and entry m of the table of n's digit count; a run of rows with
+    one n takes its slice of the table.  Such a t is exact, u below 2^53:
+    |u| < 10^d 2^e < 2 10^prec for n of d >= 1 digits, and |u| < 2^e, at
+    most twice the rows, for n = 0.  A table is made once an export, when
+    first needed, and only for an export of at least 2^k rows, so it costs
+    no more than the rows.  Other chunks format their t."""
+    k, s = rows.P.level, 1 if rows.P.mesh is MeshType.PRIMAL else 2
+    e, tables = k + s - 1, {}  # tables by digit count
+
+    def runs(p: int, q: int, sign: str) -> Iterator[tuple[str, str]]:
+        """(sign + str(n), entries m joined by "|") for |u| = s p' + s - 1,
+        p' = p..q-1 ascending, a run for each n."""
+        for n in range(p >> k, -(-q >> k)):  # p >> k up to ceil(q / 2^k)
+            m, m1, pre = max(p - (n << k), 0), min(q - (n << k), 1 << k), str(n or "")
+            if m < m1:
+                text, offs = tables.get(len(pre)) or tables.setdefault(len(pre), _t_table(
+                    prec, len(pre), np.arange(s - 1, s << k, s) / float(s << k)))
+                yield sign + pre, text[offs[m] + 1:offs[m1]]
+
+    for a, b in rows._chunks():
+        top = max(abs(s * a + s - 1), abs(s * b - 1))  # |u| of the end rows
+        if (rows.hi - rows.lo + 1) >> k and _admits(prec, e, len(str(top >> e or ""))):
+            parts = []
+            # rows i < 0 have |u| = s p' + s - 1 with p' = -i - s + 1
+            for pre, body in reversed(list(runs(2 - s - min(b, 0), 2 - s - a, "-"))):
+                parts += [lead, pre, (tail + lead + pre).join(reversed(body.split("|"))), tail]
+            for pre, body in runs(max(a, 0), b, ""):
+                parts += [lead, pre, body.replace("|", tail + lead + pre), tail]
+            template = "".join(parts)
+        else:
+            t = ("%%.%dg|" % prec * (b - a)) % tuple(rows._t(a, b))
+            template = lead + t[:-1].replace("|", tail + lead) + tail
+        yield template, rows._values(a, b)
 
 
 def curve_csv(rows: CurveRows) -> Iterator[str]:
     yield "t,value\n"
-    for t, value in rows:
-        yield ("%.12g,%.12g\n" * len(t)) % _interleave(t, value)
+    for template, value in _templates(rows, 12, "", ",%.12g\n"):
+        yield template % tuple(value)
 
 
 def curve_svg(rows: CurveRows) -> Iterator[str]:
@@ -371,8 +437,7 @@ def curve_svg(rows: CurveRows) -> Iterator[str]:
            'viewBox="%s" preserveAspectRatio="none">\n'
            '<polyline fill="none" stroke="black" stroke-width="%.6g" points="'
            % (vb, (ymax - ymin) / 200.0))
-    sep = ""
-    for t, value in rows:
-        yield (sep + " ".join(["%.6g,%.6g"] * len(t))) % _interleave(t, map(neg, value))
-        sep = " "
+    # a space before every row but the first
+    for i, (template, value) in enumerate(_templates(rows, 6, " ", ",%.6g")):
+        yield (template[1:] if i == 0 else template) % tuple(map(neg, value))
     yield '"/>\n</svg>\n'

@@ -4,6 +4,7 @@ import tracemalloc
 import unittest.mock
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -621,3 +622,98 @@ class TestStreamedExport:
         P = ControlPolygon(0, first, (F(1), F(2)), mesh)
         with pytest.raises(OverflowError, match="a curve value leaves the float range"):
             stored_rows(P)
+
+
+def spy_tables(monkeypatch) -> list:
+    """(prec, digit count, entries) of every t table an export makes."""
+    made, make = [], refine._t_table
+
+    def spy(prec, d, fracs):
+        made.append((prec, d, len(fracs)))
+        return make(prec, d, fracs)
+
+    monkeypatch.setattr(refine, "_t_table", spy)
+    return made
+
+
+def assert_exports_match(rows):
+    points = rows_per_index(rows.P, rows.lo, rows.hi)
+    assert "".join(curve_csv(rows)) == csv_per_line(points)
+    assert "".join(curve_svg(rows)) == svg_per_point(points)
+
+
+class TestTTables:
+    """The t column read from per-export digit tables: "%.{P}g" % t is the
+    sign, str(n) and entry j of the table of n's digit count, t = n + j/2^e."""
+
+    @pytest.mark.parametrize("prec", [6, 12])
+    def test_rule_on_every_u_to_12_units(self, prec):
+        fmt = "%%.%dg|" % prec
+        for e in range(15):
+            fracs = np.arange(2 ** e) / 2 ** e
+            for d in (0, 1, 2):
+                assert refine._admits(prec, e, d)
+                text, offs = refine._t_table(prec, d, fracs)
+                entries = text.split("|")
+                assert entries.pop() == ""
+                assert [text[offs[m] + 1:offs[m + 1]] for m in range(2 ** e)] == entries
+                for n in [n for n in range(13) if len(str(n or "")) == d]:
+                    for sign in ("", "-"):
+                        t = float(sign + "1") * (fracs + n)
+                        pre = sign + str(n or "")
+                        assert pre + text[:-1].replace("|", "|" + pre) == (fmt * 2 ** e % tuple(t.tolist()))[:-1]
+
+    # the last level the guard admits and the first it refuses
+    @pytest.mark.parametrize("prec, d, e", [(6, 1, 17), (6, 2, 14), (12, 1, 37)])
+    def test_guard_is_tight(self, prec, d, e):
+        def wrong(e):
+            js = sorted({*range(2 ** e - 300, 2 ** e), *range(2 ** (e - 1) - 150, 2 ** (e - 1) + 150)})
+            text, _ = refine._t_table(prec, d, np.array(js) / 2 ** e)
+            return [(n, j) for j, entry in zip(js, text.split("|")) for n in (10 ** (d - 1), 10 ** d - 1)
+                    if str(n) + entry != "%.*g" % (prec, n + j / 2 ** e)]
+
+        assert refine._admits(prec, e, d) and wrong(e) == []
+        assert not refine._admits(prec, e + 1, d) and wrong(e + 1)
+
+    def test_level_12_basis_takes_the_tables(self, monkeypatch):
+        made = spy_tables(monkeypatch)
+        assert_exports_match(basis_rows(catalog_get("a").mask, 12))
+        assert sorted(made) == [(6, 0, 4096), (6, 1, 4096), (12, 0, 4096), (12, 1, 4096)]
+
+    def test_no_table_for_few_rows_or_inexact_t(self, monkeypatch):
+        made = spy_tables(monkeypatch)
+        P = refine_k(delta(), Mask(0, (F(1),)), 20)  # one row at level 20
+        assert P.level == 20 and len(P.nums) == 1
+        assert_exports_match(stored_rows(P))
+        for mesh in MeshType:  # 2^k rows or more, with |u| >= 2^53
+            assert_exports_match(stored_rows(ControlPolygon(0, 2 ** 53, (F(1, 3), F(2), F(-5, 7)), mesh)))
+        assert made == []
+
+    @pytest.mark.parametrize("chunk", [5, 4096])
+    @pytest.mark.parametrize("mesh", list(MeshType))
+    @pytest.mark.parametrize("level", [0, 3, 7, 11])
+    def test_exports_match_per_line(self, monkeypatch, chunk, mesh, level):
+        # ranges that cross 0, run from |t| < 10 to >= 10 and from < 100 to
+        # >= 100, on either side; at level 11 the dual mesh's 3-digit t is
+        # past the guard for %.6g, so those chunks format their t
+        made = spy_tables(monkeypatch)
+        monkeypatch.setattr(refine, "_CHUNK", chunk)
+        rng, n = random.Random(level), 2 ** level
+        for lo, hi in ((-5 * n - 3, 3 * n + 5), (9 * n - 2, 11 * n), (99 * n - 5, 101 * n + 1),
+                       (-101 * n, -99 * n + 3), (-11 * n - 1, -9 * n)):
+            values = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(hi - lo - 1)]
+            values[0] = values[-1] = F(1, 3)
+            assert_exports_match(CurveRows(ControlPolygon(level, lo + 1, values, mesh), lo, hi))
+        assert {d for _, d, _ in made} == {0, 1, 2, 3}
+        assert ((6, 3, n) in made) == (level < 11)
+
+    @pytest.mark.parametrize("nums, den", [
+        ((2 ** 53, -2 ** 53, 1), 3), ((1, -2 ** 53 - 1), 3), ((1, -1), 2 ** 53),
+        ((1, 2), 2 ** 53 + 1), ((2 ** 63, 1), 3), ((1, -2 ** 63 - 1), 3)])
+    def test_value_column(self, nums, den):
+        # correctly rounded values, padded with 0.0, around 2^53 and past int64
+        P = ControlPolygon(0, 0, [F(v, den) for v in nums])
+        rows = CurveRows(P, -1, len(nums))
+        assert list(rows) == [([-1.0, *map(float, range(len(nums) + 1))],
+                               [0.0, *(v / den for v in nums), 0.0])]
+        assert_exports_match(rows)
