@@ -11,12 +11,10 @@ from .localmatrix import (EigensolveError, LocalMatrix, Spectrum,
                           build_local_matrix, eigenvalues, matrix_from_coeffs,
                           w5_closed_form, w6_closed_form, w6_discriminant)
 from .convergence import (ConvergenceReport, NotFactorableError, Verdict,
-                          certify, difference_scheme, necessary_conditions,
-                          smooth_lift)
+                          certify, smooth_lift)
 from .refine import (ControlPolygon, MeshType, RefinementLimitError,
                      basis_points_exact, basis_polygon, delta, refine_k)
-from .dynamics import (EigenMode, TrajectoryReport, decompose_modes,
-                       iterate_local, window_vector)
+from .dynamics import EigenMode, TrajectoryReport, decompose_modes, iterate_local
 from .search import (Cell, CellClass, GridRange, MinWidthReport, SearchResult,
                      SearchSpec, c1_w6_obstruction, min_width_report,
                      negativity_lemma_check, palindromic_coeffs, scan)

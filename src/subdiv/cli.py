@@ -139,13 +139,13 @@ def cmd_dynamics(args) -> int:
         raise CliError("dynamics needs mask width >= 2")
     localmatrix.check_size(rec.mask)
     M = localmatrix.build_local_matrix(rec.mask)
+    # by default the window of the cardinal sequence delta(): 1 at index n // 2
+    v0 = tuple(float(i == M.n // 2) for i in range(M.n))
     if args.v0 is not None:
         try:  # s is the value being converted when float() overflows
             v0 = tuple(float(_parse_fraction(s := v, "--v0")) for v in args.v0.split(","))
         except OverflowError as exc:
             raise CliError("bad rational %r in --v0: past the float range" % s) from exc
-    else:
-        v0 = dynamics.window_vector(refine.delta(), 0, M.n)
     traj = dynamics.iterate_local(v0, M, args.K, norm=args.norm)
     traj = dynamics.decompose_modes(traj)
     buf = io.StringIO()

@@ -1,8 +1,9 @@
 """Convergence certification on the mask's coefficient run.
 
-Necessary conditions s(1) = 2, s(-1) = 0; the difference scheme from the
-(1+z) factor; the parity-sum contractivity norm; and a certification ladder
-that peels (1+z)/2 factors to certify higher smoothness.
+A certification ladder that peels (1+z)/2 factors to certify smoothness,
+whose first rung gives the necessary conditions s(1) = 2, s(-1) = 0, the
+difference scheme from the (1+z) factor and its parity-sum contractivity
+norm.
 
 (1+z) is the only divisor, and one routine, _divide, does every division.
 It works on the alternated run, the coefficients of s(-z) (entries at odd
@@ -11,17 +12,18 @@ is the prefix sum p_k = (-1)^k q_k = sum_{j <= k} (-1)^j a_j, one np.cumsum
 on a stack of runs, whose last column is the remainder s(-1) and whose
 other columns are the quotient's alternated run, same start exponent.
 |p_k| = |q_k|, so one routine, _parity_norm, takes the norm of a quotient
-with no sign restored.  necessary_conditions reads s(-1) off one division,
-difference_scheme its quotient; contractive_runs divides a stack of runs
-and takes their norms (the family scan calls it once per block of cells,
-and one run is its one-row stack).  The ladder, certify, scales the run
-once to integer numerators over L (masks.integer_run) and makes one chain
-of divisions, d_j = L s_a / (1+z)^j, while each is exact; the first
-gives s(-1) and the difference mask, and rung m's quotient by
-((1+z)/2)^m has difference scheme 2^m d_{m+1} / L, so one _parity_norm call
-on the stacked chain gives the difference mask's norm (certify(mask,
-0).norm) and every rung's verdict.  The norm test is sufficient only, so
-a failed test yields "inconclusive", never "divergent".
+with no sign restored.  contractive_runs divides a stack of runs and takes
+their norms (the family scan calls it once per block of cells, and one run
+is its one-row stack).  The ladder, certify, scales the run once to integer
+numerators over L (masks.integer_run) and makes one chain of divisions,
+d_j = L s_a / (1+z)^j, while each is exact; the first gives s(-1) and the
+difference mask, and rung m's quotient by ((1+z)/2)^m has difference
+scheme 2^m d_{m+1} / L, so one _parity_norm call on the stacked chain
+gives the difference mask's norm and every rung's verdict.  certify(mask,
+0) is the one source of s(1), s(-1), the necessary-conditions flag, the
+difference mask and its norm; it gives no difference mask unless s(1) = 2
+and s(-1) = 0.  The norm test is sufficient only, so a failed test yields
+"inconclusive", never "divergent".
 """
 from __future__ import annotations
 
@@ -91,22 +93,6 @@ def _parity_norm(runs) -> np.ndarray:
     the even absolute indices."""
     runs = abs(np.array(runs, dtype=object))
     return np.maximum(runs[..., ::2].sum(axis=-1), runs[..., 1::2].sum(axis=-1))
-
-
-def necessary_conditions(mask: Mask) -> tuple[Fraction, Fraction, bool]:
-    """s(1) = sum a_k and s(-1) = sum (-1)^k a_k, k the absolute index, and
-    whether they are 2 and 0."""
-    s1, sm1 = sum(mask.coeffs), _divide(_alternate(mask.support_min, mask.coeffs))[-1]
-    return s1, sm1, s1 == 2 and sm1 == 0
-
-
-def difference_scheme(mask: Mask) -> Mask:
-    """Mask b with s_a(z) = (1+z) s_b(z), exact."""
-    q = _divide(_alternate(mask.support_min, mask.coeffs))
-    if q[-1] or mask.is_zero():
-        raise NotFactorableError("s(-1) != 0, no (1+z) factor" if q[-1]
-                                 else "the zero mask has no difference scheme")
-    return Mask(mask.support_min, tuple(_alternate(mask.support_min, q[:-1])))
 
 
 def contractive_runs(support_min: int, runs, den: int = 1) -> np.ndarray:

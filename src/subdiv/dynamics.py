@@ -25,7 +25,6 @@ import numpy as np
 
 from .localmatrix import LocalMatrix
 from .masks import integer_run
-from .refine import ControlPolygon
 
 _COEFF_FLOOR = 1e-12  # coefficients below this are treated as unexcited
 
@@ -62,14 +61,6 @@ class TrajectoryReport:
     modes: Optional[tuple[EigenMode, ...]] = None
     rotation: Optional[tuple[float, float]] = None  # (rho, theta) of dominant pair
     mode_diagnostic: Optional[str] = None
-
-
-def window_vector(P: ControlPolygon, center_index: int, n: int) -> tuple[float, ...]:
-    """The n stored-or-zero values nearest center_index, ties toward lower index."""
-    if n < 1:
-        raise ValueError("window size must be >= 1")
-    lo = center_index - n // 2
-    return tuple(float(P[i]) for i in range(lo, lo + n))
 
 
 def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:

@@ -62,8 +62,9 @@ def parse_rational(s) -> Fraction:
     """Fraction(s), the one parser of user rationals (scheme-file coeffs,
     CLI values).  A decimal exponent above 4300 in absolute value is a
     ValueError first: Fraction would build 10**exp before any size check
-    ran, and 4300 is CPython's digit limit for int strings, so an exponent
-    builds no larger int than a digit string can."""
+    ran.  The bound is CPython's digit limit for int strings, but an
+    admitted exponent can still build an int that str() refuses (10^4300
+    has 4301 digits), so a caller that prints its values checks them."""
     exp = isinstance(s, str) and re.search(r"[eE]([-+]?\d+(_\d+)*)\s*$", s)
     if exp and abs(int(exp[1])) > 4300:
         raise ValueError("decimal exponent %s is past +-4300" % exp[1])

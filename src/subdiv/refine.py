@@ -284,14 +284,9 @@ class CurveRows:
             raise OverflowError("a curve value leaves the float range") from None
 
     def _t(self, a: int, b: int) -> list[float]:
-        """t of the rows a..b-1, each u / (s 2^k) correctly rounded: an int64
-        u casts to the nearest double, and a power of two up to 2^1022 scales
-        it exactly (|u| >= 1 keeps t normal); other u take one truediv each."""
+        """t of the rows a..b-1, each u / (s 2^k) one truediv."""
         s = 1 if self.P.mesh is MeshType.PRIMAL else 2  # t = (s i + s - 1) / (s 2^k)
-        u0, u1, den = s * a + s - 1, s * b + s - 1, s << self.P.level
-        if -2 ** 63 <= u0 and u1 - s < 2 ** 63 and den <= 2 ** 1022:
-            return (np.arange(u0, u1, s, dtype=np.int64) * (1.0 / den)).tolist()
-        return list(map(truediv, range(u0, u1, s), repeat(den)))
+        return list(map(truediv, range(s * a + s - 1, s * b + s - 1, s), repeat(s << self.P.level)))
 
     def _values(self, a: int, b: int) -> list[float]:
         """The values of the rows a..b-1, one truediv each."""

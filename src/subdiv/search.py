@@ -172,6 +172,10 @@ SCAN_BLOCK = 256
 # value is built.
 MAX_CELLS = 10 ** 6
 
+# The least int that str() refuses under CPython's default limit of 4300
+# digits: the exports print every grid value, so scan refuses one this large.
+_STR_LIMIT = 10 ** 4300
+
 
 def _run_map(width: int, den: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(support_min, base, lin) with _run_numerators(width, x, den)'s run
@@ -206,13 +210,19 @@ def scan(spec: SearchSpec) -> SearchResult:
     last block.  No Fraction but the axis values, and no LocalMatrix,
     Spectrum or Cell, is built per cell, and the floats equal those
     spectra gives at each cell's own lcm.  A grid of more than MAX_CELLS
-    cells is a ValueError that names its count, or says it passes 10^18."""
+    cells is a ValueError that names its count, or says it passes 10^18,
+    and so, before any cell is classified, is a grid value whose numerator
+    or denominator has more than 4300 digits (str() would refuse it in the
+    exports); the message names it as p<axis> = lo + k step."""
     n_cells = math.prod(r.count for r in spec.param_ranges)
     if n_cells > MAX_CELLS:
         raise ValueError("grid has %s cells, cap is %d"
                          % (n_cells if n_cells <= 10 ** 18 else "more than 10^18", MAX_CELLS))
     den = math.lcm(2, *(x.denominator for r in spec.param_ranges for x in (r.lo, r.step)))
     values = tuple(r.values() for r in spec.param_ranges)
+    for j, k, x in ((j, k, x) for j, v in enumerate(values) for k, x in enumerate(v)):
+        if abs(x.numerator) >= _STR_LIMIT or x.denominator >= _STR_LIMIT:
+            raise ValueError("grid value p%d = lo + %d step has more than 4300 digits" % (j, k))
     # each axis's values as numerators over den
     nums = [np.array([x.numerator * (den // x.denominator) for x in v], dtype=object) for v in values]
     support_min, base, lin = _run_map(spec.width, den)

@@ -10,8 +10,7 @@ PUBLIC = {
     "Mask", "SchemeRecord", "SchemeFormatError", "SymmetryClass", "catalog_get",
     "catalog_names", "classify_symmetry", "load_scheme", "recenter", "save_scheme",
     # convergence
-    "ConvergenceReport", "NotFactorableError", "Verdict", "certify",
-    "difference_scheme", "necessary_conditions", "smooth_lift",
+    "ConvergenceReport", "NotFactorableError", "Verdict", "certify", "smooth_lift",
     # localmatrix
     "EigensolveError", "LocalMatrix", "Spectrum", "build_local_matrix",
     "eigenvalues", "matrix_from_coeffs", "w5_closed_form", "w6_closed_form",
@@ -21,7 +20,6 @@ PUBLIC = {
     "basis_polygon", "delta", "refine_k",
     # dynamics
     "EigenMode", "TrajectoryReport", "decompose_modes", "iterate_local",
-    "window_vector",
     # search
     "Cell", "CellClass", "GridRange", "MinWidthReport", "SearchResult",
     "SearchSpec", "c1_w6_obstruction", "min_width_report",

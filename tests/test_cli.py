@@ -336,6 +336,18 @@ class TestDynamics:
         assert code == 1 and out == ""
         assert err == "error: v0 has dimension 2, matrix order is 6\n"
 
+    @pytest.mark.parametrize("width", [3, 6, 9])
+    def test_default_v0_is_the_delta_window(self, capsys, tmp_path, width):
+        # the window of delta() on the n = width points around index 0:
+        # 1 at index n // 2, ties toward the lower index
+        path = tmp_path / "bspline.json"
+        coeffs = tuple(F(math.comb(width - 1, k), 2 ** (width - 2)) for k in range(width))
+        save_scheme(SchemeRecord("bspline", Mask(-(width // 2), coeffs)), path)
+        unit = ",".join("1" if i == width // 2 else "0" for i in range(width))
+        got = run(capsys, "dynamics", "--scheme", str(path), "--K", "8")
+        assert got[0] == 0 and got[2] == ""
+        assert got == run(capsys, "dynamics", "--scheme", str(path), "--K", "8", "--v0", unit)
+
 
 class TestSearch:
     def test_stdout_summary(self, capsys):
@@ -400,6 +412,23 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--width", "5", "--grid=" + grid)
         assert code == 1 and out == ""
         assert err == "error: grid has %s cells, cap is 1000000\n" % self.CELLS[grid]
+
+    P, Q = 10 ** 2200 + 1, 10 ** 2200 + 3
+
+    @pytest.mark.parametrize("grid, named", [
+        ("1e4300:2e4300:1e4300", "p0 = lo + 0 step"),
+        # lo, hi and step print, but lo + step has a 4401-digit denominator
+        ("1/%d:2/%d:1/%d" % (P, P, Q), "p0 = lo + 1 step"),
+    ], ids=["exponent", "lcm"])
+    def test_grid_value_past_the_str_limit(self, capsys, tmp_path, grid, named):
+        # str() of a grid value would fail in the export: refused by scan,
+        # before either output file is opened
+        out_path = tmp_path / "X"
+        code, out, err = run(capsys, "search", "--width", "4", "--grid", grid,
+                             "--out", str(out_path))
+        assert code == 1 and out == ""
+        assert err == "error: grid value %s has more than 4300 digits\n" % named
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTolValidation:

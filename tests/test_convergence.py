@@ -9,8 +9,7 @@ from hypothesis import assume, example, given, strategies as st
 from conftest import Z, laurent_terms, sympy_symbol
 from subdiv import convergence
 from subdiv.convergence import (ConvergenceReport, Verdict, certify, contractive_runs,
-                                difference_scheme, necessary_conditions, NotFactorableError,
-                                smooth_lift)
+                                NotFactorableError, smooth_lift)
 from subdiv.masks import Mask, catalog_get, recenter
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=8)
@@ -60,6 +59,11 @@ def sympy_over_one_plus_z(coeffs):
     return (sympy_run(q) + [F(0)] * len(coeffs))[:len(coeffs) - 1]
 
 
+def alternating_sum(mask):
+    """s(-1) = sum (-1)^k a_k, k the absolute index."""
+    return sum((-c if k % 2 else c for k, c in enumerate(mask.coeffs, mask.support_min)), F(0))
+
+
 def parity_norm(support_min, coeffs):
     return max(sum((abs(c) for k, c in enumerate(coeffs, support_min) if k % 2 == e), F(0))
                for e in (0, 1))
@@ -71,8 +75,8 @@ def reference_certify(mask, target_m):
     exact, and rung m is certified when its quotient q has q(1) = 2,
     q(-1) = 0 and q / (1+z) has parity norm < 1 (parities of the absolute
     index).  Returns (verdict, certified_smoothness, norm, difference mask)."""
-    s1, sm1, ok = necessary_conditions(mask)
-    if not ok:
+    s = sympy_symbol(mask.support_min, mask.coeffs)
+    if s.subs(Z, 1) != 2 or s.subs(Z, -1) != 0:
         return Verdict.DIVERGENT, None, None, None
     lo = mask.support_min
     one_plus_z = sympy.Poly(Z + 1, Z, domain="QQ")
@@ -118,10 +122,10 @@ def fraction_certify(mask, target_m):
     """certify as it ran on Fraction runs, kept as an oracle: d[j] =
     s_a / (1+z)^j while exact, and rung m certified when the run 2^m d[m]
     divides by (1+z) to a parity norm < 1."""
-    s1, sm1, ok = necessary_conditions(mask)
-    if not ok:
+    s1, sm1 = sum(mask.coeffs), alternating_sum(mask)
+    if s1 != 2 or sm1:
         return ConvergenceReport(s1, sm1, False, None, None, Verdict.DIVERGENT, None)
-    b = difference_scheme(mask)
+    b = Mask(mask.support_min, tuple(over_one_plus_z(mask.coeffs)))
     norm = parity_norm(b.support_min, b.coeffs)
     d = [mask.coeffs]
     while len(d) <= target_m + 1 and (nxt := over_one_plus_z(d[-1])) is not None:
@@ -149,44 +153,70 @@ def rational(x):
 
 
 class TestNecessaryConditions:
+    """s(1), s(-1) and their flag are those of certify(mask, 0)."""
+
+    def conditions(self, mask):
+        r = certify(mask, 0)
+        return r.s_at_1, r.s_at_minus1, r.necessary_ok
+
     def test_width6_scheme(self):
-        assert necessary_conditions(catalog_get("a").mask) == (2, 0, True)
+        assert self.conditions(catalog_get("a").mask) == (2, 0, True)
 
     def test_cubic_bspline(self):
-        assert necessary_conditions(catalog_get("d").mask) == (2, 0, True)
+        assert self.conditions(catalog_get("d").mask) == (2, 0, True)
 
     def test_constant_mask_fails(self):
-        s1, sm1, ok = necessary_conditions(Mask(0, (F(1), F(1), F(1))))
+        s1, sm1, ok = self.conditions(Mask(0, (F(1), F(1), F(1))))
         assert s1 == 3 and not ok
 
     def test_translation_invariance(self):
         mask = catalog_get("a").mask
-        moved = Mask(mask.support_min + 4, mask.coeffs)
-        assert necessary_conditions(moved)[0] == necessary_conditions(mask)[0]
-        assert necessary_conditions(moved)[2] == necessary_conditions(mask)[2]
+        for shift in (1, 4):
+            moved = Mask(mask.support_min + shift, mask.coeffs)
+            s1, sm1, ok = self.conditions(mask)
+            assert self.conditions(moved) == (s1, (-1) ** shift * sm1, ok)
+        # an odd shift negates s(-1): s(-1) = 1 at one parity, -1 at the other
+        run = (F(1), F(1), F(1))
+        assert self.conditions(Mask(1, run))[1] == -self.conditions(Mask(0, run))[1] == -1
 
 
 class TestDifferenceScheme:
+    """The difference mask is certify(mask, 0).difference_mask, given when
+    s(1) = 2 and s(-1) = 0."""
+
     def test_width6_scheme(self):
-        b = difference_scheme(catalog_get("a").mask)
+        b = certify(catalog_get("a").mask, 0).difference_mask
         assert b == Mask(-2, tuple(map(F, ("-1/10", "2/5", "2/5", "2/5", "-1/10"))))
 
     def test_two_point_scheme(self):
-        b = difference_scheme(catalog_get("c").mask)
+        b = certify(catalog_get("c").mask, 0).difference_mask
         assert b == Mask(-1, (F(1, 2), F(1, 2)))
 
+    def test_cubic_bspline(self):
+        b = certify(catalog_get("d").mask, 0).difference_mask
+        assert b == Mask(-2, (F(1, 8), F(3, 8), F(3, 8), F(1, 8)))
+
     def test_not_factorable(self):
+        # s(-1) = 1: no difference mask, and contractive_runs raises
+        r = certify(Mask(0, (F(1), F(1), F(1))), 0)
+        assert r.s_at_minus1 == 1 and r.difference_mask is None
         with pytest.raises(NotFactorableError):
-            difference_scheme(Mask(0, (F(1), F(1), F(1))))
+            contractive_runs(0, [(F(1), F(1), F(1))])
         # the zero mask divides exactly, but its quotient is no mask
         assert over_one_plus_z((F(0),)) == []
-        with pytest.raises(NotFactorableError):
-            difference_scheme(Mask(0, (F(0),)))
+        assert certify(Mask(0, (F(0),)), 0).difference_mask is None
+
+    def test_no_difference_mask_unless_s1_is_2(self):
+        # s(z) = (1 + z) / 2 divides by (1+z), but s(1) = 1
+        r = certify(Mask(0, (F(1, 2), F(1, 2))), 0)
+        assert (r.s_at_1, r.s_at_minus1, r.necessary_ok, r.difference_mask) == (1, 0, False, None)
+        # twice that has s(1) = 2, and its difference mask is the constant 1
+        assert certify(Mask(0, (F(1), F(1))), 0).difference_mask == Mask(0, (F(1),))
 
     def test_factor_round_trip(self):
         for name in "abcd":
             mask = catalog_get(name).mask
-            b = difference_scheme(mask)
+            b = certify(mask, 0).difference_mask
             assert sympy.expand((1 + Z) * sympy_symbol(b.support_min, b.coeffs)
                                 - sympy_symbol(mask.support_min, mask.coeffs)) == 0
 
@@ -203,12 +233,13 @@ class TestDifferenceScheme:
                 parity_norm(support_min, expect) < 1)
         if len(coeffs) > 1 and (coeffs[0] == 0 or coeffs[-1] == 0):
             return  # no Mask: its end coefficients must be nonzero
-        mask = Mask(support_min, tuple(coeffs))
-        if expect is None or mask.is_zero():
-            with pytest.raises(NotFactorableError):
-                difference_scheme(mask)
+        # the run scaled to s(1) = 2 where it can be: the division is linear
+        scale = 2 / sum(coeffs) if sum(coeffs) else F(1)
+        r = certify(Mask(support_min, tuple(c * scale for c in coeffs)), 0)
+        if expect is None or not sum(coeffs):
+            assert r.difference_mask is None
         else:
-            assert difference_scheme(mask) == Mask(support_min, tuple(expect))
+            assert r.difference_mask == Mask(support_min, tuple(c * scale for c in expect))
 
 
 class TestContractivityNorm:
@@ -222,9 +253,7 @@ class TestContractivityNorm:
         assert certify(catalog_get("c").mask, 0).norm == F(1, 2)
 
     def test_cubic_bspline(self):
-        mask = catalog_get("d").mask
-        assert difference_scheme(mask).coeffs == (F(1, 8), F(3, 8), F(3, 8), F(1, 8))
-        assert certify(mask, 0).norm == F(1, 2)
+        assert certify(catalog_get("d").mask, 0).norm == F(1, 2)
 
     def test_is_contractive_is_strict(self):
         a = catalog_get("a").mask
@@ -279,14 +308,13 @@ class TestFarShift:
     @pytest.mark.parametrize("coeffs", MASKS, ids=["a", "b", "c", "d", "no-factor"])
     def test_same_as_the_near_shift(self, shift, coeffs):
         near, far = Mask(shift % 2, coeffs), Mask(shift, coeffs)
-        assert necessary_conditions(far) == necessary_conditions(near)
-        a, b = certify(near, 6), certify(far, 6)
-        if a.difference_mask is None:
-            assert b == a
-        else:
-            assert b == dataclasses.replace(a, difference_mask=Mask(shift, a.difference_mask.coeffs))
-            assert difference_scheme(far) == b.difference_mask
-            assert difference_scheme(near) == a.difference_mask
+        for target_m in (0, 6):
+            a, b = certify(near, target_m), certify(far, target_m)
+            if a.difference_mask is None:
+                assert b == a
+            else:
+                assert b == dataclasses.replace(
+                    a, difference_mask=Mask(shift, a.difference_mask.coeffs))
 
     @pytest.mark.parametrize("shift", [2 ** 63, 2 ** 63 + 1, 10 ** 400])
     def test_contractive_runs(self, shift):
@@ -341,20 +369,17 @@ class TestOneDivision:
     @example(Mask(0, (F(0),)))
     @example(Mask(-3, (F(1), F(1))))
     def test_checks_agree(self, mask):
-        sm1 = necessary_conditions(mask)[1]
-        try:
-            b = difference_scheme(mask)
-        except NotFactorableError:
-            b = None
+        r = certify(mask, 0)
         try:
             contractive = contractive_runs(mask.support_min, [mask.coeffs])[0]
         except NotFactorableError:
             contractive = None
-        assert (sm1 == 0) == (contractive is not None)
-        if not mask.is_zero():
-            assert (sm1 == 0) == (b is not None)
-        if b is not None:
-            assert contractive == (parity_norm(b.support_min, b.coeffs) < 1)
+        assert (r.s_at_minus1 == 0) == (contractive is not None)
+        assert r.necessary_ok == (r.difference_mask is not None)
+        if r.necessary_ok:
+            b = r.difference_mask
+            assert r.norm == parity_norm(b.support_min, b.coeffs)
+            assert contractive == (r.norm < 1)
 
     def test_certify_divides_each_quotient_once(self, monkeypatch):
         divided = []
@@ -368,8 +393,7 @@ class TestOneDivision:
             raise AssertionError("certify divided outside its chain")
 
         monkeypatch.setattr(convergence, "_divide", spy)
-        for name in ("contractive_runs", "necessary_conditions", "difference_scheme"):
-            monkeypatch.setattr(convergence, name, no_second_division)
+        monkeypatch.setattr(convergence, "contractive_runs", no_second_division)
         for name in "abcd":
             for target_m in range(7):
                 divided.clear()
@@ -451,7 +475,8 @@ class TestSmoothLift:
         # s(1), s(-1) and ((1+z)/2) s(z) of the symbol s(z) = sum a_k z^k
         s = sympy_symbol(mask.support_min, mask.coeffs)
         s1, sm1 = rational(s.subs(Z, 1)), rational(s.subs(Z, -1))
-        assert necessary_conditions(mask) == (s1, sm1, s1 == 2 and sm1 == 0)
+        r = certify(mask, 0)
+        assert (r.s_at_1, r.s_at_minus1, r.necessary_ok) == (s1, sm1, s1 == 2 and sm1 == 0)
         terms = laurent_terms((1 + Z) / 2 * s)
         if not terms:  # the zero mask lifts to itself
             assert smooth_lift(mask) == mask
@@ -472,7 +497,7 @@ class TestSmoothLift:
     def test_lift_then_difference_halves_symbol(self):
         for name in "acd":
             mask = catalog_get(name).mask
-            b = difference_scheme(smooth_lift(mask))
+            b = certify(smooth_lift(mask), 0).difference_mask
             # equal coefficient runs: equality up to the recentering
             # translation applied by smooth_lift
             assert b.coeffs == tuple(c / 2 for c in mask.coeffs)

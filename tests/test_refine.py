@@ -376,6 +376,19 @@ class TestParameterize:
         ts = [t for t, _ in points(stored_rows(P))]
         assert ts == [0.25, 0.75]
 
+    @pytest.mark.parametrize("mesh", list(MeshType))
+    @pytest.mark.parametrize("level", [3, 1020, 1021, 1022, 1023])
+    @pytest.mark.parametrize("center", [0, 2 ** 63, -(2 ** 63)])
+    def test_t_is_one_rounded_division(self, mesh, level, center):
+        # t = u / (s 2^k), u = s i + s - 1, on rows whose u crosses center
+        # (0 or the ends of int64) at levels whose s 2^k crosses 2^1022
+        s = 1 if mesh is MeshType.PRIMAL else 2
+        i = (center - s + 1) // s
+        rows = CurveRows(ControlPolygon(level, i, (F(1),), mesh), i - 3, i + 3)
+        want = [float(F(s * j + s - 1, s << level)) for j in range(i - 3, i + 4)]
+        assert [t for t, _ in points(rows)] == want
+        assert (rows.tmin, rows.tmax) == (want[0], want[-1])
+
 
 class TestBasisExperiment:
     def test_two_point_scheme_is_exact_tent(self):
