@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
 from operator import neg, truediv
@@ -30,14 +31,17 @@ class RefinementLimitError(RuntimeError):
     """Refinement would exceed the level, point or memory cap."""
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ControlPolygon:
     """Values nums[k] / den at indices first_index + k, zero elsewhere; canonical:
-    den > 0, gcd(den, *nums) == 1, nonzero ends, the zero polygon (0,) over 1."""
+    den > 0, gcd(den, *nums) == 1, nonzero ends, the zero polygon (0,) over 1.
+    The numerators are stored as one read-only array, int64 where _refine's
+    int64 route made them and of Python ints otherwise; nums, a tuple of
+    int, is made from it when first read."""
 
     level: int
     first_index: int
-    nums: tuple[int, ...]
+    _arr: np.ndarray
     den: int
     mesh: MeshType
 
@@ -46,27 +50,40 @@ class ControlPolygon:
         if not values:
             raise ValueError("control polygon needs at least one value")
         den, nums = integer_run(values)
-        self._set(level, first_index, nums, den, mesh)
+        self._set(level, first_index, np.array(nums, object), den, mesh)
 
     @classmethod
-    def _from_nums(cls, level, first_index, nums, den, mesh) -> "ControlPolygon":
+    def _from_nums(cls, level, first_index, nums: np.ndarray, den, mesh) -> "ControlPolygon":
         P = object.__new__(cls)
         P._set(level, first_index, nums, den, mesh)
         return P
 
-    def _set(self, level, first_index, nums, den, mesh) -> None:
-        # canonicalize: strip explicit zero padding at both ends, then reduce
-        lo, hi = 0, len(nums)
-        while hi - lo > 1 and nums[lo] == 0:
-            lo += 1
-        while hi - lo > 1 and nums[hi - 1] == 0:
-            hi -= 1
+    def _set(self, level, first_index, nums: np.ndarray, den, mesh) -> None:
+        # canonicalize: strip explicit zero padding at both ends, then reduce;
+        # a nonzero array's gcd is at most its largest |value|, so // keeps
+        # the dtype, and the zero polygon takes den // den = 1 undivided
+        nz = np.flatnonzero(nums)
+        lo, hi = (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (len(nums) - 1, len(nums))
         nums = nums[lo:hi]
-        g = math.gcd(den, *nums)
-        if g != 1:
-            nums = [v // g for v in nums]
+        g = math.gcd(den, int(np.gcd.reduce(nums)))
+        if g != 1 and len(nz):
+            nums = nums // g
+        nums.flags.writeable = False
         vars(self).update(level=int(level), first_index=int(first_index) + lo,
-                          nums=tuple(nums), den=den // g, mesh=mesh)
+                          _arr=nums, den=den // g, mesh=mesh)
+
+    def _key(self) -> tuple:
+        return self.level, self.first_index, self.nums, self.den, self.mesh
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, ControlPolygon) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @cached_property
+    def nums(self) -> tuple[int, ...]:
+        return tuple(self._arr.tolist())
 
     @property
     def values(self) -> tuple[Fraction, ...]:
@@ -74,11 +91,11 @@ class ControlPolygon:
 
     @property
     def last_index(self) -> int:
-        return self.first_index + len(self.nums) - 1
+        return self.first_index + len(self._arr) - 1
 
     def __getitem__(self, i: int) -> Fraction:
         if self.first_index <= i <= self.last_index:
-            return Fraction(self.nums[i - self.first_index], self.den)
+            return Fraction(int(self._arr[i - self.first_index]), self.den)
         return Fraction(0)
 
     def items(self):
@@ -127,12 +144,13 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
     With the mask scaled by L to integer taps, the bound
     max|P| * (max over the phases of sum |taps|)^k holds every value and
     every partial sum at every level.  Below 2^63 (8-byte slots) the k
-    levels run on an int64 array: the even outputs are np.convolve of the
-    level by the even taps, the odd ones by the odd taps.  Otherwise the
-    numerators are packed into one int (Kronecker substitution): a sequence
-    x is X = sum x_i 2^(8s i), s bytes a slot, sized from the same bound,
-    and a level is two products, X times the packed even taps and X times
-    the packed odd taps, whose slots are the even and the odd outputs.
+    levels run on an int64 array, which the result keeps: the even outputs
+    are np.convolve of the level by the even taps, the odd ones by the odd
+    taps.  Otherwise the numerators are packed into one int (Kronecker
+    substitution): a sequence x is X = sum x_i 2^(8s i), s bytes a slot,
+    sized from the same bound, and a level is two products, X times the
+    packed even taps and X times the packed odd taps, whose slots are the
+    even and the odd outputs.
     Each product gets 2^(8s-1) added in every slot, so no slot is negative
     and nothing carries between slots; the two byte strings are then
     interleaved slot by slot.  The step is linear with integer taps, so one
@@ -142,19 +160,19 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
     if k == 0:
         return P
     if mask.is_zero() or P.nums == (0,):
-        return ControlPolygon._from_nums(P.level + k, 2 ** k * P.first_index, (0,), 1, P.mesh)
+        return ControlPolygon._from_nums(P.level + k, 2 ** k * P.first_index,
+                                         np.zeros(1, np.int64), 1, P.mesh)
     L, taps = integer_run(mask.coeffs)
     phases = taps[0::2], taps[1::2]
     s = _slot_bytes(P, taps, k)
     if s == 8:
-        x = np.array(P.nums, np.int64)
+        nums = P._arr.astype(np.int64)
         for _ in range(k):
-            y = np.zeros(2 * len(x) - 2 + mask.width, np.int64)
+            y = np.zeros(2 * len(nums) - 2 + mask.width, np.int64)
             for j, ph in enumerate(phases):
                 if ph:  # a width-1 mask has no odd taps
-                    y[j::2] = np.convolve(x, np.array(ph, np.int64))
-            x = y
-        nums = x.tolist()
+                    y[j::2] = np.convolve(nums, np.array(ph, np.int64))
+            nums = y
     else:
         half, n = 1 << (8 * s - 1), len(P.nums)
         X = int.from_bytes(b"".join([(v + half).to_bytes(s, "little") for v in P.nums]),
@@ -177,7 +195,8 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
         slots[:, -1] ^= 0x80
         data = slots.tobytes()
         del buf, slots
-        nums = [int.from_bytes(data[i:i + s], "little", signed=True) for i in range(0, n * s, s)]
+        nums = np.fromiter((int.from_bytes(data[i:i + s], "little", signed=True)
+                            for i in range(0, n * s, s)), object, n)
         del data
     first = 2 ** k * P.first_index + (2 ** k - 1) * mask.support_min
     return ControlPolygon._from_nums(P.level + k, first, nums, P.den * L ** k, P.mesh)
@@ -186,23 +205,24 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
 # Caps decided before the first step.  The memory estimate uses peak costs
 # measured with CPython 3.11: the last level holds a numerator at most about
 # three times over, as int64 arrays (the level, its two convolutions and the
-# next level, 8 bytes a value), as packed bytes (the packed input, the two
+# next level, 8 bytes a value; the polygon keeps the last one, so this route
+# makes no list of ints), as packed bytes (the packed input, the two
 # products and their byte strings, the interleaved buffer) or as ints (the
-# unpacked list and its reduced copy).  Every slot is as wide as the bound
-# on the largest value, so a numerator counts the larger of its estimated
-# size and the slot.  An exported sample counts a float in each column plus
+# unpacked numerators and their reduced copy).  Every slot is as wide as
+# the bound on the largest value, so a numerator counts the larger of its
+# estimated size and the slot.  An exported sample counts a float in each column plus
 # its share of the text, the cost of holding every sample and its text at
 # once.  The exports stream a chunk of rows at a time (CurveRows), so the
 # term over-estimates them; it stays so that a caller who collects every
 # row of a CurveRows is bounded too.  tracemalloc peaks of
 # refine_k against the estimate without samples: catalog:a, 3-point
 # polygons of 1-, 300- and 1500-digit numerators at k = 16 / 14 / 12,
-# 29 / 39 / 46 MB under 74 / 58 / 55 MB (the first runs the int64 arrays,
-# where the list of ints sets the peak, as it does packed: 31.5 MB from
-# three one-digit fractions, and 2.0 MB under 3.9 MB for the catalog:a
-# step at k = 12 of the tests); the mask (2^200, 1) from one point
-# at k = 16, 67 MB under 84 MB (its numerators alone, at bitlen(L) bits a
-# level, would count 8 MB).  Basis plus whole CSV text at depth 14-18
+# 26 / 39 / 46 MB under 74 / 58 / 55 MB (all packed, where the ints set the
+# peak; the 1-digit polygon at k = 15 runs the int64 arrays, 3.5 MB under
+# 31.5 MB, and the catalog:a step at k = 12 of the tests 0.4 MB under
+# 3.9 MB); the mask (2^200, 1) from one point at k = 16, 67 MB under
+# 84 MB (its numerators alone, at bitlen(L) bits a level, would count
+# 8 MB).  Basis plus whole CSV text at depth 14-18
 # peaked at a third of its estimate.
 # The level cap bounds time where the other two cannot (a one-point polygon
 # stays one point): past level 60 neighbouring parameters i/2^k collide as
@@ -275,10 +295,13 @@ class CurveRows:
         start = max(lo - first, 0)
         # the zero rows before the stored ones, and the stored numerators, in lo..hi
         self.P, self.lo, self.hi, self.pad = P, lo, hi, min(max(first - lo, 0), hi - lo + 1)
-        self.window = P.nums[start:max(hi + 1 - first, start)]
+        self.window = P._arr[start:max(hi + 1 - first, start)]
+        low, high = (int(self.window.min()), int(self.window.max())) if len(self.window) else (0, 0)
+        # int64 numerators and a den of at most 2^53 are exact doubles, so
+        # one IEEE division each is the correctly rounded truediv
+        self.exact_doubles = self.window.dtype == np.int64 and max(P.den, -low, high) <= 2 ** 53
         try:
-            self.low = min(self.window, default=0) / P.den
-            self.high = max(self.window, default=0) / P.den
+            self.low, self.high = low / P.den, high / P.den
             self.tmin, self.tmax = self._t(lo, lo + 1)[0], self._t(hi, hi + 1)[0]
         except OverflowError:
             raise OverflowError("a curve value leaves the float range") from None
@@ -289,10 +312,15 @@ class CurveRows:
         return list(map(truediv, range(s * a + s - 1, s * b + s - 1, s), repeat(s << self.P.level)))
 
     def _values(self, a: int, b: int) -> list[float]:
-        """The values of the rows a..b-1, one truediv each."""
+        """The values of the rows a..b-1: one numpy division where exact,
+        else one truediv each."""
         w = a - self.lo - self.pad  # the window position of row a
         nums, zeros = self.window[max(w, 0):max(w + b - a, 0)], min(max(-w, 0), b - a)
-        return ([0.0] * zeros + list(map(truediv, nums, repeat(self.P.den)))
+        if self.exact_doubles:
+            out = np.zeros(b - a)
+            out[zeros:zeros + len(nums)] = nums / float(self.P.den)
+            return out.tolist()
+        return ([0.0] * zeros + list(map(truediv, nums.tolist(), repeat(self.P.den)))
                 + [0.0] * (b - a - zeros - len(nums)))
 
     def _chunks(self) -> Iterator[tuple[int, int]]:

@@ -1,8 +1,12 @@
 """The benchmark's recorded outputs, as a tier-1 check of unchanged bytes.
 
-Every family-scan request of the benchmark pool and every user-masks
-analyze request runs through subdiv.cli.main, and each output must hash, by
-perfbench/run.digest, to the digest perfbench/golden.json records for it.
+Every family-scan and deep-refine request of the benchmark pool and every
+user-masks analyze and basis request runs through subdiv.cli.main, and each
+output must hash, by perfbench/run.digest, to the digest
+perfbench/golden.json records for it.  The curve exports take two routes,
+one numpy division a chunk for int64 numerators and one truediv a row;
+the deep-refine requests take the first, the user-masks basis requests
+both.
 The hashes pin the floats of one Python and numpy build, so the test skips
 on another one.  It only reads perfbench/.
 """
@@ -46,5 +50,18 @@ def test_family_scan_pool(tmp_path):
 def test_user_masks_analyze(tmp_path):
     requests = [r for r in workloads.pool("user-masks", tmp_path)
                 if r.check["kind"] == "analyze"]
+    assert len(requests) == 180
+    assert changed_outputs("user-masks", requests) == []
+
+
+def test_deep_refine_pool(tmp_path):
+    requests = workloads.pool("deep-refine", tmp_path)
+    assert len(requests) == len(GOLDEN["hashes"]["deep-refine"]) == 88
+    assert changed_outputs("deep-refine", requests) == []
+
+
+def test_user_masks_basis(tmp_path):
+    requests = [r for r in workloads.pool("user-masks", tmp_path)
+                if r.check["kind"] == "basis"]
     assert len(requests) == 180
     assert changed_outputs("user-masks", requests) == []

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import Z, laurent_terms, sympy_symbol
 from subdiv import refine
@@ -730,3 +730,122 @@ class TestTTables:
         assert list(rows) == [([-1.0, *map(float, range(len(nums) + 1))],
                                [0.0, *(v / den for v in nums), 0.0])]
         assert_exports_match(rows)
+
+
+def int64_polygon(values, first=0, mesh=MeshType.PRIMAL):
+    """The polygon of values, refined one step by the mask 1 + z, which
+    repeats every value: its int64 route keeps den and max|num|, and the
+    polygon keeps the int64 array."""
+    P = refine_k(ControlPolygon(0, first, values, mesh), Mask(0, (F(1), F(1))), 1)
+    assert P._arr.dtype == np.int64
+    return P
+
+
+@st.composite
+def int64_runs(draw):
+    """int64 numerators with zero ends and a common factor, over a den that
+    may share it, or all zeros."""
+    g = draw(st.integers(1, 2 ** 20))
+    body = [g * v for v in draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=1, max_size=8))]
+    nums = [0] * draw(st.integers(0, 3)) + body + [0] * draw(st.integers(0, 3))
+    den = draw(st.integers(1, 2 ** 70)) * draw(st.sampled_from((1, g)))
+    return nums, den
+
+
+class TestInt64Numerators:
+    """Polygons that keep _refine's int64 array, against the Fraction route
+    and the per-row oracles."""
+
+    @settings(max_examples=200)
+    @given(int64_runs(), st.integers(0, 5), st.integers(-8, 8), st.sampled_from(MeshType))
+    @example(([0, 0, 0], 2 ** 70 + 2), 1, -3, MeshType.DUAL)  # zeros over a den past int64
+    def test_canonical_form_matches_fraction_route(self, run, level, first, mesh):
+        nums, den = run
+        P = ControlPolygon._from_nums(level, first, np.array(nums, np.int64), den, mesh)
+        Q = ControlPolygon(level, first, [F(v, den) for v in nums], mesh)
+        assert P._arr.dtype == np.int64 and Q._arr.dtype == object
+        assert ((P.level, P.first_index, P.nums, P.den, P.mesh)
+                == (Q.level, Q.first_index, Q.nums, Q.den, Q.mesh))
+        assert P == Q and hash(P) == hash(Q)
+        assert_canonical(P)
+        assert P.values == Q.values and P.total() == Q.total()
+        assert [P[i] for i in range(first - 2, first + len(nums) + 2)] == [
+            Q[i] for i in range(first - 2, first + len(nums) + 2)]
+
+    @given(polygons(), masks(), st.integers(0, 4), st.integers(0, 4))
+    def test_chained_refine_matches_fraction_route(self, P, mask, k, k2):
+        Q = refine_k(P, mask, k)
+        R = ControlPolygon(Q.level, Q.first_index, Q.values, Q.mesh)
+        assert Q == R
+        assert refine_k(Q, mask, k2) == refine_k(R, mask, k2) == refine_k(P, mask, k + k2)
+
+    def test_routes_keep_their_storage(self):
+        # int64 only where _refine's int64 route made the numerators
+        assert refine_k(delta(), catalog_get("a").mask, 12)._arr.dtype == np.int64
+        assert refine_k(delta(), Mask(0, (F(2 ** 200), F(1))), 2)._arr.dtype == object
+        assert ControlPolygon(0, 0, (F(1, 3), F(2))).nums == (1, 6)
+        assert not CurveRows(ControlPolygon(0, 0, (F(1, 3), F(2))), -1, 2).exact_doubles
+        with pytest.raises(ValueError):
+            refine_k(delta(), catalog_get("a").mask, 3)._arr[0] = 1
+
+    # a numerator of 2^53 + 1 or a den of 2^53 + 1 is no double
+    @pytest.mark.parametrize("top", [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -(2 ** 53) + 1,
+                                     -(2 ** 53), -(2 ** 53) - 1])
+    @pytest.mark.parametrize("den", [3, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1])
+    @pytest.mark.parametrize("mesh", list(MeshType))
+    def test_value_column_at_two_to_the_53(self, top, den, mesh):
+        P = int64_polygon([F(v, den) for v in (1, top, -2, 5)], -1, mesh)
+        assert max(map(abs, P.nums)) == abs(top) and P.den == den
+        # rows before, inside and after the window
+        rows = CurveRows(P, P.first_index - 2, P.last_index + 3)
+        assert rows.exact_doubles == (abs(top) <= 2 ** 53 and den <= 2 ** 53)
+        points = rows_per_index(P, rows.lo, rows.hi)
+        assert [(t, v) for ts, vs in rows for t, v in zip(ts, vs)] == points
+        csv, svg = "".join(curve_csv(rows)), "".join(curve_svg(rows))
+        assert csv == csv_per_line(points) and svg == svg_per_point(points)
+        assert csv.endswith(",0\n") and svg.endswith(",-0\"/>\n</svg>\n")
+
+    @pytest.mark.parametrize("n", [refine._CHUNK - 1, refine._CHUNK, refine._CHUNK + 1,
+                                   2 * refine._CHUNK + 1])
+    @pytest.mark.parametrize("mesh", list(MeshType))
+    def test_chunk_edges(self, n, mesh):
+        rng = random.Random(n)
+        values = [F(rng.randint(-50, 50), rng.choice((3, 5, 7))) for _ in range(refine._CHUNK + 1)]
+        values[0] = values[-1] = F(-1, 3)
+        P = int64_polygon(values, -1000, mesh)
+        # n rows from the window's start, from before it and up to past its end
+        for lo in (P.first_index, P.first_index - 5, P.last_index - n + 9):
+            rows = CurveRows(P, lo, lo + n - 1)
+            assert rows.exact_doubles
+            points = rows_per_index(P, rows.lo, rows.hi)
+            assert [(t, v) for ts, vs in rows for t, v in zip(ts, vs)] == points
+            assert "".join(curve_csv(rows)) == csv_per_line(points)
+            assert "".join(curve_svg(rows)) == svg_per_point(points)
+
+    def bounds_cases(self):
+        P = int64_polygon([F(-3, 7), F(-1, 7), F(-5, 7)], 2)
+        yield P, P.first_index + 1, P.first_index + 1                 # one row, negative
+        yield P, P.first_index, P.last_index                           # all negative
+        yield P, P.first_index - 2, P.first_index + 1                  # part outside
+        P = int64_polygon([F(2, 9), F(1, 9), F(4, 9)], -3, MeshType.DUAL)
+        yield P, P.first_index + 3, P.first_index + 3                 # one row, positive
+        yield P, P.first_index, P.last_index                           # all positive
+        yield P, P.first_index + 2, P.last_index + 5                   # part outside
+        yield P, P.last_index + 1, P.last_index + 4                    # outside only
+        P = refine_k(delta(), Mask(0, (F(1),)), 20)                   # one row at level 20
+        yield P, P.first_index, P.last_index
+        # den >= 2^1074: values round to 0.0 and -0.0 in one pass over the rows
+        P = int64_polygon([F(1, 2 ** 1100), F(-3, 2 ** 1100), F(2 ** 60, 2 ** 1100)])
+        yield P, P.first_index, P.last_index
+        yield P, P.first_index - 1, P.first_index + 3
+
+    def test_bounds_are_min_and_max_over_the_rows(self):
+        for P, lo, hi in self.bounds_cases():
+            assert P._arr.dtype == np.int64
+            rows = CurveRows(P, lo, hi)
+            points = rows_per_index(P, lo, hi)
+            ts, vs = [t for t, _ in points], [v for _, v in points]
+            # compared as hex, so that -0.0 and 0.0 differ
+            want = (min(ts), max(ts), min(vs), max(vs))
+            assert list(map(float.hex, rows.bounds())) == list(map(float.hex, want))
+            assert "".join(curve_svg(rows)) == svg_per_point(points)
