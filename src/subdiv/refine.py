@@ -36,7 +36,7 @@ class ControlPolygon:
     """Values nums[k] / den at indices first_index + k, zero elsewhere; canonical:
     den > 0, gcd(den, *nums) == 1, nonzero ends, the zero polygon (0,) over 1.
     The numerators are stored as one read-only array, int64 where _refine's
-    int64 route made them and of Python ints otherwise; nums, a tuple of
+    last level ran on int64 and of Python ints otherwise; nums, a tuple of
     int, is made from it when first read."""
 
     level: int
@@ -110,120 +110,67 @@ def delta() -> ControlPolygon:
     return ControlPolygon(0, 0, (Fraction(1),))
 
 
-def _biased(m: int, s: int) -> int:
-    """2^(8s-1) in each of m slots of s bytes."""
-    return int.from_bytes((bytes(s - 1) + b"\x80") * m, "little")
-
-
-def _slot_bytes(P: ControlPolygon, taps: list[int], k: int) -> int:
-    """Bytes s per slot for k steps of P: a multiple of 8 with
-    max|P| * (max over the phases of sum |taps|)^k < 2^(8s-1), a bound on
-    every value and partial sum of every level.  8 selects the int64 route."""
-    bound = max(map(abs, P.nums)) * max(sum(map(abs, taps[0::2])), sum(map(abs, taps[1::2]))) ** k
-    return (bound.bit_length() // 64 + 1) * 8
-
-
-def _times(X: int, taps: list[int], w: int) -> int:
-    """X * sum taps[i] 2^(w i)."""
-    # the slots are mostly zero padding around small taps, which a dense
-    # product would multiply out: a shift and an add per tap instead (the
-    # 1776 16-byte products of the user-masks basis pool: 0.038 s, against
-    # 0.049 s dense)
-    acc = 0
-    for a in reversed(taps):
-        acc <<= w
-        if a:
-            acc += X * a
-    return acc
+def _growth(P: ControlPolygon, taps: list[int]) -> tuple[int, int]:
+    """max|P| and M, the larger sum of |taps| over the even and the odd
+    taps: max|P| * M^l bounds every value and partial sum of level l."""
+    return (max(-int(P._arr.min()), int(P._arr.max())),
+            max(sum(map(abs, taps[0::2])), sum(map(abs, taps[1::2]))))
 
 
 def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
     """k exact refinement steps, out_{2l+j} += a_j P_l at each level, on
     integer numerators.
 
-    With the mask scaled by L to integer taps, the bound
-    max|P| * (max over the phases of sum |taps|)^k holds every value and
-    every partial sum at every level.  Below 2^63 (8-byte slots) the k
-    levels run on an int64 array, which the result keeps: the even outputs
-    are np.convolve of the level by the even taps, the odd ones by the odd
-    taps.  Otherwise the numerators are packed into one int (Kronecker
-    substitution): a sequence x is X = sum x_i 2^(8s i), s bytes a slot,
-    sized from the same bound, and a level is two products, X times the
-    packed even taps and X times the packed odd taps, whose slots are the
-    even and the odd outputs.
-    Each product gets 2^(8s-1) added in every slot, so no slot is negative
-    and nothing carries between slots; the two byte strings are then
-    interleaved slot by slot.  The step is linear with integer taps, so one
-    gcd after the last level gives the same canonical polygon as a gcd
-    after each level.  Each product and byte string is dropped as soon as
-    the next one no longer needs it (see _check_limits)."""
+    With the mask scaled by L to integer taps, a level's even outputs are
+    np.convolve of the level by the even taps and its odd ones by the odd
+    taps.  A level runs on an int64 array while the bound of _growth at its
+    depth is below 2^63, and on an array of Python ints from the first
+    level where it is not; M >= 1 for a nonzero mask, so the bound only
+    grows, and the array is cast at most at the start and at that switch.
+    The result keeps the last level's array.  The step is linear with
+    integer taps, so one gcd after the last level gives the same canonical
+    polygon as a gcd after each level."""
     if k == 0:
         return P
-    if mask.is_zero() or P.nums == (0,):
+    if mask.is_zero() or not P._arr.any():
         return ControlPolygon._from_nums(P.level + k, 2 ** k * P.first_index,
                                          np.zeros(1, np.int64), 1, P.mesh)
     L, taps = integer_run(mask.coeffs)
-    phases = taps[0::2], taps[1::2]
-    s = _slot_bytes(P, taps, k)
-    if s == 8:
-        nums = P._arr.astype(np.int64)
-        for _ in range(k):
-            y = np.zeros(2 * len(nums) - 2 + mask.width, np.int64)
-            for j, ph in enumerate(phases):
-                if ph:  # a width-1 mask has no odd taps
-                    y[j::2] = np.convolve(nums, np.array(ph, np.int64))
-            nums = y
-    else:
-        half, n = 1 << (8 * s - 1), len(P.nums)
-        X = int.from_bytes(b"".join([(v + half).to_bytes(s, "little") for v in P.nums]),
-                           "little") - _biased(n, s)
-        for level in range(k):
-            m = n + (mask.width + 1) // 2 - 1  # slots of the even product, >= the odd one's
-            Y = [(_times(X, ph, 8 * s) + _biased(m, s)).to_bytes(m * s, "little") for ph in phases]
-            del X
-            buf = np.empty((m, 2, s), np.uint8)
-            for j, y in enumerate(Y):
-                buf[:, j, :] = np.frombuffer(y, np.uint8).reshape(m, s)
-            del Y, y
-            n = 2 * (n - 1) + mask.width
-            if level < k - 1:
-                X = int.from_bytes(buf, "little") - _biased(2 * m, s)
-                del buf
-        # flip each slot's top bit: the biased slots become two's complement;
-        # one from_bytes per slot is linear in its width, joining limbs is not
-        slots = buf.reshape(2 * m, s)[:n]
-        slots[:, -1] ^= 0x80
-        data = slots.tobytes()
-        del buf, slots
-        nums = np.fromiter((int.from_bytes(data[i:i + s], "little", signed=True)
-                            for i in range(0, n * s, s)), object, n)
-        del data
+    bound, M = _growth(P, taps)
+    nums = P._arr
+    for _ in range(k):
+        bound *= M
+        dtype = np.int64 if bound < 2 ** 63 else object
+        if nums.dtype != dtype:
+            nums = nums.astype(dtype)
+        y = np.zeros(2 * len(nums) - 2 + mask.width, dtype)
+        for j, ph in enumerate((taps[0::2], taps[1::2])):
+            if ph:  # a width-1 mask has no odd taps
+                y[j::2] = np.convolve(nums, np.array(ph, dtype))
+        nums = y
     first = 2 ** k * P.first_index + (2 ** k - 1) * mask.support_min
     return ControlPolygon._from_nums(P.level + k, first, nums, P.den * L ** k, P.mesh)
 
 
 # Caps decided before the first step.  The memory estimate uses peak costs
 # measured with CPython 3.11: the last level holds a numerator at most about
-# three times over, as int64 arrays (the level, its two convolutions and the
-# next level, 8 bytes a value; the polygon keeps the last one, so this route
-# makes no list of ints), as packed bytes (the packed input, the two
-# products and their byte strings, the interleaved buffer) or as ints (the
-# unpacked numerators and their reduced copy).  Every slot is as wide as
-# the bound on the largest value, so a numerator counts the larger of its
-# estimated size and the slot.  An exported sample counts a float in each column plus
-# its share of the text, the cost of holding every sample and its text at
-# once.  The exports stream a chunk of rows at a time (CurveRows), so the
-# term over-estimates them; it stays so that a caller who collects every
-# row of a CurveRows is bounded too.  tracemalloc peaks of
-# refine_k against the estimate without samples: catalog:a, 3-point
-# polygons of 1-, 300- and 1500-digit numerators at k = 16 / 14 / 12,
-# 26 / 39 / 46 MB under 74 / 58 / 55 MB (all packed, where the ints set the
-# peak; the 1-digit polygon at k = 15 runs the int64 arrays, 3.5 MB under
-# 31.5 MB, and the catalog:a step at k = 12 of the tests 0.4 MB under
-# 3.9 MB); the mask (2^200, 1) from one point at k = 16, 67 MB under
-# 84 MB (its numerators alone, at bitlen(L) bits a level, would count
-# 8 MB).  Basis plus whole CSV text at depth 14-18
-# peaked at a third of its estimate.
+# three times over (the level before it, its two convolutions and the level
+# itself, which the polygon keeps, then the canonical form's index array and
+# reduced copy).  A numerator is 8 bytes of an int64 array while the bound
+# of _growth fits, and otherwise a pointer of an object array and an int of
+# the bound's bits, 4 bytes a 30-bit digit; either counts _INT_BYTES more,
+# an int's header and the allocator's slack.  An exported sample counts a
+# float in each column plus its share of the text, the cost of holding every
+# sample and its text at once.  The exports stream a chunk of rows at a time
+# (CurveRows), so the term over-estimates them; it stays so that a caller
+# who collects every row of a CurveRows is bounded too.  tracemalloc peaks
+# of refine_k against the estimate without samples: catalog:a from the
+# 1-digit polygon (1/3, -4/5, 2/7) at k = 12 / 15 (int64 throughout) and 16
+# (ints from level 16), 0.5 / 3.7 / 30 MB under 4.1 / 33 / 83 MB; from
+# 3-point polygons of 300- and 1500-digit numerators at k = 14 / 12 (ints
+# throughout), 30 / 31 MB under 65 / 62 MB; the mask (2^200, 1) from one
+# point at k = 16, 25 MB under 94 MB.  Basis plus whole CSV text at depth
+# 14-18 peaked at a third of its estimate.
 # The level cap bounds time where the other two cannot (a one-point polygon
 # stays one point): past level 60 neighbouring parameters i/2^k collide as
 # doubles wherever |t| >= 2^-7.
@@ -243,7 +190,7 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) ->
         raise RefinementLimitError("refinement would exceed level %d" % MAX_LEVEL)
     # n points with nonzero ends refine to exactly 2(n - 1) + width (a zero
     # polygon or mask stays one point)
-    n, zero = len(P.nums), mask.is_zero() or P.nums == (0,)
+    n, zero = len(P._arr), mask.is_zero() or not P._arr.any()
     for _ in range(k):
         if 2 * n + mask.width > MAX_POINTS:
             raise RefinementLimitError(
@@ -251,11 +198,10 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) ->
         if zero or n + mask.width == 2:
             break
         n = 2 * (n - 1) + mask.width
-    # a numerator takes the larger of about bitlen(L) bits a level and the
-    # packed step's slot, which is as wide as the bound on every value
-    L, taps = integer_run(mask.coeffs)
-    bits = max(v.bit_length() for v in (P.den, *P.nums)) + k * L.bit_length()
-    size = max(bits // 8, _slot_bytes(P, taps, k))
+    # the last level is the largest, so it sets the size of every numerator
+    bound, M = _growth(P, integer_run(mask.coeffs)[1])
+    bits = (bound * M ** k).bit_length()
+    size = 8 if bits < 64 else 8 + 4 * (bits // 30 + 1)
     need = 3 * n * (_INT_BYTES + size) + (n if samples is None else samples) * _SAMPLE_BYTES
     if need > MAX_BYTES:
         raise RefinementLimitError(

@@ -125,7 +125,8 @@ def polygons(draw):
 @st.composite
 def wide_polygons(draw):
     """polygons() with every value scaled by 1, 2^64 + 1 or 2^201 + 3, so
-    slots of one, two and four 64-bit limbs all occur."""
+    refinement runs on int64 throughout, on Python ints throughout, or
+    switches from one to the other."""
     P = draw(polygons())
     scale = draw(st.sampled_from((1, 2 ** 64 + 1, 2 ** 201 + 3)))
     return ControlPolygon(P.level, P.first_index, [v * scale for v in P.values], P.mesh)
@@ -171,7 +172,7 @@ class TestIntegerStep:
         assert (Z.first_index, Z.nums, Z.den) == (6, (0,), 1)
 
 
-class TestPackedRefinement:
+class TestLevelLoop:
     @settings(max_examples=150)
     @given(wide_polygons(), masks(), st.integers(0, 10))
     def test_matches_level_by_level_steps(self, P, mask, k):
@@ -182,33 +183,30 @@ class TestPackedRefinement:
         assert refine_k(P, mask, k) == Q
         assert_canonical(Q)
 
-    @pytest.mark.parametrize("scale", [1, 2 ** 63 - 1, -(2 ** 63 - 1), 2 ** 63, -(2 ** 63),
-                                       2 ** 200 + 1])
-    def test_slot_edges(self, scale, monkeypatch):
-        # values at a slot boundary, one tap per phase (width 2, odd start),
-        # a width-1 mask and a mask with zero interior taps; 8-byte slots
-        # run the int64 route, which never packs, and wider slots the packed one
-        packed, times = [], refine._times
-
-        def spy(X, taps, w):
-            packed.append(w)
-            return times(X, taps, w)
-        monkeypatch.setattr(refine, "_times", spy)
+    @pytest.mark.parametrize("scale", [1, 2 ** 50, 2 ** 63 - 1, -(2 ** 63 - 1), 2 ** 63,
+                                       -(2 ** 63), 2 ** 200 + 1])
+    def test_int64_switch(self, scale):
+        # values at the int64 limit, one tap per phase (width 2, odd start),
+        # a width-1 mask and a mask with zero interior taps; the result is
+        # int64 exactly where max|P| * M^k, M the larger phase sum of |taps|,
+        # is below 2^63.  With M = 7, the last mask switches 2^50 within a
+        # run: levels 1-4 on int64, and from level 5 on Python ints
         for mask in (Mask(-1, (F(1), F(1))), Mask(0, (F(-3, 2),)),
                      Mask(-3, (F(1, 4), F(0), F(0), F(-1), F(0), F(3, 4)))):
             P = ControlPolygon(0, 1, (scale, -scale, 0, scale - 1))
             taps = integer_run(mask.coeffs)[1]
+            M = max(sum(map(abs, taps[0::2])), sum(map(abs, taps[1::2])))
             Q = P
             for k in range(7):
-                packed.clear()
-                assert refine_k(P, mask, k) == Q
-                s = refine._slot_bytes(P, taps, k)
-                assert bool(packed) == (k > 0 and s > 8)
+                R = refine_k(P, mask, k)
+                assert R == Q
+                fits = max(map(abs, P.nums)) * M ** k < 2 ** 63
+                if k:
+                    assert (R._arr.dtype == np.int64) == fits
                 if mask.width == 2:
-                    # phase sums 1: 2^63 - 1 runs the int64 route at its
-                    # limit, and a value of 2^63 or -2^63 (scale - 1 at
-                    # -(2^63 - 1)) takes the packed one
-                    assert (s == 8) == (scale in (1, 2 ** 63 - 1))
+                    # phase sums 1: 2^63 - 1 stays int64 at its limit, and a
+                    # value of 2^63 or -2^63 (scale - 1 at -(2^63 - 1)) does not
+                    assert fits == (scale in (1, 2 ** 50, 2 ** 63 - 1))
                 first, values = reference_refine_once(Q, mask)
                 Q = ControlPolygon(k + 1, first, values)
 
@@ -320,8 +318,8 @@ class TestRefineK:
             refine_k(delta(), mask, 14)
 
     def test_memory_cap_counts_slot_width(self, monkeypatch):
-        # L = 1, but the values grow by 200 bits a level, and every slot of
-        # the packed step is as wide as the largest: 2^20 slots of 504 bytes
+        # L = 1, but the values grow by 200 bits a level: at depth 20, 2^20
+        # numerators of up to 4001 bits, each a Python int of about 540 bytes
         mask = Mask(0, (F(2 ** 200), F(1)))
         monkeypatch.setattr(refine, "_refine", lambda P, mask, k: P)
         refine_k(delta(), mask, 19)
@@ -734,8 +732,8 @@ class TestTTables:
 
 def int64_polygon(values, first=0, mesh=MeshType.PRIMAL):
     """The polygon of values, refined one step by the mask 1 + z, which
-    repeats every value: its int64 route keeps den and max|num|, and the
-    polygon keeps the int64 array."""
+    repeats every value: the step runs on int64 and keeps den and max|num|,
+    and the polygon keeps the int64 array."""
     P = refine_k(ControlPolygon(0, first, values, mesh), Mask(0, (F(1), F(1))), 1)
     assert P._arr.dtype == np.int64
     return P
@@ -779,8 +777,17 @@ class TestInt64Numerators:
         assert Q == R
         assert refine_k(Q, mask, k2) == refine_k(R, mask, k2) == refine_k(P, mask, k + k2)
 
+    def test_chained_refine_reads_no_nums(self):
+        # refining an int64 polygon again takes its bound from the array,
+        # so no tuple of Python ints is made on the input polygon
+        mask = catalog_get("a").mask
+        P = refine_k(delta(), mask, 12)
+        Q = refine_k(P, mask, 1)
+        assert "nums" not in vars(P)
+        assert Q == refine_k(delta(), mask, 13)
+
     def test_routes_keep_their_storage(self):
-        # int64 only where _refine's int64 route made the numerators
+        # int64 only where _refine's last level ran on int64
         assert refine_k(delta(), catalog_get("a").mask, 12)._arr.dtype == np.int64
         assert refine_k(delta(), Mask(0, (F(2 ** 200), F(1))), 2)._arr.dtype == object
         assert ControlPolygon(0, 0, (F(1, 3), F(2))).nums == (1, 6)
