@@ -69,35 +69,34 @@ def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[
     not simple.
 
     (A^T - I) u = 0 is solved as (B^T - L I) u = 0 by fraction-free
-    Gauss-Jordan elimination (Bareiss): every division is exact, and every
-    pivot ends equal to the last one.
+    Gauss-Jordan elimination (Bareiss) on one array of Python ints
+    (dtype=object): a pivot swaps two rows by index and updates the other
+    rows with one np.outer, every division is exact, and every pivot ends
+    equal to the last one.
     """
     n = len(B)
-    rows = [[B[j][i] - (L if i == j else 0) for j in range(n)] for i in range(n)]
-    pivots = []
+    M = np.array(B, dtype=object).T - L * np.identity(n, dtype=object)
+    free = []
     prev = 1
     for col in range(n):
-        r = len(pivots)
-        piv = next((k for k in range(r, n) if rows[k][col]), None)
-        if piv is None:
+        r = col - len(free)
+        nonzero = np.flatnonzero(M[r:, col])
+        if not len(nonzero):
+            free.append(col)
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p, pivot_row = rows[r][col], rows[r]
-        for k in range(n):
-            if k != r:
-                f = rows[k][col]
-                rows[k] = [(p * x - f * y) // prev for x, y in zip(rows[k], pivot_row)]
-        pivots.append(col)
+        if nonzero[0]:
+            M[[r, r + nonzero[0]]] = M[[r + nonzero[0], r]]
+        # one step for every row, which zeroes the pivot row: it is put back
+        p, row = M[r, col], M[r]
+        M = (p * M - np.outer(M[:, col], row)) // prev
+        M[r] = row
         prev = p
-    free = [c for c in range(n) if c not in pivots]
     if len(free) != 1:
         return None
-    # pivot row r reads prev * u[pivots[r]] + row[free] * u[free] = 0
-    u = [0] * n
-    u[free[0]] = prev
-    for row, col in zip(rows, pivots):
-        u[col] = -row[free[0]]
-    total = sum(u)
+    # pivot row r reads prev * u[c] + M[r, f] * u[f] = 0, f = free[0] and c
+    # the r-th column other than f
+    u = np.insert(-M[:n - 1, free[0]], free[0], prev)
+    total = u.sum()
     if total == 0:
         return None
     return [Fraction(x, total) for x in u]
@@ -214,11 +213,12 @@ def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
     complex pair as two consecutive entries, Im > 0 first, then its exact
     conjugate (LAPACK Users' Guide, xGEEV).  The coefficients of every
     transient come from one stacked solve, each system a single right-hand
-    side as in a solve per transient, and the magnitudes and flips from
-    array operations.  A matrix that is defective beyond tolerance skips
-    the decomposition with a diagnostic.  A coefficient or pair magnitude
-    past the float range is ModeOverflowError, naming the first transient
-    that has one, as no printed magnitude may be inf or nan.
+    side as in a solve per transient; one loop over the eigenvalues then
+    builds each mode, its magnitudes and flips from array operations.  A
+    matrix that is defective beyond tolerance skips the decomposition with
+    a diagnostic.  A coefficient or pair magnitude past the float range is
+    ModeOverflowError, naming the first transient that has one, as no
+    printed magnitude may be inf or nan.
     """
     Af = np.asarray(traj.matrix)
     w, V = np.linalg.eig(Af)
@@ -228,33 +228,28 @@ def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
                                        "mode decomposition skipped")
 
     D = np.asarray(traj.transients)
-    # (eigenvalue, is a pair, magnitudes, signed coefficients) per mode
-    columns = []
+    modes: list[EigenMode] = []
+    finite = np.ones(len(D), dtype=bool)
     with np.errstate(all="ignore"):  # overflow shows as a non-finite magnitude
         coeffs = np.linalg.solve(np.broadcast_to(V, (len(D),) + V.shape), D[..., None])[..., 0]
         for j, mu in enumerate(w):
-            if mu.imag > 0:  # w[j + 1] is its conjugate, skipped below
+            if mu.imag > 0:  # w[j + 1] is its conjugate, merged here
                 mags = np.hypot(np.abs(coeffs[:, j]), np.abs(coeffs[:, j + 1]))
-                columns.append((complex(mu), True, mags, None))
+                modes.append(EigenMode(complex(mu), True, tuple(mags.tolist()), None, 0))
             elif mu.imag == 0:
                 cj = np.real(coeffs[:, j])
-                columns.append((complex(mu.real, 0.0), False, np.abs(cj), cj))
-    finite = np.ones(len(D), dtype=bool)
-    for _, _, mags, _ in columns:
-        finite &= np.isfinite(mags)
+                mags = np.abs(cj)
+                big, pos = mags > _COEFF_FLOOR, cj > 0
+                flips = int(np.count_nonzero(big[:-1] & big[1:] & (pos[:-1] != pos[1:])))
+                modes.append(EigenMode(complex(mu.real, 0.0), False, tuple(mags.tolist()),
+                                       tuple(cj.tolist()), flips))
+            else:
+                continue
+            finite &= np.isfinite(mags)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ModeOverflowError("the mode magnitudes of transient %d leave the float range" % k
                                 + ("; they are finite up to K = %d" % (k - 1) if k else ""))
-
-    modes: list[EigenMode] = []
-    for mu, is_pair, mags, cj in columns:
-        if is_pair:
-            modes.append(EigenMode(mu, True, tuple(mags.tolist()), None, 0))
-        else:
-            big, pos = mags > _COEFF_FLOOR, cj > 0
-            flips = int(np.count_nonzero(big[:-1] & big[1:] & (pos[:-1] != pos[1:])))
-            modes.append(EigenMode(mu, False, tuple(mags.tolist()), tuple(cj.tolist()), flips))
 
     rotation = None
     pairs = [m for m in modes if m.is_complex_pair]

@@ -324,6 +324,14 @@ class TestDynamics:
         assert err == ("error: the mode magnitudes of transient 286 leave the float range; "
                        "they are finite up to K = 285\n")
 
+    def test_width_1_is_refused_by_the_local_matrix(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        save_scheme(SchemeRecord("one", Mask(0, (F(2),))), path)
+        code, out, err = run(capsys, "dynamics", "--scheme", str(path),
+                             "--out", str(tmp_path / "X.csv"))
+        assert (code, out, err) == (1, "", "error: local matrix needs mask width >= 2\n")
+        assert not (tmp_path / "X.csv").exists()
+
     def test_bad_v0_length(self, capsys):
         code, _, err = run(capsys, "dynamics", "--scheme", "catalog:a",
                            "--v0", "1,2")
@@ -377,6 +385,18 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--width", "5", "--grid", "0:1")
         assert code == 1
         assert "grid range" in err
+
+    @pytest.mark.parametrize("width, grid, message", [
+        ("4", "1:0:1", "grid range needs lo < hi"),
+        ("4", "0:1:0", "grid step must be > 0"),
+        ("6", "0:1:1/2", "width 6 needs 2 grid ranges, got 1"),
+        ("9", "0:1:1", "width must be in 2..8"),
+    ], ids=["lo-above-hi", "zero-step", "range-count", "width-9"])
+    def test_bad_spec_error_line(self, capsys, tmp_path, width, grid, message):
+        code, out, err = run(capsys, "search", "--width", width, "--grid", grid,
+                             "--out", str(tmp_path / "X"))
+        assert (code, out, err) == (1, "", "error: %s\n" % message)
+        assert list(tmp_path.iterdir()) == []
 
     def test_cell_past_float_range_is_an_error(self, capsys):
         grid = "0:%d:%d,0:1/4:1/4" % (2 ** 300, 2 ** 300)

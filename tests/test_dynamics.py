@@ -84,6 +84,13 @@ def sympy_null_weights(A: LocalMatrix):
     return [F(int(x.p), int(x.q)) for x in u]
 
 
+def entry_matrix(entries) -> LocalMatrix:
+    """The LocalMatrix of a matrix of rationals, L the lcm of their
+    denominators."""
+    L = math.lcm(*(F(e).denominator for row in entries for e in row))
+    return LocalMatrix(L, tuple(tuple(int(F(e) * L) for e in row) for row in entries), 0)
+
+
 def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
     """The former Fraction loop, kept as an oracle: (transients,
     fixed_point, distances), with the weights solved by sympy; the fixed
@@ -189,12 +196,29 @@ class TestExactTrajectory:
         ((F(1, 2), 0), (0, F(1, 3))),                        # no eigenvalue 1
         ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4))),  # two eigenvectors
         ((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))),           # Jordan block at 1
-    ], ids=["absent", "double", "defective"])
+        ((F(3, 2), F(1, 2)), (F(1, 2), F(3, 2))),            # u = (1, -1) sums to 0
+    ], ids=["absent", "double", "defective", "sum-zero"])
     def test_null_weights_none_unless_simple(self, entries):
-        L = math.lcm(*(F(e).denominator for row in entries for e in row))
-        A = LocalMatrix(L, tuple(tuple(int(F(e) * L) for e in row) for row in entries), 0)
+        A = entry_matrix(entries)
         assert _rational_null_weights(A.L, A.B) is None
         assert sympy_null_weights(A) is None
+
+    P = 2 ** 64 + 13
+
+    @pytest.mark.parametrize("entries", [
+        # A[0][0] = 1 zeroes the first pivot of B^T - L I: a row swap
+        ((1, F(1, 2), F(1, 4)), (0, F(1, 2), F(1, 4)), (0, 0, F(1, 2))),
+        ((1, F(1, 3), 0, F(-1, 3)), (F(1, 2), 0, F(1, 2), 0), (0, F(1, 4), F(1, 2), F(1, 4)),
+         (F(1, 5), F(2, 5), 0, F(2, 5))),
+        # L and the numerators of B past 2^63
+        ((1 - F(1, P), F(1, P)), (F(3, P + 2), 1 - F(3, P + 2))),
+        ((F(P - 1, P), F(1, 2 * P), F(1, 2 * P), 0), (F(1, 3), F(1, 3), F(1, 3), 0),
+         (0, F(2, P + 2), F(P, P + 2), 0), (F(1, P), 0, 0, F(P - 1, P))),
+    ], ids=["swap-3", "swap-4", "big-2", "big-4"])
+    def test_null_weights_swap_and_big_entries(self, entries):
+        A = entry_matrix(entries)
+        w = _rational_null_weights(A.L, A.B)
+        assert w is not None and sum(w) == 1 and w == sympy_null_weights(A)
 
     def test_catalog_weights(self):
         w = _rational_null_weights(A_MATRIX.L, A_MATRIX.B)

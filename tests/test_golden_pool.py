@@ -1,12 +1,14 @@
 """The benchmark's recorded outputs, as a tier-1 check of unchanged bytes.
 
-Every family-scan and deep-refine request of the benchmark pool and every
-user-masks analyze and basis request runs through subdiv.cli.main, and each
-output must hash, by perfbench/run.digest, to the digest
-perfbench/golden.json records for it.  The curve exports take two routes,
-one numpy division a chunk for int64 numerators and one truediv a row;
-the deep-refine requests take the first, the user-masks basis requests
-both.
+Every request of the benchmark pool (292 family-scan, 88 deep-refine, and
+180 each of the user-masks analyze, basis and dynamics requests) runs
+through subdiv.cli.main, and each output must hash, by
+perfbench/run.digest, to the digest perfbench/golden.json records for it.
+The curve exports take two routes, one numpy division a chunk for int64
+numerators and one truediv a row; the deep-refine requests take the
+first, the user-masks basis requests both.  The user-masks dynamics
+requests run K = 300 on palindromic and asymmetric masks of widths 6-20,
+a third of them with --norm 2.
 The hashes pin the floats of one Python and numpy build, so the test skips
 on another one.  It only reads perfbench/.
 """
@@ -64,4 +66,12 @@ def test_user_masks_basis(tmp_path):
     requests = [r for r in workloads.pool("user-masks", tmp_path)
                 if r.check["kind"] == "basis"]
     assert len(requests) == 180
+    assert changed_outputs("user-masks", requests) == []
+
+
+def test_user_masks_dynamics(tmp_path):
+    requests = [r for r in workloads.pool("user-masks", tmp_path)
+                if r.check["kind"] == "dynamics"]
+    assert len(requests) == 180
+    assert sum("--norm" in r.argv for r in requests) == 60
     assert changed_outputs("user-masks", requests) == []
