@@ -17,23 +17,21 @@ of one shape, each one stacked eigvals of companion matrices and one
 vectorised polish, bit-identical to np.roots and np.polyval per factor.
 eigenvalues(M) is spectra of M's one-row stack, so one route serves both.
 
-The factors come from the corners.  Columns 0 and n-1 each hold one nonzero
-entry, on the diagonal, so det(xI - A) = (x - a_first)(x - a_last) q(x) with
-q the characteristic polynomial of the central block, computed exactly in
-integers (Faddeev-LeVerrier on L*A, one stacked matrix product per step).
-A fraction-free remainder sequence of (q, q') over GF(2^31 - 1), run on the
+Columns 0 and n-1 each hold one nonzero entry, on the diagonal, so
+det(xI - A) = (x - a_first)(x - a_last) q(x) with q the characteristic
+polynomial of the central block, computed exactly in integers
+(Faddeev-LeVerrier on L*A, one stacked matrix product per step).  A
+fraction-free remainder sequence of (q, q') over GF(2^31 - 1), run on the
 whole stack in int64 residues, certifies q square-free when it drops one
-degree at a time to a nonzero constant; q is then its own single class.
-Any other q goes straight to Yun's split over GF(p), p a Mersenne prime
-above twice q's Mignotte bound, kept when its lifted factors multiply to q
-in integers (a square-free q whose sequence skipped a degree comes back
-whole).  Each corner then joins the class above its multiplicity as a root
-of q (0 when it is none), two classes up when the corners are equal (every
-palindromic mask).  _split_factors writes every factor into one table of
-stacks, one per multiplicity and degree: a certified q with no corner among
-its roots makes a plain row, whose factors (q and the corners) join those
-stacks as arrays, and every other row adds its factors one by one.
-_eigenvalues then runs one loop over the table, the same for every row.
+degree at a time to a nonzero constant.  A row whose q is certified and has
+neither corner among its roots is plain: its factors, q and the corners,
+join _split_factors' table of stacks (one per multiplicity and degree) as
+arrays.  Every other row takes Yun's split of its whole characteristic
+polynomial q (x - a_first)(x - a_last) over GF(p), p a Mersenne prime above
+twice its Mignotte bound, kept when the lifted factors multiply to it in
+integers (a square-free one whose sequence skipped a degree comes back
+whole).  _eigenvalues then runs one loop over the table, the same for
+every row.
 
 A palindromic run makes A commute with the flip J (A[i][j] = A[n-1-i][n-1-j]),
 so the central block C is centrosymmetric.  Such a C of order 2k splits
@@ -124,9 +122,27 @@ def check_order(n: int) -> None:
 # 0.12 s at 14 and 0.016 s at 8 (Python 3.11, one core), and dynamics' exact
 # fixed point 0.6 s at width 24.  The cap also keeps what analyze prints
 # under CPython's 4300-digit int-to-string limit (width 2 counts as one
-# row), and twice every Mignotte bound below _PRIMES[-1]: by Hadamard's
-# bound, m * bits + 2m + 2 + (m/2) log2 m < 11100 bits, m = n - 2 <= 22.
+# row), and twice the Mignotte bound of every whole characteristic
+# polynomial c (y - a)(y - b) that _squarefree_split gets below _PRIMES[-1]
+# = 2^44497 - 1: by Hadamard's bound it has at most
+# (m + 2) * bits + 2m + 4 + (m/2) log2 m bits, m = n - 2, which peaks near
+# 33010 at width 3 and is near 12100 at width 24.  check_size applies the
+# cap to a mask and search.scan to a grid (its common denominator as L),
+# both by check_bits, so no command passes it; spectra called past it
+# raises EigensolveError for a row off the plain path.  Near the cap
+# (2-core Xeon, Python 3.11) a degree-22 c with a double root (10928-bit
+# coefficients) splits in 0.23 s over 2^11213 - 1, its whole polynomial
+# (11921 bits) in 0.78 s over 2^19937 - 1, and the width-3 worst case
+# (y - x)^3 (33000 bits) in 0.03 s over 2^44497 - 1.
 MAX_CHARPOLY_BITS = 11000
+
+
+def check_bits(what: str, width: int, bits: int) -> None:
+    """Refuse runs of a width whose scale L or largest |numerator| has
+    bits bits, past MAX_CHARPOLY_BITS; what names them in the message."""
+    if max(width - 2, 1) * bits > MAX_CHARPOLY_BITS:
+        raise ValueError("%s too large for exact arithmetic: width %d, %d bits; needs "
+                         "max(width - 2, 1) * bits <= %d" % (what, width, bits, MAX_CHARPOLY_BITS))
 
 
 def check_size(mask: Mask) -> None:
@@ -134,10 +150,7 @@ def check_size(mask: Mask) -> None:
     past MAX_CHARPOLY_BITS."""
     check_order(mask.width)
     L, nums = integer_run(mask.coeffs)
-    bits = max(L, *map(abs, nums)).bit_length()
-    if max(mask.width - 2, 1) * bits > MAX_CHARPOLY_BITS:
-        raise ValueError("mask too large for exact arithmetic: width %d, %d bits; needs "
-                         "max(width - 2, 1) * bits <= %d" % (mask.width, bits, MAX_CHARPOLY_BITS))
+    check_bits("mask", mask.width, max(L, *map(abs, nums)).bit_length())
 
 
 def local_stack(runs) -> np.ndarray:
@@ -323,10 +336,10 @@ def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-# Mersenne primes, ascending; the last lies above every Mignotte bound
-# that check_size lets through.
-_PRIMES = tuple((1 << k) - 1 for k in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281,
-                                       3217, 4253, 4423, 9689, 9941, 11213))
+# Mersenne primes, ascending; the last lies above twice the Mignotte bound
+# of every whole characteristic polynomial that check_size lets through.
+_PRIMES = tuple((1 << k) - 1 for k in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
+                                       4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497))
 
 
 def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -344,7 +357,10 @@ def _gcd_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
             while a and not a[-1]:
                 a.pop()
         a, b = b, a
-    if len(a) == 1:  # a unit, as for every square-free c: no inverse needed
+    # a unit, as for every square-free polynomial: no modular inverse, which
+    # costs 5.9 / 17.8 / 83.5 ms at the 11213 / 19937 / 44497-bit primes
+    # (2-core Xeon, Python 3.11)
+    if len(a) == 1:
         return [1]
     inv = pow(a[-1], -1, p)
     return [x * inv % p for x in a]
@@ -383,7 +399,8 @@ def _yun_lift(c: Sequence[int], g: Sequence[int], p: int) -> dict[int, list[int]
 
 def _squarefree_split(c: Sequence[int]) -> dict[int, list[int]]:
     """{i: the monic integer product of the factors of multiplicity i} of a
-    monic integer c that _certified left out.  _yun_lift runs over the first
+    monic integer c, the whole characteristic polynomial of a row off
+    _split_factors' plain path.  _yun_lift runs over the first
     prime above twice the Mignotte bound 2^d ||c||_2 on the coefficients of
     c's monic factors.  Its factors are square-free and pairwise coprime mod
     p, so over the rationals too (a common or square factor over the
@@ -432,24 +449,14 @@ def _certified(c: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _horner(c: Sequence[int], y: int) -> int:
-    """c(y), exact, coefficients from y^0 up.  Given the coefficient
-    columns of a stack of polynomials (cs.T, object arrays) and an array of
-    points y, each polynomial at its own point."""
+def _horner(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each polynomial of a stack at its own point, exact: cols holds the
+    coefficient columns (cs.T, object arrays, from y^0 up) and y the
+    points."""
     v = 0
-    for x in reversed(c):
+    for x in reversed(cols):
         v = v * y + x
     return v
-
-
-def _over_linear(c: Sequence[int], r: int) -> list[int]:
-    """c(y) / (y - r) by synthetic division, for a root r of c."""
-    q = [0] * (len(c) - 1)
-    acc = 0
-    for k in range(len(c) - 1, 0, -1):
-        acc = acc * r + c[k]
-        q[k - 1] = acc
-    return q
 
 
 def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[tuple[np.ndarray, int, np.ndarray]]:
@@ -464,27 +471,18 @@ def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[tuple[np.ndarray, int,
     A row that _certified clears and whose corners a, b are no root of c
     (one stacked Horner evaluation per corner) is plain, and its factors
     are arrays: c and (y - a) of multiplicity 2 when a = b, else
-    c (y - a)(y - b).  Every other row adds its factors as one-row stacks:
-    c whole when certified, else _squarefree_split, and a corner that is a
-    root of multiplicity m in its row's c then moves to class m+1 (m+2 when
-    both corners are that root; m = 0 when it is no root).  The stacks of
-    one (m, d) are then joined."""
-    certified = _certified(cs)
+    c (y - a)(y - b).  Every other row adds the classes of
+    _squarefree_split of its whole c (y - a)(y - b) as one-row stacks.  The
+    stacks of one (m, d) are then joined."""
     first, last = S[:, 0, 0], S[:, -1, -1]
-    plain = certified & (_horner(cs.T, first) != 0) & (_horner(cs.T, last) != 0)
-    eq, ne = np.flatnonzero(plain & (first == last)), np.flatnonzero(plain & (first != last))
+    plain = _certified(cs) & (_horner(cs.T, first) != 0) & (_horner(cs.T, last) != 0)
+    eq, ne, off = map(np.flatnonzero, (plain & (first == last), plain & (first != last), ~plain))
     ya, yb = (np.column_stack((-r, np.ones_like(r))) for r in (first, last))  # y - a, y - b
-    parts = [(eq, 1, cs[eq]), (eq, 2, ya[eq]), (ne, 1, _row_products(_row_products(cs[ne], ya[ne]), yb[ne]))]
-    for i in np.flatnonzero(~plain).tolist():
-        c, a, b = cs[i].tolist(), first[i], last[i]
-        classes = {1: c} if certified[i] else _squarefree_split(c)
-        for r in {a, b}:
-            m = next((m for m, f in classes.items() if _horner(f, r) == 0), 0)
-            if m:
-                classes[m] = _over_linear(classes[m], r)
-            up = m + (2 if a == b else 1)
-            classes[up] = _poly_mul(classes.get(up, [1]), [-r, 1])
-        parts += [(np.array([i]), m, np.array([f], dtype=object)) for m, f in classes.items()]
+    rest = np.concatenate((ne, off))
+    whole = _row_products(_row_products(cs[rest], ya[rest]), yb[rest])
+    parts = [(eq, 1, cs[eq]), (eq, 2, ya[eq]), (ne, 1, whole[:len(ne)])]
+    for i, c in zip(off.tolist(), whole[len(ne):].tolist()):
+        parts += [(np.array([i]), m, np.array([f], dtype=object)) for m, f in _squarefree_split(c).items()]
     table: dict[tuple[int, int], list] = {}
     for rows, m, F in parts:
         if len(rows) and F.shape[1] > 1:

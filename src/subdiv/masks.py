@@ -71,10 +71,18 @@ def parse_rational(s) -> Fraction:
     return Fraction(s)
 
 
+def lcm_tree(xs: list[int]) -> int:
+    """The lcm of the ints xs by a balanced tree of pairwise lcms: a left
+    fold costs time quadratic in len(xs) once the lcm outgrows each x."""
+    while len(xs) > 1:
+        xs = [math.lcm(*xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return math.lcm(*xs)
+
+
 def integer_run(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     """(L, nums): L the lcm of the denominators of the rationals (ints or
-    Fractions), nums the values as integer numerators over L."""
-    L = math.lcm(*(v.denominator for v in values))
+    Fractions, lcm_tree), nums the values as integer numerators over L."""
+    L = lcm_tree([v.denominator for v in values])
     return L, [v.numerator * (L // v.denominator) for v in values]
 
 

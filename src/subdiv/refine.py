@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .masks import Mask, integer_run
+from .masks import Mask, integer_run, lcm_tree
 
 
 class MeshType(Enum):
@@ -198,11 +198,20 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) ->
         if zero or n + mask.width == 2:
             break
         n = 2 * (n - 1) + mask.width
-    # the last level is the largest, so it sets the size of every numerator
-    bound, M = _growth(P, integer_run(mask.coeffs)[1])
-    bits = (bound * M ** k).bit_length()
-    size = 8 if bits < 64 else 8 + 4 * (bits // 30 + 1)
-    need = 3 * n * (_INT_BYTES + size) + (n if samples is None else samples) * _SAMPLE_BYTES
+    # k >= 1 steps of a nonzero polygon and mask give n >= width numerators
+    # of at least bits(L) - bits(max denominator) bits each, held about three
+    # times at 4/30 byte a bit: 0.4 * width * that is a floor of the estimate
+    # below.  It needs only L, so a wide mask is refused before integer_run
+    # builds numerators whose total size is quadratic in the width.  The
+    # last level is the largest, so it sets the size of every numerator;
+    # k = 0 and a zero polygon or mask need no taps.
+    dens = [v.denominator for v in mask.coeffs] if k and not zero else [1]
+    need = int(0.4 * mask.width * (lcm_tree(dens).bit_length() - max(dens).bit_length()))
+    if need <= MAX_BYTES:
+        bound, M = _growth(P, integer_run(mask.coeffs)[1] if k and not zero else [])
+        bits = (bound * M ** k).bit_length()
+        size = 8 if bits < 64 else 8 + 4 * (bits // 30 + 1)
+        need = 3 * n * (_INT_BYTES + size) + (n if samples is None else samples) * _SAMPLE_BYTES
     if need > MAX_BYTES:
         raise RefinementLimitError(
             "refinement would exceed %d MB of memory (about %d MB)"

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .convergence import contractive_runs
-from .localmatrix import local_stack, palindromic_classes, w6_discriminant
+from .localmatrix import check_bits, local_stack, palindromic_classes, w6_discriminant
 from .masks import integer_run
 
 
@@ -213,7 +213,10 @@ def scan(spec: SearchSpec) -> SearchResult:
     cells is a ValueError that names its count, or says it passes 10^18,
     and so, before any cell is classified, is a grid value whose numerator
     or denominator has more than 4300 digits (str() would refuse it in the
-    exports); the message names it as p<axis> = lo + k step."""
+    exports); the message names it as p<axis> = lo + k step.  So is a grid
+    whose largest |run numerator| or D passes check_size's bound
+    (localmatrix.check_bits), which keeps every characteristic polynomial
+    the modular split gets below its largest prime."""
     n_cells = math.prod(r.count for r in spec.param_ranges)
     if n_cells > MAX_CELLS:
         raise ValueError("grid has %s cells, cap is %d"
@@ -226,6 +229,10 @@ def scan(spec: SearchSpec) -> SearchResult:
     # each axis's values as numerators over den
     nums = [np.array([x.numerator * (den // x.denominator) for x in v], dtype=object) for v in values]
     support_min, base, lin = _run_map(spec.width, den)
+    # a run is affine in the grid values, so its largest |numerator| over
+    # the grid is at a corner: check_size's refusal, with den as L
+    corners = [base + np.array(x, dtype=object) @ lin for x in product(*((v[0], v[-1]) for v in nums))]
+    check_bits("grid", spec.width, max(den, *map(abs, np.concatenate(corners))).bit_length())
 
     codes, max_imag, degenerate = [], [], []
     for start in range(0, n_cells, SCAN_BLOCK):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subdiv import cli, convergence, dynamics, localmatrix, refine
+from subdiv import cli, convergence, dynamics, localmatrix, masks, refine
 from subdiv.cli import build_parser, main
 from subdiv.masks import Mask, SchemeRecord, catalog_get, save_scheme
 from subdiv.search import GridRange
@@ -243,6 +243,36 @@ class TestRefineAndBasis:
         assert code == 1 and out == ""
         assert "refinement would exceed 1024 MB of memory" in err
 
+    def test_wide_mask_from_a_file_answers_at_once(self, capsys, tmp_path, monkeypatch):
+        # 40000 coefficients 1/p, p distinct primes: L has about 700000
+        # bits, and the mask's integer form costs time and memory quadratic
+        # in the width (12 s).  One step is refused from an lcm tree's floor
+        # of the memory estimate, and no step needs the integer form at all.
+        def integer_run(values):
+            assert len(values) < 40000, "the wide mask's integer form was built"
+            return masks.integer_run(values)
+
+        monkeypatch.setattr(refine, "integer_run", integer_run)
+        sieve = np.ones(500000, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, 708):  # 708^2 > 500000
+            if sieve[p]:
+                sieve[p * p::p] = False
+        primes = np.flatnonzero(sieve)[:40000].tolist()
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"name": "wide", "support_min": 0,
+                                    "coeffs": ["1/%d" % p for p in primes]}))
+        for command, iters, code_expected in (("basis", "1", 1), ("refine", "1", 1),
+                                              ("refine", "0", 0)):
+            start = time.perf_counter()
+            code, out, err = run(capsys, command, "--scheme", str(path), "--iters", iters)
+            assert time.perf_counter() - start < 5.0, (command, iters)
+            assert code == code_expected, err
+            if code:
+                assert out == "" and "would exceed 1024 MB of memory (about " in err
+            else:
+                assert err == "" and out
+
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_basis_of_a_far_shifted_mask(self, capsys, tmp_path, fmt):
         # the basis function lies far right or left of [-4, 4]: every value
@@ -410,6 +440,27 @@ class TestSearch:
                              "--grid", "1e300:2e300:1e300,0:1:1,0:1:1")
         assert code == 1 and out == ""
         assert err == "error: a characteristic polynomial coefficient leaves the float range\n"
+
+    def test_grid_past_the_charpoly_cap(self, capsys, monkeypatch, tmp_path):
+        # at a = 1 the corner is a root of the central charpoly, so every
+        # complex cell takes the modular split of its whole charpoly; b =
+        # 1/10^k puts 10^k in the common denominator.  At k = 2300 that
+        # polynomial passes the largest table prime: refused before any
+        # cell is classified, as analyze refuses such a mask.
+        calls, split = [], localmatrix._squarefree_split
+        monkeypatch.setattr(localmatrix, "_squarefree_split", lambda c: calls.append(c) or split(c))
+        grid = "1:2:1,1/%d:1:1" % 10 ** 2300
+        code, out, err = run(capsys, "search", "--width", "6", "--grid", grid,
+                             "--out", str(tmp_path / "X"))
+        assert (code, out, calls) == (1, "", [])
+        assert err == ("error: grid too large for exact arithmetic: width 6, 7642 bits; "
+                       "needs max(width - 2, 1) * bits <= 11000\n")
+        assert list(tmp_path.iterdir()) == []
+        # at k = 826, 4 * 2745 bits, the cap admits it and the split answers
+        code, out, err = run(capsys, "search", "--width", "6", "--grid",
+                             "1:2:1,1/%d:1:1" % 10 ** 826)
+        assert code == 0 and err == "" and len(calls) == 1
+        assert json.loads(out)["counts"]["ComplexOther"] == 2
 
     @pytest.mark.parametrize("width", ["1", "9"])
     @pytest.mark.parametrize("grid", [[], ["--grid", "0:1:1"]], ids=["default", "grid"])

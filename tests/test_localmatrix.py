@@ -613,25 +613,26 @@ class TestCharpolyFactors:
                        for e in (fraction_entries(M)[0][0], fraction_entries(M)[-1][-1]))
         assert ref == first * last * q
 
-    def test_yun_runs_only_where_the_central_block_repeats_a_root(self, monkeypatch):
-        # the paper's cell and (1/10, 1/5), whose corner 1/10 is a root of
-        # the square-free central block, stay off the modular split;
-        # (0, 1/5) has a double central root and takes it, once
+    def test_yun_runs_only_off_the_plain_path(self, monkeypatch):
+        # the paper's cell, certified with no corner among its central
+        # roots, stays off the modular split; (1/10, 1/5), whose corner 1/10
+        # is a root of the square-free central block, and (0, 1/5), with a
+        # double central root, each take it once, on the whole polynomial
         calls = []
 
         def counted(c, g, p):
-            calls.append(p)
+            calls.append(len(c) - 1)
             return lift(c, g, p)
 
         lift = localmatrix._yun_lift
         monkeypatch.setattr(localmatrix, "_yun_lift", counted)
         for params, fallback in [((F(-1, 10), F(3, 10)), False),
-                                 ((F(1, 10), F(1, 5)), False),
+                                 ((F(1, 10), F(1, 5)), True),
                                  ((F(0), F(1, 5)), True)]:
             calls.clear()
             M = w6_matrix(*params)
             assert route_factors(M) == sympy_factors(M), params
-            assert len(calls) == (1 if fallback else 0), params
+            assert calls == ([M.n] if fallback else []), params
 
 
 def stacked_spectrum(M):
@@ -945,21 +946,51 @@ class TestSizeCap:
 
     def test_every_accepted_mignotte_bound_is_below_the_top_prime(self):
         # entries |B_ij| < H = 2^bits: each k x k principal minor is at most
-        # (sqrt(k) H)^k (Hadamard), so ||c||_2 <= (1 + sqrt(m) H)^m, and
-        # the bound 2^(m+1) (isqrt(||c||^2) + 1) has at most
-        # m bits + 2m + 2 + (m/2) log2 m bits
+        # (sqrt(k) H)^k (Hadamard), so ||c||_1 <= (1 + sqrt(m) H)^m; the
+        # corners are below H, so the whole polynomial w = c (y - a)(y - b)
+        # of degree n = m + 2 has ||w||_2 <= H^2 ||c||_1, and twice the bound
+        # 2^(n+1) (isqrt(||w||^2) + 1) has at most
+        # (m + 2) bits + 2m + 4 + (m/2) log2 m bits
         top = _PRIMES[-1].bit_length() - 1
-        for m in range(1, localmatrix.MAX_ORDER - 1):
-            bits = localmatrix.MAX_CHARPOLY_BITS // m
-            assert m * bits + 2 * m + 2 + m / 2 * math.log2(m) < top, m
+        for n in range(2, localmatrix.MAX_ORDER + 1):
+            m = n - 2
+            bits = localmatrix.MAX_CHARPOLY_BITS // max(m, 1)
+            assert (m + 2) * bits + 2 * m + 4 + m / 2 * math.log2(max(m, 1)) < top, n
         # a width-24 palindromic mask at the cap, against the formula
         L = 2 ** 499 + 1
         rng = random.Random(24)
         half = [F(rng.randrange(-L + 1, L), L) for _ in range(12)]
         n, B = 24, matrix_from_coeffs(-11, half[::-1] + half).B
         [c] = central_charpolys(stack([row[1:n - 1] for row in B[1:n - 1]])).tolist()
-        bound = 2 ** len(c) * (math.isqrt(sum(x * x for x in c)) + 1)
-        assert bound.bit_length() <= 22 * 500 + 44 + 2 + 11 * math.log2(22) < top
+        w = times(c, [-B[0][0], 1], [-B[-1][-1], 1])
+        bound = 2 ** len(w) * (math.isqrt(sum(x * x for x in w)) + 1)
+        assert bound.bit_length() <= 24 * 500 + 44 + 4 + 11 * math.log2(22) < top
+
+    def test_width_3_at_the_cap_splits_over_the_top_prime(self, monkeypatch):
+        # (x, x, x) with x = 2^11000 - 1 has w = (y - x)^3, the largest
+        # whole polynomial check_size lets through (33000-bit coefficients)
+        x = 2 ** localmatrix.MAX_CHARPOLY_BITS - 1
+        mask = Mask(-1, (F(x),) * 3)
+        localmatrix.check_size(mask)
+        primes = []
+
+        def recorded(c, g, p):
+            primes.append(p)
+            return lift(c, g, p)
+
+        lift = localmatrix._yun_lift
+        monkeypatch.setattr(localmatrix, "_yun_lift", recorded)
+        assert route_factors(build_local_matrix(mask)) == [([-x, 1], 3)]
+        assert primes == [_PRIMES[-1]]
+
+    def test_table_primes_are_mersenne(self):
+        # the Mersenne exponents of OEIS A000043 up to the table's top one
+        a000043 = {2, 3, 5, 7, 13, 17, 19, 31, 61, 89, 107, 127, 521, 607, 1279, 2203,
+                   2281, 3217, 4253, 4423, 9689, 9941, 11213, 19937, 21701, 23209, 44497}
+        assert list(_PRIMES) == sorted(set(_PRIMES))
+        for p in _PRIMES:
+            assert p == (1 << p.bit_length()) - 1 and p.bit_length() in a000043, p
+        assert _PRIMES[-1] == 2 ** 44497 - 1
 
 
 # -- the J-symmetric split of the central block ---------------------------

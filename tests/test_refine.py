@@ -123,6 +123,14 @@ def polygons(draw):
 
 
 @st.composite
+def coprime_masks(draw):
+    """Masks of 1/d, d drawn up to 2^64: L is near the product of the
+    denominators, far above any one of them."""
+    dens = draw(st.lists(st.integers(1, 2 ** 64), min_size=1, max_size=40))
+    return Mask(draw(st.integers(-6, 3)), tuple(F(1, d) for d in dens))
+
+
+@st.composite
 def wide_polygons(draw):
     """polygons() with every value scaled by 1, 2^64 + 1 or 2^201 + 3, so
     refinement runs on int64 throughout, on Python ints throughout, or
@@ -358,6 +366,17 @@ class TestRefineK:
                     refine_k(P, mask, k)
             else:
                 assert refine_k(P, mask, k) == Q
+
+    @given(polygons(), masks() | coprime_masks(), st.integers(0, 7),
+           st.sampled_from([None, 0, 1000]))
+    @example(delta(), Mask(0, tuple(F(1, 2 ** 64 + j) for j in range(40))), 1, 0)
+    def test_lcm_floor_refuses_nothing_the_estimate_admits(self, P, mask, k, samples):
+        # with MAX_BYTES at the estimate itself, the floor that refuses a
+        # wide mask before its integer form still admits
+        need = refine._check_limits(P, mask, k, samples)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(refine, "MAX_BYTES", need)
+            assert refine._check_limits(P, mask, k, samples) == need
 
 
 class TestParameterize:
