@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, starmap
 from operator import neg, truediv
 from typing import Iterator
 
@@ -65,7 +65,12 @@ class ControlPolygon:
         nz = np.flatnonzero(nums)
         lo, hi = (int(nz[0]), int(nz[-1]) + 1) if len(nz) else (len(nums) - 1, len(nums))
         nums = nums[lo:hi]
-        g = math.gcd(den, int(np.gcd.reduce(nums)))
+        # np.gcd.reduce folds from the left, and over Python ints its running
+        # gcd can stay huge (L over j primes after j terms of L/p_i); the
+        # fold from gcd(den, sum), a multiple of the gcd, skips the rest of
+        # the numerators once it reaches 1
+        g = (math.gcd(math.gcd(den, int(nums.sum())), *nums) if nums.dtype == object
+             else math.gcd(den, int(np.gcd.reduce(nums))))
         if g != 1 and len(nz):
             nums = nums // g
         nums.flags.writeable = False
@@ -290,10 +295,11 @@ class CurveRows:
         2^1074 no value rounds to -0.0, so the extreme values are those of
         the extreme numerators and of the zero rows outside the window; from
         2^1074 on one may, and min() and max() keep the first of equal
-        zeros, so the values are read in a pass over the rows."""
+        zeros, so the values are read in one pass over the value column,
+        a chunk at a time."""
         if self.P.den >> 1074:
-            return (self.tmin, self.tmax, min(min(v) for _, v in self),
-                    max(max(v) for _, v in self))
+            lows, highs = zip(*((min(v), max(v)) for v in starmap(self._values, self._chunks())))
+            return self.tmin, self.tmax, min(lows), max(highs)
         zeros = (0.0,) * (len(self.window) <= self.hi - self.lo)
         return self.tmin, self.tmax, min((self.low, *zeros)), max((self.high, *zeros))
 
@@ -353,6 +359,25 @@ def _t_table(prec: int, d: int, fracs: np.ndarray) -> tuple[str, np.ndarray]:
     return text, np.concatenate(([-1], np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == 124)))
 
 
+# The t tables of level at most _CACHE_LEVEL are kept for the process, the
+# 16 last used (_mesh_table).  A table of 2^k entries holds its text and its
+# int64 offsets in, at precision 12 (6 takes less), 0.36 MB at k = 14,
+# 0.72 MB at k = 15 and 1.44 MB at k = 16 (CPython 3.11), so the cache holds
+# about 12 MB at most, 16 tables of 2^15 entries.  A larger table, up to
+# 2^23 entries (about 190 MB) under MAX_POINTS, is made for its export alone.
+_CACHE_LEVEL = 15
+
+
+@lru_cache(maxsize=16)
+def _mesh_table(prec: int, d: int, s: int, k: int) -> tuple[str, np.ndarray]:
+    """The _t_table of the fractions j/(s 2^k), j = s m + s - 1, m < 2^k:
+    the t of the rows with one n at level k, s = 2 on the dual mesh and 1
+    on the primal.  Its offsets are read-only, as every caller shares them."""
+    text, offs = _t_table(prec, d, np.arange(s - 1, s << k, s) / float(s << k))
+    offs.flags.writeable = False
+    return text, offs
+
+
 def _templates(rows: CurveRows, prec: int, lead: str, tail: str) -> Iterator[tuple[str, list[float]]]:
     """Per chunk of rows, its % template, lead + t + tail a row with tail
     formatting the value, and its values.
@@ -365,11 +390,15 @@ def _templates(rows: CurveRows, prec: int, lead: str, tail: str) -> Iterator[tup
     str(n) and entry m of the table of n's digit count; a run of rows with
     one n takes its slice of the table.  Such a t is exact, u below 2^53:
     |u| < 10^d 2^e < 2 10^prec for n of d >= 1 digits, and |u| < 2^e, at
-    most twice the rows, for n = 0.  A table is made once an export, when
-    first needed, and only for an export of at least 2^k rows, so it costs
-    no more than the rows.  Other chunks format their t."""
+    most twice the rows, for n = 0.  A table is a pure function of
+    (prec, digit count, s, k), and is taken when first needed and only for
+    an export of at least 2^k rows, so it costs no more than the rows; up
+    to level _CACHE_LEVEL it comes from the process-wide _mesh_table, and
+    a larger one is made once for this export, in a cache of its own.
+    Other chunks format their t."""
     k, s = rows.P.level, 1 if rows.P.mesh is MeshType.PRIMAL else 2
-    e, tables = k + s - 1, {}  # tables by digit count
+    e = k + s - 1
+    table = _mesh_table if k <= _CACHE_LEVEL else lru_cache(_mesh_table.__wrapped__)
 
     def runs(p: int, q: int, sign: str) -> Iterator[tuple[str, str]]:
         """(sign + str(n), entries m joined by "|") for |u| = s p' + s - 1,
@@ -377,8 +406,7 @@ def _templates(rows: CurveRows, prec: int, lead: str, tail: str) -> Iterator[tup
         for n in range(p >> k, -(-q >> k)):  # p >> k up to ceil(q / 2^k)
             m, m1, pre = max(p - (n << k), 0), min(q - (n << k), 1 << k), str(n or "")
             if m < m1:
-                text, offs = tables.get(len(pre)) or tables.setdefault(len(pre), _t_table(
-                    prec, len(pre), np.arange(s - 1, s << k, s) / float(s << k)))
+                text, offs = table(prec, len(pre), s, k)
                 yield sign + pre, text[offs[m] + 1:offs[m1]]
 
     for a, b in rows._chunks():

@@ -155,6 +155,25 @@ class TestAnalyze:
         assert reports[1] == reports[0]
 
 
+def first_primes(count):
+    """The first count primes, by a sieve up to 13 * count (p_n < 13 n for
+    every n up to 10^5)."""
+    sieve = np.ones(13 * count, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(len(sieve)) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve)[:count].tolist()
+
+
+def prime_mask(tmp_path, count):
+    """A scheme file of the coefficients 1/p over the first count primes."""
+    path = tmp_path / "primes.json"
+    path.write_text(json.dumps({"name": "primes", "support_min": 0,
+                                "coeffs": ["1/%d" % p for p in first_primes(count)]}))
+    return path
+
+
 class TestRefineAndBasis:
     def test_basis_row_count(self, capsys):
         code, out, _ = run(capsys, "basis", "--scheme", "catalog:a", "--iters", "10")
@@ -253,15 +272,7 @@ class TestRefineAndBasis:
             return masks.integer_run(values)
 
         monkeypatch.setattr(refine, "integer_run", integer_run)
-        sieve = np.ones(500000, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, 708):  # 708^2 > 500000
-            if sieve[p]:
-                sieve[p * p::p] = False
-        primes = np.flatnonzero(sieve)[:40000].tolist()
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"name": "wide", "support_min": 0,
-                                    "coeffs": ["1/%d" % p for p in primes]}))
+        path = prime_mask(tmp_path, 40000)
         for command, iters, code_expected in (("basis", "1", 1), ("refine", "1", 1),
                                               ("refine", "0", 0)):
             start = time.perf_counter()
@@ -272,6 +283,18 @@ class TestRefineAndBasis:
                 assert out == "" and "would exceed 1024 MB of memory (about " in err
             else:
                 assert err == "" and out
+
+    def test_many_prime_mask_refines_at_once(self, capsys, tmp_path):
+        # 5000 coefficients 1/p: every numerator L/p has about 70000 bits,
+        # and the gcd of the first j of them is L over j primes, so a gcd
+        # folded over them from the left costs seconds
+        path = prime_mask(tmp_path, 5000)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "refine", "--scheme", str(path), "--iters", "1")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and err == ""
+        assert out == "t,value\n" + "".join("%.12g,%.12g\n" % (i / 2, 1 / p)
+                                            for i, p in enumerate(first_primes(5000)))
 
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_basis_of_a_far_shifted_mask(self, capsys, tmp_path, fmt):

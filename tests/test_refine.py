@@ -171,6 +171,20 @@ class TestIntegerStep:
         want = tuple((float((i + offset) / n), float(v)) for i, v in P.items())
         assert points(stored_rows(P)) == want
 
+    @given(st.lists(st.integers(-2 ** 100, 2 ** 100), min_size=1, max_size=8).filter(
+        lambda body: body[0] and body[-1]), st.integers(1, 2 ** 100), st.sampled_from((1, 6, 2 ** 64 + 13)))
+    @example([2 ** 80 * 3, 0, 2 ** 80 * 5], 2 ** 90, 1)  # gcd 2^80
+    @example([3 ** 60, -5 ** 40], 7 ** 30, 1)  # gcd 1
+    def test_canonical_form_of_python_ints(self, body, den, g):
+        # an object array, with the common factor g on top of any the
+        # numerators and den share, against the Fractions' lowest terms
+        P = ControlPolygon._from_nums(0, 0, np.array([g * v for v in body], object), g * den,
+                                      MeshType.PRIMAL)
+        fs = [F(v, den) for v in body]
+        D = math.lcm(*(f.denominator for f in fs))
+        assert P._arr.dtype == object
+        assert (P.nums, P.den) == (tuple(int(f * D) for f in fs), D)
+
     def test_constructor_takes_rationals(self):
         P = ControlPolygon(2, -3, (0, F(1, 6), 0.5, F(-4, 3), 0, 0))
         assert (P.first_index, P.nums, P.den) == (-2, (1, 3, -8), 6)
@@ -655,8 +669,10 @@ class TestStreamedExport:
 
 
 def spy_tables(monkeypatch) -> list:
-    """(prec, digit count, entries) of every t table an export makes."""
+    """(prec, digit count, entries) of every t table the exports make, from
+    an empty table cache."""
     made, make = [], refine._t_table
+    refine._mesh_table.cache_clear()
 
     def spy(prec, d, fracs):
         made.append((prec, d, len(fracs)))
@@ -706,9 +722,30 @@ class TestTTables:
         assert not refine._admits(prec, e + 1, d) and wrong(e + 1)
 
     def test_level_12_basis_takes_the_tables(self, monkeypatch):
+        # the first export makes its tables and the second takes them all
+        # from the cache
         made = spy_tables(monkeypatch)
-        assert_exports_match(basis_rows(catalog_get("a").mask, 12))
-        assert sorted(made) == [(6, 0, 4096), (6, 1, 4096), (12, 0, 4096), (12, 1, 4096)]
+        for _ in range(2):
+            assert_exports_match(basis_rows(catalog_get("a").mask, 12))
+            assert sorted(made) == [(6, 0, 4096), (6, 1, 4096), (12, 0, 4096), (12, 1, 4096)]
+
+    def test_cache_keeps_16_tables_of_level_15_at_most(self, monkeypatch):
+        made, info = spy_tables(monkeypatch), refine._mesh_table.cache_info
+        assert refine._CACHE_LEVEL == 15 and info().maxsize == 16
+
+        def export(k):
+            # 2^k rows of 1 at t in [0, 1): one table of 2^k entries a format
+            assert_exports_match(stored_rows(refine_k(delta(), Mask(0, (F(1), F(1))), k)))
+
+        export(16)  # made for its export alone
+        assert [n for _, _, n in made] == [2 ** 16] * 2 and info().currsize == 0
+        for k in range(16):
+            export(k)
+            assert len(made) == 2 * k + 4 and info().currsize == min(2 * k + 2, 16)
+        export(16)
+        assert len(made) == 36 and info().currsize == 16
+        export(15)  # among the 16 last used
+        assert len(made) == 36
 
     def test_no_table_for_few_rows_or_inexact_t(self, monkeypatch):
         made = spy_tables(monkeypatch)
