@@ -6,11 +6,10 @@ files.  Domain errors exit with code 1, I/O errors with code 2.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
-from typing import Iterable
 
 from . import convergence, dynamics, localmatrix, masks, refine, search
 
@@ -48,42 +47,39 @@ def _parse_grid(spec: str) -> tuple[search.GridRange, ...]:
     return tuple(ranges)
 
 
-def _emit(parts: Iterable[str], out: str | None) -> None:
-    """Write the pieces of text in order to the file out, or to stdout."""
+def _output(out: str | None):
+    """The one place output is opened, as a context manager: the text file
+    out, utf-8 with no newline translation, or stdout, left open, when out
+    is None or "-"."""
     if out is None or out == "-":
-        sys.stdout.writelines(parts)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as f:
-            f.writelines(parts)
+        return nullcontext(sys.stdout)
+    return open(out, "w", encoding="utf-8", newline="")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _write_json(obj, out: str | None) -> None:
+    with _output(out) as f:
+        f.write(json.dumps(obj, indent=2) + "\n")
 
 
-def _emit_curve(rows: refine.CurveRows, args) -> None:
+def _write_curve(rows: refine.CurveRows, args) -> None:
     """args.format is "csv" or "svg", the only choices the parser admits."""
-    _emit((refine.curve_csv if args.format == "csv" else refine.curve_svg)(rows), args.out)
+    with _output(args.out) as f:
+        f.writelines((refine.curve_csv if args.format == "csv" else refine.curve_svg)(rows))
 
 
 # -- commands ------------------------------------------------------------
 
-def cmd_catalog(args) -> int:
-    rows = []
-    for name in masks.catalog_names():
-        rec = masks.catalog_get(name)
-        rows.append({
-            "name": rec.name,
-            "support_min": rec.mask.support_min,
-            "coeffs": [str(c) for c in rec.mask.coeffs],
-            "symmetry": masks.classify_symmetry(rec.mask).value,
-            "smoothness": rec.smoothness,
-        })
-    _emit([_json_text(rows)], args.out)
-    return 0
+def cmd_catalog(args) -> None:
+    _write_json([{
+        "name": rec.name,
+        "support_min": rec.mask.support_min,
+        "coeffs": [str(c) for c in rec.mask.coeffs],
+        "symmetry": masks.classify_symmetry(rec.mask).value,
+        "smoothness": rec.smoothness,
+    } for rec in map(masks.catalog_get, masks.catalog_names())], args.out)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     rec = _resolve_scheme(args.scheme)
     localmatrix.check_size(rec.mask)  # before certify, which grows with the width
     report = convergence.certify(rec.mask, args.target)
@@ -102,8 +98,7 @@ def cmd_analyze(args) -> int:
             "negative_real_count": spec.negative_real_count,
             "convergence_spectral_ok": spec.convergence_spectral_ok,
         }
-    _emit([_json_text(doc)], args.out)
-    return 0
+    _write_json(doc, args.out)
 
 
 def _initial_polygon(args, rec: masks.SchemeRecord) -> refine.ControlPolygon:
@@ -116,21 +111,19 @@ def _initial_polygon(args, rec: masks.SchemeRecord) -> refine.ControlPolygon:
     return refine.ControlPolygon(0, args.first_index, values, mesh)
 
 
-def cmd_refine(args) -> int:
+def cmd_refine(args) -> None:
     rec = _resolve_scheme(args.scheme)
     P = _initial_polygon(args, rec)
     P = refine.refine_k(P, rec.mask, args.iters)
-    _emit_curve(refine.CurveRows(P, P.first_index, P.last_index), args)
-    return 0
+    _write_curve(refine.CurveRows(P, P.first_index, P.last_index), args)
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> None:
     rec = _resolve_scheme(args.scheme)
-    _emit_curve(refine.basis_rows(rec.mask, args.iters), args)
-    return 0
+    _write_curve(refine.basis_rows(rec.mask, args.iters), args)
 
 
-def cmd_dynamics(args) -> int:
+def cmd_dynamics(args) -> None:
     rec = _resolve_scheme(args.scheme)
     localmatrix.check_size(rec.mask)
     M = localmatrix.build_local_matrix(rec.mask)
@@ -143,13 +136,11 @@ def cmd_dynamics(args) -> int:
             raise CliError("bad rational %r in --v0: past the float range" % s) from exc
     traj = dynamics.iterate_local(v0, M, args.K, norm=args.norm)
     traj = dynamics.decompose_modes(traj)
-    buf = io.StringIO()
-    dynamics.write_trajectory_csv(traj, buf)
-    _emit([buf.getvalue()], args.out)
-    return 0
+    with _output(args.out) as f:
+        dynamics.write_trajectory_csv(traj, f)
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> None:
     if args.min_width:
         report = search.min_width_report(args.max_width)
         doc = {
@@ -157,21 +148,18 @@ def cmd_search(args) -> int:
             "witnesses": [[str(p) for p in w] for w in report.witnesses],
             "counts_by_width": [{"width": w, "counts": c} for w, c in report.counts_by_width],
         }
-        _emit([_json_text(doc)], args.out)
-        return 0
+        _write_json(doc, args.out)
+        return
     if args.width is None:
         raise CliError("search needs --width or --min-width")
     grid = _parse_grid(args.grid) if args.grid else search.default_grid(args.width)
     spec = search.SearchSpec(args.width, tuple(grid), convergence_filter=not args.no_filter)
     result = search.scan(spec)
-    if args.out and args.out != "-":
-        with open(args.out + ".csv", "w", encoding="utf-8", newline="") as f:
+    out = args.out if args.out and args.out != "-" else None
+    if out:
+        with _output(out + ".csv") as f:
             search.write_search_csv(result, f)
-        with open(args.out + ".json", "w", encoding="utf-8", newline="") as f:
-            f.write(_json_text(search.search_summary_json(result)))
-    else:
-        sys.stdout.write(_json_text(search.search_summary_json(result)))
-    return 0
+    _write_json(search.search_summary_json(result), out and out + ".json")
 
 
 # -- parser --------------------------------------------------------------
@@ -247,7 +235,7 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (CliError, ValueError, refine.RefinementLimitError,
             localmatrix.EigensolveError, OverflowError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
@@ -256,6 +244,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print("i/o error: %s" % exc, file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

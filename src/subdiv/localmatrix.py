@@ -327,15 +327,6 @@ def _discriminants(c: np.ndarray) -> np.ndarray:
     raise ValueError("no closed-form discriminant at degree %d" % d)
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """a(y) * b(y), coefficient lists from y^0 up."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 # Mersenne primes, ascending; the last lies above twice the Mignotte bound
 # of every whole characteristic polynomial that check_size lets through.
 _PRIMES = tuple((1 << k) - 1 for k in (61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253,
@@ -381,20 +372,21 @@ def _div_mod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 def _yun_lift(c: Sequence[int], g: Sequence[int], p: int) -> dict[int, list[int]] | None:
     """Yun's square-free split of the monic integer c over GF(p) in Musser's
     gcd form, given g = gcd(c, c') there, lifted to symmetric residues:
-    {multiplicity: factor} when the factors multiply to c in integers, else
-    None.  w = c / g holds every factor once; each gcd with what is left of
-    g peels off the factors of the next multiplicity."""
+    {multiplicity: factor} when the factors, each taken multiplicity times,
+    multiply to c in integers (np.convolve on Python ints), else None.
+    w = c / g holds every factor once; each gcd with what is left of g
+    peels off the factors of the next multiplicity."""
     split, w, i = {}, _div_mod(c, g, p), 1
     while len(w) > 1:
         y = _gcd_mod(w, g, p)
         if len(y) < len(w):
             split[i] = [x - p if 2 * x > p else x for x in _div_mod(w, y, p)]
         g, w, i = _div_mod(g, y, p), y, i + 1
-    product = [1]
+    product = np.ones(1, dtype=object)
     for i, f in split.items():
         for _ in range(i):
-            product = _poly_mul(product, f)
-    return split if product == list(c) else None
+            product = np.convolve(product, np.array(f, dtype=object))
+    return split if product.tolist() == list(c) else None
 
 
 def _squarefree_split(c: Sequence[int]) -> dict[int, list[int]]:
@@ -449,16 +441,6 @@ def _certified(c: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _horner(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Each polynomial of a stack at its own point, exact: cols holds the
-    coefficient columns (cs.T, object arrays, from y^0 up) and y the
-    points."""
-    v = 0
-    for x in reversed(cols):
-        v = v * y + x
-    return v
-
-
 def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[tuple[np.ndarray, int, np.ndarray]]:
     """The monic square-free factors of det(yI - B) for each matrix of an
     (N, n, n) stack S of integer-scaled local matrices B = L*A, given the
@@ -469,13 +451,13 @@ def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[tuple[np.ndarray, int,
     f(Lx) / L^d.
 
     A row that _certified clears and whose corners a, b are no root of c
-    (one stacked Horner evaluation per corner) is plain, and its factors
-    are arrays: c and (y - a) of multiplicity 2 when a = b, else
+    (one exact _polyval of every row at both its corners) is plain, and its
+    factors are arrays: c and (y - a) of multiplicity 2 when a = b, else
     c (y - a)(y - b).  Every other row adds the classes of
     _squarefree_split of its whole c (y - a)(y - b) as one-row stacks.  The
     stacks of one (m, d) are then joined."""
     first, last = S[:, 0, 0], S[:, -1, -1]
-    plain = _certified(cs) & (_horner(cs.T, first) != 0) & (_horner(cs.T, last) != 0)
+    plain = _certified(cs) & (_polyval(cs[:, ::-1], np.column_stack((first, last))) != 0).all(axis=1)
     eq, ne, off = map(np.flatnonzero, (plain & (first == last), plain & (first != last), ~plain))
     ya, yb = (np.column_stack((-r, np.ones_like(r))) for r in (first, last))  # y - a, y - b
     rest = np.concatenate((ne, off))
@@ -493,7 +475,9 @@ def _split_factors(cs: np.ndarray, S: np.ndarray) -> list[tuple[np.ndarray, int,
 
 def _polyval(P: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Row k of P (coefficients from the top degree down) at each entry of
-    row k of X, by Horner's rule in np.polyval's order of operations."""
+    row k of X, by Horner's rule.  On object stacks of Python ints every
+    step is exact; on floats it runs in np.polyval's order of operations,
+    so each value has np.polyval's bits."""
     Y = np.zeros_like(X)
     for j in range(P.shape[1]):
         Y = Y * X + P[:, j:j + 1]

@@ -28,7 +28,7 @@ class MeshType(Enum):
 
 
 class RefinementLimitError(RuntimeError):
-    """Refinement would exceed the level, point or memory cap."""
+    """Refinement would exceed the level, point, memory or work cap."""
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -179,18 +179,32 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
 # The level cap bounds time where the other two cannot (a one-point polygon
 # stays one point): past level 60 neighbouring parameters i/2^k collide as
 # doubles wherever |t| >= 2^-7.
+# The work cap prices the last level, the largest, when it runs on Python
+# ints: each of its values of level k - 1 times each tap, one product at the
+# product of their counts of 30-bit digits, and at least _PRODUCT_FLOOR,
+# the cost of its Python objects.  np.convolve on object arrays takes 0.3 to
+# 0.6 ns a digit product on large ints and 40-50 ns a product of small ones
+# (2-core Xeon, CPython 3.11).  _refine alone on the masks of 1/p over the
+# first j primes, from one point: j = 1000 at k = 2 estimates 1.4e11 and
+# takes 45 s; j = 300 at k = 3, 4.6e9 and 2.9 s; j = 5000 at k = 1, 1.2e7
+# and 0.13 s.  catalog a from three 1500-digit points at k = 12 estimates
+# 1.7e7 (0.05 s), the largest request of the user-masks benchmark pool
+# 2.4e6, and every deep-refine request 0 (int64 throughout).
 MAX_LEVEL = 60
 MAX_POINTS = 10 ** 7
 MAX_BYTES = 2 ** 30
+MAX_WORK = 10 ** 10
 _INT_BYTES = 40
 _SAMPLE_BYTES = 256
+_PRODUCT_FLOOR = 200
 
 
 def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) -> int:
     """Refuse, before any step, k refinements of P that would pass level
-    MAX_LEVEL, store more than MAX_POINTS points or need an estimated more
-    than MAX_BYTES; samples is the number of float samples exported, None
-    for one per stored point.  Returns the estimate in bytes."""
+    MAX_LEVEL, store more than MAX_POINTS points, or need an estimated more
+    than MAX_BYTES or MAX_WORK units of work; samples is the number of
+    float samples exported, None for one per stored point.  Returns the
+    estimate in bytes."""
     if P.level + k > MAX_LEVEL:
         raise RefinementLimitError("refinement would exceed level %d" % MAX_LEVEL)
     # n points with nonzero ends refine to exactly 2(n - 1) + width (a zero
@@ -213,7 +227,8 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) ->
     dens = [v.denominator for v in mask.coeffs] if k and not zero else [1]
     need = int(0.4 * mask.width * (lcm_tree(dens).bit_length() - max(dens).bit_length()))
     if need <= MAX_BYTES:
-        bound, M = _growth(P, integer_run(mask.coeffs)[1] if k and not zero else [])
+        taps = integer_run(mask.coeffs)[1] if k and not zero else []
+        bound, M = _growth(P, taps)
         bits = (bound * M ** k).bit_length()
         size = 8 if bits < 64 else 8 + 4 * (bits // 30 + 1)
         need = 3 * n * (_INT_BYTES + size) + (n if samples is None else samples) * _SAMPLE_BYTES
@@ -221,6 +236,13 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) ->
         raise RefinementLimitError(
             "refinement would exceed %d MB of memory (about %d MB)"
             % (MAX_BYTES >> 20, need >> 20))
+    if k and bits >= 64:  # the last level runs on Python ints
+        # level k - 1 holds (n + 2 - width) / 2 values, each times every tap
+        digits = -(-(bound * M ** (k - 1)).bit_length() // 30) * -(-max(map(abs, taps)).bit_length() // 30)
+        work = (n + 2 - mask.width) // 2 * mask.width * max(digits, _PRODUCT_FLOOR)
+        if work > MAX_WORK:
+            raise RefinementLimitError("refinement would exceed %.0e units of work (about %.1e)"
+                                       % (MAX_WORK, work))
     return need
 
 

@@ -262,6 +262,18 @@ class TestRefineAndBasis:
         assert code == 1 and out == ""
         assert "refinement would exceed 1024 MB of memory" in err
 
+    def test_work_cap_exits_before_refining(self, capsys, monkeypatch, tmp_path):
+        # 1000 coefficients 1/p: the second level is 10^6 products of
+        # 11400-bit ints, about 45 s of work, which the memory cap admits
+        calls = []
+        monkeypatch.setattr(refine, "_refine", lambda *args: calls.append(args))
+        path, out_path = prime_mask(tmp_path, 1000), tmp_path / "curve.csv"
+        code, out, err = run(capsys, "refine", "--scheme", str(path), "--iters", "2",
+                             "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: refinement would exceed 1e+10 units of work (about 1.4e+11)\n"
+        assert not out_path.exists() and calls == []
+
     def test_wide_mask_from_a_file_answers_at_once(self, capsys, tmp_path, monkeypatch):
         # 40000 coefficients 1/p, p distinct primes: L has about 700000
         # bits, and the mask's integer form costs time and memory quadratic
@@ -696,6 +708,41 @@ OPTIONS = {
     "search": {"-h", "--help", "--out", "-o", "--width", "--grid", "--no-filter",
                "--min-width", "--max-width"},
 }
+
+
+class TestRefusals:
+    """Each refusal exits 1 with its one stderr line and writes no output."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["search"], "search needs --width or --min-width"),
+        (["search", "--min-width", "--max-width", "1"], "max_width must be >= 2"),
+        (["dynamics", "--scheme", "catalog:a", "--K", "0"], "K must be >= 1"),
+        (["analyze", "--scheme", "catalog:a", "--target", "-1"], "target_m must be >= 0"),
+        (["refine", "--scheme", "catalog:a", "--iters", "-1"], "k must be >= 0"),
+        (["basis", "--scheme", "catalog:a", "--iters", "-1"], "iters must be >= 0"),
+    ])
+    def test_option_values(self, capsys, tmp_path, argv, message):
+        out_path = tmp_path / "out"
+        assert run(capsys, *argv, "--out", str(out_path)) == (1, "", "error: %s\n" % message)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, message", [
+        ('[1, 2]', "scheme file must contain a JSON object"),
+        ('{"name": 3, "support_min": 0, "coeffs": ["1"]}', "field 'name' must be a string"),
+        ('{"name": "x", "support_min": 0, "coeffs": []}', "field 'coeffs' must be a nonempty list"),
+        ('{"name": "x", "support_min": 0, "coeffs": "1"}', "field 'coeffs' must be a nonempty list"),
+        ('{"name": "x", "support_min": 0, "coeffs": ["0", "1"]}',
+         "mask end coefficients must be nonzero"),
+        ('{"name": "x",\n "support_min": 0,,\n "coeffs": ["1"]}',
+         "invalid JSON at line 2: Expecting property name enclosed in double quotes"),
+    ], ids=["not-an-object", "name", "empty-coeffs", "coeffs-not-a-list", "zero-end",
+            "malformed-json"])
+    def test_scheme_files(self, capsys, tmp_path, text, message):
+        path, out_path = tmp_path / "bad.json", tmp_path / "out"
+        path.write_text(text)
+        assert run(capsys, "analyze", "--scheme", str(path), "--out", str(out_path)) == (
+            1, "", "error: %s\n" % message)
+        assert not out_path.exists()
 
 
 def test_option_inventory():

@@ -71,6 +71,14 @@ class TestIterateLocal:
             with pytest.raises(ValueError, match="K must be <= %d" % MAX_K):
                 iterate_local(E1, A, 10 ** 9)
 
+    def test_refuses_k_below_1_and_an_unknown_norm(self):
+        # the CLI reaches the first (dynamics --K 0, test_cli) but not the
+        # second: --norm takes only inf and 2
+        with pytest.raises(ValueError, match="^K must be >= 1$"):
+            iterate_local(E1, A_MATRIX, 0)
+        with pytest.raises(ValueError, match="^norm must be 'inf' or '2'$"):
+            iterate_local(E1, A_MATRIX, 5, norm="1")
+
 
 def sympy_null_weights(A: LocalMatrix):
     """Null vector of A^T - I by sympy, normalized to sum 1; None unless the

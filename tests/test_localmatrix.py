@@ -15,7 +15,7 @@ from conftest import fraction_entries
 from subdiv import localmatrix
 from subdiv.localmatrix import (_CERT_PRIME, _PRIMES, Spectrum, _block_charpolys,
                                 _centrosymmetric, _certified, _charpolys, _discriminants,
-                                _flip_stacks, _gcd_mod, _poly_mul, _roots_of_stack,
+                                _flip_stacks, _gcd_mod, _polyval, _roots_of_stack,
                                 _row_products, _squarefree_split, build_local_matrix,
                                 local_stack, eigenvalues, matrix_from_coeffs,
                                 palindromic_classes, w5_closed_form, w6_closed_form,
@@ -431,11 +431,12 @@ def split(c):
 
 
 def times(*factors):
-    """The product of integer coefficient lists."""
-    c = [1]
+    """The product of integer coefficient lists, exact (np.convolve on
+    Python ints)."""
+    c = np.ones(1, dtype=object)
     for f in factors:
-        c = _poly_mul(c, f)
-    return c
+        c = np.convolve(c, np.array(f, dtype=object))
+    return c.tolist()
 
 
 BIG = st.integers(-2 ** 80, 2 ** 80) | st.integers(-9, 9)
@@ -748,11 +749,10 @@ class TestPlainRows:
 
     def test_both_corner_kinds_are_plain(self, monkeypatch):
         # equal corners (palindromic) and unequal ones, at orders 2-8, each
-        # a plain row: its factors are arrays, so no per-row factor product
-        # (_poly_mul) runs, and each row's order of roots is that of its
-        # factors
+        # a plain row: its factors are arrays, so no row reaches Yun's split
+        # (_yun_lift), and each row's order of roots is that of its factors
         def no_call(*args):
-            raise AssertionError("a plain row built a factor of its own")
+            raise AssertionError("a plain row reached Yun's split")
 
         Ms = [matrix_from_coeffs(-1, [F(1, 3), F(2, 3)]),
               matrix_from_coeffs(0, [F(1, 4), F(3, 4)]),
@@ -762,7 +762,7 @@ class TestPlainRows:
               matrix_from_coeffs(*palindromic_coeffs(8, (F(-1, 20), F(1, 10), F(3, 20))))]
         for M in Ms:
             with monkeypatch.context() as mp:
-                mp.setattr(localmatrix, "_poly_mul", no_call)
+                mp.setattr(localmatrix, "_yun_lift", no_call)
                 [row] = route_values([M])
             assert packed(row) == packed(reference_values(M))
         corners = {(M.B[0][0] == M.B[-1][-1]) for M in Ms}
@@ -805,6 +805,43 @@ def mixed_kind_stacks(draw):
             run = palindromic_coeffs(6, (run[0], 2 * run[0]))[1]
         Ms.append(matrix_from_coeffs(draw(st.integers(-n, 1)), run))
     return Ms
+
+
+WIDE = st.integers(-2 ** 1100, 2 ** 1100) | st.integers(-2 ** 70, 2 ** 70) | st.integers(-9, 9)
+
+
+@st.composite
+def corner_rows(draw, d):
+    """(c, a, b): a monic integer c of degree d, from y^0 up, and two
+    corners, each drawn as a root of c or not."""
+    a, b = draw(WIDE), draw(WIDE)
+    roots = [r for r in (a, b) if draw(st.booleans())][:d]
+    tail = draw(st.lists(WIDE, min_size=d - len(roots), max_size=d - len(roots)))
+    return times(tail + [1], *([-r, 1] for r in roots)), a, b
+
+
+class TestExactPolyval:
+    """_polyval on object stacks is exact in Python ints: _split_factors'
+    corner test evaluates every row's central charpoly at both of its
+    corners in one call."""
+
+    @given(st.integers(0, 6).flatmap(lambda d: st.lists(corner_rows(d), min_size=1, max_size=5)))
+    def test_equals_sympy(self, rows):
+        cs = np.array([c for c, _, _ in rows], dtype=object)
+        corners = np.array([(a, b) for _, a, b in rows], dtype=object)
+        got = _polyval(cs[:, ::-1], corners).tolist()
+        want = [[int(sympy.Poly(list(reversed(c)), Y).eval(x)) for x in (a, b)]
+                for c, a, b in rows]
+        assert got == want
+        assert all(type(v) is int for row in got for v in row)
+
+    @pytest.mark.parametrize("a", [2 ** 63 + 1, 2 ** 1000 + 1])
+    def test_a_corner_root_is_exactly_zero(self, a):
+        # c = (y - a)(y - a - 1) at the corners a (a root) and a + 2, where
+        # a float evaluation has no bit left of either value
+        c = times([-a, 1], [-a - 1, 1])
+        got = _polyval(np.array([c], dtype=object)[:, ::-1], np.array([[a, a + 2]], dtype=object))
+        assert got.tolist() == [[0, 2]]
 
 
 class TestOneSolveLoop:

@@ -124,6 +124,24 @@ class TestFileIO:
         with pytest.raises(SchemeFormatError, match="utf-8"):
             load_scheme(path)
 
+    @pytest.mark.parametrize("text, message", [
+        ('[1, 2]', "scheme file must contain a JSON object"),
+        ('{"name": 3, "support_min": 0, "coeffs": ["1"]}', "field 'name' must be a string"),
+        ('{"name": "x", "support_min": 0, "coeffs": []}', "field 'coeffs' must be a nonempty list"),
+        ('{"name": "x", "support_min": 0, "coeffs": "1"}', "field 'coeffs' must be a nonempty list"),
+        ('{"name": "x", "support_min": 0, "coeffs": ["1", "0"]}',
+         "mask end coefficients must be nonzero"),
+        ('{"name": "x",\n "support_min": 0,,\n "coeffs": ["1"]}',
+         "invalid JSON at line 2: Expecting property name enclosed in double quotes"),
+    ], ids=["not-an-object", "name", "empty-coeffs", "coeffs-not-a-list", "zero-end",
+            "malformed-json"])
+    def test_format_errors(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(SchemeFormatError) as exc:
+            load_scheme(path)
+        assert str(exc.value) == message
+
     def test_rationals_survive_exactly(self, tmp_path):
         rec = SchemeRecord("tiny", Mask(-1, (F(1, 3), F(1, 3), F(1, 3))), None)
         path = tmp_path / "t.json"
@@ -164,6 +182,10 @@ class TestMaskInvariants:
     def test_zero_end_rejected(self):
         with pytest.raises(ValueError):
             Mask(0, (F(0), F(1)))
+
+    def test_empty_mask_rejected(self):
+        with pytest.raises(ValueError, match="^mask needs at least one coefficient$"):
+            Mask(0, ())
 
     def test_indexing_outside_support(self):
         mask = catalog_get("c").mask

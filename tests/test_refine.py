@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import Z, laurent_terms, sympy_symbol
@@ -262,6 +263,14 @@ class TestRefineK:
         for i in range(P.first_index, P.last_index + 1):
             assert P[i] == two_level.get(i, 0)
 
+    def test_refuses_an_empty_polygon_and_negative_depths(self):
+        with pytest.raises(ValueError, match="^control polygon needs at least one value$"):
+            ControlPolygon(0, 0, ())
+        with pytest.raises(ValueError, match="^k must be >= 0$"):
+            refine_k(delta(), catalog_get("a").mask, -1)
+        with pytest.raises(ValueError, match="^iters must be >= 0$"):
+            basis_polygon(catalog_get("a").mask, -1)
+
     def test_support_growth(self):
         for name in "abcd":
             mask = catalog_get(name).mask
@@ -391,6 +400,41 @@ class TestRefineK:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(refine, "MAX_BYTES", need)
             assert refine._check_limits(P, mask, k, samples) == need
+
+
+def prime_mask(count):
+    """The mask of the coefficients 1/p over the first count primes."""
+    return Mask(0, tuple(F(1, p) for p in sympy.primerange(2, sympy.prime(count) + 1)))
+
+
+class TestWorkCap:
+    """MAX_WORK prices the last level on Python ints before any step: each
+    product at its digit products, and at least _PRODUCT_FLOOR."""
+
+    @pytest.mark.parametrize("count, k, about", [(1000, 2, "1.4e+11"), (5000, 2, "1.3e+14")])
+    def test_refuses_long_products(self, monkeypatch, count, k, about):
+        # 10^6 products of 11400-bit ints (45 s of _refine), and 2.5 * 10^7
+        # of 70000-bit ones
+        monkeypatch.setattr(refine, "_refine", lambda *args: pytest.fail("refined"))
+        with pytest.raises(RefinementLimitError) as exc:
+            refine_k(delta(), prime_mask(count), k)
+        assert str(exc.value) == "refinement would exceed 1e+10 units of work (about %s)" % about
+
+    @pytest.mark.parametrize("count, k", [(5000, 1), (300, 3)])
+    def test_admits_the_fast_ones(self, monkeypatch, count, k):
+        # 0.13 s and 2.9 s of _refine, estimates 1.2e7 and 4.6e9
+        monkeypatch.setattr(refine, "_refine", lambda P, mask, k: P)
+        refine_k(delta(), prime_mask(count), k)
+
+    def test_small_products_are_priced_at_the_floor(self, monkeypatch):
+        # 2000 taps 1: levels 1-6 run on int64 (bound 1000^6), level 7 on
+        # Python ints, 2.5e8 products of one digit each at 40-50 ns of
+        # object overhead, priced 200 each
+        mask = Mask(0, (F(1, 2),) * 2000)
+        monkeypatch.setattr(refine, "_refine", lambda P, mask, k: P)
+        refine_k(delta(), mask, 6)
+        with pytest.raises(RefinementLimitError, match=r"units of work \(about 5\.0e\+10\)"):
+            refine_k(delta(), mask, 7)
 
 
 class TestParameterize:

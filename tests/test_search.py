@@ -42,6 +42,10 @@ class TestParameterization:
         assert support_min == -2
         assert run == (a, b, F(4, 5), F(4, 5), b, a)
 
+    def test_refuses_the_wrong_parameter_count(self):
+        with pytest.raises(ValueError, match="^width 6 needs 2 free parameters, got 1$"):
+            palindromic_coeffs(6, (F(1, 8),))
+
     def test_width3_is_two_point_scheme(self):
         assert palindromic_coeffs(3, ()) == (-1, (HALF, F(1), HALF))
 
