@@ -179,17 +179,23 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
 # The level cap bounds time where the other two cannot (a one-point polygon
 # stays one point): past level 60 neighbouring parameters i/2^k collide as
 # doubles wherever |t| >= 2^-7.
-# The work cap prices the last level, the largest, when it runs on Python
-# ints: each of its values of level k - 1 times each tap, one product at the
-# product of their counts of 30-bit digits, and at least _PRODUCT_FLOOR,
-# the cost of its Python objects.  np.convolve on object arrays takes 0.3 to
-# 0.6 ns a digit product on large ints and 40-50 ns a product of small ones
-# (2-core Xeon, CPython 3.11).  _refine alone on the masks of 1/p over the
-# first j primes, from one point: j = 1000 at k = 2 estimates 1.4e11 and
-# takes 45 s; j = 300 at k = 3, 4.6e9 and 2.9 s; j = 5000 at k = 1, 1.2e7
-# and 0.13 s.  catalog a from three 1500-digit points at k = 12 estimates
+# The work cap prices the last level, the largest: each of its values of
+# level k - 1 times each tap.  On Python ints a product costs the product
+# of their counts of 30-bit digits, and at least _PRODUCT_FLOOR, the cost of
+# its Python objects; np.convolve on object arrays takes 0.3 to 0.6 ns a
+# digit product on large ints and 40-50 ns a product of small ones (2-core
+# Xeon, CPython 3.11).  _refine alone on the masks of 1/p over the first j
+# primes, from one point: j = 1000 at k = 2 estimates 1.4e11 and takes
+# 45 s; j = 300 at k = 3, 4.6e9 and 2.9 s; j = 5000 at k = 1, 1.2e7 and
+# 0.13 s.  A unit is thus about 0.32 ns.  On int64 a product costs
+# _INT64_UNITS: np.convolve takes 0.35-0.38 ns an int64 multiply-add, and
+# 0.54-0.60 ns one of the last level counting the levels before it.
+# _refine alone on the masks of w halves from one point at k = 4 (int64
+# throughout): w = 5000 estimates 3.5e8 and takes 0.11 s, w = 10000 1.4e9
+# and 0.39 s, w = 20000 5.6e9 and 1.5 s; w = 40000, 2.2e10 and 6.1 s, is
+# refused.  catalog a from three 1500-digit points at k = 12 estimates
 # 1.7e7 (0.05 s), the largest request of the user-masks benchmark pool
-# 2.4e6, and every deep-refine request 0 (int64 throughout).
+# 2.4e6 and of the deep-refine pool 3.4e5.
 MAX_LEVEL = 60
 MAX_POINTS = 10 ** 7
 MAX_BYTES = 2 ** 30
@@ -197,6 +203,7 @@ MAX_WORK = 10 ** 10
 _INT_BYTES = 40
 _SAMPLE_BYTES = 256
 _PRODUCT_FLOOR = 200
+_INT64_UNITS = 2
 
 
 def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) -> int:
@@ -236,10 +243,13 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) ->
         raise RefinementLimitError(
             "refinement would exceed %d MB of memory (about %d MB)"
             % (MAX_BYTES >> 20, need >> 20))
-    if k and bits >= 64:  # the last level runs on Python ints
+    if k:
+        cost = _INT64_UNITS
+        if bits >= 64:  # the last level runs on Python ints
+            digits = -(-(bound * M ** (k - 1)).bit_length() // 30) * -(-max(map(abs, taps)).bit_length() // 30)
+            cost = max(digits, _PRODUCT_FLOOR)
         # level k - 1 holds (n + 2 - width) / 2 values, each times every tap
-        digits = -(-(bound * M ** (k - 1)).bit_length() // 30) * -(-max(map(abs, taps)).bit_length() // 30)
-        work = (n + 2 - mask.width) // 2 * mask.width * max(digits, _PRODUCT_FLOOR)
+        work = (n + 2 - mask.width) // 2 * mask.width * cost
         if work > MAX_WORK:
             raise RefinementLimitError("refinement would exceed %.0e units of work (about %.1e)"
                                        % (MAX_WORK, work))
@@ -262,6 +272,29 @@ def refine_k(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
 _CHUNK = 4096
 
 
+def _quotients(a: np.ndarray, d: int, e: int) -> np.ndarray:
+    """a / (d 2^e) correctly rounded, for int64 a with 2^53 < |a| < 2^63,
+    odd d < 2^53 and d 2^e < 2^1022.
+
+    Exact long division of |a| 2^s by d, 64 - bits(d) bits a step in
+    uint64 (the remainder stays below d), with s such that the quotient q
+    has 55 to 63 bits: frexp gives bits(|a|) or one more, and q has
+    bits(|a|) + s - bits(d) bits or one more.  A nonzero remainder is
+    ORed into q's lowest bit (rounding to odd, Boldo and Melquiond 2008),
+    so the one rounding of the int64 -> float64 cast is that of the exact
+    quotient.  The ldexp is exact: every quotient is at least
+    2^53 / 2^1022, a normal double."""
+    u = np.abs(a).astype(np.uint64)
+    s = np.maximum(56 + d.bit_length() - np.frexp(u)[1], 0)
+    (q, r), left = np.divmod(u, d), s.astype(np.uint64)
+    while left.any():
+        t = np.minimum(left, 64 - d.bit_length())
+        left -= t
+        digits, r = np.divmod(r << t, d)
+        q = q << t | digits
+    return np.copysign(np.ldexp((q | (r != 0)).astype(np.int64).astype(float), -(s + e)), a)
+
+
 class CurveRows:
     """Rows lo..hi of P's mesh as floats, read _CHUNK rows at a time.
 
@@ -270,7 +303,16 @@ class CurveRows:
     and 0.0 outside it, each one correctly rounded integer division.  A t
     or value past the float range is refused when the rows are made, from
     the first and last row and the extreme numerators in range (truediv is
-    monotone), so before an export writes anything."""
+    monotone), so before an export writes anything.
+
+    The value column is numpy's where the window is int64 and den = d 2^e
+    has an odd d < 2^53 and den < 2^1022 (scale is then (d, e), else
+    None): den is a double and every nonzero value a normal one.  A
+    numerator of at most 2^53 in magnitude is a double too, and so is
+    -2^63, which np.abs leaves negative, so one IEEE division is its
+    correctly rounded value; any other is refixed by _quotients.
+    exact_doubles marks a window that needs no refix.  Any other window
+    takes one truediv a row."""
 
     def __init__(self, P: ControlPolygon, lo: int, hi: int):
         first = P.first_index
@@ -279,9 +321,10 @@ class CurveRows:
         self.P, self.lo, self.hi, self.pad = P, lo, hi, min(max(first - lo, 0), hi - lo + 1)
         self.window = P._arr[start:max(hi + 1 - first, start)]
         low, high = (int(self.window.min()), int(self.window.max())) if len(self.window) else (0, 0)
-        # int64 numerators and a den of at most 2^53 are exact doubles, so
-        # one IEEE division each is the correctly rounded truediv
-        self.exact_doubles = self.window.dtype == np.int64 and max(P.den, -low, high) <= 2 ** 53
+        e = (P.den & -P.den).bit_length() - 1
+        self.scale = ((P.den >> e, e) if self.window.dtype == np.int64
+                      and P.den >> e >> 53 == 0 and P.den >> 1022 == 0 else None)
+        self.exact_doubles = self.scale is not None and max(P.den, -low, high) <= 2 ** 53
         try:
             self.low, self.high = low / P.den, high / P.den
             self.tmin, self.tmax = self._t(lo, lo + 1)[0], self._t(hi, hi + 1)[0]
@@ -294,16 +337,20 @@ class CurveRows:
         return list(map(truediv, range(s * a + s - 1, s * b + s - 1, s), repeat(s << self.P.level)))
 
     def _values(self, a: int, b: int) -> list[float]:
-        """The values of the rows a..b-1: one numpy division where exact,
-        else one truediv each."""
+        """The values of the rows a..b-1: one numpy division, numerators
+        past 2^53 refixed, where scale is set, else one truediv each."""
         w = a - self.lo - self.pad  # the window position of row a
         nums, zeros = self.window[max(w, 0):max(w + b - a, 0)], min(max(-w, 0), b - a)
-        if self.exact_doubles:
-            out = np.zeros(b - a)
-            out[zeros:zeros + len(nums)] = nums / float(self.P.den)
-            return out.tolist()
-        return ([0.0] * zeros + list(map(truediv, nums.tolist(), repeat(self.P.den)))
-                + [0.0] * (b - a - zeros - len(nums)))
+        if self.scale is None:
+            return ([0.0] * zeros + list(map(truediv, nums.tolist(), repeat(self.P.den)))
+                    + [0.0] * (b - a - zeros - len(nums)))
+        values = nums / float(self.P.den)
+        if not self.exact_doubles:
+            big = np.abs(nums) > 2 ** 53
+            values[big] = _quotients(nums[big], *self.scale)
+        out = np.zeros(b - a)
+        out[zeros:zeros + len(nums)] = values
+        return out.tolist()
 
     def _chunks(self) -> Iterator[tuple[int, int]]:
         return ((a, min(a + _CHUNK, self.hi + 1)) for a in range(self.lo, self.hi + 1, _CHUNK))

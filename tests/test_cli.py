@@ -274,6 +274,18 @@ class TestRefineAndBasis:
         assert err == "error: refinement would exceed 1e+10 units of work (about 1.4e+11)\n"
         assert not out_path.exists() and calls == []
 
+    def test_int64_work_cap_exits_before_refining(self, capsys, monkeypatch, tmp_path):
+        # 40000 coefficients 1/2: every level runs on int64, the last one
+        # 1.1e10 multiply-adds, about 6 s of work
+        calls = []
+        monkeypatch.setattr(refine, "_refine", lambda *args: calls.append(args))
+        path = tmp_path / "halves.json"
+        save_scheme(SchemeRecord("halves", Mask(0, (F(1, 2),) * 40000)), path)
+        code, out, err = run(capsys, "refine", "--scheme", str(path), "--iters", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: refinement would exceed 1e+10 units of work (about 2.2e+10)\n"
+        assert calls == []
+
     def test_wide_mask_from_a_file_answers_at_once(self, capsys, tmp_path, monkeypatch):
         # 40000 coefficients 1/p, p distinct primes: L has about 700000
         # bits, and the mask's integer form costs time and memory quadratic

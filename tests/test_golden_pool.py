@@ -5,8 +5,9 @@ Every request of the benchmark pool (292 family-scan, 88 deep-refine, and
 through subdiv.cli.main, and each output must hash, by
 perfbench/run.digest, to the digest perfbench/golden.json records for it.
 The curve exports take two routes, one numpy division a chunk for int64
-numerators and one truediv a row; the deep-refine requests take the
-first, the user-masks basis requests both.  The user-masks dynamics
+numerators (those past 2^53 refixed by exact long division) and one
+truediv a row; the deep-refine requests take the first, the user-masks
+basis requests both.  The user-masks dynamics
 requests run K = 300 on palindromic and asymmetric masks of widths 6-20,
 a third of them with --norm 2.
 The hashes pin the floats of one Python and numpy build, so the test skips

@@ -408,8 +408,9 @@ def prime_mask(count):
 
 
 class TestWorkCap:
-    """MAX_WORK prices the last level on Python ints before any step: each
-    product at its digit products, and at least _PRODUCT_FLOOR."""
+    """MAX_WORK prices the last level before any step: on Python ints each
+    product at its digit products, and at least _PRODUCT_FLOOR, on int64 at
+    _INT64_UNITS."""
 
     @pytest.mark.parametrize("count, k, about", [(1000, 2, "1.4e+11"), (5000, 2, "1.3e+14")])
     def test_refuses_long_products(self, monkeypatch, count, k, about):
@@ -435,6 +436,16 @@ class TestWorkCap:
         refine_k(delta(), mask, 6)
         with pytest.raises(RefinementLimitError, match=r"units of work \(about 5\.0e\+10\)"):
             refine_k(delta(), mask, 7)
+
+    def test_prices_int64_levels(self, monkeypatch):
+        # w halves: taps 1, int64 throughout; the last level is
+        # n_3 * w = 2.8e9 multiply-adds at w = 20000 (1.5 s of _refine) and
+        # 1.1e10 at w = 40000 (6.1 s)
+        monkeypatch.setattr(refine, "_refine", lambda P, mask, k: P)
+        refine_k(delta(), Mask(0, (F(1, 2),) * 20000), 4)
+        with pytest.raises(RefinementLimitError) as exc:
+            refine_k(delta(), Mask(0, (F(1, 2),) * 40000), 4)
+        assert str(exc.value) == "refinement would exceed 1e+10 units of work (about 2.2e+10)"
 
 
 class TestParameterize:
@@ -850,6 +861,25 @@ def int64_runs(draw):
     return nums, den
 
 
+@st.composite
+def scaled_runs(draw):
+    """int64 numerators over den = d 2^e with odd d < 2^53 and
+    den < 2^1022; some next to q d or q d +- d/2, with q at a midpoint of
+    53-bit doubles where it has more bits.  A 1 at each end keeps den."""
+    d = 2 * draw(st.integers(0, 2 ** 52 - 1)) + 1
+    den = d << draw(st.integers(0, 1022 - d.bit_length()))
+    top = 2 ** 63 - 1
+
+    def near(q, off):
+        j = max(q.bit_length() - 53, 0)
+        return (q >> j << j | 1 << j >> 1) * d + off
+
+    ties = st.builds(near, st.integers(0, top // d), st.sampled_from((0, 1, -1, d // 2, -(d // 2))))
+    nums = draw(st.lists(st.integers(-top - 1, top) | ties.filter(lambda x: x <= top).map(
+        lambda x: x * draw(st.sampled_from((1, -1)))), min_size=1, max_size=8))
+    return [1, *nums, 1], den
+
+
 class TestInt64Numerators:
     """Polygons that keep _refine's int64 array, against the Fraction route
     and the per-row oracles."""
@@ -895,10 +925,59 @@ class TestInt64Numerators:
         with pytest.raises(ValueError):
             refine_k(delta(), catalog_get("a").mask, 3)._arr[0] = 1
 
-    # a numerator of 2^53 + 1 or a den of 2^53 + 1 is no double
+    @settings(max_examples=300)
+    @given(scaled_runs())
+    @example(([1, 0, 2 ** 53 + 1, -(2 ** 53) - 1, 2 ** 63 - 1, -(2 ** 63) + 1, -(2 ** 63), 1], 3))
+    @example(([1, -(2 ** 63), 2 ** 63 - 1, 1], 2 ** 9))
+    # near-ties of 53-bit doubles: q d +- 1 and q d +- (d // 2)
+    @example(([1, *((2 ** 61 + 2 ** 8) * 3 + o for o in (1, -1)), 1], 3 << 7))
+    @example(([1, *((2 ** 52 + 1) * 2047 + o for o in (1, -1, 1023, -1023)), 1], 2047))
+    @example(([1, *(-1023 * (2 ** 53 - 1) + o for o in (1, -1, 2 ** 52 - 1, 1 - 2 ** 52)), 1],
+              2 ** 53 - 1))
+    # den on either side of 2^1022: numpy below, truediv from it on
+    @example(([1, 2 ** 63 - 1, -(2 ** 53) - 1, 1], (2 ** 53 - 1) << 969))
+    @example(([1, 2 ** 63 - 1, -(2 ** 53) - 1, 1], 3 << 1020))
+    @example(([1, 2 ** 63 - 1, -(2 ** 53) - 1, 1], 2 ** 1022))
+    @example(([1, 2 ** 63 - 1, -(2 ** 53) - 1, 1], 3 << 1021))
+    def test_value_column_is_truediv(self, run):
+        nums, den = run
+        P = ControlPolygon._from_nums(0, 0, np.array(nums, np.int64), den, MeshType.PRIMAL)
+        rows = stored_rows(P)
+        assert P.den == den and (rows.scale is None) == (den >= 2 ** 1022)
+        # bit for bit, as hex
+        assert [v.hex() for _, vs in rows for v in vs] == [(x / den).hex() for x in nums]
+
+    def test_route_takes_no_truediv_where_scaled(self, monkeypatch):
+        # the value column's per-row truediv calls, those that divide by den
+        calls = []
+        monkeypatch.setattr(refine, "truediv", lambda x, y: calls.append(y) or x / y)
+
+        def divisions(rows):
+            calls.clear()
+            "".join(curve_csv(rows))
+            return calls.count(rows.P.den)
+
+        # catalog b at level 12 from (1/5, 11/7): den 2^24 times a 33-bit
+        # odd part, numerators of up to 58 bits
+        rows = stored_rows(refine_k(ControlPolygon(0, 0, (F(1, 5), F(11, 7))),
+                                    catalog_get("b").mask, 12))
+        assert rows.window.dtype == np.int64 and rows.P.den > 2 ** 53
+        assert max(map(abs, rows.P.nums)) > 2 ** 53 and not rows.exact_doubles
+        assert divisions(rows) == 0
+        # an object window, and int64 ones of an odd part of at least 2^53
+        # or of den at least 2^1022, one truediv a row; 3 * 2^1020 none
+        assert divisions(stored_rows(ControlPolygon(0, 0, (F(1, 3), F(2), F(5, 3))))) == 3
+        for den in (2 ** 53 + 1, (2 ** 53 + 1) << 9, 2 ** 1022, 3 << 1021, 3 << 1020):
+            P = ControlPolygon._from_nums(0, 0, np.array([1, 2 ** 60, 1], np.int64), den,
+                                          MeshType.PRIMAL)
+            assert divisions(stored_rows(P)) == (0 if den == 3 << 1020 else 3)
+
+    # a numerator of 2^53 + 1 or a den of 2^53 + 1 is no double; dens of an
+    # odd part below 2^53 up to 2^1022 and past it
     @pytest.mark.parametrize("top", [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, -(2 ** 53) + 1,
                                      -(2 ** 53), -(2 ** 53) - 1])
-    @pytest.mark.parametrize("den", [3, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1])
+    @pytest.mark.parametrize("den", [3, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 3 << 60,
+                                     (2 ** 53 - 1) << 969, 2 ** 1022])
     @pytest.mark.parametrize("mesh", list(MeshType))
     def test_value_column_at_two_to_the_53(self, top, den, mesh):
         P = int64_polygon([F(v, den) for v in (1, top, -2, 5)], -1, mesh)
