@@ -119,20 +119,30 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
     f = fn / fd, the transient is T_k / (fd den_k) with
     T_k = fd N_k - fn den_k 1, which steps as T_{k+1} = B T_k + fn den_k r,
     r = B 1 - L 1.  r is zero when every row of A sums to 1, and the term
-    is then skipped.  A step is one product of numpy arrays of Python ints
-    (dtype=object); nothing is reduced, so the operands grow by log2(L)
-    bits a step.
+    is then skipped.  B T is taken on a band: row i's nonzeros lie in the
+    columns start_i..start_i+h-1, one width h for every row, so a step is
+    (T[idx] * band).sum(axis=1) on numpy arrays of Python ints
+    (dtype=object), idx those columns and band those entries of B.  A
+    local matrix, B[i][j] = run[2j - i], has about half of each row zero,
+    and a dense B takes h = n, the whole product.  Nothing is reduced, so
+    the operands grow by log2(L) bits a step.
     """
     fn, fd = f.numerator, f.denominator
     den, nums = integer_run(v)
     Bq = np.array(B, dtype=object)
     r = Bq.sum(axis=1) - L
+    nz = Bq != 0
+    start = nz.argmax(axis=1)  # 0 for a zero row, which any columns cover
+    h = int(np.where(nz.any(axis=1), len(Bq) - nz[:, ::-1].argmax(axis=1) - start, 1).max())
+    idx = np.minimum(start, len(Bq) - h)[:, None] + np.arange(h)
+    band = np.take_along_axis(Bq, idx, axis=1)
     shift, common = fn * den, fd * den
     T = np.array([fd * x - shift for x in nums], dtype=object)
     drift = any(r)
     while True:
         yield T.tolist(), common
-        T = Bq @ T + shift * r if drift else Bq @ T
+        BT = (T[idx] * band).sum(axis=1)
+        T = BT + shift * r if drift else BT
         shift *= L
         common *= L
 

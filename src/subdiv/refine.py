@@ -265,10 +265,12 @@ def refine_k(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
 
 # -- samples and exports -------------------------------------------------
 
-# rows a chunk holds.  Measured on a 2-core Xeon, CPython 3.11, exporting
-# the 57340 rows of a depth-13 refine: 1024, 4096 and 16384 rows take
-# 43-44 ms (medians of 15), one chunk of every row 45 ms; a chunk of 4096
-# rows holds its floats and text in well under 1 MB.
+# rows a chunk holds.  Measured on a 2-core VM, CPython 3.11, by the
+# deep-refine benchmark lists of seeds 21-23 (perfbench/run.py --trace 0,
+# two runs each, wall_s scaled to the reference host): 1024 rows take
+# 0.272-0.275 s at 43.3-43.8 MB peak RSS, 4096 rows 0.259-0.261 s at
+# 43.4-44.1 MB and 16384 rows 0.265-0.272 s at 45.5-46.2 MB; a chunk of
+# 4096 rows holds its floats and text in well under 1 MB.
 _CHUNK = 4096
 
 
@@ -312,7 +314,9 @@ class CurveRows:
     -2^63, which np.abs leaves negative, so one IEEE division is its
     correctly rounded value; any other is refixed by _quotients.
     exact_doubles marks a window that needs no refix.  Any other window
-    takes one truediv a row."""
+    takes one truediv a row.  Only the rows in the stored window
+    (_stored) are divided; _column pads the rows outside it with 0.0, and
+    the exports write those rows as literal text (_templates)."""
 
     def __init__(self, P: ControlPolygon, lo: int, hi: int):
         first = P.first_index
@@ -336,27 +340,34 @@ class CurveRows:
         s = 1 if self.P.mesh is MeshType.PRIMAL else 2  # t = (s i + s - 1) / (s 2^k)
         return list(map(truediv, range(s * a + s - 1, s * b + s - 1, s), repeat(s << self.P.level)))
 
+    def _stored(self, a: int, b: int) -> tuple[int, int]:
+        """The rows c..d-1 of rows a..b-1 that are in the stored window."""
+        c = min(max(self.lo + self.pad, a), b)
+        return c, min(max(self.lo + self.pad + len(self.window), c), b)
+
     def _values(self, a: int, b: int) -> list[float]:
-        """The values of the rows a..b-1: one numpy division, numerators
-        past 2^53 refixed, where scale is set, else one truediv each."""
-        w = a - self.lo - self.pad  # the window position of row a
-        nums, zeros = self.window[max(w, 0):max(w + b - a, 0)], min(max(-w, 0), b - a)
+        """The values of the stored rows a..b-1: one numpy division,
+        numerators past 2^53 refixed, where scale is set, else one truediv
+        each."""
+        nums = self.window[a - self.lo - self.pad:b - self.lo - self.pad]
         if self.scale is None:
-            return ([0.0] * zeros + list(map(truediv, nums.tolist(), repeat(self.P.den)))
-                    + [0.0] * (b - a - zeros - len(nums)))
+            return list(map(truediv, nums.tolist(), repeat(self.P.den)))
         values = nums / float(self.P.den)
         if not self.exact_doubles:
             big = np.abs(nums) > 2 ** 53
             values[big] = _quotients(nums[big], *self.scale)
-        out = np.zeros(b - a)
-        out[zeros:zeros + len(nums)] = values
-        return out.tolist()
+        return values.tolist()
 
     def _chunks(self) -> Iterator[tuple[int, int]]:
         return ((a, min(a + _CHUNK, self.hi + 1)) for a in range(self.lo, self.hi + 1, _CHUNK))
 
+    def _column(self, a: int, b: int) -> list[float]:
+        """The values of the rows a..b-1, 0.0 outside the stored window."""
+        c, d = self._stored(a, b)
+        return [0.0] * (c - a) + self._values(c, d) + [0.0] * (b - d)
+
     def __iter__(self) -> Iterator[tuple[list[float], list[float]]]:
-        return ((self._t(a, b), self._values(a, b)) for a, b in self._chunks())
+        return ((self._t(a, b), self._column(a, b)) for a, b in self._chunks())
 
     def bounds(self) -> tuple[float, float, float, float]:
         """(min t, max t, min value, max value), as min() and max() over the
@@ -367,7 +378,7 @@ class CurveRows:
         zeros, so the values are read in one pass over the value column,
         a chunk at a time."""
         if self.P.den >> 1074:
-            lows, highs = zip(*((min(v), max(v)) for v in starmap(self._values, self._chunks())))
+            lows, highs = zip(*((min(v), max(v)) for v in starmap(self._column, self._chunks())))
             return self.tmin, self.tmax, min(lows), max(highs)
         zeros = (0.0,) * (len(self.window) <= self.hi - self.lo)
         return self.tmin, self.tmax, min((self.low, *zeros)), max((self.high, *zeros))
@@ -404,8 +415,9 @@ def basis_rows(mask: Mask, iters: int) -> CurveRows:
 
 # -- exports -------------------------------------------------------------
 # An export yields its text a chunk of rows at a time, each chunk one
-# C-level % format of a template that holds the t text literally, so that
-# % formats only the values.
+# C-level % format of a template that holds the t text literally, and the
+# value text of the zero rows outside the stored window too, so that %
+# formats only the stored values.
 
 def _admits(prec: int, e: int, d: int) -> bool:
     """Whether "%.{prec}g" of a t = n + j/2^e, n of d digits (d = 0 for
@@ -447,15 +459,22 @@ def _mesh_table(prec: int, d: int, s: int, k: int) -> tuple[str, np.ndarray]:
     return text, offs
 
 
-def _templates(rows: CurveRows, prec: int, lead: str, tail: str) -> Iterator[tuple[str, list[float]]]:
+def _templates(rows: CurveRows, prec: int, lead: str, tail: str,
+               zero: float) -> Iterator[tuple[str, list[float]]]:
     """Per chunk of rows, its % template, lead + t + tail a row with tail
-    formatting the value, and its values.
+    formatting the value, and the values of its stored rows.
+
+    A chunk is cut at the edges of the stored window into up to three
+    parts.  A row outside the window is zero, so its tail is tail % zero,
+    formatted once: zero is that value as the export formats it, 0.0 in
+    the CSV ("0") and -0.0 in the SVG, which negates every value ("-0").
+    Only the stored rows keep a % slot.
 
     With s = 2 on the dual mesh and 1 on the primal, the t of row i is
     u/2^e, u = s i + s - 1, e = k + s - 1.  Write |u| = n 2^e + j: the rows
     with one n run through the fractions j/2^e, j = s m + s - 1 for
     m < 2^k, m ascending with i for u >= 0 and descending for u < 0.  In a
-    chunk whose n are admitted (_admits), "%.{prec}g" % t is the sign,
+    part whose n are admitted (_admits), "%.{prec}g" % t is the sign,
     str(n) and entry m of the table of n's digit count; a run of rows with
     one n takes its slice of the table.  Such a t is exact, u below 2^53:
     |u| < 10^d 2^e < 2 10^prec for n of d >= 1 digits, and |u| < 2^e, at
@@ -464,7 +483,7 @@ def _templates(rows: CurveRows, prec: int, lead: str, tail: str) -> Iterator[tup
     an export of at least 2^k rows, so it costs no more than the rows; up
     to level _CACHE_LEVEL it comes from the process-wide _mesh_table, and
     a larger one is made once for this export, in a cache of its own.
-    Other chunks format their t."""
+    Other parts format their t."""
     k, s = rows.P.level, 1 if rows.P.mesh is MeshType.PRIMAL else 2
     e = k + s - 1
     table = _mesh_table if k <= _CACHE_LEVEL else lru_cache(_mesh_table.__wrapped__)
@@ -478,25 +497,28 @@ def _templates(rows: CurveRows, prec: int, lead: str, tail: str) -> Iterator[tup
                 text, offs = table(prec, len(pre), s, k)
                 yield sign + pre, text[offs[m] + 1:offs[m1]]
 
-    for a, b in rows._chunks():
+    def text(a: int, b: int, tail: str) -> str:
+        """lead + t + tail for each of the rows a..b-1."""
         top = max(abs(s * a + s - 1), abs(s * b - 1))  # |u| of the end rows
-        if (rows.hi - rows.lo + 1) >> k and _admits(prec, e, len(str(top >> e or ""))):
-            parts = []
-            # rows i < 0 have |u| = s p' + s - 1 with p' = -i - s + 1
-            for pre, body in reversed(list(runs(2 - s - min(b, 0), 2 - s - a, "-"))):
-                parts += [lead, pre, (tail + lead + pre).join(reversed(body.split("|"))), tail]
-            for pre, body in runs(max(a, 0), b, ""):
-                parts += [lead, pre, body.replace("|", tail + lead + pre), tail]
-            template = "".join(parts)
-        else:
-            t = ("%%.%dg|" % prec * (b - a)) % tuple(rows._t(a, b))
-            template = lead + t[:-1].replace("|", tail + lead) + tail
-        yield template, rows._values(a, b)
+        if not (rows.hi - rows.lo + 1) >> k or not _admits(prec, e, len(str(top >> e or ""))):
+            return (("%s%%.%dg|" % (lead, prec) * (b - a)) % tuple(rows._t(a, b))).replace("|", tail)
+        parts = []
+        # rows i < 0 have |u| = s p' + s - 1 with p' = -i - s + 1
+        for pre, body in reversed(list(runs(2 - s - min(b, 0), 2 - s - a, "-"))):
+            parts += [lead, pre, (tail + lead + pre).join(reversed(body.split("|"))), tail]
+        for pre, body in runs(max(a, 0), b, ""):
+            parts += [lead, pre, body.replace("|", tail + lead + pre), tail]
+        return "".join(parts)
+
+    zeros = tail % zero
+    for a, b in rows._chunks():
+        c, d = rows._stored(a, b)
+        yield text(a, c, zeros) + text(c, d, tail) + text(d, b, zeros), rows._values(c, d)
 
 
 def curve_csv(rows: CurveRows) -> Iterator[str]:
     yield "t,value\n"
-    for template, value in _templates(rows, 12, "", ",%.12g\n"):
+    for template, value in _templates(rows, 12, "", ",%.12g\n", 0.0):
         yield template % tuple(value)
 
 
@@ -513,6 +535,6 @@ def curve_svg(rows: CurveRows) -> Iterator[str]:
            '<polyline fill="none" stroke="black" stroke-width="%.6g" points="'
            % (vb, (ymax - ymin) / 200.0))
     # a space before every row but the first
-    for i, (template, value) in enumerate(_templates(rows, 6, " ", ",%.6g")):
+    for i, (template, value) in enumerate(_templates(rows, 6, " ", ",%.6g", -0.0)):
         yield (template[1:] if i == 0 else template) % tuple(map(neg, value))
     yield '"/>\n</svg>\n'

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import fraction_entries
 from subdiv import dynamics
@@ -265,6 +265,63 @@ class TestExactTrajectory:
             T, common = next(steps)
             assert [F(y, common) for y in T] == [x - f for x in v]
             v = [sum((e * x for e, x in zip(row, v)), F(0)) for row in fraction_entries(A)]
+
+
+def dense_numerators(v, f, L, B):
+    """The transient recurrence with one dense product B T a step, kept as
+    an oracle for the band step."""
+    den = math.lcm(*(x.denominator for x in v))
+    Bq = np.array(B, dtype=object)
+    r = Bq.sum(axis=1) - L
+    shift, common = f.numerator * den, f.denominator * den
+    T = np.array([f.denominator * int(x * den) - shift for x in v], dtype=object)
+    while True:
+        yield T.tolist(), common
+        T = Bq @ T + shift * r
+        shift *= L
+        common *= L
+
+
+@st.composite
+def integer_matrices(draw):
+    """(L, B) for square integer B of orders 1-9, dense or mostly zero;
+    the rows sum to L, so the drift term r is zero, when balanced."""
+    n = draw(st.integers(1, 9))
+    entry = draw(st.sampled_from([st.integers(-60, 60), st.sampled_from([0, 0, 0, -7, 1, 13])]))
+    B = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    L = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        for i, row in enumerate(B):
+            row[i] += L - sum(row)
+    return L, B
+
+
+V0 = [F(k - 2, k + 3) for k in range(12)]
+
+
+class TestBandStep:
+    """_transient_numerators steps B T on a band of each row's nonzeros: the
+    integers are those of the dense product, for any integer B."""
+
+    # zero rows, a lone nonzero at either end of a row, a band as wide as
+    # the matrix, and rows that sum to L (no drift term)
+    @settings(deadline=None)
+    @given(st.one_of(integer_matrices(), local_matrices().map(lambda A: (A.L, A.B))),
+           st.lists(st.builds(F, st.integers(-36, 36), st.integers(1, 12)),
+                    min_size=12, max_size=12),
+           st.builds(F, st.integers(-120, 120), st.integers(1, 40)))
+    @example((7, ((0, 0), (0, 0))), V0, F(2, 7))
+    @example((7, ((0, 0, 0), (5, 0, 0), (0, 0, -2))), V0, F(2, 7))
+    @example((7, ((1, 0, 0, 0), (0, 0, 0, 3), (2, 0, 0, 0), (0, 0, 0, 0))), V0, F(2, 7))
+    @example((7, ((1, 2, 3), (4, 5, 6), (7, 8, 9))), V0, F(2, 7))
+    @example((7, ((3, 0, 4), (0, 7, 0), (5, 2, 0))), V0, F(2, 7))
+    def test_band_step_is_the_dense_product(self, LB, v0, f):
+        L, B = LB
+        band, dense = (steps(v0[:len(B)], f, L, B) for steps in (_transient_numerators,
+                                                                 dense_numerators))
+        for _ in range(6):
+            assert next(band) == next(dense)
+
 
 class TestTwoNormRange:
     """2-norm distances of rows whose squares pass the float range: A keeps

@@ -657,17 +657,24 @@ def row_ranges(draw):
 class TestStreamedExport:
     """The chunked exports against the per-row oracles, byte for byte."""
 
-    @pytest.mark.parametrize("n", [refine._CHUNK - 1, refine._CHUNK, refine._CHUNK + 1,
-                                   2 * refine._CHUNK + 1])
-    def test_chunk_boundaries(self, n):
+    # (stored rows n, zero rows before and after them): the window's edges
+    # inside a chunk, or on a chunk's first or last row
+    @pytest.mark.parametrize("n, before, after", [
+        (refine._CHUNK - 1, 0, 0), (refine._CHUNK, 0, 0), (refine._CHUNK + 1, 0, 0),
+        (2 * refine._CHUNK + 1, 0, 0), (refine._CHUNK, refine._CHUNK, refine._CHUNK),
+        (refine._CHUNK - 1, 1, refine._CHUNK), (1, refine._CHUNK - 1, refine._CHUNK),
+        (refine._CHUNK + 1, refine._CHUNK - 1, 0)],
+        ids=["4095", "4096", "4097", "8193", "edges-on-chunk-edges", "window-ends-a-chunk",
+             "window-is-a-chunk-end", "window-from-a-chunk-end"])
+    def test_chunk_boundaries(self, n, before, after):
         rng = random.Random(n)
         values = [F(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n)]
         values[0] = values[-1] = F(1, 3)
         for mesh in MeshType:
             P = ControlPolygon(7, -n // 2, values, mesh)
-            rows = CurveRows(P, P.first_index, P.last_index)
+            rows = CurveRows(P, P.first_index - before, P.last_index + after)
             sizes = [len(t) for t, _ in rows]
-            assert sum(sizes) == n and set(sizes[:-1]) <= {refine._CHUNK}
+            assert sum(sizes) == before + n + after and set(sizes[:-1]) <= {refine._CHUNK}
             points = rows_per_index(P, rows.lo, rows.hi)
             assert "".join(curve_csv(rows)) == csv_per_line(points)
             assert "".join(curve_svg(rows)) == svg_per_point(points)
@@ -690,6 +697,35 @@ class TestStreamedExport:
         assert set(v for _, v in points) == {0.0}
         assert "".join(curve_csv(rows)) == csv_per_line(points)
         assert "".join(curve_svg(rows)) == svg_per_point(points)
+
+    def test_pad_rows_take_no_value(self):
+        # the zero rows outside the stored window are literal text in the
+        # template: only window rows reach CurveRows._values and a % slot
+        asked = []
+        values = CurveRows._values
+
+        def spy(self, a, b):
+            asked.append(b - a)
+            return values(self, a, b)
+
+        def slots(rows):
+            """The % slots of the CSV and SVG templates of rows."""
+            return [sum(t.count("%") for t, _ in refine._templates(rows, *args))
+                    for args in ((12, "", ",%.12g\n", 0.0), (6, " ", ",%.6g", -0.0))]
+
+        with unittest.mock.patch.object(CurveRows, "_values", spy):
+            rows = basis_rows(catalog_get("c").mask, 14)
+            assert len(rows.window) == 32767 and rows.hi - rows.lo + 1 == 131073
+            assert slots(rows) == [32767, 32767] and sum(asked) == 2 * 32767
+            asked.clear()
+            "".join(curve_csv(rows)) + "".join(curve_svg(rows))
+            assert sum(asked) == 2 * 32767
+            for rows in (basis_rows(Mask(20, (F(1),) * 12), 3),
+                         CurveRows(ControlPolygon(2, 2 ** 63, (F(1, 3), F(2))), -4, 4)):
+                asked.clear()
+                assert slots(rows) == [0, 0]
+                "".join(curve_csv(rows)) + "".join(curve_svg(rows))
+                assert sum(asked) == 0
 
     @pytest.mark.parametrize("first", [2 ** 63, 10 ** 400, -(2 ** 63) - 1])
     def test_window_far_outside_the_rows(self, first):
