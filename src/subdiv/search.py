@@ -1,18 +1,20 @@
 """Grid exploration of palindromic mask families.
 
-Each width 2..8 is parameterized by its free coefficients after imposing
-the palindromic symmetry and the necessary conditions s(1) = 2, s(-1) = 0:
+FAMILIES is the one definition of the family of each width 2..8: the
+palindromic masks of that width with s(1) = 2 and s(-1) = 0, as a run
+base + params @ lin in the free coefficients, outermost first:
 
     width 2m+1 (primal): distinct coefficients a_0 .. a_m with
         a_1 = 1/2 - (a_3 + a_5 + ...)   and   a_0 = 1 - 2(a_2 + a_4 + ...);
-        free parameters (a_m, ..., a_2), outermost first.
+        free parameters (a_m, ..., a_2).
     width 2m (dual): distinct coefficients a_1 .. a_m with
         a_1 = 1 - (a_2 + ... + a_m);
-        free parameters (a_m, ..., a_2), outermost first.
+        free parameters (a_m, ..., a_2).
 
 For width 5 this is the single parameter a = a_2 with a_1 = 1/2,
 a_0 = 1 - 2a; for width 6 the pair (a, b) = (a_3, a_2) with inner
-coefficient 1 - a - b.  Widths 2 and 3 have no free parameters.
+coefficient 1 - a - b.  Widths 2 and 3 have no free parameters.  Each
+family also carries the default grid of its parameters.
 """
 from __future__ import annotations
 
@@ -62,28 +64,38 @@ class GridRange:
         return [Fraction(lo + k * step, den) for k in range(self.count)]
 
 
-def free_param_count(width: int) -> int:
-    if not 2 <= width <= 8:
+@dataclass(frozen=True)
+class Family:
+    """The family of one width: the member at params (outermost first) is
+    the run base + params @ lin from support_min, and grid is the default
+    grid of its params."""
+    support_min: int
+    base: tuple[Fraction, ...]        # the run at params 0
+    lin: tuple[tuple[int, ...], ...]  # one row per free parameter
+    grid: tuple[GridRange, ...]
+
+
+_0, _H, _1 = Fraction(0), Fraction(1, 2), Fraction(1)
+
+FAMILIES = {
+    2: Family(0, (_1, _1), (), ()),
+    3: Family(-1, (_H, _1, _H), (), ()),
+    4: Family(-1, (_0, _1, _1, _0), ((1, -1, -1, 1),), (GridRange(-1, 1, Fraction(1, 100)),)),
+    5: Family(-2, (_0, _H, _1, _H, _0), ((1, 0, -2, 0, 1),), (GridRange(-1, 1, Fraction(1, 200)),)),
+    6: Family(-2, (_0, _0, _1, _1, _0, _0), ((1, 0, -1, -1, 0, 1), (0, 1, -1, -1, 1, 0)),
+              (GridRange(-_H, _H, Fraction(1, 50)),) * 2),
+    7: Family(-3, (_0, _0, _H, _1, _H, _0, _0), ((1, 0, -1, 0, -1, 0, 1), (0, 1, 0, -2, 0, 1, 0)),
+              (GridRange(-_H, _H, Fraction(1, 20)),) * 2),
+    8: Family(-3, (_0, _0, _0, _1, _1, _0, _0, _0),
+              ((1, 0, 0, -1, -1, 0, 0, 1), (0, 1, 0, -1, -1, 0, 1, 0), (0, 0, 1, -1, -1, 1, 0, 0)),
+              (GridRange(Fraction(-1, 4), Fraction(1, 4), Fraction(1, 10)),) * 3),
+}
+
+
+def family(width: int) -> Family:
+    if width not in FAMILIES:
         raise ValueError("width must be in 2..8")
-    return (width + 1) // 2 - 2 if width % 2 else width // 2 - 1
-
-
-def _run_numerators(width: int, nums: Sequence[int], den: int) -> tuple[int, tuple[int, ...]]:
-    """palindromic_coeffs in integers: the free parameters and the run as
-    numerators over one even den (a_1 = 1/2 at odd width needs den even)."""
-    if len(nums) != free_param_count(width):
-        raise ValueError("width %d needs %d free parameters, got %d"
-                         % (width, free_param_count(width), len(nums)))
-    if width % 2 == 1:
-        m = (width - 1) // 2
-        a = [0, 0, *reversed(nums)]      # a_0 .. a_m; nums are (a_m, ..., a_2)
-        a[1] = den // 2 - sum(a[3::2])
-        a[0] = den - 2 * sum(a[2::2])
-        return -m, tuple(a[abs(i)] for i in range(-m, m + 1))
-    m = width // 2
-    a = [0, 0, *reversed(nums)]          # a_1 .. a_m from index 1
-    a[1] = den - sum(a[2:])
-    return -m + 1, tuple(a[i if i >= 1 else 1 - i] for i in range(-m + 1, m + 1))
+    return FAMILIES[width]
 
 
 def palindromic_coeffs(width: int, params: Sequence[Fraction]) -> tuple[int, tuple[Fraction, ...]]:
@@ -93,10 +105,11 @@ def palindromic_coeffs(width: int, params: Sequence[Fraction]) -> tuple[int, tup
     grid cells of one family share a matrix size.
     """
     params = [Fraction(p) for p in params]
-    den = math.lcm(2, *(p.denominator for p in params))
-    support_min, run = _run_numerators(
-        width, [p.numerator * (den // p.denominator) for p in params], den)
-    return support_min, tuple(Fraction(x, den) for x in run)
+    fam = family(width)
+    if len(params) != len(fam.lin):
+        raise ValueError("width %d needs %d free parameters, got %d" % (width, len(fam.lin), len(params)))
+    return fam.support_min, tuple(b + sum(p * row[i] for p, row in zip(params, fam.lin))
+                                  for i, b in enumerate(fam.base))
 
 
 class CellClass(Enum):
@@ -121,9 +134,9 @@ class SearchSpec:
     convergence_filter: bool = True
 
     def __post_init__(self):
-        if len(self.param_ranges) != free_param_count(self.width):
-            raise ValueError("width %d needs %d grid ranges, got %d"
-                             % (self.width, free_param_count(self.width), len(self.param_ranges)))
+        p = len(family(self.width).lin)
+        if len(self.param_ranges) != p:
+            raise ValueError("width %d needs %d grid ranges, got %d" % (self.width, p, len(self.param_ranges)))
 
 
 # a cell's class by its code 2 * (not has_complex) + (not convergent)
@@ -177,18 +190,6 @@ MAX_CELLS = 10 ** 6
 _STR_LIMIT = 10 ** 4300
 
 
-def _run_map(width: int, den: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(support_min, base, lin) with _run_numerators(width, x, den)'s run
-    equal to base + x @ lin for every vector x of free numerators: the run
-    is affine in them, so base is the run at x = 0 and row i of lin the
-    run at the i-th unit vector less base (object arrays of Python ints)."""
-    p = free_param_count(width)
-    support_min, base = _run_numerators(width, [0] * p, den)
-    lin = [[x - b for x, b in zip(_run_numerators(width, e, den)[1], base)]
-           for e in np.eye(p, dtype=int).tolist()]
-    return support_min, np.array(base, dtype=object), np.array(lin, dtype=object).reshape(p, width)
-
-
 def scan(spec: SearchSpec) -> SearchResult:
     """Classify every grid cell of the family by spectrum and contractivity,
     in itertools.product order, in blocks of SCAN_BLOCK cells; each block
@@ -197,9 +198,9 @@ def scan(spec: SearchSpec) -> SearchResult:
     Everything but max_imag is exact and runs in integers.  Every grid
     value is a numerator over the grid's common denominator
     D = lcm(2, each range's lo and step denominators), and a run is affine
-    in the free numerators (_run_map), so a block's (N, n) runs are
-    base + X @ lin, X the numerators its flat cell indices pick from each
-    axis (np.unravel_index).  Contractivity is one contractive_runs call on
+    in the free numerators (its FAMILIES entry), so a block's (N, n) runs
+    are D base + X @ lin, X the numerators its flat cell indices pick from
+    each axis (np.unravel_index).  Contractivity is one contractive_runs call on
     the block's runs (a parity norm < D).  The runs make one (N, n, n)
     stack of D*A (local_stack), and palindromic_classes decides each cell's
     complex pair from the discriminants of its J-blocks; the width-6
@@ -228,7 +229,9 @@ def scan(spec: SearchSpec) -> SearchResult:
             raise ValueError("grid value p%d = lo + %d step has more than 4300 digits" % (j, k))
     # each axis's values as numerators over den
     nums = [np.array([x.numerator * (den // x.denominator) for x in v], dtype=object) for v in values]
-    support_min, base, lin = _run_map(spec.width, den)
+    fam = family(spec.width)
+    support_min, lin = fam.support_min, np.array(fam.lin, dtype=object).reshape(-1, spec.width)
+    base = np.array([b.numerator * (den // b.denominator) for b in fam.base], dtype=object)
     # a run is affine in the grid values, so its largest |numerator| over
     # the grid is at a corner: check_size's refusal, with den as L
     corners = [base + np.array(x, dtype=object) @ lin for x in product(*((v[0], v[-1]) for v in nums))]
@@ -296,29 +299,14 @@ class MinWidthReport:
     counts_by_width: tuple[tuple[int, dict[str, int]], ...]
 
 
-def default_grid(width: int) -> tuple[GridRange, ...]:
-    free_param_count(width)  # refuses a width outside 2..8
-    half = Fraction(1, 2)
-    table = {
-        2: (),
-        3: (),
-        4: (GridRange(Fraction(-1), Fraction(1), Fraction(1, 100)),),
-        5: (GridRange(Fraction(-1), Fraction(1), Fraction(1, 200)),),
-        6: (GridRange(-half, half, Fraction(1, 50)),) * 2,
-        7: (GridRange(-half, half, Fraction(1, 20)),) * 2,
-        8: (GridRange(Fraction(-1, 4), Fraction(1, 4), Fraction(1, 10)),) * 3,
-    }
-    return table[width]
-
-
 def min_width_report(max_width: int) -> MinWidthReport:
     """Smallest width whose default grid contains a ComplexConvergent cell,
     with all witness parameter tuples."""
     if max_width < 2:
         raise ValueError("max_width must be >= 2")
     counts = []
-    for w in range(2, min(max_width, 8) + 1):
-        result = scan(SearchSpec(w, default_grid(w), convergence_filter=True))
+    for w in range(2, min(max_width, max(FAMILIES)) + 1):
+        result = scan(SearchSpec(w, FAMILIES[w].grid, convergence_filter=True))
         counts.append((w, result.counts))
         witnesses = result.complex_convergent_params()
         if witnesses:

@@ -728,6 +728,7 @@ class TestRefusals:
     @pytest.mark.parametrize("argv, message", [
         (["search"], "search needs --width or --min-width"),
         (["search", "--min-width", "--max-width", "1"], "max_width must be >= 2"),
+        (["search", "--width", "9"], "width must be in 2..8"),
         (["dynamics", "--scheme", "catalog:a", "--K", "0"], "K must be >= 1"),
         (["analyze", "--scheme", "catalog:a", "--target", "-1"], "target_m must be >= 0"),
         (["refine", "--scheme", "catalog:a", "--iters", "-1"], "k must be >= 0"),

@@ -21,7 +21,12 @@ from subdiv.localmatrix import (_CERT_PRIME, _PRIMES, Spectrum, _block_charpolys
                                 palindromic_classes, w5_closed_form, w6_closed_form,
                                 w6_discriminant)
 from subdiv.masks import Mask, catalog_get
-from subdiv.search import _run_numerators, default_grid, palindromic_coeffs
+from subdiv.search import family, palindromic_coeffs
+
+
+def scaled_run(width, params, den):
+    """The run of palindromic_coeffs(width, params) as numerators over den."""
+    return tuple(int(x * den) for x in palindromic_coeffs(width, params)[1])
 
 
 def match_multiset(got, expected, tol):
@@ -341,7 +346,7 @@ class TestW6DiscriminantScaled:
         # over a common denominator den the scan's J-odd discriminant is
         # den^2 D, an integer
         den = 2 * k * a.denominator * b.denominator
-        _, run = _run_numerators(6, [x.numerator * (den // x.denominator) for x in (a, b)], den)
+        run = scaled_run(6, (a, b), den)
         [got] = palindromic_classes(den, local_stack([run]))[2].tolist()
         assert type(got) is int and got == den * den * w6_discriminant(a, b)
 
@@ -411,7 +416,7 @@ def _family_charpolys():
     cells = [(6, (F(0), F(1, 5))), (6, (F(0), F(1, 3))),
              (6, (F(-1, 8), F(1, 8))), (6, (F(-1, 10), F(3, 10)))]
     for w in (6, 7, 8):
-        grid = list(product(*(r.values() for r in default_grid(w))))
+        grid = list(product(*(r.values() for r in family(w).grid)))
         cells += [(w, params) for params in grid[::37]]
     for w, params in cells:
         yield full_charpoly(matrix_from_coeffs(*palindromic_coeffs(w, params)))
@@ -583,7 +588,7 @@ def drawn_runs(draw):
 class TestCharpolyFactors:
     def test_matches_sympy_on_every_grid_cell(self):
         for w in (4, 5, 6, 7, 8):
-            grid = list(product(*(r.values() for r in default_grid(w))))
+            grid = list(product(*(r.values() for r in family(w).grid)))
             Ms = [matrix_from_coeffs(*palindromic_coeffs(w, params)) for params in grid]
             for params, M, factors in zip(grid, Ms, route_factors_of(Ms)):
                 assert factors == sympy_factors(M), (w, params)
@@ -1353,7 +1358,7 @@ class TestBlockDiscriminants:
     def test_width6_blocks(self, a, b, den):
         # at width 6 the J-odd discriminant is den^2 D(a, b) and the J-even
         # one the square (a - b + den)^2
-        _, run = _run_numerators(6, [a, b], den)
+        run = scaled_run(6, (F(a, den), F(b, den)), den)
         S = local_stack([run])
         even, odd = _block_charpolys(S[:, 1:5, 1:5])
         D = den * den * w6_discriminant(F(a, den), F(b, den))
@@ -1375,7 +1380,7 @@ class TestBlockDiscriminants:
         def no_call(*args):
             raise AssertionError("a block built for an order-9 stack")
 
-        _, run8 = _run_numerators(8, [1, -2, 3], 20)
+        run8 = scaled_run(8, (F(1, 20), F(-2, 20), F(3, 20)), 20)
         has_complex, max_imag, _ = palindromic_classes(20, local_stack([run8]))
         assert len(has_complex) == len(max_imag) == 1
         monkeypatch.setattr(localmatrix, "_block_charpolys", no_call)

@@ -1,10 +1,13 @@
 import io
 import json
+import sys
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import Z, fraction_entries, sympy_symbol
@@ -13,34 +16,40 @@ from subdiv.convergence import contractive_runs
 from subdiv.localmatrix import (eigenvalues, matrix_from_coeffs, palindromic_classes,
                                 w6_discriminant)
 from subdiv.masks import Mask
-from subdiv.search import (SCAN_BLOCK, CellClass, GridRange, SearchSpec, c1_w6_obstruction,
-                           default_grid, free_param_count, min_width_report,
+from subdiv.search import (FAMILIES, SCAN_BLOCK, CellClass, GridRange, SearchSpec,
+                           c1_w6_obstruction, family, min_width_report,
                            negativity_lemma_check, palindromic_coeffs, scan,
                            search_summary_json, write_search_csv)
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (as test_golden_pool reads perfbench/)
 
 HALF = F(1, 2)
 
 
 class TestParameterization:
     def test_free_param_counts(self):
-        assert [free_param_count(w) for w in range(2, 9)] == [0, 0, 1, 1, 2, 2, 3]
+        assert [len(family(w).lin) for w in range(2, 9)] == [0, 0, 1, 1, 2, 2, 3]
+        assert all(len(f.grid) == len(f.lin) for f in FAMILIES.values())
 
     @pytest.mark.parametrize("width", [-3, 0, 1, 9, 100])
-    def test_default_grid_refuses_a_width_outside_2_to_8(self, width):
-        with pytest.raises(ValueError, match=r"width must be in 2\.\.8"):
-            default_grid(width)
+    @pytest.mark.parametrize("entry", [family, lambda w: palindromic_coeffs(w, ()),
+                                       lambda w: SearchSpec(w, ())],
+                             ids=["family", "palindromic_coeffs", "SearchSpec"])
+    def test_refuses_a_width_outside_2_to_8(self, entry, width):
+        with pytest.raises(ValueError, match=r"^width must be in 2\.\.8$"):
+            entry(width)
 
-    def test_width5_family(self):
-        a = F(1, 8)
-        support_min, run = palindromic_coeffs(5, (a,))
-        assert support_min == -2
-        assert run == (a, HALF, 1 - 2 * a, HALF, a)
-
-    def test_width6_family(self):
-        a, b = F(-1, 10), F(3, 10)
-        support_min, run = palindromic_coeffs(6, (a, b))
-        assert support_min == -2
-        assert run == (a, b, F(4, 5), F(4, 5), b, a)
+    @pytest.mark.parametrize("width, params, support_min, run", [
+        (5, (F(1, 8),), -2, (F(1, 8), HALF, F(3, 4), HALF, F(1, 8))),
+        (6, (F(-1, 10), F(3, 10)), -2, (F(-1, 10), F(3, 10), F(4, 5), F(4, 5), F(3, 10), F(-1, 10))),
+        (7, (F(-1, 10), F(3, 10)), -3,
+         (F(-1, 10), F(3, 10), F(3, 5), F(2, 5), F(3, 5), F(3, 10), F(-1, 10))),
+        (8, (F(1, 8), F(-1, 4), F(1, 3)), -3,
+         (F(1, 8), F(-1, 4), F(1, 3), F(19, 24), F(19, 24), F(1, 3), F(-1, 4), F(1, 8))),
+    ], ids=["width5", "width6", "width7", "width8"])
+    def test_literal_family_runs(self, width, params, support_min, run):
+        assert palindromic_coeffs(width, params) == (support_min, run)
 
     def test_refuses_the_wrong_parameter_count(self):
         with pytest.raises(ValueError, match="^width 6 needs 2 free parameters, got 1$"):
@@ -50,11 +59,46 @@ class TestParameterization:
         assert palindromic_coeffs(3, ()) == (-1, (HALF, F(1), HALF))
 
     def test_necessary_conditions_hold_by_construction(self):
+        # FAMILIES against the conditions it encodes, with sympy symbols as
+        # the parameters: s(1) = 2 and s(-1) = 0 identically, a palindromic
+        # run centred on 0 (primal) or 1/2 (dual), and outer taps that are
+        # the parameters, outermost first
         for width in range(2, 9):
-            params = tuple(F(k + 1, 17) for k in range(free_param_count(width)))
-            support_min, run = palindromic_coeffs(width, params)
-            s = sympy_symbol(support_min, run)
-            assert s.subs(Z, 1) == 2 and s.subs(Z, -1) == 0
+            fam = family(width)
+            params = sympy.symbols("p0:%d" % len(fam.lin))
+            run = [sympy.Rational(b.numerator, b.denominator) + sum(p * row[i] for p, row in zip(params, fam.lin))
+                   for i, b in enumerate(fam.base)]
+            s = sympy.Add(*(c * Z ** k for k, c in enumerate(run, fam.support_min)))
+            assert len(run) == width and 2 * fam.support_min + width - 1 == 1 - width % 2, width
+            assert sympy.expand(s.subs(Z, 1)) == 2 and sympy.expand(s.subs(Z, -1)) == 0, width
+            assert all(sympy.expand(c - d) == 0 for c, d in zip(run, reversed(run))), width
+            assert all(sympy.expand(c - p) == 0 for c, p in zip(run, params)), width
+            # palindromic_coeffs is the table at rational params
+            values = tuple(F(k + 1, 17) for k in range(len(params)))
+            support_min, got = palindromic_coeffs(width, values)
+            assert support_min == fam.support_min
+            assert sympy.expand(sympy_symbol(support_min, got) - s.subs(dict(zip(params, values)))) == 0
+
+    @given(st.integers(2, 8), st.data())
+    def test_members_satisfy_the_conditions(self, width, data):
+        # palindromic_coeffs at parameters with numerators up to 2^300:
+        # s(1) = 2, s(-1) = 0, a palindromic run and the parameters as its
+        # outer taps, read off the Fractions
+        den = data.draw(st.integers(1, 2 ** 300))
+        params = [F(x, den) for x in data.draw(st.lists(
+            st.integers(-2 ** 300, 2 ** 300), min_size=len(family(width).lin),
+            max_size=len(family(width).lin)))]
+        support_min, run = palindromic_coeffs(width, params)
+        assert len(run) == width and all(type(c) is F for c in run)
+        assert sum(run) == 2
+        assert sum(c if k % 2 == 0 else -c for k, c in enumerate(run, support_min)) == 0
+        assert run == run[::-1] and list(run[:len(params)]) == params
+
+    @pytest.mark.parametrize("width", range(4, 9))
+    def test_default_grid_is_the_benchmarks(self, width):
+        # the benchmark's oracle counts cells from its own copy of the grids
+        assert [(r.lo, r.hi, r.step) for r in family(width).grid] == \
+            list(workloads.DEFAULT_GRIDS[width])
 
 
 class TestScan:
@@ -74,8 +118,7 @@ class TestScan:
 
     def test_small_widths_are_real(self):
         for width in (2, 3, 4):
-            g = default_grid(width) if width == 4 else ()
-            result = scan(SearchSpec(width, g))
+            result = scan(SearchSpec(width, family(width).grid))
             assert result.counts["ComplexConvergent"] == 0
             assert result.counts["ComplexOther"] == 0
 
@@ -139,7 +182,7 @@ class TestScan:
         eigenvalues_of = localmatrix._eigenvalues
         monkeypatch.setattr(search, "palindromic_classes", counted)
         monkeypatch.setattr(localmatrix, "_eigenvalues", counted_roots)
-        result = scan(SearchSpec(5, default_grid(5)))
+        result = scan(SearchSpec(5, family(5).grid))
         assert len(result.cells) == 401 > SCAN_BLOCK
         assert max(sizes) <= SCAN_BLOCK and sum(sizes) == 401 and solved == []
         for cell in result.cells:
@@ -154,7 +197,7 @@ class TestScan:
             assert cell.max_imag == max(abs(v.imag) for v in sp.eigenvalues), cell.params
         sizes.clear()
         solved.clear()
-        result = scan(SearchSpec(6, default_grid(6)))
+        result = scan(SearchSpec(6, family(6).grid))
         assert max(sizes) <= SCAN_BLOCK and sum(sizes) == len(result.cells) == 2601
         assert len(solved) > 1 and max(solved) <= SCAN_BLOCK
 
@@ -184,40 +227,35 @@ class TestScan:
         monkeypatch.setattr(search, "w6_discriminant", no_call)
         cells, n_complex = {}, {}
         for w in range(2, 9):
-            result = scan(SearchSpec(w, default_grid(w)))
+            result = scan(SearchSpec(w, family(w).grid))
             cells[w] = len(result.cells)
             n_complex[w] = result.counts["ComplexConvergent"] + result.counts["ComplexOther"]
         assert sum(cells.values()) == 3862 and sum(n_complex.values()) == 1007
         assert n_complex == {2: 0, 3: 0, 4: 0, 5: 0, 6: 716, 7: 142, 8: 149}
         assert factored == solved == {w: n_complex[w] for w in (6, 7, 8)}
 
-    def test_runs_without_a_per_cell_run_numerators_call(self, monkeypatch):
-        # the runs of every cell come from base + X @ lin: _run_numerators
-        # runs once at the zero vector and once per unit vector, per scan
+    def test_reads_the_family_once_per_scan(self, monkeypatch):
+        # the runs of every cell come from the family's base + X @ lin: one
+        # family lookup a scan, and no per-cell palindromic_coeffs call
         calls = []
 
-        def counted(width, nums, den):
+        def counted(width):
             calls.append(width)
-            return run_numerators(width, nums, den)
+            return lookup(width)
 
-        run_numerators = search._run_numerators
-        monkeypatch.setattr(search, "_run_numerators", counted)
+        def no_call(*args):
+            raise AssertionError("palindromic_coeffs called in a scan")
+
+        lookup = search.family
+        specs = [SearchSpec(width, family(width).grid) for width in range(2, 9)]
+        monkeypatch.setattr(search, "family", counted)
+        monkeypatch.setattr(search, "palindromic_coeffs", no_call)
         cells = 0
-        for width in range(2, 9):
+        for spec in specs:
             calls.clear()
-            cells += len(scan(SearchSpec(width, default_grid(width))).cells)
-            assert calls == [width] * (1 + free_param_count(width)), width
+            cells += len(scan(spec).cells)
+            assert calls == [spec.width]
         assert cells == 3862
-
-    @given(st.integers(2, 8), st.data())
-    def test_run_map_is_the_family(self, width, data):
-        # base + x @ lin equals _run_numerators at x, numerators up to 2^300
-        den = 2 * data.draw(st.integers(1, 2 ** 300))
-        x = data.draw(st.lists(st.integers(-2 ** 300, 2 ** 300), min_size=free_param_count(width),
-                               max_size=free_param_count(width)))
-        support_min, base, lin = search._run_map(width, den)
-        assert (support_min, tuple((base + np.array(x, dtype=object) @ lin).tolist())) == \
-            search._run_numerators(width, x, den)
 
     def test_cell_cap(self, monkeypatch):
         spec = SearchSpec(6, (GridRange(F(-1), F(1), F(1, 100)),) * 2)
@@ -282,7 +320,7 @@ def odd_denominator_grid(width):
     """Ranges with steps 1/3, 1/7 and 2/9, a different one on each axis."""
     table = [GridRange(F(-1, 3), F(1, 3), F(1, 3)), GridRange(F(-3, 7), F(2, 7), F(1, 7)),
              GridRange(F(-4, 9), F(4, 9), F(2, 9))]
-    return tuple(table[:free_param_count(width)])
+    return tuple(table[:len(family(width).lin)])
 
 
 class TestIntegerScan:
@@ -300,7 +338,7 @@ class TestIntegerScan:
 
     @pytest.mark.parametrize("width", range(2, 9))
     def test_default_grids(self, width):
-        self.check(SearchSpec(width, default_grid(width)))
+        self.check(SearchSpec(width, family(width).grid))
 
     @pytest.mark.parametrize("convergence_filter", [True, False])
     @pytest.mark.parametrize("width", range(2, 9))
@@ -456,7 +494,7 @@ def per_cell_csv(width, cells):
     """write_search_csv as it was when a scan built a Cell per cell: one
     row per Cell, each field formatted on its own."""
     f = io.StringIO()
-    header = ["p%d" % i for i in range(free_param_count(width))] + ["class", "max_imag", "degenerate"]
+    header = ["p%d" % i for i in range(len(family(width).lin))] + ["class", "max_imag", "degenerate"]
     f.write(",".join(header) + "\n")
     for cell in cells:
         row = [str(p) for p in cell.params]
@@ -490,7 +528,7 @@ def small_specs(draw):
     [-1/2, 1/2] over denominators 1-12 (one drawn huge), the convergence
     filter on or off."""
     width = draw(st.sampled_from([2, 3, 4, 5, 6, 6, 6, 7, 7, 8, 8]))
-    p = free_param_count(width)
+    p = len(family(width).lin)
     ranges = []
     for _ in range(p):
         den = draw(st.sampled_from([1, 2, 3, 5, 7, 10, 12, 2 ** 70 + 1]))
@@ -560,7 +598,7 @@ class TestColumnarResult:
             built.append(args)
             original_init(self, *args, **kwargs)
 
-        spec = SearchSpec(6, default_grid(6))
+        spec = SearchSpec(6, family(6).grid)
         monkeypatch.setattr(F, "__new__", counted_new)
         monkeypatch.setattr(search.Cell, "__init__", counted_init)
         result = scan(spec)
