@@ -320,11 +320,11 @@ def _discriminants(c: np.ndarray) -> np.ndarray:
         return np.ones(len(c), dtype=object)
     if d == 2:
         return c[:, 1] * c[:, 1] - 4 * c[:, 0]
-    if d == 3:
-        b, c1, c0 = c[:, 2], c[:, 1], c[:, 0]
-        bc = b * c1
-        return bc * bc - 4 * c1 ** 3 - 4 * b ** 3 * c0 - 27 * c0 * c0 + 18 * bc * c0
-    raise ValueError("no closed-form discriminant at degree %d" % d)
+    # the cubic is the last case: palindromic_classes, the one caller,
+    # refuses order > 8, whose J-even block would have degree 4
+    b, c1, c0 = c[:, 2], c[:, 1], c[:, 0]
+    bc = b * c1
+    return bc * bc - 4 * c1 ** 3 - 4 * b ** 3 * c0 - 27 * c0 * c0 + 18 * bc * c0
 
 
 # Mersenne primes, ascending; the last lies above twice the Mignotte bound

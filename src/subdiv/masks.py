@@ -18,7 +18,7 @@ class SymmetryClass(Enum):
 
 @dataclass(frozen=True)
 class Mask:
-    """Finite mask a_{support_min} .. a_{support_max}.
+    """Finite mask a_{support_min} .. a_{support_min + width - 1}.
 
     End coefficients must be nonzero except for the canonical zero mask,
     which is the single coefficient 0.
@@ -40,22 +40,8 @@ class Mask:
     def width(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def support_max(self) -> int:
-        return self.support_min + self.width - 1
-
-    @property
-    def support(self) -> range:
-        return range(self.support_min, self.support_max + 1)
-
     def is_zero(self) -> bool:
         return self.width == 1 and self.coeffs[0] == 0
-
-    def __getitem__(self, i: int) -> Fraction:
-        """Coefficient at absolute index i; zero outside the support."""
-        if self.support_min <= i <= self.support_max:
-            return self.coeffs[i - self.support_min]
-        return Fraction(0)
 
 
 def parse_rational(s) -> Fraction:

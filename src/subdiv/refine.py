@@ -103,12 +103,6 @@ class ControlPolygon:
             return Fraction(int(self._arr[i - self.first_index]), self.den)
         return Fraction(0)
 
-    def items(self):
-        return zip(range(self.first_index, self.last_index + 1), self.values)
-
-    def total(self) -> Fraction:
-        return Fraction(sum(self.nums), self.den)
-
 
 def delta() -> ControlPolygon:
     """The cardinal test sequence: a single 1 at index 0, level 0, primal."""

@@ -51,12 +51,8 @@ class GridRange:
 
     @property
     def count(self) -> int:
-        """The number of values, exact at any size; len() is this count,
-        up to sys.maxsize."""
+        """The number of values, exact at any size."""
         return (self.hi - self.lo) // self.step + 1
-
-    def __len__(self) -> int:
-        return self.count
 
     def values(self) -> list[Fraction]:
         # lo + k step as numerators over one denominator: one gcd a value

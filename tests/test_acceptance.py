@@ -175,5 +175,5 @@ def test_criterion_12_structural_invariants():
             P = delta()
             for k in range(1, 7):
                 P = refine_k(P, mask, 1)
-                assert P.total() == 2 ** k
+                assert sum(P.values) == 2 ** k
     _criterion(12, "row sums, eigenvalue 1, mass doubling", body)

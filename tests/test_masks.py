@@ -187,14 +187,6 @@ class TestMaskInvariants:
         with pytest.raises(ValueError, match="^mask needs at least one coefficient$"):
             Mask(0, ())
 
-    def test_indexing_outside_support(self):
-        mask = catalog_get("c").mask
-        assert mask[-2] == 0 and mask[2] == 0 and mask[0] == 1
-
-    def test_indexing_by_absolute_index(self):
-        mask = catalog_get("a").mask
-        assert mask[-2] == F(-1, 10) and mask[3] == F(-1, 10)
-
 
 class TestIntegerRun:
     def test_width6_scheme(self):

@@ -297,9 +297,9 @@ class TestScan:
 
     def test_grid_length_is_exact(self):
         r = GridRange(F(0), F(1), F(2, 5))
-        assert len(r) == 3
+        assert r.count == 3
         assert r.values() == [F(0), F(2, 5), F(4, 5)]
-        assert len(GridRange(F(-1, 2), F(1, 2), F(1, 50))) == 51
+        assert GridRange(F(-1, 2), F(1, 2), F(1, 50)).count == 51
 
 
 def reference_cell(width, params, convergence_filter):
@@ -605,7 +605,7 @@ class TestColumnarResult:
         write_search_csv(result, io.StringIO())
         search_summary_json(result)
         monkeypatch.undo()
-        axis_lengths = sum(len(r) for r in spec.param_ranges)
+        axis_lengths = sum(r.count for r in spec.param_ranges)
         assert len(result.codes) == 51 * 51 and axis_lengths == 102
         assert len(made) <= axis_lengths + len(result.witnesses)
         assert len(built) == len(result.witnesses) == 4
