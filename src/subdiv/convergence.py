@@ -95,12 +95,13 @@ def _parity_norm(runs) -> np.ndarray:
     return np.maximum(runs[..., ::2].sum(axis=-1), runs[..., 1::2].sum(axis=-1))
 
 
-def contractive_runs(support_min: int, runs, den: int = 1) -> np.ndarray:
+def contractive_runs(support_min: int, runs, den: int) -> np.ndarray:
     """For each row of an (N, n) stack of runs a_{support_min}, ... (an
     array or nested sequences of ints or Fractions), whether its difference
     scheme has contractivity norm < 1.  Zero end coefficients are allowed.
-    With den, the runs hold integer numerators over den and the test stays
-    in integers: the division by (1+z) is linear, so the norm is < den.
+    The runs hold numerators over den (1 for the coefficients themselves),
+    and integer numerators keep the test in integers: the division by (1+z)
+    is linear, so the norm is < den.
     Every row must satisfy s(-1) = 0 (NotFactorableError otherwise).  The
     norm is read off the alternated quotients, whose |q_k| are those of the
     quotients.

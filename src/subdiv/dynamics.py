@@ -26,9 +26,6 @@ import numpy as np
 from .localmatrix import LocalMatrix
 from .masks import integer_run
 
-_COEFF_FLOOR = 1e-12  # coefficients below this are treated as unexcited
-
-
 class TrajectoryOverflowError(OverflowError):
     """A transient of the exact trajectory leaves the float range before
     step K: its correctly rounded float would be infinite."""
@@ -45,21 +42,17 @@ class EigenMode:
     is_complex_pair: bool
     magnitudes: tuple[float, ...]
     coefficients: Optional[tuple[float, ...]]  # signed, real modes only
-    sign_flips: int
 
 
 @dataclass(frozen=True)
 class TrajectoryReport:
-    # v_k - fixed_point for k = 0..K, not the states: a rational matrix
-    # admits an exact trajectory whose transients keep full relative
-    # precision long after float states have cancelled to noise
+    # v_k - f 1 (f 1 the fixed point) for k = 0..K, not the states: a
+    # rational matrix admits an exact trajectory whose transients keep full
+    # relative precision long after float states have cancelled to noise
     transients: tuple[tuple[float, ...], ...]
-    fixed_point: tuple[float, ...]
     distances: tuple[float, ...]
-    monotonicity_violations: int
     matrix: tuple[tuple[float, ...], ...]
     modes: Optional[tuple[EigenMode, ...]] = None
-    rotation: Optional[tuple[float, float]] = None  # (rho, theta) of dominant pair
     mode_diagnostic: Optional[str] = None
 
 
@@ -174,9 +167,8 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
         raise ValueError("K must be <= %d" % MAX_K)
     if norm not in ("inf", "2"):
         raise ValueError("norm must be 'inf' or '2'")
-    n = M.n
-    if len(v0) != n:
-        raise ValueError("v0 has dimension %d, matrix order is %d" % (len(v0), n))
+    if len(v0) != M.n:
+        raise ValueError("v0 has dimension %d, matrix order is %d" % (len(v0), M.n))
 
     vq = [Fraction(float(x)) for x in v0]  # floats are exact binary rationals
     weights = _rational_null_weights(M.L, M.B)
@@ -202,12 +194,9 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
         norms = [np.linalg.norm(d) for d in np.ldexp(D, -e[:, None])]
         dists = np.ldexp(norms, e).tolist()
 
-    violations = sum(1 for k in range(K) if dists[k + 1] > dists[k])
     return TrajectoryReport(
         transients=tuple(map(tuple, diffs)),
-        fixed_point=(float(fq),) * n,
         distances=tuple(dists),
-        monotonicity_violations=violations,
         matrix=tuple(map(tuple, M.as_float().tolist())),
     )
 
@@ -215,25 +204,26 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
 def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
     """Enrich a trajectory with per-eigenmode magnitudes and sign data.
 
-    Real eigendirections give signed coefficient sequences with flip
-    counts; conjugate pairs are merged into a single rotation-scaling plane
-    whose magnitude contracts by |mu| per step.  The pairs are read off
-    LAPACK's ordering, with no tolerance: for a real matrix, dgeev returns
-    every real eigenvalue with an imaginary part of exactly 0 and every
-    complex pair as two consecutive entries, Im > 0 first, then its exact
+    Real eigendirections give signed coefficient sequences, from which a
+    negative eigenvalue's alternation is read; conjugate pairs are merged
+    into a single rotation-scaling plane whose magnitude contracts by |mu|
+    per step, and the rotation is read from its eigenvalue.  The pairs are
+    read off LAPACK's ordering, with no tolerance: for a real matrix, dgeev
+    returns every real eigenvalue with an imaginary part of exactly 0 and
+    every complex pair as two consecutive entries, Im > 0 first, then its exact
     conjugate (LAPACK Users' Guide, xGEEV).  The coefficients of every
     transient come from one stacked solve, each system a single right-hand
     side as in a solve per transient; one loop over the eigenvalues then
-    builds each mode, its magnitudes and flips from array operations.  A
-    matrix that is defective beyond tolerance skips the decomposition with
-    a diagnostic.  A coefficient or pair magnitude past the float range is
+    builds each mode and its magnitudes from array operations.  A matrix
+    that is defective beyond tolerance skips the decomposition with a
+    diagnostic.  A coefficient or pair magnitude past the float range is
     ModeOverflowError, naming the first transient that has one, as no
     printed magnitude may be inf or nan.
     """
     Af = np.asarray(traj.matrix)
     w, V = np.linalg.eig(Af)
     if np.linalg.cond(V) > 1e10:
-        return replace(traj, modes=None, rotation=None,
+        return replace(traj, modes=None,
                        mode_diagnostic="matrix is defective within working precision; "
                                        "mode decomposition skipped")
 
@@ -245,14 +235,12 @@ def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
         for j, mu in enumerate(w):
             if mu.imag > 0:  # w[j + 1] is its conjugate, merged here
                 mags = np.hypot(np.abs(coeffs[:, j]), np.abs(coeffs[:, j + 1]))
-                modes.append(EigenMode(complex(mu), True, tuple(mags.tolist()), None, 0))
+                modes.append(EigenMode(complex(mu), True, tuple(mags.tolist()), None))
             elif mu.imag == 0:
                 cj = np.real(coeffs[:, j])
                 mags = np.abs(cj)
-                big, pos = mags > _COEFF_FLOOR, cj > 0
-                flips = int(np.count_nonzero(big[:-1] & big[1:] & (pos[:-1] != pos[1:])))
                 modes.append(EigenMode(complex(mu.real, 0.0), False, tuple(mags.tolist()),
-                                       tuple(cj.tolist()), flips))
+                                       tuple(cj.tolist())))
             else:
                 continue
             finite &= np.isfinite(mags)
@@ -261,13 +249,7 @@ def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
         raise ModeOverflowError("the mode magnitudes of transient %d leave the float range" % k
                                 + ("; they are finite up to K = %d" % (k - 1) if k else ""))
 
-    rotation = None
-    pairs = [m for m in modes if m.is_complex_pair]
-    if pairs:
-        dom = max(pairs, key=lambda m: abs(m.eigenvalue))
-        rotation = (abs(dom.eigenvalue), float(np.angle(dom.eigenvalue)))
-
-    return replace(traj, modes=tuple(modes), rotation=rotation, mode_diagnostic=None)
+    return replace(traj, modes=tuple(modes), mode_diagnostic=None)
 
 
 def write_trajectory_csv(traj: TrajectoryReport, f: TextIO) -> None:

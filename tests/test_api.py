@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import enum
 import inspect
 import types
+from pathlib import Path
 
 import subdiv
 
@@ -44,7 +46,7 @@ MEMBERS = {
                        "nums", "values"},
     "ConvergenceReport": {"certified_smoothness", "difference_mask", "necessary_ok", "norm",
                           "s_at_1", "s_at_minus1", "to_json", "verdict"},
-    "EigenMode": {"coefficients", "eigenvalue", "is_complex_pair", "magnitudes", "sign_flips"},
+    "EigenMode": {"coefficients", "eigenvalue", "is_complex_pair", "magnitudes"},
     "GridRange": {"count", "hi", "lo", "step", "values"},
     "LocalMatrix": {"B", "L", "as_float", "column_offset", "n", "to_json"},
     "Mask": {"coeffs", "is_zero", "support_min", "width"},
@@ -55,8 +57,18 @@ MEMBERS = {
     "SearchSpec": {"convergence_filter", "param_ranges", "width"},
     "Spectrum": {"convergence_spectral_ok", "eigenvalues", "from_values", "has_complex",
                  "negative_real_count", "subdominant_modulus", "to_json"},
-    "TrajectoryReport": {"distances", "fixed_point", "matrix", "mode_diagnostic", "modes",
-                         "monotonicity_violations", "rotation", "transients"},
+    "TrajectoryReport": {"distances", "matrix", "mode_diagnostic", "modes", "transients"},
+}
+
+# the members of MEMBERS that no code in src/subdiv reads, each with the
+# reason it stays
+UNREAD = {
+    ("Cell", "cls"): "the class of a cell that SearchResult.cells yields: without it "
+                     "the cell does not say what it is",
+    ("EigenMode", "coefficients"): "a real mode's signed data, from which criterion 10 "
+                                   "reads the alternation of a negative eigenvalue",
+    ("SearchResult", "cells"): "read by perfbench's tracer, which counts the scanned cells",
+    ("TrajectoryReport", "mode_diagnostic"): "the only record of why modes is None",
 }
 
 _PROTOCOL = ("__getitem__", "__len__", "__iter__")
@@ -94,9 +106,30 @@ def test_member_inventory():
 def test_deleted_members_stay_gone():
     # members that only tests called, deleted with their callers rewritten
     # to the API above: coeffs from support_min, values from first_index,
-    # sum(values) and count
+    # sum(values) and count; the monotone profile from distances, the
+    # rotation from a pair's eigenvalue and the alternation from coefficients
     gone = {"Mask": ("support_max", "support", "__getitem__"),
-            "ControlPolygon": ("items", "total"), "GridRange": ("__len__",)}
+            "ControlPolygon": ("items", "total"), "GridRange": ("__len__",),
+            "TrajectoryReport": ("fixed_point", "monotonicity_violations", "rotation"),
+            "EigenMode": ("sign_flips",)}
     for name, attrs in gone.items():
         for attr in attrs:
             assert attr not in MEMBERS[name] and not hasattr(getattr(subdiv, name), attr)
+
+
+def test_every_member_is_read_in_src():
+    """Every member in MEMBERS is read somewhere in src/subdiv, as an
+    attribute load (obj.name) or, for __getitem__, as any subscript, unless
+    UNREAD excuses it.  The match is by name, not by class: a dead member
+    that shares its name with a live one (a values or to_json elsewhere)
+    slips through."""
+    src = Path(subdiv.__file__).parent
+    nodes = [node for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
+    read = {node.attr for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    if any(isinstance(node, ast.Subscript) for node in nodes):
+        read.add("__getitem__")
+    unread = {(cls, name) for cls, names in MEMBERS.items() for name in names
+              if name not in read}
+    assert unread == set(UNREAD)

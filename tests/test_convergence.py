@@ -201,7 +201,7 @@ class TestDifferenceScheme:
         r = certify(Mask(0, (F(1), F(1), F(1))), 0)
         assert r.s_at_minus1 == 1 and r.difference_mask is None
         with pytest.raises(NotFactorableError):
-            contractive_runs(0, [(F(1), F(1), F(1))])
+            contractive_runs(0, [(F(1), F(1), F(1))], 1)
         # the zero mask divides exactly, but its quotient is no mask
         assert over_one_plus_z((F(0),)) == []
         assert certify(Mask(0, (F(0),)), 0).difference_mask is None
@@ -227,9 +227,9 @@ class TestDifferenceScheme:
         assert over_one_plus_z(coeffs) == expect
         if expect is None:
             with pytest.raises(NotFactorableError):
-                contractive_runs(support_min, [coeffs])
+                contractive_runs(support_min, [coeffs], 1)
         else:
-            assert contractive_runs(support_min, [coeffs])[0] == (
+            assert contractive_runs(support_min, [coeffs], 1)[0] == (
                 parity_norm(support_min, expect) < 1)
         if len(coeffs) > 1 and (coeffs[0] == 0 or coeffs[-1] == 0):
             return  # no Mask: its end coefficients must be nonzero
@@ -257,10 +257,10 @@ class TestContractivityNorm:
 
     def test_is_contractive_is_strict(self):
         a = catalog_get("a").mask
-        assert contractive_runs(a.support_min, [a.coeffs])[0]      # norm 4/5
-        assert not contractive_runs(0, [(F(1), F(1))])[0]          # norm exactly 1
+        assert contractive_runs(a.support_min, [a.coeffs], 1)[0]      # norm 4/5
+        assert not contractive_runs(0, [(F(1), F(1))], 1)[0]          # norm exactly 1
         # a nominal run with zero end coefficients gives the trimmed verdict
-        assert contractive_runs(a.support_min - 1, [(0,) + a.coeffs + (0, 0)])[0]
+        assert contractive_runs(a.support_min - 1, [(0,) + a.coeffs + (0, 0)], 1)[0]
 
     @given(runs(), st.integers(-4, 4), st.integers(1, 50))
     def test_integer_numerators_over_a_denominator(self, coeffs, support_min, k):
@@ -270,7 +270,7 @@ class TestContractivityNorm:
         den = k * math.lcm(*(c.denominator for c in coeffs))
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
         assert (contractive_runs(support_min, [nums], den)[0]
-                == contractive_runs(support_min, [coeffs])[0])
+                == contractive_runs(support_min, [coeffs], 1)[0])
 
 
 def synthetic_division_verdict(support_min, run, den):
@@ -371,7 +371,7 @@ class TestOneDivision:
     def test_checks_agree(self, mask):
         r = certify(mask, 0)
         try:
-            contractive = contractive_runs(mask.support_min, [mask.coeffs])[0]
+            contractive = contractive_runs(mask.support_min, [mask.coeffs], 1)[0]
         except NotFactorableError:
             contractive = None
         assert (r.s_at_minus1 == 0) == (contractive is not None)

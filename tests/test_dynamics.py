@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction as F
 
@@ -24,12 +25,13 @@ E1 = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 class TestIterateLocal:
     def test_constant_vector_is_fixed(self):
         traj = iterate_local((1.0,) * 6, A_MATRIX, 10)
-        assert all(d < 1e-12 for d in traj.distances)
-        assert traj.monotonicity_violations == 0
+        d = traj.distances
+        assert all(x < 1e-12 for x in d)
+        assert all(d[k + 1] <= d[k] for k in range(10))
 
     def test_width6_convergence_is_not_monotone(self):
-        traj = iterate_local(E1, A_MATRIX, 30)
-        assert traj.monotonicity_violations >= 1
+        d = iterate_local(E1, A_MATRIX, 30).distances
+        assert any(d[k + 1] > d[k] for k in range(30))
 
     def test_two_point_distances_halve(self):
         M = build_local_matrix(catalog_get("c").mask)
@@ -101,15 +103,15 @@ def entry_matrix(entries) -> LocalMatrix:
 
 def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
     """The former Fraction loop, kept as an oracle: (transients,
-    fixed_point, distances), with the weights solved by sympy; the fixed
-    point is 0 where eigenvalue 1 is not simple."""
-    fq, transients = exact_transients(v0, A, K)
+    distances), with the weights solved by sympy; the fixed point is 0
+    where eigenvalue 1 is not simple."""
+    _, transients = exact_transients(v0, A, K)
     diffs = [np.array([float(x) for x in t]) for t in transients]
     if norm == "inf":
         dists = [float(np.max(np.abs(d))) for d in diffs]
     else:
         dists = [float(np.linalg.norm(d)) for d in diffs]
-    return diffs, [float(fq)] * A.n, dists
+    return diffs, dists
 
 
 def exact_transients(v0, A: LocalMatrix, K: int):
@@ -190,9 +192,8 @@ class TestExactTrajectory:
     def test_matches_fraction_reference(self, data, A, K, norm):
         v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
         traj = iterate_local(v0, A, K, norm)
-        transients, fixed, dists = reference_trajectory(v0, A, K, norm)
+        transients, dists = reference_trajectory(v0, A, K, norm)
         assert bits(traj.transients) == bits(transients)
-        assert bits(traj.fixed_point) == bits(fixed)
         assert bits(traj.distances) == bits(dists)
 
     @settings(deadline=None)
@@ -343,7 +344,9 @@ class TestTwoNormRange:
 class TestDecomposeModes:
     def test_rotation_scaling_of_width6_scheme(self):
         traj = decompose_modes(iterate_local(E1, A_MATRIX, 30))
-        rho, theta = traj.rotation
+        pairs = [m.eigenvalue for m in traj.modes if m.is_complex_pair]
+        mu = max(pairs, key=abs)
+        rho, theta = abs(mu), cmath.phase(mu)
         assert abs(rho - math.sqrt(6) / 5) < 1e-12
         assert abs(theta - math.atan(math.sqrt(2) / 2)) < 1e-12
 
@@ -366,18 +369,17 @@ class TestDecomposeModes:
         for m in excited:
             c = m.coefficients
             # flips at every step where the coefficient is resolvable: it
-            # underflows the 1e-12 floor near k = 12, after which projection
+            # underflows 1e-12 near k = 12, after which projection
             # cross-talk noise (~1e-24) owns the sign
-            eligible = sum(1 for k in range(K)
-                           if abs(c[k]) > 1e-12 and abs(c[k + 1]) > 1e-12)
-            assert m.sign_flips == eligible >= 10
+            resolvable = [k for k in range(K) if abs(c[k]) > 1e-12 and abs(c[k + 1]) > 1e-12]
+            assert len(resolvable) >= 10
+            assert all((c[k] > 0) != (c[k + 1] > 0) for k in resolvable)
             for k in range(K):
                 assert abs(c[k + 1] - (-0.1) * c[k]) < 1e-9
 
     def test_real_spectrum_has_no_rotation(self):
         M = build_local_matrix(catalog_get("c").mask)
         traj = decompose_modes(iterate_local((1.0, 0.0, 0.0), M, 10))
-        assert traj.rotation is None
         assert all(not m.is_complex_pair for m in traj.modes)
 
     def test_mode_overflow_is_named_error(self):
@@ -398,8 +400,7 @@ class TestDecomposeModes:
     def test_pair_magnitude_overflow_at_step_0(self):
         # a quarter turn: the pair's two coefficients are finite, their
         # hypot |d| = 1.5e308 * sqrt(2) is not
-        traj = TrajectoryReport(transients=((1.5e308, 1.5e308),), fixed_point=(0.0, 0.0),
-                                distances=(1.5e308,), monotonicity_violations=0,
+        traj = TrajectoryReport(transients=((1.5e308, 1.5e308),), distances=(1.5e308,),
                                 matrix=((0.0, -1.0), (1.0, 0.0)))
         with pytest.raises(ModeOverflowError,
                            match="^the mode magnitudes of transient 0 leave the float range$"):
@@ -431,8 +432,7 @@ class TestDecomposeModes:
 
 def reference_decompose(traj, tol=1e-9):
     """The former per-state loop, kept as an oracle: one np.linalg.solve per
-    transient, scalar np.hypot and np.abs per coefficient, the flip loop,
-    and complex pairs found by the former tolerance search (|Im| > tol,
+    transient, scalar np.hypot and np.abs per coefficient, and complex pairs found by the former tolerance search (|Im| > tol,
     partner within 1e-8).  None where the matrix is defective and the
     decomposition is skipped."""
     Af = np.asarray(traj.matrix)
@@ -460,22 +460,17 @@ def reference_decompose(traj, tol=1e-9):
             else:
                 mags = tuple(float(np.abs(c)) for c in cj)
             rep = mu if mu.imag >= 0 else np.conj(mu)
-            modes.append((complex(rep), True, mags, None, 0))
+            modes.append((complex(rep), True, mags, None))
         else:
             cj = np.real(coeffs[:, j])
-            flips = sum(
-                1 for k in range(len(cj) - 1)
-                if abs(cj[k]) > 1e-12 and abs(cj[k + 1]) > 1e-12
-                and (cj[k] > 0) != (cj[k + 1] > 0)
-            )
             modes.append((complex(mu.real, 0.0), False, tuple(float(abs(c)) for c in cj),
-                          tuple(float(c) for c in cj), flips))
+                          tuple(float(c) for c in cj)))
     return modes
 
 
 def mode_bits(modes):
     return [(bits([m[0].real, m[0].imag]), m[1], bits(m[2]),
-             None if m[3] is None else bits(m[3]), m[4]) for m in modes]
+             None if m[3] is None else bits(m[3])) for m in modes]
 
 
 @st.composite
@@ -508,9 +503,9 @@ def float_trajectory(A, v0, K):
         states.append(A @ states[-1])
     D = np.array(states)
     return TrajectoryReport(
-        transients=tuple(map(tuple, D.tolist())), fixed_point=(0.0,) * len(A),
+        transients=tuple(map(tuple, D.tolist())),
         distances=tuple(np.max(np.abs(D), axis=1).tolist()),
-        monotonicity_violations=0, matrix=tuple(map(tuple, A.tolist())))
+        matrix=tuple(map(tuple, A.tolist())))
 
 
 class TestDecomposeBitIdentity:
@@ -525,8 +520,8 @@ class TestDecomposeBitIdentity:
         else:
             dists = [scaled_norm(d) for d in rows]
         assert bits(traj.distances) == bits(dists)
-        assert all(type(x) is float for x in traj.distances + traj.fixed_point
-                   + traj.transients[-1] + traj.matrix[0])
+        assert all(type(x) is float for x in traj.distances + traj.transients[-1]
+                   + traj.matrix[0])
 
     @staticmethod
     def check_modes(traj):
@@ -549,7 +544,7 @@ class TestDecomposeBitIdentity:
             assert got.modes is None
         else:
             assert mode_bits([(m.eigenvalue, m.is_complex_pair, m.magnitudes,
-                               m.coefficients, m.sign_flips) for m in got.modes]) == \
+                               m.coefficients) for m in got.modes]) == \
                 mode_bits(ref)
 
     @settings(max_examples=40, deadline=None)

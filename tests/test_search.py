@@ -188,7 +188,7 @@ class TestScan:
         for cell in result.cells:
             smin, run = palindromic_coeffs(5, cell.params)
             sp = eigenvalues(matrix_from_coeffs(smin, run))
-            convergent = contractive_runs(smin, [run])[0]
+            convergent = contractive_runs(smin, [run], 1)[0]
             expect = {(True, True): CellClass.COMPLEX_CONVERGENT,
                       (True, False): CellClass.COMPLEX_OTHER,
                       (False, True): CellClass.REAL_CONVERGENT,
@@ -307,7 +307,7 @@ def reference_cell(width, params, convergence_filter):
     palindromic_coeffs, matrix_from_coeffs and eigenvalues."""
     smin, run = palindromic_coeffs(width, params)
     sp = eigenvalues(matrix_from_coeffs(smin, run))
-    convergent = contractive_runs(smin, [run])[0] if convergence_filter else True
+    convergent = contractive_runs(smin, [run], 1)[0] if convergence_filter else True
     cls = {(True, True): CellClass.COMPLEX_CONVERGENT,
            (True, False): CellClass.COMPLEX_OTHER,
            (False, True): CellClass.REAL_CONVERGENT,
@@ -546,7 +546,7 @@ def one_cell(width, params, convergence_filter):
     smin, run = palindromic_coeffs(width, params)
     M = matrix_from_coeffs(smin, run)
     [(has_complex, _, _)] = zip(*palindromic_classes(M.L, np.array([M.B], dtype=object)))
-    convergent = contractive_runs(smin, [run])[0] if convergence_filter else True
+    convergent = contractive_runs(smin, [run], 1)[0] if convergence_filter else True
     cls = {(True, True): CellClass.COMPLEX_CONVERGENT,
            (True, False): CellClass.COMPLEX_OTHER,
            (False, True): CellClass.REAL_CONVERGENT,

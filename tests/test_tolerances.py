@@ -16,10 +16,9 @@ from subdiv import dynamics, localmatrix
 SRC = Path(subdiv.__file__).parent
 
 # (file, literal): count.  Every yes/no decision of the exact routes is
-# made in integers; these three shape float output only.
+# made in integers; these two shape float output only.
 THRESHOLDS = Counter({
     ("localmatrix.py", "1e-9"): 1,   # SPECTRAL_TOL: the spectral class
-    ("dynamics.py", "1e-12"): 1,     # _COEFF_FLOOR: sign flips of a real mode
     ("dynamics.py", "1e10"): 1,      # the cond(V) bound: defective, no modes
 })
 
@@ -56,5 +55,5 @@ def test_float_threshold_inventory():
 
 def test_named_thresholds():
     assert localmatrix.SPECTRAL_TOL == 1e-9
-    assert dynamics._COEFF_FLOOR == 1e-12
+    assert not hasattr(dynamics, "_COEFF_FLOOR")
     assert not hasattr(dynamics, "MODE_TOL")
