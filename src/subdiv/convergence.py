@@ -14,7 +14,9 @@ other columns are the quotient's alternated run, same start exponent.
 |p_k| = |q_k|, so one routine, _parity_norm, takes the norm of a quotient
 with no sign restored.  contractive_runs divides a stack of runs and takes
 their norms (the family scan calls it once per block of cells, and one run
-is its one-row stack).  The ladder, certify, scales the run once to integer
+is its one-row stack).  Each step keeps the dtype of the runs it is given
+(localmatrix.int_array): int64 only from search.scan, Python ints from
+every other caller.  The ladder, certify, scales the run once to integer
 numerators over L (masks.integer_run) and makes one chain of divisions,
 d_j = L s_a / (1+z)^j, while each is exact; the first gives s(-1) and the
 difference mask, and rung m's quotient by ((1+z)/2)^m has difference
@@ -34,6 +36,7 @@ from typing import Optional
 
 import numpy as np
 
+from .localmatrix import int_array
 from .masks import Mask, integer_run, recenter
 
 
@@ -73,10 +76,10 @@ class NotFactorableError(ValueError):
 
 
 def _alternate(support_min: int, runs) -> np.ndarray:
-    """The runs a_{support_min}, ... (last axis) as an object array of the
-    coefficients (-1)^k a_k of s(-z), k the absolute index.  Its own
-    inverse."""
-    runs = np.array(runs, dtype=object)
+    """The runs a_{support_min}, ... (last axis) as an array of the
+    coefficients (-1)^k a_k of s(-z), k the absolute index, of the runs'
+    dtype (int_array).  Its own inverse."""
+    runs = int_array(runs)
     return runs * (-1) ** ((support_min % 2 + np.arange(runs.shape[-1])) % 2)
 
 
@@ -91,7 +94,7 @@ def _parity_norm(runs) -> np.ndarray:
     """For runs (last axis), the larger of the sums of |entries| over the
     even and over the odd columns: the parity norm, whichever of them holds
     the even absolute indices."""
-    runs = abs(np.array(runs, dtype=object))
+    runs = abs(int_array(runs))
     return np.maximum(runs[..., ::2].sum(axis=-1), runs[..., 1::2].sum(axis=-1))
 
 

@@ -10,8 +10,13 @@ plain dense eigensolve loses half the digits at defective points.  A
 LocalMatrix holds the integer-scaled pair (L, B = L*A), L the lcm of the
 mask's denominators (masks.integer_run).  spectra(L, S) solves a whole
 (N, n, n) stack S of such B over one L, the stack palindromic_classes takes
-too: each integer step runs once on the stack of Python ints (numpy
-dtype=object), exact at any bit size, with no fixed-width path.  A linear
+too: each integer step runs once on the stack, exact at any bit size.  The
+stack is of Python ints (numpy dtype=object) for every caller but
+search.scan, whose grids of at most search._INT64_BITS bits give int64
+runs: local_stack, the flip stacks and the J-block charpolys then run on
+int64, below 2^63 by that bound, and palindromic_classes casts the
+charpolys and its complex rows to Python ints before the discriminants,
+the products and the root solve.  A linear
 factor's root is one integer division; the others are root-solved in stacks
 of one shape, each one stacked eigvals of companion matrices and one
 vectorised polish, bit-identical to np.roots and np.polyval per factor.
@@ -153,12 +158,20 @@ def check_size(mask: Mask) -> None:
     check_bits("mask", mask.width, max(L, *map(abs, nums)).bit_length())
 
 
+def int_array(x) -> np.ndarray:
+    """x itself when it is an array, else x as an array of Python ints
+    (dtype=object): the integer helpers keep the dtype they are given, so
+    int64 reaches only the steps of a caller that chose it (search.scan)."""
+    return x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+
+
 def local_stack(runs) -> np.ndarray:
     """The (N, n, n) stack of local matrices of an (N, n) array of nominal
     runs of integer numerators (or anything np.array makes one of), zero
-    off each run, as Python ints (dtype=object).  The order n is the run
-    length, 2 to MAX_ORDER."""
-    R = np.array(runs, dtype=object)
+    off each run, of the runs' dtype (int_array): Python ints unless runs
+    is an int64 array, as search.scan gives under its bit bound.  The order
+    n is the run length, 2 to MAX_ORDER."""
+    R = int_array(runs)
     N, n = R.shape
     if n < 2:
         raise ValueError("local matrix needs mask width >= 2")
@@ -166,7 +179,7 @@ def local_stack(runs) -> np.ndarray:
     # A[i][j] = a_{2j-i-c} (1-based) is run[2j - i] (0-based) whatever
     # support_min is; the run padded by n - 1 zeros each side reads it at
     # 2j - i + n - 1
-    padded = np.zeros((N, 3 * n - 2), dtype=object)
+    padded = np.zeros((N, 3 * n - 2), dtype=R.dtype)
     padded[:, n - 1:2 * n - 1] = R
     i, j = np.indices((n, n))
     return padded[:, 2 * j - i + n - 1]
@@ -243,10 +256,12 @@ class Spectrum:
 # q(x) = c(Lx) / L^(n-2).  Coefficient lists run from y^0 up.
 
 def _charpolys(S: np.ndarray) -> np.ndarray:
-    """det(yI - B) of each matrix of an (N, m, m) stack of Python ints
-    (dtype=object), as an (N, m + 1) stack, exact (Faddeev-LeVerrier)."""
+    """det(yI - B) of each matrix of an (N, m, m) stack of integers, as an
+    (N, m + 1) stack of S's dtype (Faddeev-LeVerrier): exact on Python ints
+    (dtype=object), and on int64 while every intermediate stays below 2^63
+    (search._INT64_BITS)."""
     N, m = S.shape[:2]
-    c = np.zeros((N, m + 1), dtype=object)
+    c = np.zeros((N, m + 1), dtype=S.dtype)
     c[:, m] = 1
     diag = np.arange(m)
     # M_1 = I, M_{k+1} = B M_k + c_{m-k} I, c_{m-k} = -tr(B M_k) / k, every
@@ -285,7 +300,7 @@ def _flip_stacks(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if m % 2 == 0:
         return P + QJ, odd
     # the middle basis vector e_k joins the J-even block
-    even = np.empty((N, k + 1, k + 1), dtype=object)
+    even = np.empty((N, k + 1, k + 1), dtype=C.dtype)
     even[:, :k, :k] = P + QJ
     even[:, :k, k] = C[:, :k, k]
     even[:, k, :k] = 2 * C[:, k, :k]
@@ -584,6 +599,24 @@ def spectra(L: int, S: np.ndarray) -> list[Spectrum]:
     return [Spectrum.from_values(v) for v in _eigenvalues(L, cs, S).tolist()]
 
 
+def j_block_classes(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(has_complex, J-odd discriminant, J-even charpolys, J-odd charpolys)
+    of a stack S that palindromic_classes takes: its exact part, with no
+    matrix root-solved (the scans of search.min_width_report stop here).
+    The charpolys are Python ints whatever S's dtype."""
+    n = S.shape[1]
+    if n > 8:
+        raise ValueError("palindromic_classes needs order <= 8, got %d" % n)
+    C = S[:, 1:n - 1, 1:n - 1]
+    if not _centrosymmetric(C).all():
+        raise ValueError("palindromic_classes needs palindromic runs")
+    # an int64 stack's block charpolys are exact under search._INT64_BITS,
+    # but their discriminants and products are not
+    even, odd = (c.astype(object) for c in _block_charpolys(C))
+    odd_disc = _discriminants(odd)
+    return (_discriminants(even) < 0) | (odd_disc < 0), odd_disc, even, odd
+
+
 def palindromic_classes(L: int, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(has_complex, max |Im| of the eigenvalues, J-odd discriminant), each
     an array over the matrices A = S[k] / L of an (N, n, n) stack S of
@@ -601,20 +634,14 @@ def palindromic_classes(L: int, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     max |Im| is one row-wise max over the array of their eigenvalues, the
     bits spectra gives; a real matrix has max |Im| 0.0.  At width 6 the
     J-odd discriminant is L^2 D(a/L, b/L), a and b the outer numerators
-    and D w6_discriminant."""
-    n = S.shape[1]
-    if n > 8:
-        raise ValueError("palindromic_classes needs order <= 8, got %d" % n)
-    C = S[:, 1:n - 1, 1:n - 1]
-    if not _centrosymmetric(C).all():
-        raise ValueError("palindromic_classes needs palindromic runs")
-    even, odd = _block_charpolys(C)
-    odd_disc = _discriminants(odd)
-    has_complex = (_discriminants(even) < 0) | (odd_disc < 0)
+    and D w6_discriminant.  S may be int64 (search.scan under its bit
+    bound): only the flip stacks and block charpolys run on it, and every
+    later step on Python ints."""
+    has_complex, odd_disc, even, odd = j_block_classes(S)
     max_imag = np.zeros(len(S))
     rows = np.flatnonzero(has_complex)
     if len(rows):
-        vals = _eigenvalues(L, _row_products(even[rows], odd[rows]), S[rows])
+        vals = _eigenvalues(L, _row_products(even[rows], odd[rows]), S[rows].astype(object))
         max_imag[rows] = np.abs(vals.imag).max(axis=1)
     return has_complex, max_imag, odd_disc
 

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .convergence import contractive_runs
-from .localmatrix import check_bits, local_stack, palindromic_classes, w6_discriminant
+from .localmatrix import check_bits, j_block_classes, local_stack, palindromic_classes, w6_discriminant
 from .masks import integer_run
 
 
@@ -41,8 +41,8 @@ class GridRange:
 
     def __post_init__(self):
         lo, hi, step = Fraction(self.lo), Fraction(self.hi), Fraction(self.step)
-        if not lo < hi:
-            raise ValueError("grid range needs lo < hi")
+        if not lo <= hi:  # lo == hi is the one value lo
+            raise ValueError("grid range needs lo <= hi")
         if step <= 0:
             raise ValueError("grid step must be > 0")
         object.__setattr__(self, "lo", lo)
@@ -181,6 +181,21 @@ SCAN_BLOCK = 256
 # value is built.
 MAX_CELLS = 10 ** 6
 
+# The most bits (check_bits' count for the grid: the bit length of D or of
+# the largest |run numerator|) at which scan runs a block's exact stage on
+# int64: the runs, local_stack, contractive_runs and the J-block charpolys
+# of palindromic_classes, which casts those charpolys and its complex rows
+# to Python ints before anything else.  At widths <= 8 both J-blocks have
+# order <= 3 and entries below E = 2^(bits+1) (P + QJ, and the doubled
+# middle row).  Faddeev-LeVerrier then has |c_2| < 3E, M_2 entries < 4E,
+# S M_2 entries < 12 E^2, |c_1| < 18 E^2 and M_3 entries < 30 E^2, so its
+# largest intermediate is the last trace, |tr(S M_3)| < 9 E 30 E^2 =
+# 270 E^3, and 270 * 2^54 < 2^63 at bits = 17.  The bound is loose: the
+# first wrap found on the families is at 20 bits, a width-8 cell that
+# tests/test_search.py holds.  The prefix sums of contractive_runs stay
+# below 8 * 2^bits.
+_INT64_BITS = 17
+
 # The least int that str() refuses under CPython's default limit of 4300
 # digits: the exports print every grid value, so scan refuses one this large.
 _STR_LIMIT = 10 ** 4300
@@ -213,7 +228,16 @@ def scan(spec: SearchSpec) -> SearchResult:
     exports); the message names it as p<axis> = lo + k step.  So is a grid
     whose largest |run numerator| or D passes check_size's bound
     (localmatrix.check_bits), which keeps every characteristic polynomial
-    the modular split gets below its largest prime."""
+    the modular split gets below its largest prime.  When those have at
+    most _INT64_BITS bits, the runs are int64, and so is every integer step
+    up to the J-block charpolys; the rest, and every float, is as on
+    Python ints."""
+    return _scan(spec, True)
+
+
+def _scan(spec: SearchSpec, solve: bool) -> SearchResult:
+    """scan(spec); with solve False no cell is root-solved, and every
+    max_imag is 0.0 (min_width_report prints none)."""
     n_cells = math.prod(r.count for r in spec.param_ranges)
     if n_cells > MAX_CELLS:
         raise ValueError("grid has %s cells, cap is %d"
@@ -231,7 +255,10 @@ def scan(spec: SearchSpec) -> SearchResult:
     # a run is affine in the grid values, so its largest |numerator| over
     # the grid is at a corner: check_size's refusal, with den as L
     corners = [base + np.array(x, dtype=object) @ lin for x in product(*((v[0], v[-1]) for v in nums))]
-    check_bits("grid", spec.width, max(den, *map(abs, np.concatenate(corners))).bit_length())
+    bits = max(den, *map(abs, np.concatenate(corners))).bit_length()
+    check_bits("grid", spec.width, bits)
+    if bits <= _INT64_BITS:
+        nums, base, lin = [x.astype(np.int64) for x in nums], base.astype(np.int64), lin.astype(np.int64)
 
     codes, max_imag, degenerate = [], [], []
     for start in range(0, n_cells, SCAN_BLOCK):
@@ -246,7 +273,11 @@ def scan(spec: SearchSpec) -> SearchResult:
         # contractivity requirement for the Convergent classes.
         convergent = (contractive_runs(support_min, runs, den) if spec.convergence_filter
                       else np.ones(len(flat), dtype=bool))
-        has_complex, imag, odd_disc = palindromic_classes(den, local_stack(runs))
+        if solve:
+            has_complex, imag, odd_disc = palindromic_classes(den, local_stack(runs))
+        else:
+            has_complex, odd_disc = j_block_classes(local_stack(runs))[:2]
+            imag = np.zeros(len(flat))
         codes.append(2 * ~has_complex + ~convergent)
         max_imag.append(imag)
         degenerate.append(odd_disc == 0 if spec.width == 6 else np.zeros(len(flat), dtype=bool))
@@ -297,12 +328,13 @@ class MinWidthReport:
 
 def min_width_report(max_width: int) -> MinWidthReport:
     """Smallest width whose default grid contains a ComplexConvergent cell,
-    with all witness parameter tuples."""
+    with all witness parameter tuples.  The report holds no max_imag, so
+    its scans root-solve no cell."""
     if max_width < 2:
         raise ValueError("max_width must be >= 2")
     counts = []
     for w in range(2, min(max_width, max(FAMILIES)) + 1):
-        result = scan(SearchSpec(w, FAMILIES[w].grid, convergence_filter=True))
+        result = _scan(SearchSpec(w, FAMILIES[w].grid, convergence_filter=True), False)
         counts.append((w, result.counts))
         witnesses = result.complex_convergent_params()
         if witnesses:

@@ -464,7 +464,7 @@ class TestSearch:
         assert "grid range" in err
 
     @pytest.mark.parametrize("width, grid, message", [
-        ("4", "1:0:1", "grid range needs lo < hi"),
+        ("4", "1:0:1", "grid range needs lo <= hi"),
         ("4", "0:1:0", "grid step must be > 0"),
         ("6", "0:1:1/2", "width 6 needs 2 grid ranges, got 1"),
         ("9", "0:1:1", "width must be in 2..8"),

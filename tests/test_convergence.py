@@ -438,6 +438,23 @@ class TestCertify:
             rec = catalog_get(name)
             assert certify(rec.mask, 6).certified_smoothness == rec.smoothness
 
+    def test_prefix_sums_past_int64_stay_exact(self, monkeypatch):
+        # every numerator fits int64, but the alternated prefix sums reach
+        # 2^63 + 1: certify divides on Python ints (only search.scan
+        # chooses int64)
+        mask = Mask(0, (2 ** 62, -2 ** 62, 1, 2 ** 62, -2 ** 62, 1))
+        dtypes = []
+
+        def recorded(alt):
+            dtypes.append(alt.dtype)
+            return divide(alt)
+
+        divide = convergence._divide
+        monkeypatch.setattr(convergence, "_divide", recorded)
+        for target_m in range(3):
+            assert certify(mask, target_m) == fraction_certify(mask, target_m)
+        assert dtypes and all(d == object for d in dtypes)
+
     @given(ladder_masks(), st.integers(0, 6))
     def test_matches_fraction_ladder(self, mask, target_m):
         assert certify(mask, target_m) == fraction_certify(mask, target_m)

@@ -1145,6 +1145,27 @@ class TestStackedCharpoly:
         want = [[-5, 1] if m else [1]] * 3
         assert _charpolys(S).tolist() == _row_products(*_block_charpolys(S)).tolist() == want
 
+    def test_wide_mask_past_int64_stays_exact(self, monkeypatch):
+        # width 20 over the 17-bit L = 99991: the central charpoly passes
+        # 2^63, and eigenvalues runs it on Python ints (only search.scan
+        # chooses int64)
+        M = matrix_from_coeffs(0, [F(7919 * k * k % 99991 - 49995, 99991) for k in range(1, 21)])
+        seen = []
+
+        def recorded(S):
+            seen.append(S)
+            return charpolys(S)
+
+        charpolys = localmatrix._charpolys
+        monkeypatch.setattr(localmatrix, "_charpolys", recorded)
+        sp = eigenvalues(M)
+        [S] = seen
+        want = sympy_charpoly([row[1:19] for row in M.B[1:19]])
+        assert S.dtype == object and charpolys(S)[0].tolist() == want
+        assert M.L.bit_length() == 17 and max(map(abs, want)) >= 2 ** 63
+        trace = sum(F(M.B[i][i], M.L) for i in range(20))
+        assert abs(sum(sp.eigenvalues) - float(trace)) < 1e-9
+
     def test_a_trace_not_divisible_is_an_eigensolve_error(self):
         # a rational entry leaves tr(B M_1) = 1/2 not divisible by 1: the
         # check raises, and is no assert that python -O removes

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import sys
 from fractions import Fraction as F
 from itertools import product
@@ -8,14 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import Z, fraction_entries, sympy_symbol
 from subdiv import localmatrix, search
 from subdiv.convergence import contractive_runs
-from subdiv.localmatrix import (eigenvalues, matrix_from_coeffs, palindromic_classes,
-                                w6_discriminant)
-from subdiv.masks import Mask
+from subdiv.localmatrix import (_block_charpolys, eigenvalues, local_stack, matrix_from_coeffs,
+                                palindromic_classes, w6_discriminant)
+from subdiv.masks import Mask, integer_run
 from subdiv.search import (FAMILIES, SCAN_BLOCK, CellClass, GridRange, SearchSpec,
                            c1_w6_obstruction, family, min_width_report,
                            negativity_lemma_check, palindromic_coeffs, scan,
@@ -301,6 +302,23 @@ class TestScan:
         assert r.values() == [F(0), F(2, 5), F(4, 5)]
         assert GridRange(F(-1, 2), F(1, 2), F(1, 50)).count == 51
 
+    @pytest.mark.parametrize("step", [F(1), F(1, 7), F(5)])
+    def test_one_value_axis(self, step):
+        # lo == hi is the one value lo, whatever the step
+        r = GridRange(F(1, 3), F(1, 3), step)
+        assert (r.count, r.values()) == (1, [F(1, 3)])
+        with pytest.raises(ValueError, match="^grid range needs lo <= hi$"):
+            GridRange(F(1, 3), F(0), step)
+
+    def test_line_scan_is_a_row_of_the_default_grid(self):
+        # the width-7 line p1 = 0 (the 4-point scheme at tension -p0),
+        # cell for cell as the default grid scans it
+        grid = family(7).grid
+        full = scan(SearchSpec(7, grid))
+        line = scan(SearchSpec(7, (grid[0], GridRange(F(0), F(0), F(1)))))
+        assert line.cells == [c for c in full.cells if c.params[1] == 0]
+        assert len(line.cells) == 21
+
 
 def reference_cell(width, params, convergence_filter):
     """(class, max_imag, degenerate) of one cell the per-cell Fraction way:
@@ -402,6 +420,102 @@ class TestIntegerScan:
         assert len(made) < 10 * 41
 
 
+def grid_bits(spec):
+    """The bit count scan takes for a grid: the bit length of its
+    D = lcm(2, each range's lo and step denominators) or of the largest
+    |run numerator| over D."""
+    den = math.lcm(2, *(x.denominator for r in spec.param_ranges for x in (r.lo, r.step)))
+    runs = (palindromic_coeffs(spec.width, params)[1]
+            for params in product(*(r.values() for r in spec.param_ranges)))
+    return max(den, *(abs(int(a * den)) for run in runs for a in run)).bit_length()
+
+
+@st.composite
+def bit_bound_specs(draw):
+    """Grids of widths 4-8, one or two values an axis, whose bits fall
+    between 15 and 19: either side of search._INT64_BITS."""
+    width = draw(st.integers(4, 8))
+    den = 2 * draw(st.integers(2 ** 12, 2 ** 17))
+    ranges = []
+    for _ in family(width).lin:
+        lo, step = F(draw(st.integers(-den, den)), den), F(draw(st.integers(1, 2 ** 8)), den)
+        ranges.append(GridRange(lo, lo + draw(st.integers(0, 1)) * step, step))
+    spec = SearchSpec(width, tuple(ranges), draw(st.booleans()))
+    assume(15 <= grid_bits(spec) <= 19)
+    return spec
+
+
+def one_value_spec(width, den, nums):
+    """The one-cell grid of a family at the parameters nums / den."""
+    return SearchSpec(width, tuple(GridRange(F(x, den), F(x, den), F(1, den)) for x in nums))
+
+
+def object_reference(spec):
+    """(codes, max_imag bits, degenerate flags) of each cell on its own, on
+    Python ints: palindromic_classes and contractive_runs of a dtype=object
+    stack of its run's numerators over their own lcm."""
+    codes, imag, degenerate = [], [], []
+    for params in product(*(r.values() for r in spec.param_ranges)):
+        smin, run = palindromic_coeffs(spec.width, params)
+        L, nums = integer_run(run)
+        R = np.array([nums], dtype=object)
+        [has_complex], [max_imag], [odd_disc] = palindromic_classes(L, local_stack(R))
+        convergent = contractive_runs(smin, R, L)[0] if spec.convergence_filter else True
+        codes.append(2 * (not has_complex) + (not convergent))
+        imag.append(max_imag.hex())
+        degenerate.append(spec.width == 6 and odd_disc == 0)
+    return codes, imag, degenerate
+
+
+# (D, numerators) of a width-8 cell at 20 bits whose J-odd block has so
+# large a determinant that Faddeev-LeVerrier's last trace, 3 det, passes
+# 2^63; no cell of these families was found to pass it below 20 bits
+WIDE_W8 = (950448, (-1048575, 524287, 1048575))
+
+
+class TestInt64Route:
+    """scan runs a block's exact stage on int64 exactly when the grid has
+    at most search._INT64_BITS bits, and either way its columns equal a
+    per-cell reference on Python ints."""
+
+    def check(self, spec):
+        dtypes = []
+
+        def recorded(L, S):
+            dtypes.append(S.dtype)
+            return palindromic_classes(L, S)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "palindromic_classes", recorded)
+            result = scan(spec)
+        int64 = grid_bits(spec) <= search._INT64_BITS
+        assert set(dtypes) == {np.dtype(np.int64 if int64 else object)}
+        codes, imag, degenerate = object_reference(spec)
+        assert result.codes.tolist() == codes
+        assert [m.hex() for m in result.max_imag.tolist()] == imag
+        assert result.degenerate.tolist() == degenerate
+
+    @settings(max_examples=60, deadline=None)
+    @given(bit_bound_specs())
+    @example(one_value_spec(8, 118806, (-131071, 65535, 131071)))  # 17 bits: int64
+    @example(one_value_spec(8, 237612, (-262143, 131071, 262143)))  # 18 bits: Python ints
+    @example(one_value_spec(7, 261264, (-84594, 257218)))  # 18 bits, the J-even block of order 3
+    @example(SearchSpec(6, (GridRange(F(0), F(1, 2 ** 16), F(1, 2 ** 16)),
+                            GridRange(F(1, 3), F(1, 3), F(1, 3))), True))  # D = 0 at (0, 1/3)
+    def test_both_routes_match_python_ints(self, spec):
+        self.check(spec)
+
+    def test_int64_would_wrap_on_the_wide_width8_cell(self):
+        # the 20-bit cell takes Python ints, where int64 would wrap
+        den, nums = WIDE_W8
+        spec = one_value_spec(8, den, nums)
+        assert grid_bits(spec) == 20
+        run = palindromic_coeffs(8, [F(x, den) for x in nums])[1]
+        _, odd = _block_charpolys(local_stack([[int(a * den) for a in run]])[:, 1:7, 1:7])
+        assert 3 * abs(odd[0, 0]) >= 2 ** 63
+        self.check(spec)
+
+
 class TestNearDoubleRealPair:
     """The width-5 cell a = 1/(2^70 + 1): its spectrum {1, 1/2, 1/2 - 2a,
     a, a} is real, with 1/2 and 1/2 - 2a closer than float resolution.
@@ -470,6 +584,19 @@ class TestMinWidth:
         report = min_width_report(6)
         assert report.min_width == 6
         assert (F(-1, 10), F(3, 10)) in report.witnesses
+
+    def test_root_solves_no_cell(self, monkeypatch):
+        # the report prints no max_imag: its counts and witnesses are the
+        # scans', with no eigenvalue computed
+        scans = [scan(SearchSpec(w, family(w).grid)) for w in range(2, 7)]
+
+        def no_call(*args):
+            raise AssertionError("root-solved in min_width_report")
+
+        monkeypatch.setattr(localmatrix, "_eigenvalues", no_call)
+        report = min_width_report(6)
+        assert report.counts_by_width == tuple((r.width, r.counts) for r in scans)
+        assert report.witnesses == tuple(scans[-1].complex_convergent_params())
 
 
 class TestExports:
