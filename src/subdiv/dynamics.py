@@ -10,12 +10,18 @@ The trajectory and the left eigenvector are exact and use integer
 arithmetic only: a LocalMatrix holds A as the integer matrix B = L A, L the
 lcm of its denominators; the eigenvector comes from fraction-free
 elimination on B^T - L I, and the trajectory is kept as its transients
-v_k - f 1 (f 1 the fixed point, 0 when eigenvalue 1 is not simple):
-integer numerators over one denominator, stepped by one recurrence without
-any gcd.  Every reported float is one correctly rounded integer division.
+v_k - f 1 (f 1 the fixed point, 0 when eigenvalue 1 is not simple).  Every
+reported transient is its exact value correctly rounded, by one of two
+routes that give the same floats.  Where the exact operands would be long,
+P-bit fixed-point integers with a proved error bound decide each rounding;
+where they cannot, or the operands are short, the exact recurrence does:
+integer numerators over one denominator, stepped without any gcd, and one
+correctly rounded integer division an entry.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
@@ -97,9 +103,26 @@ def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[
 
 # iterate_local refuses more steps than this before any work: the exact
 # trajectory's cost grows about as K^2 (its operands grow by log2(L) bits a
-# step, den_k = den_0 L^k), and K = 10^4 takes 18-23 s on the slowest of
-# the benchmark's random rational masks of width 20 (Python 3.11, one core)
+# step, den_k = den_0 L^k), and K = 10^4 takes 9-17 s on the benchmark's
+# random rational masks of width 20 whose trajectory stays finite (Python
+# 3.11, one core).  The fixed-point route does not run there: P is 7300 to
+# 11600 bits, past _MAX_P, and its steps alone would take about 2 s.
 MAX_K = 10 ** 4
+
+
+def _band(B: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, band) of an integer matrix B: row i's nonzeros lie in the
+    columns idx[i] = start_i..start_i+h-1, one width h for every row, and
+    band[i] holds those entries of B, so B x is (x[idx] * band).sum(axis=1)
+    on numpy arrays of Python ints (dtype=object).  A local matrix,
+    B[i][j] = run[2j - i], has about half of each row zero, and a dense B
+    takes h = n, the whole product."""
+    Bq = np.array(B, dtype=object)
+    nz = Bq != 0
+    start = nz.argmax(axis=1)  # 0 for a zero row, which any columns cover
+    h = int(np.where(nz.any(axis=1), len(Bq) - nz[:, ::-1].argmax(axis=1) - start, 1).max())
+    idx = np.minimum(start, len(Bq) - h)[:, None] + np.arange(h)
+    return idx, np.take_along_axis(Bq, idx, axis=1)
 
 
 def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
@@ -112,23 +135,13 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
     f = fn / fd, the transient is T_k / (fd den_k) with
     T_k = fd N_k - fn den_k 1, which steps as T_{k+1} = B T_k + fn den_k r,
     r = B 1 - L 1.  r is zero when every row of A sums to 1, and the term
-    is then skipped.  B T is taken on a band: row i's nonzeros lie in the
-    columns start_i..start_i+h-1, one width h for every row, so a step is
-    (T[idx] * band).sum(axis=1) on numpy arrays of Python ints
-    (dtype=object), idx those columns and band those entries of B.  A
-    local matrix, B[i][j] = run[2j - i], has about half of each row zero,
-    and a dense B takes h = n, the whole product.  Nothing is reduced, so
-    the operands grow by log2(L) bits a step.
+    is then skipped.  B T is taken on the band of B (_band).  Nothing is
+    reduced, so the operands grow by log2(L) bits a step.
     """
     fn, fd = f.numerator, f.denominator
     den, nums = integer_run(v)
-    Bq = np.array(B, dtype=object)
-    r = Bq.sum(axis=1) - L
-    nz = Bq != 0
-    start = nz.argmax(axis=1)  # 0 for a zero row, which any columns cover
-    h = int(np.where(nz.any(axis=1), len(Bq) - nz[:, ::-1].argmax(axis=1) - start, 1).max())
-    idx = np.minimum(start, len(Bq) - h)[:, None] + np.arange(h)
-    band = np.take_along_axis(Bq, idx, axis=1)
+    idx, band = _band(B)
+    r = band.sum(axis=1) - L
     shift, common = fn * den, fd * den
     T = np.array([fd * x - shift for x in nums], dtype=object)
     drift = any(r)
@@ -140,6 +153,90 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
         common *= L
 
 
+def _fixed_point_numerators(v: Sequence[Fraction], f: Fraction, L: int,
+                            B: Sequence[Sequence[int]], P: int) -> Iterator[tuple[np.ndarray, int]]:
+    """P-bit fixed-point transients of v_{k+1} = A v_k, A = B / L: (X_k, E_k)
+    for k = 0, 1, ..., integers X_k (one array) and one bound E_k with
+    |2^P (v_k - f) - X_k| < E_k for every entry.
+
+    X_0 = floor(2^P (v_0 - f)) and X_{k+1} = floor((B X_k + D) / L),
+    D = floor(2^P f r), r = B 1 - L 1, on the band of B (_band); D is zero
+    when every row of A sums to 1, and the term is then skipped.  E_0 = 1
+    and E_{k+1} = ceil(R E_k / L) + 1, R the largest row sum of |B|: the
+    new error is the old one through B / L, below R E_k / L in magnitude,
+    plus the two floors' remainders, which lie in [0, 1) together.  The
+    operands stay near P bits plus the transients' own size.
+    """
+    fn, fd = f.numerator, f.denominator
+    den, nums = integer_run(v)
+    idx, band = _band(B)
+    X = np.array([((fd * x - fn * den) << P) // (fd * den) for x in nums], dtype=object)
+    D = (band.sum(axis=1) - L) * (fn << P) // fd
+    drift = any(D)
+    R = int(np.abs(band).sum(axis=1).max())
+    E = 1
+    while True:
+        yield X, E
+        BX = (X[idx] * band).sum(axis=1)
+        X = (BX + D if drift else BX) // L
+        E = -(-R * E // L) + 1
+
+
+# _fixed_point_transients brackets this many steps at once: the big ints it
+# holds stay one block of rows, not the whole trajectory
+_BLOCK = 32
+
+
+def _fixed_point_transients(v: Sequence[Fraction], f: Fraction, L: int,
+                            B: Sequence[Sequence[int]], K: int, P: int) -> Optional[np.ndarray]:
+    """The floats of the transients v_k - f 1, k = 0..K, of
+    v_{k+1} = A v_k, A = B / L, from the P-bit integers of
+    _fixed_point_numerators; None where one of them is not proved to round
+    to its float.
+
+    Int-to-float conversion rounds correctly and monotonically, so where
+    float(X - E) == float(X + E) that float is the correctly rounded
+    2^P (v_k - f), and times 2^-P it is the transient's correctly rounded
+    float: the exact route's float, bit for bit, while it is normal.  A
+    failed bracket (an exact zero always fails one), a result below the
+    normal range, or an X past the float range is None.
+    """
+    out = np.empty((K + 1, len(B)))
+    steps = _fixed_point_numerators(v, f, L, B, P)
+    for k in range(0, K + 1, _BLOCK):
+        block = list(islice(steps, min(_BLOCK, K + 1 - k)))
+        X = np.array([x for x, _ in block])
+        E = np.array([e for _, e in block], dtype=object)[:, None]
+        try:
+            lo, hi = (X - E).astype(float), (X + E).astype(float)
+        except OverflowError:
+            return None
+        if not (lo == hi).all():
+            return None
+        out[k:k + len(block)] = hi
+    out = np.ldexp(out, -P)
+    if (np.abs(out) < sys.float_info.min).any():
+        return None
+    return out
+
+
+# the fixed-point route runs at P <= _MAX_P bits: a transient below 2^63 in
+# magnitude then keeps |X +- E| below 2^1024, the float range
+_MAX_P = 960
+
+
+def _precision(M: LocalMatrix, K: int) -> int:
+    """P for _fixed_point_transients at K steps: 128 bits, plus per step the
+    growth log2 max(R / L, 1) of the error bound (R the largest row sum of
+    |B|) and the decay log2(1 / rho2) of the transients, rho2 the
+    subdominant eigenvalue modulus of the float matrix, at least 2^-8.  The
+    floats only size P: no output bit depends on them."""
+    R = max(sum(map(abs, row)) for row in M.B)
+    moduli = np.sort(np.abs(np.linalg.eigvals(M.as_float())))
+    rho2 = max(float(moduli[-2:][0]), 2.0 ** -8)  # the only modulus at order 1
+    return 128 + math.ceil(K * (math.log2(max(R, M.L) / M.L) - math.log2(rho2)))
+
+
 def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
                   norm: str = "inf") -> TrajectoryReport:
     """Transients [v0 - f, A v0 - f, ..., A^K v0 - f] and distances to the
@@ -149,13 +246,20 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     eigenvalue 1 normalized to u . ones = 1; this is exact in the limit and
     independent of K.  When eigenvalue 1 is absent or not simple, or u sums
     to 0 (_rational_null_weights is None), f is 0 and the transients are
-    the states.  The whole trajectory is exact (_transient_numerators):
+    the states.  Each transient entry is the correctly rounded float of its
+    exact value, kept as a Python float, by one of two routes with the same
+    floats.  The fixed-point route (_fixed_point_transients) runs when twice
+    its precision P (_precision) is below the exact route's mean operand
+    length, log2(fd) + K log2(L) / 2 bits with f = fn / fd, and P is at most
+    _MAX_P; it proves each rounding from an error bound or returns None.
+    The exact route (_transient_numerators) runs otherwise and after a None:
     integer numerators over one denominator, stepped by the integer matrix
-    B = L A, and each transient entry is one correctly rounded integer
-    division, kept as a Python float.  The distances are taken over one
-    array of all transients: the inf-norm as one row-wise max, the 2-norm
-    as np.linalg.norm of each row scaled by 2^-e, e the exponent of its
-    largest entry, then scaled back.  The spectrum is not checked: a
+    B = L A, and one correctly rounded integer division an entry.  The
+    distances are taken over one array of all transients: the inf-norm as
+    one row-wise max, the 2-norm from each row scaled by 2^-e, e the
+    exponent of its largest entry, then scaled back; its sum of squares is
+    one dot product a row, all in one stacked np.matmul, which gives
+    np.linalg.norm's bits.  The spectrum is not checked: a
     non-convergent matrix still yields its trajectory
     (Spectrum.convergence_spectral_ok decides convergence), but a transient
     entry past the float range is TrajectoryOverflowError.  K is at most
@@ -173,29 +277,37 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     vq = [Fraction(float(x)) for x in v0]  # floats are exact binary rationals
     weights = _rational_null_weights(M.L, M.B)
     fq = Fraction(0) if weights is None else sum((w * x for w, x in zip(weights, vq)), Fraction(0))
-    diffs: list[list[float]] = []
-    try:
-        for T, common in islice(_transient_numerators(vq, fq, M.L, M.B), K + 1):
-            diffs.append([y / common for y in T])
-    except OverflowError:
-        k = len(diffs)
-        raise TrajectoryOverflowError(
-            "transient %d leaves the float range; the trajectory is finite up to K = %d"
-            % (k, k - 1)) from None
-    D = np.array(diffs)
+    D = None
+    P = _precision(M, K)
+    # the fixed-point route pays for P-bit operands where the exact one's
+    # average log2(fd) + K log2(L) / 2 bits; twice P is where it gains
+    if P <= _MAX_P and 2 * P < fq.denominator.bit_length() + K * M.L.bit_length() / 2:
+        D = _fixed_point_transients(vq, fq, M.L, M.B, K, P)
+    if D is None:
+        diffs: list[list[float]] = []
+        try:
+            for T, common in islice(_transient_numerators(vq, fq, M.L, M.B), K + 1):
+                diffs.append([y / common for y in T])
+        except OverflowError:
+            k = len(diffs)
+            raise TrajectoryOverflowError(
+                "transient %d leaves the float range; the trajectory is finite up to K = %d"
+                % (k, k - 1)) from None
+        D = np.array(diffs)
 
     top = np.max(np.abs(D), axis=1)
     if norm == "inf":
         dists = top.tolist()
     else:
         # rows scaled by 2^-e, exactly, so that the squares neither
-        # overflow nor underflow
+        # overflow nor underflow; each row's sum of squares is one dot
+        # product, as in np.linalg.norm
         _, e = np.frexp(top)
-        norms = [np.linalg.norm(d) for d in np.ldexp(D, -e[:, None])]
-        dists = np.ldexp(norms, e).tolist()
+        S = np.ldexp(D, -e[:, None])
+        dists = np.ldexp(np.sqrt(np.matmul(S[:, None, :], S[:, :, None])[:, 0, 0]), e).tolist()
 
     return TrajectoryReport(
-        transients=tuple(map(tuple, diffs)),
+        transients=tuple(map(tuple, D.tolist())),
         distances=tuple(dists),
         matrix=tuple(map(tuple, M.as_float().tolist())),
     )

@@ -1,6 +1,7 @@
 import cmath
 import math
 from fractions import Fraction as F
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import fraction_entries
 from subdiv import dynamics
 from subdiv.dynamics import (MAX_K, ModeOverflowError, TrajectoryOverflowError,
-                             TrajectoryReport, _rational_null_weights, _transient_numerators,
-                             decompose_modes, iterate_local, write_trajectory_csv)
+                             TrajectoryReport, _fixed_point_numerators,
+                             _fixed_point_transients, _precision,
+                             _rational_null_weights, _transient_numerators, decompose_modes,
+                             iterate_local, write_trajectory_csv)
 from subdiv.localmatrix import LocalMatrix, build_local_matrix, matrix_from_coeffs
 from subdiv.masks import catalog_get
 
@@ -322,6 +325,189 @@ class TestBandStep:
                                                                  dense_numerators))
         for _ in range(6):
             assert next(band) == next(dense)
+
+
+def exact_floats(v, f, L, B, K):
+    """The exact route's floats of the transients 0..K: each one integer
+    division of _transient_numerators; None where one leaves the float
+    range."""
+    try:
+        return [[y / common for y in T]
+                for T, common in islice(_transient_numerators(v, f, L, B), K + 1)]
+    except OverflowError:
+        return None
+
+
+def fixed_point(A: LocalMatrix, v) -> F:
+    """f as iterate_local takes it: u . v for the weights u of
+    _rational_null_weights, 0 without them."""
+    w = _rational_null_weights(A.L, A.B)
+    return F(0) if w is None else sum((a * b for a, b in zip(w, v)), F(0))
+
+
+@st.composite
+def fixed_point_inputs(draw):
+    """(v, f, L, B, K, P): integer B of orders 1-10 with entries up to 2^20,
+    L up to 2^40 (half of the time near the largest row sum of |B|, where
+    the transients neither overflow nor underflow at once), balanced rows
+    (B 1 = L 1, no drift term) or not, rational v and f, K <= 400, and P
+    the one iterate_local picks or a fixed one."""
+    n = draw(st.integers(1, 10))
+    top = 2 ** draw(st.integers(1, 20))
+    entry = draw(st.sampled_from([st.integers(-top, top), st.sampled_from([0, 0, 0, -7, 1, 13])]))
+    B = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    R = max(1, max(sum(map(abs, row)) for row in B))
+    L = draw(st.one_of(st.integers(1, 2 ** 40),
+                       st.builds(lambda p, q: max(1, R * p // q),
+                                 st.integers(4, 12), st.integers(4, 12))))
+    if draw(st.booleans()):
+        for i, row in enumerate(B):
+            row[i] += L - sum(row)
+    B = tuple(map(tuple, B))
+    small = st.builds(F, st.integers(-2 ** 30, 2 ** 30), st.integers(1, 2 ** 10))
+    v = draw(st.lists(small, min_size=n, max_size=n))
+    f = draw(small)
+    K = draw(st.integers(1, 400))
+    P = draw(st.sampled_from([None, 0, 60, 200, 600, 960]))
+    if P is None:
+        P = _precision(LocalMatrix(L, B, 0), K)
+    return v, f, L, B, K, P
+
+
+class TestFixedPointRoute:
+    """_fixed_point_numerators keeps its error bound, and
+    _fixed_point_transients returns either None or the exact route's
+    floats, bit for bit; None sends iterate_local to the exact route."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(fixed_point_inputs())
+    def test_error_bound_holds(self, inputs):
+        # |2^P (v_k - f) - X_k| < E_k, with v_k - f = T_k / common exactly
+        v, f, L, B, K, P = inputs
+        steps = zip(_fixed_point_numerators(v, f, L, B, P), _transient_numerators(v, f, L, B))
+        for (X, E), (T, common) in islice(steps, K + 1):
+            assert all(abs((t << P) - x * common) < E * common for x, t in zip(X, T))
+
+    @settings(max_examples=150, deadline=None)
+    @given(fixed_point_inputs())
+    def test_none_or_the_exact_floats(self, inputs):
+        v, f, L, B, K, P = inputs
+        got = _fixed_point_transients(v, f, L, B, K, P)
+        if got is not None:
+            assert got.shape == (K + 1, len(B))
+            assert bits(got) == bits(exact_floats(v, f, L, B, K))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), local_matrices(), st.integers(1, 300), st.sampled_from(["inf", "2"]))
+    def test_iterate_local_gives_the_exact_floats(self, data, A, K, norm):
+        v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
+        vq = [F(x) for x in v0]
+        ref = exact_floats(vq, fixed_point(A, vq), A.L, A.B, K)
+        if ref is None:
+            with pytest.raises(TrajectoryOverflowError):
+                iterate_local(v0, A, K, norm)
+        else:
+            assert bits(iterate_local(v0, A, K, norm).transients) == bits(ref)
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The results of the _fixed_point_transients calls iterate_local makes."""
+        results = []
+
+        def spied(*args):
+            results.append(_fixed_point_transients(*args))
+            return results[-1]
+
+        monkeypatch.setattr(dynamics, "_fixed_point_transients", spied)
+        return results
+
+    # an asymmetric mask drawn like the benchmark's user masks: rational,
+    # balanced, L = 5040
+    WIDE = matrix_from_coeffs(-3, tuple(map(F, ("-1/16", "-1/18", "1/5", "2741/2520", "61/80",
+                                                   "-3/28", "1/10", "3/40"))))
+
+    def test_route_by_size(self, monkeypatch):
+        # K = 300 is tried and returns the exact floats; K = 10 is not tried,
+        # its exact operands being shorter than twice P
+        results = self.spy(monkeypatch)
+        v0 = tuple(float(i == self.WIDE.n // 2) for i in range(self.WIDE.n))
+        traj = iterate_local(v0, self.WIDE, 300)
+        assert len(results) == 1 and results[0] is not None
+        vq = [F(x) for x in v0]
+        ref = exact_floats(vq, fixed_point(self.WIDE, vq), self.WIDE.L, self.WIDE.B, 300)
+        assert bits(traj.transients) == bits(ref)
+        iterate_local(v0, self.WIDE, 10)
+        assert len(results) == 1
+
+    def test_zero_transients_fall_back(self, monkeypatch):
+        # v0 = 1 on a balanced mask is the fixed point: every transient is
+        # an exact 0, which no bracket float(X - E) == float(X + E) holds
+        v = [F(1)] * self.WIDE.n
+        assert _fixed_point_transients(v, F(1), self.WIDE.L, self.WIDE.B, 300, 400) is None
+        results = self.spy(monkeypatch)
+        traj = iterate_local((1.0,) * self.WIDE.n, self.WIDE, 300)
+        assert results == [None]
+        assert traj.transients == ((0.0,) * self.WIDE.n,) * 301
+
+    def test_growing_mask_keeps_its_overflow_error(self, monkeypatch):
+        # catalog a times 1.1 (1 + 10^-6): the states grow by about 1.1 a
+        # step, and from 1e300 they pass the float range before K = 300.
+        # The fixed-point route is tried, overflows and returns None; the
+        # exact route names the step.
+        a = catalog_get("a").mask
+        M = matrix_from_coeffs(a.support_min, tuple(c * F(1100001, 1000000) for c in a.coeffs))
+        v0 = tuple(1e300 * (k + 1) for k in range(M.n))
+        k = first_overflow(v0, M, 300)
+        results = self.spy(monkeypatch)
+        with pytest.raises(TrajectoryOverflowError,
+                           match="^transient %d leaves the float range; the trajectory is "
+                                 "finite up to K = %d$" % (k, k - 1)):
+            iterate_local(v0, M, 300)
+        assert results == [None] and 0 < k < 300
+
+    def test_subnormal_transients_fall_back(self):
+        # A = I / 2 halves the states (no eigenvalue 1: f = 0), from
+        # 2^-1000 (1 + 2^-59).  State 23 is the first below the normal range,
+        # and the route gives None from K = 23 on.  State 75 shows why: it
+        # rounds to 2^-1074, while its 53-bit float 2^-1075 scaled by 2^-P
+        # rounds again, to 0.
+        L, B = 2, ((1, 0), (0, 1))
+        v = [F(2 ** 59 + 1, 2 ** 1059), F(3, 2 ** 1000)]
+        got = _fixed_point_transients(v, F(0), L, B, 22, 1200)
+        assert bits(got) == bits(exact_floats(v, F(0), L, B, 22))
+        assert _fixed_point_transients(v, F(0), L, B, 23, 1200) is None
+        assert _fixed_point_transients(v, F(0), L, B, 75, 1200) is None
+        assert exact_floats(v, F(0), L, B, 75)[-1][0] == math.ulp(0.0)
+        assert math.ldexp(float(2 ** 125 + 2 ** 66), -1200) == 0.0
+
+    def test_small_p_fails_part_of_the_way(self):
+        # at P = 100 the bracket holds for the first steps and then fails,
+        # as the transients decay into the bound
+        vq = [F(x) for x in E1]
+        args = vq, fixed_point(A_MATRIX, vq), A_MATRIX.L, A_MATRIX.B
+        fails = next(K for K in range(1, 301) if _fixed_point_transients(*args, K, 100) is None)
+        assert 1 < fails < 300
+        assert bits(_fixed_point_transients(*args, fails - 1, 100)) == \
+            bits(exact_floats(*args, fails - 1))
+        assert bits(_fixed_point_transients(*args, 300, _precision(A_MATRIX, 300))) == \
+            bits(exact_floats(*args, 300))
+
+
+class TestTwoNormRows:
+    """The 2-norm distances, one stacked product of each row with itself,
+    against np.linalg.norm a row, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(2, 24), st.integers(1, 300))
+    def test_stacked_dot_is_the_row_loop(self, data, w, K):
+        coeffs = data.draw(st.lists(rationals.filter(bool), min_size=w, max_size=w))
+        A = matrix_from_coeffs(-w // 2, coeffs)
+        v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
+        try:
+            traj = iterate_local(v0, A, K, "2")
+        except TrajectoryOverflowError:
+            return
+        assert bits(traj.distances) == bits([scaled_norm(np.array(d)) for d in traj.transients])
 
 
 class TestTwoNormRange:
