@@ -14,7 +14,7 @@ from .convergence import (ConvergenceReport, NotFactorableError, Verdict,
                           certify, smooth_lift)
 from .refine import (ControlPolygon, MeshType, RefinementLimitError,
                      basis_points_exact, basis_polygon, delta, refine_k)
-from .dynamics import EigenMode, TrajectoryReport, decompose_modes, iterate_local
+from .dynamics import EigenMode, TrajectoryReport, iterate_local
 from .search import (Cell, CellClass, GridRange, MinWidthReport, SearchResult,
                      SearchSpec, c1_w6_obstruction, min_width_report,
                      negativity_lemma_check, palindromic_coeffs, scan)

@@ -135,7 +135,6 @@ def cmd_dynamics(args) -> None:
         except OverflowError as exc:
             raise CliError("bad rational %r in --v0: past the float range" % s) from exc
     traj = dynamics.iterate_local(v0, M, args.K, norm=args.norm)
-    traj = dynamics.decompose_modes(traj)
     with _output(args.out) as f:
         dynamics.write_trajectory_csv(traj, f)
 

@@ -4,7 +4,9 @@ Iterates the local subdivision matrix, projects out the fixed point from
 the eigenvalue-1 left eigenvector, and decomposes the transient into real
 eigenmodes and complex-pair rotation-scaling planes.  The contraction
 factor of a complex pair is the modulus |mu| (the rotation-scaling normal
-form), with rotation angle arg(mu).
+form), with rotation angle arg(mu).  One float eigendecomposition of the
+matrix a request serves both the precision of the fixed-point route and
+the modes.
 
 The trajectory and the left eigenvector are exact and use integer
 arithmetic only: a LocalMatrix holds A as the integer matrix B = L A, L the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional, Sequence, TextIO
@@ -57,9 +59,8 @@ class TrajectoryReport:
     # relative precision long after float states have cancelled to noise
     transients: tuple[tuple[float, ...], ...]
     distances: tuple[float, ...]
-    matrix: tuple[tuple[float, ...], ...]
-    modes: Optional[tuple[EigenMode, ...]] = None
-    mode_diagnostic: Optional[str] = None
+    modes: Optional[tuple[EigenMode, ...]]
+    mode_diagnostic: Optional[str]
 
 
 def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
@@ -225,22 +226,22 @@ def _fixed_point_transients(v: Sequence[Fraction], f: Fraction, L: int,
 _MAX_P = 960
 
 
-def _precision(M: LocalMatrix, K: int) -> int:
+def _precision(M: LocalMatrix, K: int, w: np.ndarray) -> int:
     """P for _fixed_point_transients at K steps: 128 bits, plus per step the
     growth log2 max(R / L, 1) of the error bound (R the largest row sum of
     |B|) and the decay log2(1 / rho2) of the transients, rho2 the
-    subdominant eigenvalue modulus of the float matrix, at least 2^-8.  The
-    floats only size P: no output bit depends on them."""
+    subdominant modulus of w, the float matrix's eigenvalues, at least
+    2^-8.  The floats only size P: no output bit depends on them."""
     R = max(sum(map(abs, row)) for row in M.B)
-    moduli = np.sort(np.abs(np.linalg.eigvals(M.as_float())))
+    moduli = np.sort(np.abs(w))
     rho2 = max(float(moduli[-2:][0]), 2.0 ** -8)  # the only modulus at order 1
     return 128 + math.ceil(K * (math.log2(max(R, M.L) / M.L) - math.log2(rho2)))
 
 
 def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
                   norm: str = "inf") -> TrajectoryReport:
-    """Transients [v0 - f, A v0 - f, ..., A^K v0 - f] and distances to the
-    fixed point f, for A = M.B / M.L.
+    """Transients [v0 - f, A v0 - f, ..., A^K v0 - f], their distances to
+    the fixed point f and their eigenmodes, for A = M.B / M.L.
 
     The fixed point is (u . v0) * ones with u the left eigenvector for
     eigenvalue 1 normalized to u . ones = 1; this is exact in the limit and
@@ -263,7 +264,9 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     non-convergent matrix still yields its trajectory
     (Spectrum.convergence_spectral_ok decides convergence), but a transient
     entry past the float range is TrajectoryOverflowError.  K is at most
-    MAX_K.
+    MAX_K.  One np.linalg.eig of the float matrix sizes P and gives the
+    modes (decompose_modes), so a mode magnitude past the float range is
+    ModeOverflowError.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -276,9 +279,10 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
 
     vq = [Fraction(float(x)) for x in v0]  # floats are exact binary rationals
     weights = _rational_null_weights(M.L, M.B)
-    fq = Fraction(0) if weights is None else sum((w * x for w, x in zip(weights, vq)), Fraction(0))
+    fq = Fraction(0) if weights is None else sum((u * x for u, x in zip(weights, vq)), Fraction(0))
     D = None
-    P = _precision(M, K)
+    w, V = np.linalg.eig(M.as_float())
+    P = _precision(M, K, w)
     # the fixed-point route pays for P-bit operands where the exact one's
     # average log2(fd) + K log2(L) / 2 bits; twice P is where it gains
     if P <= _MAX_P and 2 * P < fq.denominator.bit_length() + K * M.L.bit_length() / 2:
@@ -306,15 +310,14 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
         S = np.ldexp(D, -e[:, None])
         dists = np.ldexp(np.sqrt(np.matmul(S[:, None, :], S[:, :, None])[:, 0, 0]), e).tolist()
 
-    return TrajectoryReport(
-        transients=tuple(map(tuple, D.tolist())),
-        distances=tuple(dists),
-        matrix=tuple(map(tuple, M.as_float().tolist())),
-    )
+    return TrajectoryReport(tuple(map(tuple, D.tolist())), tuple(dists), *decompose_modes(w, V, D))
 
 
-def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
-    """Enrich a trajectory with per-eigenmode magnitudes and sign data.
+def decompose_modes(w: np.ndarray, V: np.ndarray,
+                    D: np.ndarray) -> tuple[Optional[tuple[EigenMode, ...]], Optional[str]]:
+    """(modes, diagnostic) of the transients D, one row a step, from the
+    eigenvalues w and eigenvectors V of np.linalg.eig of the float matrix:
+    per-eigenmode magnitudes and sign data.
 
     Real eigendirections give signed coefficient sequences, from which a
     negative eigenvalue's alternation is read; conjugate pairs are merged
@@ -328,18 +331,13 @@ def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
     side as in a solve per transient; one loop over the eigenvalues then
     builds each mode and its magnitudes from array operations.  A matrix
     that is defective beyond tolerance skips the decomposition with a
-    diagnostic.  A coefficient or pair magnitude past the float range is
-    ModeOverflowError, naming the first transient that has one, as no
-    printed magnitude may be inf or nan.
+    diagnostic and modes None.  A coefficient or pair magnitude past the
+    float range is ModeOverflowError, naming the first transient that has
+    one, as no printed magnitude may be inf or nan.
     """
-    Af = np.asarray(traj.matrix)
-    w, V = np.linalg.eig(Af)
     if np.linalg.cond(V) > 1e10:
-        return replace(traj, modes=None,
-                       mode_diagnostic="matrix is defective within working precision; "
-                                       "mode decomposition skipped")
+        return None, "matrix is defective within working precision; mode decomposition skipped"
 
-    D = np.asarray(traj.transients)
     modes: list[EigenMode] = []
     finite = np.ones(len(D), dtype=bool)
     with np.errstate(all="ignore"):  # overflow shows as a non-finite magnitude
@@ -361,7 +359,7 @@ def decompose_modes(traj: TrajectoryReport) -> TrajectoryReport:
         raise ModeOverflowError("the mode magnitudes of transient %d leave the float range" % k
                                 + ("; they are finite up to K = %d" % (k - 1) if k else ""))
 
-    return replace(traj, modes=tuple(modes), mode_diagnostic=None)
+    return tuple(modes), None
 
 
 def write_trajectory_csv(traj: TrajectoryReport, f: TextIO) -> None:

@@ -23,7 +23,7 @@ PUBLIC = {
     "ControlPolygon", "MeshType", "RefinementLimitError", "basis_points_exact",
     "basis_polygon", "delta", "refine_k",
     # dynamics
-    "EigenMode", "TrajectoryReport", "decompose_modes", "iterate_local",
+    "EigenMode", "TrajectoryReport", "iterate_local",
     # search
     "Cell", "CellClass", "GridRange", "MinWidthReport", "SearchResult",
     "SearchSpec", "c1_w6_obstruction", "min_width_report",
@@ -57,7 +57,7 @@ MEMBERS = {
     "SearchSpec": {"convergence_filter", "param_ranges", "width"},
     "Spectrum": {"convergence_spectral_ok", "eigenvalues", "from_values", "has_complex",
                  "negative_real_count", "subdominant_modulus", "to_json"},
-    "TrajectoryReport": {"distances", "matrix", "mode_diagnostic", "modes", "transients"},
+    "TrajectoryReport": {"distances", "mode_diagnostic", "modes", "transients"},
 }
 
 # the members of MEMBERS that no code in src/subdiv reads, each with the
@@ -69,6 +69,8 @@ UNREAD = {
                                    "reads the alternation of a negative eigenvalue",
     ("SearchResult", "cells"): "read by perfbench's tracer, which counts the scanned cells",
     ("TrajectoryReport", "mode_diagnostic"): "the only record of why modes is None",
+    ("TrajectoryReport", "transients"): "the trajectory itself; tests check its floats bit "
+                                        "for bit against the exact recurrence",
 }
 
 _PROTOCOL = ("__getitem__", "__len__", "__iter__")
@@ -107,14 +109,17 @@ def test_deleted_members_stay_gone():
     # members that only tests called, deleted with their callers rewritten
     # to the API above: coeffs from support_min, values from first_index,
     # sum(values) and count; the monotone profile from distances, the
-    # rotation from a pair's eigenvalue and the alternation from coefficients
+    # rotation from a pair's eigenvalue and the alternation from coefficients;
+    # the float matrix, whose one eigendecomposition iterate_local now takes
+    # itself, and with it the export of decompose_modes
     gone = {"Mask": ("support_max", "support", "__getitem__"),
             "ControlPolygon": ("items", "total"), "GridRange": ("__len__",),
-            "TrajectoryReport": ("fixed_point", "monotonicity_violations", "rotation"),
+            "TrajectoryReport": ("fixed_point", "monotonicity_violations", "rotation", "matrix"),
             "EigenMode": ("sign_flips",)}
     for name, attrs in gone.items():
         for attr in attrs:
             assert attr not in MEMBERS[name] and not hasattr(getattr(subdiv, name), attr)
+    assert not hasattr(subdiv, "decompose_modes")
 
 
 def test_every_member_is_read_in_src():

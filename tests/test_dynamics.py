@@ -11,8 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import fraction_entries
 from subdiv import dynamics
 from subdiv.dynamics import (MAX_K, ModeOverflowError, TrajectoryOverflowError,
-                             TrajectoryReport, _fixed_point_numerators,
-                             _fixed_point_transients, _precision,
+                             _fixed_point_numerators, _fixed_point_transients, _precision,
                              _rational_null_weights, _transient_numerators, decompose_modes,
                              iterate_local, write_trajectory_csv)
 from subdiv.localmatrix import LocalMatrix, build_local_matrix, matrix_from_coeffs
@@ -52,7 +51,9 @@ class TestIterateLocal:
 
     def test_float_overflow_is_named_error(self):
         # the width-8 mask of eight 3s: transient 287 of e4 is the first past
-        # the float range
+        # the float range, and the mode magnitudes of transient 286 already
+        # are (TestDecomposeModes.test_mode_overflow_is_named_error), so
+        # K = 285 is the last K with a report
         M = matrix_from_coeffs(-4, (F(3),) * 8)
         v0 = tuple(float(i == 4) for i in range(8))
         assert first_overflow(v0, M, 300) == 287
@@ -60,8 +61,10 @@ class TestIterateLocal:
             iterate_local(v0, M, 300)
         with pytest.raises(OverflowError):
             iterate_local(v0, M, 287)
-        traj = iterate_local(v0, M, 286)
-        assert len(traj.distances) == 287 and math.isfinite(traj.distances[-1])
+        with pytest.raises(ModeOverflowError, match="^the mode magnitudes of transient 286 "):
+            iterate_local(v0, M, 286)
+        traj = iterate_local(v0, M, 285)
+        assert len(traj.distances) == 286 and math.isfinite(traj.distances[-1])
 
     def test_K_bound_checked_before_any_step(self, monkeypatch):
         def fail(*args):
@@ -345,6 +348,13 @@ def fixed_point(A: LocalMatrix, v) -> F:
     return F(0) if w is None else sum((a * b for a, b in zip(w, v)), F(0))
 
 
+def exact_rows(v0, A: LocalMatrix, K: int):
+    """exact_floats of the transients 0..K of iterate_local(v0, A, K), or
+    None."""
+    vq = [F(x) for x in v0]
+    return exact_floats(vq, fixed_point(A, vq), A.L, A.B, K)
+
+
 @st.composite
 def fixed_point_inputs(draw):
     """(v, f, L, B, K, P): integer B of orders 1-10 with entries up to 2^20,
@@ -370,7 +380,8 @@ def fixed_point_inputs(draw):
     K = draw(st.integers(1, 400))
     P = draw(st.sampled_from([None, 0, 60, 200, 600, 960]))
     if P is None:
-        P = _precision(LocalMatrix(L, B, 0), K)
+        A = LocalMatrix(L, B, 0)
+        P = _precision(A, K, np.linalg.eig(A.as_float())[0])
     return v, f, L, B, K, P
 
 
@@ -401,13 +412,20 @@ class TestFixedPointRoute:
     @given(st.data(), local_matrices(), st.integers(1, 300), st.sampled_from(["inf", "2"]))
     def test_iterate_local_gives_the_exact_floats(self, data, A, K, norm):
         v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
-        vq = [F(x) for x in v0]
-        ref = exact_floats(vq, fixed_point(A, vq), A.L, A.B, K)
+        ref = exact_rows(v0, A, K)
         if ref is None:
             with pytest.raises(TrajectoryOverflowError):
                 iterate_local(v0, A, K, norm)
-        else:
-            assert bits(iterate_local(v0, A, K, norm).transients) == bits(ref)
+            return
+        try:
+            traj = iterate_local(v0, A, K, norm)
+        except ModeOverflowError:
+            # finite transients whose mode magnitudes are not: those of the
+            # exact floats overflow too
+            with pytest.raises(ModeOverflowError):
+                decompose_modes(*np.linalg.eig(A.as_float()), np.array(ref))
+            return
+        assert bits(traj.transients) == bits(ref)
 
     @staticmethod
     def spy(monkeypatch):
@@ -433,8 +451,7 @@ class TestFixedPointRoute:
         v0 = tuple(float(i == self.WIDE.n // 2) for i in range(self.WIDE.n))
         traj = iterate_local(v0, self.WIDE, 300)
         assert len(results) == 1 and results[0] is not None
-        vq = [F(x) for x in v0]
-        ref = exact_floats(vq, fixed_point(self.WIDE, vq), self.WIDE.L, self.WIDE.B, 300)
+        ref = exact_rows(v0, self.WIDE, 300)
         assert bits(traj.transients) == bits(ref)
         iterate_local(v0, self.WIDE, 10)
         assert len(results) == 1
@@ -489,8 +506,8 @@ class TestFixedPointRoute:
         assert 1 < fails < 300
         assert bits(_fixed_point_transients(*args, fails - 1, 100)) == \
             bits(exact_floats(*args, fails - 1))
-        assert bits(_fixed_point_transients(*args, 300, _precision(A_MATRIX, 300))) == \
-            bits(exact_floats(*args, 300))
+        P = _precision(A_MATRIX, 300, np.linalg.eig(A_MATRIX.as_float())[0])
+        assert bits(_fixed_point_transients(*args, 300, P)) == bits(exact_floats(*args, 300))
 
 
 class TestTwoNormRows:
@@ -505,7 +522,7 @@ class TestTwoNormRows:
         v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
         try:
             traj = iterate_local(v0, A, K, "2")
-        except TrajectoryOverflowError:
+        except (TrajectoryOverflowError, ModeOverflowError):
             return
         assert bits(traj.distances) == bits([scaled_norm(np.array(d)) for d in traj.transients])
 
@@ -529,7 +546,7 @@ class TestTwoNormRange:
 
 class TestDecomposeModes:
     def test_rotation_scaling_of_width6_scheme(self):
-        traj = decompose_modes(iterate_local(E1, A_MATRIX, 30))
+        traj = iterate_local(E1, A_MATRIX, 30)
         pairs = [m.eigenvalue for m in traj.modes if m.is_complex_pair]
         mu = max(pairs, key=abs)
         rho, theta = abs(mu), cmath.phase(mu)
@@ -537,7 +554,7 @@ class TestDecomposeModes:
         assert abs(theta - math.atan(math.sqrt(2) / 2)) < 1e-12
 
     def test_complex_pair_contracts_by_modulus(self):
-        traj = decompose_modes(iterate_local(E1, A_MATRIX, 30))
+        traj = iterate_local(E1, A_MATRIX, 30)
         pair = [m for m in traj.modes if m.is_complex_pair][0]
         mags = pair.magnitudes
         for k in range(len(mags) - 1):
@@ -546,7 +563,7 @@ class TestDecomposeModes:
 
     def test_negative_mode_alternates(self):
         K = 30
-        traj = decompose_modes(iterate_local(E1, A_MATRIX, K))
+        traj = iterate_local(E1, A_MATRIX, K)
         neg = [m for m in traj.modes
                if not m.is_complex_pair and abs(m.eigenvalue.real + 0.1) < 1e-9]
         assert neg
@@ -565,7 +582,7 @@ class TestDecomposeModes:
 
     def test_real_spectrum_has_no_rotation(self):
         M = build_local_matrix(catalog_get("c").mask)
-        traj = decompose_modes(iterate_local((1.0, 0.0, 0.0), M, 10))
+        traj = iterate_local((1.0, 0.0, 0.0), M, 10)
         assert all(not m.is_complex_pair for m in traj.modes)
 
     def test_mode_overflow_is_named_error(self):
@@ -574,32 +591,34 @@ class TestDecomposeModes:
         # nan), so its mode magnitudes cannot be printed
         M = matrix_from_coeffs(-4, (F(3),) * 8)
         v0 = tuple(float(i == 4) for i in range(8))
-        traj = iterate_local(v0, M, 286)
-        assert all(math.isfinite(x) for x in traj.transients[-1])
-        with pytest.raises(ModeOverflowError, match="^the mode magnitudes of transient 286 "
-                                                    "leave the float range; they are finite "
-                                                    "up to K = 285$"):
-            decompose_modes(traj)
-        modes = decompose_modes(iterate_local(v0, M, 285)).modes
+        D = np.array(exact_rows(v0, M, 286))
+        assert np.isfinite(D).all()
+        message = ("^the mode magnitudes of transient 286 leave the float range; they are "
+                   "finite up to K = 285$")
+        with pytest.raises(ModeOverflowError, match=message):
+            decompose_modes(*np.linalg.eig(M.as_float()), D)
+        with pytest.raises(ModeOverflowError, match=message):
+            iterate_local(v0, M, 286)
+        modes = iterate_local(v0, M, 285).modes
         assert all(math.isfinite(x) for m in modes for x in m.magnitudes)
 
     def test_pair_magnitude_overflow_at_step_0(self):
         # a quarter turn: the pair's two coefficients are finite, their
         # hypot |d| = 1.5e308 * sqrt(2) is not
-        traj = TrajectoryReport(transients=((1.5e308, 1.5e308),), distances=(1.5e308,),
-                                matrix=((0.0, -1.0), (1.0, 0.0)))
+        w, V = np.linalg.eig(np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(ModeOverflowError,
                            match="^the mode magnitudes of transient 0 leave the float range$"):
-            decompose_modes(traj)
+            decompose_modes(w, V, np.array([[1.5e308, 1.5e308]]))
 
     def test_defective_matrix_skips_decomposition(self):
         A = LocalMatrix(2, ((1, 2), (0, 1)), 0)  # a Jordan block at 1/2
-        traj = decompose_modes(iterate_local((1.0, 1.0), A, 5))
+        traj = iterate_local((1.0, 1.0), A, 5)
         assert traj.modes is None
         assert "defective" in traj.mode_diagnostic
         assert len(traj.distances) == 6
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP direction 2: decompose_modes decides "
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP direction 2: decompose_modes decides "
                        "defectiveness from cond(V) > 1e10, and a Jordan block that LAPACK "
                        "splits into a complex pair passes at cond(V) = 3.2e8")
     def test_defective_cell_on_the_d0_curve_is_skipped(self):
@@ -611,21 +630,21 @@ class TestDecomposeModes:
         exact = sympy.Matrix(A.B) / A.L
         assert not exact.is_diagonalizable() and exact.eigenvals()[sympy.Rational(1, 7)] == 2
         v0 = tuple(float(i == A.n // 2) for i in range(A.n))
-        traj = decompose_modes(iterate_local(v0, A, 3))
+        traj = iterate_local(v0, A, 3)
         assert not any(m.is_complex_pair for m in traj.modes or ())
         assert traj.mode_diagnostic is not None
 
 
-def reference_decompose(traj, tol=1e-9):
-    """The former per-state loop, kept as an oracle: one np.linalg.solve per
-    transient, scalar np.hypot and np.abs per coefficient, and complex pairs found by the former tolerance search (|Im| > tol,
-    partner within 1e-8).  None where the matrix is defective and the
-    decomposition is skipped."""
-    Af = np.asarray(traj.matrix)
-    w, V = np.linalg.eig(Af)
+def reference_decompose(A, transients, tol=1e-9):
+    """The former per-state loop on the float matrix A, kept as an oracle:
+    one np.linalg.solve per transient, scalar np.hypot and np.abs per
+    coefficient, and complex pairs found by the former tolerance search
+    (|Im| > tol, partner within 1e-8).  None where the matrix is defective
+    and the decomposition is skipped."""
+    w, V = np.linalg.eig(A)
     if np.linalg.cond(V) > 1e10:
         return None
-    coeffs = np.array([np.linalg.solve(V, d) for d in traj.transients])
+    coeffs = np.array([np.linalg.solve(V, d) for d in transients])
     used = [False] * len(w)
     modes = []
     for j, mu in enumerate(w):
@@ -682,62 +701,69 @@ def mixed_spectrum_matrices(draw):
 
 
 def float_trajectory(A, v0, K):
-    """A TrajectoryReport of float states v_{k+1} = A v_k about the fixed
-    point 0: decompose_modes reads only the matrix and the transients."""
+    """The float states v_{k+1} = A v_k, k = 0..K, one row a step: the
+    transients about the fixed point 0."""
     states = [np.array(v0, dtype=float)]
     for _ in range(K):
         states.append(A @ states[-1])
-    D = np.array(states)
-    return TrajectoryReport(
-        transients=tuple(map(tuple, D.tolist())),
-        distances=tuple(np.max(np.abs(D), axis=1).tolist()),
-        matrix=tuple(map(tuple, A.tolist())))
+    return np.array(states)
 
 
 class TestDecomposeBitIdentity:
     """The stacked solve and array-wide magnitudes and distances against the
     former per-state loop, bit for bit."""
 
-    def check(self, traj, norm):
-        self.check_modes(traj)
+    def check(self, A: LocalMatrix, v0, K, norm):
+        """iterate_local(v0, A, K, norm) against the former loops on the
+        exact floats of its transients: its modes, or the ModeOverflowError
+        they give, and its distances."""
+        D = exact_rows(v0, A, K)
+        self.check_modes(A.as_float(), D, lambda: iterate_local(v0, A, K, norm).modes)
+        try:
+            traj = iterate_local(v0, A, K, norm)
+        except ModeOverflowError:
+            return
+        assert bits(traj.transients) == bits(D)
         rows = [np.array(d) for d in traj.transients]
         if norm == "inf":
             dists = [float(np.max(np.abs(d))) for d in rows]
         else:
             dists = [scaled_norm(d) for d in rows]
         assert bits(traj.distances) == bits(dists)
-        assert all(type(x) is float for x in traj.distances + traj.transients[-1]
-                   + traj.matrix[0])
+        assert all(type(x) is float for x in traj.distances + traj.transients[-1])
 
     @staticmethod
-    def check_modes(traj):
+    def check_modes(A, D, modes):
+        """modes(), the modes of the transients D of the float matrix A,
+        against the former per-state loop, bit for bit."""
         # the former tolerance and LAPACK's conjugate order pair the same
         # eigenvalues unless some |Im| lies in (0, 1e-9], as when LAPACK
         # splits a double real eigenvalue: it then reports a complex pair,
         # which the oracle finds at tol = 0
-        w = np.linalg.eig(np.asarray(traj.matrix))[0]
-        ref = reference_decompose(traj, 0.0 if any(0 < abs(mu.imag) <= 1e-9 for mu in w)
+        w = np.linalg.eig(A)[0]
+        ref = reference_decompose(A, D, 0.0 if any(0 < abs(mu.imag) <= 1e-9 for mu in w)
                                   else 1e-9)
         if ref is not None and not all(map(math.isfinite, (x for m in ref for x in m[2]))):
             # a magnitude the former loop gave as inf or nan is an error,
             # named by the first transient that has one
             k = min(k for m in ref for k, x in enumerate(m[2]) if not math.isfinite(x))
             with pytest.raises(ModeOverflowError, match="transient %d " % k):
-                decompose_modes(traj)
+                modes()
             return
-        got = decompose_modes(traj)
+        got = modes()
         if ref is None:
-            assert got.modes is None
+            assert got is None
         else:
             assert mode_bits([(m.eigenvalue, m.is_complex_pair, m.magnitudes,
-                               m.coefficients) for m in got.modes]) == \
+                               m.coefficients) for m in got]) == \
                 mode_bits(ref)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), mixed_spectrum_matrices(), st.integers(1, 300))
     def test_float_matrices(self, data, A, K):
         v0 = data.draw(st.lists(st.floats(-4, 4), min_size=len(A), max_size=len(A)))
-        self.check_modes(float_trajectory(A, v0, K))
+        D = float_trajectory(A, v0, K)
+        self.check_modes(A, D, lambda: decompose_modes(*np.linalg.eig(A), D)[0])
 
     # a matrix with an eigenvalue past 1 can leave the float range within
     # 300 steps: the trajectory is then an error, and the modes of a
@@ -747,19 +773,19 @@ class TestDecomposeBitIdentity:
     @given(st.data(), local_matrices(), st.integers(1, 300), st.sampled_from(["inf", "2"]))
     def test_rational_matrices(self, data, A, K, norm):
         v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
-        try:
-            traj = iterate_local(v0, A, K, norm)
-        except TrajectoryOverflowError as exc:
+        if exact_rows(v0, A, K) is None:
             k = first_overflow(v0, A, K)
-            assert k is not None and "transient %d " % k in str(exc)
+            with pytest.raises(TrajectoryOverflowError) as exc:
+                iterate_local(v0, A, K, norm)
+            assert k is not None and "transient %d " % k in str(exc.value)
             return
-        self.check(traj, norm)
+        self.check(A, v0, K, norm)
 
     @pytest.mark.parametrize("norm", ["inf", "2"])
     def test_width6_scheme(self, norm):
         traj = iterate_local(E1, A_MATRIX, 300, norm)
-        assert any(m[1] for m in reference_decompose(traj))
-        self.check(traj, norm)
+        assert any(m[1] for m in reference_decompose(A_MATRIX.as_float(), traj.transients))
+        self.check(A_MATRIX, E1, 300, norm)
 
 
 class TestLapackPairs:
@@ -773,16 +799,16 @@ class TestLapackPairs:
         for j, mu in enumerate(w):
             assert mu.imag >= 0 or w[j - 1] == np.conj(mu)
             assert mu.imag <= 0 or w[j + 1] == np.conj(mu)
-        traj = decompose_modes(float_trajectory(A, np.ones(len(A)), 3))
-        if traj.modes is None:
+        modes, _ = decompose_modes(*np.linalg.eig(A), float_trajectory(A, np.ones(len(A)), 3))
+        if modes is None:
             return
-        assert [(m.eigenvalue, m.is_complex_pair) for m in traj.modes] == \
+        assert [(m.eigenvalue, m.is_complex_pair) for m in modes] == \
             [(complex(mu), mu.imag > 0) for mu in w if mu.imag >= 0]
 
 
 class TestTrajectoryCsv:
     def test_columns(self, tmp_path):
-        traj = decompose_modes(iterate_local(E1, A_MATRIX, 5))
+        traj = iterate_local(E1, A_MATRIX, 5)
         path = tmp_path / "traj.csv"
         with open(path, "w") as f:
             write_trajectory_csv(traj, f)
