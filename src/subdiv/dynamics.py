@@ -16,9 +16,11 @@ v_k - f 1 (f 1 the fixed point, 0 when eigenvalue 1 is not simple).  Every
 reported transient is its exact value correctly rounded, by one of two
 routes that give the same floats.  Where the exact operands would be long,
 P-bit fixed-point integers with a proved error bound decide each rounding;
-where they cannot, or the operands are short, the exact recurrence does:
-integer numerators over one denominator, stepped without any gcd, and one
-correctly rounded integer division an entry.
+where they cannot (a bracket too wide to decide, or a bound past the float
+range), or the operands are short, the exact recurrence does: integer
+numerators over one denominator, stepped without any gcd, and one correctly
+rounded integer division an entry.  A mode is a real eigendirection with
+signed coefficients or a complex pair's plane with none.
 """
 from __future__ import annotations
 
@@ -47,9 +49,9 @@ class ModeOverflowError(OverflowError):
 @dataclass(frozen=True)
 class EigenMode:
     eigenvalue: complex          # representative; Im >= 0 for a complex pair
-    is_complex_pair: bool
     magnitudes: tuple[float, ...]
-    coefficients: Optional[tuple[float, ...]]  # signed, real modes only
+    # signed, real modes only: None exactly for a complex pair
+    coefficients: Optional[tuple[float, ...]]
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,8 @@ class TrajectoryReport:
     # relative precision long after float states have cancelled to noise
     transients: tuple[tuple[float, ...], ...]
     distances: tuple[float, ...]
+    # None when the float matrix is defective within working precision
     modes: Optional[tuple[EigenMode, ...]]
-    mode_diagnostic: Optional[str]
 
 
 def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
@@ -104,10 +106,12 @@ def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[
 
 # iterate_local refuses more steps than this before any work: the exact
 # trajectory's cost grows about as K^2 (its operands grow by log2(L) bits a
-# step, den_k = den_0 L^k), and K = 10^4 takes 9-17 s on the benchmark's
-# random rational masks of width 20 whose trajectory stays finite (Python
-# 3.11, one core).  The fixed-point route does not run there: P is 7300 to
-# 11600 bits, past _MAX_P, and its steps alone would take about 2 s.
+# step, den_k = den_0 L^k), and K = 10^4 takes 16-23 s on the benchmark's
+# random rational masks of width 20 whose trajectory stays finite (pool
+# masks w20/1 and w20/2; Python 3.11, one core of a 2-vCPU VM).  The
+# fixed-point route is tried there, but P is 7300 to 11600 bits: X +- E
+# passes the float range in the first bracket, which returns None after
+# 7-10 ms, and its steps alone would take about 2 s.
 MAX_K = 10 ** 4
 
 
@@ -221,11 +225,6 @@ def _fixed_point_transients(v: Sequence[Fraction], f: Fraction, L: int,
     return out
 
 
-# the fixed-point route runs at P <= _MAX_P bits: a transient below 2^63 in
-# magnitude then keeps |X +- E| below 2^1024, the float range
-_MAX_P = 960
-
-
 def _precision(M: LocalMatrix, K: int, w: np.ndarray) -> int:
     """P for _fixed_point_transients at K steps: 128 bits, plus per step the
     growth log2 max(R / L, 1) of the error bound (R the largest row sum of
@@ -251,8 +250,9 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     exact value, kept as a Python float, by one of two routes with the same
     floats.  The fixed-point route (_fixed_point_transients) runs when twice
     its precision P (_precision) is below the exact route's mean operand
-    length, log2(fd) + K log2(L) / 2 bits with f = fn / fd, and P is at most
-    _MAX_P; it proves each rounding from an error bound or returns None.
+    length, log2(fd) + K log2(L) / 2 bits with f = fn / fd; it proves each
+    rounding from an error bound or returns None, also where P is so large
+    that X +- E leaves the float range, which its first bracket finds.
     The exact route (_transient_numerators) runs otherwise and after a None:
     integer numerators over one denominator, stepped by the integer matrix
     B = L A, and one correctly rounded integer division an entry.  The
@@ -285,7 +285,7 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     P = _precision(M, K, w)
     # the fixed-point route pays for P-bit operands where the exact one's
     # average log2(fd) + K log2(L) / 2 bits; twice P is where it gains
-    if P <= _MAX_P and 2 * P < fq.denominator.bit_length() + K * M.L.bit_length() / 2:
+    if 2 * P < fq.denominator.bit_length() + K * M.L.bit_length() / 2:
         D = _fixed_point_transients(vq, fq, M.L, M.B, K, P)
     if D is None:
         diffs: list[list[float]] = []
@@ -310,12 +310,11 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
         S = np.ldexp(D, -e[:, None])
         dists = np.ldexp(np.sqrt(np.matmul(S[:, None, :], S[:, :, None])[:, 0, 0]), e).tolist()
 
-    return TrajectoryReport(tuple(map(tuple, D.tolist())), tuple(dists), *decompose_modes(w, V, D))
+    return TrajectoryReport(tuple(map(tuple, D.tolist())), tuple(dists), decompose_modes(w, V, D))
 
 
-def decompose_modes(w: np.ndarray, V: np.ndarray,
-                    D: np.ndarray) -> tuple[Optional[tuple[EigenMode, ...]], Optional[str]]:
-    """(modes, diagnostic) of the transients D, one row a step, from the
+def decompose_modes(w: np.ndarray, V: np.ndarray, D: np.ndarray) -> Optional[tuple[EigenMode, ...]]:
+    """The modes of the transients D, one row a step, from the
     eigenvalues w and eigenvectors V of np.linalg.eig of the float matrix:
     per-eigenmode magnitudes and sign data.
 
@@ -329,14 +328,15 @@ def decompose_modes(w: np.ndarray, V: np.ndarray,
     conjugate (LAPACK Users' Guide, xGEEV).  The coefficients of every
     transient come from one stacked solve, each system a single right-hand
     side as in a solve per transient; one loop over the eigenvalues then
-    builds each mode and its magnitudes from array operations.  A matrix
-    that is defective beyond tolerance skips the decomposition with a
-    diagnostic and modes None.  A coefficient or pair magnitude past the
+    builds each mode and its magnitudes from array operations; a complex
+    pair's mode has no coefficients.  A matrix that is defective beyond
+    tolerance (V's condition number past 1e10) skips the decomposition and
+    returns None.  A coefficient or pair magnitude past the
     float range is ModeOverflowError, naming the first transient that has
     one, as no printed magnitude may be inf or nan.
     """
     if np.linalg.cond(V) > 1e10:
-        return None, "matrix is defective within working precision; mode decomposition skipped"
+        return None
 
     modes: list[EigenMode] = []
     finite = np.ones(len(D), dtype=bool)
@@ -345,11 +345,11 @@ def decompose_modes(w: np.ndarray, V: np.ndarray,
         for j, mu in enumerate(w):
             if mu.imag > 0:  # w[j + 1] is its conjugate, merged here
                 mags = np.hypot(np.abs(coeffs[:, j]), np.abs(coeffs[:, j + 1]))
-                modes.append(EigenMode(complex(mu), True, tuple(mags.tolist()), None))
+                modes.append(EigenMode(complex(mu), tuple(mags.tolist()), None))
             elif mu.imag == 0:
                 cj = np.real(coeffs[:, j])
                 mags = np.abs(cj)
-                modes.append(EigenMode(complex(mu.real, 0.0), False, tuple(mags.tolist()),
+                modes.append(EigenMode(complex(mu.real, 0.0), tuple(mags.tolist()),
                                        tuple(cj.tolist())))
             else:
                 continue
@@ -359,7 +359,7 @@ def decompose_modes(w: np.ndarray, V: np.ndarray,
         raise ModeOverflowError("the mode magnitudes of transient %d leave the float range" % k
                                 + ("; they are finite up to K = %d" % (k - 1) if k else ""))
 
-    return tuple(modes), None
+    return tuple(modes)
 
 
 def write_trajectory_csv(traj: TrajectoryReport, f: TextIO) -> None:
@@ -368,7 +368,7 @@ def write_trajectory_csv(traj: TrajectoryReport, f: TextIO) -> None:
     modes = traj.modes or ()
     for m in modes:
         mu = m.eigenvalue
-        label = "pair" if m.is_complex_pair else "mode"
+        label = "pair" if m.coefficients is None else "mode"
         header.append("%s_%.6g%+.6gj" % (label, mu.real, mu.imag))
     f.write(",".join(header) + "\n")
     fmt = "%d,%.12g" + ",%.12g" * len(modes) + "\n"

@@ -140,14 +140,14 @@ def test_criterion_10_local_dynamics():
         d = traj.distances
         assert any(d[k + 1] > d[k] for k in range(len(d) - 1))
 
-        pair = [m for m in traj.modes if m.is_complex_pair][0]
+        pair = [m for m in traj.modes if m.coefficients is None][0]
         for k in range(len(pair.magnitudes) - 1):
             if pair.magnitudes[k] > 1e-12:
                 ratio = pair.magnitudes[k + 1] / pair.magnitudes[k]
                 assert abs(ratio - math.sqrt(6) / 5) < 1e-9
 
         neg = [m for m in traj.modes
-               if not m.is_complex_pair and abs(m.eigenvalue.real + 0.1) < 1e-9
+               if m.coefficients is not None and abs(m.eigenvalue.real + 0.1) < 1e-9
                and max(m.magnitudes) > 1e-9]
         assert neg
         for m in neg:

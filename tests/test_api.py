@@ -46,7 +46,7 @@ MEMBERS = {
                        "nums", "values"},
     "ConvergenceReport": {"certified_smoothness", "difference_mask", "necessary_ok", "norm",
                           "s_at_1", "s_at_minus1", "to_json", "verdict"},
-    "EigenMode": {"coefficients", "eigenvalue", "is_complex_pair", "magnitudes"},
+    "EigenMode": {"coefficients", "eigenvalue", "magnitudes"},
     "GridRange": {"count", "hi", "lo", "step", "values"},
     "LocalMatrix": {"B", "L", "as_float", "column_offset", "n", "to_json"},
     "Mask": {"coeffs", "is_zero", "support_min", "width"},
@@ -57,7 +57,7 @@ MEMBERS = {
     "SearchSpec": {"convergence_filter", "param_ranges", "width"},
     "Spectrum": {"convergence_spectral_ok", "eigenvalues", "from_values", "has_complex",
                  "negative_real_count", "subdominant_modulus", "to_json"},
-    "TrajectoryReport": {"distances", "mode_diagnostic", "modes", "transients"},
+    "TrajectoryReport": {"distances", "modes", "transients"},
 }
 
 # the members of MEMBERS that no code in src/subdiv reads, each with the
@@ -65,10 +65,7 @@ MEMBERS = {
 UNREAD = {
     ("Cell", "cls"): "the class of a cell that SearchResult.cells yields: without it "
                      "the cell does not say what it is",
-    ("EigenMode", "coefficients"): "a real mode's signed data, from which criterion 10 "
-                                   "reads the alternation of a negative eigenvalue",
     ("SearchResult", "cells"): "read by perfbench's tracer, which counts the scanned cells",
-    ("TrajectoryReport", "mode_diagnostic"): "the only record of why modes is None",
     ("TrajectoryReport", "transients"): "the trajectory itself; tests check its floats bit "
                                         "for bit against the exact recurrence",
 }
@@ -111,15 +108,20 @@ def test_deleted_members_stay_gone():
     # sum(values) and count; the monotone profile from distances, the
     # rotation from a pair's eigenvalue and the alternation from coefficients;
     # the float matrix, whose one eigendecomposition iterate_local now takes
-    # itself, and with it the export of decompose_modes
+    # itself, and with it the export of decompose_modes; the diagnostic,
+    # one constant string exactly when modes is None, and the pair flag,
+    # which restated coefficients is None; and the precision cap of the
+    # fixed-point route, whose first bracket finds a P past the float range
     gone = {"Mask": ("support_max", "support", "__getitem__"),
             "ControlPolygon": ("items", "total"), "GridRange": ("__len__",),
-            "TrajectoryReport": ("fixed_point", "monotonicity_violations", "rotation", "matrix"),
-            "EigenMode": ("sign_flips",)}
+            "TrajectoryReport": ("fixed_point", "monotonicity_violations", "rotation", "matrix",
+                                 "mode_diagnostic"),
+            "EigenMode": ("sign_flips", "is_complex_pair")}
     for name, attrs in gone.items():
         for attr in attrs:
             assert attr not in MEMBERS[name] and not hasattr(getattr(subdiv, name), attr)
     assert not hasattr(subdiv, "decompose_modes")
+    assert not hasattr(subdiv.dynamics, "_MAX_P")
 
 
 def test_every_member_is_read_in_src():
