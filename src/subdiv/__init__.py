@@ -2,14 +2,14 @@
 
 from .masks import (Mask, SchemeRecord, SchemeFormatError, SymmetryClass,
                     catalog_get, catalog_names, classify_symmetry, load_scheme,
-                    recenter, save_scheme)
+                    recenter)
 # localmatrix, the largest module, is imported first of those that use
 # numpy: without a bytecode cache each module is compiled at import, and
 # compiling it after numpy is loaded raised the peak RSS of a process by
 # about 0.8 MB
 from .localmatrix import (EigensolveError, LocalMatrix, Spectrum,
                           build_local_matrix, eigenvalues, matrix_from_coeffs,
-                          w5_closed_form, w6_closed_form, w6_discriminant)
+                          w6_discriminant)
 from .convergence import (ConvergenceReport, NotFactorableError, Verdict,
                           certify, smooth_lift)
 from .refine import (ControlPolygon, MeshType, RefinementLimitError,

@@ -229,8 +229,10 @@ def _precision(M: LocalMatrix, K: int, w: np.ndarray) -> int:
     """P for _fixed_point_transients at K steps: 128 bits, plus per step the
     growth log2 max(R / L, 1) of the error bound (R the largest row sum of
     |B|) and the decay log2(1 / rho2) of the transients, rho2 the
-    subdominant modulus of w, the float matrix's eigenvalues, at least
-    2^-8.  The floats only size P: no output bit depends on them."""
+    subdominant modulus of w, at least 2^-8.  w holds the float matrix's
+    eigenvalues that the start excites, as iterate_local reads them: all of
+    them, or the J-even ones for a J-symmetric start.  The floats only size
+    P: no output bit depends on them."""
     R = max(sum(map(abs, row)) for row in M.B)
     moduli = np.sort(np.abs(w))
     rho2 = max(float(moduli[-2:][0]), 2.0 ** -8)  # the only modulus at order 1
@@ -253,6 +255,14 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     length, log2(fd) + K log2(L) / 2 bits with f = fn / fd; it proves each
     rounding from an error bound or returns None, also where P is so large
     that X +- E leaves the float range, which its first bracket finds.
+    P's decay term reads the subdominant modulus of the modes the start
+    excites.  When B is its own flip J (B[i][j] = B[n-1-i][n-1-j]) and v0
+    its own reverse, both exact tests, every transient is J-symmetric and
+    decays at the J-even modes alone: those eigenvalues whose eigenvector
+    (a column of V) lies nearer the J-symmetric subspace than the
+    J-antisymmetric one, or all of them when fewer than two do.  That
+    subset's second modulus is at most the whole spectrum's, so P only
+    grows, and a misread parity moves P, never a float.
     The exact route (_transient_numerators) runs otherwise and after a None:
     integer numerators over one denominator, stepped by the integer matrix
     B = L A, and one correctly rounded integer division an entry.  The
@@ -282,7 +292,11 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     fq = Fraction(0) if weights is None else sum((u * x for u, x in zip(weights, vq)), Fraction(0))
     D = None
     w, V = np.linalg.eig(M.as_float())
-    P = _precision(M, K, w)
+    # a start that is its own flip J, on a B that is too, excites only the
+    # J-even modes: those whose eigenvector is nearer J-symmetric
+    even = np.linalg.norm(V - V[::-1], axis=0) < np.linalg.norm(V + V[::-1], axis=0)
+    symmetric = vq == vq[::-1] and M.B == tuple(row[::-1] for row in M.B[::-1])
+    P = _precision(M, K, w[even] if symmetric and even.sum() >= 2 else w)
     # the fixed-point route pays for P-bit operands where the exact one's
     # average log2(fd) + K log2(L) / 2 bits; twice P is where it gains
     if 2 * P < fq.denominator.bit_length() + K * M.L.bit_length() / 2:

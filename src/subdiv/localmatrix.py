@@ -212,8 +212,8 @@ def _sort_key(z: complex):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues and their class at SPECTRAL_TOL, as analyze and the
-    closed forms report them: has_complex when some |Im| > SPECTRAL_TOL;
+    """Eigenvalues and their class at SPECTRAL_TOL, as analyze reports
+    them: has_complex when some |Im| > SPECTRAL_TOL;
     negative_real_count counts every eigenvalue with Re < -SPECTRAL_TOL,
     complex ones included.  A family scan builds none: it decides
     has_complex exactly (palindromic_classes)."""
@@ -653,14 +653,7 @@ def eigenvalues(M: LocalMatrix) -> Spectrum:
     return spectra(M.L, np.array([M.B], dtype=object))[0]
 
 
-# -- closed forms for the palindromic families ---------------------------
-
-def w5_closed_form(a) -> Spectrum:
-    """Spectrum of the width-5 palindromic family a_{+-2}=a, a_{+-1}=1/2,
-    a_0 = 1-2a: always {1, 1/2, 1/2-2a, a, a}, real."""
-    a = Fraction(a)
-    return Spectrum.from_values([1.0, 0.5, float(Fraction(1, 2) - 2 * a), float(a), float(a)])
-
+# -- the width-6 family --------------------------------------------------
 
 def w6_discriminant(a, b) -> Fraction:
     """Exact discriminant D under the complex-pair square root for the
@@ -668,16 +661,3 @@ def w6_discriminant(a, b) -> Fraction:
     conjugate pair exactly when D(a, b) < 0."""
     a, b = Fraction(a), Fraction(b)
     return 1 + 2 * a - 7 * a * a - 6 * b + 2 * a * b + 9 * b * b
-
-
-def w6_closed_form(a, b) -> Spectrum:
-    """Eigenvalues {1, a, a, b-a, ((1-a-b) +- sqrt(D))/2} of the width-6 family."""
-    a, b = Fraction(a), Fraction(b)
-    D = w6_discriminant(a, b)
-    base = float(1 - a - b)
-    if D < 0:
-        root = complex(0.0, math.sqrt(float(-D)))
-    else:
-        root = complex(math.sqrt(float(D)), 0.0)
-    mu5, mu6 = (base + root) / 2, (base - root) / 2
-    return Spectrum.from_values([1.0, float(a), float(a), float(b - a), mu5, mu6])

@@ -167,12 +167,6 @@ def record_from_json(data: dict) -> SchemeRecord:
     return SchemeRecord(data["name"], mask, smoothness)
 
 
-def save_scheme(record: SchemeRecord, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(record_to_json(record), f, indent=2)
-        f.write("\n")
-
-
 def load_scheme(path) -> SchemeRecord:
     with open(path, "r", encoding="utf-8") as f:
         try:

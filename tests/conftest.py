@@ -5,6 +5,7 @@ database, so every run checks the same cases.  Its other cache (constants
 read from the source, filled while tests are collected) goes to a
 temporary directory removed at exit, so a test run leaves no .hypothesis/
 behind."""
+import json
 import shutil
 import tempfile
 from fractions import Fraction
@@ -12,6 +13,8 @@ from fractions import Fraction
 import sympy
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
+
+from subdiv.masks import record_to_json
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -21,6 +24,14 @@ def pytest_configure(config):
     home = tempfile.mkdtemp(prefix="hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
     set_hypothesis_home_dir(home)
+
+
+def save_scheme(record, path):
+    """Write a SchemeRecord as a scheme file, in the JSON form analyze
+    prints, for the CLI and load_scheme to read."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(record_to_json(record), f, indent=2)
+        f.write("\n")
 
 
 def fraction_entries(M):

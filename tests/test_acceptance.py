@@ -9,12 +9,12 @@ from fractions import Fraction as F
 
 import numpy as np
 
+from closed_forms import w5_closed_form, w6_closed_form
 from conftest import fraction_entries
 from subdiv.convergence import certify, smooth_lift
 from subdiv.dynamics import iterate_local
 from subdiv.localmatrix import (build_local_matrix, eigenvalues, local_stack,
-                               matrix_from_coeffs, spectra, w5_closed_form,
-                               w6_closed_form, w6_discriminant)
+                               matrix_from_coeffs, spectra, w6_discriminant)
 from subdiv.masks import catalog_get
 from subdiv.refine import basis_points_exact, delta, refine_k
 from subdiv.search import c1_w6_obstruction, min_width_report, negativity_lemma_check

@@ -12,13 +12,12 @@ import subdiv
 PUBLIC = {
     # masks
     "Mask", "SchemeRecord", "SchemeFormatError", "SymmetryClass", "catalog_get",
-    "catalog_names", "classify_symmetry", "load_scheme", "recenter", "save_scheme",
+    "catalog_names", "classify_symmetry", "load_scheme", "recenter",
     # convergence
     "ConvergenceReport", "NotFactorableError", "Verdict", "certify", "smooth_lift",
     # localmatrix
     "EigensolveError", "LocalMatrix", "Spectrum", "build_local_matrix",
-    "eigenvalues", "matrix_from_coeffs", "w5_closed_form", "w6_closed_form",
-    "w6_discriminant",
+    "eigenvalues", "matrix_from_coeffs", "w6_discriminant",
     # refine
     "ControlPolygon", "MeshType", "RefinementLimitError", "basis_points_exact",
     "basis_polygon", "delta", "refine_k",
@@ -68,6 +67,21 @@ UNREAD = {
     ("SearchResult", "cells"): "read by perfbench's tracer, which counts the scanned cells",
     ("TrajectoryReport", "transients"): "the trajectory itself; tests check its floats bit "
                                         "for bit against the exact recurrence",
+}
+
+# the public functions that no code in src/subdiv calls, each with the
+# reason it stays
+UNCALLED = {
+    "smooth_lift": "the paper's smoothness lift; its reader comes with the smooth-scheme "
+                   "search (ROADMAP direction 7)",
+    "negativity_lemma_check": "the paper's negativity lemma; its reader comes with the "
+                              "min-width proofs (ROADMAP direction 4)",
+    "c1_w6_obstruction": "the paper's width-6 C1 obstruction; its reader comes with the "
+                         "min-width proofs (ROADMAP direction 4)",
+    "palindromic_coeffs": "a name perfbench's tracer wraps; it leaves src/ with the "
+                          "tracer's rewrite (ROADMAP direction 1, step 1)",
+    "basis_points_exact": "a name perfbench's tracer wraps; it leaves src/ with the "
+                          "tracer's rewrite (ROADMAP direction 1, step 1)",
 }
 
 _PROTOCOL = ("__getitem__", "__len__", "__iter__")
@@ -140,3 +154,31 @@ def test_every_member_is_read_in_src():
     unread = {(cls, name) for cls, names in MEMBERS.items() for name in names
               if name not in read}
     assert unread == set(UNREAD)
+
+
+def _callees(node, outer=()):
+    """The names called in node, as f(...) or obj.f(...), each outside
+    every function of its own name that encloses the call."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        outer += (node.name,)
+    called = set()
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is not None and name not in outer:
+            called.add(name)
+    for child in ast.iter_child_nodes(node):
+        called |= _callees(child, outer)
+    return called
+
+
+def test_every_public_function_is_called_in_src():
+    """Every public function is called somewhere in src/subdiv outside its
+    own body, unless UNCALLED excuses it; an import or a docstring mention
+    is no call.  The match is by name: a dead function that shares its
+    name with a live method slips through."""
+    src = Path(subdiv.__file__).parent
+    called = set().union(*(_callees(ast.parse(path.read_text(encoding="utf-8")))
+                           for path in sorted(src.glob("*.py"))))
+    functions = {name for name in PUBLIC if inspect.isfunction(getattr(subdiv, name))}
+    assert functions - called == set(UNCALLED)

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import save_scheme
 from subdiv import cli, convergence, dynamics, localmatrix, masks, refine
 from subdiv.cli import build_parser, main
-from subdiv.masks import Mask, SchemeRecord, catalog_get, save_scheme
+from subdiv.masks import Mask, SchemeRecord, catalog_get
 from subdiv.search import GridRange
 
 

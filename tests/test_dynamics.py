@@ -499,6 +499,34 @@ class TestFixedPointRoute:
         assert results == [None]
         assert bits(traj.transients) == bits(exact_rows(v0, self.W10, K))
 
+    # a palindromic width-7 mask of the benchmark's user masks (um-w7-11):
+    # its subdominant eigenvector is J-odd, J the flip, so the centred start
+    # does not excite it, and its transients decay at the slowest J-even mode
+    W7 = matrix_from_coeffs(-3, tuple(map(F, ("1/16", "1/10", "7/16", "4/5", "7/16", "1/10",
+                                                 "1/16"))))
+
+    def test_symmetric_start_sizes_p_from_the_even_modes(self, monkeypatch):
+        # P from the whole spectrum ran short of that decay before k = 300,
+        # a bracket failed and the exact route ran; from the J-even modes
+        # the fixed-point route answers alone
+        def fail(*args):
+            raise AssertionError("the exact route ran")
+
+        monkeypatch.setattr(dynamics, "_transient_numerators", fail)
+        v0 = tuple(float(i == self.W7.n // 2) for i in range(self.W7.n))
+        assert v0 == v0[::-1]
+        traj = iterate_local(v0, self.W7, 300)
+        assert bits(traj.transients) == bits(reference_trajectory(v0, self.W7, 300, "inf")[0])
+
+    def test_symmetric_start_without_two_even_modes_keeps_the_spectrum(self, monkeypatch):
+        # I of order 2 is its own flip, and V = I has no column nearer the
+        # J-even subspace than the J-odd one: P is sized from all of w
+        sizes = []
+        monkeypatch.setattr(dynamics, "_precision",
+                            lambda M, K, w: sizes.append(len(w)) or _precision(M, K, w))
+        traj = iterate_local((0.0, 0.0), LocalMatrix(1, ((1, 0), (0, 1)), 0), 300)
+        assert sizes == [2] and traj.transients == ((0.0, 0.0),) * 301
+
     def test_subnormal_transients_fall_back(self):
         # A = I / 2 halves the states (no eigenvalue 1: f = 0), from
         # 2^-1000 (1 + 2^-59).  State 23 is the first below the normal range,

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from closed_forms import w5_closed_form, w6_closed_form
 from conftest import fraction_entries
 from subdiv import localmatrix
 from subdiv.localmatrix import (_CERT_PRIME, _PRIMES, Spectrum, _block_charpolys,
@@ -18,8 +19,7 @@ from subdiv.localmatrix import (_CERT_PRIME, _PRIMES, Spectrum, _block_charpolys
                                 _flip_stacks, _gcd_mod, _polyval, _roots_of_stack,
                                 _row_products, _squarefree_split, build_local_matrix,
                                 local_stack, eigenvalues, matrix_from_coeffs,
-                                palindromic_classes, w5_closed_form, w6_closed_form,
-                                w6_discriminant)
+                                palindromic_classes, w6_discriminant)
 from subdiv.masks import Mask, catalog_get
 from subdiv.search import family, palindromic_coeffs
 

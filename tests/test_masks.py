@@ -7,9 +7,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import save_scheme
 from subdiv.masks import (Mask, SchemeFormatError, SchemeRecord, SymmetryClass,
                           catalog_get, classify_symmetry, integer_run, load_scheme,
-                          parse_rational, recenter, save_scheme)
+                          parse_rational, recenter)
 
 
 class TestSymmetry:
