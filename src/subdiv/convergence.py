@@ -12,9 +12,10 @@ is the prefix sum p_k = (-1)^k q_k = sum_{j <= k} (-1)^j a_j, one np.cumsum
 on a stack of runs, whose last column is the remainder s(-1) and whose
 other columns are the quotient's alternated run, same start exponent.
 |p_k| = |q_k|, so one routine, _parity_norm, takes the norm of a quotient
-with no sign restored.  contractive_runs divides a stack of runs and takes
-their norms (the family scan calls it once per block of cells, and one run
-is its one-row stack).  Each step keeps the dtype of the runs it is given
+with no sign restored (refine's growth bound takes it of a mask's taps).
+contractive_runs divides a stack of runs and takes their norms (the
+family scan calls it once per block of cells, and one run is its one-row
+stack).  Each step keeps the dtype of the runs it is given
 (localmatrix.int_array): int64 only from search.scan, Python ints from
 every other caller.  The ladder, certify, scales the run once to integer
 numerators over L (masks.integer_run) and makes one chain of divisions,

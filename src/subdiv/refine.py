@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from itertools import repeat, starmap
 from operator import neg, truediv
@@ -19,6 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .convergence import _parity_norm
 from .masks import Mask, integer_run, lcm_tree
 
 
@@ -35,13 +36,12 @@ class RefinementLimitError(RuntimeError):
 class ControlPolygon:
     """Values nums[k] / den at indices first_index + k, zero elsewhere; canonical:
     den > 0, gcd(den, *nums) == 1, nonzero ends, the zero polygon (0,) over 1.
-    The numerators are stored as one read-only array, int64 where _refine's
-    last level ran on int64 and of Python ints otherwise; nums, a tuple of
-    int, is made from it when first read."""
+    nums is one read-only array, int64 where _refine's last level ran on
+    int64 and of Python ints otherwise."""
 
     level: int
     first_index: int
-    _arr: np.ndarray
+    nums: np.ndarray
     den: int
     mesh: MeshType
 
@@ -75,33 +75,11 @@ class ControlPolygon:
             nums = nums // g
         nums.flags.writeable = False
         vars(self).update(level=int(level), first_index=int(first_index) + lo,
-                          _arr=nums, den=den // g, mesh=mesh)
-
-    def _key(self) -> tuple:
-        return self.level, self.first_index, self.nums, self.den, self.mesh
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, ControlPolygon) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    @cached_property
-    def nums(self) -> tuple[int, ...]:
-        return tuple(self._arr.tolist())
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.den) for v in self.nums)
+                          nums=nums, den=den // g, mesh=mesh)
 
     @property
     def last_index(self) -> int:
-        return self.first_index + len(self._arr) - 1
-
-    def __getitem__(self, i: int) -> Fraction:
-        if self.first_index <= i <= self.last_index:
-            return Fraction(int(self._arr[i - self.first_index]), self.den)
-        return Fraction(0)
+        return self.first_index + len(self.nums) - 1
 
 
 def delta() -> ControlPolygon:
@@ -111,9 +89,12 @@ def delta() -> ControlPolygon:
 
 def _growth(P: ControlPolygon, taps: list[int]) -> tuple[int, int]:
     """max|P| and M, the larger sum of |taps| over the even and the odd
-    taps: max|P| * M^l bounds every value and partial sum of level l."""
-    return (max(-int(P._arr.min()), int(P._arr.max())),
-            max(sum(map(abs, taps[0::2])), sum(map(abs, taps[1::2]))))
+    taps: max|P| * M^l bounds every value and partial sum of level l.  M is
+    the parity norm of the taps as a one-row stack, an object row, so it
+    stays a Python int at any size; np.maximum of the two bare sums would
+    refuse one past int64 and give a small one as an np.int64, on which
+    bound * M^k wraps."""
+    return max(-int(P.nums.min()), int(P.nums.max())), int(_parity_norm([taps])[0])
 
 
 def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
@@ -131,12 +112,12 @@ def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:
     polygon as a gcd after each level."""
     if k == 0:
         return P
-    if mask.is_zero() or not P._arr.any():
+    if mask.is_zero() or not P.nums.any():
         return ControlPolygon._from_nums(P.level + k, 2 ** k * P.first_index,
                                          np.zeros(1, np.int64), 1, P.mesh)
     L, taps = integer_run(mask.coeffs)
     bound, M = _growth(P, taps)
-    nums = P._arr
+    nums = P.nums
     for _ in range(k):
         bound *= M
         dtype = np.int64 if bound < 2 ** 63 else object
@@ -210,7 +191,7 @@ def _check_limits(P: ControlPolygon, mask: Mask, k: int, samples: int | None) ->
         raise RefinementLimitError("refinement would exceed level %d" % MAX_LEVEL)
     # n points with nonzero ends refine to exactly 2(n - 1) + width (a zero
     # polygon or mask stays one point)
-    n, zero = len(P._arr), mask.is_zero() or not P._arr.any()
+    n, zero = len(P.nums), mask.is_zero() or not P.nums.any()
     for _ in range(k):
         if 2 * n + mask.width > MAX_POINTS:
             raise RefinementLimitError(
@@ -317,7 +298,7 @@ class CurveRows:
         start = max(lo - first, 0)
         # the zero rows before the stored ones, and the stored numerators, in lo..hi
         self.P, self.lo, self.hi, self.pad = P, lo, hi, min(max(first - lo, 0), hi - lo + 1)
-        self.window = P._arr[start:max(hi + 1 - first, start)]
+        self.window = P.nums[start:max(hi + 1 - first, start)]
         low, high = (int(self.window.min()), int(self.window.max())) if len(self.window) else (0, 0)
         e = (P.den & -P.den).bit_length() - 1
         self.scale = ((P.den >> e, e) if self.window.dtype == np.int64
@@ -396,8 +377,8 @@ def basis_points_exact(mask: Mask, iters: int) -> list[tuple[Fraction, Fraction]
     (8 * 2^k + 1)-point grid regardless of the mask's support.
     """
     P = basis_polygon(mask, iters)
-    n = 2 ** P.level
-    return [(Fraction(i, n), P[i]) for i in range(-4 * n, 4 * n + 1)]
+    n, nums = 2 ** P.level, dict(enumerate(P.nums.tolist(), P.first_index))
+    return [(Fraction(i, n), Fraction(nums.get(i, 0), P.den)) for i in range(-4 * n, 4 * n + 1)]
 
 
 def basis_rows(mask: Mask, iters: int) -> CurveRows:

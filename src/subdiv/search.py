@@ -117,10 +117,11 @@ class CellClass(Enum):
 
 @dataclass(frozen=True)
 class Cell:
+    """One cell of a scan: its parameters, class and max_imag.  Its
+    degenerate flag is a column of SearchResult only."""
     params: tuple[Fraction, ...]
     cls: CellClass
     max_imag: float
-    degenerate: bool = False  # width-6 boundary cells with D == 0
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,8 @@ _CLASS_OF_CODE = (CellClass.COMPLEX_CONVERGENT, CellClass.COMPLEX_OTHER,
 class SearchResult:
     """A scan's cells as columns, in itertools.product order of the axis
     values: each cell's class code (an index into _CLASS_OF_CODE),
-    max_imag and degenerate flag.  cells is a view of them as Cell objects,
-    built on first access."""
+    max_imag and degenerate flag (a width-6 cell with D == 0).  cells is a
+    view of the first three as Cell objects, built on first access."""
 
     width: int
     values: tuple[list[Fraction], ...]  # each axis's grid values
@@ -162,7 +163,7 @@ class SearchResult:
     @cached_property
     def cells(self) -> list[Cell]:
         return list(map(Cell, product(*self.values), map(_CLASS_OF_CODE.__getitem__, self.codes.tolist()),
-                        self.max_imag.tolist(), self.degenerate.tolist()))
+                        self.max_imag.tolist()))
 
     def complex_convergent_params(self) -> list[tuple[Fraction, ...]]:
         return [self.params(k) for k in np.flatnonzero((self.codes == 0) & ~self.degenerate).tolist()]
@@ -287,7 +288,7 @@ def _scan(spec: SearchSpec, solve: bool) -> SearchResult:
                           {c.value: tally[_CLASS_OF_CODE.index(c)] for c in CellClass})
     for k in sorted(int(np.argmax(codes == code)) for code in range(4) if tally[code]):
         cls = _CLASS_OF_CODE[codes[k]]
-        result.witnesses[cls.value] = Cell(result.params(k), cls, max_imag[k].item(), bool(degenerate[k]))
+        result.witnesses[cls.value] = Cell(result.params(k), cls, max_imag[k].item())
     return result
 
 

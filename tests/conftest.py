@@ -34,6 +34,17 @@ def save_scheme(record, path):
         f.write("\n")
 
 
+def polygon_values(P):
+    """The stored values of a ControlPolygon as Fractions, nums / den."""
+    return tuple(Fraction(v, P.den) for v in P.nums.tolist())
+
+
+def polygon_key(P):
+    """A ControlPolygon as plain data, equal exactly for equal polygons:
+    level, first_index, the numerators as a tuple of ints, den and mesh."""
+    return P.level, P.first_index, tuple(P.nums.tolist()), P.den, P.mesh
+
+
 def fraction_entries(M):
     """The entries of a LocalMatrix as Fractions, A = B / L."""
     return tuple(tuple(Fraction(b, M.L) for b in row) for row in M.B)

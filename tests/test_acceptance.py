@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from closed_forms import w5_closed_form, w6_closed_form
-from conftest import fraction_entries
+from conftest import fraction_entries, polygon_values
 from subdiv.convergence import certify, smooth_lift
 from subdiv.dynamics import iterate_local
 from subdiv.localmatrix import (build_local_matrix, eigenvalues, local_stack,
@@ -177,5 +177,5 @@ def test_criterion_12_structural_invariants():
             P = delta()
             for k in range(1, 7):
                 P = refine_k(P, mask, 1)
-                assert sum(P.values) == 2 ** k
+                assert sum(polygon_values(P)) == 2 ** k
     _criterion(12, "row sums, eigenvalue 1, mass doubling", body)

@@ -6,6 +6,7 @@ import types
 from pathlib import Path
 
 import subdiv
+from subdiv import cli
 
 # every public name the package exports, by home module; adding or removing
 # one is a reviewed edit here
@@ -29,20 +30,20 @@ PUBLIC = {
     "negativity_lemma_check", "palindromic_coeffs", "scan",
 }
 
-# every parameter with a default of every public function, as
-# "function(parameter)": a caller can leave it out, so it is a knob of the
-# API, and adding one is a reviewed edit here (the fields of the public
-# classes are their data, not knobs)
-KNOBS = {"iterate_local(norm)"}
+# every parameter with a default of every public function and of the
+# constructor of every public class of MEMBERS, as "name(parameter)": a
+# caller can leave it out, so it is a knob of the API, and adding one (a
+# dataclass field with a default too) is a reviewed edit here
+KNOBS = {"iterate_local(norm)", "ControlPolygon(mesh)", "SchemeRecord(smoothness)",
+         "SearchResult(counts)", "SearchResult(witnesses)", "SearchSpec(convergence_filter)"}
 
 # the public members of every public class that is no enum and no
 # exception: its public names in vars(cls), its public dataclass fields, and
 # the container protocol it defines; a member that only tests call is dead
 # code in src/, so adding one is a reviewed edit here
 MEMBERS = {
-    "Cell": {"cls", "degenerate", "max_imag", "params"},
-    "ControlPolygon": {"__getitem__", "den", "first_index", "last_index", "level", "mesh",
-                       "nums", "values"},
+    "Cell": {"cls", "max_imag", "params"},
+    "ControlPolygon": {"den", "first_index", "last_index", "level", "mesh", "nums"},
     "ConvergenceReport": {"certified_smoothness", "difference_mask", "necessary_ok", "norm",
                           "s_at_1", "s_at_minus1", "to_json", "verdict"},
     "EigenMode": {"coefficients", "eigenvalue", "magnitudes"},
@@ -59,8 +60,8 @@ MEMBERS = {
     "TrajectoryReport": {"distances", "modes", "transients"},
 }
 
-# the members of MEMBERS that no code in src/subdiv reads, each with the
-# reason it stays
+# the members of MEMBERS that the CLI does not read on CORPUS, each with
+# the reason it stays
 UNREAD = {
     ("Cell", "cls"): "the class of a cell that SearchResult.cells yields: without it "
                      "the cell does not say what it is",
@@ -86,6 +87,17 @@ UNCALLED = {
 
 _PROTOCOL = ("__getitem__", "__len__", "__iter__")
 
+# the CLI requests the member guard runs, one of each command, each small
+CORPUS = (
+    ["catalog"],
+    ["analyze", "--scheme", "catalog:a"],
+    ["dynamics", "--scheme", "catalog:b", "--K", "30"],
+    ["basis", "--scheme", "catalog:a", "--iters", "3", "--format", "svg"],
+    ["refine", "--scheme", "catalog:d", "--iters", "3", "--points", "1,-1/3,2"],
+    ["search", "--width", "6", "--out", "{tmp}/w6"],
+    ["search", "--min-width"],
+)
+
 
 def test_public_api_inventory():
     # submodules are left out: which ones are attributes depends on what the
@@ -95,9 +107,17 @@ def test_public_api_inventory():
     assert got == PUBLIC
 
 
+def classes() -> dict[str, type]:
+    """The public classes that are no enum and no exception, by name."""
+    return {name: value for name, value in vars(subdiv).items()
+            if name in PUBLIC and isinstance(value, type)
+            and not issubclass(value, (enum.Enum, BaseException))}
+
+
 def test_knob_inventory():
-    got = {"%s(%s)" % (name, p.name)
-           for name, value in vars(subdiv).items() if name in PUBLIC and inspect.isfunction(value)
+    callables = {name: value for name, value in vars(subdiv).items()
+                 if name in PUBLIC and inspect.isfunction(value)} | classes()
+    got = {"%s(%s)" % (name, p.name) for name, value in callables.items()
            for p in inspect.signature(value).parameters.values() if p.default is not p.empty}
     assert got == KNOBS
 
@@ -110,10 +130,7 @@ def members(cls) -> set[str]:
 
 
 def test_member_inventory():
-    got = {name: members(value) for name, value in vars(subdiv).items()
-           if name in PUBLIC and isinstance(value, type)
-           and not issubclass(value, (enum.Enum, BaseException))}
-    assert got == MEMBERS
+    assert {name: members(cls) for name, cls in classes().items()} == MEMBERS
 
 
 def test_deleted_members_stay_gone():
@@ -124,10 +141,13 @@ def test_deleted_members_stay_gone():
     # the float matrix, whose one eigendecomposition iterate_local now takes
     # itself, and with it the export of decompose_modes; the diagnostic,
     # one constant string exactly when modes is None, and the pair flag,
-    # which restated coefficients is None; and the precision cap of the
-    # fixed-point route, whose first bracket finds a P past the float range
+    # which restated coefficients is None; the precision cap of the
+    # fixed-point route, whose first bracket finds a P past the float range;
+    # a polygon's Fraction views of nums / den, and a cell's degenerate
+    # flag, which SearchResult.degenerate holds
     gone = {"Mask": ("support_max", "support", "__getitem__"),
-            "ControlPolygon": ("items", "total"), "GridRange": ("__len__",),
+            "ControlPolygon": ("items", "total", "values", "__getitem__"),
+            "Cell": ("degenerate",), "GridRange": ("__len__",),
             "TrajectoryReport": ("fixed_point", "monotonicity_violations", "rotation", "matrix",
                                  "mode_diagnostic"),
             "EigenMode": ("sign_flips", "is_complex_pair")}
@@ -138,21 +158,74 @@ def test_deleted_members_stay_gone():
     assert not hasattr(subdiv.dynamics, "_MAX_P")
 
 
-def test_every_member_is_read_in_src():
-    """Every member in MEMBERS is read somewhere in src/subdiv, as an
-    attribute load (obj.name) or, for __getitem__, as any subscript, unless
-    UNREAD excuses it.  The match is by name, not by class: a dead member
-    that shares its name with a live one (a values or to_json elsewhere)
-    slips through."""
-    src = Path(subdiv.__file__).parent
-    nodes = [node for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))]
-    read = {node.attr for node in nodes
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    if any(isinstance(node, ast.Subscript) for node in nodes):
-        read.add("__getitem__")
-    unread = {(cls, name) for cls, names in MEMBERS.items() for name in names
-              if name not in read}
+class _Read:
+    """Stands in a class for one of its attributes: records each read, at
+    class level, on an instance or as an implicit special method lookup,
+    and gives what the attribute gives."""
+
+    def __init__(self, value, key, seen: set):
+        self.value, self.key, self.seen = value, key, seen
+
+    def __get__(self, obj, owner=None):
+        self.seen.add(self.key)
+        get = getattr(type(self.value), "__get__", None)
+        return self.value if get is None else get(self.value, obj, owner)
+
+
+def record_reads(monkeypatch, watched: dict[str, tuple[type, set[str]]]) -> set:
+    """The set, filled as the program runs, of the (key, name) pairs of the
+    watched names read on their own class (watched maps a key to the class
+    and its names).  An instance read passes the class's __getattribute__,
+    which the data fields need; a class-level read (Spectrum.from_values)
+    or an implicit one (x[i] looks __getitem__ up on the type) bypasses
+    it, so each watched name in vars(cls) is wrapped in a _Read as well.
+    monkeypatch puts every class back."""
+    seen = set()
+    for key, (cls, names) in watched.items():
+        for name in names & vars(cls).keys():
+            monkeypatch.setattr(cls, name, _Read(vars(cls)[name], (key, name), seen))
+
+        def getattribute(obj, name, get=cls.__getattribute__, key=key, names=names):
+            if name in names:
+                seen.add((key, name))
+            return get(obj, name)
+        monkeypatch.setattr(cls, "__getattribute__", getattribute)
+    return seen
+
+
+def test_record_reads_sees_every_kind_of_read(monkeypatch):
+    class Box:
+        def __init__(self):
+            self.field = 1
+
+        @classmethod
+        def make(cls):
+            return cls()
+
+        def __getitem__(self, i):
+            return i
+
+        def unread(self):
+            pass
+
+    seen = record_reads(monkeypatch, {"Box": (Box, {"field", "make", "__getitem__", "unread"})})
+    box = Box.make()
+    assert (box.field, box[2]) == (1, 2)
+    assert seen == {("Box", "field"), ("Box", "make"), ("Box", "__getitem__")}
+    monkeypatch.undo()
+    assert "__getattribute__" not in vars(Box) and not isinstance(vars(Box)["make"], _Read)
+
+
+def test_every_member_is_read_by_the_cli(monkeypatch, tmp_path):
+    """Every member in MEMBERS is read on its own class while cli.main runs
+    CORPUS, unless UNREAD excuses it; a member that only tests read is dead
+    code in src/."""
+    seen = record_reads(monkeypatch, {name: (getattr(subdiv, name), names)
+                                      for name, names in MEMBERS.items()})
+    for argv in CORPUS:
+        assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 0, argv
+    monkeypatch.undo()
+    unread = {(cls, name) for cls, names in MEMBERS.items() for name in names} - seen
     assert unread == set(UNREAD)
 
 

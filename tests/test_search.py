@@ -102,6 +102,11 @@ class TestParameterization:
             list(workloads.DEFAULT_GRIDS[width])
 
 
+def degenerate_params(result):
+    """The params of the cells that result flags degenerate."""
+    return [c.params for c, degenerate in zip(result.cells, result.degenerate.tolist()) if degenerate]
+
+
 class TestScan:
     def test_width5_has_no_complex_cells(self):
         spec = SearchSpec(5, (GridRange(F(-1), F(1), F(1, 20)),))
@@ -113,9 +118,9 @@ class TestScan:
         spec = SearchSpec(6, (GridRange(F(-1, 5), F(0), F(1, 10)),
                               GridRange(F(1, 5), F(2, 5), F(1, 10))))
         result = scan(spec)
-        cell = next(c for c in result.cells if c.params == (F(-1, 10), F(3, 10)))
-        assert cell.cls is CellClass.COMPLEX_CONVERGENT
-        assert not cell.degenerate
+        k = next(k for k, c in enumerate(result.cells) if c.params == (F(-1, 10), F(3, 10)))
+        assert result.cells[k].cls is CellClass.COMPLEX_CONVERGENT
+        assert not result.degenerate[k]
 
     def test_small_widths_are_real(self):
         for width in (2, 3, 4):
@@ -137,19 +142,19 @@ class TestScan:
             assert min(abs(v - 1) for v in sp.eigenvalues) < 1e-9
 
     def test_predicate_agrees_on_width6_cells(self):
-        spec = SearchSpec(6, (GridRange(F(-1, 4), F(1, 4), F(1, 10)),) * 2)
-        for c in scan(spec).cells:
-            if c.degenerate:
+        result = scan(SearchSpec(6, (GridRange(F(-1, 4), F(1, 4), F(1, 10)),) * 2))
+        for c, degenerate in zip(result.cells, result.degenerate.tolist()):
+            if degenerate:
                 continue
             a, b = c.params
             assert (w6_discriminant(a, b) < 0) == (c.max_imag > 1e-7)
 
     def test_complex_convergent_witnesses_have_negative_pair(self):
-        spec = SearchSpec(6, (GridRange(-HALF, HALF, F(1, 10)),) * 2)
+        result = scan(SearchSpec(6, (GridRange(-HALF, HALF, F(1, 10)),) * 2))
         from subdiv.localmatrix import eigenvalues, matrix_from_coeffs
         found = 0
-        for c in scan(spec).cells:
-            if c.cls is CellClass.COMPLEX_CONVERGENT and not c.degenerate:
+        for c, degenerate in zip(result.cells, result.degenerate.tolist()):
+            if c.cls is CellClass.COMPLEX_CONVERGENT and not degenerate:
                 smin, run = palindromic_coeffs(6, c.params)
                 sp = eigenvalues(matrix_from_coeffs(smin, run))
                 assert sp.negative_real_count >= 2
@@ -163,7 +168,7 @@ class TestScan:
                               GridRange(F(1, 3) - eps, F(1, 3), eps)))
         result = scan(spec)
         assert len(result.cells) == 4
-        assert [c.params for c in result.cells if c.degenerate] == [(F(0), F(1, 3))]
+        assert degenerate_params(result) == [(F(0), F(1, 3))]
 
     def test_spectra_calls_are_blocked(self, monkeypatch):
         # the 401 cells of the w5 default grid and the 2601 of w6 take more
@@ -349,8 +354,8 @@ class TestIntegerScan:
         result = scan(spec)
         grid = list(product(*(r.values() for r in spec.param_ranges)))
         assert [c.params for c in result.cells] == grid
-        for cell in result.cells:
-            got = (cell.cls, cell.max_imag.hex(), cell.degenerate)
+        for cell, degenerate in zip(result.cells, result.degenerate.tolist()):
+            got = (cell.cls, cell.max_imag.hex(), degenerate)
             assert got == reference_cell(spec.width, cell.params, spec.convergence_filter), \
                 cell.params
 
@@ -378,7 +383,7 @@ class TestIntegerScan:
                               GridRange(F(-1, 15), F(3, 5), F(2, 15))), False)
         self.check(spec)
         assert fallbacks
-        assert [c.params for c in scan(spec).cells if c.degenerate] == [(F(0), F(1, 3))]
+        assert degenerate_params(scan(spec)) == [(F(0), F(1, 3))]
 
     @pytest.mark.parametrize("width", range(2, 9))
     def test_block_matrices_follow_the_index_rule(self, monkeypatch, width):
@@ -617,22 +622,22 @@ class TestExports:
 
 # -- the columnar result against the per-cell one ------------------------
 
-def per_cell_csv(width, cells):
+def per_cell_csv(width, cells, flags):
     """write_search_csv as it was when a scan built a Cell per cell: one
-    row per Cell, each field formatted on its own."""
+    row per Cell and its degenerate flag, each field formatted on its own."""
     f = io.StringIO()
     header = ["p%d" % i for i in range(len(family(width).lin))] + ["class", "max_imag", "degenerate"]
     f.write(",".join(header) + "\n")
-    for cell in cells:
+    for cell, degenerate in zip(cells, flags):
         row = [str(p) for p in cell.params]
-        row += [cell.cls.value, "%.12g" % cell.max_imag, "1" if cell.degenerate else "0"]
+        row += [cell.cls.value, "%.12g" % cell.max_imag, "1" if degenerate else "0"]
         f.write(",".join(row) + "\n")
     return f.getvalue()
 
 
-def per_cell_summary(width, cells):
-    """search_summary_json from a list of Cells: counts by class, and the
-    first cell of each class as its witness."""
+def per_cell_summary(width, cells, flags):
+    """search_summary_json from a list of Cells and their degenerate flags:
+    counts by class, and the first cell of each class as its witness."""
     witnesses = {}
     for cell in cells:
         witnesses.setdefault(cell.cls.value, cell)
@@ -640,7 +645,7 @@ def per_cell_summary(width, cells):
         "width": width,
         "cells": len(cells),
         "counts": {c.value: sum(1 for x in cells if x.cls is c) for c in CellClass},
-        "degenerate_cells": sum(1 for c in cells if c.degenerate),
+        "degenerate_cells": sum(flags),
         "witnesses": {
             cls: {"params": [str(p) for p in cell.params], "max_imag": cell.max_imag}
             for cls, cell in sorted(witnesses.items())
@@ -667,9 +672,10 @@ def small_specs(draw):
 
 
 def one_cell(width, params, convergence_filter):
-    """The Cell of one grid point on its own: palindromic_classes of its
-    one local matrix at its own lcm, contractive_runs of its run, and the
-    max |Im| of its spectrum when it has a complex pair (0.0 when not)."""
+    """The Cell of one grid point on its own, and its degenerate flag:
+    palindromic_classes of its one local matrix at its own lcm,
+    contractive_runs of its run, the max |Im| of its spectrum when it has a
+    complex pair (0.0 when not), and w6_discriminant at width 6."""
     smin, run = palindromic_coeffs(width, params)
     M = matrix_from_coeffs(smin, run)
     [(has_complex, _, _)] = zip(*palindromic_classes(M.L, np.array([M.B], dtype=object)))
@@ -679,7 +685,7 @@ def one_cell(width, params, convergence_filter):
            (False, True): CellClass.REAL_CONVERGENT,
            (False, False): CellClass.REAL_OTHER}[bool(has_complex), bool(convergent)]
     max_imag = max(abs(v.imag) for v in eigenvalues(M).eigenvalues) if has_complex else 0.0
-    return search.Cell(params, cls, max_imag, width == 6 and w6_discriminant(*params) == 0)
+    return search.Cell(params, cls, max_imag), width == 6 and w6_discriminant(*params) == 0
 
 
 class TestColumnarResult:
@@ -697,19 +703,22 @@ class TestColumnarResult:
     def test_matches_the_per_cell_route(self, spec):
         result = scan(spec)
         grid = list(product(*(r.values() for r in spec.param_ranges)))
-        cells = [one_cell(spec.width, params, spec.convergence_filter) for params in grid]
+        cells, flags = zip(*(one_cell(spec.width, params, spec.convergence_filter)
+                             for params in grid))
         buf = io.StringIO()
         write_search_csv(result, buf)
-        assert buf.getvalue() == per_cell_csv(spec.width, cells)
-        assert [(c.params, c.cls, c.max_imag.hex(), c.degenerate) for c in result.cells] == \
-            [(c.params, c.cls, c.max_imag.hex(), c.degenerate) for c in cells]
-        summary, witnesses = per_cell_summary(spec.width, cells)
+        assert buf.getvalue() == per_cell_csv(spec.width, cells, flags)
+        assert [(c.params, c.cls, c.max_imag.hex()) for c in result.cells] == \
+            [(c.params, c.cls, c.max_imag.hex()) for c in cells]
+        assert result.degenerate.tolist() == list(flags)
+        summary, witnesses = per_cell_summary(spec.width, cells, flags)
         assert result.witnesses == witnesses
         assert list(result.witnesses) == list(witnesses)
         assert search_summary_json(result) == summary
         assert json.dumps(search_summary_json(result)) == json.dumps(summary)
         assert result.complex_convergent_params() == [
-            c.params for c in cells if c.cls is CellClass.COMPLEX_CONVERGENT and not c.degenerate]
+            c.params for c, degenerate in zip(cells, flags)
+            if c.cls is CellClass.COMPLEX_CONVERGENT and not degenerate]
 
     def test_builds_no_fraction_or_cell_per_cell(self, monkeypatch):
         # the width-6 default grid: a Fraction per axis value and a Cell
