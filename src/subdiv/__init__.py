@@ -7,9 +7,8 @@ from .masks import (Mask, SchemeRecord, SchemeFormatError, SymmetryClass,
 # numpy: without a bytecode cache each module is compiled at import, and
 # compiling it after numpy is loaded raised the peak RSS of a process by
 # about 0.8 MB
-from .localmatrix import (EigensolveError, LocalMatrix, Spectrum,
-                          build_local_matrix, eigenvalues, matrix_from_coeffs,
-                          w6_discriminant)
+from .localmatrix import (EigensolveError, LocalMatrix, Spectrum, eigenvalues,
+                          matrix_from_coeffs, w6_discriminant)
 from .convergence import (ConvergenceReport, NotFactorableError, Verdict,
                           certify, smooth_lift)
 from .refine import (ControlPolygon, MeshType, RefinementLimitError,

@@ -89,7 +89,7 @@ def cmd_analyze(args) -> None:
         "convergence": report.to_json(),
     }
     if rec.mask.width >= 2:
-        M = localmatrix.build_local_matrix(rec.mask)
+        M = localmatrix.matrix_from_coeffs(rec.mask.support_min, rec.mask.coeffs)
         spec = localmatrix.eigenvalues(M)
         doc["local_matrix"] = M.to_json()
         doc["spectrum"] = spec.to_json()
@@ -126,7 +126,7 @@ def cmd_basis(args) -> None:
 def cmd_dynamics(args) -> None:
     rec = _resolve_scheme(args.scheme)
     localmatrix.check_size(rec.mask)
-    M = localmatrix.build_local_matrix(rec.mask)
+    M = localmatrix.matrix_from_coeffs(rec.mask.support_min, rec.mask.coeffs)
     # by default the window of the cardinal sequence delta(): 1 at index n // 2
     v0 = tuple(float(i == M.n // 2) for i in range(M.n))
     if args.v0 is not None:

@@ -94,9 +94,11 @@ def _divide(alt: np.ndarray) -> np.ndarray:
 def _parity_norm(runs) -> np.ndarray:
     """For runs (last axis), the larger of the sums of |entries| over the
     even and over the odd columns: the parity norm, whichever of them holds
-    the even absolute indices."""
+    the even absolute indices.  Of the runs' dtype (int_array), so one run
+    of Python ints gives a Python int: np.maximum is told the dtype, as it
+    would cast two bare Python ints to int64."""
     runs = abs(int_array(runs))
-    return np.maximum(runs[..., ::2].sum(axis=-1), runs[..., 1::2].sum(axis=-1))
+    return np.maximum(runs[..., ::2].sum(axis=-1), runs[..., 1::2].sum(axis=-1), dtype=runs.dtype)
 
 
 def contractive_runs(support_min: int, runs, den: int) -> np.ndarray:

@@ -10,9 +10,11 @@ the modes.
 
 The trajectory and the left eigenvector are exact and use integer
 arithmetic only: a LocalMatrix holds A as the integer matrix B = L A, L the
-lcm of its denominators; the eigenvector comes from fraction-free
-elimination on B^T - L I, and the trajectory is kept as its transients
-v_k - f 1 (f 1 the fixed point, 0 when eigenvalue 1 is not simple).  Every
+lcm of its denominators, one read-only array of Python ints (dtype=object)
+that every step here reads as it is; the eigenvector comes from
+fraction-free elimination on B^T - L I, and the trajectory is kept as its
+transients v_k - f 1 (f 1 the fixed point, 0 when eigenvalue 1 is not
+simple).  Every
 reported transient is its exact value correctly rounded, by one of two
 routes that give the same floats.  Where the exact operands would be long,
 P-bit fixed-point integers with a proved error bound decide each rounding;
@@ -33,7 +35,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
-from .localmatrix import LocalMatrix
+from .localmatrix import LocalMatrix, _centrosymmetric
 from .masks import integer_run
 
 class TrajectoryOverflowError(OverflowError):
@@ -65,10 +67,10 @@ class TrajectoryReport:
     modes: Optional[tuple[EigenMode, ...]]
 
 
-def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[Fraction]]:
-    """Left eigenvector of eigenvalue 1 of A = B / L, B integer, solved
-    exactly and normalized to sum 1; None when the eigenvalue is absent or
-    not simple.
+def _rational_null_weights(L: int, B: np.ndarray) -> Optional[list[Fraction]]:
+    """Left eigenvector of eigenvalue 1 of A = B / L, B an (n, n) array of
+    Python ints (dtype=object), solved exactly and normalized to sum 1;
+    None when the eigenvalue is absent or not simple.
 
     (A^T - I) u = 0 is solved as (B^T - L I) u = 0 by fraction-free
     Gauss-Jordan elimination (Bareiss) on one array of Python ints
@@ -77,7 +79,7 @@ def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[
     equal to the last one.
     """
     n = len(B)
-    M = np.array(B, dtype=object).T - L * np.identity(n, dtype=object)
+    M = B.T - L * np.identity(n, dtype=object)
     free = []
     prev = 1
     for col in range(n):
@@ -115,23 +117,27 @@ def _rational_null_weights(L: int, B: Sequence[Sequence[int]]) -> Optional[list[
 MAX_K = 10 ** 4
 
 
-def _band(B: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, band) of an integer matrix B: row i's nonzeros lie in the
-    columns idx[i] = start_i..start_i+h-1, one width h for every row, and
-    band[i] holds those entries of B, so B x is (x[idx] * band).sum(axis=1)
-    on numpy arrays of Python ints (dtype=object).  A local matrix,
+def _row_bound(B: np.ndarray) -> int:
+    """R, the largest row sum of |B|: |B x| <= R max|x| for every x."""
+    return int(np.abs(B).sum(axis=1).max())
+
+
+def _band(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, band) of an (n, n) array B of Python ints (dtype=object):
+    row i's nonzeros lie in the columns idx[i] = start_i..start_i+h-1, one
+    width h for every row, and band[i] holds those entries of B, so B x is
+    (x[idx] * band).sum(axis=1) on numpy arrays of Python ints.  A local matrix,
     B[i][j] = run[2j - i], has about half of each row zero, and a dense B
     takes h = n, the whole product."""
-    Bq = np.array(B, dtype=object)
-    nz = Bq != 0
+    nz = B != 0
     start = nz.argmax(axis=1)  # 0 for a zero row, which any columns cover
-    h = int(np.where(nz.any(axis=1), len(Bq) - nz[:, ::-1].argmax(axis=1) - start, 1).max())
-    idx = np.minimum(start, len(Bq) - h)[:, None] + np.arange(h)
-    return idx, np.take_along_axis(Bq, idx, axis=1)
+    h = int(np.where(nz.any(axis=1), len(B) - nz[:, ::-1].argmax(axis=1) - start, 1).max())
+    idx = np.minimum(start, len(B) - h)[:, None] + np.arange(h)
+    return idx, np.take_along_axis(B, idx, axis=1)
 
 
 def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
-                          B: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], int]]:
+                          B: np.ndarray) -> Iterator[tuple[list[int], int]]:
     """The transients v_k - f 1 of v_{k+1} = A v_k, A = B / L with B
     integer, as (integer numerators, one positive denominator) for
     k = 0, 1, ...
@@ -159,7 +165,7 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
 
 
 def _fixed_point_numerators(v: Sequence[Fraction], f: Fraction, L: int,
-                            B: Sequence[Sequence[int]], P: int) -> Iterator[tuple[np.ndarray, int]]:
+                            B: np.ndarray, P: int) -> Iterator[tuple[np.ndarray, int]]:
     """P-bit fixed-point transients of v_{k+1} = A v_k, A = B / L: (X_k, E_k)
     for k = 0, 1, ..., integers X_k (one array) and one bound E_k with
     |2^P (v_k - f) - X_k| < E_k for every entry.
@@ -167,7 +173,7 @@ def _fixed_point_numerators(v: Sequence[Fraction], f: Fraction, L: int,
     X_0 = floor(2^P (v_0 - f)) and X_{k+1} = floor((B X_k + D) / L),
     D = floor(2^P f r), r = B 1 - L 1, on the band of B (_band); D is zero
     when every row of A sums to 1, and the term is then skipped.  E_0 = 1
-    and E_{k+1} = ceil(R E_k / L) + 1, R the largest row sum of |B|: the
+    and E_{k+1} = ceil(R E_k / L) + 1, R = _row_bound(B): the
     new error is the old one through B / L, below R E_k / L in magnitude,
     plus the two floors' remainders, which lie in [0, 1) together.  The
     operands stay near P bits plus the transients' own size.
@@ -178,7 +184,7 @@ def _fixed_point_numerators(v: Sequence[Fraction], f: Fraction, L: int,
     X = np.array([((fd * x - fn * den) << P) // (fd * den) for x in nums], dtype=object)
     D = (band.sum(axis=1) - L) * (fn << P) // fd
     drift = any(D)
-    R = int(np.abs(band).sum(axis=1).max())
+    R = _row_bound(B)
     E = 1
     while True:
         yield X, E
@@ -193,7 +199,7 @@ _BLOCK = 32
 
 
 def _fixed_point_transients(v: Sequence[Fraction], f: Fraction, L: int,
-                            B: Sequence[Sequence[int]], K: int, P: int) -> Optional[np.ndarray]:
+                            B: np.ndarray, K: int, P: int) -> Optional[np.ndarray]:
     """The floats of the transients v_k - f 1, k = 0..K, of
     v_{k+1} = A v_k, A = B / L, from the P-bit integers of
     _fixed_point_numerators; None where one of them is not proved to round
@@ -227,16 +233,15 @@ def _fixed_point_transients(v: Sequence[Fraction], f: Fraction, L: int,
 
 def _precision(M: LocalMatrix, K: int, w: np.ndarray) -> int:
     """P for _fixed_point_transients at K steps: 128 bits, plus per step the
-    growth log2 max(R / L, 1) of the error bound (R the largest row sum of
-    |B|) and the decay log2(1 / rho2) of the transients, rho2 the
-    subdominant modulus of w, at least 2^-8.  w holds the float matrix's
+    growth log2 max(R / L, 1) of the error bound (R = _row_bound(B), as
+    _fixed_point_numerators bounds it) and the decay log2(1 / rho2) of the
+    transients, rho2 the subdominant modulus of w, at least 2^-8.  w holds the float matrix's
     eigenvalues that the start excites, as iterate_local reads them: all of
     them, or the J-even ones for a J-symmetric start.  The floats only size
     P: no output bit depends on them."""
-    R = max(sum(map(abs, row)) for row in M.B)
     moduli = np.sort(np.abs(w))
     rho2 = max(float(moduli[-2:][0]), 2.0 ** -8)  # the only modulus at order 1
-    return 128 + math.ceil(K * (math.log2(max(R, M.L) / M.L) - math.log2(rho2)))
+    return 128 + math.ceil(K * (math.log2(max(_row_bound(M.B), M.L) / M.L) - math.log2(rho2)))
 
 
 def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
@@ -256,11 +261,12 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     rounding from an error bound or returns None, also where P is so large
     that X +- E leaves the float range, which its first bracket finds.
     P's decay term reads the subdominant modulus of the modes the start
-    excites.  When B is its own flip J (B[i][j] = B[n-1-i][n-1-j]) and v0
-    its own reverse, both exact tests, every transient is J-symmetric and
-    decays at the J-even modes alone: those eigenvalues whose eigenvector
-    (a column of V) lies nearer the J-symmetric subspace than the
-    J-antisymmetric one, or all of them when fewer than two do.  That
+    excites.  When B is its own flip J (B[i][j] = B[n-1-i][n-1-j],
+    localmatrix._centrosymmetric) and v0 its own reverse, both exact tests,
+    every transient is J-symmetric and decays at the J-even modes alone:
+    those eigenvalues whose eigenvector (a column of V) lies nearer the
+    J-symmetric subspace than the J-antisymmetric one, or all of them when
+    fewer than two do.  That
     subset's second modulus is at most the whole spectrum's, so P only
     grows, and a misread parity moves P, never a float.
     The exact route (_transient_numerators) runs otherwise and after a None:
@@ -295,7 +301,7 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     # a start that is its own flip J, on a B that is too, excites only the
     # J-even modes: those whose eigenvector is nearer J-symmetric
     even = np.linalg.norm(V - V[::-1], axis=0) < np.linalg.norm(V + V[::-1], axis=0)
-    symmetric = vq == vq[::-1] and M.B == tuple(row[::-1] for row in M.B[::-1])
+    symmetric = vq == vq[::-1] and _centrosymmetric(M.B[None])[0]
     P = _precision(M, K, w[even] if symmetric and even.sum() >= 2 else w)
     # the fixed-point route pays for P-bit operands where the exact one's
     # average log2(fd) + K log2(L) / 2 bits; twice P is where it gains

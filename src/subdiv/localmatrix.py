@@ -8,7 +8,9 @@ square-free factors of its characteristic polynomial, each root-solved with
 Newton polishing; this keeps multiple eigenvalues accurate to ~1e-12 where a
 plain dense eigensolve loses half the digits at defective points.  A
 LocalMatrix holds the integer-scaled pair (L, B = L*A), L the lcm of the
-mask's denominators (masks.integer_run).  spectra(L, S) solves a whole
+mask's denominators (masks.integer_run), and B is the one read-only
+(n, n) array of Python ints (dtype=object) that local_stack builds for
+its run, which every reader takes as it is.  spectra(L, S) solves a whole
 (N, n, n) stack S of such B over one L, the stack palindromic_classes takes
 too: each integer step runs once on the stack, exact at any bit size.  The
 stack is of Python ints (numpy dtype=object) for every caller but
@@ -20,7 +22,8 @@ the products and the root solve.  A linear
 factor's root is one integer division; the others are root-solved in stacks
 of one shape, each one stacked eigvals of companion matrices and one
 vectorised polish, bit-identical to np.roots and np.polyval per factor.
-eigenvalues(M) is spectra of M's one-row stack, so one route serves both.
+eigenvalues(M) is spectra of M's one-row stack M.B[None], so one route
+serves both.
 
 Columns 0 and n-1 each hold one nonzero entry, on the diagonal, so
 det(xI - A) = (x - a_first)(x - a_last) q(x) with q the characteristic
@@ -79,12 +82,15 @@ class EigensolveError(RuntimeError):
     coefficient or a root left the float range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalMatrix:
-    """A = B / L, with B = L*A an integer matrix and L > 0."""
+    """A = B / L, with B = L*A an integer matrix and L > 0: B is a
+    read-only (n, n) array of Python ints (dtype=object), the row of
+    local_stack that matrix_from_coeffs builds.  A matrix compares by
+    identity."""
 
     L: int
-    B: tuple[tuple[int, ...], ...]
+    B: np.ndarray
     column_offset: int  # the construction shift c
 
     @property
@@ -93,11 +99,11 @@ class LocalMatrix:
 
     def as_float(self) -> np.ndarray:
         """A in floats, each entry one correctly rounded integer division."""
-        return np.array([[b / self.L for b in row] for row in self.B])
+        return (self.B / self.L).astype(float)
 
     def to_json(self) -> dict:
         # one reduced string per distinct entry: the mask's few values and 0
-        text = {b: str(Fraction(b, self.L)) for b in set().union(*self.B)}
+        text = {b: str(Fraction(b, self.L)) for b in set(self.B.flat)}
         return {
             "n": self.n,
             "column_offset": self.column_offset,
@@ -190,13 +196,12 @@ def matrix_from_coeffs(support_min: int, coeffs: Sequence[Fraction]) -> LocalMat
     end coefficients are allowed (degenerate cells of a parameter family
     keep their nominal size).  Every coefficient is an entry, so L is the
     lcm of the run's denominators, and B is local_stack of the one run of
-    numerators.  The order is the run length, at most MAX_ORDER."""
+    numerators, made read-only.  The order is the run length, at most
+    MAX_ORDER."""
     L, nums = integer_run(coeffs)
-    return LocalMatrix(L, tuple(map(tuple, local_stack([nums])[0].tolist())), -support_min + 1)
-
-
-def build_local_matrix(mask: Mask) -> LocalMatrix:
-    return matrix_from_coeffs(mask.support_min, mask.coeffs)
+    B = local_stack([nums])[0]
+    B.flags.writeable = False
+    return LocalMatrix(L, B, -support_min + 1)
 
 
 # -- spectra -------------------------------------------------------------
@@ -648,9 +653,9 @@ def palindromic_classes(L: int, S: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 def eigenvalues(M: LocalMatrix) -> Spectrum:
     """All eigenvalues of M with multiplicity as a Spectrum: spectra of
-    M's one-row stack, the roots from the stacked eigvals that equals
-    np.roots bit for bit."""
-    return spectra(M.L, np.array([M.B], dtype=object))[0]
+    M's one-row stack M.B[None], the roots from the stacked eigvals that
+    equals np.roots bit for bit."""
+    return spectra(M.L, M.B[None])[0]
 
 
 # -- the width-6 family --------------------------------------------------

@@ -89,12 +89,9 @@ def delta() -> ControlPolygon:
 
 def _growth(P: ControlPolygon, taps: list[int]) -> tuple[int, int]:
     """max|P| and M, the larger sum of |taps| over the even and the odd
-    taps: max|P| * M^l bounds every value and partial sum of level l.  M is
-    the parity norm of the taps as a one-row stack, an object row, so it
-    stays a Python int at any size; np.maximum of the two bare sums would
-    refuse one past int64 and give a small one as an np.int64, on which
-    bound * M^k wraps."""
-    return max(-int(P.nums.min()), int(P.nums.max())), int(_parity_norm([taps])[0])
+    taps (their parity norm, a Python int at any size): max|P| * M^l bounds
+    every value and partial sum of level l."""
+    return max(-int(P.nums.min()), int(P.nums.max())), _parity_norm(taps)
 
 
 def _refine(P: ControlPolygon, mask: Mask, k: int) -> ControlPolygon:

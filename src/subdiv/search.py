@@ -19,7 +19,7 @@ family also carries the default grid of its parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -145,20 +145,33 @@ _CLASS_OF_CODE = (CellClass.COMPLEX_CONVERGENT, CellClass.COMPLEX_OTHER,
 class SearchResult:
     """A scan's cells as columns, in itertools.product order of the axis
     values: each cell's class code (an index into _CLASS_OF_CODE),
-    max_imag and degenerate flag (a width-6 cell with D == 0).  cells is a
-    view of the first three as Cell objects, built on first access."""
+    max_imag and degenerate flag (a width-6 cell with D == 0).  counts,
+    witnesses and cells are read from those columns on first access."""
 
     width: int
     values: tuple[list[Fraction], ...]  # each axis's grid values
     codes: np.ndarray
     max_imag: np.ndarray
     degenerate: np.ndarray
-    counts: dict[str, int] = field(default_factory=dict)
-    witnesses: dict[str, Cell] = field(default_factory=dict)
 
     def params(self, k: int) -> tuple[Fraction, ...]:
         """The parameters of cell k."""
         return tuple(v[i] for v, i in zip(self.values, np.unravel_index(k, [len(v) for v in self.values])))
+
+    @cached_property
+    def counts(self) -> dict[str, int]:
+        """The number of cells of each class, by class value, every class
+        named."""
+        tally = np.bincount(self.codes, minlength=4).tolist()
+        return {c.value: tally[_CLASS_OF_CODE.index(c)] for c in CellClass}
+
+    @cached_property
+    def witnesses(self) -> dict[str, Cell]:
+        """The first cell of each class that occurs, by class value, in cell
+        order."""
+        first = sorted(np.unique(self.codes, return_index=True)[1].tolist())
+        return {cls.value: Cell(self.params(k), cls, self.max_imag[k].item())
+                for k, cls in zip(first, map(_CLASS_OF_CODE.__getitem__, self.codes[first].tolist()))}
 
     @cached_property
     def cells(self) -> list[Cell]:
@@ -219,14 +232,14 @@ def scan(spec: SearchSpec) -> SearchResult:
     degenerate flag is a J-odd discriminant of 0 (D^2 times the paper's D).
     Only complex cells are root-solved, for max_imag; a real cell has
     max_imag 0.0.  The result holds the codes, max_imag and flags as
-    arrays, and counts and witnesses are read from the codes after the
-    last block.  No Fraction but the axis values, and no LocalMatrix,
-    Spectrum or Cell, is built per cell, and the floats equal those
-    spectra gives at each cell's own lcm.  A grid of more than MAX_CELLS
-    cells is a ValueError that names its count, or says it passes 10^18,
-    and so, before any cell is classified, is a grid value whose numerator
-    or denominator has more than 4300 digits (str() would refuse it in the
-    exports); the message names it as p<axis> = lo + k step.  So is a grid
+    arrays, from which it reads its counts and witnesses.  No Fraction but
+    the axis values, and no LocalMatrix, Spectrum or Cell, is built per
+    cell, and the floats equal those spectra gives at each cell's own lcm.
+    A grid of more than MAX_CELLS cells is a ValueError that names its
+    count, or says it passes 10^18, and so, before any cell is classified,
+    is a grid value whose numerator or denominator has more than 4300
+    digits (str() would refuse it in the exports); the message names it as
+    p<axis> = lo + k step.  So is a grid
     whose largest |run numerator| or D passes check_size's bound
     (localmatrix.check_bits), which keeps every characteristic polynomial
     the modular split gets below its largest prime.  When those have at
@@ -282,14 +295,7 @@ def _scan(spec: SearchSpec, solve: bool) -> SearchResult:
         codes.append(2 * ~has_complex + ~convergent)
         max_imag.append(imag)
         degenerate.append(odd_disc == 0 if spec.width == 6 else np.zeros(len(flat), dtype=bool))
-    codes, max_imag, degenerate = map(np.concatenate, (codes, max_imag, degenerate))
-    tally = np.bincount(codes, minlength=4).tolist()
-    result = SearchResult(spec.width, values, codes, max_imag, degenerate,
-                          {c.value: tally[_CLASS_OF_CODE.index(c)] for c in CellClass})
-    for k in sorted(int(np.argmax(codes == code)) for code in range(4) if tally[code]):
-        cls = _CLASS_OF_CODE[codes[k]]
-        result.witnesses[cls.value] = Cell(result.params(k), cls, max_imag[k].item())
-    return result
+    return SearchResult(spec.width, values, *map(np.concatenate, (codes, max_imag, degenerate)))
 
 
 def _vanishes(f) -> bool:

@@ -10,10 +10,12 @@ import shutil
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import sympy
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from subdiv.localmatrix import LocalMatrix, matrix_from_coeffs
 from subdiv.masks import record_to_json
 
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -43,6 +45,20 @@ def polygon_key(P):
     """A ControlPolygon as plain data, equal exactly for equal polygons:
     level, first_index, the numerators as a tuple of ints, den and mesh."""
     return P.level, P.first_index, tuple(P.nums.tolist()), P.den, P.mesh
+
+
+def local_matrix(L, rows):
+    """The LocalMatrix A = B / L of nested rows of ints, B held as
+    matrix_from_coeffs holds it: a read-only array of Python ints
+    (dtype=object).  Its column offset is 0."""
+    B = np.array(rows, dtype=object)
+    B.flags.writeable = False
+    return LocalMatrix(L, B, 0)
+
+
+def mask_matrix(mask):
+    """The local matrix of a Mask, as the CLI builds it."""
+    return matrix_from_coeffs(mask.support_min, mask.coeffs)
 
 
 def fraction_entries(M):

@@ -10,11 +10,10 @@ from fractions import Fraction as F
 import numpy as np
 
 from closed_forms import w5_closed_form, w6_closed_form
-from conftest import fraction_entries, polygon_values
+from conftest import fraction_entries, mask_matrix, polygon_values
 from subdiv.convergence import certify, smooth_lift
 from subdiv.dynamics import iterate_local
-from subdiv.localmatrix import (build_local_matrix, eigenvalues, local_stack,
-                               matrix_from_coeffs, spectra, w6_discriminant)
+from subdiv.localmatrix import eigenvalues, local_stack, matrix_from_coeffs, spectra, w6_discriminant
 from subdiv.masks import catalog_get
 from subdiv.refine import basis_points_exact, delta, refine_k
 from subdiv.search import c1_w6_obstruction, min_width_report, negativity_lemma_check
@@ -40,7 +39,7 @@ def _criterion(num, label, body):
 
 def test_criterion_01_width6_spectrum():
     def body():
-        sp = eigenvalues(build_local_matrix(catalog_get("a").mask))
+        sp = eigenvalues(mask_matrix(catalog_get("a").mask))
         expect = [1, F(-1, 10), F(-1, 10), F(2, 5),
                   complex(0.4, math.sqrt(2) / 5), complex(0.4, -math.sqrt(2) / 5)]
         _match(sp.eigenvalues, expect, 1e-9)
@@ -60,7 +59,7 @@ def test_criterion_03_smooth_lift():
         lifted = smooth_lift(catalog_get("a").mask)
         assert lifted.coeffs == tuple(map(F, ("-1/20", "1/10", "11/20", "4/5",
                                               "11/20", "1/10", "-1/20")))
-        sp = eigenvalues(build_local_matrix(lifted))
+        sp = eigenvalues(mask_matrix(lifted))
         assert max(abs(v.imag) for v in sp.eigenvalues) > 1e-7
     _criterion(3, "C1 lift mask and complex pair", body)
 
@@ -132,7 +131,7 @@ def test_criterion_09_cubic_bspline_center():
 
 def test_criterion_10_local_dynamics():
     def body():
-        M = build_local_matrix(catalog_get("a").mask)
+        M = mask_matrix(catalog_get("a").mask)
         # second standard basis vector: the first is itself an eigenvector
         # of this matrix and would leave every other mode unexcited
         v0 = (0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
@@ -171,7 +170,7 @@ def test_criterion_12_structural_invariants():
     def body():
         for name in "abcd":
             mask = catalog_get(name).mask
-            M = build_local_matrix(mask)
+            M = mask_matrix(mask)
             assert all(sum(row) == 1 for row in fraction_entries(M))
             assert min(abs(v - 1) for v in eigenvalues(M).eigenvalues) < 1e-9
             P = delta()

@@ -17,8 +17,8 @@ PUBLIC = {
     # convergence
     "ConvergenceReport", "NotFactorableError", "Verdict", "certify", "smooth_lift",
     # localmatrix
-    "EigensolveError", "LocalMatrix", "Spectrum", "build_local_matrix",
-    "eigenvalues", "matrix_from_coeffs", "w6_discriminant",
+    "EigensolveError", "LocalMatrix", "Spectrum", "eigenvalues", "matrix_from_coeffs",
+    "w6_discriminant",
     # refine
     "ControlPolygon", "MeshType", "RefinementLimitError", "basis_points_exact",
     "basis_polygon", "delta", "refine_k",
@@ -35,7 +35,7 @@ PUBLIC = {
 # caller can leave it out, so it is a knob of the API, and adding one (a
 # dataclass field with a default too) is a reviewed edit here
 KNOBS = {"iterate_local(norm)", "ControlPolygon(mesh)", "SchemeRecord(smoothness)",
-         "SearchResult(counts)", "SearchResult(witnesses)", "SearchSpec(convergence_filter)"}
+         "SearchSpec(convergence_filter)"}
 
 # the public members of every public class that is no enum and no
 # exception: its public names in vars(cls), its public dataclass fields, and
@@ -156,6 +156,8 @@ def test_deleted_members_stay_gone():
             assert attr not in MEMBERS[name] and not hasattr(getattr(subdiv, name), attr)
     assert not hasattr(subdiv, "decompose_modes")
     assert not hasattr(subdiv.dynamics, "_MAX_P")
+    # the one-line wrapper of matrix_from_coeffs, which the CLI now calls
+    assert not hasattr(subdiv.localmatrix, "build_local_matrix")
 
 
 class _Read:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, example, given, strategies as st
@@ -271,6 +272,29 @@ class TestContractivityNorm:
         nums = [c.numerator * (den // c.denominator) for c in coeffs]
         assert (contractive_runs(support_min, [nums], den)[0]
                 == contractive_runs(support_min, [coeffs], 1)[0])
+
+
+class TestParityNorm:
+    """_parity_norm keeps the dtype of its runs: one run of Python ints
+    gives a Python int at any size, and a stack one entry a run."""
+
+    def test_one_run_past_int64(self):
+        # a bare np.maximum casts the two Python-int sums to int64, and
+        # 2^200 overflows it
+        norm = convergence._parity_norm([2 ** 200, 1])
+        assert type(norm) is int and norm == 2 ** 200
+
+    def test_one_small_run_is_a_python_int(self):
+        # not np.int64(4), on which later products would wrap past 2^63
+        norm = convergence._parity_norm([1, 2, 3])
+        assert type(norm) is int and norm == 4
+        assert type(convergence._parity_norm([])) is int
+
+    def test_stacks_keep_their_dtype(self):
+        got = convergence._parity_norm([[1, -2, 3], [2 ** 70, 0, -1]])
+        assert got.dtype == object and got.tolist() == [4, 2 ** 70 + 1]
+        got = convergence._parity_norm(np.array([[1, -2, 3], [0, 5, 0]], dtype=np.int64))
+        assert got.dtype == np.int64 and got.tolist() == [4, 5]
 
 
 def synthetic_division_verdict(support_min, run, den):

@@ -8,16 +8,16 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import fraction_entries
+from conftest import fraction_entries, local_matrix, mask_matrix
 from subdiv import dynamics
 from subdiv.dynamics import (MAX_K, ModeOverflowError, TrajectoryOverflowError,
                              _fixed_point_numerators, _fixed_point_transients, _precision,
                              _rational_null_weights, _transient_numerators, decompose_modes,
                              iterate_local, write_trajectory_csv)
-from subdiv.localmatrix import LocalMatrix, build_local_matrix, matrix_from_coeffs
+from subdiv.localmatrix import LocalMatrix, matrix_from_coeffs
 from subdiv.masks import catalog_get
 
-A_MATRIX = build_local_matrix(catalog_get("a").mask)
+A_MATRIX = mask_matrix(catalog_get("a").mask)
 
 # second standard basis vector: the first one is itself an eigenvector of
 # the width-6 matrix (its first column is -e1/10), so it excites no other mode
@@ -36,7 +36,7 @@ class TestIterateLocal:
         assert any(d[k + 1] > d[k] for k in range(30))
 
     def test_two_point_distances_halve(self):
-        M = build_local_matrix(catalog_get("c").mask)
+        M = mask_matrix(catalog_get("c").mask)
         traj = iterate_local((1.0, 0.0, 0.0), M, 30)
         d = traj.distances
         for k in range(1, 15):
@@ -45,7 +45,7 @@ class TestIterateLocal:
     def test_non_convergent_matrix_reported(self):
         # eigenvalue 1 is simple with u = e2, so f = v0[1] = 0 and the
         # transients are the states, the first entry doubling each step
-        A = LocalMatrix(1, ((2, 0), (0, 1)), 0)
+        A = local_matrix(1, ((2, 0), (0, 1)))
         traj = iterate_local((1.0, 0.0), A, 5)
         assert traj.transients == tuple((2.0 ** k, 0.0) for k in range(6))
 
@@ -72,7 +72,7 @@ class TestIterateLocal:
 
         monkeypatch.setattr(dynamics, "_transient_numerators", fail)
         monkeypatch.setattr(dynamics, "_rational_null_weights", fail)
-        identity = LocalMatrix(1, tuple(tuple(int(i == j) for j in range(6)) for i in range(6)), 0)
+        identity = local_matrix(1, np.identity(6, dtype=int).tolist())
         for A in (A_MATRIX, identity):
             with pytest.raises(ValueError, match="K must be <= %d" % MAX_K):
                 iterate_local(E1, A, MAX_K + 1)
@@ -104,7 +104,7 @@ def entry_matrix(entries) -> LocalMatrix:
     """The LocalMatrix of a matrix of rationals, L the lcm of their
     denominators."""
     L = math.lcm(*(F(e).denominator for row in entries for e in row))
-    return LocalMatrix(L, tuple(tuple(int(F(e) * L) for e in row) for row in entries), 0)
+    return local_matrix(L, [[int(F(e) * L) for e in row] for row in entries])
 
 
 def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
@@ -261,7 +261,7 @@ class TestExactTrajectory:
 
     @pytest.mark.parametrize("A, balanced", [
         (A_MATRIX, True),                                               # rows of A sum to 1
-        (LocalMatrix(2, ((2, 0, 0), (0, 1, 0), (0, 1, 1)), 0), False),  # r = (0, -1, 0)
+        (local_matrix(2, ((2, 0, 0), (0, 1, 0), (0, 1, 1))), False),  # r = (0, -1, 0)
     ], ids=["r-zero", "r-nonzero"])
     def test_transients_with_and_without_the_r_term(self, A, balanced):
         # the term f den_k r is skipped when r = B 1 - L 1 is zero
@@ -323,7 +323,7 @@ class TestBandStep:
     @example((7, ((1, 2, 3), (4, 5, 6), (7, 8, 9))), V0, F(2, 7))
     @example((7, ((3, 0, 4), (0, 7, 0), (5, 2, 0))), V0, F(2, 7))
     def test_band_step_is_the_dense_product(self, LB, v0, f):
-        L, B = LB
+        L, B = LB[0], np.array(LB[1], dtype=object)  # the examples give nested tuples
         band, dense = (steps(v0[:len(B)], f, L, B) for steps in (_transient_numerators,
                                                                  dense_numerators))
         for _ in range(6):
@@ -373,14 +373,14 @@ def fixed_point_inputs(draw):
     if draw(st.booleans()):
         for i, row in enumerate(B):
             row[i] += L - sum(row)
-    B = tuple(map(tuple, B))
+    B = np.array(B, dtype=object)
     small = st.builds(F, st.integers(-2 ** 30, 2 ** 30), st.integers(1, 2 ** 10))
     v = draw(st.lists(small, min_size=n, max_size=n))
     f = draw(small)
     K = draw(st.integers(1, 400))
     P = draw(st.sampled_from([None, 0, 60, 200, 600, 960]))
     if P is None:
-        A = LocalMatrix(L, B, 0)
+        A = local_matrix(L, B)
         P = _precision(A, K, np.linalg.eig(A.as_float())[0])
     return v, f, L, B, K, P
 
@@ -524,7 +524,7 @@ class TestFixedPointRoute:
         sizes = []
         monkeypatch.setattr(dynamics, "_precision",
                             lambda M, K, w: sizes.append(len(w)) or _precision(M, K, w))
-        traj = iterate_local((0.0, 0.0), LocalMatrix(1, ((1, 0), (0, 1)), 0), 300)
+        traj = iterate_local((0.0, 0.0), local_matrix(1, ((1, 0), (0, 1))), 300)
         assert sizes == [2] and traj.transients == ((0.0, 0.0),) * 301
 
     def test_subnormal_transients_fall_back(self):
@@ -533,7 +533,7 @@ class TestFixedPointRoute:
         # and the route gives None from K = 23 on.  State 75 shows why: it
         # rounds to 2^-1074, while its 53-bit float 2^-1075 scaled by 2^-P
         # rounds again, to 0.
-        L, B = 2, ((1, 0), (0, 1))
+        L, B = 2, np.identity(2, dtype=object)
         v = [F(2 ** 59 + 1, 2 ** 1059), F(3, 2 ** 1000)]
         got = _fixed_point_transients(v, F(0), L, B, 22, 1200)
         assert bits(got) == bits(exact_floats(v, F(0), L, B, 22))
@@ -576,7 +576,7 @@ class TestTwoNormRange:
     """2-norm distances of rows whose squares pass the float range: A keeps
     the first entry and halves and mixes the other two, so eigenvalue 1 is
     simple with fixed point 0 when v0 starts with 0."""
-    A = LocalMatrix(2, ((2, 0, 0), (0, 1, 0), (0, 1, 1)), 0)
+    A = local_matrix(2, ((2, 0, 0), (0, 1, 0), (0, 1, 1)))
 
     @pytest.mark.parametrize("scale", [1e200, 1e-200])
     def test_exact_path_matches_fraction_reference(self, scale):
@@ -626,7 +626,7 @@ class TestDecomposeModes:
                 assert abs(c[k + 1] - (-0.1) * c[k]) < 1e-9
 
     def test_real_spectrum_has_no_rotation(self):
-        M = build_local_matrix(catalog_get("c").mask)
+        M = mask_matrix(catalog_get("c").mask)
         traj = iterate_local((1.0, 0.0, 0.0), M, 10)
         assert all(m.coefficients is not None for m in traj.modes)
 
@@ -656,7 +656,7 @@ class TestDecomposeModes:
             decompose_modes(w, V, np.array([[1.5e308, 1.5e308]]))
 
     def test_defective_matrix_skips_decomposition(self):
-        A = LocalMatrix(2, ((1, 2), (0, 1)), 0)  # a Jordan block at 1/2
+        A = local_matrix(2, ((1, 2), (0, 1)))  # a Jordan block at 1/2
         traj = iterate_local((1.0, 1.0), A, 5)
         assert traj.modes is None
         assert len(traj.distances) == 6

@@ -12,13 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from closed_forms import w5_closed_form, w6_closed_form
-from conftest import fraction_entries
+from conftest import fraction_entries, mask_matrix
 from subdiv import localmatrix
 from subdiv.localmatrix import (_CERT_PRIME, _PRIMES, Spectrum, _block_charpolys,
                                 _centrosymmetric, _certified, _charpolys, _discriminants,
                                 _flip_stacks, _gcd_mod, _polyval, _roots_of_stack,
-                                _row_products, _squarefree_split, build_local_matrix,
-                                local_stack, eigenvalues, matrix_from_coeffs,
+                                _row_products, _squarefree_split, local_stack,
+                                eigenvalues, matrix_from_coeffs,
                                 palindromic_classes, w6_discriminant)
 from subdiv.masks import Mask, catalog_get
 from subdiv.search import family, palindromic_coeffs
@@ -49,7 +49,7 @@ def common_stack(Ms):
     S the (N, n, n) stack of their integer-scaled matrices over it, the
     arguments spectra takes."""
     L = math.lcm(*(M.L for M in Ms))
-    return L, np.array([[[e * (L // M.L) for e in row] for row in M.B] for M in Ms], dtype=object)
+    return L, np.stack([M.B * (L // M.L) for M in Ms])
 
 
 def central_charpolys(C):
@@ -71,7 +71,7 @@ PROP2_EIGS = [1, F(-1, 10), F(-1, 10), F(2, 5),
 
 class TestBuild:
     def test_width6_matrix_matches_printed_form(self):
-        M = build_local_matrix(catalog_get("a").mask)
+        M = mask_matrix(catalog_get("a").mask)
         expect = [
             ["-1/10", "4/5", "3/10", "0", "0", "0"],
             ["0", "3/10", "4/5", "-1/10", "0", "0"],
@@ -96,7 +96,7 @@ class TestBuild:
         assert fraction_entries(M) == tuple(tuple(map(F, row)) for row in expect)
 
     def test_two_point_matrix(self):
-        M = build_local_matrix(catalog_get("c").mask)
+        M = mask_matrix(catalog_get("c").mask)
         expect = [["1/2", "1/2", "0"], ["0", "1", "0"], ["0", "1/2", "1/2"]]
         assert fraction_entries(M) == tuple(tuple(map(F, row)) for row in expect)
 
@@ -124,13 +124,13 @@ class TestBuild:
         M = matrix_from_coeffs(-1, (1, 0, 1))
         assert M.L == 1 and all(type(b) is int for row in M.B for b in row)
         mask = catalog_get("a").mask  # denominators 10 and 5
-        M = build_local_matrix(mask)
+        M = mask_matrix(mask)
         assert M.L == math.lcm(*(c.denominator for c in mask.coeffs)) == 10
         assert all(type(b) is int for row in M.B for b in row)
 
     def test_width_one_rejected(self):
         with pytest.raises(ValueError):
-            build_local_matrix(Mask(0, (F(2),)))
+            mask_matrix(Mask(0, (F(2),)))
 
     @given(st.integers(2, 12).flatmap(lambda n: st.lists(
         st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n),
@@ -141,21 +141,35 @@ class TestBuild:
         n = len(runs[0])
         S = local_stack(runs)
         assert S.shape == (len(runs), n, n)
-        for run, B in zip(runs, S.tolist()):
-            assert tuple(map(tuple, B)) == matrix_from_coeffs(0, run).B == tuple(
-                tuple(run[2 * j - i] if 0 <= 2 * j - i < n else 0 for j in range(n))
-                for i in range(n))
-            assert all(type(b) is int for row in B for b in row)
+        for run, B in zip(runs, S):
+            assert np.array_equal(matrix_from_coeffs(0, run).B, B)
+            assert B.tolist() == [[run[2 * j - i] if 0 <= 2 * j - i < n else 0 for j in range(n)]
+                                  for i in range(n)]
+            assert all(type(b) is int for row in B.tolist() for b in row)
+
+    def test_matrix_is_its_stack_row_read_only(self):
+        # B is local_stack's own row of Python ints, and no caller can
+        # change it
+        mask = catalog_get("a").mask
+        M = matrix_from_coeffs(mask.support_min, mask.coeffs)
+        assert isinstance(M.B, np.ndarray) and M.B.dtype == object
+        assert np.array_equal(M.B, local_stack([[int(c * M.L) for c in mask.coeffs]])[0])
+        assert not M.B.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            M.B[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            M.B[1] += 1
+        assert M.B[0, 0] == -1 and M.B[1].tolist() == [0, 3, 8, -1, 0, 0]
 
     def test_row_sums_are_one_for_catalog(self):
         for name in "abcd":
-            M = build_local_matrix(catalog_get(name).mask)
+            M = mask_matrix(catalog_get(name).mask)
             assert all(sum(row) == 1 for row in fraction_entries(M))
 
 
 class TestEigenvalues:
     def test_width6_scheme_spectrum(self):
-        sp = eigenvalues(build_local_matrix(catalog_get("a").mask))
+        sp = eigenvalues(mask_matrix(catalog_get("a").mask))
         match_multiset(sp.eigenvalues, PROP2_EIGS, 1e-9)
 
     def test_conjugate_closure(self):
@@ -166,7 +180,7 @@ class TestEigenvalues:
             match_multiset(vals, [v.conjugate() for v in vals], 1e-8)
 
     def test_sorted_by_modulus(self):
-        sp = eigenvalues(build_local_matrix(catalog_get("d").mask))
+        sp = eigenvalues(mask_matrix(catalog_get("d").mask))
         mods = [abs(v) for v in sp.eigenvalues]
         assert mods == sorted(mods, reverse=True)
         assert abs(sp.subdominant_modulus - mods[1]) < 1e-15
@@ -282,12 +296,12 @@ class TestClassify:
     """The spectral class is decided in Spectrum.from_values at SPECTRAL_TOL."""
 
     def test_width6_scheme(self):
-        sp = eigenvalues(build_local_matrix(catalog_get("a").mask))
+        sp = eigenvalues(mask_matrix(catalog_get("a").mask))
         assert sp.has_complex and sp.negative_real_count == 2
         assert sp.convergence_spectral_ok
 
     def test_cubic_bspline(self):
-        sp = eigenvalues(build_local_matrix(catalog_get("d").mask))
+        sp = eigenvalues(mask_matrix(catalog_get("d").mask))
         assert not sp.has_complex and sp.negative_real_count == 0
         assert sp.convergence_spectral_ok
 
@@ -384,14 +398,14 @@ class TestComplexRegion:
 class TestRowSumEigenvector:
     def test_ones_vector_is_fixed(self):
         for name in "abcd":
-            M = build_local_matrix(catalog_get(name).mask)
+            M = mask_matrix(catalog_get(name).mask)
             ones = [F(1)] * M.n
             image = [sum(row[j] * ones[j] for j in range(M.n)) for row in fraction_entries(M)]
             assert image == ones
 
     def test_eigenvalue_one_present(self):
         for name in "abcd":
-            sp = eigenvalues(build_local_matrix(catalog_get(name).mask))
+            sp = eigenvalues(mask_matrix(catalog_get(name).mask))
             assert min(abs(v - 1) for v in sp.eigenvalues) < 1e-9
 
 
@@ -612,7 +626,7 @@ class TestCharpolyFactors:
                           for row in fraction_entries(M)], (n, n), QQ)
         ref = sympy.Poly(A.charpoly(), x, domain="QQ")
         L, B = M.L, M.B
-        [c] = central_charpolys(np.array(B, dtype=object)[None, 1:n - 1, 1:n - 1]).tolist()
+        [c] = central_charpolys(B[None, 1:n - 1, 1:n - 1]).tolist()
         q = sympy.Poly([QQ(ck, L ** (n - 2 - k)) for k, ck in reversed(list(enumerate(c)))],
                        x, domain="QQ")
         first, last = (sympy.Poly([1, -QQ(e.numerator, e.denominator)], x, domain="QQ")
@@ -1003,7 +1017,7 @@ class TestSizeCap:
         rng = random.Random(24)
         half = [F(rng.randrange(-L + 1, L), L) for _ in range(12)]
         n, B = 24, matrix_from_coeffs(-11, half[::-1] + half).B
-        [c] = central_charpolys(stack([row[1:n - 1] for row in B[1:n - 1]])).tolist()
+        [c] = central_charpolys(B[None, 1:n - 1, 1:n - 1]).tolist()
         w = times(c, [-B[0][0], 1], [-B[-1][-1], 1])
         bound = 2 ** len(w) * (math.isqrt(sum(x * x for x in w)) + 1)
         assert bound.bit_length() <= 24 * 500 + 44 + 4 + 11 * math.log2(22) < top
@@ -1022,7 +1036,7 @@ class TestSizeCap:
 
         lift = localmatrix._yun_lift
         monkeypatch.setattr(localmatrix, "_yun_lift", recorded)
-        assert route_factors(build_local_matrix(mask)) == [([-x, 1], 3)]
+        assert route_factors(mask_matrix(mask)) == [([-x, 1], 3)]
         assert primes == [_PRIMES[-1]]
 
     def test_table_primes_are_mersenne(self):

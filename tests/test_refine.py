@@ -244,8 +244,8 @@ class TestLevelLoop:
     @pytest.mark.parametrize("taps", [[], [1, 1], [-3], integer_run(catalog_get("a").mask.coeffs)[1],
                                       [2 ** 200, 1], [2 ** 62, 5, 2 ** 62]])
     def test_growth_is_python_ints(self, taps):
-        # M from the parity norm: a bare np.maximum of two small sums is an
-        # np.int64, on which bound * M^k would wrap past 2^63
+        # M is the parity norm of the bare taps, a Python int: an np.int64
+        # would wrap in bound * M^k past 2^63
         for P in (delta(), refine_k(delta(), catalog_get("a").mask, 3),
                   ControlPolygon(0, 0, (F(2 ** 70), F(-3)))):
             bound, M = refine._growth(P, taps)

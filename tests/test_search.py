@@ -533,7 +533,7 @@ class TestNearDoubleRealPair:
         smin, run = palindromic_coeffs(5, (self.A,))
         assert run == (self.A, HALF, 1 - 2 * self.A, HALF, self.A)
         M = matrix_from_coeffs(smin, run)
-        has_complex, max_imag, _ = palindromic_classes(M.L, np.array([M.B], dtype=object))
+        has_complex, max_imag, _ = palindromic_classes(M.L, M.B[None])
         assert has_complex.tolist() == [False] and max_imag.tolist() == [0.0]
         result = scan(SearchSpec(5, (GridRange(self.A, 2 * self.A, self.A),)))
         assert result.params(0) == (self.A,)
@@ -678,7 +678,7 @@ def one_cell(width, params, convergence_filter):
     complex pair (0.0 when not), and w6_discriminant at width 6."""
     smin, run = palindromic_coeffs(width, params)
     M = matrix_from_coeffs(smin, run)
-    [(has_complex, _, _)] = zip(*palindromic_classes(M.L, np.array([M.B], dtype=object)))
+    [(has_complex, _, _)] = zip(*palindromic_classes(M.L, M.B[None]))
     convergent = contractive_runs(smin, [run], 1)[0] if convergence_filter else True
     cls = {(True, True): CellClass.COMPLEX_CONVERGENT,
            (True, False): CellClass.COMPLEX_OTHER,
