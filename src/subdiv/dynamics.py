@@ -22,7 +22,9 @@ where they cannot (a bracket too wide to decide, or a bound past the float
 range), or the operands are short, the exact recurrence does: integer
 numerators over one denominator, stepped without any gcd, and one correctly
 rounded integer division an entry.  A mode is a real eigendirection with
-signed coefficients or a complex pair's plane with none.
+signed coefficients or a complex pair's plane with none.  A report holds
+each float datum once, as a read-only float64 array: the transients, one
+row a step, their distances, and each mode's magnitudes and coefficients.
 """
 from __future__ import annotations
 
@@ -48,21 +50,27 @@ class ModeOverflowError(OverflowError):
     range: its eigenbasis coordinates overflow where the transient does not."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenMode:
+    """One mode of a trajectory: its magnitude at each step k = 0..K, and
+    for a real mode its signed coefficients, each a read-only float64
+    array of K + 1 entries; a mode compares by identity."""
     eigenvalue: complex          # representative; Im >= 0 for a complex pair
-    magnitudes: tuple[float, ...]
+    magnitudes: np.ndarray
     # signed, real modes only: None exactly for a complex pair
-    coefficients: Optional[tuple[float, ...]]
+    coefficients: Optional[np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryReport:
+    """A trajectory of K steps: the (K + 1, n) transients, one row a step,
+    and their (K + 1,) distances, each one read-only float64 array, and the
+    modes; a report compares by identity."""
     # v_k - f 1 (f 1 the fixed point) for k = 0..K, not the states: a
     # rational matrix admits an exact trajectory whose transients keep full
     # relative precision long after float states have cancelled to noise
-    transients: tuple[tuple[float, ...], ...]
-    distances: tuple[float, ...]
+    transients: np.ndarray
+    distances: np.ndarray
     # None when the float matrix is defective within working precision
     modes: Optional[tuple[EigenMode, ...]]
 
@@ -137,10 +145,10 @@ def _band(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
-                          B: np.ndarray) -> Iterator[tuple[list[int], int]]:
+                          B: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
     """The transients v_k - f 1 of v_{k+1} = A v_k, A = B / L with B
-    integer, as (integer numerators, one positive denominator) for
-    k = 0, 1, ...
+    integer, as (integer numerators, one array of Python ints, and one
+    positive denominator) for k = 0, 1, ...
 
     With the state N_k / den_k (den_k = den_0 L^k, N_{k+1} = B N_k) and
     f = fn / fd, the transient is T_k / (fd den_k) with
@@ -157,7 +165,7 @@ def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
     T = np.array([fd * x - shift for x in nums], dtype=object)
     drift = any(r)
     while True:
-        yield T.tolist(), common
+        yield T, common
         BT = (T[idx] * band).sum(axis=1)
         T = BT + shift * r if drift else BT
         shift *= L
@@ -254,8 +262,8 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     independent of K.  When eigenvalue 1 is absent or not simple, or u sums
     to 0 (_rational_null_weights is None), f is 0 and the transients are
     the states.  Each transient entry is the correctly rounded float of its
-    exact value, kept as a Python float, by one of two routes with the same
-    floats.  The fixed-point route (_fixed_point_transients) runs when twice
+    exact value, one entry of a float64 array, by one of two routes with
+    the same floats.  The fixed-point route (_fixed_point_transients) runs when twice
     its precision P (_precision) is below the exact route's mean operand
     length, log2(fd) + K log2(L) / 2 bits with f = fn / fd; it proves each
     rounding from an error bound or returns None, also where P is so large
@@ -271,7 +279,8 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     grows, and a misread parity moves P, never a float.
     The exact route (_transient_numerators) runs otherwise and after a None:
     integer numerators over one denominator, stepped by the integer matrix
-    B = L A, and one correctly rounded integer division an entry.  The
+    B = L A, and one correctly rounded integer division an entry, one
+    object-array division a step.  The
     distances are taken over one array of all transients: the inf-norm as
     one row-wise max, the 2-norm from each row scaled by 2^-e, e the
     exponent of its largest entry, then scaled back; its sum of squares is
@@ -308,29 +317,27 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     if 2 * P < fq.denominator.bit_length() + K * M.L.bit_length() / 2:
         D = _fixed_point_transients(vq, fq, M.L, M.B, K, P)
     if D is None:
-        diffs: list[list[float]] = []
+        D = np.empty((K + 1, M.n))
         try:
-            for T, common in islice(_transient_numerators(vq, fq, M.L, M.B), K + 1):
-                diffs.append([y / common for y in T])
+            for k, (T, common) in enumerate(islice(_transient_numerators(vq, fq, M.L, M.B), K + 1)):
+                D[k] = T / common  # int.__truediv__ an entry, correctly rounded
         except OverflowError:
-            k = len(diffs)
             raise TrajectoryOverflowError(
                 "transient %d leaves the float range; the trajectory is finite up to K = %d"
                 % (k, k - 1)) from None
-        D = np.array(diffs)
 
     top = np.max(np.abs(D), axis=1)
     if norm == "inf":
-        dists = top.tolist()
+        dists = top
     else:
         # rows scaled by 2^-e, exactly, so that the squares neither
         # overflow nor underflow; each row's sum of squares is one dot
         # product, as in np.linalg.norm
         _, e = np.frexp(top)
         S = np.ldexp(D, -e[:, None])
-        dists = np.ldexp(np.sqrt(np.matmul(S[:, None, :], S[:, :, None])[:, 0, 0]), e).tolist()
-
-    return TrajectoryReport(tuple(map(tuple, D.tolist())), tuple(dists), decompose_modes(w, V, D))
+        dists = np.ldexp(np.sqrt(np.matmul(S[:, None, :], S[:, :, None])[:, 0, 0]), e)
+    D.flags.writeable = dists.flags.writeable = False
+    return TrajectoryReport(D, dists, decompose_modes(w, V, D))
 
 
 def decompose_modes(w: np.ndarray, V: np.ndarray, D: np.ndarray) -> Optional[tuple[EigenMode, ...]]:
@@ -347,39 +354,37 @@ def decompose_modes(w: np.ndarray, V: np.ndarray, D: np.ndarray) -> Optional[tup
     every complex pair as two consecutive entries, Im > 0 first, then its exact
     conjugate (LAPACK Users' Guide, xGEEV).  The coefficients of every
     transient come from one stacked solve, each system a single right-hand
-    side as in a solve per transient; one loop over the eigenvalues then
-    builds each mode and its magnitudes from array operations; a complex
-    pair's mode has no coefficients.  A matrix that is defective beyond
-    tolerance (V's condition number past 1e10) skips the decomposition and
-    returns None.  A coefficient or pair magnitude past the
-    float range is ModeOverflowError, naming the first transient that has
-    one, as no printed magnitude may be inf or nan.
+    side as in a solve per transient.  One pass of array operations over
+    all columns then gives every magnitude, |Re c_j| for a real column j
+    and hypot(|c_j|, |c_{j+1}|) for a pair's; the columns with Im >= 0, in
+    LAPACK's order, are the modes.  Each mode's magnitudes, and a real
+    mode's coefficients Re c_j, are a column of one read-only array; a
+    complex pair's mode has no coefficients.  A matrix that is defective
+    beyond tolerance (V's condition number past 1e10) skips the
+    decomposition and returns None.  A coefficient or pair magnitude past
+    the float range is ModeOverflowError, naming the first transient that
+    has one, as no printed magnitude may be inf or nan.
     """
     if np.linalg.cond(V) > 1e10:
         return None
 
-    modes: list[EigenMode] = []
-    finite = np.ones(len(D), dtype=bool)
     with np.errstate(all="ignore"):  # overflow shows as a non-finite magnitude
         coeffs = np.linalg.solve(np.broadcast_to(V, (len(D),) + V.shape), D[..., None])[..., 0]
-        for j, mu in enumerate(w):
-            if mu.imag > 0:  # w[j + 1] is its conjugate, merged here
-                mags = np.hypot(np.abs(coeffs[:, j]), np.abs(coeffs[:, j + 1]))
-                modes.append(EigenMode(complex(mu), tuple(mags.tolist()), None))
-            elif mu.imag == 0:
-                cj = np.real(coeffs[:, j])
-                mags = np.abs(cj)
-                modes.append(EigenMode(complex(mu.real, 0.0), tuple(mags.tolist()),
-                                       tuple(cj.tolist())))
-            else:
-                continue
-            finite &= np.isfinite(mags)
+        mags = np.abs(coeffs.real)
+        # a pair's column j (Im > 0) merges w[j + 1], its conjugate
+        pair = np.flatnonzero(w.imag > 0)
+        mags[:, pair] = np.hypot(np.abs(coeffs[:, pair]), np.abs(coeffs[:, pair + 1]))
+    kept = np.flatnonzero(w.imag >= 0)
+    mags, signed = mags[:, kept], coeffs.real[:, kept]
+    finite = np.isfinite(mags).all(axis=1)
     if not finite.all():
         k = int(np.argmin(finite))
         raise ModeOverflowError("the mode magnitudes of transient %d leave the float range" % k
                                 + ("; they are finite up to K = %d" % (k - 1) if k else ""))
-
-    return tuple(modes)
+    mags.flags.writeable = signed.flags.writeable = False
+    return tuple(EigenMode(complex(mu), m, None) if mu.imag > 0
+                 else EigenMode(complex(mu.real, 0.0), m, c)
+                 for mu, m, c in zip(w[kept], mags.T, signed.T))
 
 
 def write_trajectory_csv(traj: TrajectoryReport, f: TextIO) -> None:
@@ -392,5 +397,5 @@ def write_trajectory_csv(traj: TrajectoryReport, f: TextIO) -> None:
         header.append("%s_%.6g%+.6gj" % (label, mu.real, mu.imag))
     f.write(",".join(header) + "\n")
     fmt = "%d,%.12g" + ",%.12g" * len(modes) + "\n"
-    f.writelines(fmt % row for row in zip(range(len(traj.distances)), traj.distances,
-                                           *(m.magnitudes for m in modes)))
+    f.writelines(fmt % row for row in zip(range(len(traj.distances)), traj.distances.tolist(),
+                                           *(m.magnitudes.tolist() for m in modes)))

@@ -141,12 +141,14 @@ _CLASS_OF_CODE = (CellClass.COMPLEX_CONVERGENT, CellClass.COMPLEX_OTHER,
                   CellClass.REAL_CONVERGENT, CellClass.REAL_OTHER)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     """A scan's cells as columns, in itertools.product order of the axis
     values: each cell's class code (an index into _CLASS_OF_CODE),
-    max_imag and degenerate flag (a width-6 cell with D == 0).  counts,
-    witnesses and cells are read from those columns on first access."""
+    max_imag and degenerate flag (a width-6 cell with D == 0), each a
+    read-only array.  counts, witnesses and cells are read from those
+    columns on first access; the result is frozen, so they cannot go
+    stale."""
 
     width: int
     values: tuple[list[Fraction], ...]  # each axis's grid values
@@ -232,9 +234,10 @@ def scan(spec: SearchSpec) -> SearchResult:
     degenerate flag is a J-odd discriminant of 0 (D^2 times the paper's D).
     Only complex cells are root-solved, for max_imag; a real cell has
     max_imag 0.0.  The result holds the codes, max_imag and flags as
-    arrays, from which it reads its counts and witnesses.  No Fraction but
-    the axis values, and no LocalMatrix, Spectrum or Cell, is built per
-    cell, and the floats equal those spectra gives at each cell's own lcm.
+    read-only arrays, from which it reads its counts and witnesses.  No
+    Fraction but the axis values, and no LocalMatrix, Spectrum or Cell, is
+    built per cell, and the floats equal those spectra gives at each cell's
+    own lcm.
     A grid of more than MAX_CELLS cells is a ValueError that names its
     count, or says it passes 10^18, and so, before any cell is classified,
     is a grid value whose numerator or denominator has more than 4300
@@ -295,7 +298,10 @@ def _scan(spec: SearchSpec, solve: bool) -> SearchResult:
         codes.append(2 * ~has_complex + ~convergent)
         max_imag.append(imag)
         degenerate.append(odd_disc == 0 if spec.width == 6 else np.zeros(len(flat), dtype=bool))
-    return SearchResult(spec.width, values, *map(np.concatenate, (codes, max_imag, degenerate)))
+    columns = tuple(map(np.concatenate, (codes, max_imag, degenerate)))
+    for column in columns:
+        column.flags.writeable = False
+    return SearchResult(spec.width, values, *columns)
 
 
 def _vanishes(f) -> bool:

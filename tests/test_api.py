@@ -5,6 +5,8 @@ import inspect
 import types
 from pathlib import Path
 
+import numpy as np
+
 import subdiv
 from subdiv import cli
 
@@ -66,8 +68,9 @@ UNREAD = {
     ("Cell", "cls"): "the class of a cell that SearchResult.cells yields: without it "
                      "the cell does not say what it is",
     ("SearchResult", "cells"): "read by perfbench's tracer, which counts the scanned cells",
-    ("TrajectoryReport", "transients"): "the trajectory itself; tests check its floats bit "
-                                        "for bit against the exact recurrence",
+    ("TrajectoryReport", "transients"): "the trajectory itself, the read-only array the "
+                                        "distances and modes are taken from; tests check its "
+                                        "floats bit for bit against the exact recurrence",
 }
 
 # the public functions that no code in src/subdiv calls, each with the
@@ -257,3 +260,19 @@ def test_every_public_function_is_called_in_src():
                            for path in sorted(src.glob("*.py"))))
     functions = {name for name in PUBLIC if inspect.isfunction(getattr(subdiv, name))}
     assert functions - called == set(UNCALLED)
+
+
+def test_array_members_are_read_only():
+    """Every array member of a result is one read-only ndarray, the one
+    copy of its datum: no tuple beside it and no reader that writes it."""
+    mask = subdiv.catalog_get("a").mask
+    M = subdiv.matrix_from_coeffs(mask.support_min, mask.coeffs)
+    result = subdiv.scan(subdiv.SearchSpec(5, subdiv.search.family(5).grid))
+    traj = subdiv.iterate_local([float(i == M.n // 2) for i in range(M.n)], M, 30)
+    assert any(m.coefficients is None for m in traj.modes)
+    arrays = [M.B, subdiv.refine_k(subdiv.delta(), mask, 3).nums,
+              result.codes, result.max_imag, result.degenerate,
+              traj.transients, traj.distances]
+    arrays += [x for m in traj.modes for x in (m.magnitudes, m.coefficients) if x is not None]
+    for x in arrays:
+        assert isinstance(x, np.ndarray) and not x.flags.writeable

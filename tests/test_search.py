@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -745,3 +746,15 @@ class TestColumnarResult:
         assert len(result.codes) == 51 * 51 and axis_lengths == 102
         assert len(made) <= axis_lengths + len(result.witnesses)
         assert len(built) == len(result.witnesses) == 4
+
+    def test_result_is_frozen(self):
+        # counts and witnesses are cached from the columns, so neither a
+        # column nor a field may change under them
+        result = scan(SearchSpec(6, family(6).grid))
+        assert result.counts["ComplexConvergent"] == 97
+        for column in (result.codes, result.max_imag, result.degenerate):
+            with pytest.raises(ValueError, match="read-only"):
+                column[:] = column[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.width = 7
+        assert result.counts["ComplexConvergent"] == len(result.complex_convergent_params()) == 97
