@@ -1,20 +1,21 @@
 """The local dynamical system v_{k+1} = A v_k on control-point windows.
 
-Iterates the local subdivision matrix, projects out the fixed point from
-the eigenvalue-1 left eigenvector, and decomposes the transient into real
-eigenmodes and complex-pair rotation-scaling planes.  The contraction
-factor of a complex pair is the modulus |mu| (the rotation-scaling normal
-form), with rotation angle arg(mu).  One float eigendecomposition of the
-matrix a request serves both the precision of the fixed-point route and
-the modes.
+Iterates the local subdivision matrix, subtracts the states' eigenvalue-1
+component z, from the left and right eigenvectors of eigenvalue 1 (their
+limit when every other eigenvalue has modulus below 1), and decomposes the
+transient into real eigenmodes and complex-pair rotation-scaling planes.
+The contraction factor of a complex pair is the modulus |mu| (the
+rotation-scaling normal form), with rotation angle arg(mu).  One float
+eigendecomposition of the matrix a request serves both the precision of
+the fixed-point route and the modes.
 
-The trajectory and the left eigenvector are exact and use integer
-arithmetic only: a LocalMatrix holds A as the integer matrix B = L A, L the
-lcm of its denominators, one read-only array of Python ints (dtype=object)
-that every step here reads as it is; the eigenvector comes from
-fraction-free elimination on B^T - L I, and the trajectory is kept as its
-transients v_k - f 1 (f 1 the fixed point, 0 when eigenvalue 1 is not
-simple).  Every
+The trajectory and the eigenvectors are exact and use integer arithmetic
+only: a LocalMatrix holds A as the integer matrix B = L A, L the lcm of its
+denominators, one read-only array of Python ints (dtype=object) that every
+step here reads as it is; each eigenvector comes from fraction-free
+elimination, and the trajectory is kept as its transients
+t_k = v_k - z = A^k (v_0 - z) (z = 0 when eigenvalue 1 is absent, not
+simple or defective).  Every
 reported transient is its exact value correctly rounded, by one of two
 routes that give the same floats.  Where the exact operands would be long,
 P-bit fixed-point integers with a proved error bound decide each rounding;
@@ -66,7 +67,7 @@ class TrajectoryReport:
     """A trajectory of K steps: the (K + 1, n) transients, one row a step,
     and their (K + 1,) distances, each one read-only float64 array, and the
     modes; a report compares by identity."""
-    # v_k - f 1 (f 1 the fixed point) for k = 0..K, not the states: a
+    # v_k - z (z the eigenvalue-1 component) for k = 0..K, not the states: a
     # rational matrix admits an exact trajectory whose transients keep full
     # relative precision long after float states have cancelled to noise
     transients: np.ndarray
@@ -75,16 +76,16 @@ class TrajectoryReport:
     modes: Optional[tuple[EigenMode, ...]]
 
 
-def _rational_null_weights(L: int, B: np.ndarray) -> Optional[list[Fraction]]:
-    """Left eigenvector of eigenvalue 1 of A = B / L, B an (n, n) array of
-    Python ints (dtype=object), solved exactly and normalized to sum 1;
-    None when the eigenvalue is absent or not simple.
+def _null_vector(L: int, B: np.ndarray) -> Optional[np.ndarray]:
+    """An integer null vector u of B^T - L I, B an (n, n) array of Python
+    ints (dtype=object), as one such array, unnormalized: the left
+    eigenvector of eigenvalue 1 of A = B / L (the right one of B.T / L);
+    None unless the null space is one line.
 
-    (A^T - I) u = 0 is solved as (B^T - L I) u = 0 by fraction-free
-    Gauss-Jordan elimination (Bareiss) on one array of Python ints
-    (dtype=object): a pivot swaps two rows by index and updates the other
-    rows with one np.outer, every division is exact, and every pivot ends
-    equal to the last one.
+    (B^T - L I) u = 0 is solved by fraction-free Gauss-Jordan elimination
+    (Bareiss) on one array of Python ints: a pivot swaps two rows by index
+    and updates the other rows with one np.outer, every division is exact,
+    and every pivot ends equal to the last one.
     """
     n = len(B)
     M = B.T - L * np.identity(n, dtype=object)
@@ -107,11 +108,7 @@ def _rational_null_weights(L: int, B: np.ndarray) -> Optional[list[Fraction]]:
         return None
     # pivot row r reads prev * u[c] + M[r, f] * u[f] = 0, f = free[0] and c
     # the r-th column other than f
-    u = np.insert(-M[:n - 1, free[0]], free[0], prev)
-    total = u.sum()
-    if total == 0:
-        return None
-    return [Fraction(x, total) for x in u]
+    return np.insert(-M[:n - 1, free[0]], free[0], prev)
 
 
 # iterate_local refuses more steps than this before any work: the exact
@@ -144,60 +141,45 @@ def _band(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.take_along_axis(B, idx, axis=1)
 
 
-def _transient_numerators(v: Sequence[Fraction], f: Fraction, L: int,
+def _transient_numerators(t: Sequence[Fraction], L: int,
                           B: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
-    """The transients v_k - f 1 of v_{k+1} = A v_k, A = B / L with B
+    """The transients t_k = A^k t of t_{k+1} = A t_k, A = B / L with B
     integer, as (integer numerators, one array of Python ints, and one
     positive denominator) for k = 0, 1, ...
 
-    With the state N_k / den_k (den_k = den_0 L^k, N_{k+1} = B N_k) and
-    f = fn / fd, the transient is T_k / (fd den_k) with
-    T_k = fd N_k - fn den_k 1, which steps as T_{k+1} = B T_k + fn den_k r,
-    r = B 1 - L 1.  r is zero when every row of A sums to 1, and the term
-    is then skipped.  B T is taken on the band of B (_band).  Nothing is
-    reduced, so the operands grow by log2(L) bits a step.
+    The numerators T_k over den_k = den_0 L^k step as T_{k+1} = B T_k,
+    taken on the band of B (_band).  Nothing is reduced, so the operands
+    grow by log2(L) bits a step.
     """
-    fn, fd = f.numerator, f.denominator
-    den, nums = integer_run(v)
+    common, nums = integer_run(t)
     idx, band = _band(B)
-    r = band.sum(axis=1) - L
-    shift, common = fn * den, fd * den
-    T = np.array([fd * x - shift for x in nums], dtype=object)
-    drift = any(r)
+    T = np.array(nums, dtype=object)
     while True:
         yield T, common
-        BT = (T[idx] * band).sum(axis=1)
-        T = BT + shift * r if drift else BT
-        shift *= L
+        T = (T[idx] * band).sum(axis=1)
         common *= L
 
 
-def _fixed_point_numerators(v: Sequence[Fraction], f: Fraction, L: int,
-                            B: np.ndarray, P: int) -> Iterator[tuple[np.ndarray, int]]:
-    """P-bit fixed-point transients of v_{k+1} = A v_k, A = B / L: (X_k, E_k)
+def _fixed_point_numerators(t: Sequence[Fraction], L: int, B: np.ndarray,
+                            P: int) -> Iterator[tuple[np.ndarray, int]]:
+    """P-bit fixed-point transients of t_{k+1} = A t_k, A = B / L: (X_k, E_k)
     for k = 0, 1, ..., integers X_k (one array) and one bound E_k with
-    |2^P (v_k - f) - X_k| < E_k for every entry.
+    |2^P t_k - X_k| < E_k for every entry.
 
-    X_0 = floor(2^P (v_0 - f)) and X_{k+1} = floor((B X_k + D) / L),
-    D = floor(2^P f r), r = B 1 - L 1, on the band of B (_band); D is zero
-    when every row of A sums to 1, and the term is then skipped.  E_0 = 1
-    and E_{k+1} = ceil(R E_k / L) + 1, R = _row_bound(B): the
-    new error is the old one through B / L, below R E_k / L in magnitude,
-    plus the two floors' remainders, which lie in [0, 1) together.  The
-    operands stay near P bits plus the transients' own size.
+    X_0 = floor(2^P t_0) and X_{k+1} = floor(B X_k / L), on the band of B
+    (_band).  E_0 = 1 and E_{k+1} = ceil(R E_k / L) + 1, R = _row_bound(B):
+    the new error is the old one through B / L, below R E_k / L in
+    magnitude, plus the floor's remainder, in [0, 1).  The operands stay
+    near P bits plus the transients' own size.
     """
-    fn, fd = f.numerator, f.denominator
-    den, nums = integer_run(v)
+    den, nums = integer_run(t)
     idx, band = _band(B)
-    X = np.array([((fd * x - fn * den) << P) // (fd * den) for x in nums], dtype=object)
-    D = (band.sum(axis=1) - L) * (fn << P) // fd
-    drift = any(D)
+    X = np.array([(x << P) // den for x in nums], dtype=object)
     R = _row_bound(B)
     E = 1
     while True:
         yield X, E
-        BX = (X[idx] * band).sum(axis=1)
-        X = (BX + D if drift else BX) // L
+        X = (X[idx] * band).sum(axis=1) // L
         E = -(-R * E // L) + 1
 
 
@@ -206,22 +188,22 @@ def _fixed_point_numerators(v: Sequence[Fraction], f: Fraction, L: int,
 _BLOCK = 32
 
 
-def _fixed_point_transients(v: Sequence[Fraction], f: Fraction, L: int,
-                            B: np.ndarray, K: int, P: int) -> Optional[np.ndarray]:
-    """The floats of the transients v_k - f 1, k = 0..K, of
-    v_{k+1} = A v_k, A = B / L, from the P-bit integers of
+def _fixed_point_transients(t: Sequence[Fraction], L: int, B: np.ndarray,
+                            K: int, P: int) -> Optional[np.ndarray]:
+    """The floats of the transients t_k, k = 0..K, of t_{k+1} = A t_k,
+    A = B / L, from the P-bit integers of
     _fixed_point_numerators; None where one of them is not proved to round
     to its float.
 
     Int-to-float conversion rounds correctly and monotonically, so where
     float(X - E) == float(X + E) that float is the correctly rounded
-    2^P (v_k - f), and times 2^-P it is the transient's correctly rounded
+    2^P t_k, and times 2^-P it is the transient's correctly rounded
     float: the exact route's float, bit for bit, while it is normal.  A
     failed bracket (an exact zero always fails one), a result below the
     normal range, or an X past the float range is None.
     """
     out = np.empty((K + 1, len(B)))
-    steps = _fixed_point_numerators(v, f, L, B, P)
+    steps = _fixed_point_numerators(t, L, B, P)
     for k in range(0, K + 1, _BLOCK):
         block = list(islice(steps, min(_BLOCK, K + 1 - k)))
         X = np.array([x for x, _ in block])
@@ -254,23 +236,27 @@ def _precision(M: LocalMatrix, K: int, w: np.ndarray) -> int:
 
 def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
                   norm: str = "inf") -> TrajectoryReport:
-    """Transients [v0 - f, A v0 - f, ..., A^K v0 - f], their distances to
-    the fixed point f and their eigenmodes, for A = M.B / M.L.
+    """Transients [v0 - z, A v0 - z, ..., A^K v0 - z], their distances to
+    the fixed point z and their eigenmodes, for A = M.B / M.L.
 
-    The fixed point is (u . v0) * ones with u the left eigenvector for
-    eigenvalue 1 normalized to u . ones = 1; this is exact in the limit and
-    independent of K.  When eigenvalue 1 is absent or not simple, or u sums
-    to 0 (_rational_null_weights is None), f is 0 and the transients are
-    the states.  Each transient entry is the correctly rounded float of its
-    exact value, one entry of a float64 array, by one of two routes with
-    the same floats.  The fixed-point route (_fixed_point_transients) runs when twice
-    its precision P (_precision) is below the exact route's mean operand
-    length, log2(fd) + K log2(L) / 2 bits with f = fn / fd; it proves each
-    rounding from an error bound or returns None, also where P is so large
-    that X +- E leaves the float range, which its first bracket finds.
-    P's decay term reads the subdominant modulus of the modes the start
-    excites.  When B is its own flip J (B[i][j] = B[n-1-i][n-1-j],
-    localmatrix._centrosymmetric) and v0 its own reverse, both exact tests,
+    The fixed point z = (u . v0 / u . w) w is the states' eigenvalue-1
+    component, u and w the left and right eigenvectors of eigenvalue 1
+    (_null_vector on B and on B^T), decided once and independent of K; it
+    is their limit when every other eigenvalue has modulus below 1.  When
+    eigenvalue 1 is absent or not simple (no vector) or defective
+    (u . w = 0), z is 0 and the transients are the states.  Either way
+    the transients step as t_{k+1} = A t_k from t_0 = v0 - z.  Each transient entry is the
+    correctly rounded float of its exact value, one entry of a float64
+    array, by one of two routes with the same floats.  The fixed-point
+    route (_fixed_point_transients) runs when twice its precision P
+    (_precision) is below the exact route's mean operand length,
+    log2(den) + K log2(L) / 2 bits with den the common denominator of t_0;
+    it proves each rounding from an error bound or returns None, also where
+    P is so large that X +- E leaves the float range, which its first
+    bracket finds.  P's decay term reads the subdominant modulus of the
+    modes the start excites.  When B is its own flip J
+    (B[i][j] = B[n-1-i][n-1-j], localmatrix._centrosymmetric) and t_0 its
+    own reverse, both exact tests,
     every transient is J-symmetric and decays at the J-even modes alone:
     those eigenvalues whose eigenvector (a column of V) lies nearer the
     J-symmetric subspace than the J-antisymmetric one, or all of them when
@@ -303,28 +289,33 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
         raise ValueError("v0 has dimension %d, matrix order is %d" % (len(v0), M.n))
 
     vq = [Fraction(float(x)) for x in v0]  # floats are exact binary rationals
-    weights = _rational_null_weights(M.L, M.B)
-    fq = Fraction(0) if weights is None else sum((u * x for u, x in zip(weights, vq)), Fraction(0))
+    u = _null_vector(M.L, M.B)
+    right = None if u is None else _null_vector(M.L, M.B.T)
+    uw = 0 if right is None else u @ right
+    t = vq
+    if uw:
+        c = (u * vq).sum() / uw
+        t = [x - c * y for x, y in zip(vq, right)]
     D = None
     w, V = np.linalg.eig(M.as_float())
     # a start that is its own flip J, on a B that is too, excites only the
     # J-even modes: those whose eigenvector is nearer J-symmetric
     even = np.linalg.norm(V - V[::-1], axis=0) < np.linalg.norm(V + V[::-1], axis=0)
-    symmetric = vq == vq[::-1] and _centrosymmetric(M.B[None])[0]
+    symmetric = t == t[::-1] and _centrosymmetric(M.B[None])[0]
     P = _precision(M, K, w[even] if symmetric and even.sum() >= 2 else w)
     # the fixed-point route pays for P-bit operands where the exact one's
-    # average log2(fd) + K log2(L) / 2 bits; twice P is where it gains
-    if 2 * P < fq.denominator.bit_length() + K * M.L.bit_length() / 2:
-        D = _fixed_point_transients(vq, fq, M.L, M.B, K, P)
+    # average log2(den) + K log2(L) / 2 bits; twice P is where it gains
+    if 2 * P < integer_run(t)[0].bit_length() + K * M.L.bit_length() / 2:
+        D = _fixed_point_transients(t, M.L, M.B, K, P)
     if D is None:
         D = np.empty((K + 1, M.n))
         try:
-            for k, (T, common) in enumerate(islice(_transient_numerators(vq, fq, M.L, M.B), K + 1)):
+            for k, (T, common) in enumerate(islice(_transient_numerators(t, M.L, M.B), K + 1)):
                 D[k] = T / common  # int.__truediv__ an entry, correctly rounded
         except OverflowError:
             raise TrajectoryOverflowError(
-                "transient %d leaves the float range; the trajectory is finite up to K = %d"
-                % (k, k - 1)) from None
+                "transient %d leaves the float range" % k
+                + ("; the trajectory is finite up to K = %d" % (k - 1) if k else "")) from None
 
     top = np.max(np.abs(D), axis=1)
     if norm == "inf":

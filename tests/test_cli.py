@@ -393,6 +393,29 @@ class TestDynamics:
         assert code == 0 and len(out.splitlines()) == 287
         assert "nan" not in out and "inf" not in out
 
+    def test_transient_0_past_float_range_names_no_finite_k(self, capsys):
+        # the start's own transient overflows: there is no finite K to name
+        code, out, err = run(capsys, "dynamics", "--scheme", "catalog:d", "--K", "3",
+                             "--v0=1e308,1e308,1e308,1e308,-1e308")
+        assert (code, out, err) == (1, "", "error: transient 0 leaves the float range\n")
+
+    # MASK4U of TestDeterminism and a width-5 mask from -2: each matrix has
+    # the simple eigenvalue 1 and rows that do not sum to 1, so the limit of
+    # its states is not a multiple of 1
+    @pytest.mark.parametrize("start, coeffs, bound", [
+        (-6, ("1", "-2/3", "-1/3", "-1/2"), 1e-20),
+        (-2, ("1", "3/5", "-1/5", "1/4", "1/4"), 1e-15),
+    ], ids=["w4u", "w5u"])
+    def test_unbalanced_mask_decays_to_its_limit(self, capsys, tmp_path, start, coeffs, bound):
+        # the distance and every mode column at k = 300 are below the bound
+        path = tmp_path / "unbalanced.json"
+        save_scheme(SchemeRecord("unbalanced", Mask(start, tuple(map(F, coeffs)))), path)
+        code, out, err = run(capsys, "dynamics", "--scheme", str(path), "--K", "300")
+        assert code == 0 and err == ""
+        k, *values = out.splitlines()[-1].split(",")
+        assert k == "300" and len(values) >= 2
+        assert all(0 <= float(x) < bound for x in values)
+
     def test_mode_past_float_range_is_named(self, capsys, tmp_path):
         # transient 286 of the eight 3s is finite, but its eigenbasis
         # coefficients are not: exit 1 naming the step, no inf or nan row
@@ -896,7 +919,7 @@ W13R_COEFFS = tuple(F(c) for c in (
     "3/7", "0", "0", "0", "0", "-6/7", "6/35", "0", "0", "1", "0", "6/7", "2/5"))
 # an unbalanced width-4 rational mask (even sum 2/3, odd sum -7/6) whose
 # local matrix still has the simple dominant eigenvalue 1, so B*1 != L*1
-# and the exact trajectory's constant term runs; the test writes it to a
+# and the states' limit is not a multiple of 1; the test writes it to a
 # file in place of MASK4U
 MASK4U = "<width-4 unbalanced mask file>"
 W4U_COEFFS = tuple(F(c) for c in ("1", "-2/3", "-1/3", "-1/2"))
@@ -977,7 +1000,7 @@ class TestDeterminism:
                      "883246c2820b6005af5d41131196aa02b7518d545b1b56db60a92386c34e34b0",
                      id="argv17"),
         pytest.param(("dynamics", "--scheme", MASK4U, "--K", "300"),
-                     "bbed484491ecb69fed1dc3ebccb3adce30b4a504b21e00268a5871f03a9ce3d0",
+                     "4f607ef0d32be82152640a80993de6d32d73c9d41cab514364b1a73e7cd54c77",
                      id="argv18"),
         pytest.param(("dynamics", "--scheme", MASK6N, "--K", "30"),
                      "32860fe0d2443a4a05e5e8072c97f4c3e8d392c0446dcdeaf3200bac1acc8cfb",

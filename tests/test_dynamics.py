@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import fraction_entries, local_matrix, mask_matrix
 from subdiv import dynamics
 from subdiv.dynamics import (MAX_K, ModeOverflowError, TrajectoryOverflowError,
-                             _fixed_point_numerators, _fixed_point_transients, _precision,
-                             _rational_null_weights, _transient_numerators, decompose_modes,
-                             iterate_local, write_trajectory_csv)
+                             _fixed_point_numerators, _fixed_point_transients, _null_vector,
+                             _precision, _transient_numerators, decompose_modes, iterate_local,
+                             write_trajectory_csv)
 from subdiv.localmatrix import LocalMatrix, matrix_from_coeffs
 from subdiv.masks import catalog_get
 
@@ -43,8 +43,9 @@ class TestIterateLocal:
             assert abs(d[k + 1] / d[k] - 0.5) < 1e-9
 
     def test_non_convergent_matrix_reported(self):
-        # eigenvalue 1 is simple with u = e2, so f = v0[1] = 0 and the
-        # transients are the states, the first entry doubling each step
+        # eigenvalue 1 is simple with left and right eigenvectors e2, so the
+        # eigenvalue-1 component is v0[1] e2 = 0 and the transients are the
+        # states, which have no limit: the first entry doubles each step
         A = local_matrix(1, ((2, 0), (0, 1)))
         traj = iterate_local((1.0, 0.0), A, 5)
         assert traj.transients.dtype == np.float64
@@ -72,7 +73,7 @@ class TestIterateLocal:
             raise AssertionError("trajectory work before the K bound was checked")
 
         monkeypatch.setattr(dynamics, "_transient_numerators", fail)
-        monkeypatch.setattr(dynamics, "_rational_null_weights", fail)
+        monkeypatch.setattr(dynamics, "_null_vector", fail)
         identity = local_matrix(1, np.identity(6, dtype=int).tolist())
         for A in (A_MATRIX, identity):
             with pytest.raises(ValueError, match="K must be <= %d" % MAX_K):
@@ -89,16 +90,25 @@ class TestIterateLocal:
             iterate_local(E1, A_MATRIX, 5, norm="1")
 
 
-def sympy_null_weights(A: LocalMatrix):
-    """Null vector of A^T - I by sympy, normalized to sum 1; None unless the
-    null space is one line whose vectors do not sum to 0."""
+def sympy_null_space(A: LocalMatrix, left: bool):
+    """The null space of A^T - I (left) or of A - I by sympy, as a list of
+    sympy column vectors."""
     n, E = A.n, fraction_entries(A)
-    M = sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(E[j][i])) - int(i == j))
-    basis = M.nullspace()
-    if len(basis) != 1 or sum(basis[0]) == 0:
-        return None
-    u = basis[0] / sum(basis[0])
-    return [F(int(x.p), int(x.q)) for x in u]
+    return sympy.Matrix(n, n, lambda i, j: sympy.Rational(str(E[j][i] if left else E[i][j]))
+                        - int(i == j)).nullspace()
+
+
+def sympy_limit(A: LocalMatrix, v0):
+    """The eigenvalue-1 component z of v0 in Fractions, the limit of the
+    states A^k v0 when every other eigenvalue has modulus below 1, from
+    sympy's left and right null spaces of A - I: (u . v0 / u . w) w where
+    both are one line and u . w != 0, else 0."""
+    left, right = sympy_null_space(A, True), sympy_null_space(A, False)
+    if len(left) != 1 or len(right) != 1 or (left[0].T * right[0])[0] == 0:
+        return [F(0)] * A.n
+    u, w = left[0], right[0]
+    c = sum(x * sympy.Rational(str(F(y))) for x, y in zip(u, v0)) / (u.T * w)[0]
+    return [F(int(x.p), int(x.q)) for x in (c * w)]
 
 
 def entry_matrix(entries) -> LocalMatrix:
@@ -110,8 +120,8 @@ def entry_matrix(entries) -> LocalMatrix:
 
 def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
     """The former Fraction loop, kept as an oracle: (transients,
-    distances), with the weights solved by sympy; the fixed point is 0
-    where eigenvalue 1 is not simple."""
+    distances), with the eigenvalue-1 component z solved by sympy; it is 0
+    where eigenvalue 1 is absent, not simple or defective."""
     _, transients = exact_transients(v0, A, K)
     diffs = [np.array([float(x) for x in t]) for t in transients]
     if norm == "inf":
@@ -122,18 +132,17 @@ def reference_trajectory(v0, A: LocalMatrix, K: int, norm: str):
 
 
 def exact_transients(v0, A: LocalMatrix, K: int):
-    """(f, [v_k - f 1 for k = 0..K]) in Fractions, f from sympy's weights
-    (0 where eigenvalue 1 is not simple)."""
-    weights = sympy_null_weights(A)
+    """(z, [v_k - z for k = 0..K]) in Fractions, the states v_k stepped in
+    Fractions and z v0's eigenvalue-1 component by sympy (sympy_limit)."""
     n, E = A.n, fraction_entries(A)
     vq = [F(x) for x in v0]
-    fq = F(0) if weights is None else sum((w * x for w, x in zip(weights, vq)), F(0))
+    z = sympy_limit(A, vq)
     states_q = [vq]
     for _ in range(K):
         prev = states_q[-1]
         states_q.append([sum((E[i][j] * prev[j] for j in range(n)), F(0))
                          for i in range(n)])
-    return fq, [[x - fq for x in s] for s in states_q]
+    return z, [[x - y for x, y in zip(s, z)] for s in states_q]
 
 
 # the least magnitude that rounds to inf: the largest double plus half its ulp
@@ -193,6 +202,25 @@ def local_matrices(draw):
 dyadic = st.builds(lambda m, e: m / 2 ** e, st.integers(-2 ** 20, 2 ** 20), st.integers(0, 40))
 
 
+@st.composite
+def unbalanced_matrices(draw):
+    """Local matrices of rational matrices of orders 2-6 whose rows do not
+    all sum to 1.  Half of them are given eigenvalue 1 on a drawn right
+    eigenvector w, not 1: a column j with w_j != 0 is moved so that A w = w,
+    and z is then often nonzero."""
+    n = draw(st.integers(2, 6))
+    A = [draw(st.lists(rationals, min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.booleans()):
+        w = draw(st.lists(rationals, min_size=n, max_size=n).filter(any))
+        j = next(i for i, x in enumerate(w) if x)
+        Aw = [sum(a * b for a, b in zip(row, w)) for row in A]
+        for i, row in enumerate(A):
+            row[j] += (w[i] - Aw[i]) / w[j]
+    if all(sum(row) == 1 for row in A):
+        A[0][0] += 1
+    return entry_matrix(A)
+
+
 class TestExactTrajectory:
     @settings(max_examples=100, deadline=None)
     @given(st.data(), local_matrices(), st.integers(1, 40), st.sampled_from(["inf", "2"]))
@@ -203,21 +231,43 @@ class TestExactTrajectory:
         assert bits(traj.transients) == bits(transients)
         assert bits(traj.distances) == bits(dists)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), unbalanced_matrices(), st.integers(1, 40))
+    def test_unbalanced_matrices_match_sympy(self, data, A, K):
+        # the transients are A^k (v0 - z), z the eigenvalue-1 component from
+        # sympy's null spaces, stepped by sympy and each correctly rounded
+        v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
+        Am = sympy.Matrix(A.n, A.n, lambda i, j: sympy.Rational(int(A.B[i][j]), A.L))
+        t = sympy.Matrix([sympy.Rational(str(F(x) - y))
+                          for x, y in zip(v0, sympy_limit(A, v0))])
+        rows = []
+        for _ in range(K + 1):
+            rows.append([float(F(int(x.p), int(x.q))) for x in t])
+            t = Am * t
+        assert bits(iterate_local(v0, A, K).transients) == bits(rows)
+
     @settings(deadline=None)
     @given(local_matrices())
-    def test_null_weights_match_sympy(self, A):
-        assert _rational_null_weights(A.L, A.B) == sympy_null_weights(A)
+    def test_null_vectors_match_sympy(self, A):
+        check_null_vectors(A)
 
-    @pytest.mark.parametrize("entries", [
-        ((F(1, 2), 0), (0, F(1, 3))),                        # no eigenvalue 1
-        ((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4))),  # two eigenvectors
-        ((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))),           # Jordan block at 1
-        ((F(3, 2), F(1, 2)), (F(1, 2), F(3, 2))),            # u = (1, -1) sums to 0
+    @pytest.mark.parametrize("entries, nullity, z", [
+        (((F(1, 2), 0), (0, F(1, 3))), 0, (0, 0)),                            # no eigenvalue 1
+        (((1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 4), F(1, 4))), 2, (0, 0, 0)),  # two eigenvectors
+        (((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))), 1, (0, 0)),   # Jordan block at 1: u . w = 0
+        # u = w = (1, -1), which sums to 0, and the rows sum to 2
+        (((F(3, 2), F(1, 2)), (F(1, 2), F(3, 2))), 1, (F(-1, 4), F(1, 4))),
     ], ids=["absent", "double", "defective", "sum-zero"])
-    def test_null_weights_none_unless_simple(self, entries):
+    def test_null_vector_none_unless_the_nullity_is_1(self, entries, nullity, z):
         A = entry_matrix(entries)
-        assert _rational_null_weights(A.L, A.B) is None
-        assert sympy_null_weights(A) is None
+        assert len(sympy_null_space(A, True)) == len(sympy_null_space(A, False)) == nullity
+        assert (_null_vector(A.L, A.B) is None) == (_null_vector(A.L, A.B.T) is None) == \
+            (nullity != 1)
+        check_null_vectors(A)
+        v0 = (F(1, 2), F(1), F(3, 4))[:A.n]
+        assert sympy_limit(A, v0) == limit(A, v0) == list(z)
+        assert iterate_local(v0, A, 1).transients[0].tolist() == \
+            [float(x - y) for x, y in zip(v0, z)]
 
     P = 2 ** 64 + 13
 
@@ -231,69 +281,100 @@ class TestExactTrajectory:
         ((F(P - 1, P), F(1, 2 * P), F(1, 2 * P), 0), (F(1, 3), F(1, 3), F(1, 3), 0),
          (0, F(2, P + 2), F(P, P + 2), 0), (F(1, P), 0, 0, F(P - 1, P))),
     ], ids=["swap-3", "swap-4", "big-2", "big-4"])
-    def test_null_weights_swap_and_big_entries(self, entries):
+    def test_null_vector_swap_and_big_entries(self, entries):
         A = entry_matrix(entries)
-        w = _rational_null_weights(A.L, A.B)
-        assert w is not None and sum(w) == 1 and w == sympy_null_weights(A)
+        assert _null_vector(A.L, A.B) is not None
+        check_null_vectors(A)
 
-    def test_catalog_weights(self):
-        w = _rational_null_weights(A_MATRIX.L, A_MATRIX.B)
-        assert sum(w) == 1 and w == sympy_null_weights(A_MATRIX)
+    def test_catalog_null_vectors(self):
+        # a balanced mask: its right eigenvector is 1, and the limit f 1
+        assert _null_vector(A_MATRIX.L, A_MATRIX.B) is not None
+        check_null_vectors(A_MATRIX)
+        z = sympy_limit(A_MATRIX, E1)
+        assert z == [z[0]] * A_MATRIX.n and z[0] != 0
 
     @settings(deadline=None)
     @given(local_matrices(),
            st.lists(st.builds(F, st.integers(-36, 36), st.integers(1, 12)),
-                    min_size=12, max_size=12),
-           st.builds(F, st.integers(-120, 120), st.integers(1, 40)))
-    def test_transient_steps_are_exact(self, A, v0, f):
-        # any f: the recurrence holds whether or not f 1 is the fixed point,
-        # and whether or not the rows of A sum to 1
-        L, B = A.L, A.B
-        steps = _transient_numerators(v0[:A.n], f, L, B)
+                    min_size=12, max_size=12))
+    def test_transient_steps_are_exact(self, A, t0):
+        # any start steps as t_{k+1} = A t_k, whether or not it is a
+        # transient, and whether or not the rows of A sum to 1
+        steps = _transient_numerators(t0[:A.n], A.L, A.B)
         T, common = next(steps)
-        v = [F(y, common) + f for y in T]
-        assert v == v0[:A.n]
+        t = [F(y, common) for y in T]
+        assert t == t0[:A.n]
         for _ in range(2):  # the second step meets den_1 = den_0 L
             T, common = next(steps)
             assert common > 0 and all(type(y) is int for y in T)
-            v = [sum((e * x for e, x in zip(row, v)), F(0)) for row in fraction_entries(A)]
-            assert [F(y, common) for y in T] == [x - f for x in v]
+            t = [sum((e * x for e, x in zip(row, t)), F(0)) for row in fraction_entries(A)]
+            assert [F(y, common) for y in T] == t
+
+    # MASK4U of test_cli: a width-4 mask from -6 whose rows of A do not sum
+    # to 1 and whose eigenvalue 1 is simple
+    W4U = matrix_from_coeffs(-6, tuple(map(F, ("1", "-2/3", "-1/3", "-1/2"))))
+
+    def test_the_limit_is_fixed_where_f_1_is_not(self):
+        # f 1, f = u . v0 / u . 1, the limit on a balanced mask, is not fixed
+        # by this A; the limit z is, exactly, and the transients about it decay
+        A = self.W4U
+        E = fraction_entries(A)
+        v0 = [F(i == A.n // 2) for i in range(A.n)]
+        z = limit(A, v0)
+        assert z == sympy_limit(A, v0) and z[0] != 0
+        assert [sum((e * x for e, x in zip(row, z)), F(0)) for row in E] == z
+        u = _null_vector(A.L, A.B)
+        f = sum((a * b for a, b in zip(u, v0)), F(0)) / sum(u)
+        assert z != [f] * A.n
+        assert [sum(row, F(0)) * f for row in E] != [f] * A.n
+        traj = iterate_local(v0, A, 300)
+        assert traj.transients[0].tolist() == [float(x - y) for x, y in zip(v0, z)]
+        assert traj.distances[-1] < 1e-20
 
 
-    @pytest.mark.parametrize("A, balanced", [
-        (A_MATRIX, True),                                               # rows of A sum to 1
-        (local_matrix(2, ((2, 0, 0), (0, 1, 0), (0, 1, 1))), False),  # r = (0, -1, 0)
-    ], ids=["r-zero", "r-nonzero"])
-    def test_transients_with_and_without_the_r_term(self, A, balanced):
-        # the term f den_k r is skipped when r = B 1 - L 1 is zero
-        assert (not any(sum(row) - A.L for row in A.B)) == balanced
-        v0, f = [F(k - 2, k + 3) for k in range(A.n)], F(2, 7)
-        steps, v = _transient_numerators(v0, f, A.L, A.B), v0
-        for _ in range(12):
-            T, common = next(steps)
-            assert [F(y, common) for y in T] == [x - f for x in v]
-            v = [sum((e * x for e, x in zip(row, v)), F(0)) for row in fraction_entries(A)]
+def check_null_vectors(A: LocalMatrix):
+    """_null_vector on B and on B^T against sympy's left and right null
+    spaces of A - I: None unless the null space is one line, and otherwise
+    a nonzero vector of Python ints on that line."""
+    for B, left in ((A.B, True), (A.B.T, False)):
+        got, basis = _null_vector(A.L, B), sympy_null_space(A, left)
+        if len(basis) != 1:
+            assert got is None
+            continue
+        s = [F(int(x.p), int(x.q)) for x in basis[0]]
+        assert all(type(x) is int for x in got) and any(got)
+        k = next(i for i, x in enumerate(s) if x)
+        assert [x * s[k] for x in got] == [y * got[k] for y in s]
 
 
-def dense_numerators(v, f, L, B):
+def limit(A: LocalMatrix, v):
+    """The eigenvalue-1 component z of v from _null_vector's left and right
+    eigenvectors u and w, one elimination each: (u . v / u . w) w, or 0
+    where either is None or u . w = 0."""
+    u, w = _null_vector(A.L, A.B), _null_vector(A.L, A.B.T)
+    uw = 0 if u is None or w is None else sum(a * b for a, b in zip(u, w))
+    if uw == 0:
+        return [F(0)] * A.n
+    c = sum((a * F(b) for a, b in zip(u, v)), F(0)) / uw
+    return [c * b for b in w]
+
+
+def dense_numerators(t, L, B):
     """The transient recurrence with one dense product B T a step, kept as
     an oracle for the band step."""
-    den = math.lcm(*(x.denominator for x in v))
+    common = math.lcm(*(x.denominator for x in t))
     Bq = np.array(B, dtype=object)
-    r = Bq.sum(axis=1) - L
-    shift, common = f.numerator * den, f.denominator * den
-    T = np.array([f.denominator * int(x * den) - shift for x in v], dtype=object)
+    T = np.array([int(x * common) for x in t], dtype=object)
     while True:
         yield T, common
-        T = Bq @ T + shift * r
-        shift *= L
+        T = Bq @ T
         common *= L
 
 
 @st.composite
 def integer_matrices(draw):
     """(L, B) for square integer B of orders 1-9, dense or mostly zero;
-    the rows sum to L, so the drift term r is zero, when balanced."""
+    half of them with rows that sum to L."""
     n = draw(st.integers(1, 9))
     entry = draw(st.sampled_from([st.integers(-60, 60), st.sampled_from([0, 0, 0, -7, 1, 13])]))
     B = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
@@ -312,58 +393,50 @@ class TestBandStep:
     integers are those of the dense product, for any integer B."""
 
     # zero rows, a lone nonzero at either end of a row, a band as wide as
-    # the matrix, and rows that sum to L (no drift term)
+    # the matrix, and rows that sum to L
     @settings(deadline=None)
     @given(st.one_of(integer_matrices(), local_matrices().map(lambda A: (A.L, A.B))),
            st.lists(st.builds(F, st.integers(-36, 36), st.integers(1, 12)),
-                    min_size=12, max_size=12),
-           st.builds(F, st.integers(-120, 120), st.integers(1, 40)))
-    @example((7, ((0, 0), (0, 0))), V0, F(2, 7))
-    @example((7, ((0, 0, 0), (5, 0, 0), (0, 0, -2))), V0, F(2, 7))
-    @example((7, ((1, 0, 0, 0), (0, 0, 0, 3), (2, 0, 0, 0), (0, 0, 0, 0))), V0, F(2, 7))
-    @example((7, ((1, 2, 3), (4, 5, 6), (7, 8, 9))), V0, F(2, 7))
-    @example((7, ((3, 0, 4), (0, 7, 0), (5, 2, 0))), V0, F(2, 7))
-    def test_band_step_is_the_dense_product(self, LB, v0, f):
+                    min_size=12, max_size=12))
+    @example((7, ((0, 0), (0, 0))), V0)
+    @example((7, ((0, 0, 0), (5, 0, 0), (0, 0, -2))), V0)
+    @example((7, ((1, 0, 0, 0), (0, 0, 0, 3), (2, 0, 0, 0), (0, 0, 0, 0))), V0)
+    @example((7, ((1, 2, 3), (4, 5, 6), (7, 8, 9))), V0)
+    @example((7, ((3, 0, 4), (0, 7, 0), (5, 2, 0))), V0)
+    def test_band_step_is_the_dense_product(self, LB, t0):
         L, B = LB[0], np.array(LB[1], dtype=object)  # the examples give nested tuples
-        band, dense = (steps(v0[:len(B)], f, L, B) for steps in (_transient_numerators,
-                                                                 dense_numerators))
+        band, dense = (steps(t0[:len(B)], L, B) for steps in (_transient_numerators,
+                                                              dense_numerators))
         for _ in range(6):
             (T, common), (T_dense, common_dense) = next(band), next(dense)
             assert T.tolist() == T_dense.tolist() and common == common_dense
 
 
-def exact_floats(v, f, L, B, K):
-    """The exact route's floats of the transients 0..K: each one integer
-    division of _transient_numerators; None where one leaves the float
-    range."""
+def exact_floats(t, L, B, K):
+    """The exact route's floats of the transients 0..K from t: each one
+    integer division of _transient_numerators; None where one leaves the
+    float range."""
     try:
         return [[y / common for y in T]
-                for T, common in islice(_transient_numerators(v, f, L, B), K + 1)]
+                for T, common in islice(_transient_numerators(t, L, B), K + 1)]
     except OverflowError:
         return None
 
 
-def fixed_point(A: LocalMatrix, v) -> F:
-    """f as iterate_local takes it: u . v for the weights u of
-    _rational_null_weights, 0 without them."""
-    w = _rational_null_weights(A.L, A.B)
-    return F(0) if w is None else sum((a * b for a, b in zip(w, v)), F(0))
-
-
 def exact_rows(v0, A: LocalMatrix, K: int):
-    """exact_floats of the transients 0..K of iterate_local(v0, A, K), or
-    None."""
+    """exact_floats of the transients 0..K of iterate_local(v0, A, K), from
+    v0 minus its limit, or None."""
     vq = [F(x) for x in v0]
-    return exact_floats(vq, fixed_point(A, vq), A.L, A.B, K)
+    return exact_floats([x - y for x, y in zip(vq, limit(A, vq))], A.L, A.B, K)
 
 
 @st.composite
 def fixed_point_inputs(draw):
-    """(v, f, L, B, K, P): integer B of orders 1-10 with entries up to 2^20,
+    """(t, L, B, K, P): integer B of orders 1-10 with entries up to 2^20,
     L up to 2^40 (half of the time near the largest row sum of |B|, where
-    the transients neither overflow nor underflow at once), balanced rows
-    (B 1 = L 1, no drift term) or not, rational v and f, K <= 400, and P
-    the one iterate_local picks or a fixed one."""
+    the transients neither overflow nor underflow at once), rows that sum
+    to L (eigenvalue 1) or not, a rational start t, K <= 400, and P the
+    one iterate_local picks or a fixed one."""
     n = draw(st.integers(1, 10))
     top = 2 ** draw(st.integers(1, 20))
     entry = draw(st.sampled_from([st.integers(-top, top), st.sampled_from([0, 0, 0, -7, 1, 13])]))
@@ -377,14 +450,13 @@ def fixed_point_inputs(draw):
             row[i] += L - sum(row)
     B = np.array(B, dtype=object)
     small = st.builds(F, st.integers(-2 ** 30, 2 ** 30), st.integers(1, 2 ** 10))
-    v = draw(st.lists(small, min_size=n, max_size=n))
-    f = draw(small)
+    t = draw(st.lists(small, min_size=n, max_size=n))
     K = draw(st.integers(1, 400))
     P = draw(st.sampled_from([None, 0, 60, 200, 600, 960]))
     if P is None:
         A = local_matrix(L, B)
         P = _precision(A, K, np.linalg.eig(A.as_float())[0])
-    return v, f, L, B, K, P
+    return t, L, B, K, P
 
 
 class TestFixedPointRoute:
@@ -395,20 +467,20 @@ class TestFixedPointRoute:
     @settings(max_examples=100, deadline=None)
     @given(fixed_point_inputs())
     def test_error_bound_holds(self, inputs):
-        # |2^P (v_k - f) - X_k| < E_k, with v_k - f = T_k / common exactly
-        v, f, L, B, K, P = inputs
-        steps = zip(_fixed_point_numerators(v, f, L, B, P), _transient_numerators(v, f, L, B))
+        # |2^P t_k - X_k| < E_k, with t_k = T_k / common exactly
+        t, L, B, K, P = inputs
+        steps = zip(_fixed_point_numerators(t, L, B, P), _transient_numerators(t, L, B))
         for (X, E), (T, common) in islice(steps, K + 1):
             assert all(abs((t << P) - x * common) < E * common for x, t in zip(X, T))
 
     @settings(max_examples=150, deadline=None)
     @given(fixed_point_inputs())
     def test_none_or_the_exact_floats(self, inputs):
-        v, f, L, B, K, P = inputs
-        got = _fixed_point_transients(v, f, L, B, K, P)
+        t, L, B, K, P = inputs
+        got = _fixed_point_transients(t, L, B, K, P)
         if got is not None:
             assert got.shape == (K + 1, len(B))
-            assert bits(got) == bits(exact_floats(v, f, L, B, K))
+            assert bits(got) == bits(exact_floats(t, L, B, K))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), local_matrices(), st.integers(1, 300), st.sampled_from(["inf", "2"]))
@@ -459,10 +531,11 @@ class TestFixedPointRoute:
         assert len(results) == 1
 
     def test_zero_transients_fall_back(self, monkeypatch):
-        # v0 = 1 on a balanced mask is the fixed point: every transient is
-        # an exact 0, which no bracket float(X - E) == float(X + E) holds
-        v = [F(1)] * self.WIDE.n
-        assert _fixed_point_transients(v, F(1), self.WIDE.L, self.WIDE.B, 300, 400) is None
+        # v0 = 1 on a balanced mask is its own limit: every transient is an
+        # exact 0, which no bracket float(X - E) == float(X + E) holds
+        assert limit(self.WIDE, [F(1)] * self.WIDE.n) == [F(1)] * self.WIDE.n
+        t = [F(0)] * self.WIDE.n
+        assert _fixed_point_transients(t, self.WIDE.L, self.WIDE.B, 300, 400) is None
         results = self.spy(monkeypatch)
         traj = iterate_local((1.0,) * self.WIDE.n, self.WIDE, 300)
         assert results == [None]
@@ -532,25 +605,25 @@ class TestFixedPointRoute:
         assert traj.transients.tolist() == [[0.0, 0.0]] * 301
 
     def test_subnormal_transients_fall_back(self):
-        # A = I / 2 halves the states (no eigenvalue 1: f = 0), from
+        # A = I / 2 halves the states (no eigenvalue 1: z = 0), from
         # 2^-1000 (1 + 2^-59).  State 23 is the first below the normal range,
         # and the route gives None from K = 23 on.  State 75 shows why: it
         # rounds to 2^-1074, while its 53-bit float 2^-1075 scaled by 2^-P
         # rounds again, to 0.
         L, B = 2, np.identity(2, dtype=object)
         v = [F(2 ** 59 + 1, 2 ** 1059), F(3, 2 ** 1000)]
-        got = _fixed_point_transients(v, F(0), L, B, 22, 1200)
-        assert bits(got) == bits(exact_floats(v, F(0), L, B, 22))
-        assert _fixed_point_transients(v, F(0), L, B, 23, 1200) is None
-        assert _fixed_point_transients(v, F(0), L, B, 75, 1200) is None
-        assert exact_floats(v, F(0), L, B, 75)[-1][0] == math.ulp(0.0)
+        got = _fixed_point_transients(v, L, B, 22, 1200)
+        assert bits(got) == bits(exact_floats(v, L, B, 22))
+        assert _fixed_point_transients(v, L, B, 23, 1200) is None
+        assert _fixed_point_transients(v, L, B, 75, 1200) is None
+        assert exact_floats(v, L, B, 75)[-1][0] == math.ulp(0.0)
         assert math.ldexp(float(2 ** 125 + 2 ** 66), -1200) == 0.0
 
     def test_small_p_fails_part_of_the_way(self):
         # at P = 100 the bracket holds for the first steps and then fails,
         # as the transients decay into the bound
         vq = [F(x) for x in E1]
-        args = vq, fixed_point(A_MATRIX, vq), A_MATRIX.L, A_MATRIX.B
+        args = [x - y for x, y in zip(vq, limit(A_MATRIX, vq))], A_MATRIX.L, A_MATRIX.B
         fails = next(K for K in range(1, 301) if _fixed_point_transients(*args, K, 100) is None)
         assert 1 < fails < 300
         assert bits(_fixed_point_transients(*args, fails - 1, 100)) == \
