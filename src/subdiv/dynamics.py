@@ -18,11 +18,13 @@ t_k = v_k - z = A^k (v_0 - z) (z = 0 when eigenvalue 1 is absent, not
 simple or defective).  Every
 reported transient is its exact value correctly rounded, by one of two
 routes that give the same floats.  Where the exact operands would be long,
-P-bit fixed-point integers with a proved error bound decide each rounding;
-where they cannot (a bracket too wide to decide, or a bound past the float
-range), or the operands are short, the exact recurrence does: integer
-numerators over one denominator, stepped without any gcd, and one correctly
-rounded integer division an entry.  A mode is a real eigendirection with
+P-bit fixed-point integers with a proved error bound decide each rounding,
+at any P: a bracket past the float range is read from its leading bits.
+Where they cannot (a bracket too wide to decide, as an exact zero or a tie
+makes it, or a float below the normal range), or the operands are short,
+the exact recurrence does: integer numerators over one denominator,
+stepped without any gcd, and one correctly rounded integer division an
+entry.  A mode is a real eigendirection with
 signed coefficients or a complex pair's plane with none.  A report holds
 each float datum once, as a read-only float64 array: the transients, one
 row a step, their distances, and each mode's magnitudes and coefficients.
@@ -111,14 +113,16 @@ def _null_vector(L: int, B: np.ndarray) -> Optional[np.ndarray]:
     return np.insert(-M[:n - 1, free[0]], free[0], prev)
 
 
-# iterate_local refuses more steps than this before any work: the exact
-# trajectory's cost grows about as K^2 (its operands grow by log2(L) bits a
-# step, den_k = den_0 L^k), and K = 10^4 takes 16-23 s on the benchmark's
-# random rational masks of width 20 whose trajectory stays finite (pool
-# masks w20/1 and w20/2; Python 3.11, one core of a 2-vCPU VM).  The
-# fixed-point route is tried there, but P is 7300 to 11600 bits: X +- E
-# passes the float range in the first bracket, which returns None after
-# 7-10 ms, and its steps alone would take about 2 s.
+# iterate_local refuses more steps than this before any work.  K = 10^4
+# takes 3.1-3.4 s on the benchmark's random rational masks of width 20
+# whose trajectory stays finite (pool masks w20/1 and w20/2; Python 3.11,
+# one core of a 2-vCPU VM, the whole CLI process), on the fixed-point route
+# at P = 8023 and 8287 bits.  The exact route's cost grows about as K^2
+# (its operands grow by log2(L) bits a step, den_k = den_0 L^k), and it
+# still runs where a transient falls below the normal range: a width-24
+# mask with 500-bit denominators whose transients do so from about
+# k = 3400 takes 45 s at K = 1000 on that route, so about 75 min at
+# K = 10^4 by K^2.
 MAX_K = 10 ** 4
 
 
@@ -199,8 +203,14 @@ def _fixed_point_transients(t: Sequence[Fraction], L: int, B: np.ndarray,
     float(X - E) == float(X + E) that float is the correctly rounded
     2^P t_k, and times 2^-P it is the transient's correctly rounded
     float: the exact route's float, bit for bit, while it is normal.  A
-    failed bracket (an exact zero always fails one), a result below the
-    normal range, or an X past the float range is None.
+    block whose X +- E pass 2^1000 is decided on X - E and X + E shifted
+    right by s bits, the lower end rounded down and the upper end up, so
+    that both lie within 2^1000 and still bracket 2^(P - s) t_k; the
+    float is then scaled by 2^(s - P).  One rule accepts each block of
+    _BLOCK steps: every bracket holds and every float is finite and
+    normal.  Anything else is None: a failed bracket (an exact zero
+    always fails one), or a result that overflows or falls below the
+    normal range.
     """
     out = np.empty((K + 1, len(B)))
     steps = _fixed_point_numerators(t, L, B, P)
@@ -208,16 +218,16 @@ def _fixed_point_transients(t: Sequence[Fraction], L: int, B: np.ndarray,
         block = list(islice(steps, min(_BLOCK, K + 1 - k)))
         X = np.array([x for x, _ in block])
         E = np.array([e for _, e in block], dtype=object)[:, None]
-        try:
-            lo, hi = (X - E).astype(float), (X + E).astype(float)
-        except OverflowError:
+        lo, hi = X - E, X + E
+        # |X +- E| < 2^(b + 1), b the bit length of max(|X|, E): E can exceed |X|
+        s = max(0, max(np.abs(X).max(), E.max()).bit_length() + 1 - 1000)
+        if s:
+            lo, hi = lo >> s, -(-hi >> s)
+        lo, hi = lo.astype(float), hi.astype(float)
+        with np.errstate(over="ignore"):
+            got = out[k:k + len(block)] = np.ldexp(hi, s - P)
+        if not ((lo == hi) & np.isfinite(got) & (np.abs(got) >= sys.float_info.min)).all():
             return None
-        if not (lo == hi).all():
-            return None
-        out[k:k + len(block)] = hi
-    out = np.ldexp(out, -P)
-    if (np.abs(out) < sys.float_info.min).any():
-        return None
     return out
 
 
@@ -247,14 +257,14 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     (u . w = 0), z is 0 and the transients are the states.  Either way
     the transients step as t_{k+1} = A t_k from t_0 = v0 - z.  Each transient entry is the
     correctly rounded float of its exact value, one entry of a float64
-    array, by one of two routes with the same floats.  The fixed-point
-    route (_fixed_point_transients) runs when twice its precision P
-    (_precision) is below the exact route's mean operand length,
-    log2(den) + K log2(L) / 2 bits with den the common denominator of t_0;
-    it proves each rounding from an error bound or returns None, also where
-    P is so large that X +- E leaves the float range, which its first
-    bracket finds.  P's decay term reads the subdominant modulus of the
-    modes the start excites.  When B is its own flip J
+    array, by one of two routes with the same floats.  A size rule is
+    the only route decision: the fixed-point route (_fixed_point_transients)
+    runs when twice its precision P (_precision) is below the exact route's
+    mean operand length, log2(den) + K log2(L) / 2 bits with den the common
+    denominator of t_0, at any P.  It proves each rounding from an error
+    bound or returns None, where a bracket fails (an exact zero or a tie)
+    or a float overflows or falls below the normal range.  P's decay term
+    reads the subdominant modulus of the modes the start excites.  When B is its own flip J
     (B[i][j] = B[n-1-i][n-1-j], localmatrix._centrosymmetric) and t_0 its
     own reverse, both exact tests,
     every transient is J-symmetric and decays at the J-even modes alone:

@@ -894,9 +894,34 @@ def test_one_eigensolve_per_dynamics_request(capsys, monkeypatch):
     assert calls == ["eig"]
 
 
-# sha256 of stdout, recorded with this numpy version; LAPACK-derived floats
-# may differ under another numpy build, where only run-to-run identity holds
+# sha256 of stdout, recorded with this numpy version.  LAPACK-derived floats
+# may differ under another numpy build, so the digest of a request that calls
+# np.linalg holds only under this version; elsewhere run-to-run identity
+# does.  The bytes of a request that calls none come from integers, IEEE
+# division and %, and its digest holds on every build.
 DIGEST_NUMPY = "2.4.6"
+
+
+def calls_lapack(capsys, monkeypatch, argv) -> bool:
+    """Whether the CLI request argv calls np.linalg: every function there
+    records the call and raises while it runs."""
+    calls = []
+
+    def refused(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("np.linalg called")
+
+    with monkeypatch.context() as m:
+        for name, value in vars(np.linalg).items():
+            if callable(value) and not isinstance(value, type) and not name.startswith("_"):
+                m.setattr(np.linalg, name, refused)
+        try:
+            run(capsys, *argv)
+        except AssertionError:
+            pass
+    capsys.readouterr()
+    return bool(calls)
+
 
 # an asymmetric width-13 rational mask with s(1) = 2, s(-1) = 0 and a complex
 # subdominant pair; the test writes it to a file in place of MASK13
@@ -1006,7 +1031,7 @@ class TestDeterminism:
                      "32860fe0d2443a4a05e5e8072c97f4c3e8d392c0446dcdeaf3200bac1acc8cfb",
                      id="argv19"),
     ])
-    def test_byte_identical_runs(self, capsys, tmp_path, argv, sha256):
+    def test_byte_identical_runs(self, capsys, monkeypatch, tmp_path, argv, sha256):
         for placeholder, (name, coeffs) in MASK_FILES.items():
             if placeholder in argv:
                 path = tmp_path / (name + ".json")
@@ -1015,5 +1040,13 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second and first
-        if np.__version__ == DIGEST_NUMPY:
+        if not calls_lapack(capsys, monkeypatch, argv) or np.__version__ == DIGEST_NUMPY:
             assert hashlib.sha256(first.encode("utf-8")).hexdigest() == sha256
+
+    def test_basis_and_refine_call_no_lapack(self, capsys, monkeypatch):
+        # so their digests hold on every build: argv1, argv5, argv7 and argv8,
+        # and argv14, whose width-5 scan calls no np.linalg either
+        assert not calls_lapack(capsys, monkeypatch, ("basis", "--scheme", "catalog:a"))
+        assert not calls_lapack(capsys, monkeypatch, ("refine", "--scheme", "catalog:b",
+                                                      "--points=2/3", "--iters", "4"))
+        assert calls_lapack(capsys, monkeypatch, ("analyze", "--scheme", "catalog:a"))

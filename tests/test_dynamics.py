@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from fractions import Fraction as F
 from itertools import islice
 
@@ -452,7 +453,7 @@ def fixed_point_inputs(draw):
     small = st.builds(F, st.integers(-2 ** 30, 2 ** 30), st.integers(1, 2 ** 10))
     t = draw(st.lists(small, min_size=n, max_size=n))
     K = draw(st.integers(1, 400))
-    P = draw(st.sampled_from([None, 0, 60, 200, 600, 960]))
+    P = draw(st.sampled_from([None, 0, 60, 200, 600, 960, 1200]))
     if P is None:
         A = local_matrix(L, B)
         P = _precision(A, K, np.linalg.eig(A.as_float())[0])
@@ -545,8 +546,8 @@ class TestFixedPointRoute:
     def test_growing_mask_keeps_its_overflow_error(self, monkeypatch):
         # catalog a times 1.1 (1 + 10^-6): the states grow by about 1.1 a
         # step, and from 1e300 they pass the float range before K = 300.
-        # The fixed-point route is tried, overflows and returns None; the
-        # exact route names the step.
+        # The fixed-point route is tried, its first float past the range
+        # returns None, and the exact route names the step.
         a = catalog_get("a").mask
         M = matrix_from_coeffs(a.support_min, tuple(c * F(1100001, 1000000) for c in a.coeffs))
         v0 = tuple(1e300 * (k + 1) for k in range(M.n))
@@ -560,20 +561,49 @@ class TestFixedPointRoute:
 
     # a palindromic width-10 mask from -4, L = 2400: its P passes 1024 bits
     # before K = 1000, where the exact operands are longer still
-    W10 = matrix_from_coeffs(-4, tuple(map(F, ("-1/20", "1/30", "-1/25", "3/32", "2311/2400",
-                                                  "2311/2400", "3/32", "-1/25", "1/30",
-                                                  "-1/20"))))
+    W10_COEFFS = tuple(map(F, ("-1/20", "1/30", "-1/25", "3/32", "2311/2400", "2311/2400",
+                               "3/32", "-1/25", "1/30", "-1/20")))
+    W10 = matrix_from_coeffs(-4, W10_COEFFS)
 
-    @pytest.mark.parametrize("K", [1000, 2000])
-    def test_precision_past_the_float_range_falls_back(self, monkeypatch, K):
-        # X +- E leaves the float range at the first bracket: the route is
-        # tried once, returns None, and the exact route gives the floats
+    @pytest.mark.parametrize("K, answers", [(1000, True), (2000, False)])
+    def test_precision_past_the_float_range_answers_until_the_transients_underflow(
+            self, monkeypatch, K, answers):
+        # X +- E pass the float range at the first bracket, which the route
+        # decides on shifted integers.  At K = 1000 it answers alone; by
+        # K = 2000 the transients decay to exact zeros and subnormals, which
+        # no bracket proves, so it returns None and the exact route gives the
+        # floats
         v0 = tuple(float(i == self.W10.n // 2) for i in range(self.W10.n))
         assert _precision(self.W10, K, np.linalg.eig(self.W10.as_float())[0]) > 1024
         results = self.spy(monkeypatch)
         traj = iterate_local(v0, self.W10, K)
-        assert results == [None]
-        assert bits(traj.transients) == bits(exact_rows(v0, self.W10, K))
+        ref = np.array(exact_rows(v0, self.W10, K))
+        assert [r is not None for r in results] == [answers]
+        assert (np.abs(ref) < sys.float_info.min).any() != answers
+        assert bits(traj.transients) == bits(ref)
+
+    def test_large_denominators_stay_on_the_fixed_point_route(self, monkeypatch):
+        # W10 with 1/(2^64 + 1) moved from its two middle taps to its two
+        # end ones, still balanced and palindromic: L has 76 bits, so the
+        # size rule picks the fixed-point route, and at K = 1000 its X +- E
+        # pass 2^1024 from the first bracket.  The shifted brackets prove
+        # every rounding: the exact route never runs.
+        c, d = list(self.W10_COEFFS), F(1, 2 ** 64 + 1)
+        c[0], c[4], c[5], c[9] = c[0] + d, c[4] - d, c[5] - d, c[9] + d
+        M = matrix_from_coeffs(-4, tuple(c))
+        v0 = tuple(float(i == M.n // 2) for i in range(M.n))
+        vq = [F(x) for x in v0]
+        t = [x - y for x, y in zip(vq, limit(M, vq))]
+        P = _precision(M, 1000, np.linalg.eig(M.as_float())[0])
+        X, E = next(_fixed_point_numerators(t, M.L, M.B, P))
+        assert max(abs(X).max(), E) > 2 ** 1024 and M.L.bit_length() == 76
+        ref = exact_rows(v0, M, 1000)
+
+        def fail(*args):
+            raise AssertionError("the exact route ran")
+
+        monkeypatch.setattr(dynamics, "_transient_numerators", fail)
+        assert bits(iterate_local(v0, M, 1000).transients) == bits(ref)
 
     # a palindromic width-7 mask of the benchmark's user masks (um-w7-11):
     # its subdominant eigenvector is J-odd, J the flip, so the centred start
