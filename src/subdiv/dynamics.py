@@ -19,9 +19,9 @@ simple or defective).  Every
 reported transient is its exact value correctly rounded, by one of two
 routes that give the same floats.  Where the exact operands would be long,
 P-bit fixed-point integers with a proved error bound decide each rounding,
-at any P: a bracket past the float range is read from its leading bits.
+at any P, each bracket end divided by 2^P as the exact route divides.
 Where they cannot (a bracket too wide to decide, as an exact zero or a tie
-makes it, or a float below the normal range), or the operands are short,
+makes it, or an end past the float range), or the operands are short,
 the exact recurrence does: integer numerators over one denominator,
 stepped without any gcd, and one correctly rounded integer division an
 entry.  A mode is a real eigendirection with
@@ -32,7 +32,6 @@ row a step, their distances, and each mode's magnitudes and coefficients.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -114,15 +113,14 @@ def _null_vector(L: int, B: np.ndarray) -> Optional[np.ndarray]:
 
 
 # iterate_local refuses more steps than this before any work.  K = 10^4
-# takes 3.1-3.4 s on the benchmark's random rational masks of width 20
+# takes 4.1-4.4 s on the benchmark's random rational masks of width 20
 # whose trajectory stays finite (pool masks w20/1 and w20/2; Python 3.11,
 # one core of a 2-vCPU VM, the whole CLI process), on the fixed-point route
-# at P = 8023 and 8287 bits.  The exact route's cost grows about as K^2
-# (its operands grow by log2(L) bits a step, den_k = den_0 L^k), and it
-# still runs where a transient falls below the normal range: a width-24
-# mask with 500-bit denominators whose transients do so from about
-# k = 3400 takes 45 s at K = 1000 on that route, so about 75 min at
-# K = 10^4 by K^2.
+# at P = 8023 and 8287 bits.  The worst accepted case found, a width-24
+# mask with 500-bit denominators, takes 24 s there.  The exact route's
+# cost grows about as K^2 (its operands grow by log2(L) bits a step,
+# den_k = den_0 L^k), and it runs only for short operands or a rounding
+# no bracket proves (an exact zero or a tie).
 MAX_K = 10 ** 4
 
 
@@ -199,35 +197,28 @@ def _fixed_point_transients(t: Sequence[Fraction], L: int, B: np.ndarray,
     _fixed_point_numerators; None where one of them is not proved to round
     to its float.
 
-    Int-to-float conversion rounds correctly and monotonically, so where
-    float(X - E) == float(X + E) that float is the correctly rounded
-    2^P t_k, and times 2^-P it is the transient's correctly rounded
-    float: the exact route's float, bit for bit, while it is normal.  A
-    block whose X +- E pass 2^1000 is decided on X - E and X + E shifted
-    right by s bits, the lower end rounded down and the upper end up, so
-    that both lie within 2^1000 and still bracket 2^(P - s) t_k; the
-    float is then scaled by 2^(s - P).  One rule accepts each block of
-    _BLOCK steps: every bracket holds and every float is finite and
-    normal.  Anything else is None: a failed bracket (an exact zero
-    always fails one), or a result that overflows or falls below the
-    normal range.
+    Integer true division rounds correctly and monotonically at any size,
+    subnormals included, so where (X - E) / 2^P and (X + E) / 2^P are one
+    float, sign and all, that float is t_k's correctly rounded one: the
+    exact route's float, bit for bit.  One rule accepts each block of
+    _BLOCK steps: every bracket holds.  Anything else is None: a failed
+    bracket (an exact zero always fails one, its ends rounding to floats
+    of opposite signs; so does a tie) or an end past the float range.
     """
     out = np.empty((K + 1, len(B)))
     steps = _fixed_point_numerators(t, L, B, P)
-    for k in range(0, K + 1, _BLOCK):
-        block = list(islice(steps, min(_BLOCK, K + 1 - k)))
-        X = np.array([x for x, _ in block])
-        E = np.array([e for _, e in block], dtype=object)[:, None]
-        lo, hi = X - E, X + E
-        # |X +- E| < 2^(b + 1), b the bit length of max(|X|, E): E can exceed |X|
-        s = max(0, max(np.abs(X).max(), E.max()).bit_length() + 1 - 1000)
-        if s:
-            lo, hi = lo >> s, -(-hi >> s)
-        lo, hi = lo.astype(float), hi.astype(float)
-        with np.errstate(over="ignore"):
-            got = out[k:k + len(block)] = np.ldexp(hi, s - P)
-        if not ((lo == hi) & np.isfinite(got) & (np.abs(got) >= sys.float_info.min)).all():
-            return None
+    try:
+        for k in range(0, K + 1, _BLOCK):
+            block = list(islice(steps, min(_BLOCK, K + 1 - k)))
+            X = np.array([x for x, _ in block])
+            E = np.array([e for _, e in block], dtype=object)[:, None]
+            lo, hi = ((X - E) / (1 << P)).astype(float), ((X + E) / (1 << P)).astype(float)
+            # bit for bit, so that -0.0 and 0.0 differ
+            if not (lo.view(np.int64) == hi.view(np.int64)).all():
+                return None
+            out[k:k + len(block)] = hi
+    except OverflowError:  # a bracket end past the float range
+        return None
     return out
 
 
@@ -263,7 +254,7 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     mean operand length, log2(den) + K log2(L) / 2 bits with den the common
     denominator of t_0, at any P.  It proves each rounding from an error
     bound or returns None, where a bracket fails (an exact zero or a tie)
-    or a float overflows or falls below the normal range.  P's decay term
+    or an end passes the float range.  P's decay term
     reads the subdominant modulus of the modes the start excites.  When B is its own flip J
     (B[i][j] = B[n-1-i][n-1-j], localmatrix._centrosymmetric) and t_0 its
     own reverse, both exact tests,

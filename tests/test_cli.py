@@ -897,9 +897,13 @@ def test_one_eigensolve_per_dynamics_request(capsys, monkeypatch):
 # sha256 of stdout, recorded with this numpy version.  LAPACK-derived floats
 # may differ under another numpy build, so the digest of a request that calls
 # np.linalg holds only under this version; elsewhere run-to-run identity
-# does.  The bytes of a request that calls none come from integers, IEEE
-# division and %, and its digest holds on every build.
+# does.  The commands of LAPACK_FREE print integers, IEEE quotients and %
+# formatting alone, so their digests hold on every build, as the deep-refine
+# and user-masks basis hashes of tests/test_golden_pool.py do;
+# test_basis_and_refine_call_no_lapack checks that their requests here call
+# no np.linalg.
 DIGEST_NUMPY = "2.4.6"
+LAPACK_FREE = ("basis", "refine")
 
 
 def calls_lapack(capsys, monkeypatch, argv) -> bool:
@@ -959,79 +963,83 @@ MASK_FILES = {MASK13: ("w13", W13_COEFFS), MASK13Y: ("w13y", W13Y_COEFFS),
               MASK6N: ("w6n", W6N_COEFFS)}
 
 
+# the recorded digests of TestDeterminism, each a (argv, sha256) param
+DIGESTS = [
+    pytest.param(("analyze", "--scheme", "catalog:a"),
+                 "4850a429385b82e028d9d29deae34a3b59b2771ecaf5d18ae6020b37e1b09f96",
+                 id="argv0"),
+    pytest.param(("basis", "--scheme", "catalog:a", "--iters", "6"),
+                 "cf0cdeec74925953c24c97aa1bd01ebf13e221665545bf5b27da56ffb4b5e8ea",
+                 id="argv1"),
+    pytest.param(("dynamics", "--scheme", "catalog:a", "--K", "20"),
+                 "07b58f8b7fc1e40db075c04b1e919dda416b73f48019cd9adee765d7de3f6313",
+                 id="argv2"),
+    pytest.param(("search", "--width", "6", "--grid=-1/5:0:1/10,1/5:2/5:1/10"),
+                 "ff94fae9b9c0495982e6461b93d82f53e56a64ba8b91451bd76f07a82d745158",
+                 id="argv3"),
+    pytest.param(("dynamics", "--scheme", "catalog:b", "--K", "30"),
+                 "ea60af55b761a8c7d23426ee63c2a792cf45de345229f669f8df6f2316866fc3",
+                 id="argv4"),
+    pytest.param(("basis", "--scheme", "catalog:d", "--iters", "8", "--format", "svg"),
+                 "712ef132c658db81d0753c5d0d8338d2fb436048f38fa592c6e953228b662302",
+                 id="argv5"),
+    pytest.param(("search", "--width", "8"),
+                 "36be32c79431c00fe656d0800542941a158cd8b0cfb2212ff18804a38fd18008",
+                 id="argv6"),
+    pytest.param(("refine", "--scheme", "catalog:a", "--points=1/3,-2/5,4/7",
+                  "--first-index=-1", "--iters", "10"),
+                 "c2b172fd6aa3bcc6711ce094dcf8a3a34d4f16a1df3e66a10cfbe438db1bf0f3",
+                 id="argv7"),
+    pytest.param(("refine", "--scheme", "catalog:b", "--mesh", "dual",
+                  "--points=2/3,-1/5", "--iters", "8", "--format", "svg"),
+                 "dd72183265a4bc2883260ce9a51fc2595d36823f386b254f520f555450fee62b",
+                 id="argv8"),
+    pytest.param(("dynamics", "--scheme", "catalog:a", "--K", "300"),
+                 "64e26a61a7a35ee978fb907affb8562834498aeeae4b4b80bd4d2330fc0541ae",
+                 id="argv9"),
+    pytest.param(("dynamics", "--scheme", MASK13, "--K", "300", "--norm", "2"),
+                 "49134df9d6ec792c0c3265a6c1bb16a40166724dbd405842cdb7c3f03f6016f1",
+                 id="argv10"),
+    # cells (0, 1/5), (1/10, 1/10) and others of this grid have a double
+    # central root and reach Yun's split
+    pytest.param(("search", "--width", "6", "--grid=-1/10:1/10:1/20,1/10:3/10:1/20"),
+                 "5409883c07bf6aa206b69f3c655848b85f416d3a47a98f3404b44180a48490f9",
+                 id="argv11"),
+    pytest.param(("analyze", "--scheme", MASK13Y),
+                 "6a3c51b505ca0cde7cb3debadf0ff15b9a75cf74563dbb440438f19154c2eda0",
+                 id="argv12"),
+    pytest.param(("analyze", "--scheme", MASK13R),
+                 "dd9ee6bedb04efc98a21ff44c941e36b8c6397e3a90aac369e83cd8336464890",
+                 id="argv13"),
+    # the w5 default grid (401 cells) spans two scan blocks
+    pytest.param(("search", "--width", "5"),
+                 "611ca495939d812a837812f54cb8bd15dd76393c85720d51da735c82506dbfcc",
+                 id="argv14"),
+    pytest.param(("search", "--width", "7", "--no-filter"),
+                 "8a6b517ea1b871ff4853841b1baad8a79abd74b198cb4394861ea424274be9bf",
+                 id="argv15"),
+    # odd-denominator steps: the scan's common denominator is 126
+    pytest.param(("search", "--width", "7", "--grid=-1/3:1/3:2/9,-3/7:3/7:1/7",
+                  "--no-filter"),
+                 "036c9114be9e09870464788cd5ca6f7862c46486a17a5b05c066fdc3da632739",
+                 id="argv16"),
+    # a dyadic start vector: the state's first denominator is 64
+    pytest.param(("dynamics", "--scheme", "catalog:a", "--K", "300",
+                  "--v0=1/4,-3/8,5/16,0,1/2,-1/64"),
+                 "883246c2820b6005af5d41131196aa02b7518d545b1b56db60a92386c34e34b0",
+                 id="argv17"),
+    pytest.param(("dynamics", "--scheme", MASK4U, "--K", "300"),
+                 "4f607ef0d32be82152640a80993de6d32d73c9d41cab514364b1a73e7cd54c77",
+                 id="argv18"),
+    pytest.param(("dynamics", "--scheme", MASK6N, "--K", "30"),
+                 "32860fe0d2443a4a05e5e8072c97f4c3e8d392c0446dcdeaf3200bac1acc8cfb",
+                 id="argv19"),
+]
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("argv, sha256", [
-        pytest.param(("analyze", "--scheme", "catalog:a"),
-                     "4850a429385b82e028d9d29deae34a3b59b2771ecaf5d18ae6020b37e1b09f96",
-                     id="argv0"),
-        pytest.param(("basis", "--scheme", "catalog:a", "--iters", "6"),
-                     "cf0cdeec74925953c24c97aa1bd01ebf13e221665545bf5b27da56ffb4b5e8ea",
-                     id="argv1"),
-        pytest.param(("dynamics", "--scheme", "catalog:a", "--K", "20"),
-                     "07b58f8b7fc1e40db075c04b1e919dda416b73f48019cd9adee765d7de3f6313",
-                     id="argv2"),
-        pytest.param(("search", "--width", "6", "--grid=-1/5:0:1/10,1/5:2/5:1/10"),
-                     "ff94fae9b9c0495982e6461b93d82f53e56a64ba8b91451bd76f07a82d745158",
-                     id="argv3"),
-        pytest.param(("dynamics", "--scheme", "catalog:b", "--K", "30"),
-                     "ea60af55b761a8c7d23426ee63c2a792cf45de345229f669f8df6f2316866fc3",
-                     id="argv4"),
-        pytest.param(("basis", "--scheme", "catalog:d", "--iters", "8", "--format", "svg"),
-                     "712ef132c658db81d0753c5d0d8338d2fb436048f38fa592c6e953228b662302",
-                     id="argv5"),
-        pytest.param(("search", "--width", "8"),
-                     "36be32c79431c00fe656d0800542941a158cd8b0cfb2212ff18804a38fd18008",
-                     id="argv6"),
-        pytest.param(("refine", "--scheme", "catalog:a", "--points=1/3,-2/5,4/7",
-                      "--first-index=-1", "--iters", "10"),
-                     "c2b172fd6aa3bcc6711ce094dcf8a3a34d4f16a1df3e66a10cfbe438db1bf0f3",
-                     id="argv7"),
-        pytest.param(("refine", "--scheme", "catalog:b", "--mesh", "dual",
-                      "--points=2/3,-1/5", "--iters", "8", "--format", "svg"),
-                     "dd72183265a4bc2883260ce9a51fc2595d36823f386b254f520f555450fee62b",
-                     id="argv8"),
-        pytest.param(("dynamics", "--scheme", "catalog:a", "--K", "300"),
-                     "64e26a61a7a35ee978fb907affb8562834498aeeae4b4b80bd4d2330fc0541ae",
-                     id="argv9"),
-        pytest.param(("dynamics", "--scheme", MASK13, "--K", "300", "--norm", "2"),
-                     "49134df9d6ec792c0c3265a6c1bb16a40166724dbd405842cdb7c3f03f6016f1",
-                     id="argv10"),
-        # cells (0, 1/5), (1/10, 1/10) and others of this grid have a double
-        # central root and reach Yun's split
-        pytest.param(("search", "--width", "6", "--grid=-1/10:1/10:1/20,1/10:3/10:1/20"),
-                     "5409883c07bf6aa206b69f3c655848b85f416d3a47a98f3404b44180a48490f9",
-                     id="argv11"),
-        pytest.param(("analyze", "--scheme", MASK13Y),
-                     "6a3c51b505ca0cde7cb3debadf0ff15b9a75cf74563dbb440438f19154c2eda0",
-                     id="argv12"),
-        pytest.param(("analyze", "--scheme", MASK13R),
-                     "dd9ee6bedb04efc98a21ff44c941e36b8c6397e3a90aac369e83cd8336464890",
-                     id="argv13"),
-        # the w5 default grid (401 cells) spans two scan blocks
-        pytest.param(("search", "--width", "5"),
-                     "611ca495939d812a837812f54cb8bd15dd76393c85720d51da735c82506dbfcc",
-                     id="argv14"),
-        pytest.param(("search", "--width", "7", "--no-filter"),
-                     "8a6b517ea1b871ff4853841b1baad8a79abd74b198cb4394861ea424274be9bf",
-                     id="argv15"),
-        # odd-denominator steps: the scan's common denominator is 126
-        pytest.param(("search", "--width", "7", "--grid=-1/3:1/3:2/9,-3/7:3/7:1/7",
-                      "--no-filter"),
-                     "036c9114be9e09870464788cd5ca6f7862c46486a17a5b05c066fdc3da632739",
-                     id="argv16"),
-        # a dyadic start vector: the state's first denominator is 64
-        pytest.param(("dynamics", "--scheme", "catalog:a", "--K", "300",
-                      "--v0=1/4,-3/8,5/16,0,1/2,-1/64"),
-                     "883246c2820b6005af5d41131196aa02b7518d545b1b56db60a92386c34e34b0",
-                     id="argv17"),
-        pytest.param(("dynamics", "--scheme", MASK4U, "--K", "300"),
-                     "4f607ef0d32be82152640a80993de6d32d73c9d41cab514364b1a73e7cd54c77",
-                     id="argv18"),
-        pytest.param(("dynamics", "--scheme", MASK6N, "--K", "30"),
-                     "32860fe0d2443a4a05e5e8072c97f4c3e8d392c0446dcdeaf3200bac1acc8cfb",
-                     id="argv19"),
-    ])
-    def test_byte_identical_runs(self, capsys, monkeypatch, tmp_path, argv, sha256):
+    @pytest.mark.parametrize("argv, sha256", DIGESTS)
+    def test_byte_identical_runs(self, capsys, tmp_path, argv, sha256):
         for placeholder, (name, coeffs) in MASK_FILES.items():
             if placeholder in argv:
                 path = tmp_path / (name + ".json")
@@ -1040,13 +1048,12 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second and first
-        if not calls_lapack(capsys, monkeypatch, argv) or np.__version__ == DIGEST_NUMPY:
+        if argv[0] in LAPACK_FREE or np.__version__ == DIGEST_NUMPY:
             assert hashlib.sha256(first.encode("utf-8")).hexdigest() == sha256
 
     def test_basis_and_refine_call_no_lapack(self, capsys, monkeypatch):
-        # so their digests hold on every build: argv1, argv5, argv7 and argv8,
-        # and argv14, whose width-5 scan calls no np.linalg either
-        assert not calls_lapack(capsys, monkeypatch, ("basis", "--scheme", "catalog:a"))
-        assert not calls_lapack(capsys, monkeypatch, ("refine", "--scheme", "catalog:b",
-                                                      "--points=2/3", "--iters", "4"))
+        # so that their digests hold on every build: argv1, argv5, argv7, argv8
+        free = [p for p in DIGESTS if p.values[0][0] in LAPACK_FREE]
+        assert [p.id for p in free] == ["argv1", "argv5", "argv7", "argv8"]
+        assert not any(calls_lapack(capsys, monkeypatch, p.values[0]) for p in free)
         assert calls_lapack(capsys, monkeypatch, ("analyze", "--scheme", "catalog:a"))

@@ -16,7 +16,7 @@ import subdiv
 SRC = Path(subdiv.__file__).parent
 
 # the count of src/subdiv as it stands; lower it when code goes
-MAX_CODE_LINES = 1289
+MAX_CODE_LINES = 1286
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}

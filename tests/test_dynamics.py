@@ -533,7 +533,8 @@ class TestFixedPointRoute:
 
     def test_zero_transients_fall_back(self, monkeypatch):
         # v0 = 1 on a balanced mask is its own limit: every transient is an
-        # exact 0, which no bracket float(X - E) == float(X + E) holds
+        # exact 0, whose bracket ends X - E < 0 < X + E round to floats of
+        # opposite signs
         assert limit(self.WIDE, [F(1)] * self.WIDE.n) == [F(1)] * self.WIDE.n
         t = [F(0)] * self.WIDE.n
         assert _fixed_point_transients(t, self.WIDE.L, self.WIDE.B, 300, 400) is None
@@ -546,8 +547,8 @@ class TestFixedPointRoute:
     def test_growing_mask_keeps_its_overflow_error(self, monkeypatch):
         # catalog a times 1.1 (1 + 10^-6): the states grow by about 1.1 a
         # step, and from 1e300 they pass the float range before K = 300.
-        # The fixed-point route is tried, its first float past the range
-        # returns None, and the exact route names the step.
+        # The fixed-point route is tried, its first bracket end past the
+        # float range returns None, and the exact route names the step.
         a = catalog_get("a").mask
         M = matrix_from_coeffs(a.support_min, tuple(c * F(1100001, 1000000) for c in a.coeffs))
         v0 = tuple(1e300 * (k + 1) for k in range(M.n))
@@ -565,29 +566,28 @@ class TestFixedPointRoute:
                                "3/32", "-1/25", "1/30", "-1/20")))
     W10 = matrix_from_coeffs(-4, W10_COEFFS)
 
-    @pytest.mark.parametrize("K, answers", [(1000, True), (2000, False)])
-    def test_precision_past_the_float_range_answers_until_the_transients_underflow(
-            self, monkeypatch, K, answers):
-        # X +- E pass the float range at the first bracket, which the route
-        # decides on shifted integers.  At K = 1000 it answers alone; by
-        # K = 2000 the transients decay to exact zeros and subnormals, which
-        # no bracket proves, so it returns None and the exact route gives the
-        # floats
+    @pytest.mark.parametrize("K", [1000, 2000])
+    def test_precision_past_the_float_range_answers(self, monkeypatch, K):
+        # X +- E pass the float range at the first bracket, and the route
+        # still answers alone: each bracket end is divided by 2^P, correctly
+        # rounded at any size.  By K = 2000 the transients underflow, to
+        # subnormals and to zeros, which that division rounds as the exact
+        # route does
         v0 = tuple(float(i == self.W10.n // 2) for i in range(self.W10.n))
         assert _precision(self.W10, K, np.linalg.eig(self.W10.as_float())[0]) > 1024
         results = self.spy(monkeypatch)
         traj = iterate_local(v0, self.W10, K)
         ref = np.array(exact_rows(v0, self.W10, K))
-        assert [r is not None for r in results] == [answers]
-        assert (np.abs(ref) < sys.float_info.min).any() != answers
+        assert [r is not None for r in results] == [True]
+        assert (np.abs(ref) < sys.float_info.min).any() == (K == 2000)
         assert bits(traj.transients) == bits(ref)
 
     def test_large_denominators_stay_on_the_fixed_point_route(self, monkeypatch):
         # W10 with 1/(2^64 + 1) moved from its two middle taps to its two
         # end ones, still balanced and palindromic: L has 76 bits, so the
         # size rule picks the fixed-point route, and at K = 1000 its X +- E
-        # pass 2^1024 from the first bracket.  The shifted brackets prove
-        # every rounding: the exact route never runs.
+        # pass 2^1024 from the first bracket.  The brackets prove every
+        # rounding: the exact route never runs.
         c, d = list(self.W10_COEFFS), F(1, 2 ** 64 + 1)
         c[0], c[4], c[5], c[9] = c[0] + d, c[4] - d, c[5] - d, c[9] + d
         M = matrix_from_coeffs(-4, tuple(c))
@@ -634,20 +634,28 @@ class TestFixedPointRoute:
         assert sizes == [2] and traj.transients.dtype == np.float64
         assert traj.transients.tolist() == [[0.0, 0.0]] * 301
 
-    def test_subnormal_transients_fall_back(self):
+    def test_subnormal_transients_round_once(self):
         # A = I / 2 halves the states (no eigenvalue 1: z = 0), from
-        # 2^-1000 (1 + 2^-59).  State 23 is the first below the normal range,
-        # and the route gives None from K = 23 on.  State 75 shows why: it
-        # rounds to 2^-1074, while its 53-bit float 2^-1075 scaled by 2^-P
-        # rounds again, to 0.
+        # 2^-1000 (1 + 2^-59) and 2^-1000 / 3, which never ties.  State 23
+        # is the first below the normal range and state 76 the first that
+        # rounds to 0, and the route gives the exact floats through K = 150.
+        # State 75 shows why it must divide: X / 2^P rounds once, to
+        # 2^-1074, where X's 53-bit float 2^-1075 scaled by 2^-P rounds
+        # again, to 0.  Near k = 200, 2^P t_k falls within the bound E of 0
+        # and the route gives None.
         L, B = 2, np.identity(2, dtype=object)
-        v = [F(2 ** 59 + 1, 2 ** 1059), F(3, 2 ** 1000)]
-        got = _fixed_point_transients(v, L, B, 22, 1200)
-        assert bits(got) == bits(exact_floats(v, L, B, 22))
-        assert _fixed_point_transients(v, L, B, 23, 1200) is None
-        assert _fixed_point_transients(v, L, B, 75, 1200) is None
-        assert exact_floats(v, L, B, 75)[-1][0] == math.ulp(0.0)
+        v = [F(2 ** 59 + 1, 2 ** 1059), F(1, 3 * 2 ** 1000)]
+        ref = exact_floats(v, L, B, 150)
+        assert bits(_fixed_point_transients(v, L, B, 150, 1200)) == bits(ref)
+        assert ref[22][0] >= sys.float_info.min > ref[23][0]
+        assert ref[75][0] == math.ulp(0.0) and ref[76][0] == 0.0
         assert math.ldexp(float(2 ** 125 + 2 ** 66), -1200) == 0.0
+        assert _fixed_point_transients(v, L, B, 300, 1200) is None
+        # 3 2^-1075 lies midway between two subnormals: no bracket decides
+        # the tie at state 75, while state 74 is a subnormal exactly
+        v, B = [F(3, 2 ** 1000)], np.identity(1, dtype=object)
+        assert bits(_fixed_point_transients(v, L, B, 74, 1200)) == bits(exact_floats(v, L, B, 74))
+        assert _fixed_point_transients(v, L, B, 75, 1200) is None
 
     def test_small_p_fails_part_of_the_way(self):
         # at P = 100 the bracket holds for the first steps and then fails,
