@@ -82,7 +82,7 @@ def cmd_catalog(args) -> None:
 def cmd_analyze(args) -> None:
     rec = _resolve_scheme(args.scheme)
     localmatrix.check_size(rec.mask)  # before certify, which grows with the width
-    report = convergence.certify(rec.mask, args.target)
+    report = convergence.certify(rec.mask)
     doc = {
         "scheme": masks.record_to_json(rec),
         "symmetry": masks.classify_symmetry(rec.mask).value,
@@ -128,12 +128,9 @@ def cmd_dynamics(args) -> None:
     localmatrix.check_size(rec.mask)
     M = localmatrix.matrix_from_coeffs(rec.mask.support_min, rec.mask.coeffs)
     # by default the window of the cardinal sequence delta(): 1 at index n // 2
-    v0 = tuple(float(i == M.n // 2) for i in range(M.n))
+    v0 = tuple(int(i == M.n // 2) for i in range(M.n))
     if args.v0 is not None:
-        try:  # s is the value being converted when float() overflows
-            v0 = tuple(float(_parse_fraction(s := v, "--v0")) for v in args.v0.split(","))
-        except OverflowError as exc:
-            raise CliError("bad rational %r in --v0: past the float range" % s) from exc
+        v0 = tuple(_parse_fraction(v, "--v0") for v in args.v0.split(","))
     traj = dynamics.iterate_local(v0, M, args.K, norm=args.norm)
     with _output(args.out) as f:
         dynamics.write_trajectory_csv(traj, f)
@@ -182,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="convergence report and spectrum")
     add_common(sp)
-    sp.add_argument("--target", type=int, default=6,
-                    help="highest smoothness rung to attempt (default 6)")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("refine", help="refine a control polygon and export the curve")
@@ -205,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--K", type=int, default=30,
                     help="iteration count (default 30, at most %d)" % dynamics.MAX_K)
-    sp.add_argument("--v0", default=None, help="comma-separated start vector")
+    sp.add_argument("--v0", default=None, help="comma-separated rational start vector")
     sp.add_argument("--norm", choices=["inf", "2"], default="inf")
     sp.set_defaults(func=cmd_dynamics)
 

@@ -22,8 +22,8 @@ numerators over L (masks.integer_run) and makes one chain of divisions,
 d_j = L s_a / (1+z)^j, while each is exact; the first gives s(-1) and the
 difference mask, and rung m's quotient by ((1+z)/2)^m has difference
 scheme 2^m d_{m+1} / L, so one _parity_norm call on the stacked chain
-gives the difference mask's norm and every rung's verdict.  certify(mask,
-0) is the one source of s(1), s(-1), the necessary-conditions flag, the
+gives the difference mask's norm and every rung's verdict.  certify(mask)
+is the one source of s(1), s(-1), the necessary-conditions flag, the
 difference mask and its norm; it gives no difference mask unless s(1) = 2
 and s(-1) = 0.  The norm test is sufficient only, so a failed test yields
 "inconclusive", never "divergent".
@@ -127,18 +127,17 @@ def smooth_lift(mask: Mask) -> Mask:
     return recenter(Mask(mask.support_min, tuple(lifted)))
 
 
-def certify(mask: Mask, target_m: int) -> ConvergenceReport:
-    """Certify the largest smoothness m <= target_m via the division ladder.
+def certify(mask: Mask) -> ConvergenceReport:
+    """Certify the largest smoothness m via the division ladder.
 
     Writes s_a = ((1+z)/2)^m s_q for the largest m such that the division is
     exact and S_q passes the necessary conditions with a contractive
     difference scheme.  s_q(-1) = 0 is the exactness of the next division
     in the chain; s_q(1) = s_a(1) = 2 on every rung.  Each quotient of the
     chain is computed once, and every rung's norm comes from one stacked
-    _parity_norm call.
+    _parity_norm call.  The chain ends at its first inexact division, at
+    most width - 1 rungs: each exact one lowers the degree by 1.
     """
-    if target_m < 0:
-        raise ValueError("target_m must be >= 0")
     # d[j] = L s_a / (1+z)^(j+1), alternated, in integers at the mask's width
     # while exact: the first remainder is L s(-1), and rung m's difference
     # scheme is 2^m d[m] / L
@@ -147,7 +146,7 @@ def certify(mask: Mask, target_m: int) -> ConvergenceReport:
     s1, sm1 = Fraction(sum(nums), L), Fraction(d[0][-1], L)
     if s1 != 2 or sm1:
         return ConvergenceReport(s1, sm1, False, None, None, Verdict.DIVERGENT, None)
-    while len(d) <= target_m and not (q := _divide(d[-1]))[-1]:
+    while not (q := _divide(d[-1]))[-1]:
         d.append(q)
     norms = _parity_norm(d)  # one row per rung
     b = Mask(mask.support_min, tuple(_alternate(mask.support_min, d[0][:-1]) * Fraction(1, L)))

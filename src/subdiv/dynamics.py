@@ -116,11 +116,13 @@ def _null_vector(L: int, B: np.ndarray) -> Optional[np.ndarray]:
 # takes 4.1-4.4 s on the benchmark's random rational masks of width 20
 # whose trajectory stays finite (pool masks w20/1 and w20/2; Python 3.11,
 # one core of a 2-vCPU VM, the whole CLI process), on the fixed-point route
-# at P = 8023 and 8287 bits.  The worst accepted case found, a width-24
-# mask with 500-bit denominators, takes 24 s there.  The exact route's
+# at P = 8023 and 8287 bits.  A width-24 mask with 500-bit denominators
+# takes 24 s there from the default start.  The exact route's
 # cost grows about as K^2 (its operands grow by log2(L) bits a step,
 # den_k = den_0 L^k), and it runs only for short operands or a rounding
-# no bracket proves (an exact zero or a tie).
+# no bracket proves (an exact zero or a tie, or a start so far below 1
+# that P runs short: entries near 1e-300 on that width-24 mask take 38 s
+# at K = 1000).
 MAX_K = 10 ** 4
 
 
@@ -235,10 +237,11 @@ def _precision(M: LocalMatrix, K: int, w: np.ndarray) -> int:
     return 128 + math.ceil(K * (math.log2(max(_row_bound(M.B), M.L) / M.L) - math.log2(rho2)))
 
 
-def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
+def iterate_local(v0: Sequence[Fraction | float], M: LocalMatrix, K: int,
                   norm: str = "inf") -> TrajectoryReport:
     """Transients [v0 - z, A v0 - z, ..., A^K v0 - z], their distances to
-    the fixed point z and their eigenmodes, for A = M.B / M.L.
+    the fixed point z and their eigenmodes, for A = M.B / M.L.  Each entry
+    of v0 (an int, float or Fraction) is the exact rational it is.
 
     The fixed point z = (u . v0 / u . w) w is the states' eigenvalue-1
     component, u and w the left and right eigenvectors of eigenvalue 1
@@ -289,7 +292,7 @@ def iterate_local(v0: Sequence[float], M: LocalMatrix, K: int,
     if len(v0) != M.n:
         raise ValueError("v0 has dimension %d, matrix order is %d" % (len(v0), M.n))
 
-    vq = [Fraction(float(x)) for x in v0]  # floats are exact binary rationals
+    vq = [Fraction(x) for x in v0]
     u = _null_vector(M.L, M.B)
     right = None if u is None else _null_vector(M.L, M.B.T)
     uw = 0 if right is None else u @ right

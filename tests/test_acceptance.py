@@ -50,7 +50,7 @@ def test_criterion_02_contractivity_norm():
     def body():
         # the norm of the difference scheme, which certify reads off its
         # first (1+z) division
-        assert certify(catalog_get("a").mask, 0).norm == F(4, 5)
+        assert certify(catalog_get("a").mask).norm == F(4, 5)
     _criterion(2, "difference norm 4/5 exact", body)
 
 

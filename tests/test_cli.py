@@ -71,6 +71,16 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["convergence"]["certified_smoothness"] == 1
 
+    def test_ladder_climbs_past_c6(self, capsys, tmp_path):
+        # the degree-8 B-spline, C(9, k) / 256 from -4, is C^7: the ladder
+        # has no cap and ends at its first inexact division
+        path = tmp_path / "bspline8.json"
+        save_scheme(SchemeRecord("bspline8", Mask(-4, tuple(F(math.comb(9, k), 256)
+                                                             for k in range(10)))), path)
+        code, out, err = run(capsys, "analyze", "--scheme", str(path))
+        assert code == 0 and err == ""
+        assert json.loads(out)["convergence"]["certified_smoothness"] == 7
+
     @pytest.mark.parametrize("text, field", [
         ('{"name": "x", "support_min": true, "coeffs": ["1/2", "1", "1/2"]}',
          "field 'support_min' must be an integer"),
@@ -446,6 +456,20 @@ class TestDynamics:
         assert code == 1 and out == ""
         assert err == "error: v0 has dimension 2, matrix order is 6\n"
 
+    def test_v0_is_exact(self, capsys):
+        # a start 6.67e-23 from its limit: rounded to floats, all six
+        # entries are one value and every distance reads 0
+        v0 = "1/3,1/3,1/3,1/3,1/3,3333333333333333333334/10000000000000000000000"
+        code, out, err = run(capsys, "dynamics", "--scheme", "catalog:a", "--K", "3",
+                             "--v0=" + v0)
+        assert code == 0 and err == ""
+        header, *rows = (line.split(",") for line in out.splitlines())
+        # the second mu = -1/10 column holds the whole transient
+        assert header[:4] == ["k", "d_k", "mode_-0.1+0j", "mode_-0.1+0j"]
+        want = ["6.66666666667e-23", "6.66666666667e-24", "6.66666666667e-25",
+                "6.66666666667e-26"]
+        assert [r[1] for r in rows] == [r[3] for r in rows] == want
+
     @pytest.mark.parametrize("width", [3, 6, 9])
     def test_default_v0_is_the_delta_window(self, capsys, tmp_path, width):
         # the window of delta() on the n = width points around index 0:
@@ -622,10 +646,18 @@ class TestRationalBounds:
     @pytest.mark.parametrize("text", ["1e400", "-1e400", "1" + "0" * 400 + "/3"],
                              ids=["1e400", "-1e400", "10^400/3"])
     def test_v0_past_the_float_range(self, capsys, text):
+        # the start is exact, so its transient 0 overflows where every
+        # transient does: TrajectoryOverflowError
         code, out, err = run(capsys, "dynamics", "--scheme", "catalog:c", "--K", "3",
                              "--v0", "1,%s,1" % text)
-        assert code == 1 and out == ""
-        assert err == "error: bad rational %r in --v0: past the float range\n" % text
+        assert (code, out, err) == (1, "", "error: transient 0 leaves the float range\n")
+
+    def test_v0_past_the_float_range_with_a_finite_transient(self, capsys):
+        # a constant start is its own limit: every transient is 0
+        code, out, err = run(capsys, "dynamics", "--scheme", "catalog:c", "--K", "3",
+                             "--v0=1e400,1e400,1e400")
+        assert code == 0 and err == ""
+        assert [line.split(",")[1:] for line in out.splitlines()[1:]] == [["0"] * 4] * 4
 
     def test_refined_curve_past_the_float_range(self, capsys):
         code, out, err = run(capsys, "refine", "--scheme", "catalog:c", "--points", "1e400",
@@ -737,7 +769,7 @@ class TestParserReuse:
 # every option of every subcommand; a new option is a reviewed edit here
 OPTIONS = {
     "catalog": {"-h", "--help", "--out", "-o"},
-    "analyze": {"-h", "--help", "--scheme", "--out", "-o", "--target"},
+    "analyze": {"-h", "--help", "--scheme", "--out", "-o"},
     "refine": {"-h", "--help", "--scheme", "--out", "-o", "--iters", "--points",
                "--first-index", "--mesh", "--format"},
     "basis": {"-h", "--help", "--scheme", "--out", "-o", "--iters", "--format"},
@@ -755,7 +787,8 @@ class TestRefusals:
         (["search", "--min-width", "--max-width", "1"], "max_width must be >= 2"),
         (["search", "--width", "9"], "width must be in 2..8"),
         (["dynamics", "--scheme", "catalog:a", "--K", "0"], "K must be >= 1"),
-        (["analyze", "--scheme", "catalog:a", "--target", "-1"], "target_m must be >= 0"),
+        (["dynamics", "--scheme", "catalog:a", "--v0", "1,2"],
+         "v0 has dimension 2, matrix order is 6"),
         (["refine", "--scheme", "catalog:a", "--iters", "-1"], "k must be >= 0"),
         (["basis", "--scheme", "catalog:a", "--iters", "-1"], "iters must be >= 0"),
     ])

@@ -70,7 +70,7 @@ def parity_norm(support_min, coeffs):
                for e in (0, 1))
 
 
-def reference_certify(mask, target_m):
+def reference_certify(mask):
     """The certification ladder on sympy's long division: the symbol,
     moved to start at z^0, is divided by (1+z)/2 while the division is
     exact, and rung m is certified when its quotient q has q(1) = 2,
@@ -89,10 +89,7 @@ def reference_certify(mask, target_m):
     b = exact(sympy_poly(mask.coeffs), one_plus_z)
     norm = parity_norm(lo, sympy_run(b))
     quotients = [sympy_poly(mask.coeffs)]
-    while len(quotients) <= target_m:
-        q = exact(quotients[-1], one_plus_z * sympy.QQ(1, 2))
-        if q is None:
-            break
+    while (q := exact(quotients[-1], one_plus_z * sympy.QQ(1, 2))) is not None:
         quotients.append(q)
     for m in range(len(quotients) - 1, -1, -1):
         q = quotients[m]
@@ -119,7 +116,7 @@ def ladder_masks(draw):
     return Mask(support_min, tuple(terms.get(e, F(0)) for e in range(max(terms) + 1)))
 
 
-def fraction_certify(mask, target_m):
+def fraction_certify(mask):
     """certify as it ran on Fraction runs, kept as an oracle: d[j] =
     s_a / (1+z)^j while exact, and rung m certified when the run 2^m d[m]
     divides by (1+z) to a parity norm < 1."""
@@ -129,7 +126,7 @@ def fraction_certify(mask, target_m):
     b = Mask(mask.support_min, tuple(over_one_plus_z(mask.coeffs)))
     norm = parity_norm(b.support_min, b.coeffs)
     d = [mask.coeffs]
-    while len(d) <= target_m + 1 and (nxt := over_one_plus_z(d[-1])) is not None:
+    while (nxt := over_one_plus_z(d[-1])) is not None:
         d.append(nxt)
     for m in range(len(d) - 2, -1, -1):
         if parity_norm(mask.support_min, over_one_plus_z([c * 2 ** m for c in d[m]])) < 1:
@@ -154,10 +151,10 @@ def rational(x):
 
 
 class TestNecessaryConditions:
-    """s(1), s(-1) and their flag are those of certify(mask, 0)."""
+    """s(1), s(-1) and their flag are those of certify(mask)."""
 
     def conditions(self, mask):
-        r = certify(mask, 0)
+        r = certify(mask)
         return r.s_at_1, r.s_at_minus1, r.necessary_ok
 
     def test_width6_scheme(self):
@@ -182,42 +179,42 @@ class TestNecessaryConditions:
 
 
 class TestDifferenceScheme:
-    """The difference mask is certify(mask, 0).difference_mask, given when
+    """The difference mask is certify(mask).difference_mask, given when
     s(1) = 2 and s(-1) = 0."""
 
     def test_width6_scheme(self):
-        b = certify(catalog_get("a").mask, 0).difference_mask
+        b = certify(catalog_get("a").mask).difference_mask
         assert b == Mask(-2, tuple(map(F, ("-1/10", "2/5", "2/5", "2/5", "-1/10"))))
 
     def test_two_point_scheme(self):
-        b = certify(catalog_get("c").mask, 0).difference_mask
+        b = certify(catalog_get("c").mask).difference_mask
         assert b == Mask(-1, (F(1, 2), F(1, 2)))
 
     def test_cubic_bspline(self):
-        b = certify(catalog_get("d").mask, 0).difference_mask
+        b = certify(catalog_get("d").mask).difference_mask
         assert b == Mask(-2, (F(1, 8), F(3, 8), F(3, 8), F(1, 8)))
 
     def test_not_factorable(self):
         # s(-1) = 1: no difference mask, and contractive_runs raises
-        r = certify(Mask(0, (F(1), F(1), F(1))), 0)
+        r = certify(Mask(0, (F(1), F(1), F(1))))
         assert r.s_at_minus1 == 1 and r.difference_mask is None
         with pytest.raises(NotFactorableError):
             contractive_runs(0, [(F(1), F(1), F(1))], 1)
         # the zero mask divides exactly, but its quotient is no mask
         assert over_one_plus_z((F(0),)) == []
-        assert certify(Mask(0, (F(0),)), 0).difference_mask is None
+        assert certify(Mask(0, (F(0),))).difference_mask is None
 
     def test_no_difference_mask_unless_s1_is_2(self):
         # s(z) = (1 + z) / 2 divides by (1+z), but s(1) = 1
-        r = certify(Mask(0, (F(1, 2), F(1, 2))), 0)
+        r = certify(Mask(0, (F(1, 2), F(1, 2))))
         assert (r.s_at_1, r.s_at_minus1, r.necessary_ok, r.difference_mask) == (1, 0, False, None)
         # twice that has s(1) = 2, and its difference mask is the constant 1
-        assert certify(Mask(0, (F(1), F(1))), 0).difference_mask == Mask(0, (F(1),))
+        assert certify(Mask(0, (F(1), F(1)))).difference_mask == Mask(0, (F(1),))
 
     def test_factor_round_trip(self):
         for name in "abcd":
             mask = catalog_get(name).mask
-            b = certify(mask, 0).difference_mask
+            b = certify(mask).difference_mask
             assert sympy.expand((1 + Z) * sympy_symbol(b.support_min, b.coeffs)
                                 - sympy_symbol(mask.support_min, mask.coeffs)) == 0
 
@@ -236,7 +233,7 @@ class TestDifferenceScheme:
             return  # no Mask: its end coefficients must be nonzero
         # the run scaled to s(1) = 2 where it can be: the division is linear
         scale = 2 / sum(coeffs) if sum(coeffs) else F(1)
-        r = certify(Mask(support_min, tuple(c * scale for c in coeffs)), 0)
+        r = certify(Mask(support_min, tuple(c * scale for c in coeffs)))
         if expect is None or not sum(coeffs):
             assert r.difference_mask is None
         else:
@@ -244,17 +241,17 @@ class TestDifferenceScheme:
 
 
 class TestContractivityNorm:
-    """The norm of the difference scheme is certify(mask, 0).norm, and the
+    """The norm of the difference scheme is certify(mask).norm, and the
     verdict of one run its one-row contractive_runs stack."""
 
     def test_width6_scheme(self):
-        assert certify(catalog_get("a").mask, 0).norm == F(4, 5)
+        assert certify(catalog_get("a").mask).norm == F(4, 5)
 
     def test_two_point_scheme(self):
-        assert certify(catalog_get("c").mask, 0).norm == F(1, 2)
+        assert certify(catalog_get("c").mask).norm == F(1, 2)
 
     def test_cubic_bspline(self):
-        assert certify(catalog_get("d").mask, 0).norm == F(1, 2)
+        assert certify(catalog_get("d").mask).norm == F(1, 2)
 
     def test_is_contractive_is_strict(self):
         a = catalog_get("a").mask
@@ -332,13 +329,12 @@ class TestFarShift:
     @pytest.mark.parametrize("coeffs", MASKS, ids=["a", "b", "c", "d", "no-factor"])
     def test_same_as_the_near_shift(self, shift, coeffs):
         near, far = Mask(shift % 2, coeffs), Mask(shift, coeffs)
-        for target_m in (0, 6):
-            a, b = certify(near, target_m), certify(far, target_m)
-            if a.difference_mask is None:
-                assert b == a
-            else:
-                assert b == dataclasses.replace(
-                    a, difference_mask=Mask(shift, a.difference_mask.coeffs))
+        a, b = certify(near), certify(far)
+        if a.difference_mask is None:
+            assert b == a
+        else:
+            assert b == dataclasses.replace(
+                a, difference_mask=Mask(shift, a.difference_mask.coeffs))
 
     @pytest.mark.parametrize("shift", [2 ** 63, 2 ** 63 + 1, 10 ** 400])
     def test_contractive_runs(self, shift):
@@ -393,7 +389,7 @@ class TestOneDivision:
     @example(Mask(0, (F(0),)))
     @example(Mask(-3, (F(1), F(1))))
     def test_checks_agree(self, mask):
-        r = certify(mask, 0)
+        r = certify(mask)
         try:
             contractive = contractive_runs(mask.support_min, [mask.coeffs], 1)[0]
         except NotFactorableError:
@@ -419,40 +415,40 @@ class TestOneDivision:
         monkeypatch.setattr(convergence, "_divide", spy)
         monkeypatch.setattr(convergence, "contractive_runs", no_second_division)
         for name in "abcd":
-            for target_m in range(7):
-                divided.clear()
-                report = certify(catalog_get(name).mask, target_m)
-                assert 1 <= len(divided) <= target_m + 1
-                # the runs divided are pairwise distinct up to a scale, so
-                # no rung's quotient is divided again from a scaled run
-                primitive = {tuple(F(x, run[0]) for x in run) for run in divided}
-                assert len(primitive) == len(divided)
-                assert report.certified_smoothness == min(target_m, catalog_get(name).smoothness)
+            divided.clear()
+            report = certify(catalog_get(name).mask)
+            # one division past the last exact one, at most width of them
+            assert 1 <= len(divided) <= catalog_get(name).mask.width
+            # the runs divided are pairwise distinct up to a scale, so
+            # no rung's quotient is divided again from a scaled run
+            primitive = {tuple(F(x, run[0]) for x in run) for run in divided}
+            assert len(primitive) == len(divided)
+            assert report.certified_smoothness == catalog_get(name).smoothness
         # the cubic B-spline (1+z)^4 / 8: four exact divisions, and the
         # fifth stops the chain on its remainder
         divided.clear()
-        certify(catalog_get("d").mask, 6)
+        certify(catalog_get("d").mask)
         assert len(divided) == 5
 
 
 class TestCertify:
     def test_cubic_bspline_reaches_c2(self):
-        report = certify(catalog_get("d").mask, 2)
+        report = certify(catalog_get("d").mask)
         assert report.verdict is Verdict.C0_CERTIFIED
         assert report.certified_smoothness == 2
 
     def test_lifted_scheme_reaches_c1(self):
-        report = certify(catalog_get("b").mask, 1)
+        report = certify(catalog_get("b").mask)
         assert report.certified_smoothness == 1
 
     def test_divergent_mask(self):
-        report = certify(Mask(0, (F(1), F(1), F(1))), 3)
+        report = certify(Mask(0, (F(1), F(1), F(1))))
         assert report.verdict is Verdict.DIVERGENT
         assert report.certified_smoothness is None
 
     def test_report_invariants(self):
         for name in "abcd":
-            r = certify(catalog_get(name).mask, 4)
+            r = certify(catalog_get(name).mask)
             assert r.necessary_ok == (r.s_at_1 == 2 and r.s_at_minus1 == 0)
             if r.verdict is Verdict.C0_CERTIFIED:
                 assert r.necessary_ok and r.norm < 1
@@ -460,7 +456,7 @@ class TestCertify:
     def test_matches_documented_smoothness(self):
         for name in "abcd":
             rec = catalog_get(name)
-            assert certify(rec.mask, 6).certified_smoothness == rec.smoothness
+            assert certify(rec.mask).certified_smoothness == rec.smoothness
 
     def test_prefix_sums_past_int64_stay_exact(self, monkeypatch):
         # every numerator fits int64, but the alternated prefix sums reach
@@ -475,22 +471,21 @@ class TestCertify:
 
         divide = convergence._divide
         monkeypatch.setattr(convergence, "_divide", recorded)
-        for target_m in range(3):
-            assert certify(mask, target_m) == fraction_certify(mask, target_m)
+        assert certify(mask) == fraction_certify(mask)
         assert dtypes and all(d == object for d in dtypes)
 
-    @given(ladder_masks(), st.integers(0, 6))
-    def test_matches_fraction_ladder(self, mask, target_m):
-        assert certify(mask, target_m) == fraction_certify(mask, target_m)
+    @given(ladder_masks())
+    def test_matches_fraction_ladder(self, mask):
+        assert certify(mask) == fraction_certify(mask)
 
-    @given(ladder_masks(), st.integers(0, 6))
-    def test_matches_reference_ladder(self, mask, target_m):
-        r = certify(mask, target_m)
+    @given(ladder_masks())
+    def test_matches_reference_ladder(self, mask):
+        r = certify(mask)
         assert (r.verdict, r.certified_smoothness, r.norm, r.difference_mask) \
-            == reference_certify(mask, target_m)
+            == reference_certify(mask)
 
     def test_json_round_serializable(self):
-        doc = certify(catalog_get("a").mask, 2).to_json()
+        doc = certify(catalog_get("a").mask).to_json()
         assert doc["norm"] == "4/5"
         assert doc["verdict"] == "C0Certified"
 
@@ -516,7 +511,7 @@ class TestSmoothLift:
         # s(1), s(-1) and ((1+z)/2) s(z) of the symbol s(z) = sum a_k z^k
         s = sympy_symbol(mask.support_min, mask.coeffs)
         s1, sm1 = rational(s.subs(Z, 1)), rational(s.subs(Z, -1))
-        r = certify(mask, 0)
+        r = certify(mask)
         assert (r.s_at_1, r.s_at_minus1, r.necessary_ok) == (s1, sm1, s1 == 2 and sm1 == 0)
         terms = laurent_terms((1 + Z) / 2 * s)
         if not terms:  # the zero mask lifts to itself
@@ -538,7 +533,7 @@ class TestSmoothLift:
     def test_lift_then_difference_halves_symbol(self):
         for name in "acd":
             mask = catalog_get(name).mask
-            b = certify(smooth_lift(mask), 0).difference_mask
+            b = certify(smooth_lift(mask)).difference_mask
             # equal coefficient runs: equality up to the recentering
             # translation applied by smooth_lift
             assert b.coeffs == tuple(c / 2 for c in mask.coeffs)
@@ -546,6 +541,6 @@ class TestSmoothLift:
     def test_lift_raises_certified_smoothness(self):
         for name in "acd":
             mask = catalog_get(name).mask
-            m = certify(mask, 4).certified_smoothness
-            lifted = certify(smooth_lift(mask), 5).certified_smoothness
+            m = certify(mask).certified_smoothness
+            lifted = certify(smooth_lift(mask)).certified_smoothness
             assert lifted >= m + 1

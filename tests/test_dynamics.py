@@ -226,7 +226,9 @@ class TestExactTrajectory:
     @settings(max_examples=100, deadline=None)
     @given(st.data(), local_matrices(), st.integers(1, 40), st.sampled_from(["inf", "2"]))
     def test_matches_fraction_reference(self, data, A, K, norm):
-        v0 = data.draw(st.lists(dyadic, min_size=A.n, max_size=A.n))
+        # floats and Fractions, non-dyadic ones too: each is the exact
+        # rational it is
+        v0 = data.draw(st.lists(dyadic | rationals, min_size=A.n, max_size=A.n))
         traj = iterate_local(v0, A, K, norm)
         transients, dists = reference_trajectory(v0, A, K, norm)
         assert bits(traj.transients) == bits(transients)
