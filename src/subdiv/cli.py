@@ -148,7 +148,7 @@ def cmd_search(args) -> None:
         return
     if args.width is None:
         raise CliError("search needs --width or --min-width")
-    grid = _parse_grid(args.grid) if args.grid else search.family(args.width).grid
+    grid = _parse_grid(args.grid) if args.grid is not None else search.family(args.width).grid
     spec = search.SearchSpec(args.width, tuple(grid), convergence_filter=not args.no_filter)
     result = search.scan(spec)
     out = args.out if args.out and args.out != "-" else None

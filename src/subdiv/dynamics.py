@@ -15,7 +15,8 @@ denominators, one read-only array of Python ints (dtype=object) that every
 step here reads as it is; each eigenvector comes from fraction-free
 elimination, and the trajectory is kept as its transients
 t_k = v_k - z = A^k (v_0 - z) (z = 0 when eigenvalue 1 is absent, not
-simple or defective).  Every
+simple or defective), from one start t_0 = v_0 - z built once as integer
+numerators over one denominator.  Every
 reported transient is its exact value correctly rounded, by one of two
 routes that give the same floats.  Where the exact operands would be long,
 P-bit fixed-point integers with a proved error bound decide each rounding,
@@ -113,16 +114,14 @@ def _null_vector(L: int, B: np.ndarray) -> Optional[np.ndarray]:
 
 
 # iterate_local refuses more steps than this before any work.  K = 10^4
-# takes 4.1-4.4 s on the benchmark's random rational masks of width 20
+# takes 3.6-3.9 s on the benchmark's random rational masks of width 20
 # whose trajectory stays finite (pool masks w20/1 and w20/2; Python 3.11,
 # one core of a 2-vCPU VM, the whole CLI process), on the fixed-point route
 # at P = 8023 and 8287 bits.  A width-24 mask with 500-bit denominators
-# takes 24 s there from the default start.  The exact route's
+# takes 23 s there from the default start.  The exact route's
 # cost grows about as K^2 (its operands grow by log2(L) bits a step,
 # den_k = den_0 L^k), and it runs only for short operands or a rounding
-# no bracket proves (an exact zero or a tie, or a start so far below 1
-# that P runs short: entries near 1e-300 on that width-24 mask take 38 s
-# at K = 1000).
+# no bracket proves (an exact zero or a tie).
 MAX_K = 10 ** 4
 
 
@@ -145,40 +144,41 @@ def _band(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.take_along_axis(B, idx, axis=1)
 
 
-def _transient_numerators(t: Sequence[Fraction], L: int,
+def _transient_numerators(t0: tuple[int, np.ndarray], L: int,
                           B: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
-    """The transients t_k = A^k t of t_{k+1} = A t_k, A = B / L with B
-    integer, as (integer numerators, one array of Python ints, and one
-    positive denominator) for k = 0, 1, ...
+    """The transients t_k = A^k t_0 of t_{k+1} = A t_k, A = B / L with B
+    integer, from t_0 = (den, T), T / den (iterate_local's start), as
+    (integer numerators, one array of Python ints, and one positive
+    denominator) for k = 0, 1, ...
 
     The numerators T_k over den_k = den_0 L^k step as T_{k+1} = B T_k,
     taken on the band of B (_band).  Nothing is reduced, so the operands
     grow by log2(L) bits a step.
     """
-    common, nums = integer_run(t)
+    common, T = t0
     idx, band = _band(B)
-    T = np.array(nums, dtype=object)
     while True:
         yield T, common
         T = (T[idx] * band).sum(axis=1)
         common *= L
 
 
-def _fixed_point_numerators(t: Sequence[Fraction], L: int, B: np.ndarray,
+def _fixed_point_numerators(t0: tuple[int, np.ndarray], L: int, B: np.ndarray,
                             P: int) -> Iterator[tuple[np.ndarray, int]]:
-    """P-bit fixed-point transients of t_{k+1} = A t_k, A = B / L: (X_k, E_k)
+    """P-bit fixed-point transients of t_{k+1} = A t_k, A = B / L, from
+    t_0 = (den, T), T / den: (X_k, E_k)
     for k = 0, 1, ..., integers X_k (one array) and one bound E_k with
     |2^P t_k - X_k| < E_k for every entry.
 
-    X_0 = floor(2^P t_0) and X_{k+1} = floor(B X_k / L), on the band of B
+    X_0 = floor(2^P T / den) and X_{k+1} = floor(B X_k / L), on the band of B
     (_band).  E_0 = 1 and E_{k+1} = ceil(R E_k / L) + 1, R = _row_bound(B):
     the new error is the old one through B / L, below R E_k / L in
     magnitude, plus the floor's remainder, in [0, 1).  The operands stay
     near P bits plus the transients' own size.
     """
-    den, nums = integer_run(t)
+    den, T = t0
     idx, band = _band(B)
-    X = np.array([(x << P) // den for x in nums], dtype=object)
+    X = (T << P) // den
     R = _row_bound(B)
     E = 1
     while True:
@@ -192,10 +192,10 @@ def _fixed_point_numerators(t: Sequence[Fraction], L: int, B: np.ndarray,
 _BLOCK = 32
 
 
-def _fixed_point_transients(t: Sequence[Fraction], L: int, B: np.ndarray,
+def _fixed_point_transients(t0: tuple[int, np.ndarray], L: int, B: np.ndarray,
                             K: int, P: int) -> Optional[np.ndarray]:
     """The floats of the transients t_k, k = 0..K, of t_{k+1} = A t_k,
-    A = B / L, from the P-bit integers of
+    A = B / L, from t_0 = (den, T), T / den, by the P-bit integers of
     _fixed_point_numerators; None where one of them is not proved to round
     to its float.
 
@@ -208,7 +208,7 @@ def _fixed_point_transients(t: Sequence[Fraction], L: int, B: np.ndarray,
     of opposite signs; so does a tie) or an end past the float range.
     """
     out = np.empty((K + 1, len(B)))
-    steps = _fixed_point_numerators(t, L, B, P)
+    steps = _fixed_point_numerators(t0, L, B, P)
     try:
         for k in range(0, K + 1, _BLOCK):
             block = list(islice(steps, min(_BLOCK, K + 1 - k)))
@@ -224,17 +224,24 @@ def _fixed_point_transients(t: Sequence[Fraction], L: int, B: np.ndarray,
     return out
 
 
-def _precision(M: LocalMatrix, K: int, w: np.ndarray) -> int:
-    """P for _fixed_point_transients at K steps: 128 bits, plus per step the
-    growth log2 max(R / L, 1) of the error bound (R = _row_bound(B), as
+def _precision(M: LocalMatrix, K: int, w: np.ndarray, t0: tuple[int, np.ndarray]) -> int:
+    """P for _fixed_point_transients at K steps from t_0 = (den, T), T / den:
+    128 bits, plus the start's scale, plus per step the growth
+    log2 max(R / L, 1) of the error bound (R = _row_bound(B), as
     _fixed_point_numerators bounds it) and the decay log2(1 / rho2) of the
-    transients, rho2 the subdominant modulus of w, at least 2^-8.  w holds the float matrix's
+    transients, rho2 the subdominant modulus of w, at least 2^-8.  The
+    scale is the bits by which t_0's smallest nonzero entry lies below 1,
+    log2(den) less its numerator's bit length, from integer bit lengths: the
+    first bracket must decide every nonzero entry, so the smallest one
+    sizes P, not max |t_0|.  w holds the float matrix's
     eigenvalues that the start excites, as iterate_local reads them: all of
     them, or the J-even ones for a J-symmetric start.  The floats only size
     P: no output bit depends on them."""
+    den, T = t0
+    scale = den.bit_length() - min([den.bit_length()] + [x.bit_length() for x in T if x])
     moduli = np.sort(np.abs(w))
     rho2 = max(float(moduli[-2:][0]), 2.0 ** -8)  # the only modulus at order 1
-    return 128 + math.ceil(K * (math.log2(max(_row_bound(M.B), M.L) / M.L) - math.log2(rho2)))
+    return 128 + scale + math.ceil(K * (math.log2(max(_row_bound(M.B), M.L) / M.L) - math.log2(rho2)))
 
 
 def iterate_local(v0: Sequence[Fraction | float], M: LocalMatrix, K: int,
@@ -249,17 +256,23 @@ def iterate_local(v0: Sequence[Fraction | float], M: LocalMatrix, K: int,
     is their limit when every other eigenvalue has modulus below 1.  When
     eigenvalue 1 is absent or not simple (no vector) or defective
     (u . w = 0), z is 0 and the transients are the states.  Either way
-    the transients step as t_{k+1} = A t_k from t_0 = v0 - z.  Each transient entry is the
+    the transients step as t_{k+1} = A t_k from t_0 = v0 - z, built once
+    in integers as (den, T): v0's entries, read as Fractions, are
+    V0 / den0 by one integer_run, and t_0 is (u . w) V0 - (u . V0) w over
+    (u . w) den0, reduced by one gcd to lowest terms with den > 0.  Every
+    reader takes that pair.  Each transient entry is the
     correctly rounded float of its exact value, one entry of a float64
     array, by one of two routes with the same floats.  A size rule is
     the only route decision: the fixed-point route (_fixed_point_transients)
     runs when twice its precision P (_precision) is below the exact route's
-    mean operand length, log2(den) + K log2(L) / 2 bits with den the common
-    denominator of t_0, at any P.  It proves each rounding from an error
+    mean operand length, log2(den) + K log2(L) / 2 bits, at any P.  It
+    proves each rounding from an error
     bound or returns None, where a bracket fails (an exact zero or a tie)
-    or an end passes the float range.  P's decay term
+    or an end passes the float range.  P's scale term reads t_0's
+    smallest nonzero entry, so a start far below 1 stays on the route,
+    and its decay term
     reads the subdominant modulus of the modes the start excites.  When B is its own flip J
-    (B[i][j] = B[n-1-i][n-1-j], localmatrix._centrosymmetric) and t_0 its
+    (B[i][j] = B[n-1-i][n-1-j], localmatrix._centrosymmetric) and T its
     own reverse, both exact tests,
     every transient is J-symmetric and decays at the J-even modes alone:
     those eigenvalues whose eigenvector (a column of V) lies nearer the
@@ -292,30 +305,32 @@ def iterate_local(v0: Sequence[Fraction | float], M: LocalMatrix, K: int,
     if len(v0) != M.n:
         raise ValueError("v0 has dimension %d, matrix order is %d" % (len(v0), M.n))
 
-    vq = [Fraction(x) for x in v0]
+    den, T = integer_run([Fraction(x) for x in v0])
+    T = np.array(T, dtype=object)
     u = _null_vector(M.L, M.B)
     right = None if u is None else _null_vector(M.L, M.B.T)
     uw = 0 if right is None else u @ right
-    t = vq
     if uw:
-        c = (u * vq).sum() / uw
-        t = [x - c * y for x, y in zip(vq, right)]
-    D = None
+        # t_0 = v0 - (u . v0 / u . w) w over den u . w, then in lowest terms
+        # by one gcd that carries the sign of u . w
+        den, T = uw * den, uw * T - (u @ T) * right
+        g = math.gcd(den, *T) * (1 if den > 0 else -1)
+        den, T = den // g, T // g
     w, V = np.linalg.eig(M.as_float())
     # a start that is its own flip J, on a B that is too, excites only the
     # J-even modes: those whose eigenvector is nearer J-symmetric
     even = np.linalg.norm(V - V[::-1], axis=0) < np.linalg.norm(V + V[::-1], axis=0)
-    symmetric = t == t[::-1] and _centrosymmetric(M.B[None])[0]
-    P = _precision(M, K, w[even] if symmetric and even.sum() >= 2 else w)
+    symmetric = (T == T[::-1]).all() and _centrosymmetric(M.B[None])[0]
+    P = _precision(M, K, w[even] if symmetric and even.sum() >= 2 else w, (den, T))
     # the fixed-point route pays for P-bit operands where the exact one's
     # average log2(den) + K log2(L) / 2 bits; twice P is where it gains
-    if 2 * P < integer_run(t)[0].bit_length() + K * M.L.bit_length() / 2:
-        D = _fixed_point_transients(t, M.L, M.B, K, P)
+    D = (_fixed_point_transients((den, T), M.L, M.B, K, P)
+         if 2 * P < den.bit_length() + K * M.L.bit_length() / 2 else None)
     if D is None:
         D = np.empty((K + 1, M.n))
         try:
-            for k, (T, common) in enumerate(islice(_transient_numerators(t, M.L, M.B), K + 1)):
-                D[k] = T / common  # int.__truediv__ an entry, correctly rounded
+            for k, (Tk, common) in enumerate(islice(_transient_numerators((den, T), M.L, M.B), K + 1)):
+                D[k] = Tk / common  # int.__truediv__ an entry, correctly rounded
         except OverflowError:
             raise TrajectoryOverflowError(
                 "transient %d leaves the float range" % k

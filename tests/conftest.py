@@ -16,7 +16,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from subdiv.localmatrix import LocalMatrix, matrix_from_coeffs
-from subdiv.masks import record_to_json
+from subdiv.masks import integer_run, record_to_json
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -59,6 +59,14 @@ def local_matrix(L, rows):
 def mask_matrix(mask):
     """The local matrix of a Mask, as the CLI builds it."""
     return matrix_from_coeffs(mask.support_min, mask.coeffs)
+
+
+def integer_start(values):
+    """A start of the dynamics recurrences, (den, T): the rationals (ints or
+    Fractions) as integer numerators T, one array of Python ints
+    (dtype=object), over one positive denominator den, by integer_run."""
+    den, nums = integer_run(values)
+    return den, np.array(nums, dtype=object)
 
 
 def fraction_entries(M):

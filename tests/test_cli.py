@@ -786,6 +786,8 @@ class TestRefusals:
         (["search"], "search needs --width or --min-width"),
         (["search", "--min-width", "--max-width", "1"], "max_width must be >= 2"),
         (["search", "--width", "9"], "width must be in 2..8"),
+        # an empty value is a grid of one empty range, not the default grid
+        (["search", "--width", "6", "--grid="], "grid range must be lo:hi:step, got ''"),
         (["dynamics", "--scheme", "catalog:a", "--K", "0"], "K must be >= 1"),
         (["dynamics", "--scheme", "catalog:a", "--v0", "1,2"],
          "v0 has dimension 2, matrix order is 6"),

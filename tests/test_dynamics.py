@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import fraction_entries, local_matrix, mask_matrix
+from conftest import fraction_entries, integer_start, local_matrix, mask_matrix
 from subdiv import dynamics
 from subdiv.dynamics import (MAX_K, ModeOverflowError, TrajectoryOverflowError,
                              _fixed_point_numerators, _fixed_point_transients, _null_vector,
@@ -303,7 +303,7 @@ class TestExactTrajectory:
     def test_transient_steps_are_exact(self, A, t0):
         # any start steps as t_{k+1} = A t_k, whether or not it is a
         # transient, and whether or not the rows of A sum to 1
-        steps = _transient_numerators(t0[:A.n], A.L, A.B)
+        steps = _transient_numerators(integer_start(t0[:A.n]), A.L, A.B)
         T, common = next(steps)
         t = [F(y, common) for y in T]
         assert t == t0[:A.n]
@@ -408,38 +408,43 @@ class TestBandStep:
     @example((7, ((3, 0, 4), (0, 7, 0), (5, 2, 0))), V0)
     def test_band_step_is_the_dense_product(self, LB, t0):
         L, B = LB[0], np.array(LB[1], dtype=object)  # the examples give nested tuples
-        band, dense = (steps(t0[:len(B)], L, B) for steps in (_transient_numerators,
-                                                              dense_numerators))
+        band = _transient_numerators(integer_start(t0[:len(B)]), L, B)
+        dense = dense_numerators(t0[:len(B)], L, B)
         for _ in range(6):
             (T, common), (T_dense, common_dense) = next(band), next(dense)
             assert T.tolist() == T_dense.tolist() and common == common_dense
 
 
-def exact_floats(t, L, B, K):
-    """The exact route's floats of the transients 0..K from t: each one
-    integer division of _transient_numerators; None where one leaves the
-    float range."""
+def exact_floats(t0, L, B, K):
+    """The exact route's floats of the transients 0..K from the start
+    t0 = (den, T): each one integer division of _transient_numerators;
+    None where one leaves the float range."""
     try:
         return [[y / common for y in T]
-                for T, common in islice(_transient_numerators(t, L, B), K + 1)]
+                for T, common in islice(_transient_numerators(t0, L, B), K + 1)]
     except OverflowError:
         return None
 
 
-def exact_rows(v0, A: LocalMatrix, K: int):
-    """exact_floats of the transients 0..K of iterate_local(v0, A, K), from
-    v0 minus its limit, or None."""
+def start(v0, A: LocalMatrix):
+    """The start (den, T) of iterate_local(v0, A, K): v0 minus its limit."""
     vq = [F(x) for x in v0]
-    return exact_floats([x - y for x, y in zip(vq, limit(A, vq))], A.L, A.B, K)
+    return integer_start([x - y for x, y in zip(vq, limit(A, vq))])
+
+
+def exact_rows(v0, A: LocalMatrix, K: int):
+    """exact_floats of the transients 0..K of iterate_local(v0, A, K), or
+    None."""
+    return exact_floats(start(v0, A), A.L, A.B, K)
 
 
 @st.composite
 def fixed_point_inputs(draw):
-    """(t, L, B, K, P): integer B of orders 1-10 with entries up to 2^20,
+    """(t0, L, B, K, P): integer B of orders 1-10 with entries up to 2^20,
     L up to 2^40 (half of the time near the largest row sum of |B|, where
     the transients neither overflow nor underflow at once), rows that sum
-    to L (eigenvalue 1) or not, a rational start t, K <= 400, and P the
-    one iterate_local picks or a fixed one."""
+    to L (eigenvalue 1) or not, a rational start t0 = (den, T), K <= 400,
+    and P the one iterate_local picks or a fixed one."""
     n = draw(st.integers(1, 10))
     top = 2 ** draw(st.integers(1, 20))
     entry = draw(st.sampled_from([st.integers(-top, top), st.sampled_from([0, 0, 0, -7, 1, 13])]))
@@ -453,13 +458,13 @@ def fixed_point_inputs(draw):
             row[i] += L - sum(row)
     B = np.array(B, dtype=object)
     small = st.builds(F, st.integers(-2 ** 30, 2 ** 30), st.integers(1, 2 ** 10))
-    t = draw(st.lists(small, min_size=n, max_size=n))
+    t0 = integer_start(draw(st.lists(small, min_size=n, max_size=n)))
     K = draw(st.integers(1, 400))
     P = draw(st.sampled_from([None, 0, 60, 200, 600, 960, 1200]))
     if P is None:
         A = local_matrix(L, B)
-        P = _precision(A, K, np.linalg.eig(A.as_float())[0])
-    return t, L, B, K, P
+        P = _precision(A, K, np.linalg.eig(A.as_float())[0], t0)
+    return t0, L, B, K, P
 
 
 class TestFixedPointRoute:
@@ -471,19 +476,19 @@ class TestFixedPointRoute:
     @given(fixed_point_inputs())
     def test_error_bound_holds(self, inputs):
         # |2^P t_k - X_k| < E_k, with t_k = T_k / common exactly
-        t, L, B, K, P = inputs
-        steps = zip(_fixed_point_numerators(t, L, B, P), _transient_numerators(t, L, B))
+        t0, L, B, K, P = inputs
+        steps = zip(_fixed_point_numerators(t0, L, B, P), _transient_numerators(t0, L, B))
         for (X, E), (T, common) in islice(steps, K + 1):
             assert all(abs((t << P) - x * common) < E * common for x, t in zip(X, T))
 
     @settings(max_examples=150, deadline=None)
     @given(fixed_point_inputs())
     def test_none_or_the_exact_floats(self, inputs):
-        t, L, B, K, P = inputs
-        got = _fixed_point_transients(t, L, B, K, P)
+        t0, L, B, K, P = inputs
+        got = _fixed_point_transients(t0, L, B, K, P)
         if got is not None:
             assert got.shape == (K + 1, len(B))
-            assert bits(got) == bits(exact_floats(t, L, B, K))
+            assert bits(got) == bits(exact_floats(t0, L, B, K))
 
     @settings(max_examples=40, deadline=None)
     @given(st.data(), local_matrices(), st.integers(1, 300), st.sampled_from(["inf", "2"]))
@@ -538,8 +543,8 @@ class TestFixedPointRoute:
         # exact 0, whose bracket ends X - E < 0 < X + E round to floats of
         # opposite signs
         assert limit(self.WIDE, [F(1)] * self.WIDE.n) == [F(1)] * self.WIDE.n
-        t = [F(0)] * self.WIDE.n
-        assert _fixed_point_transients(t, self.WIDE.L, self.WIDE.B, 300, 400) is None
+        t0 = integer_start([F(0)] * self.WIDE.n)
+        assert _fixed_point_transients(t0, self.WIDE.L, self.WIDE.B, 300, 400) is None
         results = self.spy(monkeypatch)
         traj = iterate_local((1.0,) * self.WIDE.n, self.WIDE, 300)
         assert results == [None]
@@ -576,7 +581,8 @@ class TestFixedPointRoute:
         # subnormals and to zeros, which that division rounds as the exact
         # route does
         v0 = tuple(float(i == self.W10.n // 2) for i in range(self.W10.n))
-        assert _precision(self.W10, K, np.linalg.eig(self.W10.as_float())[0]) > 1024
+        assert _precision(self.W10, K, np.linalg.eig(self.W10.as_float())[0],
+                          start(v0, self.W10)) > 1024
         results = self.spy(monkeypatch)
         traj = iterate_local(v0, self.W10, K)
         ref = np.array(exact_rows(v0, self.W10, K))
@@ -594,10 +600,9 @@ class TestFixedPointRoute:
         c[0], c[4], c[5], c[9] = c[0] + d, c[4] - d, c[5] - d, c[9] + d
         M = matrix_from_coeffs(-4, tuple(c))
         v0 = tuple(float(i == M.n // 2) for i in range(M.n))
-        vq = [F(x) for x in v0]
-        t = [x - y for x, y in zip(vq, limit(M, vq))]
-        P = _precision(M, 1000, np.linalg.eig(M.as_float())[0])
-        X, E = next(_fixed_point_numerators(t, M.L, M.B, P))
+        t0 = start(v0, M)
+        P = _precision(M, 1000, np.linalg.eig(M.as_float())[0], t0)
+        X, E = next(_fixed_point_numerators(t0, M.L, M.B, P))
         assert max(abs(X).max(), E) > 2 ** 1024 and M.L.bit_length() == 76
         ref = exact_rows(v0, M, 1000)
 
@@ -607,7 +612,26 @@ class TestFixedPointRoute:
         monkeypatch.setattr(dynamics, "_transient_numerators", fail)
         assert bits(iterate_local(v0, M, 1000).transients) == bits(ref)
 
-    # a palindromic width-7 mask of the benchmark's user masks (um-w7-11):
+    # 1 / q lies far below the float range: the entries 1 / (q + 2i), in
+    # lowest terms, share a denominator of some 143000 bits
+    Q = 10 ** 4299 + 1
+
+    @pytest.mark.parametrize("v0, K", [
+        (tuple(F(int(i == 5), 2 ** 1000) for i in range(10)), 1000),
+        ((1.0,) + tuple(i * 1e-300 for i in range(1, 10)), 1000),
+        (tuple(F(1, q) for q in range(Q, Q + 20, 2)), 300),
+    ], ids=["centred-times-2^-1000", "mixed-1-and-1e-300", "reciprocals"])
+    def test_starts_far_below_1_stay_on_the_fixed_point_route(self, monkeypatch, v0, K):
+        # P gains the bits by which t_0's smallest nonzero entry lies below
+        # 1, so the first bracket decides every entry and the fixed-point
+        # route answers alone
+        assert self.W10.n == len(v0)
+        results = self.spy(monkeypatch)
+        traj = iterate_local(v0, self.W10, K)
+        assert [r is not None for r in results] == [True]
+        assert bits(traj.transients) == bits(exact_rows(v0, self.W10, K))
+
+
     # its subdominant eigenvector is J-odd, J the flip, so the centred start
     # does not excite it, and its transients decay at the slowest J-even mode
     W7 = matrix_from_coeffs(-3, tuple(map(F, ("1/16", "1/10", "7/16", "4/5", "7/16", "1/10",
@@ -631,7 +655,7 @@ class TestFixedPointRoute:
         # J-even subspace than the J-odd one: P is sized from all of w
         sizes = []
         monkeypatch.setattr(dynamics, "_precision",
-                            lambda M, K, w: sizes.append(len(w)) or _precision(M, K, w))
+                            lambda M, K, w, t0: sizes.append(len(w)) or _precision(M, K, w, t0))
         traj = iterate_local((0.0, 0.0), local_matrix(1, ((1, 0), (0, 1))), 300)
         assert sizes == [2] and traj.transients.dtype == np.float64
         assert traj.transients.tolist() == [[0.0, 0.0]] * 301
@@ -646,7 +670,7 @@ class TestFixedPointRoute:
         # again, to 0.  Near k = 200, 2^P t_k falls within the bound E of 0
         # and the route gives None.
         L, B = 2, np.identity(2, dtype=object)
-        v = [F(2 ** 59 + 1, 2 ** 1059), F(1, 3 * 2 ** 1000)]
+        v = integer_start([F(2 ** 59 + 1, 2 ** 1059), F(1, 3 * 2 ** 1000)])
         ref = exact_floats(v, L, B, 150)
         assert bits(_fixed_point_transients(v, L, B, 150, 1200)) == bits(ref)
         assert ref[22][0] >= sys.float_info.min > ref[23][0]
@@ -655,20 +679,19 @@ class TestFixedPointRoute:
         assert _fixed_point_transients(v, L, B, 300, 1200) is None
         # 3 2^-1075 lies midway between two subnormals: no bracket decides
         # the tie at state 75, while state 74 is a subnormal exactly
-        v, B = [F(3, 2 ** 1000)], np.identity(1, dtype=object)
+        v, B = integer_start([F(3, 2 ** 1000)]), np.identity(1, dtype=object)
         assert bits(_fixed_point_transients(v, L, B, 74, 1200)) == bits(exact_floats(v, L, B, 74))
         assert _fixed_point_transients(v, L, B, 75, 1200) is None
 
     def test_small_p_fails_part_of_the_way(self):
         # at P = 100 the bracket holds for the first steps and then fails,
         # as the transients decay into the bound
-        vq = [F(x) for x in E1]
-        args = [x - y for x, y in zip(vq, limit(A_MATRIX, vq))], A_MATRIX.L, A_MATRIX.B
+        args = start(E1, A_MATRIX), A_MATRIX.L, A_MATRIX.B
         fails = next(K for K in range(1, 301) if _fixed_point_transients(*args, K, 100) is None)
         assert 1 < fails < 300
         assert bits(_fixed_point_transients(*args, fails - 1, 100)) == \
             bits(exact_floats(*args, fails - 1))
-        P = _precision(A_MATRIX, 300, np.linalg.eig(A_MATRIX.as_float())[0])
+        P = _precision(A_MATRIX, 300, np.linalg.eig(A_MATRIX.as_float())[0], args[0])
         assert bits(_fixed_point_transients(*args, 300, P)) == bits(exact_floats(*args, 300))
 
 
